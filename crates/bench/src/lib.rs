@@ -1,11 +1,8 @@
 //! Shared helpers for the Criterion benchmark harness.
 //!
-//! Each bench target under `benches/` regenerates one table/figure of
-//! the paper at a reduced, fixed-seed scale, so `cargo bench` both
-//! exercises the full pipeline and yields stable timing series:
+//! The bench targets under `benches/` (end-to-end and per-figure
+//! timing lives in the `ert-benchmark` package at the repo root):
 //!
-//! * `fig4_congestion` … `fig10_churn_lookups` — the simulation figures;
-//! * `thm41_supermarket` — the queueing-model validation;
 //! * `micro_core` — microbenchmarks of the hot data structures
 //!   (elastic-table updates, forwarding decisions, registry queries);
 //! * `telemetry_overhead` — per-event-site cost of the telemetry layer,

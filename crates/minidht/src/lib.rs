@@ -18,6 +18,13 @@
 //! — they isolate one question: does ERT's congestion control carry
 //! over, and do O(log n) paths help?
 //!
+//! The protocol itself lives in one place, [`ErtNode`]: the per-node
+//! state and the steps of Algorithms 1–4, reaching peers through a
+//! [`Window`] (the `ert_core::Directory` over one peer-access closure).
+//! [`MiniDht`] is the driver of a vector of such nodes and reaches a
+//! peer by indexing that vector; `ert-node`'s `WireNode` hosts the same
+//! node and reaches a peer by RPC.
+//!
 //! ```
 //! use ert_minidht::{ChordGeometry, MiniDht, MiniDhtConfig, MiniProtocol};
 //! use ert_sim::SimRng;
@@ -34,11 +41,13 @@
 
 mod chord;
 mod geometry;
+mod node;
 mod pastry;
 mod platform;
 
 pub use chord::ChordGeometry;
 pub use geometry::{Geometry, HopCandidates};
+pub use node::{AdaptOp, ErtNode, Hop, Lookup, PeerAnswer, PeerOp, PeerReport, Window};
 pub use pastry::PastryGeometry;
 pub use platform::{
     AdaptTrace, CompletionTrace, HopTrace, MiniDht, MiniDhtConfig, MiniProtocol, MiniReport,

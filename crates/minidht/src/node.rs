@@ -1,0 +1,724 @@
+//! One ERT node: the per-node state and the steps of the paper's
+//! Algorithms 1–4, written once for every runtime that hosts them.
+//!
+//! An [`ErtNode`] owns what a single participant owns — elastic table,
+//! FIFO service queue, adaptive indegree bound, load counters — and
+//! answers its peers through [`ErtNode::serve`]. Everything that needs
+//! *other* nodes (table build, indegree expansion, load probing,
+//! shedding) runs through a [`Window`]: the node, its geometry, and one
+//! closure that carries a [`PeerOp`] to a peer and brings the answer
+//! back. The window is the `ert_core::Directory` the core algorithms
+//! are written against, so `ert_core::expand_indegree` is the only
+//! expansion loop.
+//!
+//! The two hosts differ only in that closure. [`crate::MiniDht`]
+//! indexes its node vector and calls the peer's `serve` directly;
+//! `ert-node`'s `WireNode` encodes the op, sends it through its
+//! transport, and the receiving node decodes it into the same `serve`.
+
+use std::cell::RefCell;
+use std::collections::{BTreeSet, VecDeque};
+
+use ert_core::{
+    adaptation_action, assign::initial_indegree_target, choose_next_b, expand_indegree,
+    AdaptAction, Candidate, Directory, ElasticTable, ForwardPolicy,
+};
+use ert_sim::{SimDuration, SimRng};
+
+use crate::geometry::Geometry;
+use crate::platform::{AdaptTrace, MiniDhtConfig, MiniProtocol};
+
+/// A lookup while it is resident on a node or in flight between two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lookup {
+    /// Platform-unique query identifier.
+    pub query: u64,
+    /// Target key on the ring.
+    pub key: u64,
+    /// Hops taken so far.
+    pub hops: u32,
+    /// Client retry attempt (0 for the first send).
+    pub attempts: u32,
+    /// Sticky per-query flag: the geometry fell back to its numeric
+    /// endgame.
+    pub numeric_mode: bool,
+    /// Overloaded nodes seen so far (Algorithm 4's set `A`).
+    pub avoid: BTreeSet<u64>,
+}
+
+/// Link sub-operation one node asks of another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdaptOp {
+    /// Does the receiver already hold an outlink to the sender at `slot`?
+    QueryOutlink,
+    /// Add an outlink from the receiver to the sender at `slot`.
+    AddOutlink,
+    /// Remove every outlink from the receiver to the sender (shed).
+    DropOutlinks,
+    /// Record the sender as a backward finger of the receiver.
+    AddBackward,
+}
+
+/// What one node can ask of a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerOp {
+    /// Report your load, capacity and indegree.
+    Probe,
+    /// Apply a link operation on behalf of node `from`.
+    Link {
+        /// The asking node.
+        from: u64,
+        /// Slot of the receiver's table the op applies to.
+        slot: u16,
+        /// The sub-operation.
+        op: AdaptOp,
+    },
+}
+
+/// A peer's answer to any [`PeerOp`]: its state after the op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerReport {
+    /// Queue plus in-service load; for [`AdaptOp::QueryOutlink`] this
+    /// field carries the answer instead, 1 for present and 0 for absent.
+    pub load: u64,
+    /// Evaluated capacity.
+    pub capacity: u64,
+    /// Current indegree (backward-finger count).
+    pub indegree: u32,
+    /// Spare indegree `d_max − indegree` (may be negative).
+    pub spare: i64,
+}
+
+/// Outcome of carrying a [`PeerOp`] to a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerAnswer {
+    /// The peer answered.
+    Report(PeerReport),
+    /// No such peer. Forwarding scores it as load 0, capacity 1; link
+    /// construction treats it as having no spare indegree.
+    Unknown,
+    /// The peer exists but cannot be reached now (a partition): it is
+    /// left out of this decision.
+    Unreachable,
+}
+
+/// Where a lookup goes after its service completes on a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hop {
+    /// This node owns the key.
+    Found,
+    /// Forward to this peer; the lookup's hop count and avoid-set are
+    /// already updated.
+    Next(u64),
+    /// The hop limit is exhausted.
+    Dropped,
+    /// No owner, or no reachable candidate.
+    Failed,
+}
+
+/// State of one ERT node.
+#[derive(Debug)]
+pub struct ErtNode {
+    id: u64,
+    capacity_eval: u32,
+    d_max: u32,
+    table: ElasticTable<u16, u64>,
+    queue: VecDeque<Lookup>,
+    in_service: Option<Lookup>,
+    period_load: u64,
+    total_received: u64,
+    max_congestion: f64,
+    heavy_encounters: u64,
+    adapt_round: u32,
+}
+
+impl ErtNode {
+    /// A node with an empty table. `capacity_eval` is `max_indegree`
+    /// over the normalized capacity; it bounds the indegree under ERT
+    /// and is the congestion denominator under both protocols.
+    pub fn new(id: u64, capacity_eval: u32, protocol: MiniProtocol) -> ErtNode {
+        ErtNode {
+            id,
+            capacity_eval,
+            d_max: match protocol {
+                MiniProtocol::Classic => u32::MAX >> 8,
+                MiniProtocol::ElasticErt => capacity_eval,
+            },
+            table: ElasticTable::new(),
+            queue: VecDeque::new(),
+            in_service: None,
+            period_load: 0,
+            total_received: 0,
+            max_congestion: 0.0,
+            heavy_encounters: 0,
+            adapt_round: 0,
+        }
+    }
+
+    /// Ring id.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Current backward-finger count.
+    pub fn indegree(&self) -> u32 {
+        self.table.indegree() as u32
+    }
+
+    /// Current adaptive indegree bound.
+    pub fn d_max(&self) -> u32 {
+        self.d_max
+    }
+
+    /// Lookups received over the node's lifetime.
+    pub fn total_received(&self) -> u64 {
+        self.total_received
+    }
+
+    /// Highest congestion (load over evaluated capacity) seen so far.
+    pub fn max_congestion(&self) -> f64 {
+        self.max_congestion
+    }
+
+    /// Arrivals that found this node heavy.
+    pub fn heavy_encounters(&self) -> u64 {
+        self.heavy_encounters
+    }
+
+    /// Forgets a departed peer: drops it from every slot, the memory
+    /// and the backward fingers.
+    pub fn purge_peer(&mut self, peer: u64) {
+        self.table.purge_peer(peer);
+    }
+
+    fn load(&self) -> usize {
+        self.queue.len() + usize::from(self.in_service.is_some())
+    }
+
+    fn is_heavy(&self) -> bool {
+        self.load() > self.capacity_eval as usize
+    }
+
+    fn spare(&self) -> i64 {
+        self.d_max as i64 - self.table.indegree() as i64
+    }
+
+    /// A lookup arrives: heavy accounting, then service or queue, then
+    /// the congestion high-water mark. Returns the service time when
+    /// the lookup went straight into service; the host owes the node a
+    /// [`ErtNode::service_done`] for it after that delay.
+    pub fn arrive(&mut self, lookup: Lookup, cfg: &MiniDhtConfig) -> Option<SimDuration> {
+        if self.is_heavy() {
+            self.heavy_encounters += 1;
+        }
+        self.total_received += 1;
+        self.period_load += 1;
+        let started = if self.in_service.is_none() {
+            Some(self.start_service(lookup, cfg))
+        } else {
+            self.queue.push_back(lookup);
+            None
+        };
+        let g = self.load() as f64 / self.capacity_eval as f64;
+        if g > self.max_congestion {
+            self.max_congestion = g;
+        }
+        started
+    }
+
+    /// The service-time rule: a node that is heavy once the lookup is
+    /// in its slot serves it at the heavy rate.
+    fn start_service(&mut self, lookup: Lookup, cfg: &MiniDhtConfig) -> SimDuration {
+        self.in_service = Some(lookup);
+        if self.is_heavy() {
+            cfg.heavy_service
+        } else {
+            cfg.light_service
+        }
+    }
+
+    /// Service of `query` finished. Returns the served lookup (to be
+    /// passed to [`Window::route`]) and, when the queue was not empty,
+    /// the query now in service with its service time. `None` when
+    /// `query` is not the one in service (a stale callback).
+    pub fn service_done(
+        &mut self,
+        query: u64,
+        cfg: &MiniDhtConfig,
+    ) -> Option<(Lookup, Option<(u64, SimDuration)>)> {
+        if self.in_service.as_ref().map(|l| l.query) != Some(query) {
+            return None;
+        }
+        let served = self.in_service.take()?;
+        let next = self
+            .queue
+            .pop_front()
+            .map(|l| (l.query, self.start_service(l, cfg)));
+        Some((served, next))
+    }
+
+    /// Answers a peer's probe or link operation from local state only.
+    pub fn serve(&mut self, op: PeerOp) -> PeerReport {
+        let mut has_link = None;
+        if let PeerOp::Link { from, slot, op } = op {
+            match op {
+                AdaptOp::QueryOutlink => {
+                    has_link = Some(self.table.outlinks(slot).contains(&from));
+                }
+                AdaptOp::AddOutlink => {
+                    self.table.add_outlink(slot, from);
+                }
+                AdaptOp::DropOutlinks => {
+                    let slots: Vec<u16> = self.table.occupied_slots().collect();
+                    for s in slots {
+                        self.table.remove_outlink(s, from);
+                    }
+                }
+                AdaptOp::AddBackward => {
+                    self.table.add_backward(from);
+                }
+            }
+        }
+        PeerReport {
+            load: has_link.map_or(self.load() as u64, u64::from),
+            capacity: self.capacity_eval as u64,
+            indegree: self.table.indegree() as u32,
+            spare: self.spare(),
+        }
+    }
+
+    /// Canonical routing-state fingerprint: outlinks per occupied slot,
+    /// memory entries, backward fingers, and the adaptive bound. Two
+    /// nodes with equal fingerprints hold identical routing state.
+    pub fn fingerprint(&self) -> String {
+        let t = &self.table;
+        let out: Vec<String> = t
+            .occupied_slots()
+            .map(|s| {
+                let ids: Vec<String> = t.outlinks(s).iter().map(u64::to_string).collect();
+                format!("{s}:{}", ids.join(","))
+            })
+            .collect();
+        let mem: Vec<String> = t
+            .occupied_slots()
+            .filter_map(|s| t.memory(s).map(|m| format!("{s}:{m}")))
+            .collect();
+        let back: Vec<String> = t.backward_fingers().iter().map(u64::to_string).collect();
+        format!(
+            "id={};dmax={};out=[{}];mem=[{}];back=[{}]",
+            self.id,
+            self.d_max,
+            out.join("|"),
+            mem.join("|"),
+            back.join(",")
+        )
+    }
+}
+
+/// One node's window onto its peers: the [`Directory`] the core
+/// algorithms run against, plus the load probe and the "drop your
+/// outlinks to me" request that forwarding and shedding need.
+///
+/// Operations on the node itself are answered from its own state;
+/// everything else goes through the `peers` closure.
+pub struct Window<'a, G, P> {
+    cfg: &'a MiniDhtConfig,
+    protocol: MiniProtocol,
+    geometry: &'a G,
+    me: &'a mut ErtNode,
+    // `Directory`'s read methods take `&self`, but reaching a peer is a
+    // mutable act on both hosts (a transport send, a `serve` call). The
+    // closure never re-enters the window, so the borrow is never shared.
+    peers: RefCell<P>,
+}
+
+impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
+    /// Opens `me`'s window; `peers` carries one op to one peer.
+    pub fn new(
+        cfg: &'a MiniDhtConfig,
+        protocol: MiniProtocol,
+        geometry: &'a G,
+        me: &'a mut ErtNode,
+        peers: P,
+    ) -> Self {
+        Window {
+            cfg,
+            protocol,
+            geometry,
+            me,
+            peers: RefCell::new(peers),
+        }
+    }
+
+    fn ask(&self, peer: u64, op: PeerOp) -> PeerAnswer {
+        (self.peers.borrow_mut())(peer, op)
+    }
+
+    fn ask_link(&self, peer: u64, slot: u16, op: AdaptOp) -> PeerAnswer {
+        let from = self.me.id;
+        self.ask(peer, PeerOp::Link { from, slot, op })
+    }
+
+    /// The table-build rule. Classic: the geometry's pick per slot.
+    /// ERT: structural slots take the classic pick, elastic slots a
+    /// random peer among those with spare indegree (none if the whole
+    /// region is saturated — greedy routing tolerates the gap), then
+    /// the indegree expands to the `β·d_max` target.
+    pub fn build_table(&mut self) {
+        let id = self.me.id;
+        let elastic = self.protocol == MiniProtocol::ElasticErt;
+        let mut rng = SimRng::seed_from(self.cfg.seed ^ id);
+        for (slot, members) in self.geometry.table_slots(id) {
+            let pick = if !elastic || self.geometry.is_structural(slot) {
+                self.geometry.classic_pick(id, slot, &members)
+            } else {
+                let eligible: Vec<u64> = members
+                    .into_iter()
+                    .filter(|&c| self.spare_indegree(c) >= 1)
+                    .collect();
+                rng.choose(&eligible).copied()
+            };
+            if let Some(pick) = pick {
+                if !self.has_link(id, slot, pick) {
+                    self.add_link(id, slot, pick);
+                }
+            }
+        }
+        if elastic {
+            let target = initial_indegree_target(&self.cfg.ert, self.me.d_max);
+            expand_indegree(self, id, target);
+        }
+    }
+
+    /// Algorithm 4 for a lookup whose service just completed here:
+    /// finished if this node owns the key, otherwise probe the hop's
+    /// candidates and pick one with `rng`.
+    pub fn route(&mut self, lookup: &mut Lookup, rng: &mut SimRng) -> Hop {
+        let id = self.me.id;
+        let owner = self.geometry.owner(lookup.key);
+        if owner == Some(id) {
+            return Hop::Found;
+        }
+        if lookup.hops >= self.cfg.max_hops {
+            return Hop::Dropped;
+        }
+        let Some(owner) = owner else {
+            return Hop::Failed;
+        };
+        let hc =
+            self.geometry
+                .hop_candidates(id, owner, &mut self.me.table, &mut lookup.numeric_mode);
+        let mut cands: Vec<Candidate<u64>> = Vec::with_capacity(hc.ids.len());
+        for &c in &hc.ids {
+            let (load, capacity) = match self.ask(c, PeerOp::Probe) {
+                PeerAnswer::Report(r) => (r.load as f64, r.capacity as f64),
+                PeerAnswer::Unknown => (0.0, 1.0),
+                PeerAnswer::Unreachable => continue,
+            };
+            cands.push(Candidate {
+                id: c,
+                load,
+                capacity,
+                logical_distance: self.geometry.metric(c, owner),
+                physical_distance: 0.0,
+            });
+        }
+        let policy = match self.protocol {
+            MiniProtocol::Classic => ForwardPolicy::Deterministic,
+            MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
+                topology_aware: true,
+                use_memory: true,
+            },
+        };
+        let Some(choice) = choose_next_b(
+            policy,
+            &cands,
+            self.me.table.memory(hc.slot),
+            &lookup.avoid,
+            self.cfg.ert.gamma_l,
+            self.cfg.ert.probe_width,
+            rng,
+        ) else {
+            // Every candidate was hidden by a partition.
+            return Hop::Failed;
+        };
+        lookup.avoid.extend(choice.newly_overloaded);
+        if let Some(mem) = choice.new_memory {
+            if policy != ForwardPolicy::Deterministic {
+                self.me.table.set_memory(hc.slot, mem);
+            }
+        }
+        lookup.hops += 1;
+        Hop::Next(choice.next)
+    }
+
+    /// One Algorithm 3 round for this node: shed the most recently
+    /// added inlinks (the mini platforms carry no locality to rank by),
+    /// or raise the bound and expand, then reset the period load.
+    pub fn adapt(&mut self) -> AdaptTrace {
+        let id = self.me.id;
+        let capacity = self.me.capacity_eval;
+        let mut delta: i64 = 0;
+        match adaptation_action(self.me.period_load as f64, capacity as f64, &self.cfg.ert) {
+            AdaptAction::Keep => {}
+            AdaptAction::Shed(x) => {
+                let x = x.min(self.me.indegree());
+                delta = -(x as i64);
+                let victims: Vec<u64> = self
+                    .me
+                    .table
+                    .backward_fingers()
+                    .iter()
+                    .rev()
+                    .take(x as usize)
+                    .copied()
+                    .collect();
+                for v in victims {
+                    // An absent victim has nothing left to drop.
+                    self.ask_link(v, 0, AdaptOp::DropOutlinks);
+                    self.me.table.remove_backward(v);
+                }
+                self.me.d_max = self.me.d_max.saturating_sub(x).max(1);
+            }
+            AdaptAction::Grow(x) => {
+                delta = x as i64;
+                self.me.d_max = (self.me.d_max + x).min(8 * capacity.max(8));
+                let target = (self.me.indegree() + x).min(self.me.d_max);
+                expand_indegree(self, id, target);
+            }
+        }
+        self.me.period_load = 0;
+        let trace = AdaptTrace {
+            round: self.me.adapt_round,
+            node: id,
+            delta,
+            d_max: self.me.d_max,
+        };
+        self.me.adapt_round += 1;
+        trace
+    }
+}
+
+impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, G, P> {
+    type Id = u64;
+    type Slot = u16;
+
+    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
+        self.geometry.table_slots(node)
+    }
+
+    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
+        self.geometry.inlink_candidates(node)
+    }
+
+    fn spare_indegree(&self, node: u64) -> i64 {
+        if node == self.me.id {
+            return self.me.spare();
+        }
+        match self.ask(node, PeerOp::Probe) {
+            PeerAnswer::Report(r) => r.spare,
+            PeerAnswer::Unknown | PeerAnswer::Unreachable => 0,
+        }
+    }
+
+    fn indegree(&self, node: u64) -> u32 {
+        if node == self.me.id {
+            return self.me.indegree();
+        }
+        match self.ask(node, PeerOp::Probe) {
+            PeerAnswer::Report(r) => r.indegree,
+            PeerAnswer::Unknown | PeerAnswer::Unreachable => 0,
+        }
+    }
+
+    fn has_link(&self, from: u64, slot: u16, to: u64) -> bool {
+        if from == self.me.id {
+            return self.me.table.outlinks(slot).contains(&to);
+        }
+        match self.ask_link(from, slot, AdaptOp::QueryOutlink) {
+            PeerAnswer::Report(r) => r.load != 0,
+            // An absent holder cannot take a link: reporting it as
+            // linked makes expansion pass over it.
+            PeerAnswer::Unknown | PeerAnswer::Unreachable => true,
+        }
+    }
+
+    /// One end of every link this window creates is the node itself.
+    fn add_link(&mut self, from: u64, slot: u16, to: u64) {
+        let elastic = !self.geometry.is_structural(slot);
+        if from == self.me.id {
+            self.me.table.add_outlink(slot, to);
+            if elastic {
+                self.ask_link(to, slot, AdaptOp::AddBackward);
+            }
+        } else if let PeerAnswer::Report(_) = self.ask_link(from, slot, AdaptOp::AddOutlink) {
+            if elastic {
+                self.me.table.add_backward(from);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ChordGeometry;
+    use std::collections::BTreeMap;
+
+    const BITS: u8 = 6;
+    const ME: u64 = 0;
+
+    fn ring() -> ChordGeometry {
+        let members: Vec<u64> = (0..16).map(|i| i * 4).collect();
+        ChordGeometry::from_members(BITS, &members)
+    }
+
+    fn cfg() -> MiniDhtConfig {
+        MiniDhtConfig::defaults(BITS, 9)
+    }
+
+    /// A fake peer window: a map of real nodes served in place, a set
+    /// of partition-hidden ids, and a log of every op carried.
+    struct Peers {
+        nodes: BTreeMap<u64, ErtNode>,
+        hidden: BTreeSet<u64>,
+        log: Vec<(u64, PeerOp)>,
+    }
+
+    impl Peers {
+        fn new(geometry: &ChordGeometry) -> Peers {
+            Peers {
+                nodes: geometry
+                    .members()
+                    .into_iter()
+                    .filter(|&id| id != ME)
+                    .map(|id| (id, ErtNode::new(id, 8, MiniProtocol::ElasticErt)))
+                    .collect(),
+                hidden: BTreeSet::new(),
+                log: Vec::new(),
+            }
+        }
+
+        fn carry(&mut self, peer: u64, op: PeerOp) -> PeerAnswer {
+            self.log.push((peer, op));
+            if self.hidden.contains(&peer) {
+                return PeerAnswer::Unreachable;
+            }
+            match self.nodes.get_mut(&peer) {
+                Some(node) => PeerAnswer::Report(node.serve(op)),
+                None => PeerAnswer::Unknown,
+            }
+        }
+    }
+
+    fn lookup(key: u64) -> Lookup {
+        Lookup {
+            query: 1,
+            key,
+            hops: 0,
+            attempts: 0,
+            numeric_mode: false,
+            avoid: BTreeSet::new(),
+        }
+    }
+
+    #[test]
+    fn route_skips_hidden_candidates_and_fails_when_all_are_hidden() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        // Finger 5 of node 0 covers [32, 64): give it two outlinks.
+        me.table.add_outlink(5, 32);
+        me.table.add_outlink(5, 36);
+        let mut rng = SimRng::seed_from(1);
+
+        peers.hidden.insert(32);
+        let mut l = lookup(50);
+        let hop = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+            peers.carry(p, op)
+        })
+        .route(&mut l, &mut rng);
+        assert_eq!(hop, Hop::Next(36), "the hidden candidate is passed over");
+        assert_eq!(l.hops, 1);
+
+        peers.hidden.insert(36);
+        let mut l = lookup(50);
+        let hop = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+            peers.carry(p, op)
+        })
+        .route(&mut l, &mut rng);
+        assert_eq!(hop, Hop::Failed, "all hidden: a failure, not a panic");
+        assert_eq!(l.hops, 0);
+    }
+
+    #[test]
+    fn expansion_stops_at_the_target_and_skips_self_and_existing_links() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        let candidates = g.inlink_candidates(ME);
+        assert!(candidates.len() > 3);
+        // The first candidate already points at us.
+        let (slot0, linked) = candidates[0];
+        peers
+            .nodes
+            .get_mut(&linked)
+            .unwrap()
+            .table
+            .add_outlink(slot0, ME);
+
+        let gained = {
+            let mut w = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+                peers.carry(p, op)
+            });
+            expand_indegree(&mut w, ME, 2)
+        };
+        assert_eq!(gained, 2);
+        assert_eq!(me.indegree(), 2, "stops at the target");
+        assert_eq!(
+            me.table.backward_fingers(),
+            &[candidates[1].1, candidates[2].1],
+            "the already-linked candidate is skipped"
+        );
+        assert!(
+            peers.log.iter().all(|&(peer, _)| peer != ME),
+            "never asks self"
+        );
+        let asked: BTreeSet<u64> = peers.log.iter().map(|&(peer, _)| peer).collect();
+        assert_eq!(asked.len(), 3, "no candidate past the target is contacted");
+    }
+
+    #[test]
+    fn shed_removes_the_most_recent_backward_fingers_and_floors_d_max_at_one() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        // Capacity 1 with d_max 1: any shed would take d_max to 0.
+        let mut me = ErtNode::new(ME, 1, MiniProtocol::ElasticErt);
+        for holder in [8, 16, 24] {
+            me.table.add_backward(holder);
+            peers
+                .nodes
+                .get_mut(&holder)
+                .unwrap()
+                .table
+                .add_outlink(4, ME);
+        }
+        // μ = 1/2: load 5 over capacity 1 sheds ⌈(5 − 1)/2⌉ = 2.
+        me.period_load = 5;
+        let trace = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+            peers.carry(p, op)
+        })
+        .adapt();
+        assert_eq!(trace.delta, -2);
+        assert_eq!(me.d_max, 1, "d_max never drops below 1");
+        assert_eq!(trace.d_max, 1);
+        assert_eq!(me.period_load, 0);
+        // Victims are taken from the back of the finger list.
+        let kept = [8u64];
+        assert_eq!(me.table.backward_fingers(), kept);
+        for holder in [8u64, 16, 24] {
+            let still_linked = peers.nodes[&holder].table.outlinks(4).contains(&ME);
+            assert_eq!(still_linked, kept.contains(&holder), "holder {holder}");
+        }
+    }
+}

@@ -1,17 +1,15 @@
-//! The shared mini queueing simulator.
+//! The mini queueing simulator: the driver of a vector of
+//! [`ErtNode`]s (event engine, query and trace bookkeeping, report).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-use ert_core::{
-    adaptation_action, assign::initial_indegree_target, choose_next_b, expand_indegree,
-    max_indegree, normalize_capacities, AdaptAction, Candidate, Directory, ElasticTable, ErtParams,
-    ForwardPolicy,
-};
+use ert_core::{max_indegree, normalize_capacities, ErtParams};
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Geometry;
+use crate::node::{ErtNode, Hop, Lookup, PeerAnswer, PeerOp, Window};
 
 /// Which protocol a mini platform runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,122 +133,36 @@ pub struct RouteTrace {
 }
 
 #[derive(Debug)]
-struct MiniNode {
-    id: u64,
-    raw_capacity: f64,
-    capacity_eval: u32,
-    d_max: u32,
-    table: ElasticTable<u16, u64>,
-    queue: VecDeque<usize>,
-    in_service: Option<usize>,
-    period_load: u64,
-    total_received: u64,
-    max_congestion: f64,
-}
-
-impl MiniNode {
-    fn load(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
-    }
-    fn is_heavy(&self) -> bool {
-        self.load() > self.capacity_eval as usize
-    }
-    fn congestion(&self) -> f64 {
-        self.load() as f64 / self.capacity_eval as f64
-    }
-}
-
-#[derive(Debug)]
-struct Query {
-    key: u64,
-    started: SimTime,
-    hops: u32,
-    avoid: BTreeSet<u64>,
-    at: usize,
-    done: bool,
-    numeric_mode: bool,
-}
-
-#[derive(Debug)]
 enum Ev {
     Inject { key: u64 },
-    Arrive { q: usize, to: u64 },
-    Done { node: usize, q: usize },
+    Arrive { lookup: Lookup, to: u64 },
+    Done { node: usize, q: u64 },
     Adapt,
 }
 
-/// The mini platform: a geometry plus the Table 2 queueing model.
+/// The mini platform: a geometry plus the Table 2 queueing model. It
+/// is the driver of a vector of [`ErtNode`]s — event engine, query and
+/// trace bookkeeping, the report — and reaches a node's peers by
+/// indexing that vector.
 #[derive(Debug)]
 pub struct MiniDht<G: Geometry> {
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
     geometry: G,
     id_map: BTreeMap<u64, usize>,
-    nodes: Vec<MiniNode>,
+    nodes: Vec<ErtNode>,
+    capacities: Vec<f64>,
     engine: Engine<Ev>,
-    queries: Vec<Query>,
+    /// Injection time of each query, in injection order.
+    started: Vec<SimTime>,
     rng: SimRng,
     outstanding: u64,
     injections_left: u64,
     lookup_times: Samples,
     path_lengths: Samples,
-    heavy_encounters: u64,
     dropped: u64,
     trace: Option<RouteTrace>,
-    adapt_round: u32,
     decide_rngs: Option<Vec<SimRng>>,
-}
-
-/// The [`Directory`] view `ert-core`'s algorithms need.
-struct MiniDirectory<'a, G: Geometry> {
-    geometry: &'a G,
-    id_map: &'a BTreeMap<u64, usize>,
-    nodes: &'a mut Vec<MiniNode>,
-}
-
-impl<G: Geometry> MiniDirectory<'_, G> {
-    fn idx(&self, id: u64) -> Option<usize> {
-        self.id_map.get(&id).copied()
-    }
-}
-
-impl<G: Geometry> Directory for MiniDirectory<'_, G> {
-    type Id = u64;
-    type Slot = u16;
-
-    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
-        self.geometry.table_slots(node)
-    }
-
-    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
-        self.geometry.inlink_candidates(node)
-    }
-
-    fn spare_indegree(&self, node: u64) -> i64 {
-        self.idx(node).map_or(0, |i| {
-            self.nodes[i].d_max as i64 - self.nodes[i].table.indegree() as i64
-        })
-    }
-
-    fn indegree(&self, node: u64) -> u32 {
-        self.idx(node)
-            .map_or(0, |i| self.nodes[i].table.indegree() as u32)
-    }
-
-    fn has_link(&self, from: u64, slot: u16, to: u64) -> bool {
-        self.idx(from)
-            .is_some_and(|i| self.nodes[i].table.outlinks(slot).contains(&to))
-    }
-
-    fn add_link(&mut self, from: u64, slot: u16, to: u64) {
-        let (Some(f), Some(t)) = (self.idx(from), self.idx(to)) else {
-            return;
-        };
-        self.nodes[f].table.add_outlink(slot, to);
-        if !self.geometry.is_structural(slot) {
-            self.nodes[t].table.add_backward(from);
-        }
-    }
 }
 
 impl<G: Geometry> MiniDht<G> {
@@ -277,53 +189,62 @@ impl<G: Geometry> MiniDht<G> {
         }
         cfg.ert.validate().map_err(|e| e.to_string())?;
         let norm = normalize_capacities(capacities);
-        let mut nodes = Vec::with_capacity(members.len());
-        let mut id_map = BTreeMap::new();
-        for (i, (&id, (&raw, &nc))) in members.iter().zip(capacities.iter().zip(&norm)).enumerate()
-        {
-            let capacity_eval = max_indegree(cfg.ert.alpha, nc);
-            let d_max = match protocol {
-                MiniProtocol::Classic => u32::MAX >> 8,
-                MiniProtocol::ElasticErt => capacity_eval,
-            };
-            nodes.push(MiniNode {
-                id,
-                raw_capacity: raw,
-                capacity_eval,
-                d_max,
-                table: ElasticTable::new(),
-                queue: VecDeque::new(),
-                in_service: None,
-                period_load: 0,
-                total_received: 0,
-                max_congestion: 0.0,
-            });
-            id_map.insert(id, i);
-        }
+        let nodes: Vec<ErtNode> = members
+            .iter()
+            .zip(&norm)
+            .map(|(&id, &nc)| ErtNode::new(id, max_indegree(cfg.ert.alpha, nc), protocol))
+            .collect();
+        let id_map = members.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let mut net = MiniDht {
             cfg,
             protocol,
             geometry,
             id_map,
             nodes,
+            capacities: capacities.to_vec(),
             engine: Engine::new(),
-            queries: Vec::new(),
+            started: Vec::new(),
             rng: SimRng::seed_from(cfg.seed),
             outstanding: 0,
             injections_left: 0,
             lookup_times: Samples::new(),
             path_lengths: Samples::new(),
-            heavy_encounters: 0,
             dropped: 0,
             trace: None,
-            adapt_round: 0,
             decide_rngs: None,
         };
         let order = net.rng.sample_indices(net.nodes.len(), net.nodes.len());
         for i in order {
-            net.build_table(i);
+            net.window(i).0.build_table();
         }
         Ok(net)
+    }
+
+    /// Node `i`'s window — the node split out of the vector, its peers
+    /// served in place on either side of it — and the stream its
+    /// forwarding decisions draw from.
+    fn window(
+        &mut self,
+        i: usize,
+    ) -> (
+        Window<'_, G, impl FnMut(u64, PeerOp) -> PeerAnswer + '_>,
+        &mut SimRng,
+    ) {
+        let rng = match self.decide_rngs.as_mut() {
+            Some(streams) => &mut streams[i],
+            None => &mut self.rng,
+        };
+        let id_map = &self.id_map;
+        let (left, rest) = self.nodes.split_at_mut(i);
+        let (me, right) = rest.split_first_mut().expect("node index in range");
+        let peers = move |peer: u64, op| match id_map.get(&peer) {
+            Some(&j) if j < i => PeerAnswer::Report(left[j].serve(op)),
+            Some(&j) if j > i => PeerAnswer::Report(right[j - i - 1].serve(op)),
+            // The window answers for the node itself before asking.
+            _ => PeerAnswer::Unknown,
+        };
+        let window = Window::new(&self.cfg, self.protocol, &self.geometry, me, peers);
+        (window, rng)
     }
 
     /// Read access to the geometry.
@@ -335,58 +256,8 @@ impl<G: Geometry> MiniDht<G> {
     pub fn indegrees(&self) -> Vec<(u64, u32, u32)> {
         self.nodes
             .iter()
-            .map(|n| (n.id, n.table.indegree() as u32, n.d_max))
+            .map(|n| (n.id(), n.indegree(), n.d_max()))
             .collect()
-    }
-
-    fn build_table(&mut self, i: usize) {
-        let id = self.nodes[i].id;
-        let mut rng = SimRng::seed_from(self.cfg.seed ^ id);
-        let mut dir = MiniDirectory {
-            geometry: &self.geometry,
-            id_map: &self.id_map,
-            nodes: &mut self.nodes,
-        };
-        match self.protocol {
-            MiniProtocol::Classic => {
-                for (slot, members) in dir.geometry.table_slots(id) {
-                    if let Some(pick) = dir.geometry.classic_pick(id, slot, &members) {
-                        if !dir.has_link(id, slot, pick) {
-                            dir.add_link(id, slot, pick);
-                        }
-                    }
-                }
-            }
-            MiniProtocol::ElasticErt => {
-                // Structural slots take their classic neighbor; elastic
-                // slots honor the spare-indegree restriction strictly
-                // (empty if the whole region is saturated — greedy
-                // routing tolerates it).
-                for (slot, members) in dir.geometry.table_slots(id) {
-                    let pick = if dir.geometry.is_structural(slot) {
-                        dir.geometry.classic_pick(id, slot, &members)
-                    } else {
-                        let eligible: Vec<u64> = members
-                            .into_iter()
-                            .filter(|&c| dir.spare_indegree(c) >= 1)
-                            .collect();
-                        rng.choose(&eligible).copied()
-                    };
-                    if let Some(pick) = pick {
-                        if !dir.has_link(id, slot, pick) {
-                            dir.add_link(id, slot, pick);
-                        }
-                    }
-                }
-                let target = initial_indegree_target(&self.cfg.ert, self.nodes[i].d_max);
-                let mut dir = MiniDirectory {
-                    geometry: &self.geometry,
-                    id_map: &self.id_map,
-                    nodes: &mut self.nodes,
-                };
-                expand_indegree(&mut dir, id, target);
-            }
-        }
     }
 
     /// Switches on decision tracing: the next run records every source
@@ -412,49 +283,16 @@ impl<G: Geometry> MiniDht<G> {
         self.decide_rngs = Some(
             self.nodes
                 .iter()
-                .map(|n| SimRng::seed_from(seed ^ n.id).fork("decide"))
+                .map(|n| SimRng::seed_from(seed ^ n.id()).fork("decide"))
                 .collect(),
         );
     }
 
     /// Canonical per-node routing-table fingerprints (sorted by node
-    /// index): outlinks per occupied slot, memory entries, backward
-    /// fingers, and the adaptive bound. Two platforms with equal
+    /// index); see [`ErtNode::fingerprint`]. Two platforms with equal
     /// fingerprints hold identical routing state.
     pub fn table_fingerprints(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let out: Vec<String> = n
-                    .table
-                    .occupied_slots()
-                    .map(|s| {
-                        let ids: Vec<String> =
-                            n.table.outlinks(s).iter().map(u64::to_string).collect();
-                        format!("{s}:{}", ids.join(","))
-                    })
-                    .collect();
-                let mem: Vec<String> = n
-                    .table
-                    .occupied_slots()
-                    .filter_map(|s| n.table.memory(s).map(|m| format!("{s}:{m}")))
-                    .collect();
-                let back: Vec<String> = n
-                    .table
-                    .backward_fingers()
-                    .iter()
-                    .map(u64::to_string)
-                    .collect();
-                format!(
-                    "id={};dmax={};out=[{}];mem=[{}];back=[{}]",
-                    n.id,
-                    n.d_max,
-                    out.join("|"),
-                    mem.join("|"),
-                    back.join(",")
-                )
-            })
-            .collect()
+        self.nodes.iter().map(ErtNode::fingerprint).collect()
     }
 
     /// Draws a Poisson arrival schedule from the platform's `"workload"`
@@ -495,7 +333,7 @@ impl<G: Geometry> MiniDht<G> {
         while let Some((now, ev)) = self.engine.pop() {
             match ev {
                 Ev::Inject { key } => self.on_inject(key, now),
-                Ev::Arrive { q, to } => self.on_arrive(q, to, now),
+                Ev::Arrive { lookup, to } => self.on_arrive(lookup, to, now),
                 Ev::Done { node, q } => self.on_done(node, q, now),
                 Ev::Adapt => self.on_adapt(),
             }
@@ -507,13 +345,13 @@ impl<G: Geometry> MiniDht<G> {
     }
 
     fn report(&mut self) -> MiniReport {
-        let max_g: Samples = self.nodes.iter().map(|n| n.max_congestion).collect();
-        let total_load: f64 = self.nodes.iter().map(|n| n.total_received as f64).sum();
-        let total_cap: f64 = self.nodes.iter().map(|n| n.raw_capacity).sum();
+        let max_g: Samples = self.nodes.iter().map(ErtNode::max_congestion).collect();
+        let total_load: f64 = self.nodes.iter().map(|n| n.total_received() as f64).sum();
+        let total_cap: f64 = self.capacities.iter().sum();
         let mut shares = Samples::new();
         if total_load > 0.0 {
-            for n in &self.nodes {
-                shares.push((n.total_received as f64 / total_load) / (n.raw_capacity / total_cap));
+            for (n, raw) in self.nodes.iter().zip(&self.capacities) {
+                shares.push((n.total_received() as f64 / total_load) / (raw / total_cap));
             }
         }
         let suffix = match self.protocol {
@@ -528,254 +366,99 @@ impl<G: Geometry> MiniDht<G> {
             lookup_time: self.lookup_times.summary(),
             p99_max_congestion: max_g.percentile(0.99),
             p99_share: shares.percentile(0.99),
-            heavy_encounters: self.heavy_encounters,
+            heavy_encounters: self.nodes.iter().map(ErtNode::heavy_encounters).sum(),
         }
     }
 
     fn on_inject(&mut self, key: u64, now: SimTime) {
         self.injections_left -= 1;
         let source = self.rng.fork("source").sample_indices(self.nodes.len(), 1)[0];
-        let q = self.queries.len();
-        self.queries.push(Query {
+        let lookup = Lookup {
+            query: self.started.len() as u64,
             key,
-            started: now,
             hops: 0,
-            avoid: BTreeSet::new(),
-            at: source,
-            done: false,
+            attempts: 0,
             numeric_mode: false,
-        });
+            avoid: BTreeSet::new(),
+        };
+        self.started.push(now);
         self.outstanding += 1;
-        let id = self.nodes[source].id;
+        let id = self.nodes[source].id();
         if let Some(tr) = self.trace.as_mut() {
             tr.sources.push(id);
         }
-        self.on_arrive(q, id, now);
+        self.on_arrive(lookup, id, now);
     }
 
-    fn on_arrive(&mut self, q: usize, to: u64, now: SimTime) {
-        if self.queries[q].done {
+    fn on_arrive(&mut self, lookup: Lookup, to: u64, now: SimTime) {
+        let Some(&node) = self.id_map.get(&to) else {
+            return self.drop(lookup.query);
+        };
+        let q = lookup.query;
+        if let Some(service) = self.nodes[node].arrive(lookup, &self.cfg) {
+            self.engine.schedule_at(now + service, Ev::Done { node, q });
+        }
+    }
+
+    fn on_done(&mut self, node: usize, q: u64, now: SimTime) {
+        let Some((mut lookup, next)) = self.nodes[node].service_done(q, &self.cfg) else {
             return;
-        }
-        let Some(&idx) = self.id_map.get(&to) else {
-            return self.drop(q);
         };
-        self.queries[q].at = idx;
-        if self.nodes[idx].is_heavy() {
-            self.heavy_encounters += 1;
+        // The next service is scheduled before the hop is committed;
+        // the wire cluster's `(time, seq)` order depends on it.
+        if let Some((q, service)) = next {
+            self.engine.schedule_at(now + service, Ev::Done { node, q });
         }
-        let node = &mut self.nodes[idx];
-        node.total_received += 1;
-        node.period_load += 1;
-        if node.in_service.is_none() {
-            self.start_service(idx, q, now);
-        } else {
-            node.queue.push_back(q);
-        }
-        let node = &mut self.nodes[idx];
-        let g = node.congestion();
-        if g > node.max_congestion {
-            node.max_congestion = g;
-        }
-    }
-
-    fn start_service(&mut self, idx: usize, q: usize, now: SimTime) {
-        let node = &mut self.nodes[idx];
-        node.in_service = Some(q);
-        let service = if node.is_heavy() {
-            self.cfg.heavy_service
-        } else {
-            self.cfg.light_service
+        let hop = {
+            let (mut window, rng) = self.window(node);
+            window.route(&mut lookup, rng)
         };
-        self.engine
-            .schedule_at(now + service, Ev::Done { node: idx, q });
-    }
-
-    fn on_done(&mut self, idx: usize, q: usize, now: SimTime) {
-        if self.nodes[idx].in_service != Some(q) {
-            return;
-        }
-        self.nodes[idx].in_service = None;
-        if let Some(next) = self.nodes[idx].queue.pop_front() {
-            self.start_service(idx, next, now);
-        }
-        let me = self.nodes[idx].id;
-        if self.geometry.owner(self.queries[q].key) == Some(me) {
-            let qs = &mut self.queries[q];
-            qs.done = true;
-            self.outstanding -= 1;
-            self.lookup_times.push((now - qs.started).as_secs_f64());
-            self.path_lengths.push(qs.hops as f64);
-            let hops = self.queries[q].hops;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.completions.push(CompletionTrace {
-                    query: q as u64,
-                    hops,
-                    at_micros: now.as_micros(),
-                });
-            }
-        } else {
-            self.forward(q, idx, now);
-        }
-    }
-
-    fn forward(&mut self, q: usize, idx: usize, now: SimTime) {
-        if self.queries[q].hops >= self.cfg.max_hops {
-            return self.drop(q);
-        }
-        let key = self.queries[q].key;
-        let Some(owner) = self.geometry.owner(key) else {
-            return self.drop(q);
-        };
-        let hc = {
-            let node = &mut self.nodes[idx];
-            self.geometry.hop_candidates(
-                node.id,
-                owner,
-                &mut node.table,
-                &mut self.queries[q].numeric_mode,
-            )
-        };
-        let cands: Vec<Candidate<u64>> = hc
-            .ids
-            .iter()
-            .map(|&c| {
-                let (load, capacity) = match self.id_map.get(&c) {
-                    Some(&i) => (
-                        self.nodes[i].load() as f64,
-                        self.nodes[i].capacity_eval as f64,
-                    ),
-                    None => (0.0, 1.0),
-                };
-                Candidate {
-                    id: c,
-                    load,
-                    capacity,
-                    logical_distance: self.geometry.metric(c, owner),
-                    physical_distance: 0.0,
+        match hop {
+            Hop::Found => {
+                self.outstanding -= 1;
+                self.lookup_times
+                    .push((now - self.started[q as usize]).as_secs_f64());
+                self.path_lengths.push(lookup.hops as f64);
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.completions.push(CompletionTrace {
+                        query: q,
+                        hops: lookup.hops,
+                        at_micros: now.as_micros(),
+                    });
                 }
-            })
-            .collect();
-        let policy = match self.protocol {
-            MiniProtocol::Classic => ForwardPolicy::Deterministic,
-            MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
-                topology_aware: true,
-                use_memory: true,
-            },
-        };
-        let memory = self.nodes[idx].table.memory(hc.slot);
-        let choice = {
-            let rng = match self.decide_rngs.as_mut() {
-                Some(streams) => &mut streams[idx],
-                None => &mut self.rng,
-            };
-            choose_next_b(
-                policy,
-                &cands,
-                memory,
-                &self.queries[q].avoid,
-                self.cfg.ert.gamma_l,
-                self.cfg.ert.probe_width,
-                rng,
-            )
-            .expect("candidates nonempty")
-        };
-        if let Some(tr) = self.trace.as_mut() {
-            tr.hops.push(HopTrace {
-                query: q as u64,
-                from: self.nodes[idx].id,
-                to: choice.next,
-            });
-        }
-        for o in &choice.newly_overloaded {
-            self.queries[q].avoid.insert(*o);
-        }
-        if let Some(mem) = choice.new_memory {
-            if policy != ForwardPolicy::Deterministic {
-                self.nodes[idx].table.set_memory(hc.slot, mem);
             }
+            Hop::Next(to) => {
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.hops.push(HopTrace {
+                        query: q,
+                        from: self.nodes[node].id(),
+                        to,
+                    });
+                }
+                self.engine.schedule_at(now, Ev::Arrive { lookup, to });
+            }
+            Hop::Dropped | Hop::Failed => self.drop(q),
         }
-        self.queries[q].hops += 1;
-        self.engine
-            .schedule_at(now, Ev::Arrive { q, to: choice.next });
     }
 
     fn on_adapt(&mut self) {
         for i in 0..self.nodes.len() {
-            let load = self.nodes[i].period_load as f64;
-            let capacity = self.nodes[i].capacity_eval as f64;
-            let mut delta: i64 = 0;
-            match adaptation_action(load, capacity, &self.cfg.ert) {
-                AdaptAction::Keep => {}
-                AdaptAction::Shed(x) => {
-                    let x = x.min(self.nodes[i].table.indegree() as u32);
-                    delta = -(x as i64);
-                    let me = self.nodes[i].id;
-                    // Drop the most recently added inlinks (the mini
-                    // platforms carry no locality to rank by).
-                    let victims: Vec<u64> = self.nodes[i]
-                        .table
-                        .backward_fingers()
-                        .iter()
-                        .rev()
-                        .take(x as usize)
-                        .copied()
-                        .collect();
-                    for v in victims {
-                        if let Some(&vi) = self.id_map.get(&v) {
-                            let slots: Vec<u16> = self.nodes[vi].table.occupied_slots().collect();
-                            for slot in slots {
-                                self.nodes[vi].table.remove_outlink(slot, me);
-                            }
-                        }
-                        self.nodes[i].table.remove_backward(v);
-                    }
-                    self.nodes[i].d_max = self.nodes[i].d_max.saturating_sub(x).max(1);
-                }
-                AdaptAction::Grow(x) => {
-                    delta = x as i64;
-                    let cap = 8 * self.nodes[i].capacity_eval.max(8);
-                    self.nodes[i].d_max = (self.nodes[i].d_max + x).min(cap);
-                    let id = self.nodes[i].id;
-                    let target =
-                        (self.nodes[i].table.indegree() as u32 + x).min(self.nodes[i].d_max);
-                    let mut dir = MiniDirectory {
-                        geometry: &self.geometry,
-                        id_map: &self.id_map,
-                        nodes: &mut self.nodes,
-                    };
-                    expand_indegree(&mut dir, id, target);
-                }
-            }
-            self.nodes[i].period_load = 0;
-            let round = self.adapt_round;
-            let node = self.nodes[i].id;
-            let d_max = self.nodes[i].d_max;
+            let adapt = self.window(i).0.adapt();
             if let Some(tr) = self.trace.as_mut() {
-                tr.adapts.push(AdaptTrace {
-                    round,
-                    node,
-                    delta,
-                    d_max,
-                });
+                tr.adapts.push(adapt);
             }
         }
-        self.adapt_round += 1;
         if self.injections_left > 0 || self.outstanding > 0 {
             self.engine
                 .schedule_in(self.cfg.ert.adaptation_period, Ev::Adapt);
         }
     }
 
-    fn drop(&mut self, q: usize) {
-        if self.queries[q].done {
-            return;
-        }
-        self.queries[q].done = true;
+    fn drop(&mut self, q: u64) {
         self.outstanding -= 1;
         self.dropped += 1;
         if let Some(tr) = self.trace.as_mut() {
-            tr.drops.push(q as u64);
+            tr.drops.push(q);
         }
     }
 }

@@ -656,16 +656,18 @@ impl WireCluster {
 
     fn report(&mut self) -> WireReport {
         let live: Vec<&WireNode> = self.nodes.iter().flatten().collect();
-        let max_g: Samples = live.iter().map(|n| n.max_congestion).collect();
-        let total_load: f64 = live.iter().map(|n| n.total_received as f64).sum();
+        let max_g: Samples = live.iter().map(|n| n.ert.max_congestion()).collect();
+        let total_load: f64 = live.iter().map(|n| n.ert.total_received() as f64).sum();
         let total_cap: f64 = live.iter().map(|n| n.raw_capacity).sum();
         let mut shares = Samples::new();
         if total_load > 0.0 {
             for n in &live {
-                shares.push((n.total_received as f64 / total_load) / (n.raw_capacity / total_cap));
+                shares.push(
+                    (n.ert.total_received() as f64 / total_load) / (n.raw_capacity / total_cap),
+                );
             }
         }
-        let heavy_encounters: u64 = live.iter().map(|n| n.heavy_encounters).sum();
+        let heavy_encounters: u64 = live.iter().map(|n| n.ert.heavy_encounters()).sum();
         let suffix = match self.protocol {
             MiniProtocol::Classic => "",
             MiniProtocol::ElasticErt => "+ERT",

@@ -37,22 +37,13 @@ pub enum LookupStatus {
     Failed,
 }
 
-/// Indegree-adaptation sub-operation carried on [`Message::AdaptIndegree`].
+/// Indegree-adaptation sub-operation carried on [`Message::AdaptIndegree`]
+/// — the shared node's link operation, put on the wire as is.
 ///
 /// Replies reuse [`Message::LoadReport`]: `QueryOutlink` answers with
 /// `load` set to 0/1 for absent/present, the mutating ops answer with
 /// the responder's post-op state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptOp {
-    /// Does the receiver already hold an outlink to the sender at `slot`?
-    QueryOutlink,
-    /// Add an outlink from the receiver to the sender at `slot`.
-    AddOutlink,
-    /// Remove every outlink from the receiver to the sender (shed).
-    DropOutlinks,
-    /// Record the sender as a backward finger of the receiver.
-    AddBackward,
-}
+pub use ert_minidht::AdaptOp;
 
 /// A wire message. See DESIGN.md "Wire Protocol & Live Node" for the
 /// taxonomy and which transport lane (lossy datagram vs reliable RPC)

@@ -1,17 +1,17 @@
 //! The single-threaded node reactor.
 //!
-//! A [`WireNode`] owns exactly the state one `MiniNode` holds inside
-//! the simulator — elastic table, service queue, adaptive bound — and
-//! executes the same algorithms (`ert-core`'s Algorithm 4 forwarding
-//! and Algorithm 3 adaptation) as wire exchanges through a
-//! [`Transport`]. Every decision the simulator makes by reading shared
-//! memory, the node makes by sending a frame: candidate loads arrive as
-//! `ProbeLoad`/`LoadReport` RPCs, indegree expansion negotiates
-//! `AdaptIndegree` ops with the candidate inlink holders, and lookups
-//! are forwarded as `Lookup` datagrams. The differential oracle in
-//! `ert-testkit` pins the two executions to identical decisions
-//! hop-by-hop; see DESIGN.md "Wire Protocol & Live Node" for the
-//! correspondence argument.
+//! A [`WireNode`] is the shared [`ErtNode`] of `ert-minidht` — the same
+//! state and the same Algorithm 1–4 steps the simulator runs — plus
+//! what only a live process needs: a membership view with its geometry
+//! replica, and the codec. Where the simulator reaches a peer by
+//! indexing its node vector, this node encodes the [`PeerOp`] as a
+//! `ProbeLoad` or `AdaptIndegree` frame, sends it through its
+//! [`Transport`], and decodes the `LoadReport` that comes back; the
+//! peer's [`WireNode::on_request`] decodes the frame into the same
+//! `ErtNode::serve`. Lookups travel as `Lookup` datagrams. The
+//! differential oracle in `ert-testkit` pins what can still differ
+//! between the two hosts — event ordering, the codec and the
+//! transport; see DESIGN.md "Wire Protocol & Live Node".
 //!
 //! Determinism: the node's only randomness is two private streams
 //! derived from `seed ^ id` — the build stream (elastic slot picks at
@@ -19,15 +19,14 @@
 //! clock (time comes from [`Transport::now`]) and never iterates an
 //! unordered container.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use ert_core::{
-    adaptation_action, assign::initial_indegree_target, choose_next_b, AdaptAction, Candidate,
-    ElasticTable, ErtParams, ForwardPolicy,
+use ert_minidht::{
+    AdaptTrace, ChordGeometry, ErtNode, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer,
+    PeerOp, PeerReport, Window,
 };
-use ert_minidht::{AdaptTrace, ChordGeometry, Geometry, MiniDhtConfig, MiniProtocol};
-use ert_sim::{SimDuration, SimRng};
+use ert_sim::SimRng;
 
 use crate::codec::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 use crate::transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};
@@ -67,55 +66,51 @@ impl From<TransportError> for NodeError {
     }
 }
 
-/// A lookup while resident on this node (queued or in service).
-#[derive(Debug, Clone)]
-pub(crate) struct LookupState {
-    pub(crate) query: u64,
-    pub(crate) key: u64,
-    pub(crate) hops: u32,
-    pub(crate) attempts: u32,
-    pub(crate) numeric_mode: bool,
-    pub(crate) avoid: BTreeSet<u64>,
-}
-
-/// Result of probing one forwarding candidate.
-enum Probe {
-    /// The peer answered with (load, capacity).
-    Report(u64, u64),
-    /// No such peer; the simulator scores unknowns as load 0 capacity 1.
-    Unknown,
-    /// A partition hides the peer; it cannot be considered this hop.
-    Unreachable,
-}
-
-/// One live DHT node: Chord geometry replica, elastic routing table,
-/// single-server queue, and the ERT adaptation loop — all driven
-/// through a [`Transport`].
+/// One live DHT node: the shared ERT node, a Chord geometry replica
+/// rebuilt from its membership view, and a private decision stream —
+/// all driven through a [`Transport`].
 #[derive(Debug)]
 pub struct WireNode {
-    pub(crate) id: u64,
+    pub(crate) ert: ErtNode,
     bits: u8,
     pub(crate) raw_capacity: f64,
-    pub(crate) capacity_eval: u32,
-    pub(crate) d_max: u32,
     geometry: ChordGeometry,
     members: BTreeSet<u64>,
-    pub(crate) table: ElasticTable<u16, u64>,
-    queue: VecDeque<LookupState>,
-    in_service: Option<LookupState>,
-    pub(crate) period_load: u64,
-    pub(crate) total_received: u64,
-    pub(crate) max_congestion: f64,
-    pub(crate) heavy_encounters: u64,
     decide: SimRng,
-    build_rng: SimRng,
-    ert: ErtParams,
-    light: SimDuration,
-    heavy: SimDuration,
-    max_hops: u32,
+    cfg: MiniDhtConfig,
     protocol: MiniProtocol,
-    adapt_round: u32,
     stabilize_round: u32,
+}
+
+/// Carries one [`PeerOp`] to `peer` as an RPC: encode, request, decode.
+/// Unknown and partitioned peers are answers, not errors.
+fn ask(t: &mut dyn Transport, token: u64, peer: u64, op: PeerOp) -> Result<PeerAnswer, NodeError> {
+    let frame = encode(&match op {
+        PeerOp::Probe => Message::ProbeLoad { token },
+        PeerOp::Link { from, slot, op } => Message::AdaptIndegree { from, slot, op },
+    });
+    match t.request(peer, &frame) {
+        Ok(bytes) => match decode(&bytes)? {
+            Message::LoadReport {
+                load,
+                capacity,
+                indegree,
+                spare,
+                ..
+            } => Ok(PeerAnswer::Report(PeerReport {
+                load,
+                capacity,
+                indegree,
+                spare,
+            })),
+            other => Err(NodeError::Protocol(format!(
+                "peer reply carried unexpected message {other:?}"
+            ))),
+        },
+        Err(TransportError::UnknownPeer(_)) => Ok(PeerAnswer::Unknown),
+        Err(TransportError::Partitioned { .. }) => Ok(PeerAnswer::Unreachable),
+        Err(e) => Err(e.into()),
+    }
 }
 
 impl WireNode {
@@ -132,53 +127,35 @@ impl WireNode {
         cfg: &MiniDhtConfig,
         protocol: MiniProtocol,
     ) -> WireNode {
-        let d_max = match protocol {
-            MiniProtocol::Classic => u32::MAX >> 8,
-            MiniProtocol::ElasticErt => capacity_eval,
-        };
         let mut members: BTreeSet<u64> = view.iter().copied().collect();
         members.insert(id);
         let member_list: Vec<u64> = members.iter().copied().collect();
         WireNode {
-            id,
+            ert: ErtNode::new(id, capacity_eval, protocol),
             bits,
             raw_capacity,
-            capacity_eval,
-            d_max,
             geometry: ChordGeometry::from_members(bits, &member_list),
             members,
-            table: ElasticTable::new(),
-            queue: VecDeque::new(),
-            in_service: None,
-            period_load: 0,
-            total_received: 0,
-            max_congestion: 0.0,
-            heavy_encounters: 0,
             decide: SimRng::seed_from(cfg.seed ^ id).fork("decide"),
-            build_rng: SimRng::seed_from(cfg.seed ^ id),
-            ert: cfg.ert,
-            light: cfg.light_service,
-            heavy: cfg.heavy_service,
-            max_hops: cfg.max_hops,
+            cfg: *cfg,
             protocol,
-            adapt_round: 0,
             stabilize_round: 0,
         }
     }
 
     /// Ring id of this node.
     pub fn id(&self) -> u64 {
-        self.id
+        self.ert.id()
     }
 
     /// Current backward-finger count.
     pub fn indegree(&self) -> u32 {
-        self.table.indegree() as u32
+        self.ert.indegree()
     }
 
     /// Current adaptive indegree bound.
     pub fn d_max(&self) -> u32 {
-        self.d_max
+        self.ert.d_max()
     }
 
     /// Sorted membership view.
@@ -191,59 +168,47 @@ impl WireNode {
         &self.geometry
     }
 
-    fn load(&self) -> usize {
-        self.queue.len() + usize::from(self.in_service.is_some())
-    }
-
-    fn is_heavy(&self) -> bool {
-        self.load() > self.capacity_eval as usize
-    }
-
-    fn spare(&self) -> i64 {
-        self.d_max as i64 - self.table.indegree() as i64
-    }
-
-    fn load_report(&self, token: u64) -> Message {
-        Message::LoadReport {
-            token,
-            load: self.load() as u64,
-            capacity: self.capacity_eval as u64,
-            indegree: self.table.indegree() as u32,
-            spare: self.spare(),
-        }
-    }
-
-    /// Canonical routing-state fingerprint, formatted exactly like
-    /// `MiniDht::table_fingerprints` so oracle comparisons are string
+    /// Canonical routing-state fingerprint, the same formatter behind
+    /// `MiniDht::table_fingerprints`, so oracle comparisons are string
     /// equality.
     pub fn fingerprint(&self) -> String {
-        let out: Vec<String> = self
-            .table
-            .occupied_slots()
-            .map(|s| {
-                let ids: Vec<String> = self.table.outlinks(s).iter().map(u64::to_string).collect();
-                format!("{s}:{}", ids.join(","))
+        self.ert.fingerprint()
+    }
+
+    /// Runs one step of the shared node with its peers reached over
+    /// `t`. `step` also gets the decision stream. The first wire
+    /// failure hides every later peer from the step and is returned in
+    /// place of the step's result.
+    fn with_peers<R>(
+        &mut self,
+        t: &mut dyn Transport,
+        token: u64,
+        step: impl FnOnce(
+            &mut Window<'_, ChordGeometry, &mut dyn FnMut(u64, PeerOp) -> PeerAnswer>,
+            &mut SimRng,
+        ) -> R,
+    ) -> Result<R, NodeError> {
+        let mut failure = None;
+        let mut carry = |peer, op| {
+            if failure.is_some() {
+                return PeerAnswer::Unreachable;
+            }
+            ask(t, token, peer, op).unwrap_or_else(|e| {
+                failure = Some(e);
+                PeerAnswer::Unreachable
             })
-            .collect();
-        let mem: Vec<String> = self
-            .table
-            .occupied_slots()
-            .filter_map(|s| self.table.memory(s).map(|m| format!("{s}:{m}")))
-            .collect();
-        let back: Vec<String> = self
-            .table
-            .backward_fingers()
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        format!(
-            "id={};dmax={};out=[{}];mem=[{}];back=[{}]",
-            self.id,
-            self.d_max,
-            out.join("|"),
-            mem.join("|"),
-            back.join(",")
-        )
+        };
+        let out = step(
+            &mut Window::new(
+                &self.cfg,
+                self.protocol,
+                &self.geometry,
+                &mut self.ert,
+                &mut carry,
+            ),
+            &mut self.decide,
+        );
+        failure.map_or(Ok(out), Err)
     }
 
     fn rebuild_geometry(&mut self) {
@@ -251,9 +216,11 @@ impl WireNode {
         self.geometry = ChordGeometry::from_members(self.bits, &member_list);
     }
 
-    fn merge_view(&mut self, others: &[u64]) -> bool {
+    /// Merges `others` into the view; rebuilds the O(n) geometry
+    /// replica once, and only when the view grew.
+    fn merge_view(&mut self, others: impl IntoIterator<Item = u64>) -> bool {
         let before = self.members.len();
-        self.members.extend(others.iter().copied());
+        self.members.extend(others);
         let grew = self.members.len() != before;
         if grew {
             self.rebuild_geometry();
@@ -274,13 +241,13 @@ impl WireNode {
         let reply = t.request(
             bootstrap,
             &encode(&Message::Join {
-                id: self.id,
+                id: self.id(),
                 members: view,
             }),
         )?;
         match decode(&reply)? {
             Message::Join { members, .. } | Message::Stabilize { members, .. } => {
-                self.merge_view(&members);
+                self.merge_view(members);
                 Ok(())
             }
             other => Err(NodeError::Protocol(format!(
@@ -304,7 +271,7 @@ impl WireNode {
         let peers = self.members_view();
         let mut grew = false;
         for peer in peers {
-            if peer == self.id {
+            if peer == self.id() {
                 continue;
             }
             let reply = match t.request(
@@ -322,7 +289,7 @@ impl WireNode {
             };
             match decode(&reply)? {
                 Message::Stabilize { members, .. } | Message::Join { members, .. } => {
-                    grew |= self.merge_view(&members);
+                    grew |= self.merge_view(members);
                 }
                 other => {
                     return Err(NodeError::Protocol(format!(
@@ -340,9 +307,9 @@ impl WireNode {
     ///
     /// Only local send failures surface; the datagram may be lost.
     pub fn announce_leave(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        let frame = encode(&Message::Leave { id: self.id });
+        let frame = encode(&Message::Leave { id: self.id() });
         for peer in self.members_view() {
-            if peer != self.id {
+            if peer != self.id() {
                 t.send(peer, &frame)?;
             }
         }
@@ -351,147 +318,16 @@ impl WireNode {
 
     // ---- link construction ---------------------------------------------
 
-    /// Builds the routing table over the wire, replicating the
-    /// simulator's `build_table` exactly: classic picks for structural
-    /// slots, spare-indegree-restricted random picks (from the private
-    /// build stream) for elastic slots, then indegree expansion to the
-    /// `β`-target.
+    /// Builds the routing table over the wire with the shared node's
+    /// table-build rule: spare-indegree probes as `ProbeLoad` RPCs,
+    /// link creation and indegree expansion as `AdaptIndegree` RPCs.
     ///
     /// # Errors
     ///
-    /// Propagates peer protocol violations; unreachable candidates are
-    /// skipped exactly where the simulator's directory returns its
-    /// unknown-peer defaults.
+    /// Propagates peer protocol violations; unknown and partitioned
+    /// candidates are passed over.
     pub fn build_links(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        match self.protocol {
-            MiniProtocol::Classic => {
-                for (slot, members) in self.geometry.table_slots(self.id) {
-                    if let Some(pick) = self.geometry.classic_pick(self.id, slot, &members) {
-                        if !self.table.outlinks(slot).contains(&pick) {
-                            self.add_link(t, slot, pick)?;
-                        }
-                    }
-                }
-            }
-            MiniProtocol::ElasticErt => {
-                for (slot, members) in self.geometry.table_slots(self.id) {
-                    let pick = if self.geometry.is_structural(slot) {
-                        self.geometry.classic_pick(self.id, slot, &members)
-                    } else {
-                        let mut eligible: Vec<u64> = Vec::new();
-                        for c in members {
-                            if self.spare_of(t, c)? >= 1 {
-                                eligible.push(c);
-                            }
-                        }
-                        self.build_rng.choose(&eligible).copied()
-                    };
-                    if let Some(pick) = pick {
-                        if !self.table.outlinks(slot).contains(&pick) {
-                            self.add_link(t, slot, pick)?;
-                        }
-                    }
-                }
-                let target = initial_indegree_target(&self.ert, self.d_max);
-                self.expand_indegree(t, target)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn add_link(&mut self, t: &mut dyn Transport, slot: u16, pick: u64) -> Result<(), NodeError> {
-        self.table.add_outlink(slot, pick);
-        if !self.geometry.is_structural(slot) {
-            match t.request(
-                pick,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::AddBackward,
-                }),
-            ) {
-                Ok(_) | Err(TransportError::UnknownPeer(_)) => {}
-                Err(TransportError::Partitioned { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Remote spare indegree, as the simulator's directory reports it:
-    /// unknown or unreachable peers count as 0 (never eligible).
-    fn spare_of(&mut self, t: &mut dyn Transport, peer: u64) -> Result<i64, NodeError> {
-        match t.request(peer, &encode(&Message::ProbeLoad { token: 0 })) {
-            Ok(bytes) => match decode(&bytes)? {
-                Message::LoadReport { spare, .. } => Ok(spare),
-                other => Err(NodeError::Protocol(format!(
-                    "probe reply carried unexpected message {other:?}"
-                ))),
-            },
-            Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => Ok(0),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Wire mirror of `ert_core::expand_indegree`: walk the geometry's
-    /// inlink candidates, querying each holder for an existing link and
-    /// asking it to add one, until the indegree target is met. The loop
-    /// body is intentionally the same shape as the shared-memory
-    /// version; the differential oracle pins the equivalence.
-    fn expand_indegree(&mut self, t: &mut dyn Transport, target: u32) -> Result<u32, NodeError> {
-        let mut gained = 0;
-        if self.indegree() >= target {
-            return Ok(gained);
-        }
-        for (slot, cand) in self.geometry.inlink_candidates(self.id) {
-            if self.indegree() >= target {
-                break;
-            }
-            if cand == self.id {
-                continue;
-            }
-            let has = match t.request(
-                cand,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::QueryOutlink,
-                }),
-            ) {
-                Ok(bytes) => match decode(&bytes)? {
-                    Message::LoadReport { load, .. } => load != 0,
-                    other => {
-                        return Err(NodeError::Protocol(format!(
-                            "query-outlink reply carried unexpected message {other:?}"
-                        )))
-                    }
-                },
-                Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => {
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            if has {
-                continue;
-            }
-            match t.request(
-                cand,
-                &encode(&Message::AdaptIndegree {
-                    from: self.id,
-                    slot,
-                    op: AdaptOp::AddOutlink,
-                }),
-            ) {
-                Ok(_) => {}
-                Err(TransportError::UnknownPeer(_) | TransportError::Partitioned { .. }) => {
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-            self.table.add_backward(cand);
-            gained += 1;
-        }
-        Ok(gained)
+        self.with_peers(t, 0, |w, _| w.build_table())
     }
 
     // ---- datagram lane -------------------------------------------------
@@ -512,7 +348,7 @@ impl WireNode {
                 flags,
                 avoid,
             } => {
-                let st = LookupState {
+                let lookup = Lookup {
                     query,
                     key,
                     hops,
@@ -520,12 +356,14 @@ impl WireNode {
                     numeric_mode: flags & 1 != 0,
                     avoid: avoid.into_iter().collect(),
                 };
-                self.on_lookup(t, st);
+                if let Some(service) = self.ert.arrive(lookup, &self.cfg) {
+                    t.timer(service, TimerKind::ServiceDone { query });
+                }
                 Ok(())
             }
             Message::Leave { id } => {
                 if self.members.remove(&id) {
-                    self.table.purge_peer(id);
+                    self.ert.purge_peer(id);
                     self.rebuild_geometry();
                 }
                 Ok(())
@@ -534,37 +372,6 @@ impl WireNode {
                 "message does not belong on the datagram lane: {other:?}"
             ))),
         }
-    }
-
-    /// Lookup arrival: the simulator's `on_arrive`, verbatim — heavy
-    /// accounting, then service-or-queue, then the congestion high-water
-    /// mark.
-    fn on_lookup(&mut self, t: &mut dyn Transport, st: LookupState) {
-        if self.is_heavy() {
-            self.heavy_encounters += 1;
-        }
-        self.total_received += 1;
-        self.period_load += 1;
-        if self.in_service.is_none() {
-            self.start_service(t, st);
-        } else {
-            self.queue.push_back(st);
-        }
-        let g = self.load() as f64 / self.capacity_eval as f64;
-        if g > self.max_congestion {
-            self.max_congestion = g;
-        }
-    }
-
-    fn start_service(&mut self, t: &mut dyn Transport, st: LookupState) {
-        let query = st.query;
-        self.in_service = Some(st);
-        let service = if self.is_heavy() {
-            self.heavy
-        } else {
-            self.light
-        };
-        t.timer(service, TimerKind::ServiceDone { query });
     }
 
     // ---- RPC lane ------------------------------------------------------
@@ -578,58 +385,50 @@ impl WireNode {
     /// Fails on undecodable frames or messages that do not belong on
     /// the RPC lane.
     pub fn on_request(&mut self, frame: &[u8]) -> Result<Vec<u8>, NodeError> {
-        match decode(frame)? {
-            Message::ProbeLoad { token } => Ok(encode(&self.load_report(token))),
-            Message::AdaptIndegree { from, slot, op } => {
-                let reply = match op {
-                    AdaptOp::QueryOutlink => {
-                        let has = self.table.outlinks(slot).contains(&from);
-                        Message::LoadReport {
-                            token: u64::from(has),
-                            load: u64::from(has),
-                            capacity: self.capacity_eval as u64,
-                            indegree: self.table.indegree() as u32,
-                            spare: self.spare(),
-                        }
-                    }
-                    AdaptOp::AddOutlink => {
-                        self.table.add_outlink(slot, from);
-                        self.load_report(0)
-                    }
-                    AdaptOp::DropOutlinks => {
-                        let slots: Vec<u16> = self.table.occupied_slots().collect();
-                        for s in slots {
-                            self.table.remove_outlink(s, from);
-                        }
-                        self.load_report(0)
-                    }
-                    AdaptOp::AddBackward => {
-                        self.table.add_backward(from);
-                        self.load_report(0)
-                    }
-                };
-                Ok(encode(&reply))
-            }
+        let (token, op) = match decode(frame)? {
+            Message::ProbeLoad { token } => (token, PeerOp::Probe),
+            Message::AdaptIndegree { from, slot, op } => (0, PeerOp::Link { from, slot, op }),
             Message::Join { id, members } => {
-                self.members.insert(id);
-                self.merge_view(&members);
-                self.rebuild_geometry();
-                Ok(encode(&Message::Join {
-                    id: self.id,
+                self.merge_view(members.into_iter().chain([id]));
+                return Ok(encode(&Message::Join {
+                    id: self.id(),
                     members: self.members_view(),
-                }))
+                }));
             }
             Message::Stabilize { round, members } => {
-                self.merge_view(&members);
-                Ok(encode(&Message::Stabilize {
+                self.merge_view(members);
+                return Ok(encode(&Message::Stabilize {
                     round,
                     members: self.members_view(),
-                }))
+                }));
             }
-            other => Err(NodeError::Protocol(format!(
-                "message does not belong on the RPC lane: {other:?}"
-            ))),
-        }
+            other => {
+                return Err(NodeError::Protocol(format!(
+                    "message does not belong on the RPC lane: {other:?}"
+                )))
+            }
+        };
+        let PeerReport {
+            load,
+            capacity,
+            indegree,
+            spare,
+        } = self.ert.serve(op);
+        Ok(encode(&Message::LoadReport {
+            // A `QueryOutlink` answer rides in `load` and is echoed as
+            // the token.
+            token: match op {
+                PeerOp::Link {
+                    op: AdaptOp::QueryOutlink,
+                    ..
+                } => load,
+                _ => token,
+            },
+            load,
+            capacity,
+            indegree,
+            spare,
+        }))
     }
 
     // ---- timers --------------------------------------------------------
@@ -647,191 +446,46 @@ impl WireNode {
     ) -> Result<Option<AdaptTrace>, NodeError> {
         match kind {
             TimerKind::ServiceDone { query } => {
-                if self.in_service.as_ref().map(|s| s.query) != Some(query) {
-                    return Ok(None);
-                }
-                let Some(st) = self.in_service.take() else {
+                let Some((mut lookup, next)) = self.ert.service_done(query, &self.cfg) else {
                     return Ok(None);
                 };
-                // Start the next service *before* forwarding, exactly as
-                // the simulator schedules the next Done before the
-                // forwarded Arrive — the (time, seq) merge key preserves
-                // the relative order.
-                if let Some(next) = self.queue.pop_front() {
-                    self.start_service(t, next);
+                // The next service starts *before* the hop is sent,
+                // exactly as the simulator schedules the next Done
+                // before the forwarded Arrive — the (time, seq) merge
+                // key preserves the relative order.
+                if let Some((query, service)) = next {
+                    t.timer(service, TimerKind::ServiceDone { query });
                 }
-                if self.geometry.owner(st.key) == Some(self.id) {
-                    self.reply(t, st.query, LookupStatus::Found, self.id, st.hops)?;
-                } else {
-                    self.forward(t, st)?;
-                }
+                let hop = self.with_peers(t, query, |w, decide| w.route(&mut lookup, decide))?;
+                let (status, owner) = match hop {
+                    Hop::Next(next) => {
+                        let frame = encode(&Message::Lookup {
+                            query,
+                            key: lookup.key,
+                            hops: lookup.hops,
+                            attempts: lookup.attempts,
+                            flags: u8::from(lookup.numeric_mode),
+                            avoid: lookup.avoid.into_iter().collect(),
+                        });
+                        t.send(next, &frame)?;
+                        return Ok(None);
+                    }
+                    Hop::Found => (LookupStatus::Found, self.id()),
+                    Hop::Dropped => (LookupStatus::Dropped, 0),
+                    Hop::Failed => (LookupStatus::Failed, 0),
+                };
+                t.send(
+                    CLIENT_ADDR,
+                    &encode(&Message::LookupReply {
+                        query,
+                        status,
+                        owner,
+                        hops: lookup.hops,
+                    }),
+                )?;
                 Ok(None)
             }
-            TimerKind::AdaptTick => self.adapt(t).map(Some),
+            TimerKind::AdaptTick => self.with_peers(t, 0, |w, _| w.adapt()).map(Some),
         }
-    }
-
-    fn reply(
-        &mut self,
-        t: &mut dyn Transport,
-        query: u64,
-        status: LookupStatus,
-        owner: u64,
-        hops: u32,
-    ) -> Result<(), NodeError> {
-        t.send(
-            CLIENT_ADDR,
-            &encode(&Message::LookupReply {
-                query,
-                status,
-                owner,
-                hops,
-            }),
-        )?;
-        Ok(())
-    }
-
-    fn probe(&mut self, t: &mut dyn Transport, peer: u64, token: u64) -> Result<Probe, NodeError> {
-        match t.request(peer, &encode(&Message::ProbeLoad { token })) {
-            Ok(bytes) => match decode(&bytes)? {
-                Message::LoadReport { load, capacity, .. } => Ok(Probe::Report(load, capacity)),
-                other => Err(NodeError::Protocol(format!(
-                    "probe reply carried unexpected message {other:?}"
-                ))),
-            },
-            Err(TransportError::UnknownPeer(_)) => Ok(Probe::Unknown),
-            Err(TransportError::Partitioned { .. }) => Ok(Probe::Unreachable),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The simulator's `forward`, as wire exchanges: hop-limit check,
-    /// owner resolution on the geometry replica, candidate discovery
-    /// from the local table, per-candidate load probes, then
-    /// `choose_next_b` on the private decide stream.
-    fn forward(&mut self, t: &mut dyn Transport, mut st: LookupState) -> Result<(), NodeError> {
-        if st.hops >= self.max_hops {
-            return self.reply(t, st.query, LookupStatus::Dropped, 0, st.hops);
-        }
-        let Some(owner) = self.geometry.owner(st.key) else {
-            return self.reply(t, st.query, LookupStatus::Failed, 0, st.hops);
-        };
-        let hc =
-            self.geometry
-                .hop_candidates(self.id, owner, &mut self.table, &mut st.numeric_mode);
-        let mut cands: Vec<Candidate<u64>> = Vec::with_capacity(hc.ids.len());
-        for &c in &hc.ids {
-            let (load, capacity) = match self.probe(t, c, st.query)? {
-                Probe::Report(load, capacity) => (load as f64, capacity as f64),
-                Probe::Unknown => (0.0, 1.0),
-                Probe::Unreachable => continue,
-            };
-            cands.push(Candidate {
-                id: c,
-                load,
-                capacity,
-                logical_distance: self.geometry.metric(c, owner),
-                physical_distance: 0.0,
-            });
-        }
-        let policy = match self.protocol {
-            MiniProtocol::Classic => ForwardPolicy::Deterministic,
-            MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
-                topology_aware: true,
-                use_memory: true,
-            },
-        };
-        let memory = self.table.memory(hc.slot);
-        let Some(choice) = choose_next_b(
-            policy,
-            &cands,
-            memory,
-            &st.avoid,
-            self.ert.gamma_l,
-            self.ert.probe_width,
-            &mut self.decide,
-        ) else {
-            // Every candidate was partition-hidden: terminal failure
-            // rather than the simulator's panic (the sim never gets
-            // here because its candidate list is never emptied).
-            return self.reply(t, st.query, LookupStatus::Failed, 0, st.hops);
-        };
-        for o in &choice.newly_overloaded {
-            st.avoid.insert(*o);
-        }
-        if let Some(mem) = choice.new_memory {
-            if policy != ForwardPolicy::Deterministic {
-                self.table.set_memory(hc.slot, mem);
-            }
-        }
-        st.hops += 1;
-        let frame = encode(&Message::Lookup {
-            query: st.query,
-            key: st.key,
-            hops: st.hops,
-            attempts: st.attempts,
-            flags: u8::from(st.numeric_mode),
-            avoid: st.avoid.iter().copied().collect(),
-        });
-        t.send(choice.next, &frame)?;
-        Ok(())
-    }
-
-    /// One adaptation round for this node: the simulator's per-node
-    /// `on_adapt` body with the victim/candidate operations issued as
-    /// `AdaptIndegree` RPCs.
-    fn adapt(&mut self, t: &mut dyn Transport) -> Result<AdaptTrace, NodeError> {
-        let load = self.period_load as f64;
-        let capacity = self.capacity_eval as f64;
-        let mut delta: i64 = 0;
-        match adaptation_action(load, capacity, &self.ert) {
-            AdaptAction::Keep => {}
-            AdaptAction::Shed(x) => {
-                let x = x.min(self.table.indegree() as u32);
-                delta = -(x as i64);
-                let victims: Vec<u64> = self
-                    .table
-                    .backward_fingers()
-                    .iter()
-                    .rev()
-                    .take(x as usize)
-                    .copied()
-                    .collect();
-                for v in victims {
-                    match t.request(
-                        v,
-                        &encode(&Message::AdaptIndegree {
-                            from: self.id,
-                            slot: 0,
-                            op: AdaptOp::DropOutlinks,
-                        }),
-                    ) {
-                        Ok(_)
-                        | Err(
-                            TransportError::UnknownPeer(_) | TransportError::Partitioned { .. },
-                        ) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                    self.table.remove_backward(v);
-                }
-                self.d_max = self.d_max.saturating_sub(x).max(1);
-            }
-            AdaptAction::Grow(x) => {
-                delta = x as i64;
-                let cap = 8 * self.capacity_eval.max(8);
-                self.d_max = (self.d_max + x).min(cap);
-                let target = (self.table.indegree() as u32 + x).min(self.d_max);
-                self.expand_indegree(t, target)?;
-            }
-        }
-        self.period_load = 0;
-        let trace = AdaptTrace {
-            round: self.adapt_round,
-            node: self.id,
-            delta,
-            d_max: self.d_max,
-        };
-        self.adapt_round += 1;
-        Ok(trace)
     }
 }

@@ -14,6 +14,12 @@
 //! * bit-identical scalar outcomes (completions, drops, mean lookup
 //!   time compared via `f64::to_bits`).
 //!
+//! Both sides run the same `ert_minidht::ErtNode` steps, so agreement
+//! on the protocol logic is by construction. What the oracle pins is
+//! everything that can still differ between the two hosts: event
+//! ordering, the RNG streams handed to the steps, the codec every
+//! probe, link operation and lookup crosses, and the transport.
+//!
 //! The correspondence is engineered, not accidental: the wire cluster
 //! orders events on the same `(time, seq)` merge key as the simulator
 //! heap, allocates sequence numbers at emission, and draws from the
