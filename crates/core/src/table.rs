@@ -1,7 +1,5 @@
 //! The elastic routing table data structure.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 /// A routing table whose slots hold *sets* of neighbors and whose size
@@ -18,6 +16,11 @@ use serde::{Deserialize, Serialize};
 /// * **forwarding memory** — per slot, the least-loaded candidate
 ///   remembered by the two-choice-with-memory policy (Section 4.1).
 ///
+/// A table has a handful of slots (4 on Cycloid, at most one per finger
+/// on Chord), so slots and memory are `S`-sorted vectors: a lookup is a
+/// search over one cache line or two, not a tree walk, and iteration is
+/// in slot order whatever order the slots were first touched in.
+///
 /// ```
 /// use ert_core::ElasticTable;
 /// let mut t: ElasticTable<u8, &str> = ElasticTable::new();
@@ -31,29 +34,52 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ElasticTable<S: Ord, Id> {
-    slots: BTreeMap<S, Vec<Id>>,
+    /// `(slot, neighbors)`, sorted by slot, one entry per slot touched.
+    slots: Vec<(S, Vec<Id>)>,
     backward: Vec<Id>,
-    memory: BTreeMap<S, Id>,
+    /// `(slot, remembered candidate)`, sorted by slot.
+    memory: Vec<(S, Id)>,
+}
+
+/// Position of `slot` in an `S`-sorted vector, or where it belongs.
+fn locate<S: Ord, T>(entries: &[(S, T)], slot: S) -> Result<usize, usize> {
+    entries.binary_search_by(|(s, _)| s.cmp(&slot))
 }
 
 impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// Creates an empty table.
     pub fn new() -> Self {
         ElasticTable {
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
             backward: Vec::new(),
-            memory: BTreeMap::new(),
+            memory: Vec::new(),
         }
+    }
+
+    /// The neighbor list of `slot`, created empty (in slot order) on
+    /// first use.
+    fn slot_mut(&mut self, slot: S) -> &mut Vec<Id> {
+        let pos = match locate(&self.slots, slot) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.slots.insert(pos, (slot, Vec::new()));
+                pos
+            }
+        };
+        &mut self.slots[pos].1
     }
 
     /// The neighbors currently held in `slot` (empty if none).
     pub fn outlinks(&self, slot: S) -> &[Id] {
-        self.slots.get(&slot).map_or(&[], Vec::as_slice)
+        match locate(&self.slots, slot) {
+            Ok(pos) => &self.slots[pos].1,
+            Err(_) => &[],
+        }
     }
 
     /// Adds `id` to `slot`; returns `false` if it was already there.
     pub fn add_outlink(&mut self, slot: S, id: Id) -> bool {
-        let entry = self.slots.entry(slot).or_default();
+        let entry = self.slot_mut(slot);
         if entry.contains(&id) {
             false
         } else {
@@ -64,14 +90,15 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 
     /// Removes `id` from `slot`; returns `false` if it was not there.
     pub fn remove_outlink(&mut self, slot: S, id: Id) -> bool {
-        match self.slots.get_mut(&slot) {
-            Some(entry) => match entry.iter().position(|&x| x == id) {
-                Some(pos) => {
-                    entry.remove(pos);
-                    true
-                }
-                None => false,
-            },
+        let Ok(pos) = locate(&self.slots, slot) else {
+            return false;
+        };
+        let entry = &mut self.slots[pos].1;
+        match entry.iter().position(|&x| x == id) {
+            Some(at) => {
+                entry.remove(at);
+                true
+            }
             None => false,
         }
     }
@@ -79,34 +106,34 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// Replaces the contents of `slot` wholesale (used for structural
     /// slots like leaf sets that are refreshed, not negotiated).
     pub fn set_slot(&mut self, slot: S, ids: Vec<Id>) {
-        self.slots.insert(slot, ids);
+        *self.slot_mut(slot) = ids;
     }
 
     /// Total number of outlinks across slots (a node appearing in two
     /// slots counts twice, matching the paper's outdegree accounting of
     /// one overlay connection per table entry).
     pub fn outdegree(&self) -> usize {
-        self.slots.values().map(Vec::len).sum()
+        self.slots.iter().map(|(_, ids)| ids.len()).sum()
     }
 
-    /// Iterates `(slot, neighbor)` pairs.
+    /// Iterates `(slot, neighbor)` pairs, in slot order.
     pub fn iter_outlinks(&self) -> impl Iterator<Item = (S, Id)> + '_ {
         self.slots
             .iter()
-            .flat_map(|(&s, ids)| ids.iter().map(move |&id| (s, id)))
+            .flat_map(|(s, ids)| ids.iter().map(move |&id| (*s, id)))
     }
 
     /// Whether `id` appears in any slot.
     pub fn has_outlink_to(&self, id: Id) -> bool {
-        self.slots.values().any(|ids| ids.contains(&id))
+        self.slots.iter().any(|(_, ids)| ids.contains(&id))
     }
 
-    /// The slots with at least one neighbor.
+    /// The slots with at least one neighbor, in slot order.
     pub fn occupied_slots(&self) -> impl Iterator<Item = S> + '_ {
         self.slots
             .iter()
             .filter(|(_, ids)| !ids.is_empty())
-            .map(|(&s, _)| s)
+            .map(|(s, _)| *s)
     }
 
     /// Records an inlink holder; returns `false` if already recorded.
@@ -142,12 +169,17 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 
     /// The remembered least-loaded candidate for `slot`, if any.
     pub fn memory(&self, slot: S) -> Option<Id> {
-        self.memory.get(&slot).copied()
+        locate(&self.memory, slot)
+            .ok()
+            .map(|pos| self.memory[pos].1)
     }
 
     /// Remembers `id` as the least-loaded candidate for `slot`.
     pub fn set_memory(&mut self, slot: S, id: Id) {
-        self.memory.insert(slot, id);
+        match locate(&self.memory, slot) {
+            Ok(pos) => self.memory[pos].1 = id,
+            Err(pos) => self.memory.insert(pos, (slot, id)),
+        }
     }
 
     /// Removes every trace of `id` (outlinks, backward finger, memory):
@@ -155,23 +187,15 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// removed.
     pub fn purge_peer(&mut self, id: Id) -> bool {
         let mut touched = false;
-        for entry in self.slots.values_mut() {
+        for (_, entry) in &mut self.slots {
             let before = entry.len();
             entry.retain(|&x| x != id);
             touched |= entry.len() != before;
         }
         touched |= self.remove_backward(id);
-        let slots_to_clear: Vec<S> = self
-            .memory
-            .iter()
-            .filter(|&(_, &m)| m == id)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in slots_to_clear {
-            self.memory.remove(&s);
-            touched = true;
-        }
-        touched
+        let before = self.memory.len();
+        self.memory.retain(|&(_, m)| m != id);
+        touched | (self.memory.len() != before)
     }
 }
 
@@ -252,5 +276,103 @@ mod tests {
         t.set_slot(0, vec![2, 3]);
         assert_eq!(t.outlinks(0), &[2, 3]);
         assert_eq!(t.occupied_slots().collect::<Vec<_>>(), vec![0]);
+    }
+
+    /// The `BTreeMap`-backed table this module used to be: the model
+    /// the sorted-vector storage must be indistinguishable from.
+    #[derive(Default)]
+    struct ModelTable {
+        slots: std::collections::BTreeMap<u8, Vec<u32>>,
+        backward: Vec<u32>,
+        memory: std::collections::BTreeMap<u8, u32>,
+    }
+
+    impl ModelTable {
+        fn purge_peer(&mut self, id: u32) -> bool {
+            let mut touched = false;
+            for entry in self.slots.values_mut() {
+                let before = entry.len();
+                entry.retain(|&x| x != id);
+                touched |= entry.len() != before;
+            }
+            if let Some(pos) = self.backward.iter().position(|&x| x == id) {
+                self.backward.remove(pos);
+                touched = true;
+            }
+            let before = self.memory.len();
+            self.memory.retain(|_, m| *m != id);
+            touched | (self.memory.len() != before)
+        }
+    }
+
+    proptest::proptest! {
+        /// Random operation sequences, slots touched in any order: every
+        /// return value and every accessor agrees with the model after
+        /// every step, iteration order included.
+        #[test]
+        fn sorted_vector_storage_matches_the_btreemap_model(
+            ops in proptest::collection::vec((0u8..6, 0u8..8, 0u32..10, 0u32..10), 0..120)
+        ) {
+            let mut t: ElasticTable<u8, u32> = ElasticTable::new();
+            let mut m = ModelTable::default();
+            for (op, slot, id, other) in ops {
+                match op {
+                    0 => {
+                        let entry = m.slots.entry(slot).or_default();
+                        let fresh = !entry.contains(&id);
+                        if fresh {
+                            entry.push(id);
+                        }
+                        assert_eq!(t.add_outlink(slot, id), fresh);
+                    }
+                    1 => {
+                        let at = m.slots.get(&slot).and_then(|e| e.iter().position(|&x| x == id));
+                        if let Some(at) = at {
+                            m.slots.get_mut(&slot).expect("slot exists").remove(at);
+                        }
+                        assert_eq!(t.remove_outlink(slot, id), at.is_some());
+                    }
+                    2 => {
+                        m.slots.insert(slot, vec![id, other]);
+                        t.set_slot(slot, vec![id, other]);
+                    }
+                    3 => {
+                        m.memory.insert(slot, id);
+                        t.set_memory(slot, id);
+                    }
+                    4 => assert_eq!(t.purge_peer(id), m.purge_peer(id)),
+                    _ => {
+                        let fresh = !m.backward.contains(&id);
+                        if fresh {
+                            m.backward.push(id);
+                        }
+                        assert_eq!(t.add_backward(id), fresh);
+                    }
+                }
+                let links: Vec<(u8, u32)> = m
+                    .slots
+                    .iter()
+                    .flat_map(|(&s, ids)| ids.iter().map(move |&id| (s, id)))
+                    .collect();
+                assert_eq!(t.iter_outlinks().collect::<Vec<_>>(), links);
+                assert_eq!(t.outdegree(), links.len());
+                let occupied: Vec<u8> = m
+                    .slots
+                    .iter()
+                    .filter(|(_, ids)| !ids.is_empty())
+                    .map(|(&s, _)| s)
+                    .collect();
+                assert_eq!(t.occupied_slots().collect::<Vec<_>>(), occupied);
+                assert_eq!(t.backward_fingers(), m.backward.as_slice());
+                assert_eq!(t.indegree(), m.backward.len());
+                for s in 0..8u8 {
+                    assert_eq!(t.outlinks(s), m.slots.get(&s).map_or(&[][..], Vec::as_slice));
+                    assert_eq!(t.memory(s), m.memory.get(&s).copied());
+                }
+                for peer in 0..10u32 {
+                    assert_eq!(t.has_outlink_to(peer), links.iter().any(|&(_, x)| x == peer));
+                }
+            }
+        }
     }
 }

@@ -431,7 +431,7 @@ impl Network {
     /// `sanitize` feature), where the checks compile out; tests use
     /// this to prove the sanitizer actually covered the run.
     pub fn sanitize_checks(&self) -> u64 {
-        self.sanitizer.checks()
+        self.sanitizer.checks() + self.topo.memo_checks
     }
 
     /// Which theorem envelopes the sanitizer skipped for this run, each
@@ -1287,12 +1287,14 @@ impl Network {
                         let cap = 8 * self.topo.hosts[host].capacity_eval.max(8);
                         let nd = &mut self.topo.nodes[node];
                         nd.d_max = (nd.d_max + x).min(cap);
-                        self.topo.grow_inlinks(node, x);
-                        let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
-                        self.telemetry.emit(now, || TelemetryEvent::LinkGrown {
-                            node: node_lin,
-                            count: x,
-                        });
+                        let grown = self.topo.grow_inlinks(node, x);
+                        if grown > 0 {
+                            let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
+                            self.telemetry.emit(now, || TelemetryEvent::LinkGrown {
+                                node: node_lin,
+                                count: grown,
+                            });
+                        }
                     }
                 }
             }
@@ -2282,6 +2284,37 @@ mod tests {
         assert_eq!(snaps[0].at.as_micros(), 500_000);
         assert!(snaps.iter().all(|s| s.alive_hosts == 64));
         assert_eq!(tel.registry().counter("samples"), snaps.len() as u64);
+    }
+
+    #[test]
+    fn link_grown_reports_gains_and_idle_growers_hit_the_memo() {
+        use ert_telemetry::{MemorySink, Telemetry};
+
+        let cfg = NetworkConfig::for_dimension(6, 2);
+        let mut net = Network::new(cfg, &caps(128), ProtocolSpec::ert_af()).unwrap();
+        let sink = MemorySink::new();
+        let lines = sink.handle();
+        let mut tel = Telemetry::disabled();
+        tel.add_sink(Box::new(sink));
+        net.set_telemetry(tel);
+        net.run(&uniform_lookup_burst(300, 128.0, 2), &[]);
+
+        let lines = lines.lock().unwrap();
+        let grown: Vec<u32> = lines
+            .iter()
+            .filter(|l| l.contains("\"LinkGrown\""))
+            .map(|l| {
+                let count = l.split("\"count\":").nth(1).expect("LinkGrown has a count");
+                let digits = count.split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse().expect("count is a number")
+            })
+            .collect();
+        assert!(!grown.is_empty(), "an ERT/AF run grows some inlinks");
+        assert!(grown.iter().all(|&c| c >= 1), "LinkGrown without growth");
+        // Static membership: underloaded nodes exhaust their reverse
+        // regions and are skipped from then on; armed builds re-scan
+        // every skip.
+        assert_eq!(net.topo.memo_checks > 0, Sanitizer::ACTIVE);
     }
 
     /// Local stand-in for `ert_baselines::base()` (the baselines crate

@@ -20,6 +20,8 @@
 
 use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
+use ert_core::expand_indegree;
+use ert_overlay::CycloidId;
 use ert_sim::SimTime;
 
 use crate::spec::TablePolicy;
@@ -296,6 +298,21 @@ impl Sanitizer {
         });
         self.checks += 1;
     }
+}
+
+/// The differential for `Topology`'s exhausted-supply memo: a skipped
+/// expansion must be one the full Algorithm 1 scan would have gained
+/// nothing from, whatever its target. Run on every memo hit.
+pub(crate) fn check_exhausted_supply(topo: &mut Topology, node: CycloidId) {
+    if !Sanitizer::ACTIVE {
+        return;
+    }
+    let gained = expand_indegree(topo, node, u32::MAX);
+    assert!(
+        gained == 0,
+        "sanitize: exhausted-supply memo skipped a scan on {node} that gains {gained} inlinks"
+    );
+    topo.memo_checks += 1;
 }
 
 /// Structural slack shared by the degree envelopes: mandatory Cycloid

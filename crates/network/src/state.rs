@@ -128,6 +128,9 @@ pub struct OverlayNode {
     pub d_max: u32,
     /// Whether the node is still in the overlay.
     pub alive: bool,
+    /// The membership epoch at which Algorithm 1 last ran out of
+    /// candidates for this node (see `Topology::grow_inlinks`).
+    pub(crate) supply_exhausted_at: Option<u64>,
 }
 
 impl OverlayNode {
@@ -139,6 +142,7 @@ impl OverlayNode {
             table: ElasticTable::new(),
             d_max: d_max.max(1),
             alive: true,
+            supply_exhausted_at: None,
         }
     }
 

@@ -2,8 +2,6 @@
 //! the protocols perform (construction, expansion, shedding, repair,
 //! and routing-candidate assembly).
 
-use std::collections::BTreeMap;
-
 use ert_core::{
     assign::initial_indegree_target, build_table, expand_indegree, select_shed_victims, Directory,
     ErtParams, ShedCandidate,
@@ -39,6 +37,9 @@ pub struct RouteCandidates {
     pub fell_back: bool,
 }
 
+/// `id_index` entry of an ID no node holds.
+const VACANT: u32 = u32::MAX;
+
 /// The overlay state shared by every protocol: membership, tables,
 /// hosts, and the geometric helpers.
 #[derive(Debug)]
@@ -47,8 +48,12 @@ pub struct Topology {
     pub space: CycloidSpace,
     /// Live membership.
     pub registry: CycloidRegistry,
-    /// ID → node slab index (latest holder of the ID).
-    pub id_map: BTreeMap<CycloidId, usize>,
+    /// Ring position (`space.lin(id)`) → node slab index of the latest
+    /// holder of the ID, [`VACANT`] where there is none. One entry per
+    /// ID of the space (`d·2^d`, never more than twice the population
+    /// the dimension was chosen for), so resolving an ID is an array
+    /// read.
+    id_index: Vec<u32>,
     /// All overlay nodes ever created (departed ones keep their slot).
     pub nodes: Vec<OverlayNode>,
     /// All hosts ever created (departed ones keep their slot).
@@ -63,6 +68,13 @@ pub struct Topology {
     /// Elastic link operations performed (adds, sheds, purges): the
     /// maintenance-message count of Section 5.3.
     pub link_ops: u64,
+    /// Bumped by every `add_node` and `remove_node` — the only two
+    /// places membership changes (joins, leaves, crashes, Sybil joins
+    /// and item-movement relocations all go through them). Stamps the
+    /// exhausted-supply memo of [`Topology::grow_inlinks`].
+    membership_epoch: u64,
+    /// Memo hits the sanitizer re-scanned (0 in plain release builds).
+    pub(crate) memo_checks: u64,
 }
 
 impl Topology {
@@ -71,13 +83,15 @@ impl Topology {
         Topology {
             space,
             registry: CycloidRegistry::new(space),
-            id_map: BTreeMap::new(),
+            id_index: vec![VACANT; space.ring_size() as usize],
             nodes: Vec::new(),
             hosts: Vec::new(),
             table_policy,
             params,
             landmarks: None,
             link_ops: 0,
+            membership_epoch: 0,
+            memo_checks: 0,
         }
     }
 
@@ -100,9 +114,14 @@ impl Topology {
     pub fn add_node(&mut self, id: CycloidId, host: usize, d_max: u32) -> usize {
         assert!(self.registry.insert(id), "duplicate live id {id}");
         let idx = self.nodes.len();
+        let entry = u32::try_from(idx)
+            .ok()
+            .filter(|&e| e != VACANT)
+            .expect("node slab fits the u32 index");
         self.nodes.push(OverlayNode::new(id, host, d_max));
-        self.id_map.insert(id, idx);
+        self.id_index[self.space.lin(id) as usize] = entry;
         self.hosts[host].nodes.push(idx);
+        self.membership_epoch += 1;
         idx
     }
 
@@ -113,17 +132,18 @@ impl Topology {
         let id = self.nodes[node].id;
         self.nodes[node].alive = false;
         self.registry.remove(id);
-        if self.id_map.get(&id) == Some(&node) {
-            self.id_map.remove(&id);
+        // A newer node may have reused the ID: only unmap what is ours.
+        let entry = &mut self.id_index[self.space.lin(id) as usize];
+        if *entry as usize == node {
+            *entry = VACANT;
         }
+        self.membership_epoch += 1;
     }
 
     /// The slab index currently holding `id`, if the ID is live.
     pub fn node_idx(&self, id: CycloidId) -> Option<usize> {
-        self.id_map
-            .get(&id)
-            .copied()
-            .filter(|&i| self.nodes[i].alive)
+        let entry = *self.id_index.get(self.space.lin(id) as usize)?;
+        (entry != VACANT && self.nodes[entry as usize].alive).then_some(entry as usize)
     }
 
     /// Whether `id` is a live overlay node.
@@ -182,6 +202,44 @@ impl Topology {
     fn cube_dist(&self, a: u32, b: u32) -> u64 {
         let fwd = forward_distance(a as u64, b as u64, self.space.cube_size());
         fwd.min(self.space.cube_size() - fwd)
+    }
+
+    /// Appends the live members of a reverse region to `out`, nearer
+    /// cubical IDs to `a` first and cubical order on ties — Algorithm
+    /// 1's sequential scan, centered on the probing node — without
+    /// sorting. The registry yields a region in cubical order, and over
+    /// an aligned block of at most half the cube the distance to `a`
+    /// has one of two shapes. If the block holds `a` it is a V: merge
+    /// the walk down from `a` with the walk up from it. If not, it has
+    /// no interior minimum, so the nearest remaining member is always
+    /// at one of the two ends: merge the ends inward.
+    fn push_nearest_first(
+        &self,
+        region: CycloidRegion,
+        a: u32,
+        slot: CycloidSlot,
+        out: &mut Vec<(CycloidSlot, CycloidId)>,
+    ) {
+        debug_assert!(2 * region.id_count() <= self.space.cube_size());
+        let keyed = |m: CycloidId| (self.cube_dist(m.a(), a), m);
+        if (region.a_lo..=region.a_hi).contains(&a) {
+            let (below, above) = (
+                CycloidRegion { a_hi: a, ..region },
+                CycloidRegion { a_lo: a, ..region },
+            );
+            let mut down = self.registry.region_iter(below).rev().map(keyed);
+            let mut up = self.registry.region_iter(above).filter(|m| m.a() != a);
+            merge_nearest_first(slot, out, |upper| match upper {
+                true => up.next().map(keyed),
+                false => down.next(),
+            });
+        } else {
+            let mut members = self.registry.region_iter(region).map(keyed);
+            merge_nearest_first(slot, out, |upper| match upper {
+                true => members.next_back(),
+                false => members.next(),
+            });
+        }
     }
 
     /// The live region member whose cubical ID is closest to `ideal_a`
@@ -308,7 +366,7 @@ impl Topology {
             TablePolicy::Elastic => {
                 build_table(self, id, rng);
                 let target = initial_indegree_target(&self.params, self.nodes[node].d_max);
-                expand_indegree(self, id, target);
+                self.expand(node, target);
             }
         }
         self.refresh_ring_slots(node);
@@ -349,8 +407,11 @@ impl Topology {
     }
 
     /// Removes the stale outlink `from --slot--> to` after a failed
-    /// contact.
+    /// contact. `to` must have departed: the exhausted-supply memo of
+    /// [`Topology::grow_inlinks`] relies on links to live nodes only
+    /// ever being dropped by the target's own shed.
     pub fn purge_dead_link(&mut self, from: usize, slot: CycloidSlot, to: CycloidId) {
+        debug_assert!(!self.is_alive(to), "purging a link to live node {to}");
         if self.nodes[from].table.remove_outlink(slot, to) {
             self.link_ops += 1;
         }
@@ -385,6 +446,7 @@ impl Topology {
     /// longest logical then physical distance (Algorithm 3). Returns the
     /// number actually shed.
     pub fn shed_inlinks(&mut self, node: usize, count: u32) -> u32 {
+        self.nodes[node].supply_exhausted_at = None;
         let id = self.nodes[node].id;
         let fingers: Vec<ShedCandidate<CycloidId>> = self.nodes[node]
             .table
@@ -420,10 +482,44 @@ impl Topology {
     /// Grows `node`'s indegree by up to `count` inlinks through the
     /// expansion algorithm. Returns the number gained.
     pub fn grow_inlinks(&mut self, node: usize, count: u32) -> u32 {
-        let id = self.nodes[node].id;
         let target = self.nodes[node].table.indegree() as u32 + count;
         let capped = target.min(self.nodes[node].d_max);
-        expand_indegree(self, id, capped)
+        self.expand(node, capped)
+    }
+
+    /// Algorithm 1 on `node`, behind the exhausted-supply memo.
+    ///
+    /// A scan that reaches the end of the candidate list short of
+    /// `target` has made every candidate point at `node`; it stamps the
+    /// node with the current [membership epoch](Self::membership_epoch).
+    /// While that stamp equals the current epoch a further scan cannot
+    /// gain anything, whatever its target, and is skipped. This is
+    /// exact, not a heuristic:
+    ///
+    /// * at a fixed membership the candidate list is fixed (it is a
+    ///   function of the registry, the node's ID and the leaf window);
+    /// * `add_link` only ever turns `has_link(c, slot, node)` from
+    ///   false to true;
+    /// * `purge_dead_link` only names departed targets, and
+    ///   `refresh_ring_slots` only drops departed extras — and a
+    ///   departure moves the epoch;
+    /// * the one remaining way a live candidate stops pointing at
+    ///   `node` is `node`'s own `shed_inlinks`, which clears the stamp.
+    ///
+    /// Under churn the epoch moves at every event and the memo simply
+    /// stops hitting, at the cost of one integer compare. Sanitizer-
+    /// armed builds re-run the full scan on every hit.
+    fn expand(&mut self, node: usize, target: u32) -> u32 {
+        let id = self.nodes[node].id;
+        if self.nodes[node].supply_exhausted_at == Some(self.membership_epoch) {
+            crate::sanitize::check_exhausted_supply(self, id);
+            return 0;
+        }
+        let gained = expand_indegree(self, id, target);
+        if (self.nodes[node].table.indegree() as u32) < target {
+            self.nodes[node].supply_exhausted_at = Some(self.membership_epoch);
+        }
+        gained
     }
 
     /// Repairs an empty or all-dead entry slot by selecting a fresh
@@ -623,6 +719,29 @@ impl Topology {
     }
 }
 
+/// Two-way merge by distance. `pull(false)` yields the next member on
+/// the side of the smaller cubical IDs, `pull(true)` on the side of the
+/// larger; ties go to the smaller.
+fn merge_nearest_first(
+    slot: CycloidSlot,
+    out: &mut Vec<(CycloidSlot, CycloidId)>,
+    mut pull: impl FnMut(bool) -> Option<(u64, CycloidId)>,
+) {
+    let (mut lower, mut upper) = (pull(false), pull(true));
+    loop {
+        let take_upper = match (lower, upper) {
+            (Some(l), Some(u)) => u.0 < l.0,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (None, None) => return,
+        };
+        let side = if take_upper { &mut upper } else { &mut lower };
+        let (_, member) = side.expect("the chosen side has a member");
+        out.push((slot, member));
+        *side = pull(take_upper);
+    }
+}
+
 impl Directory for Topology {
     type Id = CycloidId;
     type Slot = CycloidSlot;
@@ -639,34 +758,24 @@ impl Directory for Topology {
     }
 
     fn inlink_candidates(&self, node: CycloidId) -> Vec<(CycloidSlot, CycloidId)> {
-        let mut out = Vec::new();
-        let push_region = |region: Option<CycloidRegion>, slot: CycloidSlot, out: &mut Vec<_>| {
+        let regions = [
+            (
+                CycloidSlot::Cubical,
+                self.space.reverse_cubical_region(node),
+            ),
+            (CycloidSlot::Cyclic, self.space.reverse_cyclic_region(node)),
+        ];
+        let ring = 2 * self.params.leaf_window;
+        let room: u64 = regions.iter().flat_map(|r| r.1).map(|r| r.id_count()).sum();
+        let mut out = Vec::with_capacity(room as usize + ring);
+        for (slot, region) in regions {
             if let Some(region) = region {
-                let mut members = self.registry.nodes_in_region(region);
-                // Probe nearer cubical IDs first, like Algorithm 1's
-                // sequential scan but centered on the node.
-                members.sort_by_key(|m| self.cube_dist(m.a(), node.a()));
-                out.extend(
-                    members
-                        .into_iter()
-                        .filter(|&m| m != node)
-                        .map(|m| (slot, m)),
-                );
+                self.push_nearest_first(region, node.a(), slot, &mut out);
             }
-        };
-        push_region(
-            self.space.reverse_cubical_region(node),
-            CycloidSlot::Cubical,
-            &mut out,
-        );
-        push_region(
-            self.space.reverse_cyclic_region(node),
-            CycloidSlot::Cyclic,
-            &mut out,
-        );
+        }
         // Ring predecessors may take us as an extra successor candidate
         // (Theorem 3.3's note that nodes probe their ring neighbors too).
-        for p in self.registry.pred_window(node, 2 * self.params.leaf_window) {
+        for p in self.registry.pred_window(node, ring) {
             out.push((CycloidSlot::RingSucc, p));
         }
         out
@@ -705,6 +814,7 @@ mod tests {
     use super::*;
     use ert_core::max_indegree;
     use ert_overlay::Coord;
+    use rand::Rng;
 
     /// A small fully-populated dim-4 overlay with uniform capacities.
     fn full_topology(policy: TablePolicy) -> (Topology, SimRng) {
@@ -968,5 +1078,149 @@ mod tests {
         let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 1, Coord::new(0.0, 0.0)));
         let fresh = topo.add_node(id, host, 5);
         assert_eq!(topo.node_idx(id), Some(fresh));
+        // The ID now belongs to the newer node: removing the stale older
+        // one again must not unmap it.
+        topo.remove_node(10);
+        assert_eq!(topo.node_idx(id), Some(fresh));
+        assert_eq!(topo.host_of_id(id), Some(host));
+        topo.remove_node(fresh);
+        assert_eq!(topo.node_idx(id), None);
+    }
+
+    #[test]
+    fn vacant_ids_resolve_to_none() {
+        let space = CycloidSpace::new(4);
+        let params = ErtParams::default().with_alpha_for_dim(4);
+        let mut topo = Topology::new(space, TablePolicy::Elastic, params);
+        let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 1, Coord::new(0.0, 0.0)));
+        let held = space.id(2, 0b0110);
+        let node = topo.add_node(held, host, 4);
+        for lin in 0..space.ring_size() {
+            let id = space.from_lin(lin);
+            assert_eq!(topo.node_idx(id), (id == held).then_some(node), "{id}");
+        }
+        assert!(!topo.has_link(space.id(0, 0), CycloidSlot::Cubical, held));
+        assert_eq!(topo.phys_dist(space.id(0, 0), held), 0.0);
+    }
+
+    /// The probe order of Algorithm 1 as it was first written: collect
+    /// each reverse region, stable-sort it by cubical distance.
+    fn sorted_inlink_candidates(topo: &Topology, node: CycloidId) -> Vec<(CycloidSlot, CycloidId)> {
+        let mut out = Vec::new();
+        for (slot, region) in [
+            (
+                CycloidSlot::Cubical,
+                topo.space.reverse_cubical_region(node),
+            ),
+            (CycloidSlot::Cyclic, topo.space.reverse_cyclic_region(node)),
+        ] {
+            let mut members = region.map_or(Vec::new(), |r| topo.registry.nodes_in_region(r));
+            members.sort_by_key(|m| topo.cube_dist(m.a(), node.a()));
+            out.extend(members.into_iter().map(|m| (slot, m)));
+        }
+        let ring = topo.registry.pred_window(node, 2 * topo.params.leaf_window);
+        out.extend(ring.into_iter().map(|p| (CycloidSlot::RingSucc, p)));
+        out
+    }
+
+    #[test]
+    fn inlink_candidates_keep_the_sorted_probe_order() {
+        let mut rng = SimRng::seed_from(9);
+        // Full, dense and sparse memberships; every dimension has the
+        // k = d − 2 nodes whose cubical region wraps around the cube.
+        for (dim, fill) in [(2, 1.0), (3, 0.6), (4, 1.0), (5, 0.8), (6, 0.3), (7, 0.55)] {
+            let space = CycloidSpace::new(dim);
+            let params = ErtParams::default().with_alpha_for_dim(dim);
+            let mut topo = Topology::new(space, TablePolicy::Elastic, params);
+            let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 1, Coord::new(0.0, 0.0)));
+            for lin in 0..space.ring_size() {
+                if rng.gen::<f64>() < fill {
+                    topo.add_node(space.from_lin(lin), host, 4);
+                }
+            }
+            for lin in 0..space.ring_size() {
+                // Vacant IDs probe too: a joining node scans before it
+                // is anyone's neighbor.
+                let id = space.from_lin(lin);
+                assert_eq!(
+                    topo.inlink_candidates(id),
+                    sorted_inlink_candidates(&topo, id),
+                    "dim {dim} node {id}"
+                );
+            }
+        }
+    }
+
+    /// A node of the full dim-4 overlay with room to grow and reverse
+    /// regions to grow from, its supply exhausted by one big scan.
+    fn exhausted_node(topo: &mut Topology) -> usize {
+        let node = topo.node_idx(topo.space.id(1, 0b0101)).unwrap();
+        topo.nodes[node].d_max = 1000;
+        assert!(topo.grow_inlinks(node, 1000) > 0);
+        assert_eq!(
+            topo.nodes[node].supply_exhausted_at,
+            Some(topo.membership_epoch)
+        );
+        node
+    }
+
+    #[test]
+    fn exhausted_supply_is_skipped_until_membership_moves() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let node = exhausted_node(&mut topo);
+        let id = topo.nodes[node].id;
+        for (slot, c) in topo.inlink_candidates(id) {
+            assert!(topo.has_link(c, slot, id), "{c} does not point at {id}");
+        }
+        let (ops, checks) = (topo.link_ops, topo.memo_checks);
+        assert_eq!(topo.grow_inlinks(node, 5), 0);
+        assert_eq!(topo.link_ops, ops);
+        // The skip is a memo hit, which armed builds re-scan.
+        let rescans = u64::from(crate::sanitize::Sanitizer::ACTIVE);
+        assert_eq!(topo.memo_checks, checks + rescans);
+    }
+
+    #[test]
+    fn own_shed_rearms_the_scan_and_reacquires_the_holders() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let node = exhausted_node(&mut topo);
+        let id = topo.nodes[node].id;
+        let before = topo.nodes[node].table.backward_fingers().to_vec();
+        assert_eq!(topo.shed_inlinks(node, 3), 3);
+        assert_eq!(topo.nodes[node].supply_exhausted_at, None);
+        let shed: Vec<CycloidId> = before
+            .iter()
+            .copied()
+            .filter(|bf| !topo.nodes[node].table.backward_fingers().contains(bf))
+            .collect();
+        assert_eq!(shed.len(), 3);
+        assert!(topo.grow_inlinks(node, 1000) >= 3);
+        assert_eq!(topo.nodes[node].table.indegree(), before.len());
+        for holder in shed {
+            let h = topo.node_idx(holder).unwrap();
+            assert!(topo.nodes[h].table.has_outlink_to(id), "{holder} not back");
+        }
+    }
+
+    #[test]
+    fn join_inside_the_reverse_region_is_picked_up() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let id = topo.space.id(1, 0b0101);
+        let region = topo.space.reverse_cyclic_region(id).unwrap();
+        let joiner = topo.registry.nodes_in_region(region)[0];
+        let (old, host) = {
+            let old = topo.node_idx(joiner).unwrap();
+            (old, topo.nodes[old].host)
+        };
+        topo.remove_node(old);
+        let node = exhausted_node(&mut topo);
+        assert_eq!(topo.grow_inlinks(node, 1000), 0);
+        topo.add_node(joiner, host, 4);
+        assert!(topo.grow_inlinks(node, 1000) >= 1);
+        assert!(topo.has_link(joiner, CycloidSlot::Cyclic, id));
+        assert_eq!(
+            topo.nodes[node].supply_exhausted_at,
+            Some(topo.membership_epoch)
+        );
     }
 }

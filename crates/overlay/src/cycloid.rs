@@ -415,16 +415,25 @@ impl CycloidRegistry {
         prev.map(|&l| self.space.from_lin(l))
     }
 
-    /// The live members of a region, in cubical order.
-    pub fn nodes_in_region(&self, region: CycloidRegion) -> Vec<CycloidId> {
+    /// The live members of a region, in cubical order, without
+    /// collecting them. Double-ended, so a caller can walk a region
+    /// from both edges at once.
+    pub fn region_iter(
+        &self,
+        region: CycloidRegion,
+    ) -> impl DoubleEndedIterator<Item = CycloidId> + '_ {
         let base = region.k as u64 * self.space.cube_size();
         self.k_major
             .range(base + region.a_lo as u64..=base + region.a_hi as u64)
-            .map(|&km| {
-                let a = (km % self.space.cube_size()) as u32;
-                CycloidId { k: region.k, a }
+            .map(move |&km| CycloidId {
+                k: region.k,
+                a: (km - base) as u32,
             })
-            .collect()
+    }
+
+    /// The live members of a region, in cubical order.
+    pub fn nodes_in_region(&self, region: CycloidRegion) -> Vec<CycloidId> {
+        self.region_iter(region).collect()
     }
 
     /// Number of live members of a region.

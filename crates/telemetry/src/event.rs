@@ -79,7 +79,7 @@ pub enum TelemetryEvent {
     LinkGrown {
         /// Linearized id of the growing node.
         node: u64,
-        /// Inlinks requested.
+        /// Inlinks gained.
         count: u32,
     },
     /// A stale outlink to a departed peer was purged after a timeout.
