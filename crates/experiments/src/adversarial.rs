@@ -311,7 +311,7 @@ pub fn flood_recovery(base_s: &Scenario) -> Table {
 }
 
 /// Runs all four panels at the scenario's scale and returns their
-/// tables (the `adversarial` binary emits these to `results/`).
+/// tables (the `adversarial` row of `figures` emits these to `results/`).
 pub fn tables(base_s: &Scenario, quick: bool) -> Vec<Table> {
     vec![
         liar_table(&liar_sweep(base_s, &liar_errors(quick))),

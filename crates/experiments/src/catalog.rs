@@ -1,0 +1,427 @@
+//! The experiment table behind `figures [<name>...]`.
+//!
+//! One row per experiment. `figures` with no name runs every paper
+//! row — the all-in-one run is a loop over the same rows a per-figure
+//! run selects, so the two cannot drift.
+//! [`Ctx`] carries the run-wide scale and the two sweeps several
+//! figures share, computed at most once per process.
+
+use std::cell::{Cell, OnceCell};
+
+use ert_core::ErtParams;
+use ert_network::{AdversaryScript, NetworkConfig, RetryPolicy, RunReport};
+
+use crate::cli::Args;
+use crate::report::Table;
+use crate::{
+    ablation, adversarial, bounds, chord, extensions, fig10, fig4, fig5, fig6, fig7, fig8, fig9,
+    intro, resilience, thm41, ChurnSpec, Scenario, Workload,
+};
+
+/// One experiment of the table.
+pub struct Experiment {
+    /// The name `figures <name>` selects it by.
+    pub name: &'static str,
+    /// Part of the paper's evaluation: run when no name is given.
+    pub(crate) paper: bool,
+    /// Default `--seeds` at paper scale when this is the only row
+    /// selected (`--quick` always defaults to one seed).
+    pub(crate) seeds: usize,
+    /// Paper-scale adjustment of the Table 2 base scenario.
+    pub(crate) scale: fn(&mut Scenario),
+    /// Runs the experiment on its scaled base scenario.
+    pub run: fn(&Ctx, &Scenario) -> Vec<Table>,
+    /// Shapes the representative `--telemetry` run when this is the
+    /// only row selected: edits the scenario, returns the config tweak.
+    pub(crate) capture: fn(&Ctx, &mut Scenario) -> fn(&mut NetworkConfig),
+}
+
+/// Run-wide state shared by the rows of one `figures` process.
+pub struct Ctx {
+    /// `--quick`: laptop-CI scale instead of Table 2 scale.
+    quick: bool,
+    /// `--faults`: pins the `resilience` row to one chaos intensity.
+    faults: Option<f64>,
+    /// The unscaled base scenario (seeds, jobs, shards, stream-stats).
+    pub base: Scenario,
+    /// Set by a row whose theorem check failed; `figures` exits 1.
+    pub bound_violated: Cell<bool>,
+    lookup_sweep: OnceCell<Vec<(usize, Vec<RunReport>)>>,
+    churn_sweep: OnceCell<Vec<(f64, Vec<RunReport>)>>,
+}
+
+impl Ctx {
+    /// Builds the context of a parsed command line. Without `--seeds`
+    /// a quick run averages one seed, a single selected row its own
+    /// default, and a multi-row run two.
+    pub fn new(args: &Args) -> Ctx {
+        let seeds = args.seeds.unwrap_or(match args.rows[..] {
+            _ if args.quick => 1,
+            [only] => only.seeds,
+            _ => 2,
+        });
+        let mut base = if args.quick {
+            Scenario {
+                seeds: (1..=seeds as u64).collect(),
+                ..Scenario::quick(1)
+            }
+        } else {
+            Scenario::paper_default(seeds)
+        };
+        base.jobs = args.jobs;
+        base.shards = args.shards;
+        base.stream_stats = args.stream_stats;
+        Ctx {
+            quick: args.quick,
+            faults: args.faults,
+            base,
+            bound_violated: Cell::new(false),
+            lookup_sweep: OnceCell::new(),
+            churn_sweep: OnceCell::new(),
+        }
+    }
+
+    /// The base scenario at `row`'s scale.
+    pub fn scenario(&self, row: &Experiment) -> Scenario {
+        let mut s = self.base.clone();
+        if !self.quick {
+            (row.scale)(&mut s);
+        }
+        s
+    }
+
+    /// The scenario and config tweak of the representative
+    /// `--telemetry` run: the row's own shape when one row is selected,
+    /// the plain base scenario otherwise.
+    pub fn capture(&self, rows: &[&Experiment]) -> (Scenario, fn(&mut NetworkConfig)) {
+        match rows {
+            [only] => {
+                let mut scenario = self.scenario(only);
+                let tweak = (only.capture)(self, &mut scenario);
+                (scenario, tweak)
+            }
+            _ => (self.base.clone(), no_tweak),
+        }
+    }
+
+    fn pick<T>(&self, quick: T, paper: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            paper
+        }
+    }
+
+    /// The lookup-count sweep Figs. 4, 5a and 7 share, on the base
+    /// scenario (those rows run at full scale).
+    fn lookup_sweep(&self) -> &[(usize, Vec<RunReport>)] {
+        self.lookup_sweep.get_or_init(|| {
+            let points = self.pick(fig4::quick_points(), fig4::paper_points());
+            fig4::lookup_sweep(&self.base, &points)
+        })
+    }
+
+    /// The churn sweep Figs. 9 and 10 share, on the base scenario.
+    fn churn_sweep(&self) -> &[(f64, Vec<RunReport>)] {
+        self.churn_sweep
+            .get_or_init(|| fig9::churn_sweep(&self.base, &self.interarrivals()))
+    }
+
+    fn interarrivals(&self) -> Vec<f64> {
+        self.pick(fig9::quick_interarrivals(), fig9::paper_interarrivals())
+    }
+
+    /// Fig. 8's impulse: `(source nodes, distinct keys)`.
+    fn impulse(&self) -> (usize, usize) {
+        self.pick((20, 5), (100, 50))
+    }
+
+    fn intensities(&self) -> Vec<f64> {
+        match self.faults {
+            Some(x) => vec![x],
+            None => resilience::intensities(self.quick),
+        }
+    }
+}
+
+/// Every experiment, in the order a multi-row run executes them:
+/// name, paper row?, default seeds, paper scale, runner, capture shape.
+pub(crate) static EXPERIMENTS: [Experiment; 15] = [
+    row("fig4", true, 3, full, fig4, plain),
+    row("fig4-service", true, 3, full, fig4_service, plain),
+    row("fig5", true, 3, full, fig5, plain),
+    row("fig7", true, 3, full, fig7, plain),
+    row("intro", true, 2, full, intro, plain),
+    row("fig6", true, 2, full, fig6, plain),
+    row("fig8", true, 3, full, fig8, capture_impulse),
+    row("fig9", true, 2, full, fig9, capture_churn),
+    row("fig10", true, 2, full, fig10, capture_churn),
+    row("thm41", true, 2, full, thm41, plain),
+    row("bounds", true, 2, full, bounds, plain),
+    row("ablation", false, 2, full, ablation, plain),
+    row("extensions", false, 2, full, extensions, plain),
+    row("resilience", false, 3, reduced, resilience, capture_chaos),
+    row("adversarial", false, 3, reduced, adversarial, capture_mix),
+];
+
+/// Looks an experiment up by name.
+pub(crate) fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+const fn row(
+    name: &'static str,
+    paper: bool,
+    seeds: usize,
+    scale: fn(&mut Scenario),
+    run: fn(&Ctx, &Scenario) -> Vec<Table>,
+    capture: fn(&Ctx, &mut Scenario) -> fn(&mut NetworkConfig),
+) -> Experiment {
+    Experiment {
+        name,
+        paper,
+        seeds,
+        scale,
+        run,
+        capture,
+    }
+}
+
+/// Table 2 scale as it stands.
+fn full(_: &mut Scenario) {}
+
+/// Attacked and faulted runs queue and retry harder than honest ones;
+/// one notch below full paper scale keeps those sweeps laptop-friendly.
+fn reduced(s: &mut Scenario) {
+    s.n = 1024;
+    s.lookups = 2000;
+}
+
+fn no_tweak(_: &mut NetworkConfig) {}
+
+/// The base scenario as the sweep ran it.
+fn plain(_: &Ctx, _: &mut Scenario) -> fn(&mut NetworkConfig) {
+    no_tweak
+}
+
+/// The impulse workload, so the stream shows the skew.
+fn capture_impulse(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
+    let (nodes, keys) = ctx.impulse();
+    s.workload = Workload::Impulse { nodes, keys };
+    no_tweak
+}
+
+/// The first churn level, so the stream shows join/depart/handoff
+/// events too.
+fn capture_churn(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
+    let ia = ctx.interarrivals()[0];
+    s.churn = Some(ChurnSpec {
+        join_interarrival: ia,
+        leave_interarrival: ia,
+    });
+    no_tweak
+}
+
+/// The first nonzero chaos intensity plus the sweep's retry policy, so
+/// the stream shows fault, retry and failure events and reproduces the
+/// sweep's ERT/AF data point.
+fn capture_chaos(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
+    s.chaos = ctx.intensities().into_iter().find(|&x| x > 0.0);
+    |cfg| cfg.retry = RetryPolicy::standard()
+}
+
+/// The CI acceptance mix (liars + defectors together), so the stream
+/// shows adversary activation, misreport and defection events.
+fn capture_mix(_: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
+    s.adversary = Some(AdversaryScript::Mix {
+        liar_fraction: 0.2,
+        liar_error: 4.0,
+        defector_fraction: 0.1,
+    });
+    no_tweak
+}
+
+fn fig4(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    fig4::tables(ctx.lookup_sweep())
+}
+
+fn fig4_service(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    let services: &[f64] = ctx.pick(&[0.1, 0.6], &[0.1, 0.6, 1.1, 1.6, 2.1]);
+    vec![fig4::service_time_variant(base, services)]
+}
+
+fn fig5(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    let sizes = ctx.pick(fig5::quick_sizes(), fig5::paper_sizes());
+    vec![
+        fig5::table_5a(ctx.lookup_sweep()),
+        fig5::table_5b(base, &sizes),
+        fig5::table_5c(base),
+    ]
+}
+
+fn fig6(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    let dims: &[u8] = ctx.pick(&[4, 5, 6], &[6, 7, 8, 9, 10]);
+    vec![
+        fig6::summary_table(dims, true, 8),
+        fig6::histogram_table(ctx.pick(5, 8), true, 8),
+    ]
+}
+
+fn fig7(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    fig7::tables(ctx.lookup_sweep())
+}
+
+fn fig8(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    let services = ctx.pick(fig8::quick_services(), fig8::paper_services());
+    let (nodes, keys) = ctx.impulse();
+    fig8::tables(&fig8::service_sweep(base, &services, nodes, keys))
+}
+
+fn fig9(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    fig9::tables(ctx.churn_sweep())
+}
+
+fn fig10(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    fig10::tables(ctx.churn_sweep())
+}
+
+fn intro(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    let sizes: &[usize] = ctx.pick(&[64, 256], &[128, 512, 2048, 8192]);
+    vec![intro::imbalance_table(sizes, 3)]
+}
+
+fn thm41(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
+    let lambdas = ctx.pick(thm41::quick_lambdas(), thm41::paper_lambdas());
+    let (n, horizon) = ctx.pick((200, 800.0), (500, 2000.0));
+    vec![
+        thm41::expected_time_table(&lambdas, n, horizon, 41),
+        thm41::fixed_point_table(0.9, 2),
+        thm41::fixed_point_table(0.9, 1),
+    ]
+}
+
+fn bounds(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    let (n, lookups) = ctx.pick((128, 250), (2048, 3000));
+    let cases = [
+        (50.0, 0.5),
+        (10.0, 1.0),
+        (100.0, 0.25),
+        (5.0, 2.0),
+        (30.0, 0.1),
+    ];
+    let checks = [
+        bounds::theorem31_check(n, 1.0, 51, base.shards),
+        bounds::theorem31_check(n, 1.5, 52, base.shards),
+        bounds::theorem32_convergence(&cases, &ErtParams::default()),
+        (bounds::theorem32_check(n, lookups, 53, base.shards), true),
+        bounds::theorem33_check(n, lookups, 54, base.shards),
+    ];
+    ctx.bound_violated.set(checks.iter().any(|(_, ok)| !ok));
+    checks.into_iter().map(|(table, _)| table).collect()
+}
+
+fn ablation(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    // `α` at the dimension of the scenario's ID space.
+    let dim_alpha = ctx.pick(9.0, 11.0);
+    vec![
+        ablation::forwarding_table(base),
+        ablation::alpha_table(base, &[4.0, 8.0, dim_alpha, 16.0, 24.0]),
+        ablation::beta_table(base, &[0.25, 0.5, 0.75, 1.0]),
+        ablation::probe_width_table(base, &[1, 2, 3, 4]),
+    ]
+}
+
+fn extensions(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    let (keys, epoch) = ctx.pick((20, 100), (100, 500));
+    vec![
+        extensions::zipf_table(base, &[0.0, 0.6, 1.0, 1.4], keys),
+        extensions::shifting_hotspot_table(base, keys, 1.0, epoch),
+        extensions::anonymity_table(base),
+        extensions::utilization_table(base),
+        extensions::item_movement_table(base),
+        extensions::stabilization_table(base, 0.3),
+        chord::cross_overlay_table(base),
+    ]
+}
+
+fn resilience(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    resilience::tables(&resilience::resilience_sweep(base, &ctx.intensities()))
+}
+
+fn adversarial(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    adversarial::tables(base, ctx.quick)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_unique_and_findable() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.name != e.name),
+                "duplicate row {}",
+                e.name
+            );
+            assert!(std::ptr::eq(find(e.name).unwrap(), e));
+        }
+        assert!(find("fig11").is_none());
+    }
+
+    #[test]
+    fn usage_lists_every_row() {
+        let usage = crate::cli::usage();
+        for e in &EXPERIMENTS {
+            let line = format!("  {} {}\n", if e.paper { '*' } else { ' ' }, e.name);
+            assert!(usage.contains(&line), "usage omits {}", e.name);
+        }
+    }
+
+    /// No name runs the paper's evaluation: Figs. 4–10 with the Fig. 4
+    /// service-time variant, the intro table, Thm 4.1 and the degree
+    /// bounds. Thm 3.3 and Lemma A.1 b = 1 are tables of the `bounds`
+    /// and `thm41` rows.
+    #[test]
+    fn paper_set_is_the_papers_evaluation() {
+        let paper: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.paper)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            paper,
+            [
+                "fig4",
+                "fig4-service",
+                "fig5",
+                "fig7",
+                "intro",
+                "fig6",
+                "fig8",
+                "fig9",
+                "fig10",
+                "thm41",
+                "bounds"
+            ]
+        );
+    }
+
+    #[test]
+    fn default_seeds_follow_the_selection() {
+        let ctx =
+            |args: &[&str]| Ctx::new(&Args::parse(args.iter().map(|a| (*a).to_owned())).unwrap());
+        assert_eq!(ctx(&["fig4", "--quick"]).base.seeds, [1]);
+        assert_eq!(ctx(&["fig4"]).base.seeds, [1, 2, 3]);
+        assert_eq!(ctx(&["fig9"]).base.seeds, [1, 2]);
+        assert_eq!(ctx(&["fig4", "fig9"]).base.seeds, [1, 2]);
+        assert_eq!(ctx(&[]).base.seeds, [1, 2]);
+        assert_eq!(ctx(&["--seeds", "5"]).base.seeds, [1, 2, 3, 4, 5]);
+        // Only the faulted and attacked sweeps run below Table 2 scale.
+        let paper = ctx(&[]);
+        assert_eq!(paper.scenario(find("fig4").unwrap()).n, 2048);
+        assert_eq!(paper.scenario(find("resilience").unwrap()).n, 1024);
+        let quick = ctx(&["--quick"]);
+        assert_eq!(quick.scenario(find("adversarial").unwrap()).n, quick.base.n);
+    }
+}

@@ -1,50 +1,237 @@
-//! Shared command-line handling for the experiment binaries.
+//! Command-line handling for the `figures` binary: one [`Args`] value
+//! parsed once, failing closed.
 //!
-//! Every figure binary accepts, besides its own `--quick` / `--seeds`
-//! flags, the shared knobs parsed here — with one uniform contract:
-//! **no shared flag may change the bytes a binary emits**, only how
-//! fast it emits them or what side-channel observability it produces.
+//! `figures [<name>...]` selects rows of the experiment table
+//! ([`crate::catalog`]); no name selects every paper row. A malformed
+//! value, an unknown flag or an unknown name is an [`ArgError`] —
+//! `figures` prints it with [`usage`] and exits 2 before any sweep
+//! starts. The flags, with one uniform contract — **none but
+//! `--faults` changes the bytes a run emits**, only how fast it emits
+//! them or what side-channel observability it produces:
 //!
+//! - `--quick` — laptop-CI scale instead of Table 2 scale;
+//! - `--seeds <K>` — seeds `1..=K` to average over;
 //! - `--jobs <N>` — worker threads for the parallel fan-out; the
 //!   default is every available core, and any value produces
 //!   byte-identical output (see `ert-par`; `--jobs 1` is the
 //!   sequential reference);
 //! - `--shards <S>` — shard count for the shared-nothing sharded
 //!   event core (see `ert_sim::ShardedEngine`); `0`/absent selects the
-//!   legacy single event loop, and any value is byte-identical to it.
-//!   Binaries that run no event loop (`fig6`, `thm41`) still accept
-//!   the flag for sweep-script uniformity but warn on stderr that it
-//!   is ignored ([`warn_shards_ignored`]);
-//! - `--faults <intensity>` — chaos intensity in `[0, 1]` for the
-//!   binaries that support fault injection (this one *does* change
+//!   legacy single event loop, and any value is byte-identical to it
+//!   (pinned by `tests/shard_determinism.rs`);
+//! - `--faults <intensity>` — pins the `resilience` row to one chaos
+//!   intensity in `[0, 1]` instead of its sweep (this one *does* change
 //!   output — it changes the experiment, not the evaluation);
 //! - `--stream-stats` — O(1)-memory P² percentile sketches instead of
-//!   exact sample vectors;
+//!   exact sample vectors: count, mean and max stay exact, interior
+//!   percentiles become estimates inside the tolerance band
+//!   `ert-testkit` pins;
 //!
 //! and the telemetry trio:
 //!
 //! - `--telemetry <path.jsonl>` — stream structured events, periodic
-//!   snapshots, and the end-of-run report to a JSONL file;
+//!   snapshots, and the end-of-run report to a JSONL file, opened
+//!   before the sweep so an unwritable path fails at once;
 //! - `--sample-interval <secs>` — snapshot cadence on the sim clock
-//!   (default 1 s when telemetry is on; `0` disables the sampler);
+//!   (default 1 s when `--telemetry` is given; `0` disables the
+//!   sampler);
 //! - `--trace <N>` — retain the last `N` events in the human-readable
 //!   trace ring and print them to stderr after the run.
 //!
 //! Sweeps average many runs, so instrumenting all of them would
 //! interleave streams; instead [`TelemetryOpts::capture`] performs one
-//! *representative* instrumented run (first seed of the binary's base
-//! scenario) whose stream is the observability artifact. The sweep
+//! *representative* instrumented run (first seed, ERT/AF) whose stream
+//! is the observability artifact: the selected row's own shape when
+//! one row is selected, the plain base scenario otherwise. The sweep
 //! itself stays untouched — and because observation never perturbs the
-//! simulation, the captured run reproduces the sweep's first data
-//! point exactly.
+//! simulation, the captured run reproduces the sweep's data point
+//! exactly.
 
+use std::fmt;
+use std::io;
 use std::path::PathBuf;
 
 use ert_network::ProtocolSpec;
 use ert_sim::SimDuration;
 use ert_telemetry::{JsonlSink, Telemetry};
 
+use crate::catalog::{find, Experiment, EXPERIMENTS};
 use crate::Scenario;
+
+/// The parsed `figures` command line.
+#[derive(Default)]
+pub struct Args {
+    /// The selected rows in table order, without duplicates; every
+    /// paper row when no name was given.
+    pub rows: Vec<&'static Experiment>,
+    /// `--quick`.
+    pub quick: bool,
+    /// `--seeds`, when given (the default depends on the selection).
+    pub seeds: Option<usize>,
+    /// `--jobs`, when given (`None` = every available core).
+    pub jobs: Option<usize>,
+    /// `--shards` (0 = the legacy single event loop).
+    pub shards: usize,
+    /// `--stream-stats`.
+    pub stream_stats: bool,
+    /// `--faults`, when given.
+    pub faults: Option<f64>,
+    /// The telemetry trio.
+    pub telemetry: TelemetryOpts,
+}
+
+/// Why a command line was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ArgError {
+    /// A positional argument that names no row of the table.
+    UnknownExperiment(String),
+    /// A `-`-prefixed argument that is no flag of `figures`.
+    UnknownFlag(String),
+    /// A flag that takes a value stood last or before another flag.
+    MissingValue(&'static str),
+    /// A flag's value did not parse or is out of range.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// What was given.
+        value: String,
+        /// What the flag accepts.
+        expected: &'static str,
+    },
+    /// `--faults` without the `resilience` row: it would do nothing.
+    FaultsWithoutResilience,
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::UnknownExperiment(name) => write!(f, "unknown experiment `{name}`"),
+            ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
+            ArgError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "`{flag} {value}`: expected {expected}"),
+            ArgError::FaultsWithoutResilience => {
+                write!(f, "`--faults` only applies to the `resilience` experiment")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+impl Args {
+    /// Parses the arguments after the program name.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
+        let mut it = args.into_iter();
+        let mut parsed = Args::default();
+        let mut names: Vec<&str> = Vec::new();
+        let mut sample_interval = None;
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--quick" => parsed.quick = true,
+                "--stream-stats" => parsed.stream_stats = true,
+                "--seeds" => {
+                    parsed.seeds = Some(number("--seeds", &mut it, POSITIVE, 1..=usize::MAX)?);
+                }
+                "--jobs" => {
+                    parsed.jobs = Some(number("--jobs", &mut it, POSITIVE, 1..=usize::MAX)?);
+                }
+                "--shards" => parsed.shards = number("--shards", &mut it, NATURAL, 0..=usize::MAX)?,
+                "--faults" => {
+                    parsed.faults = Some(number("--faults", &mut it, UNIT, 0.0..=1.0)?);
+                }
+                "--telemetry" => {
+                    parsed.telemetry.jsonl_path = Some(value("--telemetry", &mut it)?.into());
+                }
+                "--sample-interval" => {
+                    let secs = number("--sample-interval", &mut it, SECONDS, 0.0..=f64::MAX)?;
+                    sample_interval = Some(secs);
+                }
+                "--trace" => {
+                    parsed.telemetry.trace_capacity =
+                        number("--trace", &mut it, NATURAL, 0..=usize::MAX)?;
+                }
+                flag if flag.starts_with('-') => return Err(ArgError::UnknownFlag(arg)),
+                name => match find(name) {
+                    Some(row) => names.push(row.name),
+                    None => return Err(ArgError::UnknownExperiment(arg)),
+                },
+            }
+        }
+        parsed.rows = EXPERIMENTS
+            .iter()
+            .filter(|e| {
+                if names.is_empty() {
+                    e.paper
+                } else {
+                    names.contains(&e.name)
+                }
+            })
+            .collect();
+        if parsed.faults.is_some() && !names.contains(&"resilience") {
+            return Err(ArgError::FaultsWithoutResilience);
+        }
+        let default_interval = if parsed.telemetry.jsonl_path.is_some() {
+            1.0
+        } else {
+            0.0
+        };
+        parsed.telemetry.sample_interval_secs = sample_interval.unwrap_or(default_interval);
+        Ok(parsed)
+    }
+}
+
+/// The value following `flag`.
+fn value(flag: &'static str, it: &mut impl Iterator<Item = String>) -> Result<String, ArgError> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or(ArgError::MissingValue(flag))
+}
+
+/// What the numeric flags accept, as [`ArgError::BadValue`] words it.
+const POSITIVE: &str = "an integer >= 1";
+const NATURAL: &str = "a non-negative integer";
+const UNIT: &str = "a number in [0, 1]";
+const SECONDS: &str = "seconds >= 0";
+
+/// The value following `flag`, parsed and range-checked (NaN is in no
+/// range).
+fn number<T: std::str::FromStr + PartialOrd>(
+    flag: &'static str,
+    it: &mut impl Iterator<Item = String>,
+    expected: &'static str,
+    range: std::ops::RangeInclusive<T>,
+) -> Result<T, ArgError> {
+    let value = value(flag, it)?;
+    match value.parse() {
+        Ok(parsed) if range.contains(&parsed) => Ok(parsed),
+        _ => Err(ArgError::BadValue {
+            flag,
+            value,
+            expected,
+        }),
+    }
+}
+
+/// The usage text `figures` prints beside an [`ArgError`]: every flag
+/// and every row of the table.
+pub fn usage() -> String {
+    let mut text = String::from(
+        "usage: figures [<name>...] [--quick] [--seeds K] [--jobs N] [--shards S] \
+         [--stream-stats]\n               [--faults X] [--telemetry <path.jsonl>] \
+         [--sample-interval <secs>] [--trace N]\n\n\
+         Runs the named experiments (no name: every one marked *) and writes their\n\
+         tables to ./results/*.csv.\n\n",
+    );
+    for e in &EXPERIMENTS {
+        let mark = if e.paper { '*' } else { ' ' };
+        text.push_str(&format!("  {mark} {}\n", e.name));
+    }
+    text
+}
 
 /// Parsed telemetry flags.
 #[derive(Debug, Clone, Default)]
@@ -58,72 +245,44 @@ pub struct TelemetryOpts {
 }
 
 impl TelemetryOpts {
-    /// Parses the telemetry flags out of this process's arguments.
-    pub fn from_env() -> TelemetryOpts {
-        TelemetryOpts::parse(&std::env::args().collect::<Vec<_>>())
-    }
-
-    /// Parses the telemetry flags from an argument list.
-    pub fn parse(args: &[String]) -> TelemetryOpts {
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        };
-        let jsonl_path = value_of("--telemetry").map(PathBuf::from);
-        let sample_interval_secs = value_of("--sample-interval")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if jsonl_path.is_some() { 1.0 } else { 0.0 });
-        let trace_capacity = value_of("--trace")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        TelemetryOpts {
-            jsonl_path,
-            sample_interval_secs,
-            trace_capacity,
-        }
-    }
-
     /// Whether any flag asked for an instrumented run.
     pub fn active(&self) -> bool {
         self.jsonl_path.is_some() || self.sample_interval_secs > 0.0 || self.trace_capacity > 0
     }
 
-    /// Builds the telemetry pipeline the flags describe.
+    /// Builds the telemetry pipeline the flags describe, creating the
+    /// `--telemetry` file; `None` when no flag asked for one.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the `--telemetry` file cannot be created.
-    pub fn build(&self) -> Telemetry {
+    /// The file cannot be created; the error names the path.
+    pub fn build(&self) -> io::Result<Option<Telemetry>> {
+        if !self.active() {
+            return Ok(None);
+        }
         let mut tel = Telemetry::with_trace_capacity(self.trace_capacity);
         if let Some(path) = &self.jsonl_path {
-            let sink = JsonlSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
+            let sink = JsonlSink::create(path).map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot create {}: {e}", path.display()))
+            })?;
             tel.add_sink(Box::new(sink));
         }
-        tel
+        Ok(Some(tel))
     }
 
-    /// When any telemetry flag is set, performs the representative
-    /// instrumented run of `scenario` under `spec` (first seed),
-    /// writes the JSONL stream / prints the trace ring, and reports
-    /// what was captured on stderr. No-op otherwise.
-    pub fn capture(&self, scenario: &Scenario, spec: &ProtocolSpec) {
-        self.capture_with(scenario, spec, |_| {});
-    }
-
-    /// Like [`TelemetryOpts::capture`], but lets the caller apply the
-    /// same config tweak the surrounding sweep used (e.g. a retry
+    /// Performs the representative instrumented run of `scenario`
+    /// under `spec` (first seed) into `telemetry` (from
+    /// [`TelemetryOpts::build`]), writes the JSONL stream / prints the
+    /// trace ring, and reports what was captured on stderr. `tweak` is
+    /// the config tweak the surrounding sweep used (e.g. a retry
     /// policy), so the captured run reproduces the sweep's data point.
-    pub fn capture_with(
+    pub fn capture(
         &self,
+        telemetry: Telemetry,
         scenario: &Scenario,
         spec: &ProtocolSpec,
         tweak: impl FnOnce(&mut ert_network::NetworkConfig),
     ) {
-        if !self.active() {
-            return;
-        }
         let seed = scenario.seeds.first().copied().unwrap_or(1);
         let interval = SimDuration::from_secs_f64(self.sample_interval_secs.max(0.0));
         let (report, telemetry) = scenario.run_once_instrumented(
@@ -133,7 +292,7 @@ impl TelemetryOpts {
                 cfg.sample_interval = interval;
                 tweak(cfg);
             },
-            self.build(),
+            telemetry,
         );
         eprintln!(
             "[telemetry] {} seed {seed}: {} events, {} snapshots, {} lookups in {:.1}s sim",
@@ -152,181 +311,121 @@ impl TelemetryOpts {
     }
 }
 
-/// Parses the `--jobs <N>` knob shared by every binary: the worker
-/// count for the parallel fan-out (see `ert-par`). Absent, malformed,
-/// or zero values read as "use every available core"
-/// ([`Scenario::jobs`] = `None`). Any value yields byte-identical
-/// output — `--jobs 1` is the sequential reference.
-pub fn parse_jobs(args: &[String]) -> Option<usize> {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// [`parse_jobs`] over this process's arguments.
-pub fn jobs_from_env() -> Option<usize> {
-    parse_jobs(&std::env::args().collect::<Vec<_>>())
-}
-
-/// Parses the `--shards <S>` knob shared by every binary: the shard
-/// count for the shared-nothing sharded event core (see
-/// `ert_sim::ShardedEngine`). Absent, malformed, or zero values read
-/// as "legacy single event loop" ([`Scenario::shards`] = `0`). Any
-/// value yields byte-identical output — `--shards 1` runs the sharded
-/// core degenerately and still matches the legacy path byte for byte
-/// (pinned by `tests/shard_determinism.rs`).
-pub fn parse_shards(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
-}
-
-/// [`parse_shards`] over this process's arguments.
-pub fn shards_from_env() -> usize {
-    parse_shards(&std::env::args().collect::<Vec<_>>())
-}
-
-/// Whether `--shards` appears in the argument list at all (with or
-/// without a usable value). Distinct from [`parse_shards`], which
-/// folds malformed values into "legacy" — the warning below should
-/// fire on any attempt to pass the flag.
-pub fn shards_flag_present(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--shards")
-}
-
-/// For binaries with no event loop to shard (`fig6`, `thm41`): accept
-/// `--shards` for sweep-script uniformity but tell the user on stderr
-/// that it cannot do anything here. Output bytes are unaffected either
-/// way (the uniform contract above), so this is a warning, not an
-/// error.
-pub fn warn_shards_ignored(binary: &str, args: &[String]) {
-    if shards_flag_present(args) {
-        eprintln!(
-            "[{binary}] note: --shards ignored — this binary runs no event loop, \
-             so there is nothing to shard; output is identical with or without it"
-        );
-    }
-}
-
-/// Parses the `--faults <intensity>` knob shared by binaries that
-/// support fault injection: a chaos intensity in `[0, 1]` fed to
-/// [`Scenario::chaos`] (see `ert-faults`). Absent, malformed, or
-/// non-finite values read as "no faults".
-pub fn parse_faults(args: &[String]) -> Option<f64> {
-    args.iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| v.is_finite())
-        .map(|v| v.clamp(0.0, 1.0))
-}
-
-/// [`parse_faults`] over this process's arguments.
-pub fn faults_from_env() -> Option<f64> {
-    parse_faults(&std::env::args().collect::<Vec<_>>())
-}
-
-/// Parses the `--stream-stats` switch shared by every binary: when
-/// present, per-query metric collectors run as O(1)-memory P² sketches
-/// instead of exact sample vectors (see
-/// [`Scenario::stream_stats`]). Count, mean, and max stay exact;
-/// interior percentiles become estimates inside the tolerance band
-/// `ert-testkit` pins. Same-seed streaming runs are byte-identical to
-/// each other at any `--jobs` value.
-pub fn parse_stream_stats(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--stream-stats")
-}
-
-/// [`parse_stream_stats`] over this process's arguments.
-pub fn stream_stats_from_env() -> bool {
-    parse_stream_stats(&std::env::args().collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|a| (*a).to_owned()).collect()
+    fn parse(s: &[&str]) -> Result<Args, ArgError> {
+        Args::parse(s.iter().map(|a| (*a).to_owned()))
+    }
+
+    fn names(args: &Args) -> Vec<&'static str> {
+        args.rows.iter().map(|e| e.name).collect()
+    }
+
+    fn bad(flag: &'static str, value: &str, expected: &'static str) -> ArgError {
+        ArgError::BadValue {
+            flag,
+            value: value.to_owned(),
+            expected,
+        }
     }
 
     #[test]
-    fn faults_flag_parses_and_clamps() {
-        assert_eq!(parse_faults(&args(&["resilience"])), None);
+    fn no_name_selects_the_paper_rows_and_names_select_in_table_order() {
+        let all = parse(&["--quick"]).unwrap();
+        assert!(all.rows.iter().all(|e| e.paper));
+        assert!(all.rows.len() > 1);
+        let some = parse(&["resilience", "fig7", "fig4", "fig7"]).unwrap();
+        assert_eq!(names(&some), ["fig4", "fig7", "resilience"]);
         assert_eq!(
-            parse_faults(&args(&["resilience", "--faults", "0.4"])),
-            Some(0.4)
+            parse(&["fig4", "fig11"]).err(),
+            Some(ArgError::UnknownExperiment("fig11".into()))
         );
-        assert_eq!(
-            parse_faults(&args(&["resilience", "--faults", "7"])),
-            Some(1.0)
-        );
-        assert_eq!(
-            parse_faults(&args(&["resilience", "--faults", "NaN"])),
-            None
-        );
-        assert_eq!(parse_faults(&args(&["resilience", "--faults"])), None);
     }
 
     #[test]
-    fn jobs_flag_parses_and_rejects_nonsense() {
-        assert_eq!(parse_jobs(&args(&["fig4"])), None);
-        assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "4"])), Some(4));
-        assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "1"])), Some(1));
-        assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "0"])), None);
-        assert_eq!(parse_jobs(&args(&["fig4", "--jobs", "lots"])), None);
-        assert_eq!(parse_jobs(&args(&["fig4", "--jobs"])), None);
-    }
-
-    #[test]
-    fn shards_flag_parses_and_defaults_to_legacy() {
-        assert_eq!(parse_shards(&args(&["fig4"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "4"])), 4);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "1"])), 1);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "0"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards", "many"])), 0);
-        assert_eq!(parse_shards(&args(&["fig4", "--shards"])), 0);
-    }
-
-    #[test]
-    fn shards_presence_is_detected_even_when_malformed() {
-        assert!(!shards_flag_present(&args(&["fig6"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards", "4"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards", "many"])));
-        assert!(shards_flag_present(&args(&["fig6", "--shards"])));
-        // The warning fires exactly on presence; parse_shards still
-        // reads the same list as legacy for malformed values.
-        assert_eq!(parse_shards(&args(&["fig6", "--shards", "many"])), 0);
-    }
-
-    #[test]
-    fn stream_stats_flag_is_a_plain_switch() {
-        assert!(!parse_stream_stats(&args(&["fig4"])));
-        assert!(parse_stream_stats(&args(&["fig4", "--stream-stats"])));
-        assert!(parse_stream_stats(&args(&[
+    fn shared_flags_parse() {
+        let a = parse(&[
             "fig4",
             "--quick",
-            "--stream-stats",
+            "--seeds",
+            "3",
             "--jobs",
-            "4"
-        ])));
+            "4",
+            "--shards",
+            "8",
+            "--stream-stats",
+        ])
+        .unwrap();
+        assert!(a.quick && a.stream_stats);
+        assert_eq!((a.seeds, a.jobs, a.shards), (Some(3), Some(4), 8));
+        let d = parse(&["fig4"]).unwrap();
+        assert!(!d.quick && !d.stream_stats);
+        assert_eq!((d.seeds, d.jobs, d.shards, d.faults), (None, None, 0, None));
+        assert_eq!(parse(&["fig4", "--shards", "0"]).unwrap().shards, 0);
     }
 
     #[test]
-    fn defaults_are_inert() {
-        let o = TelemetryOpts::parse(&args(&["fig4", "--quick"]));
+    fn malformed_values_and_unknown_flags_are_errors() {
+        for (flag, value, expected) in [
+            ("--seeds", "abc", POSITIVE),
+            ("--seeds", "0", POSITIVE),
+            ("--jobs", "lots", POSITIVE),
+            ("--jobs", "0", POSITIVE),
+            ("--shards", "many", NATURAL),
+            ("--trace", "-1", NATURAL),
+            ("--sample-interval", "x", SECONDS),
+            ("--sample-interval", "inf", SECONDS),
+        ] {
+            let err = parse(&[flag, value]).err();
+            assert_eq!(err, Some(bad(flag, value, expected)));
+        }
+        let err = |args: &[&str]| parse(args).err();
+        assert_eq!(err(&["--jobs"]), Some(ArgError::MissingValue("--jobs")));
+        let missing = Some(ArgError::MissingValue("--seeds"));
+        assert_eq!(err(&["--seeds", "--quick"]), missing);
+        let unknown = Some(ArgError::UnknownFlag("--quik".into()));
+        assert_eq!(err(&["fig4", "--quik"]), unknown);
+    }
+
+    #[test]
+    fn faults_flag_needs_resilience_and_a_unit_interval_value() {
+        assert_eq!(parse(&["resilience"]).unwrap().faults, None);
+        assert_eq!(
+            parse(&["resilience", "--faults", "0.4"]).unwrap().faults,
+            Some(0.4)
+        );
+        for garbage in ["7", "-0.1", "NaN", "inf", "half"] {
+            assert_eq!(
+                parse(&["resilience", "--faults", garbage]).err(),
+                Some(bad("--faults", garbage, UNIT))
+            );
+        }
+        assert_eq!(
+            parse(&["resilience", "--faults"]).err(),
+            Some(ArgError::MissingValue("--faults"))
+        );
+        assert_eq!(
+            parse(&["fig4", "--faults", "0.4"]).err(),
+            Some(ArgError::FaultsWithoutResilience)
+        );
+    }
+
+    #[test]
+    fn telemetry_defaults_are_inert() {
+        let o = parse(&["fig4", "--quick"]).unwrap().telemetry;
         assert!(!o.active());
         assert_eq!(o.sample_interval_secs, 0.0);
         assert_eq!(o.trace_capacity, 0);
+        assert!(o.build().unwrap().is_none());
     }
 
     #[test]
     fn telemetry_flag_implies_default_sampling() {
-        let o = TelemetryOpts::parse(&args(&["fig4", "--telemetry", "run.jsonl"]));
+        let o = parse(&["fig4", "--telemetry", "run.jsonl"])
+            .unwrap()
+            .telemetry;
         assert!(o.active());
         assert_eq!(
             o.jsonl_path.as_deref().unwrap().to_str().unwrap(),
@@ -337,7 +436,7 @@ mod tests {
 
     #[test]
     fn explicit_interval_and_trace_parse() {
-        let o = TelemetryOpts::parse(&args(&[
+        let o = parse(&[
             "fig4",
             "--telemetry",
             "x.jsonl",
@@ -345,18 +444,27 @@ mod tests {
             "0.25",
             "--trace",
             "512",
-        ]));
+        ])
+        .unwrap()
+        .telemetry;
         assert_eq!(o.sample_interval_secs, 0.25);
         assert_eq!(o.trace_capacity, 512);
     }
 
     #[test]
     fn trace_alone_activates_without_sink() {
-        let o = TelemetryOpts::parse(&args(&["fig4", "--trace", "64"]));
+        let o = parse(&["fig4", "--trace", "64"]).unwrap().telemetry;
         assert!(o.active());
         assert!(o.jsonl_path.is_none());
-        let tel = o.build();
-        assert!(tel.is_enabled());
+        assert!(o.build().unwrap().unwrap().is_enabled());
+    }
+
+    #[test]
+    fn unwritable_telemetry_path_is_an_error_not_a_panic() {
+        let o = parse(&["fig4", "--telemetry", "/nonexistent-dir/run.jsonl"])
+            .unwrap()
+            .telemetry;
+        assert!(o.build().is_err());
     }
 
     #[test]
@@ -372,7 +480,8 @@ mod tests {
         let mut scenario = Scenario::quick(11);
         scenario.n = 96;
         scenario.lookups = 150;
-        opts.capture(&scenario, &ProtocolSpec::ert_af());
+        let telemetry = opts.build().unwrap().unwrap();
+        opts.capture(telemetry, &scenario, &ProtocolSpec::ert_af(), |_| {});
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().any(|l| l.starts_with("{\"kind\":\"event\"")));
         assert!(text

@@ -71,11 +71,6 @@ pub fn tables(sweep: &[(usize, Vec<RunReport>)]) -> Vec<Table> {
     vec![t4a, t4b, t4c]
 }
 
-/// Runs the full figure at the given scenario scale.
-pub fn run(base: &Scenario, points: &[usize]) -> Vec<Table> {
-    tables(&lookup_sweep(base, points))
-}
-
 /// The paper's alternate load axis: "we also varied the processing time
 /// of a query in a light node from 0.1 to 2.1 second ... The total
 /// query load increases in both cases and we observed similar results."

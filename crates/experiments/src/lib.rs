@@ -3,13 +3,15 @@
 //! Each `figN` module reproduces one figure group of Section 5 and
 //! returns [`report::Table`]s carrying the same series the paper plots;
 //! [`thm41`] validates Theorem 4.1 against the supermarket model, and
-//! [`bounds`] checks Theorems 3.1/3.2 on measured tables. The
-//! `figures` binary runs everything at paper scale and writes CSVs to
-//! `results/`; each figure also has its own binary (`fig4` … `thm41`).
+//! [`bounds`] checks Theorems 3.1–3.3 on measured tables. The one
+//! binary, `figures [<name>...]`, runs rows of the [`catalog`] table —
+//! every paper row when no name is given — and writes CSVs to
+//! `results/`; [`cli`] parses its command line once.
 //!
-//! Every figure function takes a scale argument so benches and tests can
-//! run reduced versions: `paper()` is Table 2 scale (n = 2048, 3000
-//! lookups, multiple seeds), `quick()` is laptop-CI scale.
+//! Every figure function takes its scale as arguments so tests can run
+//! reduced versions: [`Scenario::paper_default`] is Table 2 scale
+//! (n = 2048, 3000 lookups, multiple seeds), [`Scenario::quick`] is
+//! laptop-CI scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +19,7 @@
 pub mod ablation;
 pub mod adversarial;
 pub mod bounds;
+pub mod catalog;
 pub mod chord;
 pub mod cli;
 pub mod extensions;

@@ -186,7 +186,7 @@ impl fmt::Display for Table {
 
 /// Prints every table (with per-column sparklines when the data is
 /// numeric) and, when `results_dir` is given, writes each as CSV there.
-/// Used by all experiment binaries.
+/// Used by the `figures` binary for every row.
 ///
 /// # Panics
 ///

@@ -83,7 +83,7 @@ pub struct Scenario {
     /// adversary support.
     pub adversary: Option<AdversaryScript>,
     /// Worker threads for the multi-run fan-out (`None` = all available
-    /// cores, the binaries' `--jobs` default). Any value yields
+    /// cores, the `--jobs` default of `figures`). Any value yields
     /// byte-identical results: runs are seed-isolated worlds and the
     /// executor collects them in canonical submission order.
     pub jobs: Option<usize>,

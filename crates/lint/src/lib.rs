@@ -9,13 +9,13 @@
 //!
 //! | rule | name | what it bans | where |
 //! |------|------|--------------|-------|
-//! | D1 | `wall-clock` | `Instant::now`, `SystemTime` | everywhere except `ert-bench` and binary/bench/example targets |
+//! | D1 | `wall-clock` | `Instant::now`, `SystemTime` | everywhere except binary/bench/example targets |
 //! | D2 | `ambient-rng` | `thread_rng`, `from_entropy`, `OsRng` | everywhere |
 //! | D3 | `hash-container` | `HashMap`/`HashSet` | `ert-sim`, `ert-network`, `ert-core`, `ert-overlay` |
 //! | D4 | `panic-path` | `.unwrap()`, `.expect()`, `panic!` family | `core::forward`, `core::adapt`, `sim::engine`, `network::lookup` (tests exempt) |
 //! | D5 | `float-eq` | `==`/`!=` against float literals or load/capacity pairs | everywhere |
 //! | D6 | `swallowed-result` | `let _ =` and trailing `.ok();` discards | `network::network`, `network::topology`, all of `ert-faults` (tests exempt) |
-//! | D7 | `raw-thread` | `thread::spawn` / `thread::scope` | everywhere except `ert-par`, `ert-bench`, and binaries (no test exemption) |
+//! | D7 | `raw-thread` | `thread::spawn` / `thread::scope` | everywhere except `ert-par` and binaries (no test exemption) |
 //! | D8 | `unbounded-collector` | `Samples` / `Vec<f64>` accumulation | `sim::engine`, `network::network` hot loops (tests exempt) |
 //! | D9 | `transitive-panic` | panics *reachable through the call graph* from the D4 hot-path roots | whole workspace (tests exempt) |
 //! | D10 | `shared-state` | `static mut`, locks, atomics, interior mutability | `ert-sim`, `ert-network`, `ert-core` (tests exempt) |

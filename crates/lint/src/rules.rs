@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use crate::lexer::{lex, Lexed, LineComment, Token, TokenKind};
 use crate::parse::test_item_spans;
 
-/// Rule D1: wall-clock reads outside `ert-bench`/binaries.
+/// Rule D1: wall-clock reads outside binaries.
 pub const WALL_CLOCK: &str = "wall-clock";
 /// Rule D2: ambient (non-seeded) randomness anywhere.
 pub const AMBIENT_RNG: &str = "ambient-rng";
@@ -286,16 +286,16 @@ fn run_rules(tokens: &[Token], ctx: &FileContext) -> Vec<Violation> {
     let test_spans = test_item_spans(tokens);
     let in_test = |idx: usize| test_spans.iter().any(|&(a, b)| idx >= a && idx <= b);
 
-    let d1 = ctx.crate_name != "ert-bench" && !ctx.is_binary;
+    let d1 = !ctx.is_binary;
     let d3 = D3_CRATES.contains(&ctx.crate_name.as_str());
     let d4 = D4_FILES.contains(&ctx.rel_path.as_str());
     let d6 =
         D6_FILES.contains(&ctx.rel_path.as_str()) || D6_CRATES.contains(&ctx.crate_name.as_str());
     // All fan-out goes through the ert-par pool so results keep their
-    // canonical order; the pool itself, benches, and leaf binaries may
+    // canonical order; only the pool itself and leaf binaries may
     // spawn. Deliberately no test exemption: a test that spawns raw
     // threads can still scramble shared-sink ordering.
-    let d7 = ctx.crate_name != "ert-par" && ctx.crate_name != "ert-bench" && !ctx.is_binary;
+    let d7 = ctx.crate_name != "ert-par" && !ctx.is_binary;
     let d8 = D8_FILES.contains(&ctx.rel_path.as_str());
     let d10 = D10_CRATES.contains(&ctx.crate_name.as_str());
 
@@ -624,9 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn d1_exempts_bench_and_binaries() {
+    fn d1_exempts_only_binaries() {
         let src = "fn f() { let t = Instant::now(); }";
-        assert!(rules_fired(src, &ctx("crates/bench/src/lib.rs", "ert-bench")).is_empty());
+        // No library crate is exempt by name, not even a timing harness.
+        assert_eq!(
+            rules_fired(src, &ctx("crates/timing/src/lib.rs", "ert-timing")),
+            vec![WALL_CLOCK]
+        );
         let mut bin = ctx("crates/x/src/bin/tool.rs", "ert-x");
         bin.is_binary = true;
         assert!(rules_fired(src, &bin).is_empty());
@@ -650,10 +654,10 @@ mod tests {
     // ---- D2 ambient-rng ----
 
     #[test]
-    fn d2_fires_everywhere_even_bench() {
+    fn d2_fires_everywhere() {
         let src = "fn f() { let mut r = thread_rng(); }";
         assert_eq!(
-            rules_fired(src, &ctx("crates/bench/src/lib.rs", "ert-bench")),
+            rules_fired(src, &ctx("crates/timing/src/lib.rs", "ert-timing")),
             vec![AMBIENT_RNG]
         );
         let src2 = "let r = SmallRng::from_entropy();";
@@ -840,10 +844,13 @@ mod tests {
     }
 
     #[test]
-    fn d7_exempts_the_pool_benches_and_binaries() {
+    fn d7_exempts_only_the_pool_and_binaries() {
         let src = "fn f() { std::thread::scope(|s| {}); }";
         assert!(rules_fired(src, &ctx("crates/par/src/lib.rs", "ert-par")).is_empty());
-        assert!(rules_fired(src, &ctx("crates/bench/src/lib.rs", "ert-bench")).is_empty());
+        assert_eq!(
+            rules_fired(src, &ctx("crates/timing/src/lib.rs", "ert-timing")),
+            vec![RAW_THREAD]
+        );
         let mut bin = ctx("crates/experiments/src/bin/fig4.rs", "ert-experiments");
         bin.is_binary = true;
         assert!(rules_fired(src, &bin).is_empty());

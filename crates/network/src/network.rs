@@ -469,8 +469,8 @@ impl Network {
         std::mem::take(&mut self.telemetry)
     }
 
-    /// Total engine events processed so far. `ert-bench` divides this
-    /// by wall time for the committed hot-loop throughput trajectory.
+    /// Total engine events processed so far. `ert-benchmark` divides
+    /// wall time by this for its `network.us_per_event` ledger line.
     pub fn events_processed(&self) -> u64 {
         self.reactor.events_processed()
     }

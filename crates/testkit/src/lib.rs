@@ -1,6 +1,6 @@
 //! Conformance oracles for the ERT reproduction.
 //!
-//! Five pillars, one crate:
+//! Four pillars, one crate:
 //!
 //! 1. **Golden-master shape regression** ([`shape`], [`specs`],
 //!    [`golden`]) — every ✅ claim of EXPERIMENTS.md encoded as a
@@ -23,12 +23,7 @@
 //!    exact fields bit-identical, sketched percentiles inside the
 //!    EXPERIMENTS.md tolerance bands, plus a 10^6-observation
 //!    convergence differential.
-//! 4. **The committed bench guard** ([`bench`]) — `BENCH_core.json` /
-//!    `BENCH_par.json` at the workspace root validated for schema,
-//!    internal rate coherence, and machine-independent plausibility
-//!    bands (never absolute numbers); `ERT_BENCH_FRESH_CORE` points
-//!    the same checker at a freshly regenerated record in CI.
-//! 5. **A shared strategy library** ([`strategies`]) — the audited
+//! 4. **A shared strategy library** ([`strategies`]) — the audited
 //!    scenario space every property test draws from (proptest
 //!    strategies plus the deterministic builders the pinned
 //!    determinism tests share), replacing per-file copies.
@@ -39,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod diff;
 pub mod envelopes;
 pub mod golden;
