@@ -41,10 +41,11 @@ fn main() -> ExitCode {
     let ctx = Ctx::new(&args);
     for row in &args.rows {
         eprintln!("[figures] {}...", row.name);
-        emit(
-            &(row.run)(&ctx, &ctx.scenario(row)),
-            Some(Path::new("results")),
-        );
+        let tables = (row.run)(&ctx, &ctx.scenario(row));
+        if let Err(e) = emit(&tables, Some(Path::new("results"))) {
+            eprintln!("figures: {}: {e}", row.name);
+            return ExitCode::FAILURE;
+        }
         if ctx.bound_violated.get() {
             eprintln!("figures: a theorem bound was violated");
             return ExitCode::FAILURE;

@@ -1,5 +1,6 @@
 //! Plain-text / CSV tables: the harness's output format.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -188,10 +189,23 @@ impl fmt::Display for Table {
 /// numeric) and, when `results_dir` is given, writes each as CSV there.
 /// Used by the `figures` binary for every row.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a CSV cannot be written.
-pub fn emit(tables: &[Table], results_dir: Option<&Path>) {
+/// Two tables that map to the same [`Table::csv_stem`] would overwrite
+/// each other's file, so that is rejected before anything is printed or
+/// written; a CSV that cannot be written is reported with its path.
+pub fn emit(tables: &[Table], results_dir: Option<&Path>) -> Result<(), String> {
+    let mut stems = BTreeSet::new();
+    for t in tables {
+        if !stems.insert(t.csv_stem()) {
+            return Err(format!(
+                "two tables map to `{}.csv` (the second is \"{}\"); \
+                 make the title prefixes before the dash distinct",
+                t.csv_stem(),
+                t.title
+            ));
+        }
+    }
     for t in tables {
         println!("{t}");
         let sparks = t.sparklines();
@@ -199,10 +213,17 @@ pub fn emit(tables: &[Table], results_dir: Option<&Path>) {
             println!("{sparks}");
         }
         if let Some(dir) = results_dir {
-            let path = t.write_csv(dir).expect("write csv");
+            let path = t.write_csv(dir).map_err(|e| {
+                format!(
+                    "cannot write {}.csv under {}: {e}",
+                    t.csv_stem(),
+                    dir.display()
+                )
+            })?;
             println!("(csv: {})\n", path.display());
         }
     }
+    Ok(())
 }
 
 /// Renders `values` as a unicode sparkline (`▁` … `█`); empty input
@@ -297,6 +318,29 @@ mod tests {
             .unwrap()
             .starts_with("fig_4a"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn emit_rejects_two_tables_with_one_stem_before_writing() {
+        let dir = std::env::temp_dir().join(format!("ert_report_dup_{}", std::process::id()));
+        let tables = [
+            Table::new("Dup — first", &["x"]),
+            Table::new("Dup — second", &["y"]),
+        ];
+        let err = emit(&tables, Some(&dir)).unwrap_err();
+        assert!(
+            err.contains("`dup.csv`") && err.contains("Dup — second"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "nothing may be written once a stem repeats");
+        // Distinct stems go through.
+        let tables = [
+            Table::new("Dup a — first", &["x"]),
+            Table::new("Dup b — second", &["y"]),
+        ];
+        assert_eq!(emit(&tables, Some(&dir)), Ok(()));
+        assert!(dir.join("dup_a.csv").exists() && dir.join("dup_b.csv").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

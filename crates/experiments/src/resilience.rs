@@ -58,7 +58,7 @@ pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut survival = Table::new(
-        "Resilience — lookup completion under injected faults",
+        "Resilience a — lookup completion under injected faults",
         &header_refs,
     );
     let mut over_header = vec!["intensity".to_owned()];
@@ -70,7 +70,7 @@ pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
     }
     let over_refs: Vec<&str> = over_header.iter().map(String::as_str).collect();
     let mut overhead = Table::new(
-        "Resilience — recovery overhead under injected faults",
+        "Resilience b — recovery overhead under injected faults",
         &over_refs,
     );
     for (x, reports) in sweep {
@@ -137,5 +137,12 @@ mod tests {
         for t in &ts {
             assert_eq!(t.rows.len(), 2);
         }
+    }
+
+    #[test]
+    fn the_two_tables_go_to_distinct_csv_files() {
+        let ts = tables(&[]);
+        assert_eq!(ts[0].csv_stem(), "resilience_a");
+        assert_eq!(ts[1].csv_stem(), "resilience_b");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! | rule | name | what it bans | where |
 //! |------|------|--------------|-------|
-//! | D1 | `wall-clock` | `Instant::now`, `SystemTime` | everywhere except binary/bench/example targets |
+//! | D1 | `wall-clock` | `Instant::now`, `SystemTime` | everywhere except binary/example targets |
 //! | D2 | `ambient-rng` | `thread_rng`, `from_entropy`, `OsRng` | everywhere |
 //! | D3 | `hash-container` | `HashMap`/`HashSet` | `ert-sim`, `ert-network`, `ert-core`, `ert-overlay` |
 //! | D4 | `panic-path` | `.unwrap()`, `.expect()`, `panic!` family | `core::forward`, `core::adapt`, `sim::engine`, `network::lookup` (tests exempt) |
@@ -27,24 +27,21 @@
 //! suppressions are themselves violations. D11 keeps that ledger
 //! honest: a waiver that stops matching a finding becomes a finding.
 //!
-//! Run it as `cargo run -p ert-lint --` (nonzero exit on violations),
-//! `-- --json` for the machine-readable report, `-- --sarif out.sarif`
-//! for SARIF 2.1.0, or `-- --baseline lint-baseline.json` to diff
-//! against the committed baseline (exit 1 = new findings, exit 3 =
-//! stale baseline entries). The runtime counterpart — the `sanitize`
-//! feature of `ert-network` — asserts the theorem bounds dynamically
-//! while this crate keeps nondeterminism out statically.
+//! Run it as `cargo run --release -p ert-lint` (`--root PATH` lints
+//! another checkout): one `file:line: [rule] message` line per
+//! violation on stdout, exit `0` clean, `1` violations, `2` usage or IO
+//! error. The runtime counterpart — the `sanitize` feature of
+//! `ert-network` — asserts the theorem bounds dynamically while this
+//! crate keeps nondeterminism out statically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod workspace;
 

@@ -1,18 +1,13 @@
 //! CLI for `ert-lint`.
 //!
 //! ```text
-//! cargo run -p ert-lint --                        # human diagnostics, exit 1 on violations
-//! cargo run -p ert-lint -- --json                 # JSON report on stdout
-//! cargo run -p ert-lint -- --sarif out.sarif      # also write a SARIF 2.1.0 file
-//! cargo run -p ert-lint -- --baseline FILE        # diff against a committed baseline
-//! cargo run -p ert-lint -- --write-baseline FILE  # accept current findings as the baseline
-//! cargo run -p ert-lint -- --root PATH            # lint a different workspace checkout
+//! cargo run --release -p ert-lint                  # lint the enclosing workspace
+//! cargo run --release -p ert-lint -- --root PATH   # lint a different workspace checkout
 //! ```
 //!
-//! Exit codes: `0` clean (or all findings baselined), `1` new
-//! violations, `2` usage/IO error, `3` no new violations but the
-//! baseline holds stale entries (regenerate it with
-//! `--write-baseline`).
+//! One `file:line: [rule] message` line per violation and a summary
+//! line go to stdout. Exit codes: `0` clean, `1` violations, `2`
+//! usage or IO error (reason on stderr).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,58 +15,28 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ert_lint::baseline::Baseline;
-use ert_lint::{find_workspace_root, lint_workspace, sarif};
+use ert_lint::{find_workspace_root, lint_workspace};
+
+const USAGE: &str = "usage: ert-lint [--root PATH]";
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut path_arg = |flag: &str, slot: &mut Option<PathBuf>| match args.next() {
-            Some(p) => {
-                *slot = Some(PathBuf::from(p));
-                true
-            }
-            None => {
-                eprintln!("ert-lint: {flag} requires a path");
-                false
-            }
-        };
         match arg.as_str() {
-            "--json" => json = true,
-            "--root" => {
-                if !path_arg("--root", &mut root) {
+            "--root" => match args.next() {
+                Some(p) => root = Some(PathBuf::from(p)),
+                None => {
+                    eprintln!("ert-lint: --root requires a path\n{USAGE}");
                     return ExitCode::from(2);
                 }
-            }
-            "--sarif" => {
-                if !path_arg("--sarif", &mut sarif_out) {
-                    return ExitCode::from(2);
-                }
-            }
-            "--baseline" => {
-                if !path_arg("--baseline", &mut baseline_path) {
-                    return ExitCode::from(2);
-                }
-            }
-            "--write-baseline" => {
-                if !path_arg("--write-baseline", &mut write_baseline) {
-                    return ExitCode::from(2);
-                }
-            }
+            },
             "--help" | "-h" => {
-                println!(
-                    "usage: ert-lint [--json] [--sarif FILE] [--baseline FILE] \
-                     [--write-baseline FILE] [--root PATH]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("ert-lint: unknown argument `{other}`");
+                eprintln!("ert-lint: unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
@@ -92,105 +57,10 @@ fn main() -> ExitCode {
     };
 
     let report = lint_workspace(&root);
-
-    // Baseline paths resolve against the linted root when relative, so
-    // `--baseline lint-baseline.json` works from any subdirectory.
-    let resolve = |p: &PathBuf| {
-        if p.is_absolute() {
-            p.clone()
-        } else {
-            root.join(p)
-        }
-    };
-
-    if let Some(path) = &write_baseline {
-        let path = resolve(path);
-        let rendered = Baseline::render(&report.violations);
-        if let Err(e) = std::fs::write(&path, rendered) {
-            eprintln!("ert-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ert-lint: wrote baseline with {} entr{} to {}",
-            report.violations.len(),
-            if report.violations.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-    }
-
-    let diff = match &baseline_path {
-        None => None,
-        Some(p) => {
-            let resolved = resolve(p);
-            let src = match std::fs::read_to_string(&resolved) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ert-lint: cannot read baseline {}: {e}", resolved.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Baseline::parse(&src) {
-                Ok(b) => Some(b.diff(&report.violations)),
-                Err(e) => {
-                    eprintln!("ert-lint: malformed baseline {}: {e}", resolved.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-
-    if let Some(path) = &sarif_out {
-        if let Err(e) = std::fs::write(path, sarif::render(&report, diff.as_ref())) {
-            eprintln!("ert-lint: cannot write SARIF {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if json {
-        println!("{}", report.json());
+    print!("{}", report.human());
+    if report.is_clean() {
+        ExitCode::SUCCESS
     } else {
-        print!("{}", report.human());
-    }
-
-    match diff {
-        None => {
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some(d) => {
-            for v in &d.new {
-                eprintln!(
-                    "ert-lint: NEW {}:{}: [{}] {}",
-                    v.file, v.line, v.rule, v.message
-                );
-            }
-            for e in &d.stale {
-                eprintln!(
-                    "ert-lint: STALE baseline entry {}:{}: [{}] no longer occurs — \
-                     regenerate with --write-baseline",
-                    e.file, e.line, e.rule
-                );
-            }
-            eprintln!(
-                "ert-lint: baseline diff: {} new, {} baselined, {} stale",
-                d.new.len(),
-                d.baselined.len(),
-                d.stale.len()
-            );
-            if !d.new.is_empty() {
-                ExitCode::FAILURE
-            } else if !d.stale.is_empty() {
-                ExitCode::from(3)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        ExitCode::FAILURE
     }
 }

@@ -1,15 +1,4 @@
-//! Aggregated lint results: human diagnostics and a JSON report.
-//!
-//! JSON is emitted by hand (the linter takes no dependencies, not even
-//! the vendored serde) — the shape is small and stable:
-//!
-//! ```json
-//! {
-//!   "files_scanned": 93,
-//!   "violations": [{"rule": "...", "file": "...", "line": 7, "message": "..."}],
-//!   "suppressed": [{"rule": "...", "file": "...", "line": 9, "justification": "..."}]
-//! }
-//! ```
+//! Aggregated lint results and their human diagnostics.
 
 use std::fmt::Write as _;
 
@@ -61,98 +50,11 @@ impl Report {
         );
         s
     }
-
-    /// The machine-readable JSON report.
-    pub fn json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        s.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(v.rule),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.message)
-            );
-        }
-        s.push_str(if self.violations.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        s.push_str("  \"suppressed\": [");
-        for (i, sv) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"justification\": {}}}",
-                json_str(sv.violation.rule),
-                json_str(&sv.violation.file),
-                sv.violation.line,
-                json_str(&sv.justification)
-            );
-        }
-        s.push_str(if self.suppressed.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        s.push('}');
-        s
-    }
-}
-
-/// Escapes a string for JSON output.
-fn json_str(raw: &str) -> String {
-    let mut s = String::with_capacity(raw.len() + 2);
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_and_shape() {
-        let mut r = Report {
-            files_scanned: 2,
-            violations: vec![Violation {
-                rule: "ambient-rng",
-                file: "a\\b.rs".into(),
-                line: 3,
-                message: "say \"no\"".into(),
-            }],
-            suppressed: vec![],
-        };
-        r.sort();
-        let j = r.json();
-        assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("a\\\\b.rs"));
-        assert!(j.contains("say \\\"no\\\""));
-        assert!(j.contains("\"suppressed\": []"));
-    }
 
     #[test]
     fn human_summary_counts() {

@@ -61,11 +61,6 @@ pub const CATALOG: &[(&str, &str)] = &[
     ("D10", SHARED_STATE),
 ];
 
-/// Rules that report but can never be waived: the suppression machinery
-/// must not be able to silence itself. Listed here (with codes) so the
-/// SARIF writer can describe them alongside [`CATALOG`].
-pub const META_CATALOG: &[(&str, &str)] = &[("D11", STALE_ALLOW), ("S1", SUPPRESSION)];
-
 /// Crates where hash-ordered iteration breaks run reproducibility
 /// (rule D3): anything on the seed → trace path.
 const D3_CRATES: &[&str] = &["ert-sim", "ert-network", "ert-core", "ert-overlay"];
@@ -103,9 +98,10 @@ const D6_CRATES: &[&str] = &["ert-faults"];
 /// carry a justified suppression naming the bound.
 const D8_FILES: &[&str] = &["crates/sim/src/engine.rs", "crates/network/src/network.rs"];
 
-/// Crates the shared-nothing sharded core (ROADMAP item 1) will split
-/// into per-shard instances (rule D10). Any shared mutable state here
-/// is a blocker for that refactor, so it must be absent or carry a
+/// Crates the shared-nothing sharded core (`ert_sim::shard`; its fate
+/// is the event-core half of ROADMAP item 2) splits into per-shard
+/// instances (rule D10). Any shared mutable state here breaks the
+/// shard reactors' isolation, so it must be absent or carry a
 /// justification that names its single-threaded invariant.
 const D10_CRATES: &[&str] = &["ert-sim", "ert-network", "ert-core"];
 

@@ -2,13 +2,12 @@
 //! the lookup-issuing client.
 //!
 //! A [`WireCluster`] owns one [`WireNode`] per member and a single
-//! `(time, seq)`-ordered event heap — the same merge key the sharded
-//! simulator core uses — over four entry kinds: client injections,
+//! [`EventQueue`] — the `(time, seq)` FIFO-stable queue under
+//! `MiniDht`'s engine — over four entry kinds: client injections,
 //! in-flight frames, node timers, and client retries. Sequence numbers
 //! are allocated when work is emitted, so equal-timestamp events run in
-//! emission order exactly like the simulator's FIFO-stable engine; the
-//! correspondence argument lives in DESIGN.md "Wire Protocol & Live
-//! Node".
+//! emission order exactly like the simulator; the correspondence
+//! argument lives in DESIGN.md "Wire Protocol & Live Node".
 //!
 //! Faults ride on `ert-faults` plans through [`LinkFaults`]: datagram
 //! sends roll probabilistic loss and hard partitions, the RPC lane
@@ -17,14 +16,11 @@
 //! machinery at all — `transport_faults.rs` pins that, along with
 //! byte-identity across node-spawn orders.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
 use ert_core::{max_indegree, normalize_capacities};
 use ert_faults::{Delivery, FaultPlan, LinkFaults, RetryPolicy};
 use ert_minidht::{CompletionTrace, HopTrace, MiniDhtConfig, MiniProtocol, RouteTrace};
 use ert_sim::stats::{Samples, Summary};
-use ert_sim::{SimDuration, SimRng, SimTime};
+use ert_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::codec::{decode, encode, LookupStatus, Message};
 use crate::node::WireNode;
@@ -42,33 +38,6 @@ enum Work {
     Retry { query: u64 },
 }
 
-#[derive(Debug)]
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    work: Work,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The switch-side view handed to a node while one of its handlers
 /// runs. Borrows the cluster's internals disjointly; the running node
 /// itself is taken out of `nodes`, so a reentrant RPC to self would
@@ -77,22 +46,13 @@ struct SwitchCtx<'a> {
     me: usize,
     me_id: u64,
     now: SimTime,
-    heap: &'a mut BinaryHeap<Reverse<Entry>>,
-    seq: &'a mut u64,
+    events: &'a mut EventQueue<Work>,
     faults: &'a mut LinkFaults,
     nodes: &'a mut Vec<Option<WireNode>>,
     ids: &'a [u64],
     trace: &'a mut Option<RouteTrace>,
     probe_rpcs: &'a mut u64,
     adapt_rpcs: &'a mut u64,
-}
-
-impl SwitchCtx<'_> {
-    fn push(&mut self, at: SimTime, work: Work) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, work }));
-    }
 }
 
 impl Transport for SwitchCtx<'_> {
@@ -108,7 +68,7 @@ impl Transport for SwitchCtx<'_> {
             // Replies can be lost too (the client must retry); the
             // client is co-located so partitions never sever it.
             match self.faults.deliver(self.now, self.me, self.me) {
-                Delivery::Pass => self.push(
+                Delivery::Pass => self.events.schedule(
                     self.now,
                     Work::Frame {
                         to,
@@ -137,7 +97,7 @@ impl Transport for SwitchCtx<'_> {
             return Ok(());
         };
         match self.faults.deliver(self.now, self.me, to_idx) {
-            Delivery::Pass => self.push(
+            Delivery::Pass => self.events.schedule(
                 self.now,
                 Work::Frame {
                     to,
@@ -175,7 +135,7 @@ impl Transport for SwitchCtx<'_> {
     fn timer(&mut self, delay: SimDuration, kind: TimerKind) {
         let at = self.now + delay;
         let node = self.me;
-        self.push(at, Work::Timer { node, kind });
+        self.events.schedule(at, Work::Timer { node, kind });
     }
 }
 
@@ -242,8 +202,7 @@ pub struct WireCluster {
     protocol: MiniProtocol,
     ids: Vec<u64>,
     nodes: Vec<Option<WireNode>>,
-    heap: BinaryHeap<Reverse<Entry>>,
-    seq: u64,
+    events: EventQueue<Work>,
     now: SimTime,
     faults: LinkFaults,
     retry: RetryPolicy,
@@ -341,8 +300,7 @@ impl WireCluster {
             protocol,
             ids: members.to_vec(),
             nodes,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             now: SimTime::ZERO,
             faults,
             retry,
@@ -418,8 +376,7 @@ impl WireCluster {
             me: idx,
             me_id: node.id(),
             now: self.now,
-            heap: &mut self.heap,
-            seq: &mut self.seq,
+            events: &mut self.events,
             faults: &mut self.faults,
             nodes: &mut self.nodes,
             ids: &self.ids,
@@ -430,12 +387,6 @@ impl WireCluster {
         let out = f(&mut node, &mut ctx);
         self.nodes[idx] = Some(node);
         Ok(out)
-    }
-
-    fn push(&mut self, at: SimTime, work: Work) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, work }));
     }
 
     /// Runs an explicit injection schedule of `(time, key)` pairs —
@@ -455,7 +406,7 @@ impl WireCluster {
         self.keys = schedule.iter().map(|&(_, key)| key).collect();
         self.pending = count as u64;
         for (q, &(at, key)) in schedule.iter().enumerate() {
-            self.push(
+            self.events.schedule(
                 at,
                 Work::Inject {
                     query: q as u64,
@@ -466,7 +417,7 @@ impl WireCluster {
         if self.protocol == MiniProtocol::ElasticErt {
             let at = self.now + self.cfg.ert.adaptation_period;
             for i in 0..n {
-                self.push(
+                self.events.schedule(
                     at,
                     Work::Timer {
                         node: i,
@@ -476,11 +427,11 @@ impl WireCluster {
             }
         }
         while self.pending > 0 {
-            let Some(Reverse(entry)) = self.heap.pop() else {
+            let Some((at, work)) = self.events.pop() else {
                 break;
             };
-            self.now = entry.at;
-            match entry.work {
+            self.now = at;
+            match work {
                 Work::Inject { query, key } => self.on_inject(query, key)?,
                 Work::Frame { to, bytes } => {
                     if to == CLIENT_ADDR {
@@ -526,7 +477,7 @@ impl WireCluster {
             .map_err(|e| format!("inject {query}: {e}"))?;
         if self.retry.enabled() {
             let wait = self.retry.backoff(1);
-            self.push(self.now + wait, Work::Retry { query });
+            self.events.schedule(self.now + wait, Work::Retry { query });
         }
         Ok(())
     }
@@ -616,7 +567,7 @@ impl WireCluster {
                 if self.pending > 0 {
                     let at = self.now + self.cfg.ert.adaptation_period;
                     for i in 0..self.ids.len() {
-                        self.push(
+                        self.events.schedule(
                             at,
                             Work::Timer {
                                 node: i,
@@ -650,7 +601,7 @@ impl WireCluster {
                 .map_err(|e| format!("retry {query}: {e}"))?;
         }
         let wait = self.retry.backoff(attempt + 1);
-        self.push(self.now + wait, Work::Retry { query });
+        self.events.schedule(self.now + wait, Work::Retry { query });
         Ok(())
     }
 

@@ -17,7 +17,7 @@
 //! * [`SimRng`] — a seedable, stream-splittable ChaCha12 random number
 //!   generator so every experiment is reproducible from a single `u64`
 //!   seed.
-//! * [`stats`] — the small statistics toolkit (online moments, percentile
+//! * [`stats`] — the small statistics toolkit (samples, percentile
 //!   sketches, histograms) used to report the paper's metrics (99th
 //!   percentile congestion, shares, lookup times, ...).
 //! * [`SampleClock`] — the cadence generator behind periodic telemetry
@@ -29,15 +29,16 @@
 //! Simulate an M/D/1 queue for one simulated minute:
 //!
 //! ```
-//! use ert_sim::{Engine, PoissonProcess, SimDuration, SimRng, SimTime};
+//! use ert_sim::{Engine, SimDuration, SimRng, SimTime};
 //!
 //! #[derive(Debug)]
 //! enum Ev { Arrive, Depart }
 //!
 //! let mut rng = SimRng::seed_from(7);
-//! let mut arrivals = PoissonProcess::new(10.0); // 10 customers / second
+//! // Poisson arrivals, 10 customers / second: exponential gaps.
+//! let mut next_gap = || SimDuration::from_secs_f64(rng.exp_secs(10.0));
 //! let mut engine = Engine::new();
-//! engine.schedule_in(arrivals.next_interarrival(&mut rng), Ev::Arrive);
+//! engine.schedule_in(next_gap(), Ev::Arrive);
 //! let service = SimDuration::from_secs_f64(0.05);
 //! let (mut queue, mut busy, mut served) = (0u32, false, 0u32);
 //! while let Some((now, ev)) = engine.pop() {
@@ -45,7 +46,7 @@
 //!     match ev {
 //!         Ev::Arrive => {
 //!             queue += 1;
-//!             engine.schedule_in(arrivals.next_interarrival(&mut rng), Ev::Arrive);
+//!             engine.schedule_in(next_gap(), Ev::Arrive);
 //!             if !busy { busy = true; queue -= 1; engine.schedule_in(service, Ev::Depart); }
 //!         }
 //!         Ev::Depart => {
@@ -63,7 +64,6 @@
 
 mod engine;
 mod event;
-mod process;
 mod rng;
 mod sample;
 pub mod shard;
@@ -73,7 +73,6 @@ mod trace;
 
 pub use engine::Engine;
 pub use event::EventQueue;
-pub use process::PoissonProcess;
 pub use rng::SimRng;
 pub use sample::SampleClock;
 pub use shard::{ShardMap, ShardStats, ShardedEngine};

@@ -5,9 +5,8 @@
 //! (lookup time, degrees). [`Samples`] collects raw observations and
 //! answers those queries; [`Collector`] switches between `Samples` and
 //! the O(1)-memory [`StreamSummary`] sketch (the `--stream-stats`
-//! backend); [`OnlineStats`] tracks moments without storing samples;
-//! [`Histogram`] counts integer-valued observations (used for the
-//! Fig. 6 indegree census).
+//! backend); [`Histogram`] counts integer-valued observations (used for
+//! the Fig. 6 indegree census).
 //!
 //! The shared query interface is [`ert_obs::Digest`], which `Samples`,
 //! `Histogram`, [`StreamSummary`], and [`Summary`] all implement;
@@ -315,95 +314,6 @@ impl Extend<f64> for Samples {
     fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
         for v in iter {
             self.push(v);
-        }
-    }
-}
-
-/// Streaming mean/variance/extrema via Welford's algorithm.
-///
-/// ```
-/// use ert_sim::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_variance(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn push(&mut self, value: f64) {
-        assert!(!value.is_nan(), "NaN observation");
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0.0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Smallest observation, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
         }
     }
 }
@@ -737,17 +647,6 @@ mod tests {
     #[should_panic(expected = "non-negative integer")]
     fn histogram_rejects_fractional_observations() {
         Histogram::new().observe(1.5);
-    }
-
-    #[test]
-    fn online_extrema() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.min(), 0.0);
-        s.push(3.0);
-        s.push(-1.0);
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 3.0);
-        assert_eq!(s.count(), 2);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod sink;
 pub use event::TelemetryEvent;
 pub use registry::{Bucket, Registry, TimeHistogram, DEFAULT_BUCKET_MICROS};
 pub use sample::Snapshot;
-pub use sink::{EventSink, JsonlSink, MemorySink, RingSink, SpanSink};
+pub use sink::{EventSink, JsonlSink, MemorySink, SpanSink};
 
 use ert_sim::{SimTime, TraceLog};
 use serde::Serialize;

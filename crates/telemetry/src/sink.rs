@@ -1,9 +1,9 @@
 //! Pluggable destinations for serialized telemetry records.
 //!
 //! A sink receives each record as one JSON line (no trailing newline);
-//! how it stores or ships the line is its business. The two built-ins
+//! how it stores or ships the line is its business. The built-ins
 //! cover the common cases: [`JsonlSink`] appends to a file for offline
-//! analysis, [`RingSink`] / [`MemorySink`] capture lines in memory for
+//! analysis, [`MemorySink`] / [`SpanSink`] capture lines in memory for
 //! tests and determinism checks (both hand out an [`Arc`] handle so the
 //! captured lines stay readable after the sink — boxed inside a
 //! `Telemetry` — is out of reach).
@@ -14,7 +14,6 @@
 // outside the shard-bound crates ert-lint scopes D10 to.
 #![allow(clippy::disallowed_types)]
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -94,42 +93,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Keeps only the most recent `capacity` records. For tests that want
-/// a bounded tail, mirroring the trace ring.
-pub struct RingSink {
-    capacity: usize,
-    lines: Arc<Mutex<VecDeque<String>>>,
-}
-
-impl RingSink {
-    /// A sink retaining the last `capacity` records.
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity,
-            lines: Arc::new(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// A handle that stays readable after the sink is boxed away.
-    pub fn handle(&self) -> Arc<Mutex<VecDeque<String>>> {
-        Arc::clone(&self.lines)
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, line: &str) {
-        // ert-lint: allow(transitive-panic) — poisoning needs a panicked writer, which the panic-free sim path rules out
-        let mut lines = self.lines.lock().expect("no poisoned telemetry lock");
-        if self.capacity == 0 {
-            return;
-        }
-        if lines.len() == self.capacity {
-            lines.pop_front();
-        }
-        lines.push_back(line.to_string());
-    }
-}
-
 /// Captures only the records a lookup-trace tree is built from:
 /// [`HopSpan`](crate::TelemetryEvent::HopSpan) spans plus the
 /// `LookupStart` / `LookupComplete` lifecycle events that delimit each
@@ -196,25 +159,6 @@ mod tests {
             *handle.lock().unwrap(),
             vec!["a".to_string(), "b".to_string()]
         );
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_the_tail() {
-        let mut sink = RingSink::new(2);
-        let handle = sink.handle();
-        for line in ["a", "b", "c", "d"] {
-            sink.record(line);
-        }
-        let lines: Vec<String> = handle.lock().unwrap().iter().cloned().collect();
-        assert_eq!(lines, vec!["c".to_string(), "d".to_string()]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_discards_everything() {
-        let mut sink = RingSink::new(0);
-        let handle = sink.handle();
-        sink.record("a");
-        assert!(handle.lock().unwrap().is_empty());
     }
 
     #[test]
