@@ -107,21 +107,52 @@ pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> 
 /// supply is exhausted, so the achieved indegree can fall short of
 /// `target` in sparse regions.
 pub fn expand_indegree<D: Directory>(dir: &mut D, node: D::Id, target: u32) -> u32 {
-    let mut gained = 0;
     if dir.indegree(node) >= target {
+        // Not worth building the candidate list.
         return 0;
     }
-    for (slot, candidate) in dir.inlink_candidates(node) {
-        if dir.indegree(node) >= target {
+    let candidates = dir.inlink_candidates(node);
+    expand_indegree_over(dir, node, target, candidates).gained
+}
+
+/// What one [`expand_indegree_over`] pass did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expansion {
+    /// Inlinks gained.
+    pub gained: u32,
+    /// Candidates taken from the iterator: each was passed over (the
+    /// node itself, or already linked) or asked to link. The iterator
+    /// is left at the first candidate the pass did not look at.
+    pub examined: usize,
+}
+
+/// The expansion loop of [`expand_indegree`] over any candidate
+/// sequence in Algorithm 1's probe order. A candidate is pulled only
+/// while the indegree is short of `target`, so a caller that remembers
+/// where the sequence stood can resume the scan there later.
+pub fn expand_indegree_over<D: Directory>(
+    dir: &mut D,
+    node: D::Id,
+    target: u32,
+    candidates: impl IntoIterator<Item = (D::Slot, D::Id)>,
+) -> Expansion {
+    let mut candidates = candidates.into_iter();
+    let mut done = Expansion {
+        gained: 0,
+        examined: 0,
+    };
+    while dir.indegree(node) < target {
+        let Some((slot, candidate)) = candidates.next() else {
             break;
-        }
+        };
+        done.examined += 1;
         if candidate == node || dir.has_link(candidate, slot, node) {
             continue;
         }
         dir.add_link(candidate, slot, node);
-        gained += 1;
+        done.gained += 1;
     }
-    gained
+    done
 }
 
 #[cfg(test)]
@@ -254,6 +285,23 @@ mod tests {
         let before = dir.links.len();
         assert_eq!(expand_indegree(&mut dir, 2, 2), 0);
         assert_eq!(dir.links.len(), before);
+    }
+
+    #[test]
+    fn a_resumed_scan_examines_only_what_the_first_pass_left() {
+        let mut dir = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
+        let mut candidates = dir.inlink_candidates(2).into_iter();
+        let first = expand_indegree_over(&mut dir, 2, 2, candidates.by_ref());
+        assert_eq!((first.gained, first.examined), (2, 2));
+        // Nothing is pulled once the target is met.
+        let idle = expand_indegree_over(&mut dir, 2, 2, candidates.by_ref());
+        assert_eq!((idle.gained, idle.examined), (0, 0));
+        let second = expand_indegree_over(&mut dir, 2, 9, candidates.by_ref());
+        assert_eq!((second.gained, second.examined), (3, 3));
+        // The two passes together did what one from-scratch pass does.
+        let mut fresh = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
+        expand_indegree(&mut fresh, 2, 9);
+        assert_eq!(dir.links, fresh.links);
     }
 
     #[test]

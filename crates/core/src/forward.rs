@@ -12,6 +12,12 @@
 //!   distance (`topology_aware`), remember the less-loaded option after
 //!   the forward, and carry the set of overloaded nodes seen so far so
 //!   later hops avoid them.
+//!
+//! There is one implementation, [`choose_next_lazy`]: it draws from what
+//! the forwarding node knows locally ([`Contact`]) and asks a candidate
+//! for its load only once it is drawn — on a live node that question is
+//! an RPC. [`choose_next_b`] is the same function for a caller that
+//! already holds every load (the simulator reads them from memory).
 
 use std::collections::BTreeSet;
 
@@ -61,6 +67,18 @@ impl<Id> Candidate<Id> {
     fn is_heavy(&self, gamma_l: f64) -> bool {
         self.congestion() > gamma_l
     }
+}
+
+/// What a forwarding node knows about a candidate without asking it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Contact<Id> {
+    /// The candidate node.
+    pub id: Id,
+    /// Remaining logical distance to the query target through this
+    /// candidate.
+    pub logical_distance: u64,
+    /// Physical distance from the forwarding node to this candidate.
+    pub physical_distance: f64,
 }
 
 /// The outcome of one forwarding decision.
@@ -119,17 +137,8 @@ pub fn choose_next<Id: Copy + Ord + std::fmt::Debug>(
 /// policy (Section 4.1 analyzes general `b ≥ 2`; Mitzenmacher's result
 /// says the `b = 2` step is the big one — the `b` ablation checks it).
 ///
-/// # Ties at equal load
-///
-/// Every selection below is a `min_by`, and `min_by` keeps the
-/// *earliest* of equally-minimal elements. The poll set is assembled
-/// memory-first, then fresh draws in draw order, so a tie at equal
-/// load (or equal congestion in the all-heavy branch, or equal
-/// distances under topology-aware selection) resolves to the
-/// earliest-polled candidate — the remembered node when memory is in
-/// use and tied, otherwise the first RNG draw. No extra randomness is
-/// consumed to break ties, which keeps the choice a pure function of
-/// the inputs and the RNG stream position.
+/// This is [`choose_next_lazy`] over candidates whose load is already
+/// known: the probe reads it from the slice.
 ///
 /// # Panics
 ///
@@ -144,10 +153,6 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
     probe_width: usize,
     rng: &mut SimRng,
 ) -> Option<ForwardChoice<Id>> {
-    assert!(probe_width >= 1, "need at least one probe");
-    if candidates.is_empty() {
-        return None;
-    }
     for c in candidates {
         assert!(
             c.capacity > 0.0,
@@ -155,111 +160,184 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
             c.id
         );
     }
-    // Exclude known-overloaded nodes unless that empties the pool
-    // (Algorithm 4 line 3).
-    let pool: Vec<&Candidate<Id>> = {
-        let filtered: Vec<&Candidate<Id>> = candidates
-            .iter()
-            .filter(|c| !avoid.contains(&c.id))
-            .collect();
-        if filtered.is_empty() {
-            candidates.iter().collect()
-        } else {
-            filtered
+    let known = |c: &Candidate<Id>| Contact {
+        id: c.id,
+        logical_distance: c.logical_distance,
+        physical_distance: c.physical_distance,
+    };
+    let probe = |i: usize| Some((candidates[i].load, candidates[i].capacity));
+    choose_next_lazy(
+        policy,
+        candidates,
+        known,
+        memory,
+        avoid,
+        gamma_l,
+        probe_width,
+        rng,
+        probe,
+    )
+}
+
+/// Algorithm 4 as draw-then-probe: the poll set is drawn from what the
+/// forwarding node knows without asking — the candidates' ids and
+/// distances — and only a drawn candidate is asked for its load.
+///
+/// `candidates` can be any slice: `known` says what the node knows of
+/// an item without asking. `probe(i)` asks `candidates[i]` and returns
+/// its `(load, capacity)`, or `None` when it cannot be reached. An
+/// unreachable candidate is out of this decision and the draw repeats;
+/// `None` is returned when no candidate is left. [`ForwardPolicy::TwoChoice`]
+/// asks each member of its poll set once — the remembered candidate
+/// first, then fresh draws — so at most `probe_width` candidates when
+/// all answer; [`ForwardPolicy::Deterministic`] and
+/// [`ForwardPolicy::RandomWalk`] ask only the candidate they picked
+/// (to learn that it is reachable; they do not use its load).
+///
+/// Every draw depends only on the pool's length and order, never on a
+/// load, so when every probe is answered the RNG stream is consumed
+/// exactly as if all loads had been known up front.
+///
+/// # Ties at equal load
+///
+/// Every selection below is a `min_by`, and `min_by` keeps the
+/// *earliest* of equally-minimal elements. The poll set is assembled
+/// memory-first, then fresh draws in draw order, so a tie at equal
+/// load (or equal congestion in the all-heavy branch, or equal
+/// distances under topology-aware selection) resolves to the
+/// earliest-polled candidate — the remembered node when memory is in
+/// use and tied, otherwise the first RNG draw. No extra randomness is
+/// consumed to break ties, which keeps the choice a pure function of
+/// the inputs and the RNG stream position.
+///
+/// # Panics
+///
+/// Panics if a probed candidate reports non-positive capacity or
+/// `probe_width == 0`.
+#[allow(clippy::too_many_arguments)]
+pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
+    policy: ForwardPolicy,
+    candidates: &[T],
+    known: impl Fn(&T) -> Contact<Id>,
+    memory: Option<Id>,
+    avoid: &BTreeSet<Id>,
+    gamma_l: f64,
+    probe_width: usize,
+    rng: &mut SimRng,
+    mut probe: impl FnMut(usize) -> Option<(f64, f64)>,
+) -> Option<ForwardChoice<Id>> {
+    assert!(probe_width >= 1, "need at least one probe");
+    let id = |i: usize| known(&candidates[i]).id;
+    // The candidates not drawn yet, in slice order. Known-overloaded
+    // nodes wait in `avoided` and come in only when that would leave
+    // nobody (Algorithm 4 line 3) — at the start, or once everyone
+    // else has been drawn and found unreachable.
+    let (mut pool, mut avoided): (Vec<usize>, Vec<usize>) =
+        (0..candidates.len()).partition(|&i| !avoid.contains(&id(i)));
+    fn line3(pool: &mut Vec<usize>, avoided: &mut Vec<usize>) {
+        if pool.is_empty() {
+            *pool = std::mem::take(avoided);
         }
+    }
+    // Drawing a candidate takes it out of the pool, whether or not it
+    // answers.
+    let mut draw = |i: usize, pool: &mut Vec<usize>| {
+        let c = known(&candidates[i]);
+        pool.retain(|&j| id(j) != c.id);
+        let (load, capacity) = probe(i)?;
+        assert!(
+            capacity > 0.0,
+            "candidate {:?} has non-positive capacity",
+            c.id
+        );
+        Some(Candidate {
+            id: c.id,
+            load,
+            capacity,
+            logical_distance: c.logical_distance,
+            physical_distance: c.physical_distance,
+        })
+    };
+    let unprobed = |c: Candidate<Id>| ForwardChoice {
+        next: c.id,
+        new_memory: None,
+        newly_overloaded: Vec::new(),
+        probes: 0,
     };
 
     match policy {
-        ForwardPolicy::Deterministic => {
-            // `?` never fires: the pool is nonempty by the emptiness
-            // check above. Propagating keeps this hot path panic-free.
-            let best = pool.iter().min_by(|x, y| {
+        ForwardPolicy::Deterministic => loop {
+            line3(&mut pool, &mut avoided);
+            let &best = pool.iter().min_by(|&&x, &&y| {
+                let (x, y) = (known(&candidates[x]), known(&candidates[y]));
                 x.logical_distance
                     .cmp(&y.logical_distance)
                     .then(x.physical_distance.total_cmp(&y.physical_distance))
             })?;
-            Some(ForwardChoice {
-                next: best.id,
-                new_memory: None,
-                newly_overloaded: Vec::new(),
-                probes: 0,
-            })
-        }
-        ForwardPolicy::RandomWalk => {
-            let pick = *rng.choose(&pool)?;
-            Some(ForwardChoice {
-                next: pick.id,
-                new_memory: None,
-                newly_overloaded: Vec::new(),
-                probes: 0,
-            })
-        }
+            if let Some(c) = draw(best, &mut pool) {
+                return Some(unprobed(c));
+            }
+        },
+        ForwardPolicy::RandomWalk => loop {
+            line3(&mut pool, &mut avoided);
+            let &pick = rng.choose(&pool)?;
+            if let Some(c) = draw(pick, &mut pool) {
+                return Some(unprobed(c));
+            }
+        },
         ForwardPolicy::TwoChoice {
             topology_aware,
             use_memory,
         } => {
             // Assemble the poll set: the remembered candidate first (it
             // is a free extra choice), then fresh random draws up to b.
-            let b = probe_width.min(pool.len()).max(1);
-            let mut polled: Vec<&Candidate<Id>> = Vec::with_capacity(b);
-            if use_memory {
-                if let Some(m) = memory {
-                    if let Some(c) = pool.iter().copied().find(|c| c.id == m) {
-                        polled.push(c);
-                    }
-                }
+            let mut polled: Vec<Candidate<Id>> = Vec::with_capacity(probe_width);
+            line3(&mut pool, &mut avoided);
+            let remembered = memory
+                .filter(|_| use_memory)
+                .and_then(|m| pool.iter().copied().find(|&i| id(i) == m));
+            if let Some(i) = remembered {
+                polled.extend(draw(i, &mut pool));
             }
-            while polled.len() < b {
-                let fresh: Vec<&Candidate<Id>> = pool
-                    .iter()
-                    .copied()
-                    .filter(|c| !polled.iter().any(|p| p.id == c.id))
-                    .collect();
-                match rng.choose(&fresh) {
-                    Some(&c) => polled.push(c),
-                    None => break,
+            while polled.len() < probe_width {
+                if polled.is_empty() {
+                    line3(&mut pool, &mut avoided);
                 }
+                let Some(&i) = rng.choose(&pool) else {
+                    break;
+                };
+                polled.extend(draw(i, &mut pool));
             }
-            debug_assert!(!polled.is_empty());
 
-            let light: Vec<&Candidate<Id>> = polled
-                .iter()
-                .copied()
-                .filter(|c| !c.is_heavy(gamma_l))
-                .collect();
             let newly_overloaded: Vec<Id> = polled
                 .iter()
                 .filter(|c| c.is_heavy(gamma_l))
                 .map(|c| c.id)
                 .collect();
+            let light = || polled.iter().filter(|c| !c.is_heavy(gamma_l));
 
-            // The three `?`s below never fire — `polled` is nonempty by
-            // construction and `light` is checked first — and
-            // `total_cmp` gives NaN a fixed order instead of a panic.
-            let chosen: &Candidate<Id> = if light.is_empty() {
+            // `?` fires when every candidate was unreachable (`polled`
+            // is empty); `total_cmp` gives NaN a fixed order instead of
+            // a panic.
+            let chosen = if newly_overloaded.len() == polled.len() {
                 // All heavy: the least heavily loaded takes it anyway.
                 polled
                     .iter()
-                    .copied()
                     .min_by(|x, y| x.congestion().total_cmp(&y.congestion()))?
             } else if topology_aware {
-                light.iter().copied().min_by(|x, y| {
+                light().min_by(|x, y| {
                     x.logical_distance
                         .cmp(&y.logical_distance)
                         .then(x.physical_distance.total_cmp(&y.physical_distance))
                 })?
             } else {
-                light
-                    .iter()
-                    .copied()
-                    .min_by(|x, y| x.load.total_cmp(&y.load))?
+                light().min_by(|x, y| x.load.total_cmp(&y.load))?
             };
 
             // Remember the least-loaded option *after* the forward adds
             // one unit to the chosen node.
             let new_memory = polled
                 .iter()
-                .copied()
                 .min_by(|x, y| {
                     let lx = x.load + f64::from(x.id == chosen.id);
                     let ly = y.load + f64::from(y.id == chosen.id);
@@ -725,5 +803,300 @@ mod tests {
             );
             assert_eq!(a, b);
         }
+    }
+
+    /// The eager `choose_next_b` as it stood before the draw-then-probe
+    /// split, kept verbatim as the reference model (the way `table.rs`
+    /// keeps `ModelTable`): every load is known before the first draw.
+    fn eager_choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
+        policy: ForwardPolicy,
+        candidates: &[Candidate<Id>],
+        memory: Option<Id>,
+        avoid: &BTreeSet<Id>,
+        gamma_l: f64,
+        probe_width: usize,
+        rng: &mut SimRng,
+    ) -> Option<ForwardChoice<Id>> {
+        assert!(probe_width >= 1, "need at least one probe");
+        if candidates.is_empty() {
+            return None;
+        }
+        for c in candidates {
+            assert!(
+                c.capacity > 0.0,
+                "candidate {:?} has non-positive capacity",
+                c.id
+            );
+        }
+        // Exclude known-overloaded nodes unless that empties the pool
+        // (Algorithm 4 line 3).
+        let pool: Vec<&Candidate<Id>> = {
+            let filtered: Vec<&Candidate<Id>> = candidates
+                .iter()
+                .filter(|c| !avoid.contains(&c.id))
+                .collect();
+            if filtered.is_empty() {
+                candidates.iter().collect()
+            } else {
+                filtered
+            }
+        };
+
+        match policy {
+            ForwardPolicy::Deterministic => {
+                // `?` never fires: the pool is nonempty by the emptiness
+                // check above. Propagating keeps this hot path panic-free.
+                let best = pool.iter().min_by(|x, y| {
+                    x.logical_distance
+                        .cmp(&y.logical_distance)
+                        .then(x.physical_distance.total_cmp(&y.physical_distance))
+                })?;
+                Some(ForwardChoice {
+                    next: best.id,
+                    new_memory: None,
+                    newly_overloaded: Vec::new(),
+                    probes: 0,
+                })
+            }
+            ForwardPolicy::RandomWalk => {
+                let pick = *rng.choose(&pool)?;
+                Some(ForwardChoice {
+                    next: pick.id,
+                    new_memory: None,
+                    newly_overloaded: Vec::new(),
+                    probes: 0,
+                })
+            }
+            ForwardPolicy::TwoChoice {
+                topology_aware,
+                use_memory,
+            } => {
+                // Assemble the poll set: the remembered candidate first (it
+                // is a free extra choice), then fresh random draws up to b.
+                let b = probe_width.min(pool.len()).max(1);
+                let mut polled: Vec<&Candidate<Id>> = Vec::with_capacity(b);
+                if use_memory {
+                    if let Some(m) = memory {
+                        if let Some(c) = pool.iter().copied().find(|c| c.id == m) {
+                            polled.push(c);
+                        }
+                    }
+                }
+                while polled.len() < b {
+                    let fresh: Vec<&Candidate<Id>> = pool
+                        .iter()
+                        .copied()
+                        .filter(|c| !polled.iter().any(|p| p.id == c.id))
+                        .collect();
+                    match rng.choose(&fresh) {
+                        Some(&c) => polled.push(c),
+                        None => break,
+                    }
+                }
+                debug_assert!(!polled.is_empty());
+
+                let light: Vec<&Candidate<Id>> = polled
+                    .iter()
+                    .copied()
+                    .filter(|c| !c.is_heavy(gamma_l))
+                    .collect();
+                let newly_overloaded: Vec<Id> = polled
+                    .iter()
+                    .filter(|c| c.is_heavy(gamma_l))
+                    .map(|c| c.id)
+                    .collect();
+
+                // The three `?`s below never fire — `polled` is nonempty by
+                // construction and `light` is checked first — and
+                // `total_cmp` gives NaN a fixed order instead of a panic.
+                let chosen: &Candidate<Id> = if light.is_empty() {
+                    // All heavy: the least heavily loaded takes it anyway.
+                    polled
+                        .iter()
+                        .copied()
+                        .min_by(|x, y| x.congestion().total_cmp(&y.congestion()))?
+                } else if topology_aware {
+                    light.iter().copied().min_by(|x, y| {
+                        x.logical_distance
+                            .cmp(&y.logical_distance)
+                            .then(x.physical_distance.total_cmp(&y.physical_distance))
+                    })?
+                } else {
+                    light
+                        .iter()
+                        .copied()
+                        .min_by(|x, y| x.load.total_cmp(&y.load))?
+                };
+
+                // Remember the least-loaded option *after* the forward adds
+                // one unit to the chosen node.
+                let new_memory = polled
+                    .iter()
+                    .copied()
+                    .min_by(|x, y| {
+                        let lx = x.load + f64::from(x.id == chosen.id);
+                        let ly = y.load + f64::from(y.id == chosen.id);
+                        lx.total_cmp(&ly)
+                    })
+                    .map(|c| c.id);
+
+                Some(ForwardChoice {
+                    next: chosen.id,
+                    new_memory,
+                    newly_overloaded,
+                    probes: polled.len(),
+                })
+            }
+        }
+    }
+
+    fn contacts_of(cands: &[Candidate<u32>]) -> Vec<Contact<u32>> {
+        cands
+            .iter()
+            .map(|c| Contact {
+                id: c.id,
+                logical_distance: c.logical_distance,
+                physical_distance: c.physical_distance,
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Draw-then-probe with a closure that reads the slice makes the
+        /// same choice as the eager model and leaves the RNG where the
+        /// model leaves it, and asks exactly the candidates it polled.
+        #[test]
+        fn lazy_matches_the_eager_model_draw_for_draw(
+            specs in proptest::collection::vec((0u32..40, 0u64..6, 0u32..4, 1u32..20), 0..9),
+            avoid in proptest::collection::vec(0usize..9, 0..4),
+            memory in 0usize..14,
+            probe_width in 1usize..5,
+            policy_ix in 0usize..6,
+            seed in 0u64..1000,
+        ) {
+            let cands: Vec<Candidate<u32>> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(load, logical, physical, capacity))| Candidate {
+                    id: i as u32,
+                    load: f64::from(load),
+                    capacity: f64::from(capacity),
+                    logical_distance: logical,
+                    physical_distance: f64::from(physical) / 4.0,
+                })
+                .collect();
+            // Indices past the end make a stale memory / a foreign avoid entry.
+            let avoid: BTreeSet<u32> = avoid.into_iter().map(|i| i as u32).collect();
+            let memory = (memory < 10).then_some(memory as u32);
+            let policy = match policy_ix {
+                0 => ForwardPolicy::Deterministic,
+                1 => ForwardPolicy::RandomWalk,
+                n => ForwardPolicy::TwoChoice {
+                    topology_aware: n & 1 == 0,
+                    use_memory: n >= 4,
+                },
+            };
+            let mut eager_rng = SimRng::seed_from(seed);
+            let mut lazy_rng = SimRng::seed_from(seed);
+            let eager =
+                eager_choose_next_b(policy, &cands, memory, &avoid, 0.75, probe_width, &mut eager_rng);
+            let mut asked = Vec::new();
+            let lazy = choose_next_lazy(
+                policy,
+                &contacts_of(&cands),
+                |c| *c,
+                memory,
+                &avoid,
+                0.75,
+                probe_width,
+                &mut lazy_rng,
+                |i| {
+                    asked.push(i);
+                    Some((cands[i].load, cands[i].capacity))
+                },
+            );
+            proptest::prop_assert_eq!(&lazy, &eager);
+            proptest::prop_assert_eq!(lazy_rng.exp_secs(1.0).to_bits(), eager_rng.exp_secs(1.0).to_bits());
+            let mut distinct = asked.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            proptest::prop_assert_eq!(distinct.len(), asked.len(), "a candidate was asked twice");
+            if let Some(choice) = &lazy {
+                match policy {
+                    ForwardPolicy::TwoChoice { .. } => proptest::prop_assert_eq!(asked.len(), choice.probes),
+                    _ => proptest::prop_assert_eq!(&asked, &[choice.next as usize]),
+                }
+            } else {
+                proptest::prop_assert!(asked.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_redraws_past_unreachable_candidates() {
+        let cands = [
+            cand(1, 0.0, 1, 0.1),
+            cand(2, 0.0, 2, 0.1),
+            cand(3, 0.0, 3, 0.1),
+        ];
+        let contacts = contacts_of(&cands);
+        let none = BTreeSet::new();
+        for policy in [
+            ForwardPolicy::Deterministic,
+            ForwardPolicy::RandomWalk,
+            two_choice(),
+        ] {
+            for seed in 0..20 {
+                let mut rng = SimRng::seed_from(seed);
+                // Only candidate 3 answers.
+                let c = choose_next_lazy(
+                    policy,
+                    &contacts,
+                    |c| *c,
+                    Some(1),
+                    &none,
+                    1.0,
+                    2,
+                    &mut rng,
+                    |i| (i == 2).then_some((0.0, 10.0)),
+                )
+                .unwrap();
+                assert_eq!(c.next, 3, "{policy:?}");
+                let c = choose_next_lazy(
+                    policy,
+                    &contacts,
+                    |c| *c,
+                    None,
+                    &none,
+                    1.0,
+                    2,
+                    &mut rng,
+                    |_| None,
+                );
+                assert!(c.is_none(), "{policy:?}: nobody answers");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_falls_back_to_avoided_candidates_when_the_rest_are_unreachable() {
+        // Algorithm 4 line 3 with reachability known only by asking: the
+        // avoid-set yields once every other candidate has been tried.
+        let cands = [cand(1, 0.0, 1, 0.1), cand(2, 0.0, 2, 0.1)];
+        let avoid: BTreeSet<u32> = [2].into_iter().collect();
+        let mut rng = SimRng::seed_from(15);
+        let c = choose_next_lazy(
+            two_choice(),
+            &contacts_of(&cands),
+            |c| *c,
+            None,
+            &avoid,
+            1.0,
+            2,
+            &mut rng,
+            |i| (i == 1).then_some((0.0, 10.0)),
+        )
+        .unwrap();
+        assert_eq!(c.next, 2);
     }
 }

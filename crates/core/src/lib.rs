@@ -47,11 +47,12 @@ pub mod params;
 pub mod table;
 
 pub use adapt::{adaptation_action, select_shed_victims, AdaptAction, ShedCandidate};
-pub use assign::{build_table, expand_indegree, Directory};
+pub use assign::{build_table, expand_indegree, expand_indegree_over, Directory, Expansion};
 pub use capacity::{max_indegree, normalize_capacities};
 pub use estimate::Estimator;
 pub use forward::{
-    choose_next, choose_next_b, choose_next_reachable, Candidate, ForwardChoice, ForwardPolicy,
+    choose_next, choose_next_b, choose_next_lazy, choose_next_reachable, Candidate, Contact,
+    ForwardChoice, ForwardPolicy,
 };
 pub use params::ErtParams;
 pub use table::ElasticTable;

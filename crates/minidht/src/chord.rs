@@ -111,20 +111,27 @@ impl Geometry for ChordGeometry {
         out
     }
 
-    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
-        let mut out = Vec::new();
-        // Long fingers first: they are the scarcest inlinks.
-        for m in (STRUCTURAL_MAX_FINGER as u8 + 1..self.space.bits()).rev() {
-            for cand in self
-                .registry
-                .nodes_in(self.space.reverse_finger_region(node, m))
-            {
-                if cand != node {
-                    out.push((m as u16, cand));
-                }
-            }
-        }
-        out
+    fn inlink_candidates(
+        &self,
+        node: u64,
+        after: Option<(u16, u64)>,
+    ) -> impl Iterator<Item = (u16, u64)> + '_ {
+        // Long fingers first: they are the scarcest inlinks. A resumed
+        // walk starts inside the finger it stopped in.
+        let top = after.map_or(self.space.bits() - 1, |(slot, _)| slot as u8);
+        (STRUCTURAL_MAX_FINGER as u8 + 1..=top)
+            .rev()
+            .flat_map(move |m| {
+                let region = self.space.reverse_finger_region(node, m);
+                let rest = match after {
+                    Some((slot, last)) if slot == m as u16 => region.after(last),
+                    _ => region,
+                };
+                self.registry
+                    .arc_iter(rest)
+                    .map(move |cand| (m as u16, cand))
+            })
+            .filter(move |&(_, cand)| cand != node)
     }
 
     fn is_structural(&self, slot: u16) -> bool {
@@ -224,9 +231,13 @@ mod tests {
         let g = geometry();
         let node = g.members()[0];
         assert!(g
-            .inlink_candidates(node)
-            .iter()
-            .all(|&(slot, _)| slot > STRUCTURAL_MAX_FINGER));
+            .inlink_candidates(node, None)
+            .all(|(slot, _)| slot > STRUCTURAL_MAX_FINGER));
+    }
+
+    #[test]
+    fn inlink_candidates_resume_after_any_pair() {
+        crate::geometry::assert_inlink_scan_resumes(&geometry());
     }
 
     #[test]

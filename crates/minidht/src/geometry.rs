@@ -38,8 +38,19 @@ pub trait Geometry {
 
     /// `(slot-of-theirs, candidate)` pairs whose tables may legally
     /// point at `node`, scarcest slots first — the probe order of the
-    /// indegree-expansion algorithm.
-    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)>;
+    /// indegree-expansion algorithm. With `after`, the pairs that
+    /// follow that one in the order.
+    ///
+    /// The order is stable at a fixed membership — a function of the
+    /// geometry and `node` alone — so a pair the iterator yielded names
+    /// a position a later call can resume from. Evaluated lazily, one
+    /// region scan at a time: reaching the first pair costs O(log n),
+    /// each further pair O(1) amortized, and nothing is allocated.
+    fn inlink_candidates(
+        &self,
+        node: u64,
+        after: Option<(u16, u64)>,
+    ) -> impl Iterator<Item = (u16, u64)> + '_;
 
     /// Whether a slot is structural (does not consume elastic
     /// indegree and is exempt from the spare-indegree restriction).
@@ -64,4 +75,18 @@ pub trait Geometry {
     /// Estimated remaining distance from `from` to `owner`; smaller is
     /// closer. Used to score forwarding candidates.
     fn metric(&self, from: u64, owner: u64) -> u64;
+}
+
+/// Shared by the geometries' tests: resuming after any yielded pair
+/// gives exactly the rest of the from-the-top order.
+#[cfg(test)]
+pub(crate) fn assert_inlink_scan_resumes(g: &impl Geometry) {
+    for node in g.members().into_iter().step_by(17) {
+        let all: Vec<(u16, u64)> = g.inlink_candidates(node, None).collect();
+        assert!(all.len() > 20);
+        for (i, &pair) in all.iter().enumerate() {
+            let rest: Vec<(u16, u64)> = g.inlink_candidates(node, Some(pair)).collect();
+            assert_eq!(rest, all[i + 1..], "node {node}, after {pair:?}");
+        }
+    }
 }

@@ -8,20 +8,28 @@
 //! shedding) runs through a [`Window`]: the node, its geometry, and one
 //! closure that carries a [`PeerOp`] to a peer and brings the answer
 //! back. The window is the `ert_core::Directory` the core algorithms
-//! are written against, so `ert_core::expand_indegree` is the only
-//! expansion loop.
+//! are written against, so `ert_core`'s expansion loop and its
+//! Algorithm 4 are the only ones.
+//!
+//! Asking a peer is an RPC on the wire host, so the node asks only what
+//! it does not already know. Algorithm 1's scan is *resumable*: the
+//! node remembers the last inlink candidate it passed and the next
+//! expansion starts after it (see [`ErtNode::view_changed`] for why
+//! that is exact). Algorithm 4 is *draw-then-probe*: the poll set is
+//! drawn from the hop's candidate ids and only the drawn candidates
+//! are asked for their load.
 //!
 //! The two hosts differ only in that closure. [`crate::MiniDht`]
 //! indexes its node vector and calls the peer's `serve` directly;
 //! `ert-node`'s `WireNode` encodes the op, sends it through its
 //! transport, and the receiving node decodes it into the same `serve`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 
 use ert_core::{
-    adaptation_action, assign::initial_indegree_target, choose_next_b, expand_indegree,
-    AdaptAction, Candidate, Directory, ElasticTable, ForwardPolicy,
+    adaptation_action, assign::initial_indegree_target, choose_next_lazy, expand_indegree_over,
+    AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy,
 };
 use ert_sim::{SimDuration, SimRng};
 
@@ -130,6 +138,9 @@ pub struct ErtNode {
     max_congestion: f64,
     heavy_encounters: u64,
     adapt_round: u32,
+    /// The last inlink candidate Algorithm 1 passed with a definite
+    /// answer; `None` when the next expansion must scan from the top.
+    scanned_to: Option<(u16, u64)>,
 }
 
 impl ErtNode {
@@ -152,6 +163,7 @@ impl ErtNode {
             max_congestion: 0.0,
             heavy_encounters: 0,
             adapt_round: 0,
+            scanned_to: None,
         }
     }
 
@@ -189,6 +201,29 @@ impl ErtNode {
     /// and the backward fingers.
     pub fn purge_peer(&mut self, peer: u64) {
         self.table.purge_peer(peer);
+        self.view_changed();
+    }
+
+    /// The host's membership view changed: the next indegree expansion
+    /// scans its candidates from the top again.
+    ///
+    /// Between two such calls the saved scan position is exact, not a
+    /// heuristic. At a fixed membership the candidate order is a
+    /// function of the geometry and this node's id. Every candidate the
+    /// scan passed answered that it holds an outlink to this node, or
+    /// took one; a peer removes an outlink to this node only when this
+    /// node asks it to (`DropOutlinks`, sent by its own shed, which
+    /// clears the position itself) — a peer's own shed drops *its*
+    /// inlinks, and a slot refresh touches only structural slots, which
+    /// are never inlink candidates. So a scan from the top would pass
+    /// over every candidate before the position again, changing
+    /// nothing; resuming after it reaches the same links. A scan in
+    /// which some peer did not answer keeps the old position. What is
+    /// left is a view change — a joiner may sort before the position, a
+    /// leaver takes its link with it — and this is the one way it
+    /// clears the position.
+    pub fn view_changed(&mut self) {
+        self.scanned_to = None;
     }
 
     fn load(&self) -> usize {
@@ -330,6 +365,8 @@ pub struct Window<'a, G, P> {
     // mutable act on both hosts (a transport send, a `serve` call). The
     // closure never re-enters the window, so the borrow is never shared.
     peers: RefCell<P>,
+    /// A holder asked during the running expansion did not answer.
+    unanswered: Cell<bool>,
 }
 
 impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
@@ -347,6 +384,7 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
             geometry,
             me,
             peers: RefCell::new(peers),
+            unanswered: Cell::new(false),
         }
     }
 
@@ -386,13 +424,31 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         }
         if elastic {
             let target = initial_indegree_target(&self.cfg.ert, self.me.d_max);
-            expand_indegree(self, id, target);
+            self.expand(target);
+        }
+    }
+
+    /// Algorithm 1 from where the last scan stopped. The position moves
+    /// to the last candidate this scan looked at, unless some peer did
+    /// not answer: then the next scan covers the same ground again.
+    fn expand(&mut self, target: u32) {
+        let (id, geometry) = (self.me.id, self.geometry);
+        let last = Cell::new(self.me.scanned_to);
+        self.unanswered.set(false);
+        let candidates = geometry
+            .inlink_candidates(id, last.get())
+            .inspect(|&pair| last.set(Some(pair)));
+        expand_indegree_over(self, id, target, candidates);
+        if !self.unanswered.get() {
+            self.me.scanned_to = last.get();
         }
     }
 
     /// Algorithm 4 for a lookup whose service just completed here:
-    /// finished if this node owns the key, otherwise probe the hop's
-    /// candidates and pick one with `rng`.
+    /// finished if this node owns the key, otherwise draw the poll set
+    /// from the hop's candidates with `rng`, probe only those, and pick
+    /// one. A candidate hidden by a partition drops out when asked and
+    /// the draw repeats.
     pub fn route(&mut self, lookup: &mut Lookup, rng: &mut SimRng) -> Hop {
         let id = self.me.id;
         let owner = self.geometry.owner(lookup.key);
@@ -408,21 +464,6 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         let hc =
             self.geometry
                 .hop_candidates(id, owner, &mut self.me.table, &mut lookup.numeric_mode);
-        let mut cands: Vec<Candidate<u64>> = Vec::with_capacity(hc.ids.len());
-        for &c in &hc.ids {
-            let (load, capacity) = match self.ask(c, PeerOp::Probe) {
-                PeerAnswer::Report(r) => (r.load as f64, r.capacity as f64),
-                PeerAnswer::Unknown => (0.0, 1.0),
-                PeerAnswer::Unreachable => continue,
-            };
-            cands.push(Candidate {
-                id: c,
-                load,
-                capacity,
-                logical_distance: self.geometry.metric(c, owner),
-                physical_distance: 0.0,
-            });
-        }
         let policy = match self.protocol {
             MiniProtocol::Classic => ForwardPolicy::Deterministic,
             MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
@@ -430,14 +471,24 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
                 use_memory: true,
             },
         };
-        let Some(choice) = choose_next_b(
+        let Some(choice) = choose_next_lazy(
             policy,
-            &cands,
+            &hc.ids,
+            |&c| Contact {
+                id: c,
+                logical_distance: self.geometry.metric(c, owner),
+                physical_distance: 0.0,
+            },
             self.me.table.memory(hc.slot),
             &lookup.avoid,
             self.cfg.ert.gamma_l,
             self.cfg.ert.probe_width,
             rng,
+            |i| match self.ask(hc.ids[i], PeerOp::Probe) {
+                PeerAnswer::Report(r) => Some((r.load as f64, r.capacity as f64)),
+                PeerAnswer::Unknown => Some((0.0, 1.0)),
+                PeerAnswer::Unreachable => None,
+            },
         ) else {
             // Every candidate was hidden by a partition.
             return Hop::Failed;
@@ -478,13 +529,16 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
                     self.ask_link(v, 0, AdaptOp::DropOutlinks);
                     self.me.table.remove_backward(v);
                 }
+                // The victims no longer point here: candidates the scan
+                // already passed are open again.
+                self.me.scanned_to = None;
                 self.me.d_max = self.me.d_max.saturating_sub(x).max(1);
             }
             AdaptAction::Grow(x) => {
                 delta = x as i64;
                 self.me.d_max = (self.me.d_max + x).min(8 * capacity.max(8));
                 let target = (self.me.indegree() + x).min(self.me.d_max);
-                expand_indegree(self, id, target);
+                self.expand(target);
             }
         }
         self.me.period_load = 0;
@@ -508,7 +562,7 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
     }
 
     fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
-        self.geometry.inlink_candidates(node)
+        self.geometry.inlink_candidates(node, None).collect()
     }
 
     fn spare_indegree(&self, node: u64) -> i64 {
@@ -539,7 +593,10 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
             PeerAnswer::Report(r) => r.load != 0,
             // An absent holder cannot take a link: reporting it as
             // linked makes expansion pass over it.
-            PeerAnswer::Unknown | PeerAnswer::Unreachable => true,
+            PeerAnswer::Unknown | PeerAnswer::Unreachable => {
+                self.unanswered.set(true);
+                true
+            }
         }
     }
 
@@ -555,6 +612,8 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
             if elastic {
                 self.me.table.add_backward(from);
             }
+        } else {
+            self.unanswered.set(true);
         }
     }
 }
@@ -563,6 +622,7 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
 mod tests {
     use super::*;
     use crate::ChordGeometry;
+    use ert_core::expand_indegree;
     use std::collections::BTreeMap;
 
     const BITS: u8 = 6;
@@ -656,7 +716,7 @@ mod tests {
         let (g, cfg) = (ring(), cfg());
         let mut peers = Peers::new(&g);
         let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
-        let candidates = g.inlink_candidates(ME);
+        let candidates: Vec<(u16, u64)> = g.inlink_candidates(ME, None).collect();
         assert!(candidates.len() > 3);
         // The first candidate already points at us.
         let (slot0, linked) = candidates[0];
@@ -720,5 +780,184 @@ mod tests {
             let still_linked = peers.nodes[&holder].table.outlinks(4).contains(&ME);
             assert_eq!(still_linked, kept.contains(&holder), "holder {holder}");
         }
+    }
+
+    /// Runs one adaptation round of `me` with `period_load` behind it.
+    fn adapt(
+        g: &ChordGeometry,
+        cfg: &MiniDhtConfig,
+        peers: &mut Peers,
+        me: &mut ErtNode,
+        period_load: u64,
+    ) -> AdaptTrace {
+        me.period_load = period_load;
+        Window::new(cfg, MiniProtocol::ElasticErt, g, me, |p, op| {
+            peers.carry(p, op)
+        })
+        .adapt()
+    }
+
+    /// The holders asked `QueryOutlink` in `log`, in order.
+    fn queried(log: &[(u64, PeerOp)]) -> Vec<u64> {
+        log.iter()
+            .filter(|(_, op)| {
+                matches!(
+                    op,
+                    PeerOp::Link {
+                        op: AdaptOp::QueryOutlink,
+                        ..
+                    }
+                )
+            })
+            .map(|&(peer, _)| peer)
+            .collect()
+    }
+
+    #[test]
+    fn a_second_grow_resumes_after_the_candidates_the_first_passed() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        let order: Vec<u64> = g.inlink_candidates(ME, None).map(|(_, c)| c).collect();
+        assert_eq!(order.len(), 7);
+
+        // An idle period grows by ⌈μ·8⌉ = 4: the first four candidates.
+        assert_eq!(adapt(&g, &cfg, &mut peers, &mut me, 0).delta, 4);
+        assert_eq!(me.table.backward_fingers(), &order[..4]);
+        assert_eq!(queried(&peers.log), &order[..4]);
+
+        peers.log.clear();
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(
+            queried(&peers.log),
+            &order[4..],
+            "nobody the first round passed is asked again"
+        );
+        assert_eq!(me.table.backward_fingers(), &order[..]);
+
+        // The supply is exhausted and the position is at its end: a
+        // third round wants four more and asks nobody.
+        peers.log.clear();
+        assert_eq!(adapt(&g, &cfg, &mut peers, &mut me, 0).delta, 4);
+        assert!(peers.log.is_empty(), "{:?}", peers.log);
+    }
+
+    #[test]
+    fn a_shed_clears_the_position_and_the_next_grow_relinks_the_victims() {
+        let (g, cfg) = (ring(), cfg());
+        let order: Vec<u64> = g.inlink_candidates(ME, None).map(|(_, c)| c).collect();
+        // Two identical worlds: grow to four inlinks, then shed two
+        // (load 12 over capacity 8: ⌈μ·4⌉).
+        let world = || {
+            let mut peers = Peers::new(&g);
+            let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+            adapt(&g, &cfg, &mut peers, &mut me, 0);
+            assert_eq!(adapt(&g, &cfg, &mut peers, &mut me, 12).delta, -2);
+            assert_eq!(me.table.backward_fingers(), &order[..2]);
+            peers.log.clear();
+            (peers, me)
+        };
+
+        // One grows again through the node: target 2 + 4.
+        let (mut peers, mut me) = world();
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(
+            queried(&peers.log),
+            &order[..6],
+            "the scan starts over, so the shed victims are re-examined"
+        );
+        assert_eq!(me.table.backward_fingers(), &order[..6]);
+
+        // The other runs the core loop from scratch to the same target.
+        let (mut fresh_peers, mut fresh_me) = world();
+        {
+            let mut w = Window::new(
+                &cfg,
+                MiniProtocol::ElasticErt,
+                &g,
+                &mut fresh_me,
+                |p, op| fresh_peers.carry(p, op),
+            );
+            expand_indegree(&mut w, ME, 6);
+        }
+        assert_eq!(
+            me.table.backward_fingers(),
+            fresh_me.table.backward_fingers()
+        );
+        for (id, peer) in &peers.nodes {
+            assert_eq!(peer.fingerprint(), fresh_peers.nodes[id].fingerprint());
+        }
+    }
+
+    #[test]
+    fn a_scan_with_an_unanswered_holder_does_not_move_the_position() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        let order: Vec<u64> = g.inlink_candidates(ME, None).map(|(_, c)| c).collect();
+        peers.hidden.insert(order[1]);
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(me.indegree(), 4, "the hidden holder is passed over");
+        assert_eq!(me.scanned_to, None);
+
+        // Healed: the next round starts over and picks the holder up.
+        peers.hidden.clear();
+        peers.log.clear();
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(queried(&peers.log), &order[..]);
+        assert!(me.table.backward_fingers().contains(&order[1]));
+        assert_eq!(me.scanned_to.map(|(_, c)| c), order.last().copied());
+    }
+
+    #[test]
+    fn route_asks_only_the_candidates_it_draws() {
+        let (g, cfg) = (ring(), cfg());
+        let probes = |log: &[(u64, PeerOp)]| -> Vec<u64> {
+            log.iter()
+                .filter(|(_, op)| *op == PeerOp::Probe)
+                .map(|&(peer, _)| peer)
+                .collect()
+        };
+        // Six candidates in the finger toward key 58 (owner 60).
+        let slot = |me: &mut ErtNode| {
+            for c in [32, 36, 40, 44, 48, 52] {
+                me.table.add_outlink(5, c);
+            }
+        };
+        assert_eq!(cfg.ert.probe_width, 2);
+
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        slot(&mut me);
+        for (seed, memory) in [(1, None), (2, Some(40)), (3, Some(44))] {
+            if let Some(m) = memory {
+                me.table.set_memory(5, m);
+            }
+            let mut peers = Peers::new(&g);
+            let hop = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+                peers.carry(p, op)
+            })
+            .route(&mut lookup(58), &mut SimRng::seed_from(seed));
+            assert!(matches!(hop, Hop::Next(_)));
+            let asked = probes(&peers.log);
+            assert_eq!(asked.len(), 2, "probe_width probes, not one per candidate");
+            assert_eq!(peers.log.len(), 2, "and nothing else");
+            if let Some(m) = memory {
+                assert_eq!(asked[0], m, "the remembered candidate is one of the two");
+            }
+        }
+
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::Classic);
+        slot(&mut me);
+        let mut peers = Peers::new(&g);
+        let hop = Window::new(&cfg, MiniProtocol::Classic, &g, &mut me, |p, op| {
+            peers.carry(p, op)
+        })
+        .route(&mut lookup(58), &mut SimRng::seed_from(4));
+        assert_eq!(hop, Hop::Next(52), "the candidate closest to the owner");
+        assert_eq!(
+            probes(&peers.log),
+            [52],
+            "classic routing asks only its pick"
+        );
     }
 }

@@ -98,24 +98,31 @@ impl Geometry for PastryGeometry {
         out
     }
 
-    fn inlink_candidates(&self, node: u64) -> Vec<(u16, u64)> {
-        let mut out = Vec::new();
+    fn inlink_candidates(
+        &self,
+        node: u64,
+        after: Option<(u16, u64)>,
+    ) -> impl Iterator<Item = (u16, u64)> + '_ {
         // Deep rows are scarcer, but the deepest are structural: probe
-        // from the deepest negotiable row upward.
-        for row in (0..self.space.rows()).rev() {
-            let slot = self.encode(row, self.space.digit(node, row));
-            if self.is_structural(slot) {
-                continue;
-            }
-            for (lo, hi) in self.space.reverse_row_regions(node, row) {
-                for cand in self.registry.nodes_in_span(lo, hi) {
-                    if cand != node {
-                        out.push((slot, cand));
-                    }
-                }
-            }
-        }
-        out
+        // from the deepest negotiable row upward. A row's spans ascend
+        // in ID, so a resumed walk drops everything up to the last
+        // candidate it saw in the row it stopped in.
+        let top = after.map_or(self.space.rows() - 1, |(slot, _)| self.row_of(slot));
+        (0..=top)
+            .rev()
+            .map(move |row| (row, self.encode(row, self.space.digit(node, row))))
+            .filter(move |&(_, slot)| !self.is_structural(slot))
+            .flat_map(move |(row, slot)| {
+                let floor = match after {
+                    Some((at, last)) if at == slot => last + 1,
+                    _ => 0,
+                };
+                self.space
+                    .reverse_row_spans(node, row)
+                    .flat_map(move |(lo, hi)| self.registry.span_iter(lo.max(floor), hi))
+                    .map(move |cand| (slot, cand))
+            })
+            .filter(move |&(_, cand)| cand != node)
     }
 
     fn is_structural(&self, slot: u16) -> bool {
@@ -225,7 +232,7 @@ mod tests {
     fn inlink_candidates_carry_my_digit_slot() {
         let g = geometry();
         let node = g.members()[10];
-        for (slot, cand) in g.inlink_candidates(node) {
+        for (slot, cand) in g.inlink_candidates(node, None) {
             let row = g.row_of(slot);
             let col = (slot % g.space.base() as u16) as u64;
             assert_eq!(
@@ -237,6 +244,11 @@ mod tests {
             // `row`.
             assert_eq!(g.space.shared_prefix_len(node, cand), row);
         }
+    }
+
+    #[test]
+    fn inlink_candidates_resume_after_any_pair() {
+        crate::geometry::assert_inlink_scan_resumes(&geometry());
     }
 
     #[test]

@@ -221,6 +221,7 @@ pub struct WireCluster {
     gave_up: u64,
     probe_rpcs: u64,
     adapt_rpcs: u64,
+    build_rpcs: (u64, u64),
     adapt_seen: usize,
 }
 
@@ -319,6 +320,7 @@ impl WireCluster {
             gave_up: 0,
             probe_rpcs: 0,
             adapt_rpcs: 0,
+            build_rpcs: (0, 0),
             adapt_seen: 0,
         };
         // The platform's seeded build permutation — identical draws to
@@ -329,7 +331,15 @@ impl WireCluster {
                 .with_node(i, |node, ctx| node.build_links(ctx))?
                 .map_err(|e| format!("build_links({i}): {e}"))?;
         }
+        cluster.build_rpcs = (cluster.probe_rpcs, cluster.adapt_rpcs);
         Ok(cluster)
+    }
+
+    /// `(ProbeLoad, AdaptIndegree)` RPCs table construction had issued
+    /// when [`WireCluster::new`] returned. [`WireReport`]'s counters
+    /// include them; the difference is what the run itself cost.
+    pub fn build_rpcs(&self) -> (u64, u64) {
+        self.build_rpcs
     }
 
     /// Switches on decision tracing for the next run.

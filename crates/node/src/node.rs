@@ -211,7 +211,11 @@ impl WireNode {
         failure.map_or(Ok(out), Err)
     }
 
+    /// Rebuilds the geometry replica from a view that just changed.
+    /// The shared node hears of the change first: its saved expansion
+    /// position is only valid at the membership it was reached under.
     fn rebuild_geometry(&mut self) {
+        self.ert.view_changed();
         let member_list: Vec<u64> = self.members.iter().copied().collect();
         self.geometry = ChordGeometry::from_members(self.bits, &member_list);
     }
@@ -487,5 +491,91 @@ impl WireNode {
             }
             TimerKind::AdaptTick => self.with_peers(t, 0, |w, _| w.adapt()).map(Some),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ert_sim::{SimDuration, SimTime};
+    use std::collections::BTreeMap;
+
+    const BITS: u8 = 6;
+
+    /// Reliable RPCs over a map of nodes; no datagrams, no timers.
+    struct Lan<'a> {
+        nodes: &'a mut BTreeMap<u64, WireNode>,
+    }
+
+    impl Transport for Lan<'_> {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn send(&mut self, _to: u64, _frame: &[u8]) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn request(&mut self, to: u64, frame: &[u8]) -> Result<Vec<u8>, TransportError> {
+            let peer = self
+                .nodes
+                .get_mut(&to)
+                .ok_or(TransportError::UnknownPeer(to))?;
+            peer.on_request(frame)
+                .map_err(|e| TransportError::Peer(e.to_string()))
+        }
+        fn timer(&mut self, _delay: SimDuration, _kind: TimerKind) {}
+    }
+
+    fn with_lan<R>(
+        nodes: &mut BTreeMap<u64, WireNode>,
+        id: u64,
+        f: impl FnOnce(&mut WireNode, &mut Lan) -> R,
+    ) -> R {
+        let mut node = nodes.remove(&id).expect("node present");
+        let out = f(&mut node, &mut Lan { nodes });
+        nodes.insert(id, node);
+        out
+    }
+
+    #[test]
+    fn a_late_join_restarts_the_expansion_scan_and_links_the_newcomer() {
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        let elastic = MiniProtocol::ElasticErt;
+        // Node 0's inlink candidates, in scan order; 28 is not there yet.
+        let early = [20u64, 24, 32, 44, 48, 56];
+        let mut view = vec![0];
+        view.extend(early);
+        let mut nodes: BTreeMap<u64, WireNode> = view
+            .iter()
+            .map(|&id| (id, WireNode::new(id, BITS, &view, 1.0, 8, &cfg, elastic)))
+            .collect();
+        with_lan(&mut nodes, 0, |n, lan| n.build_links(lan)).expect("build");
+        // Node 0's backward fingers, as its fingerprint lists them.
+        let holders = |nodes: &BTreeMap<u64, WireNode>| {
+            let print = nodes[&0].fingerprint();
+            print[print.find("back=").expect("fingerprint format")..].to_string()
+        };
+        // β·d_max = 6: every candidate was taken, the scan stands at its end.
+        assert_eq!(holders(&nodes), "back=[20,24,32,44,48,56]");
+
+        // An idle round wants more and finds the supply exhausted.
+        let tick = |nodes: &mut BTreeMap<u64, WireNode>| {
+            with_lan(nodes, 0, |n, lan| n.on_timer(lan, TimerKind::AdaptTick))
+                .expect("tick")
+                .expect("an adaptation outcome")
+        };
+        assert!(tick(&mut nodes).delta > 0);
+        assert_eq!(nodes[&0].indegree(), 6);
+
+        // 28 joins through node 0. It sorts before the scan position.
+        nodes.insert(28, WireNode::new(28, BITS, &[0], 1.0, 8, &cfg, elastic));
+        with_lan(&mut nodes, 28, |n, lan| n.join_via(lan, 0)).expect("join");
+        assert!(nodes[&0].members_view().contains(&28));
+
+        assert!(tick(&mut nodes).delta > 0);
+        assert_eq!(
+            holders(&nodes),
+            "back=[20,24,32,44,48,56,28]",
+            "the scan restarted from the top and reached the newcomer"
+        );
     }
 }

@@ -1,0 +1,121 @@
+//! Control-plane accounting: what a run costs in RPCs beyond the
+//! lookups themselves.
+//!
+//! The shared node asks a peer only what it does not already know, so
+//! on a fault-free cluster both RPC counters have exact budgets:
+//!
+//! * Algorithm 4 draws its poll set first and probes only that, so a
+//!   run sends at most `probe_width` `ProbeLoad`s per forwarded hop;
+//! * Algorithm 1's scan resumes where the last one stopped, so while no
+//!   node sheds no holder is asked twice: a run-phase `AdaptIndegree`
+//!   is the `QueryOutlink` or the `AddOutlink` of an inlink gained, or
+//!   the one `QueryOutlink` that finds a holder already pointing at the
+//!   node since table build (its own elastic pick).
+//!
+//! Table construction is accounted separately ([`WireCluster::build_rpcs`]).
+
+use ert_faults::{FaultPlan, RetryPolicy};
+use ert_minidht::{ChordGeometry, Geometry, MiniDhtConfig, MiniProtocol};
+use ert_node::WireCluster;
+use ert_sim::{SimDuration, SimRng, SimTime};
+use rand::Rng;
+
+const BITS: u8 = 16;
+const N: usize = 256;
+
+fn cluster(seed: u64) -> (WireCluster, MiniDhtConfig) {
+    let members = ChordGeometry::populate(BITS, N, &mut SimRng::seed_from(seed)).members();
+    let caps: Vec<f64> = (0..N).map(|i| 600.0 + 250.0 * (i % 5) as f64).collect();
+    let cfg = MiniDhtConfig::defaults(BITS, seed);
+    let mut cluster = WireCluster::new(
+        cfg,
+        BITS,
+        &members,
+        &caps,
+        MiniProtocol::ElasticErt,
+        &FaultPlan::new(seed),
+        RetryPolicy::default(),
+        None,
+    )
+    .expect("cluster construction");
+    cluster.enable_trace();
+    (cluster, cfg)
+}
+
+fn uniform_schedule(count: usize, rate: f64, seed: u64) -> Vec<(SimTime, u64)> {
+    let mut rng = SimRng::seed_from(seed).fork("wire-workload");
+    let mut at = SimTime::ZERO;
+    (0..count)
+        .map(|_| {
+            at += SimDuration::from_secs_f64(rng.exp_secs(rate));
+            (at, rng.gen_range(0..1u64 << BITS))
+        })
+        .collect()
+}
+
+fn total_indegree(cluster: &WireCluster) -> u64 {
+    cluster
+        .indegrees()
+        .iter()
+        .map(|&(_, indegree, _)| u64::from(indegree))
+        .sum()
+}
+
+#[test]
+fn a_run_probes_at_most_probe_width_peers_per_hop() {
+    // Busy enough that queues build and the avoid-set and memory paths
+    // are all taken.
+    let (mut cluster, cfg) = cluster(31);
+    let (build_probes, _) = cluster.build_rpcs();
+    let report = cluster
+        .run_schedule(&uniform_schedule(1500, 1500.0, 31))
+        .expect("run");
+    assert_eq!(report.completed, 1500);
+    let trace = cluster.take_trace().expect("tracing was on");
+    assert!(trace.hops.len() > 1500, "the run must forward");
+    let run_probes = report.probe_rpcs - build_probes;
+    let budget = (cfg.ert.probe_width * trace.hops.len()) as u64;
+    assert!(
+        run_probes <= budget,
+        "{run_probes} ProbeLoad RPCs for {} hops: over {} per hop",
+        trace.hops.len(),
+        cfg.ert.probe_width
+    );
+    // Not vacuous: most decisions do poll a second candidate.
+    assert!(run_probes > trace.hops.len() as u64);
+}
+
+#[test]
+fn while_nobody_sheds_no_holder_is_asked_twice() {
+    let (mut cluster, _) = cluster(32);
+    let (_, build_adapts) = cluster.build_rpcs();
+    let before = total_indegree(&cluster);
+    // Light load over several adaptation periods: every round every
+    // node is underloaded and grows.
+    let report = cluster
+        .run_schedule(&uniform_schedule(300, 50.0, 32))
+        .expect("run");
+    assert_eq!(report.completed, 300);
+    let trace = cluster.take_trace().expect("tracing was on");
+    assert!(
+        trace.adapts.iter().all(|a| a.delta >= 0),
+        "the schedule is meant to be too light for any shed"
+    );
+    let rounds = trace.adapts.iter().map(|a| a.round).max().unwrap_or(0) + 1;
+    assert!(rounds >= 4, "only {rounds} adaptation rounds");
+    let gained = total_indegree(&cluster) - before;
+    assert!(gained > N as u64, "only {gained} links gained");
+    let run_adapts = report.adapt_rpcs - build_adapts;
+    assert!(
+        run_adapts >= 2 * gained,
+        "a link costs one QueryOutlink and one AddOutlink: {run_adapts} RPCs, {gained} links"
+    );
+    // Whatever is left are first passes over links that existed when
+    // the run began; each of those can be met once.
+    let already_linked = run_adapts - 2 * gained;
+    assert!(
+        already_linked <= before,
+        "{already_linked} QueryOutlinks bought nothing, but only {before} links predate the run: \
+         some holder was asked again"
+    );
+}

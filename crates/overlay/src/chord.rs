@@ -201,13 +201,21 @@ impl ChordRegistry {
             .copied()
     }
 
+    /// Live members of an arc, in clockwise order from its start,
+    /// without collecting them: two range scans, the second one empty
+    /// unless the arc wraps past zero.
+    pub fn arc_iter(&self, arc: RingRange) -> impl Iterator<Item = u64> + '_ {
+        let size = self.space.ring_size();
+        let end = arc.start() + arc.len();
+        self.members
+            .range(arc.start()..end.min(size))
+            .chain(self.members.range(0..end.saturating_sub(size)))
+            .copied()
+    }
+
     /// Live members of an arc, in clockwise order from its start.
     pub fn nodes_in(&self, arc: RingRange) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (lo, hi) in arc.unwrapped_spans() {
-            out.extend(self.members.range(lo..=hi).copied());
-        }
-        out
+        self.arc_iter(arc).collect()
     }
 
     /// The next `window` live IDs strictly after `id` (wrapping).
@@ -339,6 +347,13 @@ mod tests {
         assert_eq!(reg.succ_window(50, 5), vec![10, 20]);
         assert_eq!(reg.nodes_in(RingRange::new(15, 40, 64)), vec![20, 50]);
         assert_eq!(reg.nodes_in(RingRange::new(60, 20, 64)), vec![10]);
+        assert_eq!(reg.nodes_in(RingRange::new(20, 0, 64)), vec![]);
+        // Resuming a clockwise walk after a visited member.
+        let arc = RingRange::new(45, 40, 64);
+        assert_eq!(reg.nodes_in(arc), vec![50, 10, 20]);
+        assert_eq!(reg.nodes_in(arc.after(50)), vec![10, 20]);
+        assert_eq!(reg.nodes_in(arc.after(10)), vec![20]);
+        assert_eq!(reg.nodes_in(arc.after(20)), vec![]);
     }
 
     #[test]

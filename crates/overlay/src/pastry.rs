@@ -129,16 +129,16 @@ impl PastrySpace {
     /// nodes sharing `node`'s first `m` digits but differing at digit
     /// `m`. One span per foreign column, so `base − 1` spans.
     pub fn reverse_row_regions(self, node: u64, row: u8) -> Vec<(u64, u64)> {
-        let own = self.digit(node, row);
-        (0..self.base())
-            .filter(|&col| col != own)
-            .map(|col| {
-                let suffix_bits = (self.rows - 1 - row) as u32 * self.bits_per_digit as u32;
-                let prefix = node >> (suffix_bits + self.bits_per_digit as u32);
-                let lo = ((prefix << self.bits_per_digit) | col) << suffix_bits;
-                (lo, lo + (1u64 << suffix_bits) - 1)
-            })
-            .collect()
+        self.reverse_row_spans(node, row).collect()
+    }
+
+    /// [`PastrySpace::reverse_row_regions`] without collecting: the
+    /// spans in ascending column (and so ascending ID) order. Taking
+    /// `node` as a row-`row` entry is legal exactly for the nodes whose
+    /// own row-`row` cells are `node`'s siblings, so these are `node`'s
+    /// own foreign row regions.
+    pub fn reverse_row_spans(self, node: u64, row: u8) -> impl Iterator<Item = (u64, u64)> {
+        (0..self.base()).filter_map(move |col| self.row_region(node, row, col))
     }
 
     /// The table cell prefix routing uses from `cur` toward `key`:
@@ -241,9 +241,15 @@ impl PastryRegistry {
         }
     }
 
+    /// Live members of the inclusive span `[lo, hi]` in ascending
+    /// order, without collecting them. Empty when `lo > hi`.
+    pub fn span_iter(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        self.members.range(lo..(hi + 1).max(lo)).copied()
+    }
+
     /// Live members of the inclusive span `[lo, hi]`.
     pub fn nodes_in_span(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.members.range(lo..=hi).copied().collect()
+        self.span_iter(lo, hi).collect()
     }
 
     /// The `window` live nodes numerically nearest to `id` (excluding
@@ -453,5 +459,9 @@ mod tests {
         }
         assert_eq!(reg.nodes_in_span(6, 17), vec![9, 17]);
         assert!(reg.nodes_in_span(10, 16).is_empty());
+        assert!(
+            reg.nodes_in_span(18, 17).is_empty(),
+            "an inverted span is empty"
+        );
     }
 }

@@ -67,6 +67,27 @@ impl RingRange {
         self.start + self.len > self.modulus
     }
 
+    /// The part of the arc strictly clockwise of `point` — what is left
+    /// of a clockwise walk that has just visited `point`. The whole arc
+    /// when `point` is not on it.
+    ///
+    /// ```
+    /// use ert_overlay::RingRange;
+    /// let rest = RingRange::new(250, 10, 256).after(255);
+    /// assert_eq!((rest.start(), rest.len()), (0, 4));
+    /// ```
+    pub fn after(&self, point: u64) -> RingRange {
+        let passed = forward_distance(self.start, point % self.modulus, self.modulus) + 1;
+        if passed > self.len {
+            return *self;
+        }
+        RingRange {
+            start: (self.start + passed) % self.modulus,
+            len: self.len - passed,
+            modulus: self.modulus,
+        }
+    }
+
     /// Splits into at most two non-wrapping `[lo, hi]`-inclusive spans.
     pub fn unwrapped_spans(&self) -> Vec<(u64, u64)> {
         if self.is_empty() {
