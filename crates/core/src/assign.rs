@@ -81,6 +81,10 @@ pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> 
             .copied()
             .filter(|&c| dir.spare_indegree(c) >= 1)
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "`candidates` passed the is_empty check above, and `with_spare` is nonempty in the else arm"
+        )]
         let chosen = if with_spare.is_empty() {
             candidates
                 .iter()

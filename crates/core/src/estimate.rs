@@ -67,8 +67,11 @@ impl Estimator {
         self.gamma_n
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "γ = 1.0 is an exact sentinel (\"no estimation error\") set literally by callers, never computed"
+    )]
     fn factor(gamma: f64, rng: &mut SimRng) -> f64 {
-        // ert-lint: allow(float-eq) — γ = 1.0 is an exact sentinel ("no estimation error") set literally by callers, never computed
         if gamma == 1.0 {
             return 1.0;
         }

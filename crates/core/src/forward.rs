@@ -214,7 +214,10 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
 ///
 /// Panics if a probed candidate reports non-positive capacity or
 /// `probe_width == 0`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 4 has this many inputs; a parameter struct would only rename them at each call site"
+)]
 pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
     policy: ForwardPolicy,
     candidates: &[T],
@@ -373,7 +376,10 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
 ///
 /// Panics if any surviving candidate has non-positive capacity or
 /// `probe_width == 0`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "choose_next_b's inputs plus the unreachable set; same trade as choose_next_lazy"
+)]
 pub fn choose_next_reachable<Id: Copy + Ord + std::fmt::Debug>(
     policy: ForwardPolicy,
     candidates: &[Candidate<Id>],

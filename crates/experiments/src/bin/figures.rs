@@ -9,6 +9,8 @@
 //! all-in-one run takes a few minutes in release mode; `--quick` runs a
 //! reduced version in seconds.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -33,9 +35,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Wall-clock here is progress reporting for the operator, not sim
-    // state — binaries are exempt from rule D1 (clippy.toml / ert-lint).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D1: progress reporting for the operator, not sim state"
+    )]
     let started = Instant::now();
 
     let ctx = Ctx::new(&args);

@@ -6,6 +6,11 @@
 //! [`Ctx`] carries the run-wide scale and the two sweeps several
 //! figures share, computed at most once per process.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D10: `Ctx` is handed to every row as &Ctx and memoises the two sweeps several figures share, plus the bound-violated flag; harness state of one single-threaded `figures` process, outside any simulated world"
+)]
+
 use std::cell::{Cell, OnceCell};
 
 use ert_core::ErtParams;

@@ -250,7 +250,6 @@ pub fn sparkline(values: &[f64]) -> String {
 
 /// Formats an `f64` compactly for table cells.
 pub fn fnum(v: f64) -> String {
-    // ert-lint: allow(float-eq) — exact-zero display special case; any nonzero magnitude must take the format branches
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1000.0 {

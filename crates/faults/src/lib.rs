@@ -27,6 +27,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// D6 of DESIGN.md "Determinism & Safety Rules": fault-handling code never
+// discards an outcome silently — handle it or bind a named `_reason`.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 mod chaos;
 mod plan;

@@ -38,6 +38,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// D4 and D5 of DESIGN.md "Determinism & Safety Rules", crate-wide: no
+// panicking shortcut and no float equality outside tests. A site that
+// keeps one names its invariant in an #[expect(.., reason = "..")].
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod chord;
 mod geometry;

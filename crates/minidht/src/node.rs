@@ -24,6 +24,11 @@
 //! `ert-node`'s `WireNode` encodes the op, sends it through its
 //! transport, and the receiving node decodes it into the same `serve`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "D10: `Directory`'s read methods take &self but reaching a peer is a mutable act, so `Window` keeps its peer closure and its unanswered flag in cells; neither outlives one window or is shared"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 

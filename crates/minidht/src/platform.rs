@@ -236,6 +236,10 @@ impl<G: Geometry> MiniDht<G> {
         };
         let id_map = &self.id_map;
         let (left, rest) = self.nodes.split_at_mut(i);
+        #[expect(
+            clippy::expect_used,
+            reason = "`i` is always a node index of this driver (the node a service just finished on, or the adaptation loop's 0..n), so nodes[i..] is nonempty"
+        )]
         let (me, right) = rest.split_first_mut().expect("node index in range");
         let peers = move |peer: u64, op| match id_map.get(&peer) {
             Some(&j) if j < i => PeerAnswer::Report(left[j].serve(op)),

@@ -132,11 +132,19 @@ fn rank_correlation(xs: impl Iterator<Item = f64>, ys: impl Iterator<Item = f64>
 /// Average ranks (ties get the midpoint), 1-based.
 fn ranks(values: &[f64]) -> Vec<f64> {
     let mut order: Vec<usize> = (0..values.len()).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the report ranks capacities and busy fractions of a finite horizon, never NaN; `ranks_reject_nan` pins that a NaN is refused loudly, not misranked"
+    )]
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("no NaN"));
     let mut out = vec![0.0; values.len()];
     let mut i = 0;
     while i < order.len() {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "a rank tie is exact equality by definition: equal observations share the midpoint rank"
+        )]
         while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
             j += 1;
         }

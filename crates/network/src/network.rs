@@ -1,5 +1,9 @@
 //! The simulation run: query lifecycle, churn, and adaptation events.
 
+// D6 of DESIGN.md "Determinism & Safety Rules": fault-handling code never
+// discards an outcome silently — handle it or bind a named `_reason`.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use ert_adversary::{AdversaryKind, AdversaryPlan};
@@ -621,6 +625,10 @@ impl Network {
     /// # Panics
     ///
     /// Panics when either plan fails its `validate`.
+    #[expect(
+        clippy::panic,
+        reason = "the documented contract: an invalid plan is refused before the first event is scheduled, never mid-run (tests/chaos.rs relies on it)"
+    )]
     pub fn run_with_plans(
         &mut self,
         lookups: &[Lookup],
@@ -1209,6 +1217,10 @@ impl Network {
                         self.queries[q].ring_mode,
                         &mut self.rng_forward,
                     ) {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every `Some` from route_candidates holds at least one id (the debug_assert at the head of this fn): an empty slot is repaired or falls back to ring_candidates, which steps to the owner when no link is in stride"
+                        )]
                         Some(rc2) => rc2
                             .ids
                             .iter()
@@ -1451,7 +1463,6 @@ impl Network {
     /// simulation or draws randomness, so a sampled run produces the
     /// same [`RunReport`] as an unsampled one.
     fn on_sample(&mut self, now: SimTime) {
-        // ert-lint: allow(unbounded-collector) — fresh per tick, bounded by alive-host count
         let mut congestion = ert_sim::stats::Samples::new();
         let mut utilization_sum = 0.0;
         let (mut queue_total, mut queue_max) = (0u64, 0u64);

@@ -1,6 +1,7 @@
-//! Runtime invariant sanitizer — the dynamic counterpart of `ert-lint`.
+//! Runtime invariant sanitizer — the dynamic counterpart of the clippy
+//! gate (`clippy.toml` and the lint attributes at the crate roots).
 //!
-//! Where the static pass keeps nondeterminism out of the source, this
+//! Where the static gate keeps nondeterminism out of the source, this
 //! module asserts the paper's *provable* properties while a simulation
 //! actually runs: event-clock monotonicity, FIFO service discipline on
 //! every host, and the Theorem 3.1–3.3 degree envelopes (with explicit
@@ -406,7 +407,10 @@ mod tests {
         // The test suite itself runs under debug_assertions or with the
         // feature on, so ACTIVE must hold here — this guards against the
         // cfg expression rotting into never-true.
-        #[allow(clippy::assertions_on_constants)]
+        #[expect(
+            clippy::assertions_on_constants,
+            reason = "the constant is a cfg! expression; asserting it is the whole test"
+        )]
         {
             assert!(Sanitizer::ACTIVE);
         }

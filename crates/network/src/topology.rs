@@ -2,6 +2,10 @@
 //! the protocols perform (construction, expansion, shedding, repair,
 //! and routing-candidate assembly).
 
+// D6 of DESIGN.md "Determinism & Safety Rules": fault-handling code never
+// discards an outcome silently — handle it or bind a named `_reason`.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use ert_core::{
     assign::initial_indegree_target, build_table, expand_indegree, select_shed_victims, Directory,
     ErtParams, ShedCandidate,
@@ -114,6 +118,10 @@ impl Topology {
     pub fn add_node(&mut self, id: CycloidId, host: usize, d_max: u32) -> usize {
         assert!(self.registry.insert(id), "duplicate live id {id}");
         let idx = self.nodes.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "the slab gains one entry per join; no run comes within orders of magnitude of 2^32 - 1 joins, and an index that aliased VACANT would corrupt `id_index` silently"
+        )]
         let entry = u32::try_from(idx)
             .ok()
             .filter(|&e| e != VACANT)
@@ -270,6 +278,10 @@ impl Topology {
             return Vec::new();
         }
         let cube = self.space.cube_size();
+        #[expect(
+            clippy::expect_used,
+            reason = "`members` passed the is_empty return above"
+        )]
         let larger = members
             .iter()
             .copied()
@@ -736,6 +748,10 @@ fn merge_nearest_first(
             (None, None) => return,
         };
         let side = if take_upper { &mut upper } else { &mut lower };
+        #[expect(
+            clippy::expect_used,
+            reason = "the match above returns on (None, None) and otherwise picks a side that is Some"
+        )]
         let (_, member) = side.expect("the chosen side has a member");
         out.push((slot, member));
         *side = pull(take_upper);

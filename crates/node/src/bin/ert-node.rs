@@ -11,6 +11,8 @@
 //! same `WireNode` the deterministic oracle runs — only the transport
 //! and the clock differ here.
 
+#![forbid(unsafe_code)]
+
 use std::net::UdpSocket;
 use std::process::ExitCode;
 
@@ -99,9 +101,11 @@ fn run(args: &Args) -> Result<(), String> {
 
     // Wall-clock reads are confined to this binary: the transport and
     // node only ever see the elapsed SimTime fed in below.
-    #[allow(clippy::disallowed_methods)] // D1: binary driver clock, not sim code
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D1: the UDP driver's clock, not sim code"
+    )]
     let epoch = std::time::Instant::now();
-    #[allow(clippy::disallowed_methods)] // D1: binary driver clock, not sim code
     let elapsed = move || SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
 
     if let Some(boot) = args.bootstrap {

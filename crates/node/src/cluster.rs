@@ -239,7 +239,10 @@ impl WireCluster {
     ///
     /// Rejects unsorted/duplicate members, capacity-count mismatches,
     /// invalid ERT/retry/fault parameters, and wire build failures.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`MiniDht::new`'s inputs with the geometry spelled out (bits, members) plus the wire-only ones (fault plan, retry policy, spawn order)"
+    )]
     pub fn new(
         cfg: MiniDhtConfig,
         bits: u8,

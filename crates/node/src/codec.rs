@@ -10,8 +10,13 @@
 //! The decoder is total: every malformed input — truncation, bad magic,
 //! unknown tags, length mismatches, oversized counts, out-of-range enum
 //! discriminants, trailing bytes — is rejected with a typed
-//! [`CodecError`]. This file is wired into `ert-lint`'s D4/D9 panic-path
-//! roots, so no panicking construct may appear here outside tests.
+//! [`CodecError`]. The crate root denies `clippy::unwrap_used`,
+//! `expect_used`, `panic`, `unreachable`, `todo` and `unimplemented`, and
+//! this module — the one parser of untrusted bytes — adds
+//! `clippy::indexing_slicing` below: outside tests it reads through
+//! `get`/`get_mut`, never `buf[i]`.
+
+#![deny(clippy::indexing_slicing)]
 
 use std::fmt;
 

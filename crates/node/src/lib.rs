@@ -22,11 +22,24 @@
 //! library code (the binary driver feeds elapsed time in), no
 //! `HashMap`/`HashSet` (iteration-order hazards), and the codec never
 //! panics on untrusted bytes — malformed input is a typed
-//! [`CodecError`], enforced by `ert-lint`'s panic-path rule and the
-//! bit-flip fuzz suite in `tests/codec_props.rs`.
+//! [`CodecError`], enforced by the `clippy::unwrap_used` / `expect_used` /
+//! `panic` family denied below (plus `indexing_slicing` in the codec) and
+//! the bit-flip fuzz suite in `tests/codec_props.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// D4 and D5 of DESIGN.md "Determinism & Safety Rules", crate-wide: no
+// panicking shortcut and no float equality outside tests. A site that
+// keeps one names its invariant in an #[expect(.., reason = "..")].
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod cluster;
 pub mod codec;

@@ -11,9 +11,11 @@
 //!   re-encodes canonically (decode is a partial inverse of encode on
 //!   its accepted set).
 //!
-//! `ert-lint`'s panic-path rules (D4/D9) independently guarantee the
-//! decoder contains no panicking constructs; these properties check
-//! the behavioral half of the same contract.
+//! The lints `ert-node` denies (`clippy::unwrap_used`, `expect_used`,
+//! `panic`, `unreachable`, and `indexing_slicing` in the codec module)
+//! independently guarantee the decoder contains no panicking
+//! constructs; these properties check the behavioral half of the same
+//! contract.
 
 use ert_node::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 use ert_sim::SimRng;

@@ -10,6 +10,8 @@
 //! stream totals, the per-hop queueing / service / transit breakdown,
 //! and the nodes that absorbed the time of the slowest (≥ p99) lookups.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ert_obs::TraceAnalysis;

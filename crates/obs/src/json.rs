@@ -71,7 +71,6 @@ impl Json {
     /// The value as u64, if numeric, non-negative, and integral.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // ert-lint: allow(float-eq) — fract() is exactly 0.0 for integral values
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
                 Some(*n as u64)
             }

@@ -35,11 +35,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// D10 mirror exception: ert-par IS the sanctioned fan-out point — the
-// per-slot Mutexes are the pool's claim/store handoff (held only around
-// take/store, never across a job), and ert-par sits outside the
-// shard-bound crates ert-lint scopes D10 to.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "D10: ert-par is the sanctioned fan-out point; the per-slot Mutexes and the atomic cursor are the pool's claim/store handoff, held only around take/store and never across a job"
+)]
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,6 +134,10 @@ where
     if workers == 1 {
         work();
     } else {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D7: this is the pool every other fan-out must go through"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(work);
@@ -244,9 +247,10 @@ mod tests {
     }
 
     #[test]
-    // The literal `Err` is the point: this checks how `expect` panics
-    // are rendered, not how the Result was built.
-    #[allow(clippy::unnecessary_literal_unwrap)]
+    #[expect(
+        clippy::unnecessary_literal_unwrap,
+        reason = "renders an `expect` panic, however the Result was built"
+    )]
     fn expect_on_result_renders_its_message() {
         let jobs = vec![("doomed".to_string(), || -> u32 {
             let r: Result<u32, String> = Err("bad config".into());

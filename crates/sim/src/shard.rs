@@ -331,7 +331,7 @@ impl<E> ShardedEngine<E> {
             .min()
             .map(|(_, s)| s)?;
         // The winner was just peeked non-empty; `?` (never taken) keeps
-        // the path panic-free for the D9 gate.
+        // the path panic-free for the D4 gate.
         let entry = self.heaps[winner].pop()?;
         debug_assert!(entry.time >= self.now, "time went backwards");
         self.now = entry.time;

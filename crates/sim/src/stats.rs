@@ -91,6 +91,10 @@ impl Samples {
     /// The observations sorted ascending (push order untouched).
     fn sorted_copy(&self) -> Vec<f64> {
         let mut sorted = self.values.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "`push` is the only writer of `values` and asserts the observation is not NaN"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         sorted
     }
@@ -196,9 +200,11 @@ impl Record for Samples {
 // The sketch variant is ~440 bytes inline vs the exact arm's ~56, but
 // a `Collector` lives in two long-lived metric slots per network — not
 // in per-item arrays — and the sketch's whole point is a fixed
-// heap-free footprint; boxing it would buy nothing and put a pointer
-// chase on every hot-loop observe.
-#[allow(clippy::large_enum_variant)]
+// heap-free footprint.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "boxing the sketch would buy nothing and put a pointer chase on every hot-loop observe"
+)]
 #[derive(Debug, Clone)]
 pub enum Collector {
     /// Retains every observation; exact nearest-rank percentiles.
@@ -474,6 +480,10 @@ impl Digest for Histogram {
     }
 
     /// Nearest-rank quantile over the bucketed counts.
+    #[expect(
+        clippy::expect_used,
+        reason = "past the `total == 0` return the buckets are nonempty, and the loop returns first anyway: counts sum to `total` >= rank"
+    )]
     fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile out of range: {p}");
         if self.total == 0 {
@@ -509,7 +519,6 @@ impl Record for Histogram {
     /// silent round would hide a caller bug.
     fn observe(&mut self, value: f64) {
         assert!(
-            // ert-lint: allow(float-eq) — fract() is exactly 0.0 for integral values
             value >= 0.0 && value.fract() == 0.0,
             "histogram observation must be a non-negative integer: {value}"
         );

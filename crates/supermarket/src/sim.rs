@@ -213,7 +213,6 @@ impl SupermarketSim {
             .rev()
             .copied()
             .min_by_key(|&s| queues[s].len())
-            // ert-lint: allow(transitive-panic) — picks always holds ≥1 sampled station; the hot-path edge is a conservative `choose` alias
             .expect("picks nonempty")
     }
 }

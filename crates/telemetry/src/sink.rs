@@ -8,11 +8,10 @@
 //! captured lines stay readable after the sink — boxed inside a
 //! `Telemetry` — is out of reach).
 
-// D10 mirror exception: the in-memory sinks hand out Arc<Mutex<_>>
-// read handles on purpose (captured lines must stay readable after the
-// sink is boxed away), and ert-telemetry is observability plumbing
-// outside the shard-bound crates ert-lint scopes D10 to.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "D10: the in-memory sinks hand out Arc<Mutex<_>> read handles on purpose — captured lines must stay readable after the sink is boxed away inside a Telemetry"
+)]
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -87,7 +86,6 @@ impl EventSink for MemorySink {
     fn record(&mut self, line: &str) {
         self.lines
             .lock()
-            // ert-lint: allow(transitive-panic) — poisoning needs a panicked writer, which the panic-free sim path rules out
             .expect("no poisoned telemetry lock")
             .push(line.to_string());
     }
@@ -138,7 +136,6 @@ impl EventSink for SpanSink {
         if SPAN_TAGS.iter().any(|tag| line.contains(tag)) {
             self.lines
                 .lock()
-                // ert-lint: allow(transitive-panic) — poisoning needs a panicked writer, which the panic-free sim path rules out
                 .expect("no poisoned telemetry lock")
                 .push(line.to_string());
         }

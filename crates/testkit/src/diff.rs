@@ -56,7 +56,6 @@ pub struct DiffOutcome {
 
 impl DiffOutcome {
     fn new(label: String, reference: f64, subject: f64, tol: f64) -> DiffOutcome {
-        // ert-lint: allow(float-eq) — guard against literal zero reference before dividing
         let rel_err = if reference == 0.0 {
             subject.abs()
         } else {

@@ -29,7 +29,6 @@ const PAPER_SIZES: Option<(f64, f64)> = Some((1024.0, f64::INFINITY));
 const QUICK_SERVICE: Option<(f64, f64)> = Some((0.0, 0.8));
 const PAPER_SERVICE: Option<(f64, f64)> = Some((1.0, f64::INFINITY));
 
-#[allow(clippy::too_many_arguments)]
 fn spec(
     id: &'static str,
     claim: &'static str,

@@ -171,7 +171,6 @@ proptest! {
                 let g = load / capacity;
                 let in_band = g <= gamma_l + 1e-12 && g >= 1.0 / gamma_l - 1e-12;
                 // Keep is also legal when the rounded step is zero.
-                // ert-lint: allow(float-eq) — ceil() yields an integer-valued float, so equality with 0.0 is exact
                 let tiny = (mu * (load - capacity).abs()).ceil() == 0.0;
                 prop_assert!(in_band || tiny);
             }

@@ -2,16 +2,15 @@
 # tools/bench-pairs.sh <parent-ref> <workload> [pairs=10]
 #
 # The paired measurement a perf PR is judged by (choosing-metrics §8):
-# checks out <parent-ref> and a snapshot of the working tree (tracked
-# and untracked files, nothing ignored) into two git worktrees, builds
-# the benchmark in each, runs BENCHMARK.json's command on <workload>
-# alternately — parent first on odd pairs, change first on even ones,
-# pair i with seed i on both sides — and hands both `--out` files to
-# `ert-benchmark compare`. Exits with compare's status: 1 on any
-# `worse` / `differs` row.
+# copies <parent-ref> and the working tree (tracked and untracked files,
+# nothing ignored) into two plain directories, builds the benchmark in
+# each, runs BENCHMARK.json's command on <workload> alternately — parent
+# first on odd pairs, change first on even ones, pair i with seed i on
+# both sides — and hands both `--out` files to `ert-benchmark compare`.
+# Exits with compare's status: 1 on any `worse` / `differs` row.
 #
-# Everything lands in .bench_build/pairs-<workload>/ (ignored); the two
-# .jsonl files stay there, the worktrees are removed on exit.
+# Everything lands in .bench_build/pairs-<workload>/ (ignored) and stays
+# there: the two trees and the two .jsonl files.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -34,27 +33,10 @@ seconds=15
 
 parent=$(git -C "$root" rev-parse --verify "$parent_ref^{commit}")
 
-cleanup() {
-    for side in parent change; do
-        git -C "$root" worktree remove --force "$work/$side" 2>/dev/null || true
-    done
-    git -C "$root" worktree prune
-}
-trap cleanup EXIT
-cleanup
 rm -rf "$work"
-mkdir -p "$work"
-# The working tree as a commit, through a throw-away index: neither the
-# real index nor any ref moves.
-change=$(
-    export GIT_INDEX_FILE="$work/index"
-    git -C "$root" read-tree HEAD
-    git -C "$root" add -A
-    git -C "$root" commit-tree "$(git -C "$root" write-tree)" -p HEAD -m "bench-pairs: working tree"
-)
-rm -f "$work/index"
-git -C "$root" worktree add --quiet --detach "$work/parent" "$parent"
-git -C "$root" worktree add --quiet --detach "$work/change" "$change"
+mkdir -p "$work/parent" "$work/change"
+git -C "$root" archive "$parent" | tar -x -C "$work/parent"
+"$root/tools/snapshot-tree.sh" "$work/change"
 
 for side in parent change; do
     echo "building $side ..." >&2
