@@ -115,8 +115,8 @@ pub fn expand_indegree<D: Directory>(dir: &mut D, node: D::Id, target: u32) -> u
         // Not worth building the candidate list.
         return 0;
     }
-    let candidates = dir.inlink_candidates(node);
-    expand_indegree_over(dir, node, target, candidates).gained
+    let mut candidates = dir.inlink_candidates(node).into_iter();
+    expand_indegree_over(dir, node, target, |_| candidates.next()).gained
 }
 
 /// What one [`expand_indegree_over`] pass did.
@@ -124,29 +124,31 @@ pub fn expand_indegree<D: Directory>(dir: &mut D, node: D::Id, target: u32) -> u
 pub struct Expansion {
     /// Inlinks gained.
     pub gained: u32,
-    /// Candidates taken from the iterator: each was passed over (the
-    /// node itself, or already linked) or asked to link. The iterator
+    /// Candidates pulled from the sequence: each was passed over (the
+    /// node itself, or already linked) or asked to link. The sequence
     /// is left at the first candidate the pass did not look at.
     pub examined: usize,
 }
 
 /// The expansion loop of [`expand_indegree`] over any candidate
-/// sequence in Algorithm 1's probe order. A candidate is pulled only
-/// while the indegree is short of `target`, so a caller that remembers
-/// where the sequence stood can resume the scan there later.
+/// sequence in Algorithm 1's probe order. `next` yields the sequence one
+/// candidate per call; it is handed the directory so a sequence that
+/// lives inside it can be read between two `add_link`s (one that does
+/// not passes `|_| iter.next()`). A candidate is pulled only while the
+/// indegree is short of `target`, so a caller that remembers where the
+/// sequence stood can resume the scan there later.
 pub fn expand_indegree_over<D: Directory>(
     dir: &mut D,
     node: D::Id,
     target: u32,
-    candidates: impl IntoIterator<Item = (D::Slot, D::Id)>,
+    mut next: impl FnMut(&D) -> Option<(D::Slot, D::Id)>,
 ) -> Expansion {
-    let mut candidates = candidates.into_iter();
     let mut done = Expansion {
         gained: 0,
         examined: 0,
     };
     while dir.indegree(node) < target {
-        let Some((slot, candidate)) = candidates.next() else {
+        let Some((slot, candidate)) = next(dir) else {
             break;
         };
         done.examined += 1;
@@ -295,12 +297,12 @@ mod tests {
     fn a_resumed_scan_examines_only_what_the_first_pass_left() {
         let mut dir = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);
         let mut candidates = dir.inlink_candidates(2).into_iter();
-        let first = expand_indegree_over(&mut dir, 2, 2, candidates.by_ref());
+        let first = expand_indegree_over(&mut dir, 2, 2, |_| candidates.next());
         assert_eq!((first.gained, first.examined), (2, 2));
         // Nothing is pulled once the target is met.
-        let idle = expand_indegree_over(&mut dir, 2, 2, candidates.by_ref());
+        let idle = expand_indegree_over(&mut dir, 2, 2, |_| candidates.next());
         assert_eq!((idle.gained, idle.examined), (0, 0));
-        let second = expand_indegree_over(&mut dir, 2, 9, candidates.by_ref());
+        let second = expand_indegree_over(&mut dir, 2, 9, |_| candidates.next());
         assert_eq!((second.gained, second.examined), (3, 3));
         // The two passes together did what one from-scratch pass does.
         let mut fresh = MockDir::new(&[1, 2, 3, 4, 5, 6], 10);

@@ -15,11 +15,6 @@ use ert_sim::SimRng;
 
 use crate::report::Table;
 
-fn cube_dist(space: CycloidSpace, a: u32, b: u32) -> u64 {
-    let fwd = forward_distance(a as u64, b as u64, space.cube_size());
-    fwd.min(space.cube_size() - fwd)
-}
-
 fn classic_neighbors(space: CycloidSpace, reg: &CycloidRegistry, j: CycloidId) -> Vec<CycloidId> {
     let mut out = Vec::with_capacity(7);
     // Cubical neighbor: region member closest to the bit-k flip.
@@ -29,7 +24,7 @@ fn classic_neighbors(space: CycloidSpace, reg: &CycloidRegistry, j: CycloidId) -
             .nodes_in_region(region)
             .into_iter()
             .filter(|&m| m != j)
-            .min_by_key(|&m| cube_dist(space, m.a(), ideal))
+            .min_by_key(|&m| space.cube_dist(m.a(), ideal))
         {
             out.push(n);
         }

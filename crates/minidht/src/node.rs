@@ -440,10 +440,10 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         let (id, geometry) = (self.me.id, self.geometry);
         let last = Cell::new(self.me.scanned_to);
         self.unanswered.set(false);
-        let candidates = geometry
+        let mut candidates = geometry
             .inlink_candidates(id, last.get())
             .inspect(|&pair| last.set(Some(pair)));
-        expand_indegree_over(self, id, target, candidates);
+        expand_indegree_over(self, id, target, |_| candidates.next());
         if !self.unanswered.get() {
             self.me.scanned_to = last.get();
         }

@@ -435,7 +435,7 @@ impl Network {
     /// `sanitize` feature), where the checks compile out; tests use
     /// this to prove the sanitizer actually covered the run.
     pub fn sanitize_checks(&self) -> u64 {
-        self.sanitizer.checks() + self.topo.memo_checks
+        self.sanitizer.checks() + self.topo.scan_checks
     }
 
     /// Which theorem envelopes the sanitizer skipped for this run, each
@@ -2298,7 +2298,7 @@ mod tests {
     }
 
     #[test]
-    fn link_grown_reports_gains_and_idle_growers_hit_the_memo() {
+    fn link_grown_reports_gains_and_later_growers_resume_their_scans() {
         use ert_telemetry::{MemorySink, Telemetry};
 
         let cfg = NetworkConfig::for_dimension(6, 2);
@@ -2322,10 +2322,9 @@ mod tests {
             .collect();
         assert!(!grown.is_empty(), "an ERT/AF run grows some inlinks");
         assert!(grown.iter().all(|&c| c >= 1), "LinkGrown without growth");
-        // Static membership: underloaded nodes exhaust their reverse
-        // regions and are skipped from then on; armed builds re-scan
-        // every skip.
-        assert_eq!(net.topo.memo_checks > 0, Sanitizer::ACTIVE);
+        // Static membership: an underloaded node's next scan resumes
+        // where its last one stopped; armed builds check every resume.
+        assert_eq!(net.topo.scan_checks > 0, Sanitizer::ACTIVE);
     }
 
     /// Local stand-in for `ert_baselines::base()` (the baselines crate

@@ -21,13 +21,13 @@
 
 use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
-use ert_core::expand_indegree;
-use ert_overlay::CycloidId;
+use ert_core::{expand_indegree, Directory};
+use ert_overlay::{CycloidId, InlinkCursor};
 use ert_sim::SimTime;
 
 use crate::spec::TablePolicy;
 use crate::state::Host;
-use crate::topology::Topology;
+use crate::topology::{inlink_pair, Topology};
 
 /// Which theorem envelopes the degree sweep must *not* assert for one
 /// run, because the run's [`AdversaryPlan`] deliberately violates the
@@ -301,19 +301,38 @@ impl Sanitizer {
     }
 }
 
-/// The differential for `Topology`'s exhausted-supply memo: a skipped
-/// expansion must be one the full Algorithm 1 scan would have gained
-/// nothing from, whatever its target. Run on every memo hit.
-pub(crate) fn check_exhausted_supply(topo: &mut Topology, node: CycloidId) {
-    if !Sanitizer::ACTIVE {
+/// The differential for `Topology`'s scan cursor, run before every
+/// expansion that resumes at `at`: each candidate of the from-scratch
+/// sequence that lies before `at` must be `node` itself or already
+/// point at it, and `at` must be a position of that sequence. A cursor
+/// at the end claims more — that no scan can gain anything, whatever
+/// its target — so the full Algorithm 1 scan is re-run against it.
+pub(crate) fn check_resumed_scan(topo: &mut Topology, node: CycloidId, at: InlinkCursor) {
+    if !Sanitizer::ACTIVE || at == InlinkCursor::Start {
         return;
     }
-    let gained = expand_indegree(topo, node, u32::MAX);
-    assert!(
-        gained == 0,
-        "sanitize: exhausted-supply memo skipped a scan on {node} that gains {gained} inlinks"
-    );
-    topo.memo_checks += 1;
+    let mut skipped = topo.inlink_scan(node, InlinkCursor::Start);
+    while skipped.cursor() != at {
+        match skipped.next().map(inlink_pair) {
+            Some((slot, candidate)) => assert!(
+                candidate == node || topo.has_link(candidate, slot, node),
+                "sanitize: resumed scan on {node} skips {candidate}, which does not point at it"
+            ),
+            // Running out leaves the fresh scan at the end.
+            None => assert!(
+                skipped.cursor() == at,
+                "sanitize: scan cursor {at:?} of {node} is not a position of its candidate sequence"
+            ),
+        }
+    }
+    if at == InlinkCursor::End {
+        let gained = expand_indegree(topo, node, u32::MAX);
+        assert!(
+            gained == 0,
+            "sanitize: exhausted scan on {node} skipped a scan that gains {gained} inlinks"
+        );
+    }
+    topo.scan_checks += 1;
 }
 
 /// Structural slack shared by the degree envelopes: mandatory Cycloid

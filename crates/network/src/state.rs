@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use ert_core::ElasticTable;
-use ert_overlay::{Coord, CycloidId, LandmarkVector};
+use ert_overlay::{Coord, CycloidId, InlinkCursor, LandmarkVector};
 
 use crate::spec::CycloidSlot;
 
@@ -128,9 +128,12 @@ pub struct OverlayNode {
     pub d_max: u32,
     /// Whether the node is still in the overlay.
     pub alive: bool,
-    /// The membership epoch at which Algorithm 1 last ran out of
-    /// candidates for this node (see `Topology::grow_inlinks`).
-    pub(crate) supply_exhausted_at: Option<u64>,
+    /// Where Algorithm 1's scan of this node's inlink candidates
+    /// stands (see `Topology::grow_inlinks`).
+    pub(crate) scan: InlinkCursor,
+    /// The membership epoch `scan` was taken at; at any other epoch the
+    /// position means nothing and the scan starts over.
+    pub(crate) scan_epoch: u64,
 }
 
 impl OverlayNode {
@@ -142,7 +145,8 @@ impl OverlayNode {
             table: ElasticTable::new(),
             d_max: d_max.max(1),
             alive: true,
-            supply_exhausted_at: None,
+            scan: InlinkCursor::Start,
+            scan_epoch: 0,
         }
     }
 
@@ -189,6 +193,12 @@ mod tests {
     fn capacity_clamped_to_one() {
         let h = host(0);
         assert_eq!(h.capacity_eval, 1);
+    }
+
+    #[test]
+    fn scan_position_adds_three_words_to_a_node() {
+        // `OverlayNode` is read on every hop; the cursor rides along.
+        assert!(std::mem::size_of::<InlinkCursor>() + std::mem::size_of::<u64>() <= 24);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 #![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 use ert_core::{
-    assign::initial_indegree_target, build_table, expand_indegree, select_shed_victims, Directory,
-    ErtParams, ShedCandidate,
+    assign::initial_indegree_target, build_table, expand_indegree_over, select_shed_victims,
+    Directory, ErtParams, Expansion, ShedCandidate,
 };
 use ert_overlay::{
-    ring::forward_distance, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, LandmarkFrame,
-    RouteStep, SlotKind,
+    ring::forward_distance, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor,
+    InlinkScan, LandmarkFrame, RouteStep, SlotKind,
 };
 use ert_sim::SimRng;
 
@@ -75,10 +75,11 @@ pub struct Topology {
     /// Bumped by every `add_node` and `remove_node` — the only two
     /// places membership changes (joins, leaves, crashes, Sybil joins
     /// and item-movement relocations all go through them). Stamps the
-    /// exhausted-supply memo of [`Topology::grow_inlinks`].
+    /// scan cursor of [`Topology::grow_inlinks`].
     membership_epoch: u64,
-    /// Memo hits the sanitizer re-scanned (0 in plain release builds).
-    pub(crate) memo_checks: u64,
+    /// Resumed scans the sanitizer re-checked (0 in plain release
+    /// builds).
+    pub(crate) scan_checks: u64,
 }
 
 impl Topology {
@@ -95,7 +96,7 @@ impl Topology {
             landmarks: None,
             link_ops: 0,
             membership_epoch: 0,
-            memo_checks: 0,
+            scan_checks: 0,
         }
     }
 
@@ -207,49 +208,6 @@ impl Topology {
         4 * d * (m + 1 + ascend) + ring * 4 * d / self.space.ring_size()
     }
 
-    fn cube_dist(&self, a: u32, b: u32) -> u64 {
-        let fwd = forward_distance(a as u64, b as u64, self.space.cube_size());
-        fwd.min(self.space.cube_size() - fwd)
-    }
-
-    /// Appends the live members of a reverse region to `out`, nearer
-    /// cubical IDs to `a` first and cubical order on ties — Algorithm
-    /// 1's sequential scan, centered on the probing node — without
-    /// sorting. The registry yields a region in cubical order, and over
-    /// an aligned block of at most half the cube the distance to `a`
-    /// has one of two shapes. If the block holds `a` it is a V: merge
-    /// the walk down from `a` with the walk up from it. If not, it has
-    /// no interior minimum, so the nearest remaining member is always
-    /// at one of the two ends: merge the ends inward.
-    fn push_nearest_first(
-        &self,
-        region: CycloidRegion,
-        a: u32,
-        slot: CycloidSlot,
-        out: &mut Vec<(CycloidSlot, CycloidId)>,
-    ) {
-        debug_assert!(2 * region.id_count() <= self.space.cube_size());
-        let keyed = |m: CycloidId| (self.cube_dist(m.a(), a), m);
-        if (region.a_lo..=region.a_hi).contains(&a) {
-            let (below, above) = (
-                CycloidRegion { a_hi: a, ..region },
-                CycloidRegion { a_lo: a, ..region },
-            );
-            let mut down = self.registry.region_iter(below).rev().map(keyed);
-            let mut up = self.registry.region_iter(above).filter(|m| m.a() != a);
-            merge_nearest_first(slot, out, |upper| match upper {
-                true => up.next().map(keyed),
-                false => down.next(),
-            });
-        } else {
-            let mut members = self.registry.region_iter(region).map(keyed);
-            merge_nearest_first(slot, out, |upper| match upper {
-                true => members.next_back(),
-                false => members.next(),
-            });
-        }
-    }
-
     /// The live region member whose cubical ID is closest to `ideal_a`
     /// (the classic Cycloid neighbor choice), excluding `exclude`.
     fn closest_in_region(
@@ -262,7 +220,7 @@ impl Topology {
             .nodes_in_region(region)
             .into_iter()
             .filter(|&m| m != exclude)
-            .min_by_key(|&m| self.cube_dist(m.a(), ideal_a))
+            .min_by_key(|&m| self.space.cube_dist(m.a(), ideal_a))
     }
 
     /// The classic pair of cyclic neighbors: the region members with the
@@ -419,7 +377,7 @@ impl Topology {
     }
 
     /// Removes the stale outlink `from --slot--> to` after a failed
-    /// contact. `to` must have departed: the exhausted-supply memo of
+    /// contact. `to` must have departed: the scan cursor of
     /// [`Topology::grow_inlinks`] relies on links to live nodes only
     /// ever being dropped by the target's own shed.
     pub fn purge_dead_link(&mut self, from: usize, slot: CycloidSlot, to: CycloidId) {
@@ -458,7 +416,7 @@ impl Topology {
     /// longest logical then physical distance (Algorithm 3). Returns the
     /// number actually shed.
     pub fn shed_inlinks(&mut self, node: usize, count: u32) -> u32 {
-        self.nodes[node].supply_exhausted_at = None;
+        self.nodes[node].scan = InlinkCursor::Start;
         let id = self.nodes[node].id;
         let fingers: Vec<ShedCandidate<CycloidId>> = self.nodes[node]
             .table
@@ -496,19 +454,22 @@ impl Topology {
     pub fn grow_inlinks(&mut self, node: usize, count: u32) -> u32 {
         let target = self.nodes[node].table.indegree() as u32 + count;
         let capped = target.min(self.nodes[node].d_max);
-        self.expand(node, capped)
+        self.expand(node, capped).gained
     }
 
-    /// Algorithm 1 on `node`, behind the exhausted-supply memo.
+    /// Algorithm 1 on `node`, from where its last scan stopped.
     ///
-    /// A scan that reaches the end of the candidate list short of
-    /// `target` has made every candidate point at `node`; it stamps the
-    /// node with the current [membership epoch](Self::membership_epoch).
-    /// While that stamp equals the current epoch a further scan cannot
-    /// gain anything, whatever its target, and is skipped. This is
+    /// A scan pulls a candidate only while the indegree is short of
+    /// `target` and leaves the node's cursor just past the last one it
+    /// pulled, stamped with the current [membership
+    /// epoch](Self::membership_epoch). While that stamp equals the
+    /// current epoch, every candidate before the cursor is `node`
+    /// itself or already points at it, so the next scan starts at the
+    /// cursor without looking at them again — and a cursor at the end
+    /// means no scan can gain anything, whatever its target. This is
     /// exact, not a heuristic:
     ///
-    /// * at a fixed membership the candidate list is fixed (it is a
+    /// * at a fixed membership the candidate sequence is fixed (it is a
     ///   function of the registry, the node's ID and the leaf window);
     /// * `add_link` only ever turns `has_link(c, slot, node)` from
     ///   false to true;
@@ -516,22 +477,36 @@ impl Topology {
     ///   `refresh_ring_slots` only drops departed extras — and a
     ///   departure moves the epoch;
     /// * the one remaining way a live candidate stops pointing at
-    ///   `node` is `node`'s own `shed_inlinks`, which clears the stamp.
+    ///   `node` is `node`'s own `shed_inlinks`, which clears the cursor.
     ///
-    /// Under churn the epoch moves at every event and the memo simply
-    /// stops hitting, at the cost of one integer compare. Sanitizer-
-    /// armed builds re-run the full scan on every hit.
-    fn expand(&mut self, node: usize, target: u32) -> u32 {
+    /// Under churn the epoch moves at every event and every scan simply
+    /// starts from the top, at the cost of one integer compare.
+    /// Sanitizer-armed builds check the skipped prefix on every resume.
+    fn expand(&mut self, node: usize, target: u32) -> Expansion {
         let id = self.nodes[node].id;
-        if self.nodes[node].supply_exhausted_at == Some(self.membership_epoch) {
-            crate::sanitize::check_exhausted_supply(self, id);
-            return 0;
-        }
-        let gained = expand_indegree(self, id, target);
-        if (self.nodes[node].table.indegree() as u32) < target {
-            self.nodes[node].supply_exhausted_at = Some(self.membership_epoch);
-        }
-        gained
+        let epoch = self.membership_epoch;
+        let mut at = match self.nodes[node].scan_epoch == epoch {
+            true => self.nodes[node].scan,
+            false => InlinkCursor::Start,
+        };
+        crate::sanitize::check_resumed_scan(self, id, at);
+        // `add_link` runs between two pulls, so the walk cannot stay
+        // borrowed from the registry: each pull re-enters it at `at`.
+        let done = expand_indegree_over(self, id, target, |topo| {
+            let mut scan = topo.inlink_scan(id, at);
+            let next = scan.next();
+            at = scan.cursor();
+            next.map(inlink_pair)
+        });
+        let node = &mut self.nodes[node];
+        (node.scan, node.scan_epoch) = (at, epoch);
+        done
+    }
+
+    /// Algorithm 1's probe sequence for `node`, from `from` on.
+    pub(crate) fn inlink_scan(&self, node: CycloidId, from: InlinkCursor) -> InlinkScan<'_> {
+        let ring_window = 2 * self.params.leaf_window;
+        self.registry.inlink_scan(node, ring_window, from)
     }
 
     /// Repairs an empty or all-dead entry slot by selecting a fresh
@@ -731,31 +706,17 @@ impl Topology {
     }
 }
 
-/// Two-way merge by distance. `pull(false)` yields the next member on
-/// the side of the smaller cubical IDs, `pull(true)` on the side of the
-/// larger; ties go to the smaller.
-fn merge_nearest_first(
-    slot: CycloidSlot,
-    out: &mut Vec<(CycloidSlot, CycloidId)>,
-    mut pull: impl FnMut(bool) -> Option<(u64, CycloidId)>,
-) {
-    let (mut lower, mut upper) = (pull(false), pull(true));
-    loop {
-        let take_upper = match (lower, upper) {
-            (Some(l), Some(u)) => u.0 < l.0,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (None, None) => return,
-        };
-        let side = if take_upper { &mut upper } else { &mut lower };
-        #[expect(
-            clippy::expect_used,
-            reason = "the match above returns on (None, None) and otherwise picks a side that is Some"
-        )]
-        let (_, member) = side.expect("the chosen side has a member");
-        out.push((slot, member));
-        *side = pull(take_upper);
-    }
+/// An [`InlinkScan`] item with the slot it names spelled as a slot of
+/// this crate's tables.
+pub(crate) fn inlink_pair(
+    (kind, candidate): (Option<SlotKind>, CycloidId),
+) -> (CycloidSlot, CycloidId) {
+    let slot = match kind {
+        Some(SlotKind::Cubical) => CycloidSlot::Cubical,
+        Some(SlotKind::Cyclic) => CycloidSlot::Cyclic,
+        None => CycloidSlot::RingSucc,
+    };
+    (slot, candidate)
 }
 
 impl Directory for Topology {
@@ -774,27 +735,9 @@ impl Directory for Topology {
     }
 
     fn inlink_candidates(&self, node: CycloidId) -> Vec<(CycloidSlot, CycloidId)> {
-        let regions = [
-            (
-                CycloidSlot::Cubical,
-                self.space.reverse_cubical_region(node),
-            ),
-            (CycloidSlot::Cyclic, self.space.reverse_cyclic_region(node)),
-        ];
-        let ring = 2 * self.params.leaf_window;
-        let room: u64 = regions.iter().flat_map(|r| r.1).map(|r| r.id_count()).sum();
-        let mut out = Vec::with_capacity(room as usize + ring);
-        for (slot, region) in regions {
-            if let Some(region) = region {
-                self.push_nearest_first(region, node.a(), slot, &mut out);
-            }
-        }
-        // Ring predecessors may take us as an extra successor candidate
-        // (Theorem 3.3's note that nodes probe their ring neighbors too).
-        for p in self.registry.pred_window(node, ring) {
-            out.push((CycloidSlot::RingSucc, p));
-        }
-        out
+        self.inlink_scan(node, InlinkCursor::Start)
+            .map(inlink_pair)
+            .collect()
     }
 
     fn spare_indegree(&self, node: CycloidId) -> i64 {
@@ -1131,12 +1074,21 @@ mod tests {
             (CycloidSlot::Cyclic, topo.space.reverse_cyclic_region(node)),
         ] {
             let mut members = region.map_or(Vec::new(), |r| topo.registry.nodes_in_region(r));
-            members.sort_by_key(|m| topo.cube_dist(m.a(), node.a()));
+            members.sort_by_key(|m| topo.space.cube_dist(m.a(), node.a()));
             out.extend(members.into_iter().map(|m| (slot, m)));
         }
         let ring = topo.registry.pred_window(node, 2 * topo.params.leaf_window);
         out.extend(ring.into_iter().map(|p| (CycloidSlot::RingSucc, p)));
         out
+    }
+
+    /// What a scan of `node` yields from `from` on, and where it ends.
+    fn scan_from(
+        topo: &Topology,
+        node: CycloidId,
+        from: InlinkCursor,
+    ) -> Vec<(CycloidSlot, CycloidId)> {
+        topo.inlink_scan(node, from).map(inlink_pair).collect()
     }
 
     #[test]
@@ -1158,11 +1110,19 @@ mod tests {
                 // Vacant IDs probe too: a joining node scans before it
                 // is anyone's neighbor.
                 let id = space.from_lin(lin);
-                assert_eq!(
-                    topo.inlink_candidates(id),
-                    sorted_inlink_candidates(&topo, id),
-                    "dim {dim} node {id}"
-                );
+                let sorted = sorted_inlink_candidates(&topo, id);
+                assert_eq!(topo.inlink_candidates(id), sorted, "dim {dim} node {id}");
+                // Resuming after any prefix yields exactly the rest.
+                let mut head = topo.inlink_scan(id, InlinkCursor::Start);
+                for taken in 0..=sorted.len() {
+                    assert_eq!(
+                        scan_from(&topo, id, head.cursor()),
+                        sorted[taken..],
+                        "dim {dim} node {id} after {taken}"
+                    );
+                    head.next();
+                }
+                assert_eq!(head.cursor(), InlinkCursor::End);
             }
         }
     }
@@ -1173,11 +1133,14 @@ mod tests {
         let node = topo.node_idx(topo.space.id(1, 0b0101)).unwrap();
         topo.nodes[node].d_max = 1000;
         assert!(topo.grow_inlinks(node, 1000) > 0);
-        assert_eq!(
-            topo.nodes[node].supply_exhausted_at,
-            Some(topo.membership_epoch)
-        );
+        assert_eq!(live_cursor(topo, node), Some(InlinkCursor::End));
         node
+    }
+
+    /// The node's scan cursor, if the next expansion would resume at it.
+    fn live_cursor(topo: &Topology, node: usize) -> Option<InlinkCursor> {
+        let node = &topo.nodes[node];
+        (node.scan_epoch == topo.membership_epoch).then_some(node.scan)
     }
 
     #[test]
@@ -1188,12 +1151,47 @@ mod tests {
         for (slot, c) in topo.inlink_candidates(id) {
             assert!(topo.has_link(c, slot, id), "{c} does not point at {id}");
         }
-        let (ops, checks) = (topo.link_ops, topo.memo_checks);
-        assert_eq!(topo.grow_inlinks(node, 5), 0);
+        let (ops, checks) = (topo.link_ops, topo.scan_checks);
+        let idle = topo.expand(node, 1000);
+        assert_eq!((idle.gained, idle.examined), (0, 0));
         assert_eq!(topo.link_ops, ops);
-        // The skip is a memo hit, which armed builds re-scan.
+        // A scan resumed at the end is one armed builds re-run in full.
         let rescans = u64::from(crate::sanitize::Sanitizer::ACTIVE);
-        assert_eq!(topo.memo_checks, checks + rescans);
+        assert_eq!(topo.scan_checks, checks + rescans);
+        // Any membership event puts the whole sequence back in play.
+        let other = topo.node_idx(topo.space.id(3, 0b1111)).unwrap();
+        topo.remove_node(other);
+        assert_eq!(live_cursor(&topo, node), None);
+        let rescan = topo.expand(node, 1000);
+        assert_eq!(rescan.gained, 0);
+        assert_eq!(rescan.examined, topo.inlink_candidates(id).len());
+    }
+
+    #[test]
+    fn second_grow_at_a_fixed_epoch_pulls_nothing_the_first_passed() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let node = topo.node_idx(topo.space.id(2, 0b0101)).unwrap();
+        let id = topo.nodes[node].id;
+        topo.nodes[node].d_max = 1000;
+        let sequence = topo.inlink_candidates(id);
+        // The table build already walked part of the sequence.
+        let built = live_cursor(&topo, node).unwrap();
+        let mut passed = sequence.len() - scan_from(&topo, id, built).len();
+        assert!(passed > 0);
+        for _ in 0..2 {
+            let target = topo.nodes[node].table.indegree() as u32 + 2;
+            let step = topo.expand(node, target);
+            assert_eq!(step.gained, 2);
+            // Every pull moved the cursor on by one: none went back to
+            // a candidate an earlier pass had looked at.
+            passed += step.examined;
+            let cursor = live_cursor(&topo, node).unwrap();
+            assert_eq!(scan_from(&topo, id, cursor), sequence[passed..]);
+            // The pass ended on the candidate that met its target.
+            let (slot, last) = sequence[passed - 1];
+            assert!(topo.has_link(last, slot, id));
+        }
+        assert!(passed < sequence.len());
     }
 
     #[test]
@@ -1203,7 +1201,7 @@ mod tests {
         let id = topo.nodes[node].id;
         let before = topo.nodes[node].table.backward_fingers().to_vec();
         assert_eq!(topo.shed_inlinks(node, 3), 3);
-        assert_eq!(topo.nodes[node].supply_exhausted_at, None);
+        assert_eq!(live_cursor(&topo, node), Some(InlinkCursor::Start));
         let shed: Vec<CycloidId> = before
             .iter()
             .copied()
@@ -1216,6 +1214,20 @@ mod tests {
             let h = topo.node_idx(holder).unwrap();
             assert!(topo.nodes[h].table.has_outlink_to(id), "{holder} not back");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "which does not point at it")]
+    fn sanitizer_catches_a_link_dropped_behind_the_cursor() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let node = exhausted_node(&mut topo);
+        let id = topo.nodes[node].id;
+        // A removal path that forgets to clear the cursor.
+        let holder = topo.nodes[node].table.backward_fingers()[0];
+        let h = topo.node_idx(holder).unwrap();
+        assert!(topo.nodes[h].table.purge_peer(id));
+        topo.nodes[node].table.remove_backward(holder);
+        topo.grow_inlinks(node, 1);
     }
 
     #[test]
@@ -1232,11 +1244,118 @@ mod tests {
         let node = exhausted_node(&mut topo);
         assert_eq!(topo.grow_inlinks(node, 1000), 0);
         topo.add_node(joiner, host, 4);
+        assert_eq!(live_cursor(&topo, node), None);
         assert!(topo.grow_inlinks(node, 1000) >= 1);
         assert!(topo.has_link(joiner, CycloidSlot::Cyclic, id));
-        assert_eq!(
-            topo.nodes[node].supply_exhausted_at,
-            Some(topo.membership_epoch)
-        );
+        assert_eq!(live_cursor(&topo, node), Some(InlinkCursor::End));
+    }
+    /// A dim-`dim` overlay with Pareto-ish capacities, `fill` of its IDs
+    /// live, every table built.
+    fn random_world(dim: u8, fill: f64, seed: u64) -> (Topology, SimRng) {
+        let space = CycloidSpace::new(dim);
+        let params = ErtParams::default().with_alpha_for_dim(dim);
+        let mut topo = Topology::new(space, TablePolicy::Elastic, params);
+        let mut rng = SimRng::seed_from(seed);
+        for lin in 0..space.ring_size() {
+            if rng.gen::<f64>() < fill {
+                let cap = 1.0 + 3.0 * rng.gen::<f64>();
+                let d_max = max_indegree(params.alpha, cap);
+                let host = topo.add_host(Host::new(cap, cap, cap, d_max, Coord::random(&mut rng)));
+                topo.add_node(space.from_lin(lin), host, d_max);
+            }
+        }
+        for n in 0..topo.nodes.len() {
+            topo.build_node_table(n, &mut rng);
+        }
+        (topo, rng)
+    }
+
+    /// One membership or adaptation event, as `Network` performs it, on
+    /// the `pick`-th live node. Returns what the event reported.
+    fn step(topo: &mut Topology, rng: &mut SimRng, op: u8, pick: usize, count: u32) -> u32 {
+        let live: Vec<usize> = (0..topo.nodes.len())
+            .filter(|&n| topo.nodes[n].alive)
+            .collect();
+        let node = live[pick % live.len()];
+        let host = topo.nodes[node].host;
+        match op {
+            // Algorithm 3, underloaded.
+            0..=3 => {
+                let cap = 8 * topo.hosts[host].capacity_eval.max(8);
+                topo.nodes[node].d_max = (topo.nodes[node].d_max + count).min(cap);
+                topo.grow_inlinks(node, count)
+            }
+            // Algorithm 3, overloaded.
+            4 | 5 => {
+                let shed = topo.shed_inlinks(node, count);
+                topo.nodes[node].d_max = topo.nodes[node].d_max.saturating_sub(shed).max(1);
+                shed
+            }
+            // A join on a vacant ID.
+            6 => match topo.registry.random_vacant(rng) {
+                Some(id) => {
+                    let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 6, Coord::random(rng)));
+                    let fresh = topo.add_node(id, host, 6);
+                    topo.build_node_table(fresh, rng);
+                    topo.nodes[fresh].table.indegree() as u32
+                }
+                None => 0,
+            },
+            // A leave; holders find the stale links later.
+            7 if live.len() > 8 => {
+                topo.remove_node(node);
+                1
+            }
+            // Item movement: the node leaves and rejoins elsewhere.
+            8 => match topo.registry.random_vacant(rng) {
+                Some(id) => {
+                    let d_max = topo.nodes[node].d_max;
+                    topo.remove_node(node);
+                    let fresh = topo.add_node(id, host, d_max);
+                    topo.build_node_table(fresh, rng);
+                    topo.nodes[fresh].table.indegree() as u32
+                }
+                None => 0,
+            },
+            // A stabilization round: purge, repair, refresh ring slots.
+            _ => topo.stabilize_node(node, rng),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// Two copies of one world take the same grow / shed / join /
+        /// leave / relocation / stabilization steps; one resumes its
+        /// scans, the other has every cursor cleared before each step.
+        /// They must never differ — a link-removal path that forgets to
+        /// clear the cursor fails here.
+        #[test]
+        fn resumed_scans_change_nothing_a_from_scratch_scan_would_do(
+            dim in 4u8..7,
+            dense in proptest::bool::ANY,
+            seed in 0u64..1000,
+            // Few nodes take most steps, so one node's grows, sheds and
+            // the membership events around it interleave often.
+            ops in proptest::collection::vec((0u8..10, 0usize..5, 1u32..6), 1..60),
+        ) {
+            let fill = if dense { 0.9 } else { 0.35 };
+            let (mut resumed, mut rng_a) = random_world(dim, fill, seed);
+            let (mut scratch, mut rng_b) = random_world(dim, fill, seed);
+            for (op, pick, count) in ops {
+                for node in &mut scratch.nodes {
+                    node.scan = InlinkCursor::Start;
+                }
+                let did = step(&mut resumed, &mut rng_a, op, pick, count);
+                assert_eq!(did, step(&mut scratch, &mut rng_b, op, pick, count));
+                assert_eq!(resumed.link_ops, scratch.link_ops);
+                assert_eq!(resumed.nodes.len(), scratch.nodes.len());
+                for (a, b) in resumed.nodes.iter().zip(&scratch.nodes) {
+                    assert_eq!((a.id, a.alive, a.d_max), (b.id, b.alive, b.d_max));
+                    assert_eq!(a.table.backward_fingers(), b.table.backward_fingers());
+                    assert!(a.table.iter_outlinks().eq(b.table.iter_outlinks()), "{}", a.id);
+                }
+            }
+        }
     }
 }

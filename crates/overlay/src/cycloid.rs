@@ -267,6 +267,13 @@ impl CycloidSpace {
         })
     }
 
+    /// Distance between two cubical IDs around the cube, the shorter
+    /// way.
+    pub fn cube_dist(self, a: u32, b: u32) -> u64 {
+        let fwd = forward_distance(a as u64, b as u64, self.cube_size());
+        fwd.min(self.cube_size() - fwd)
+    }
+
     /// One hop of the original Cycloid routing algorithm, as a slot
     /// decision.
     ///
@@ -296,10 +303,11 @@ impl CycloidSpace {
 /// The set of live Cycloid IDs, with the ring / cycle / region queries
 /// the protocol needs.
 ///
-/// Internally two sorted indexes are kept: cubical-major (the global
-/// ring, for successor/owner/window queries) and cyclic-major (so entry
-/// regions — a fixed `k` with a cubical range — are contiguous range
-/// scans).
+/// Internally two indexes are kept: a sorted cubical-major one (the
+/// global ring, for successor/owner/window queries) and a cyclic-major
+/// bitmap (so entry regions — a fixed `k` with a cubical range — are
+/// contiguous bit ranges, and the nearest member to either side of a
+/// cubical ID is a word scan rather than a tree descent).
 ///
 /// ```
 /// use ert_overlay::{CycloidSpace, CycloidRegistry};
@@ -316,8 +324,8 @@ pub struct CycloidRegistry {
     space: CycloidSpace,
     /// Ring order: `a·d + k`.
     a_major: BTreeSet<u64>,
-    /// Region order: `k·2^d + a`.
-    k_major: BTreeSet<u64>,
+    /// Region order: bit `k·2^d + a` is set while `(k, a)` is live.
+    k_major: Vec<u64>,
 }
 
 impl CycloidRegistry {
@@ -326,7 +334,7 @@ impl CycloidRegistry {
         CycloidRegistry {
             space,
             a_major: BTreeSet::new(),
-            k_major: BTreeSet::new(),
+            k_major: vec![0; space.ring_size().div_ceil(64) as usize],
         }
     }
 
@@ -335,15 +343,20 @@ impl CycloidRegistry {
         self.space
     }
 
-    fn kmaj(&self, id: CycloidId) -> u64 {
-        id.k as u64 * self.space.cube_size() + id.a as u64
+    fn set_k_major(&mut self, id: CycloidId, live: bool) {
+        let bit = id.k as u64 * self.space.cube_size() + id.a as u64;
+        let word = &mut self.k_major[(bit / 64) as usize];
+        match live {
+            true => *word |= 1 << (bit % 64),
+            false => *word &= !(1 << (bit % 64)),
+        }
     }
 
     /// Adds `id`; returns `false` if it was already present.
     pub fn insert(&mut self, id: CycloidId) -> bool {
         let fresh = self.a_major.insert(self.space.lin(id));
         if fresh {
-            self.k_major.insert(self.kmaj(id));
+            self.set_k_major(id, true);
         }
         fresh
     }
@@ -352,7 +365,7 @@ impl CycloidRegistry {
     pub fn remove(&mut self, id: CycloidId) -> bool {
         let had = self.a_major.remove(&self.space.lin(id));
         if had {
-            self.k_major.remove(&self.kmaj(id));
+            self.set_k_major(id, false);
         }
         had
     }
@@ -415,33 +428,74 @@ impl CycloidRegistry {
         prev.map(|&l| self.space.from_lin(l))
     }
 
-    /// The live members of a region, in cubical order, without
-    /// collecting them. Double-ended, so a caller can walk a region
-    /// from both edges at once.
-    pub fn region_iter(
-        &self,
-        region: CycloidRegion,
-    ) -> impl DoubleEndedIterator<Item = CycloidId> + '_ {
-        let base = region.k as u64 * self.space.cube_size();
-        self.k_major
-            .range(base + region.a_lo as u64..=base + region.a_hi as u64)
-            .map(move |&km| CycloidId {
-                k: region.k,
-                a: (km - base) as u32,
-            })
+    /// The cubical IDs in `lo..hi` that are live at cyclic index `k`,
+    /// in order.
+    fn cubicals(&self, k: u8, lo: u32, hi: u32) -> impl Iterator<Item = u32> + '_ {
+        let base = k as u64 * self.space.cube_size();
+        let (from, end) = (base + lo as u64, base + hi as u64);
+        let mut at = (from / 64) as usize;
+        let mut word = self.k_major.get(at).map_or(0, |w| w & (!0 << (from % 64)));
+        std::iter::from_fn(move || {
+            while word == 0 {
+                at += 1;
+                word = *self.k_major.get(at).filter(|_| (at as u64) * 64 < end)?;
+            }
+            let bit = at as u64 * 64 + word.trailing_zeros() as u64;
+            word &= word - 1;
+            (bit < end).then(|| (bit - base) as u32)
+        })
+    }
+
+    /// The largest cubical ID in `lo..hi` that is live at cyclic index
+    /// `k`.
+    fn last_cubical(&self, k: u8, lo: u32, hi: u32) -> Option<u32> {
+        let base = k as u64 * self.space.cube_size();
+        let (from, last) = (base + lo as u64, (base + hi as u64).checked_sub(1)?);
+        let mut at = (last / 64) as usize;
+        let mut word = self.k_major.get(at)? & (!0 >> (63 - last % 64));
+        while word == 0 {
+            at = at
+                .checked_sub(1)
+                .filter(|&at| (at as u64 + 1) * 64 > from)?;
+            word = self.k_major[at];
+        }
+        let bit = at as u64 * 64 + 63 - word.leading_zeros() as u64;
+        (bit >= from).then(|| (bit - base) as u32)
     }
 
     /// The live members of a region, in cubical order.
     pub fn nodes_in_region(&self, region: CycloidRegion) -> Vec<CycloidId> {
-        self.region_iter(region).collect()
+        self.cubicals(region.k, region.a_lo, region.a_hi + 1)
+            .map(|a| CycloidId { k: region.k, a })
+            .collect()
     }
 
     /// Number of live members of a region.
     pub fn region_population(&self, region: CycloidRegion) -> usize {
-        let base = region.k as u64 * self.space.cube_size();
-        self.k_major
-            .range(base + region.a_lo as u64..=base + region.a_hi as u64)
+        self.cubicals(region.k, region.a_lo, region.a_hi + 1)
             .count()
+    }
+
+    /// Algorithm 1's probe order for `node`, lazily, from `from` on:
+    /// the live members of the reverse cubical region, then of the
+    /// reverse cyclic region — each nearest cubical ID to `node`'s
+    /// first, the smaller ID on ties — then the `ring_window` nearest
+    /// ring predecessors, which may take `node` as an extra successor
+    /// (Theorem 3.3's note that nodes probe their ring neighbors too).
+    /// `node` need not be live: a joining node scans before it is
+    /// anyone's neighbor.
+    pub fn inlink_scan(
+        &self,
+        node: CycloidId,
+        ring_window: usize,
+        from: InlinkCursor,
+    ) -> InlinkScan<'_> {
+        InlinkScan {
+            registry: self,
+            node,
+            ring_window,
+            at: from,
+        }
     }
 
     /// Live members of `id`'s own cycle with a *higher* cyclic index,
@@ -476,20 +530,15 @@ impl CycloidRegistry {
     /// The previous `window` live IDs strictly before `id` on the ring
     /// (wrapping, excluding `id`), nearest first.
     pub fn pred_window(&self, id: CycloidId, window: usize) -> Vec<CycloidId> {
+        self.preds(id).take(window).collect()
+    }
+
+    /// Every live ID but `id`, walking the ring backwards from it.
+    fn preds(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
         let lin = self.space.lin(id);
-        let mut out = Vec::with_capacity(window);
-        for &l in self
-            .a_major
-            .range(..lin)
-            .rev()
-            .chain(self.a_major.range(lin + 1..).rev())
-        {
-            if out.len() == window {
-                break;
-            }
-            out.push(self.space.from_lin(l));
-        }
-        out
+        let before = self.a_major.range(..lin).rev();
+        let wrapped = self.a_major.range(lin + 1..).rev();
+        before.chain(wrapped).map(|&l| self.space.from_lin(l))
     }
 
     /// The highest-`k` member of a cycle (its "head"), or `None` for an
@@ -573,6 +622,142 @@ impl CycloidRegistry {
             if lin == start {
                 return None;
             }
+        }
+    }
+}
+
+/// Where a scan of [`CycloidRegistry::inlink_scan`] stands: the phase of
+/// the probe order it is in and what that phase has left. It is a
+/// position in one node's sequence at one membership and means nothing
+/// for another node or once the registry has changed. In the two region
+/// phases it is a function of the last member yielded (everything
+/// nearer, and the smaller ID at the same distance, went before it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum InlinkCursor {
+    /// Nothing yielded yet.
+    #[default]
+    Start,
+    /// In the reverse cubical region. The block does not hold the
+    /// node's cubical ID and spans at most half the cube, so the
+    /// distance has no interior minimum and the nearest member left is
+    /// at one of the two ends: the members in `lo..hi` are left.
+    Cubical {
+        /// First cubical ID not yet passed from below.
+        lo: u32,
+        /// End of the cubical IDs not yet passed from above.
+        hi: u32,
+    },
+    /// In the reverse cyclic region. The block holds the node's cubical
+    /// ID, so the distance is a V around it and the walk goes outward:
+    /// the region's members below `lo` and from `hi` up are left.
+    Cyclic {
+        /// End of the cubical IDs not yet passed on the way down.
+        lo: u32,
+        /// First cubical ID not yet passed on the way up.
+        hi: u32,
+    },
+    /// In the ring window, `taken` predecessors in.
+    Ring {
+        /// Ring predecessors yielded so far.
+        taken: u32,
+    },
+    /// Past the last candidate.
+    End,
+}
+
+/// The iterator of [`CycloidRegistry::inlink_scan`]. Items are the
+/// candidate and the slot of *its* table that may point at the node:
+/// `Some` entry slot for a region member, `None` for a ring predecessor
+/// (its successor slot).
+#[derive(Debug, Clone)]
+pub struct InlinkScan<'a> {
+    registry: &'a CycloidRegistry,
+    node: CycloidId,
+    ring_window: usize,
+    at: InlinkCursor,
+}
+
+impl InlinkScan<'_> {
+    /// The position after the last item yielded: hand it to
+    /// [`CycloidRegistry::inlink_scan`] to get exactly the rest.
+    pub fn cursor(&self) -> InlinkCursor {
+        self.at
+    }
+
+    /// The nearer of the next member on the lower and on the upper
+    /// side, and whether it is the upper one.
+    fn nearer(&self, lower: Option<u32>, upper: Option<u32>) -> Option<(u32, bool)> {
+        let dist = |m: u32| self.registry.space.cube_dist(m, self.node.a);
+        match (lower, upper) {
+            (Some(l), Some(u)) if dist(u) < dist(l) => Some((u, true)),
+            (Some(l), _) => Some((l, false)),
+            (None, u) => u.map(|u| (u, true)),
+        }
+    }
+}
+
+impl Iterator for InlinkScan<'_> {
+    type Item = (Option<SlotKind>, CycloidId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (reg, node) = (self.registry, self.node);
+        // Both reverse regions sit one cyclic index up.
+        let k = node.k + 1;
+        loop {
+            self.at = match self.at {
+                InlinkCursor::Start => match reg.space.reverse_cubical_region(node) {
+                    Some(r) => InlinkCursor::Cubical {
+                        lo: r.a_lo,
+                        hi: r.a_hi + 1,
+                    },
+                    None => InlinkCursor::Ring { taken: 0 },
+                },
+                InlinkCursor::Cubical { lo, hi } => {
+                    let lower = reg.cubicals(k, lo, hi).next();
+                    let upper = reg.last_cubical(k, lo, hi);
+                    match self.nearer(lower, upper) {
+                        Some((a, is_upper)) => {
+                            self.at = match is_upper {
+                                true => InlinkCursor::Cubical { lo, hi: a },
+                                false => InlinkCursor::Cubical { lo: a + 1, hi },
+                            };
+                            return Some((Some(SlotKind::Cubical), CycloidId { k, a }));
+                        }
+                        None => InlinkCursor::Cyclic {
+                            lo: node.a + 1,
+                            hi: node.a + 1,
+                        },
+                    }
+                }
+                InlinkCursor::Cyclic { lo, hi } => {
+                    let next = reg.space.reverse_cyclic_region(node).and_then(|r| {
+                        let lower = reg.last_cubical(k, r.a_lo, lo);
+                        let upper = reg.cubicals(k, hi, r.a_hi + 1).next();
+                        self.nearer(lower, upper)
+                    });
+                    match next {
+                        Some((a, is_upper)) => {
+                            self.at = match is_upper {
+                                true => InlinkCursor::Cyclic { lo, hi: a + 1 },
+                                false => InlinkCursor::Cyclic { lo: a, hi },
+                            };
+                            return Some((Some(SlotKind::Cyclic), CycloidId { k, a }));
+                        }
+                        None => InlinkCursor::Ring { taken: 0 },
+                    }
+                }
+                InlinkCursor::Ring { taken } => {
+                    let mut window = reg.preds(node).take(self.ring_window);
+                    match window.nth(taken as usize) {
+                        Some(pred) => {
+                            self.at = InlinkCursor::Ring { taken: taken + 1 };
+                            return Some((None, pred));
+                        }
+                        None => InlinkCursor::End,
+                    }
+                }
+                InlinkCursor::End => return None,
+            };
         }
     }
 }
@@ -773,6 +958,35 @@ mod tests {
         let found = reg.nodes_in_region(region);
         assert_eq!(found, inside.to_vec());
         assert_eq!(reg.region_population(region), 2);
+    }
+
+    #[test]
+    fn bitmap_range_queries_match_a_linear_search() {
+        let mut rng = ChaCha12Rng::seed_from_u64(11);
+        // Cubes of 8, 64 and 256 IDs: within one word, word-aligned,
+        // and several words per cyclic index.
+        for (dim, fill) in [(3, 0.5), (6, 0.1), (8, 0.02), (8, 0.7)] {
+            let s = CycloidSpace::new(dim);
+            let mut reg = CycloidRegistry::new(s);
+            for lin in 0..s.ring_size() {
+                if rng.gen::<f64>() < fill {
+                    reg.insert(s.from_lin(lin));
+                }
+            }
+            // Departures clear their bit.
+            for id in reg.iter().step_by(3).collect::<Vec<_>>() {
+                reg.remove(id);
+            }
+            let cube = s.cube_size() as u32;
+            for _ in 0..400 {
+                let k = rng.gen_range(0..dim);
+                let (x, y) = (rng.gen_range(0..=cube), rng.gen_range(0..=cube));
+                let (lo, hi) = (x.min(y), x.max(y));
+                let live: Vec<u32> = (lo..hi).filter(|&a| reg.contains(s.id(k, a))).collect();
+                assert_eq!(reg.last_cubical(k, lo, hi), live.last().copied());
+                assert_eq!(reg.cubicals(k, lo, hi).collect::<Vec<_>>(), live);
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,10 @@ pub mod ring;
 
 pub use chord::{ChordRegistry, ChordSpace};
 pub use coords::Coord;
-pub use cycloid::{CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, RouteStep, SlotKind};
+pub use cycloid::{
+    CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan, RouteStep,
+    SlotKind,
+};
 pub use landmarks::{LandmarkFrame, LandmarkVector};
 pub use pastry::{PastryRegistry, PastrySpace};
 pub use ring::RingRange;

@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
-# tools/bench-pairs.sh <parent-ref> <workload> [pairs=10]
+# tools/bench-pairs.sh <parent-ref> <workload>[,<workload>...] [pairs=10]
 #
 # The paired measurement a perf PR is judged by (choosing-metrics §8):
 # copies <parent-ref> and the working tree (tracked and untracked files,
-# nothing ignored) into two plain directories, builds the benchmark in
-# each, runs BENCHMARK.json's command on <workload> alternately — parent
-# first on odd pairs, change first on even ones, pair i with seed i on
-# both sides — and hands both `--out` files to `ert-benchmark compare`.
-# Exits with compare's status: 1 on any `worse` / `differs` row.
+# nothing ignored) into two plain directories and builds the benchmark
+# in each, once. Then, for each listed workload in turn, runs
+# BENCHMARK.json's command alternately — parent first on odd pairs,
+# change first on even ones, pair i with seed i on both sides — and
+# hands that workload's two `--out` files to `ert-benchmark compare`.
+# Exits 1 if any workload's compare reports a `worse` / `differs` row.
 #
-# Everything lands in .bench_build/pairs-<workload>/ (ignored) and stays
-# there: the two trees and the two .jsonl files.
+# Everything lands in .bench_build/pairs-<workloads>/ (ignored) and
+# stays there: the two trees and, per workload, parent-<workload>.jsonl
+# and change-<workload>.jsonl.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+    echo "usage: $0 <parent-ref> <workload>[,<workload>...] [pairs=10]" >&2
     exit 2
 fi
 parent_ref=$1
-workload=$2
+IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
 if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
     echo "$0: pairs must be a positive integer, got '$pairs'" >&2
@@ -26,7 +28,7 @@ if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
 fi
 
 root=$(git rev-parse --show-toplevel)
-work="$root/.bench_build/pairs-$workload"
+work="$root/.bench_build/pairs-$2"
 # BENCHMARK.json's `command` and `run_seconds`.
 bench=(cargo run --release --offline --quiet --manifest-path ert-benchmark/Cargo.toml --)
 seconds=15
@@ -43,13 +45,17 @@ for side in parent change; do
     (cd "$work/$side" && cargo build --release --offline --quiet --manifest-path ert-benchmark/Cargo.toml)
 done
 
-for ((pair = 1; pair <= pairs; pair++)); do
-    if ((pair % 2)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do
-        echo "pair $pair/$pairs: $side, seed $pair" >&2
-        (cd "$work/$side" && "${bench[@]}" --workload "$workload" --seed "$pair" \
-            --seconds "$seconds" --trace 0 --out "$work/$side.jsonl" >/dev/null)
+status=0
+for workload in "${workloads[@]}"; do
+    for ((pair = 1; pair <= pairs; pair++)); do
+        if ((pair % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            echo "$workload pair $pair/$pairs: $side, seed $pair" >&2
+            (cd "$work/$side" && "${bench[@]}" --workload "$workload" --seed "$pair" \
+                --seconds "$seconds" --trace 0 --out "$work/$side-$workload.jsonl" >/dev/null)
+        done
     done
+    (cd "$work/change" && "${bench[@]}" compare "$work/parent-$workload.jsonl" "$work/change-$workload.jsonl") ||
+        status=1
 done
-
-(cd "$work/change" && "${bench[@]}" compare "$work/parent.jsonl" "$work/change.jsonl")
+exit "$status"
