@@ -435,7 +435,7 @@ impl Network {
     /// `sanitize` feature), where the checks compile out; tests use
     /// this to prove the sanitizer actually covered the run.
     pub fn sanitize_checks(&self) -> u64 {
-        self.sanitizer.checks() + self.topo.scan_checks
+        self.sanitizer.checks() + self.topo.scan_checks + self.topo.ring_checks
     }
 
     /// Which theorem envelopes the sanitizer skipped for this run, each

@@ -335,6 +335,25 @@ pub(crate) fn check_resumed_scan(topo: &mut Topology, node: CycloidId, at: Inlin
     topo.scan_checks += 1;
 }
 
+/// The differential for `Topology`'s ring-slot stamp, run on every
+/// refresh the stamp skips: rebuilding both ring slots from the
+/// registry's windows and the surviving extras must give exactly what
+/// the table holds, in stored order.
+pub(crate) fn check_ring_slots(topo: &mut Topology, node: usize) {
+    if !Sanitizer::ACTIVE {
+        return;
+    }
+    for (slot, rebuilt) in topo.rebuilt_ring_slots(node) {
+        let stored = topo.nodes[node].table.outlinks(slot);
+        assert!(
+            stored == rebuilt,
+            "sanitize: skipped refresh of {} would turn its {slot:?} slot {stored:?} into {rebuilt:?}",
+            topo.nodes[node].id
+        );
+    }
+    topo.ring_checks += 1;
+}
+
 /// Structural slack shared by the degree envelopes: mandatory Cycloid
 /// links (leaf-set, cyclic, cubical) sit outside the elastic budget;
 /// the theorems bury them in O(1)/O(2^d/d) terms, so the envelopes get

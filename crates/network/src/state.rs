@@ -134,7 +134,14 @@ pub struct OverlayNode {
     /// The membership epoch `scan` was taken at; at any other epoch the
     /// position means nothing and the scan starts over.
     pub(crate) scan_epoch: u64,
+    /// The membership epoch the two ring slots were last rebuilt at, or
+    /// [`UNSTAMPED`]: while it is the current one a refresh would change
+    /// nothing (see `Topology::refresh_ring_slots`).
+    pub(crate) ring_epoch: u64,
 }
+
+/// A `ring_epoch` no membership epoch equals: the next refresh rebuilds.
+pub(crate) const UNSTAMPED: u64 = u64::MAX;
 
 impl OverlayNode {
     /// Creates a node with an empty table.
@@ -147,6 +154,7 @@ impl OverlayNode {
             alive: true,
             scan: InlinkCursor::Start,
             scan_epoch: 0,
+            ring_epoch: UNSTAMPED,
         }
     }
 
@@ -196,9 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_position_adds_three_words_to_a_node() {
-        // `OverlayNode` is read on every hop; the cursor rides along.
-        assert!(std::mem::size_of::<InlinkCursor>() + std::mem::size_of::<u64>() <= 24);
+    fn scan_position_and_ring_stamp_add_four_words_to_a_node() {
+        // `OverlayNode` is read on every hop; the cursor and the two
+        // epoch stamps ride along.
+        assert!(std::mem::size_of::<InlinkCursor>() + 2 * std::mem::size_of::<u64>() <= 32);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use ert_overlay::{
 use ert_sim::SimRng;
 
 use crate::spec::{CycloidSlot, TablePolicy};
-use crate::state::{Host, OverlayNode};
+use crate::state::{Host, OverlayNode, UNSTAMPED};
 
 /// Routing candidates for one hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,11 +75,15 @@ pub struct Topology {
     /// Bumped by every `add_node` and `remove_node` — the only two
     /// places membership changes (joins, leaves, crashes, Sybil joins
     /// and item-movement relocations all go through them). Stamps the
-    /// scan cursor of [`Topology::grow_inlinks`].
+    /// scan cursor of [`Topology::grow_inlinks`] and the ring slots of
+    /// [`Topology::refresh_ring_slots`].
     membership_epoch: u64,
     /// Resumed scans the sanitizer re-checked (0 in plain release
     /// builds).
     pub(crate) scan_checks: u64,
+    /// Skipped ring-slot refreshes the sanitizer re-checked (0 in plain
+    /// release builds).
+    pub(crate) ring_checks: u64,
 }
 
 impl Topology {
@@ -97,6 +101,7 @@ impl Topology {
             link_ops: 0,
             membership_epoch: 0,
             scan_checks: 0,
+            ring_checks: 0,
         }
     }
 
@@ -344,21 +349,58 @@ impl Topology {
 
     /// Refreshes the structural ring slots from the membership view,
     /// keeping any still-live elastic extras gained through indegree
-    /// expansion.
+    /// expansion — once per membership epoch: a node whose slots carry
+    /// the current epoch's stamp returns at once. Skipping is exact, not
+    /// a heuristic:
+    ///
+    /// * at a fixed membership `succ_window` / `pred_window` and every
+    ///   `is_alive` answer are fixed;
+    /// * a refresh leaves each ring slot as *structural members, then
+    ///   surviving extras in stored order*, and rebuilding that from
+    ///   itself changes nothing;
+    /// * `add_link(.., RingSucc, ..)` appends an extra, which a refresh
+    ///   would keep where it is;
+    /// * `purge_dead_link` and ID reuse only follow a departure, which
+    ///   moves the epoch;
+    /// * the one remaining writer is another node's `shed_inlinks`,
+    ///   which can take out even a *structural* member (the next
+    ///   refresh re-adds it — ring links are not backward-tracked), and
+    ///   that write clears the stamp.
+    ///
+    /// Under churn the epoch moves at every event and every ring hop
+    /// rebuilds as before, at the cost of one integer compare.
+    /// Sanitizer-armed builds rebuild on every skip and compare.
     pub fn refresh_ring_slots(&mut self, node: usize) {
-        let id = self.nodes[node].id;
+        if self.nodes[node].ring_epoch == self.membership_epoch {
+            crate::sanitize::check_ring_slots(self, node);
+            return;
+        }
+        self.nodes[node].ring_epoch = self.membership_epoch;
+        for (slot, members) in self.rebuilt_ring_slots(node) {
+            self.nodes[node].table.set_slot(slot, members);
+        }
+    }
+
+    /// What a refresh makes of `node`'s two ring slots: the leaf window
+    /// on that side, then the live entries the slot holds beyond it, in
+    /// stored order.
+    pub(crate) fn rebuilt_ring_slots(&self, node: usize) -> [(CycloidSlot, Vec<CycloidId>); 2] {
+        let me = &self.nodes[node];
         let window = self.params.leaf_window;
-        let succ = self.registry.succ_window(id, window);
-        let pred = self.registry.pred_window(id, window);
-        for (slot, structural) in [(CycloidSlot::RingSucc, succ), (CycloidSlot::RingPred, pred)] {
-            let mut members: Vec<CycloidId> = structural;
-            for extra in self.nodes[node].table.outlinks(slot).to_vec() {
+        let with_extras = |slot, mut members: Vec<CycloidId>| {
+            for &extra in me.table.outlinks(slot) {
                 if self.is_alive(extra) && !members.contains(&extra) {
                     members.push(extra);
                 }
             }
-            self.nodes[node].table.set_slot(slot, members);
-        }
+            (slot, members)
+        };
+        let succ = self.registry.succ_window(me.id, window).collect();
+        let pred = self.registry.pred_window(me.id, window).collect();
+        [
+            with_extras(CycloidSlot::RingSucc, succ),
+            with_extras(CycloidSlot::RingPred, pred),
+        ]
     }
 
     /// Updates the degree watermarks on the host backing `node`.
@@ -432,14 +474,20 @@ impl Topology {
         let mut shed = 0;
         for v in victims {
             if let Some(vidx) = self.node_idx(v) {
-                // The holder drops us from every elastic slot.
+                // The holder drops us from every elastic slot. In a ring
+                // slot we may have been a structural member, which the
+                // holder's next refresh has to put back.
+                let holder = &mut self.nodes[vidx];
                 for slot in [
                     CycloidSlot::Cubical,
                     CycloidSlot::Cyclic,
                     CycloidSlot::RingSucc,
                     CycloidSlot::RingPred,
                 ] {
-                    self.nodes[vidx].table.remove_outlink(slot, id);
+                    let ring = matches!(slot, CycloidSlot::RingSucc | CycloidSlot::RingPred);
+                    if holder.table.remove_outlink(slot, id) && ring {
+                        holder.ring_epoch = UNSTAMPED;
+                    }
                 }
             }
             self.nodes[node].table.remove_backward(v);
@@ -474,8 +522,8 @@ impl Topology {
     /// * `add_link` only ever turns `has_link(c, slot, node)` from
     ///   false to true;
     /// * `purge_dead_link` only names departed targets, and
-    ///   `refresh_ring_slots` only drops departed extras — and a
-    ///   departure moves the epoch;
+    ///   `refresh_ring_slots` only drops departed extras (and puts back
+    ///   structural members) — and a departure moves the epoch;
     /// * the one remaining way a live candidate stops pointing at
     ///   `node` is `node`'s own `shed_inlinks`, which clears the cursor.
     ///
@@ -628,7 +676,7 @@ impl Topology {
                 })
             }
             RouteStep::Ascend => {
-                let mut ids = self.registry.cycle_above(me);
+                let mut ids: Vec<CycloidId> = self.registry.cycle_above(me).collect();
                 if ids.is_empty() {
                     // Top of the own cycle: continue ascending at the
                     // head of the *next* cycle (Cycloid's outside leaf
@@ -1078,7 +1126,7 @@ mod tests {
             out.extend(members.into_iter().map(|m| (slot, m)));
         }
         let ring = topo.registry.pred_window(node, 2 * topo.params.leaf_window);
-        out.extend(ring.into_iter().map(|p| (CycloidSlot::RingSucc, p)));
+        out.extend(ring.map(|p| (CycloidSlot::RingSucc, p)));
         out
     }
 
@@ -1230,6 +1278,60 @@ mod tests {
         topo.grow_inlinks(node, 1);
     }
 
+    /// The ring slots of `node`, `RingSucc` first.
+    fn ring_slots(topo: &Topology, node: usize) -> [Vec<CycloidId>; 2] {
+        [CycloidSlot::RingSucc, CycloidSlot::RingPred]
+            .map(|slot| topo.nodes[node].table.outlinks(slot).to_vec())
+    }
+
+    #[test]
+    fn a_shed_that_edits_a_ring_slot_clears_that_holders_stamp() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let epoch = topo.membership_epoch;
+        // Every table was built after the last join.
+        assert!(topo.nodes.iter().all(|n| n.ring_epoch == epoch));
+        // A node some ring neighbor also holds through an entry slot,
+        // so that it is both a backward finger and a leaf-set member.
+        let holds = |topo: &Topology, h: usize, id| ring_slots(topo, h).concat().contains(&id);
+        let (node, holder) = (0..topo.nodes.len())
+            .find_map(|n| {
+                let fingers = topo.nodes[n].table.backward_fingers();
+                let holders = fingers.iter().filter_map(|&bf| topo.node_idx(bf));
+                let mut in_leaf_set = holders.filter(|&h| holds(&topo, h, topo.nodes[n].id));
+                in_leaf_set.next().map(|h| (n, h))
+            })
+            .expect("some entry link runs between ring neighbors");
+        let id = topo.nodes[node].id;
+        let before = ring_slots(&topo, holder);
+        let bystander = (0..topo.nodes.len())
+            .find(|&n| !topo.nodes[n].table.has_outlink_to(id))
+            .unwrap();
+        let everyone = topo.nodes[node].table.indegree() as u32;
+        assert_eq!(topo.shed_inlinks(node, everyone), everyone);
+        // The shed took a structural member out of the holder's slot
+        // and said so; tables it did not edit keep their stamp.
+        assert!(!holds(&topo, holder, id));
+        assert_eq!(topo.nodes[holder].ring_epoch, UNSTAMPED);
+        assert_eq!(topo.nodes[bystander].ring_epoch, epoch);
+        // The holder's next refresh puts the member back where it was.
+        topo.refresh_ring_slots(holder);
+        assert_eq!(ring_slots(&topo, holder), before);
+        assert_eq!(topo.nodes[holder].ring_epoch, epoch);
+    }
+
+    #[test]
+    #[should_panic(expected = "skipped refresh of")]
+    fn sanitizer_catches_a_ring_slot_edited_behind_the_stamp() {
+        let (mut topo, mut rng) = full_topology(TablePolicy::Elastic);
+        let node = 5;
+        let succ = topo.nodes[node].table.outlinks(CycloidSlot::RingSucc)[0];
+        // A removal path that forgets to clear the stamp.
+        let table = &mut topo.nodes[node].table;
+        assert!(table.remove_outlink(CycloidSlot::RingSucc, succ));
+        // One ring hop toward the successor's own ID.
+        topo.route_candidates(node, succ, true, false, &mut rng);
+    }
+
     #[test]
     fn join_inside_the_reverse_region_is_picked_up() {
         let (mut topo, _) = full_topology(TablePolicy::Elastic);
@@ -1270,23 +1372,32 @@ mod tests {
         (topo, rng)
     }
 
-    /// One membership or adaptation event, as `Network` performs it, on
-    /// the `pick`-th live node. Returns what the event reported.
-    fn step(topo: &mut Topology, rng: &mut SimRng, op: u8, pick: usize, count: u32) -> u32 {
+    /// What one [`step`] reported.
+    #[derive(Debug, PartialEq)]
+    enum Did {
+        Count(u32),
+        Hop(Option<RouteCandidates>),
+    }
+
+    /// One membership, adaptation or routing event, as `Network`
+    /// performs it, on the `pick`-th live node.
+    fn step(topo: &mut Topology, rng: &mut SimRng, op: u8, pick: usize, count: u32) -> Did {
         let live: Vec<usize> = (0..topo.nodes.len())
             .filter(|&n| topo.nodes[n].alive)
             .collect();
         let node = live[pick % live.len()];
         let host = topo.nodes[node].host;
-        match op {
+        Did::Count(match op {
             // Algorithm 3, underloaded.
             0..=3 => {
                 let cap = 8 * topo.hosts[host].capacity_eval.max(8);
                 topo.nodes[node].d_max = (topo.nodes[node].d_max + count).min(cap);
                 topo.grow_inlinks(node, count)
             }
-            // Algorithm 3, overloaded.
+            // Algorithm 3, overloaded — lightly (the farthest holders
+            // go) or so badly that the ring neighbors go too.
             4 | 5 => {
+                let count = if op == 5 { 8 * count } else { count };
                 let shed = topo.shed_inlinks(node, count);
                 topo.nodes[node].d_max = topo.nodes[node].d_max.saturating_sub(shed).max(1);
                 shed
@@ -1318,26 +1429,38 @@ mod tests {
                 None => 0,
             },
             // A stabilization round: purge, repair, refresh ring slots.
-            _ => topo.stabilize_node(node, rng),
-        }
+            9 => topo.stabilize_node(node, rng),
+            // One hop toward a random key, probing or not, by geometry
+            // or on the ring; half the keys of a small space are in
+            // the ring endgame anyway.
+            _ => {
+                let key = topo.space.random_id(rng);
+                let (probing, ring_only) = (count.is_multiple_of(2), count > 3);
+                return Did::Hop(topo.route_candidates(node, key, probing, ring_only, rng));
+            }
+        })
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
 
         /// Two copies of one world take the same grow / shed / join /
-        /// leave / relocation / stabilization steps; one resumes its
-        /// scans, the other has every cursor cleared before each step.
-        /// They must never differ — a link-removal path that forgets to
-        /// clear the cursor fails here.
+        /// leave / relocation / routing / stabilization steps; one
+        /// resumes its scans and skips stamped ring-slot refreshes, the
+        /// other has every cursor and stamp cleared before each step.
+        /// They must never differ, down to the stored order of every
+        /// slot — a link-removal path that forgets to clear the cursor
+        /// or the stamp fails here.
         #[test]
         fn resumed_scans_change_nothing_a_from_scratch_scan_would_do(
             dim in 4u8..7,
             dense in proptest::bool::ANY,
             seed in 0u64..1000,
-            // Few nodes take most steps, so one node's grows, sheds and
-            // the membership events around it interleave often.
-            ops in proptest::collection::vec((0u8..10, 0usize..5, 1u32..6), 1..60),
+            // Few nodes take most steps — ring neighbors, as the slab
+            // starts out in ring order — so one node's grows and sheds,
+            // its holders' hops and the membership events around them
+            // interleave often.
+            ops in proptest::collection::vec((0u8..16, 0usize..5, 1u32..6), 1..60),
         ) {
             let fill = if dense { 0.9 } else { 0.35 };
             let (mut resumed, mut rng_a) = random_world(dim, fill, seed);
@@ -1345,6 +1468,7 @@ mod tests {
             for (op, pick, count) in ops {
                 for node in &mut scratch.nodes {
                     node.scan = InlinkCursor::Start;
+                    node.ring_epoch = UNSTAMPED;
                 }
                 let did = step(&mut resumed, &mut rng_a, op, pick, count);
                 assert_eq!(did, step(&mut scratch, &mut rng_b, op, pick, count));

@@ -27,7 +27,6 @@ use std::fmt;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 use crate::ring::forward_distance;
 
@@ -300,14 +299,90 @@ impl CycloidSpace {
     }
 }
 
+/// One bit per ID of the space under some linear order, with the two
+/// range scans both registry indexes are queried through.
+#[derive(Debug, Clone)]
+struct Bitmap {
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    fn new(bits: u64) -> Self {
+        Bitmap {
+            words: vec![0; bits.div_ceil(64) as usize],
+        }
+    }
+
+    fn get(&self, bit: u64) -> bool {
+        self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0
+    }
+
+    fn set(&mut self, bit: u64, live: bool) {
+        let word = &mut self.words[(bit / 64) as usize];
+        match live {
+            true => *word |= 1 << (bit % 64),
+            false => *word &= !(1 << (bit % 64)),
+        }
+    }
+
+    /// The bits of `from..end` that are set (`flip` = 0) or clear
+    /// (`flip` = `!0`), ascending. `end` bounds every answer, so the
+    /// padding bits of the last word are never reported as clear.
+    fn scan(&self, from: u64, end: u64, flip: u64) -> impl Iterator<Item = u64> + '_ {
+        let mut at = (from / 64) as usize;
+        let first = self.words.get(at);
+        let mut word = first.map_or(0, |w| (w ^ flip) & (!0 << (from % 64)));
+        std::iter::from_fn(move || {
+            while word == 0 {
+                at += 1;
+                word = self.words.get(at).filter(|_| (at as u64) * 64 < end)? ^ flip;
+            }
+            let bit = at as u64 * 64 + word.trailing_zeros() as u64;
+            word &= word - 1;
+            (bit < end).then_some(bit)
+        })
+    }
+
+    /// The set bits of `from..end`, ascending.
+    fn ones(&self, from: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
+        self.scan(from, end, 0)
+    }
+
+    /// The highest set bit of `from..end`.
+    fn last(&self, from: u64, end: u64) -> Option<u64> {
+        let last = end.checked_sub(1).filter(|&last| last >= from)?;
+        let mut at = (last / 64) as usize;
+        let mut word = self.words.get(at)? & (!0 >> (63 - last % 64));
+        while word == 0 {
+            at = at
+                .checked_sub(1)
+                .filter(|&at| (at as u64 + 1) * 64 > from)?;
+            word = self.words[at];
+        }
+        let bit = at as u64 * 64 + 63 - word.leading_zeros() as u64;
+        (bit >= from).then_some(bit)
+    }
+
+    /// The set bits of `from..end`, descending.
+    fn ones_rev(&self, from: u64, mut end: u64) -> impl Iterator<Item = u64> + '_ {
+        std::iter::from_fn(move || {
+            let bit = self.last(from, end)?;
+            end = bit;
+            Some(bit)
+        })
+    }
+}
+
 /// The set of live Cycloid IDs, with the ring / cycle / region queries
 /// the protocol needs.
 ///
-/// Internally two indexes are kept: a sorted cubical-major one (the
-/// global ring, for successor/owner/window queries) and a cyclic-major
-/// bitmap (so entry regions — a fixed `k` with a cubical range — are
-/// contiguous bit ranges, and the nearest member to either side of a
-/// cubical ID is a word scan rather than a tree descent).
+/// Internally two bitmaps are kept, one bit per ID of the space each: a
+/// cubical-major one (the global ring, so successor / owner / window
+/// queries are a word scan forward or backward from a ring position)
+/// and a cyclic-major one (so entry regions — a fixed `k` with a
+/// cubical range — are contiguous bit ranges, and the nearest member to
+/// either side of a cubical ID is the same word scan). No query walks a
+/// tree and none allocates but [`CycloidRegistry::nodes_in_region`].
 ///
 /// ```
 /// use ert_overlay::{CycloidSpace, CycloidRegistry};
@@ -322,10 +397,13 @@ impl CycloidSpace {
 #[derive(Debug, Clone)]
 pub struct CycloidRegistry {
     space: CycloidSpace,
-    /// Ring order: `a·d + k`.
-    a_major: BTreeSet<u64>,
+    /// Ring order: bit `a·d + k` (`space.lin`) is set while `(k, a)` is
+    /// live.
+    ring: Bitmap,
     /// Region order: bit `k·2^d + a` is set while `(k, a)` is live.
-    k_major: Vec<u64>,
+    k_major: Bitmap,
+    /// Number of live IDs (set bits of either bitmap).
+    live: usize,
 }
 
 impl CycloidRegistry {
@@ -333,8 +411,9 @@ impl CycloidRegistry {
     pub fn new(space: CycloidSpace) -> Self {
         CycloidRegistry {
             space,
-            a_major: BTreeSet::new(),
-            k_major: vec![0; space.ring_size().div_ceil(64) as usize],
+            ring: Bitmap::new(space.ring_size()),
+            k_major: Bitmap::new(space.ring_size()),
+            live: 0,
         }
     }
 
@@ -343,124 +422,108 @@ impl CycloidRegistry {
         self.space
     }
 
-    fn set_k_major(&mut self, id: CycloidId, live: bool) {
-        let bit = id.k as u64 * self.space.cube_size() + id.a as u64;
-        let word = &mut self.k_major[(bit / 64) as usize];
-        match live {
-            true => *word |= 1 << (bit % 64),
-            false => *word &= !(1 << (bit % 64)),
-        }
+    /// Position of `id` in the cyclic-major bitmap.
+    fn region_bit(&self, id: CycloidId) -> u64 {
+        id.k as u64 * self.space.cube_size() + id.a as u64
     }
 
     /// Adds `id`; returns `false` if it was already present.
     pub fn insert(&mut self, id: CycloidId) -> bool {
-        let fresh = self.a_major.insert(self.space.lin(id));
+        let fresh = !self.contains(id);
         if fresh {
-            self.set_k_major(id, true);
+            self.ring.set(self.space.lin(id), true);
+            self.k_major.set(self.region_bit(id), true);
+            self.live += 1;
         }
         fresh
     }
 
     /// Removes `id`; returns `false` if it was not present.
     pub fn remove(&mut self, id: CycloidId) -> bool {
-        let had = self.a_major.remove(&self.space.lin(id));
+        let had = self.contains(id);
         if had {
-            self.set_k_major(id, false);
+            self.ring.set(self.space.lin(id), false);
+            self.k_major.set(self.region_bit(id), false);
+            self.live -= 1;
         }
         had
     }
 
     /// Whether `id` is live.
     pub fn contains(&self, id: CycloidId) -> bool {
-        self.a_major.contains(&self.space.lin(id))
+        self.ring.get(self.space.lin(id))
     }
 
     /// Number of live IDs.
     pub fn len(&self) -> usize {
-        self.a_major.len()
+        self.live
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.a_major.is_empty()
+        self.live == 0
+    }
+
+    /// The live IDs at ring positions `from..end`, in ring order.
+    fn ring_members(&self, from: u64, end: u64) -> impl Iterator<Item = CycloidId> + '_ {
+        self.ring
+            .ones(from, end)
+            .map(move |lin| self.space.from_lin(lin))
     }
 
     /// Iterates over all live IDs in ring order.
     pub fn iter(&self) -> impl Iterator<Item = CycloidId> + '_ {
-        self.a_major
-            .iter()
-            .map(move |&lin| self.space.from_lin(lin))
+        self.ring_members(0, self.space.ring_size())
+    }
+
+    /// First live ID at or after ring position `lin`, wrapping.
+    fn at_or_after(&self, lin: u64) -> Option<CycloidId> {
+        let size = self.space.ring_size();
+        let next = self.ring.ones(lin, size).next();
+        let next = next.or_else(|| self.ring.ones(0, lin).next());
+        next.map(|l| self.space.from_lin(l))
+    }
+
+    /// Last live ID before ring position `lin`, wrapping.
+    fn before(&self, lin: u64) -> Option<CycloidId> {
+        let prev = self.ring.last(0, lin);
+        let prev = prev.or_else(|| self.ring.last(lin, self.space.ring_size()));
+        prev.map(|l| self.space.from_lin(l))
     }
 
     /// First live ID at or after `key` on the ring (wrapping): the owner
     /// of the key. `None` when the registry is empty.
     pub fn owner(&self, key: CycloidId) -> Option<CycloidId> {
-        let lin = self.space.lin(key);
-        let next = self
-            .a_major
-            .range(lin..)
-            .next()
-            .or_else(|| self.a_major.iter().next());
-        next.map(|&l| self.space.from_lin(l))
+        self.at_or_after(self.space.lin(key))
     }
 
     /// First live ID strictly after `id` on the ring (wrapping). Returns
     /// `id` itself when it is the only member; `None` when empty.
     pub fn successor(&self, id: CycloidId) -> Option<CycloidId> {
-        let lin = self.space.lin(id);
-        let next = self
-            .a_major
-            .range(lin + 1..)
-            .next()
-            .or_else(|| self.a_major.iter().next());
-        next.map(|&l| self.space.from_lin(l))
+        self.at_or_after(self.space.lin(id) + 1)
     }
 
     /// First live ID strictly before `id` on the ring (wrapping).
     /// Returns `id` itself when it is the only member; `None` when empty.
     pub fn predecessor(&self, id: CycloidId) -> Option<CycloidId> {
-        let lin = self.space.lin(id);
-        let prev = self
-            .a_major
-            .range(..lin)
-            .next_back()
-            .or_else(|| self.a_major.iter().next_back());
-        prev.map(|&l| self.space.from_lin(l))
+        self.before(self.space.lin(id))
     }
 
     /// The cubical IDs in `lo..hi` that are live at cyclic index `k`,
     /// in order.
     fn cubicals(&self, k: u8, lo: u32, hi: u32) -> impl Iterator<Item = u32> + '_ {
         let base = k as u64 * self.space.cube_size();
-        let (from, end) = (base + lo as u64, base + hi as u64);
-        let mut at = (from / 64) as usize;
-        let mut word = self.k_major.get(at).map_or(0, |w| w & (!0 << (from % 64)));
-        std::iter::from_fn(move || {
-            while word == 0 {
-                at += 1;
-                word = *self.k_major.get(at).filter(|_| (at as u64) * 64 < end)?;
-            }
-            let bit = at as u64 * 64 + word.trailing_zeros() as u64;
-            word &= word - 1;
-            (bit < end).then(|| (bit - base) as u32)
-        })
+        self.k_major
+            .ones(base + lo as u64, base + hi as u64)
+            .map(move |bit| (bit - base) as u32)
     }
 
     /// The largest cubical ID in `lo..hi` that is live at cyclic index
     /// `k`.
     fn last_cubical(&self, k: u8, lo: u32, hi: u32) -> Option<u32> {
         let base = k as u64 * self.space.cube_size();
-        let (from, last) = (base + lo as u64, (base + hi as u64).checked_sub(1)?);
-        let mut at = (last / 64) as usize;
-        let mut word = self.k_major.get(at)? & (!0 >> (63 - last % 64));
-        while word == 0 {
-            at = at
-                .checked_sub(1)
-                .filter(|&at| (at as u64 + 1) * 64 > from)?;
-            word = self.k_major[at];
-        }
-        let bit = at as u64 * 64 + 63 - word.leading_zeros() as u64;
-        (bit >= from).then(|| (bit - base) as u32)
+        let bit = self.k_major.last(base + lo as u64, base + hi as u64)?;
+        Some((bit - base) as u32)
     }
 
     /// The live members of a region, in cubical order.
@@ -500,70 +563,55 @@ impl CycloidRegistry {
 
     /// Live members of `id`'s own cycle with a *higher* cyclic index,
     /// nearest first — the targets of the ascending phase.
-    pub fn cycle_above(&self, id: CycloidId) -> Vec<CycloidId> {
-        let lo = self.space.lin(id) + 1;
-        let hi = id.a as u64 * self.space.dim() as u64 + self.space.dim() as u64;
-        self.a_major
-            .range(lo..hi)
-            .map(|&l| self.space.from_lin(l))
-            .collect()
+    pub fn cycle_above(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
+        let dim = self.space.dim() as u64;
+        self.ring_members(self.space.lin(id) + 1, (id.a as u64 + 1) * dim)
     }
 
     /// The next `window` live IDs strictly after `id` on the ring
-    /// (wrapping, excluding `id`).
-    pub fn succ_window(&self, id: CycloidId, window: usize) -> Vec<CycloidId> {
+    /// (wrapping, excluding `id`), nearest first.
+    pub fn succ_window(
+        &self,
+        id: CycloidId,
+        window: usize,
+    ) -> impl Iterator<Item = CycloidId> + '_ {
         let lin = self.space.lin(id);
-        let mut out = Vec::with_capacity(window);
-        for &l in self
-            .a_major
-            .range(lin + 1..)
-            .chain(self.a_major.range(..lin))
-        {
-            if out.len() == window {
-                break;
-            }
-            out.push(self.space.from_lin(l));
-        }
-        out
+        let after = self.ring_members(lin + 1, self.space.ring_size());
+        after.chain(self.ring_members(0, lin)).take(window)
     }
 
     /// The previous `window` live IDs strictly before `id` on the ring
     /// (wrapping, excluding `id`), nearest first.
-    pub fn pred_window(&self, id: CycloidId, window: usize) -> Vec<CycloidId> {
-        self.preds(id).take(window).collect()
+    pub fn pred_window(
+        &self,
+        id: CycloidId,
+        window: usize,
+    ) -> impl Iterator<Item = CycloidId> + '_ {
+        self.preds(id).take(window)
     }
 
     /// Every live ID but `id`, walking the ring backwards from it.
     fn preds(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
         let lin = self.space.lin(id);
-        let before = self.a_major.range(..lin).rev();
-        let wrapped = self.a_major.range(lin + 1..).rev();
-        before.chain(wrapped).map(|&l| self.space.from_lin(l))
+        let before = self.ring.ones_rev(0, lin);
+        let wrapped = self.ring.ones_rev(lin + 1, self.space.ring_size());
+        before.chain(wrapped).map(|l| self.space.from_lin(l))
     }
 
     /// The highest-`k` member of a cycle (its "head"), or `None` for an
     /// empty cycle. Cycloid's outside leaf sets point at the heads of
     /// the adjacent cycles.
     pub fn cycle_head(&self, a: u32) -> Option<CycloidId> {
-        let lo = a as u64 * self.space.dim() as u64;
-        let hi = lo + self.space.dim() as u64;
-        self.a_major
-            .range(lo..hi)
-            .next_back()
-            .map(|&l| self.space.from_lin(l))
+        let dim = self.space.dim() as u64;
+        let head = self.ring.last(a as u64 * dim, (a as u64 + 1) * dim);
+        head.map(|l| self.space.from_lin(l))
     }
 
     /// The head of the first non-empty cycle after `id`'s own (wrapping),
     /// or `None` when `id`'s cycle is the only populated one.
     pub fn next_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
         let dim = self.space.dim() as u64;
-        let start = (id.a as u64 + 1) * dim;
-        let first_elsewhere = self
-            .a_major
-            .range(start..)
-            .next()
-            .or_else(|| self.a_major.iter().next())
-            .map(|&l| self.space.from_lin(l))?;
+        let first_elsewhere = self.at_or_after((id.a as u64 + 1) * dim)?;
         if first_elsewhere.a == id.a {
             return None;
         }
@@ -573,20 +621,9 @@ impl CycloidRegistry {
     /// The head of the first non-empty cycle before `id`'s own
     /// (wrapping), or `None` when `id`'s cycle is the only populated one.
     pub fn prev_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
-        let dim = self.space.dim() as u64;
-        let end = id.a as u64 * dim;
-        let last_elsewhere = self
-            .a_major
-            .range(..end)
-            .next_back()
-            .or_else(|| self.a_major.iter().next_back())
-            .map(|&l| self.space.from_lin(l))?;
-        if last_elsewhere.a == id.a {
-            return None;
-        }
-        // That member is already its cycle's highest present lin, but not
-        // necessarily the head when wrapping selected a later cycle.
-        self.cycle_head(last_elsewhere.a)
+        // The last member before `id`'s cycle is the highest of its own.
+        self.before(id.a as u64 * self.space.dim() as u64)
+            .filter(|head| head.a != id.a)
     }
 
     /// Clockwise ring distance from `from` to `to`.
@@ -598,31 +635,25 @@ impl CycloidRegistry {
         )
     }
 
-    /// Draws a uniformly random *vacant* ID, or `None` if the space is
-    /// full.
+    /// Draws a random *vacant* ID, or `None` (drawing nothing) if the
+    /// space is full: uniform over the vacant IDs while 128 rejection
+    /// draws find one, else the first gap at or after one more random
+    /// point, wrapping.
     pub fn random_vacant<R: Rng>(&self, rng: &mut R) -> Option<CycloidId> {
         let size = self.space.ring_size();
-        if self.a_major.len() as u64 >= size {
+        if self.live as u64 >= size {
             return None;
         }
         for _ in 0..128 {
             let lin = rng.gen_range(0..size);
-            if !self.a_major.contains(&lin) {
+            if !self.ring.get(lin) {
                 return Some(self.space.from_lin(lin));
             }
         }
-        // Dense space: scan forward from a random point for the first gap.
         let start = rng.gen_range(0..size);
-        let mut lin = start;
-        loop {
-            if !self.a_major.contains(&lin) {
-                return Some(self.space.from_lin(lin));
-            }
-            lin = (lin + 1) % size;
-            if lin == start {
-                return None;
-            }
-        }
+        let gap = self.ring.scan(start, size, !0).next();
+        let gap = gap.or_else(|| self.ring.scan(0, start, !0).next());
+        gap.map(|lin| self.space.from_lin(lin))
     }
 }
 
@@ -765,8 +796,11 @@ impl Iterator for InlinkScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ert_sim::SimRng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
+    use std::collections::BTreeSet;
+    use std::ops::Range;
 
     fn space8() -> CycloidSpace {
         CycloidSpace::new(8)
@@ -989,6 +1023,208 @@ mod tests {
         }
     }
 
+    /// The ring index as it was before the bitmap — a sorted set of ring
+    /// positions — with every ring query as it was written over it.
+    struct RingModel {
+        space: CycloidSpace,
+        live: BTreeSet<u64>,
+    }
+
+    /// A registry and its model, both holding the ring positions `lins`.
+    fn ring_of(
+        space: CycloidSpace,
+        lins: impl Iterator<Item = u64>,
+    ) -> (CycloidRegistry, RingModel) {
+        let mut reg = CycloidRegistry::new(space);
+        let live: BTreeSet<u64> = lins.collect();
+        for &lin in &live {
+            assert!(reg.insert(space.from_lin(lin)));
+        }
+        (reg, RingModel { space, live })
+    }
+
+    impl RingModel {
+        fn ids<'a>(&self, lins: impl Iterator<Item = &'a u64>) -> Vec<CycloidId> {
+            lins.map(|&l| self.space.from_lin(l)).collect()
+        }
+
+        fn at_or_after(&self, lin: u64) -> Option<CycloidId> {
+            let next = self.live.range(lin..).next();
+            let next = next.or_else(|| self.live.iter().next());
+            next.map(|&l| self.space.from_lin(l))
+        }
+
+        fn before(&self, lin: u64) -> Option<CycloidId> {
+            let prev = self.live.range(..lin).next_back();
+            let prev = prev.or_else(|| self.live.iter().next_back());
+            prev.map(|&l| self.space.from_lin(l))
+        }
+
+        fn cycle(&self, a: u32) -> Range<u64> {
+            let dim = self.space.dim() as u64;
+            a as u64 * dim..(a as u64 + 1) * dim
+        }
+
+        fn cycle_head(&self, a: u32) -> Option<CycloidId> {
+            let head = self.live.range(self.cycle(a)).next_back();
+            head.map(|&l| self.space.from_lin(l))
+        }
+
+        fn next_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
+            let elsewhere = self.at_or_after(self.cycle(id.a).end)?;
+            (elsewhere.a != id.a).then(|| self.cycle_head(elsewhere.a))?
+        }
+
+        fn prev_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
+            let elsewhere = self.before(self.cycle(id.a).start)?;
+            (elsewhere.a != id.a).then(|| self.cycle_head(elsewhere.a))?
+        }
+
+        fn succs(&self, id: CycloidId) -> Vec<CycloidId> {
+            let lin = self.space.lin(id);
+            self.ids(self.live.range(lin + 1..).chain(self.live.range(..lin)))
+        }
+
+        fn preds(&self, id: CycloidId) -> Vec<CycloidId> {
+            let lin = self.space.lin(id);
+            let (before, wrapped) = (self.live.range(..lin), self.live.range(lin + 1..));
+            self.ids(before.rev().chain(wrapped.rev()))
+        }
+
+        /// `random_vacant` over the set: 128 rejection draws, then a
+        /// `contains`-per-ID walk from one more random point.
+        fn random_vacant(&self, rng: &mut SimRng) -> Option<CycloidId> {
+            let size = self.space.ring_size();
+            if self.live.len() as u64 >= size {
+                return None;
+            }
+            for _ in 0..128 {
+                let lin = rng.gen_range(0..size);
+                if !self.live.contains(&lin) {
+                    return Some(self.space.from_lin(lin));
+                }
+            }
+            let start = rng.gen_range(0..size);
+            let gap = (start..size)
+                .chain(0..start)
+                .find(|l| !self.live.contains(l));
+            gap.map(|lin| self.space.from_lin(lin))
+        }
+    }
+
+    /// Every public ring query of `reg` against the model, for every ID
+    /// of the space, and `random_vacant` on the streams from `seed` on.
+    fn assert_ring_matches(reg: &CycloidRegistry, model: &RingModel, seed: u64) {
+        let space = model.space;
+        assert_eq!(reg.len(), model.live.len());
+        assert_eq!(reg.is_empty(), model.live.is_empty());
+        // Ascending, as the set iterates.
+        assert_eq!(reg.iter().collect::<Vec<_>>(), model.ids(model.live.iter()));
+        for lin in 0..space.ring_size() {
+            let id = space.from_lin(lin);
+            assert_eq!(reg.contains(id), model.live.contains(&lin), "{id}");
+            assert_eq!(reg.owner(id), model.at_or_after(lin), "owner of {id}");
+            assert_eq!(reg.successor(id), model.at_or_after(lin + 1), "{id}");
+            assert_eq!(reg.predecessor(id), model.before(lin), "{id}");
+            let above = model.ids(model.live.range(lin + 1..model.cycle(id.a).end));
+            assert_eq!(reg.cycle_above(id).collect::<Vec<_>>(), above, "{id}");
+            assert_eq!(reg.cycle_head(id.a), model.cycle_head(id.a), "{id}");
+            assert_eq!(reg.next_cycle_head(id), model.next_cycle_head(id), "{id}");
+            assert_eq!(reg.prev_cycle_head(id), model.prev_cycle_head(id), "{id}");
+            let (succs, preds) = (model.succs(id), model.preds(id));
+            for window in [0, 4, succs.len() + 3] {
+                let cut = window.min(succs.len());
+                let got: Vec<_> = reg.succ_window(id, window).collect();
+                assert_eq!(got, succs[..cut], "{window} after {id}");
+                let got: Vec<_> = reg.pred_window(id, window).collect();
+                assert_eq!(got, preds[..cut], "{window} before {id}");
+            }
+            // The ring phase of Algorithm 1's scan is the window before.
+            let ring = InlinkCursor::Ring { taken: 0 };
+            let got: Vec<_> = reg.inlink_scan(id, 5, ring).collect();
+            let want: Vec<_> = preds.iter().take(5).map(|&p| (None, p)).collect();
+            assert_eq!(got, want, "ring phase of {id}");
+        }
+        // A few streams each time: a nearly full space sends most of
+        // them past the 128 draws into the gap scan.
+        assert_random_vacant_matches(reg, model, seed..seed + 8);
+    }
+
+    /// `random_vacant` against the model on each stream of `seeds`: the
+    /// same ID, and the same draws taken — none at all from a full
+    /// space.
+    fn assert_random_vacant_matches(reg: &CycloidRegistry, model: &RingModel, seeds: Range<u64>) {
+        for seed in seeds {
+            let mut rng = SimRng::seed_from(seed);
+            let mut model_rng = rng.clone();
+            let got = reg.random_vacant(&mut rng);
+            assert_eq!(got, model.random_vacant(&mut model_rng), "seed {seed}");
+            assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "seed {seed}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Random joins and departures from an empty, one-member, sparse,
+        /// dense or full space: after every step the ring bitmap answers
+        /// every query as the sorted set it replaced does.
+        #[test]
+        fn ring_bitmap_matches_a_sorted_set_model(
+            dim in 3u8..7,
+            start in 0u8..5,
+            seed in 0u64..1000,
+            // A position of the space as a fraction of it, and which
+            // way to push it: most steps undo what the start state is
+            // full (or empty) of.
+            ops in proptest::collection::vec((0.0f64..1.0, 0u8..4), 1..16),
+        ) {
+            let space = CycloidSpace::new(dim);
+            let size = space.ring_size();
+            let mut rng = SimRng::seed_from(seed);
+            let fill = [0.0, 0.0, 0.35, 0.9, 1.0][start as usize];
+            let lone = (start == 1).then_some(seed % size);
+            let members = (0..size).filter(|&lin| rng.gen::<f64>() < fill || lone == Some(lin));
+            let (mut reg, mut model) = ring_of(space, members);
+            assert_ring_matches(&reg, &model, seed);
+            for (step, (at, push)) in ops.into_iter().enumerate() {
+                let lin = (at * size as f64) as u64;
+                let join = match push {
+                    0 => true,
+                    1 => false,
+                    _ => fill < 0.5,
+                };
+                match join {
+                    true => assert_eq!(reg.insert(space.from_lin(lin)), model.live.insert(lin)),
+                    false => assert_eq!(reg.remove(space.from_lin(lin)), model.live.remove(&lin)),
+                }
+                assert_ring_matches(&reg, &model, seed + step as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn random_vacant_gap_scan_skips_the_padding_of_a_partial_word() {
+        // 24 and 160 IDs: the last word of the bitmap has clear bits
+        // past the end of the space that are no vacancy. One real
+        // vacancy low in the ring, so most scans for it wrap.
+        for dim in [3, 5] {
+            let space = CycloidSpace::new(dim);
+            let size = space.ring_size();
+            let (reg, model) = ring_of(space, (0..size).filter(|&lin| lin != 2));
+            assert_random_vacant_matches(&reg, &model, 0..1500);
+            // Some of those streams drew 128 members and then a start
+            // point past the vacancy.
+            let scans = (0..1500).filter(|&seed| {
+                let mut rng = SimRng::seed_from(seed);
+                let mut draw = || rng.gen_range(0..size);
+                (0..128).all(|_| draw() != 2) && draw() > 2
+            });
+            let scans = scans.count();
+            assert!(scans > 0, "dim {dim}: no seed reached the wrapped gap scan");
+        }
+    }
+
     #[test]
     fn cycle_above_and_windows() {
         let s = CycloidSpace::new(4);
@@ -997,12 +1233,12 @@ mod tests {
             reg.insert(s.id(k, 9));
         }
         reg.insert(s.id(2, 10));
-        let above = reg.cycle_above(s.id(0, 9));
+        let above: Vec<_> = reg.cycle_above(s.id(0, 9)).collect();
         assert_eq!(above, vec![s.id(1, 9), s.id(3, 9)]);
-        assert!(reg.cycle_above(s.id(3, 9)).is_empty());
-        let succ = reg.succ_window(s.id(3, 9), 2);
+        assert_eq!(reg.cycle_above(s.id(3, 9)).next(), None);
+        let succ: Vec<_> = reg.succ_window(s.id(3, 9), 2).collect();
         assert_eq!(succ, vec![s.id(2, 10), s.id(0, 9)]);
-        let pred = reg.pred_window(s.id(0, 9), 5);
+        let pred: Vec<_> = reg.pred_window(s.id(0, 9), 5).collect();
         assert_eq!(pred, vec![s.id(2, 10), s.id(3, 9), s.id(1, 9)]);
     }
 

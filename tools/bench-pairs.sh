@@ -9,10 +9,14 @@
 # change first on even ones, pair i with seed i on both sides — and
 # hands that workload's two `--out` files to `ert-benchmark compare`.
 # Exits 1 if any workload's compare reports a `worse` / `differs` row.
+# After each compare, one traced run per side (`--trace 1 --seed 1`)
+# and the per-layer lines of the two side by side, so the PR can show
+# where a saving sits (choosing-metrics §6.6); `compare` never reads
+# those.
 #
 # Everything lands in .bench_build/pairs-<workloads>/ (ignored) and
-# stays there: the two trees and, per workload, parent-<workload>.jsonl
-# and change-<workload>.jsonl.
+# stays there: the two trees and, per workload, parent-<workload>.jsonl,
+# change-<workload>.jsonl and the two <side>-<workload>.trace.txt.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -57,5 +61,17 @@ for workload in "${workloads[@]}"; do
     done
     (cd "$work/change" && "${bench[@]}" compare "$work/parent-$workload.jsonl" "$work/change-$workload.jsonl") ||
         status=1
+    for side in parent change; do
+        echo "$workload: traced run, $side, seed 1" >&2
+        (cd "$work/$side" && "${bench[@]}" --workload "$workload" --seed 1 \
+            --seconds "$seconds" --trace 1 >"$work/$side-$workload.trace.txt")
+    done
+    # The ledger rows are `   <layer>.<metric> <value> <unit>`; a layer
+    # off this workload's path reads 0 on both sides and is left out.
+    echo "== $workload · per-layer, --trace 1 --seed 1 · parent | change"
+    awk '$1 !~ /^[a-z]+\.[a-z0-9_]+$/ || NF != 3 { next }
+        NR == FNR { parent[$1] = $2; next }
+        parent[$1] + $2 != 0 { printf "   %-34s %16s %16s %s\n", $1, parent[$1], $2, $3 }' \
+        "$work/parent-$workload.trace.txt" "$work/change-$workload.trace.txt"
 done
 exit "$status"
