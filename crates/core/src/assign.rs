@@ -12,10 +12,6 @@ use crate::params::ErtParams;
 
 /// A node's view of the network during table construction and indegree
 /// expansion.
-///
-/// `add_link(from, slot, to)` must perform the double bookkeeping the
-/// paper describes: `to` gains an inlink (and records a backward finger
-/// to know `from`), `from`'s table slot gains the outlink.
 pub trait Directory {
     /// Overlay node identifier.
     type Id: Copy + Eq + std::fmt::Debug;
@@ -38,11 +34,21 @@ pub trait Directory {
     /// Current indegree of `node`.
     fn indegree(&self, node: Self::Id) -> u32;
 
-    /// Whether `from`'s table already holds `to` in `slot`.
-    fn has_link(&self, from: Self::Id, slot: Self::Slot, to: Self::Id) -> bool;
-
-    /// Creates the double link `from → to` in `from`'s `slot`.
-    fn add_link(&mut self, from: Self::Id, slot: Self::Slot, to: Self::Id);
+    /// Algorithm 1's one exchange per holder, "take me as a neighbour",
+    /// answered yes or no: creates the double link `from → to` in
+    /// `from`'s `slot` (`from` gains the outlink, `to` an inlink and a
+    /// backward finger to know `from`) unless `from` already holds it.
+    /// Returns `true` iff the link was created.
+    ///
+    /// This is exactly "ask whether the link is there, add it if not":
+    /// sent back to back on a lane that neither loses nor reorders, the
+    /// two reach the holder in one instant with nothing run on it in
+    /// between, so the add sees the slot the query saw. A departed
+    /// endpoint or a holder that does not answer takes no link
+    /// (`false`): reachability is a function of the instant, so the
+    /// query would have failed with the add, and a failed query passed
+    /// the holder over too.
+    fn link_if_absent(&mut self, from: Self::Id, slot: Self::Slot, to: Self::Id) -> bool;
 }
 
 /// The initial indegree a joining node aims for: `β·d^∞`, at least 1
@@ -94,8 +100,7 @@ pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> 
         } else {
             *rng.choose(&with_spare).expect("with_spare nonempty")
         };
-        if !dir.has_link(node, slot, chosen) {
-            dir.add_link(node, slot, chosen);
+        if dir.link_if_absent(node, slot, chosen) {
             created += 1;
         }
     }
@@ -124,16 +129,16 @@ pub fn expand_indegree<D: Directory>(dir: &mut D, node: D::Id, target: u32) -> u
 pub struct Expansion {
     /// Inlinks gained.
     pub gained: u32,
-    /// Candidates pulled from the sequence: each was passed over (the
-    /// node itself, or already linked) or asked to link. The sequence
-    /// is left at the first candidate the pass did not look at.
+    /// Candidates pulled from the sequence: each was the node itself
+    /// (passed over) or was asked to link. The sequence is left at the
+    /// first candidate the pass did not look at.
     pub examined: usize,
 }
 
 /// The expansion loop of [`expand_indegree`] over any candidate
 /// sequence in Algorithm 1's probe order. `next` yields the sequence one
 /// candidate per call; it is handed the directory so a sequence that
-/// lives inside it can be read between two `add_link`s (one that does
+/// lives inside it can be read between two links (one that does
 /// not passes `|_| iter.next()`). A candidate is pulled only while the
 /// indegree is short of `target`, so a caller that remembers where the
 /// sequence stood can resume the scan there later.
@@ -152,11 +157,9 @@ pub fn expand_indegree_over<D: Directory>(
             break;
         };
         done.examined += 1;
-        if candidate == node || dir.has_link(candidate, slot, node) {
-            continue;
+        if candidate != node && dir.link_if_absent(candidate, slot, node) {
+            done.gained += 1;
         }
-        dir.add_link(candidate, slot, node);
-        done.gained += 1;
     }
     done
 }
@@ -164,15 +167,20 @@ pub fn expand_indegree_over<D: Directory>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prelude::ProptestConfig, prop_assert_eq};
+    use rand::Rng;
     use std::collections::BTreeMap;
 
     /// A two-slot toy overlay: every node's table has slots 0 and 1;
     /// slot-0 candidates are even ids, slot-1 candidates odd ids.
+    #[derive(Clone)]
     struct MockDir {
         members: Vec<u32>,
         d_max: BTreeMap<u32, i64>,
         links: Vec<(u32, u8, u32)>,
         indegree: BTreeMap<u32, u32>,
+        /// Holders that do not answer: they take no link.
+        silent: Vec<u32>,
     }
 
     impl MockDir {
@@ -182,7 +190,22 @@ mod tests {
                 d_max: members.iter().map(|&m| (m, d_max)).collect(),
                 links: Vec::new(),
                 indegree: BTreeMap::new(),
+                silent: Vec::new(),
             }
+        }
+
+        /// The query half of the two-call spelling `link_if_absent`
+        /// replaced; a holder that does not answer is reported as
+        /// linked, which is how that spelling passed over it.
+        fn has_link(&self, from: u32, slot: u8, to: u32) -> bool {
+            self.silent.contains(&from) || self.links.contains(&(from, slot, to))
+        }
+
+        /// The add half: only ever called after `has_link` said no.
+        fn add_link(&mut self, from: u32, slot: u8, to: u32) {
+            assert!(!self.has_link(from, slot, to), "duplicate link");
+            self.links.push((from, slot, to));
+            *self.indegree.entry(to).or_insert(0) += 1;
         }
     }
 
@@ -222,14 +245,145 @@ mod tests {
             self.indegree.get(&node).copied().unwrap_or(0)
         }
 
-        fn has_link(&self, from: u32, slot: u8, to: u32) -> bool {
-            self.links.contains(&(from, slot, to))
+        fn link_if_absent(&mut self, from: u32, slot: u8, to: u32) -> bool {
+            let absent = !self.has_link(from, slot, to);
+            if absent {
+                self.add_link(from, slot, to);
+            }
+            absent
+        }
+    }
+
+    /// `expand_indegree_over` as it was spelled over `has_link` +
+    /// `add_link`: the model the one-call loop is held to.
+    fn model_expand_over(
+        dir: &mut MockDir,
+        node: u32,
+        target: u32,
+        mut next: impl FnMut() -> Option<(u8, u32)>,
+    ) -> Expansion {
+        let mut done = Expansion {
+            gained: 0,
+            examined: 0,
+        };
+        while dir.indegree(node) < target {
+            let Some((slot, candidate)) = next() else {
+                break;
+            };
+            done.examined += 1;
+            if candidate == node || dir.has_link(candidate, slot, node) {
+                continue;
+            }
+            dir.add_link(candidate, slot, node);
+            done.gained += 1;
+        }
+        done
+    }
+
+    /// `build_table` over the same two calls.
+    fn model_build_table(dir: &mut MockDir, node: u32, rng: &mut SimRng) -> usize {
+        let mut created = 0;
+        for (slot, candidates) in dir.table_slots(node) {
+            let candidates: Vec<u32> = candidates.into_iter().filter(|&c| c != node).collect();
+            if candidates.is_empty() {
+                continue;
+            }
+            let with_spare: Vec<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&c| dir.spare_indegree(c) >= 1)
+                .collect();
+            let chosen = if with_spare.is_empty() {
+                candidates
+                    .iter()
+                    .copied()
+                    .max_by_key(|&c| dir.spare_indegree(c))
+                    .unwrap()
+            } else {
+                *rng.choose(&with_spare).unwrap()
+            };
+            if !dir.has_link(node, slot, chosen) {
+                dir.add_link(node, slot, chosen);
+                created += 1;
+            }
+        }
+        created
+    }
+
+    /// An arbitrary world around node 0: up to eleven peers with mixed
+    /// `d_max`, links that already exist (some of them 0's own, some
+    /// pointing at 0), and holders that do not answer.
+    fn arbitrary_world(rng: &mut SimRng) -> MockDir {
+        let mut members = vec![0u32];
+        members.extend((1..12).filter(|_| rng.gen_bool(0.7)));
+        let mut dir = MockDir::new(&members, 0);
+        for &m in &members {
+            dir.d_max.insert(m, rng.gen_range(0..4));
+        }
+        for _ in 0..rng.gen_range(0..12) {
+            let (from, to) = (
+                *rng.choose(&members).unwrap(),
+                *rng.choose(&members).unwrap(),
+            );
+            let slot = rng.gen_range(0..2);
+            if from != to && !dir.links.contains(&(from, slot, to)) {
+                dir.links.push((from, slot, to));
+                *dir.indegree.entry(to).or_insert(0) += 1;
+            }
+        }
+        dir.silent = members[1..]
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(0.2))
+            .collect();
+        dir
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Two passes over one candidate sequence — node 0 itself,
+        /// repeated holders, linked and silent ones included — gain the
+        /// same links in the same order, report the same `Expansion`s
+        /// and leave the sequence at the same place as the two-call
+        /// model.
+        #[test]
+        fn one_call_expansion_matches_the_query_then_add_model(
+            seed in 0u64..100_000,
+            first_target in 0u32..8,
+            more in 0u32..8,
+        ) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut model = arbitrary_world(&mut rng);
+            let mut world = model.clone();
+            let sequence: Vec<(u8, u32)> = (0..rng.gen_range(0..30))
+                .map(|_| (rng.gen_range(0..2), *rng.choose(&model.members).unwrap()))
+                .collect();
+            let (mut theirs, mut ours) = (sequence.iter().copied(), sequence.iter().copied());
+            for target in [first_target, first_target + more] {
+                let expected = model_expand_over(&mut model, 0, target, || theirs.next());
+                let got = expand_indegree_over(&mut world, 0, target, |_| ours.next());
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(&world.links, &model.links);
+                prop_assert_eq!(&world.indegree, &model.indegree);
+                prop_assert_eq!(ours.len(), theirs.len(), "resume position");
+            }
         }
 
-        fn add_link(&mut self, from: u32, slot: u8, to: u32) {
-            assert!(!self.has_link(from, slot, to), "duplicate link");
-            self.links.push((from, slot, to));
-            *self.indegree.entry(to).or_insert(0) += 1;
+        /// `build_table` picks, links and draws exactly as the two-call
+        /// model does, a pick that is already linked included.
+        #[test]
+        fn one_call_table_build_matches_the_query_then_add_model(seed in 0u64..100_000) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut model = arbitrary_world(&mut rng);
+            let mut world = model.clone();
+            let (mut their_rng, mut our_rng) = (rng.clone(), rng);
+            let expected = model_build_table(&mut model, 0, &mut their_rng);
+            let got = build_table(&mut world, 0, &mut our_rng);
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(&world.links, &model.links);
+            prop_assert_eq!(&world.indegree, &model.indegree);
+            prop_assert_eq!(our_rng.gen::<u64>(), their_rng.gen::<u64>());
         }
     }
 

@@ -26,7 +26,7 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "D10: `Directory`'s read methods take &self but reaching a peer is a mutable act, so `Window` keeps its peer closure and its unanswered flag in cells; neither outlives one window or is shared"
+    reason = "D10: `Directory`'s read methods take &self but reaching a peer is a mutable act, so `Window` keeps its peer closure in a cell, and `expand` the position its candidate iterator reports; neither outlives one window or is shared"
 )]
 
 use std::cell::{Cell, RefCell};
@@ -62,9 +62,8 @@ pub struct Lookup {
 /// Link sub-operation one node asks of another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptOp {
-    /// Does the receiver already hold an outlink to the sender at `slot`?
-    QueryOutlink,
-    /// Add an outlink from the receiver to the sender at `slot`.
+    /// Add an outlink from the receiver to the sender at `slot` unless
+    /// it is already there; the answer says which it was.
     AddOutlink,
     /// Remove every outlink from the receiver to the sender (shed).
     DropOutlinks,
@@ -91,8 +90,9 @@ pub enum PeerOp {
 /// A peer's answer to any [`PeerOp`]: its state after the op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerReport {
-    /// Queue plus in-service load; for [`AdaptOp::QueryOutlink`] this
-    /// field carries the answer instead, 1 for present and 0 for absent.
+    /// Queue plus in-service load; the answer to [`AdaptOp::AddOutlink`]
+    /// (no link operation needs a load) carries its outcome here
+    /// instead: 1 = the outlink was already present, 0 = added.
     pub load: u64,
     /// Evaluated capacity.
     pub capacity: u64,
@@ -214,19 +214,19 @@ impl ErtNode {
     ///
     /// Between two such calls the saved scan position is exact, not a
     /// heuristic. At a fixed membership the candidate order is a
-    /// function of the geometry and this node's id. Every candidate the
-    /// scan passed answered that it holds an outlink to this node, or
-    /// took one; a peer removes an outlink to this node only when this
-    /// node asks it to (`DropOutlinks`, sent by its own shed, which
-    /// clears the position itself) — a peer's own shed drops *its*
-    /// inlinks, and a slot refresh touches only structural slots, which
-    /// are never inlink candidates. So a scan from the top would pass
-    /// over every candidate before the position again, changing
-    /// nothing; resuming after it reaches the same links. A scan in
-    /// which some peer did not answer keeps the old position. What is
-    /// left is a view change — a joiner may sort before the position, a
-    /// leaver takes its link with it — and this is the one way it
-    /// clears the position.
+    /// function of the geometry and this node's id. Every candidate
+    /// before the position answered `AddOutlink` with "present" or
+    /// "added", so it holds an outlink to this node; a peer removes an
+    /// outlink to this node only when this node asks it to
+    /// (`DropOutlinks`, sent by its own shed, which clears the position
+    /// itself) — a peer's own shed drops *its* inlinks, and a slot
+    /// refresh touches only structural slots, which are never inlink
+    /// candidates. So a scan from the top would hear "present" from
+    /// every candidate before the position, changing nothing; resuming
+    /// after it reaches the same links. A scan in which some peer did
+    /// not answer keeps the old position. What is left is a view change
+    /// — a joiner may sort before the position, a leaver takes its link
+    /// with it — and this is the one way it clears the position.
     pub fn view_changed(&mut self) {
         self.scanned_to = None;
     }
@@ -299,15 +299,10 @@ impl ErtNode {
 
     /// Answers a peer's probe or link operation from local state only.
     pub fn serve(&mut self, op: PeerOp) -> PeerReport {
-        let mut has_link = None;
+        let mut load = self.load() as u64;
         if let PeerOp::Link { from, slot, op } = op {
             match op {
-                AdaptOp::QueryOutlink => {
-                    has_link = Some(self.table.outlinks(slot).contains(&from));
-                }
-                AdaptOp::AddOutlink => {
-                    self.table.add_outlink(slot, from);
-                }
+                AdaptOp::AddOutlink => load = u64::from(!self.table.add_outlink(slot, from)),
                 AdaptOp::DropOutlinks => {
                     let slots: Vec<u16> = self.table.occupied_slots().collect();
                     for s in slots {
@@ -320,7 +315,7 @@ impl ErtNode {
             }
         }
         PeerReport {
-            load: has_link.map_or(self.load() as u64, u64::from),
+            load,
             capacity: self.capacity_eval as u64,
             indegree: self.table.indegree() as u32,
             spare: self.spare(),
@@ -371,7 +366,7 @@ pub struct Window<'a, G, P> {
     // closure never re-enters the window, so the borrow is never shared.
     peers: RefCell<P>,
     /// A holder asked during the running expansion did not answer.
-    unanswered: Cell<bool>,
+    unanswered: bool,
 }
 
 impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
@@ -389,7 +384,7 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
             geometry,
             me,
             peers: RefCell::new(peers),
-            unanswered: Cell::new(false),
+            unanswered: false,
         }
     }
 
@@ -422,9 +417,7 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
                 rng.choose(&eligible).copied()
             };
             if let Some(pick) = pick {
-                if !self.has_link(id, slot, pick) {
-                    self.add_link(id, slot, pick);
-                }
+                self.link_if_absent(id, slot, pick);
             }
         }
         if elastic {
@@ -439,12 +432,12 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
     fn expand(&mut self, target: u32) {
         let (id, geometry) = (self.me.id, self.geometry);
         let last = Cell::new(self.me.scanned_to);
-        self.unanswered.set(false);
+        self.unanswered = false;
         let mut candidates = geometry
             .inlink_candidates(id, last.get())
             .inspect(|&pair| last.set(Some(pair)));
         expand_indegree_over(self, id, target, |_| candidates.next());
-        if !self.unanswered.get() {
+        if !self.unanswered {
             self.me.scanned_to = last.get();
         }
     }
@@ -590,35 +583,29 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
         }
     }
 
-    fn has_link(&self, from: u64, slot: u16, to: u64) -> bool {
-        if from == self.me.id {
-            return self.me.table.outlinks(slot).contains(&to);
-        }
-        match self.ask_link(from, slot, AdaptOp::QueryOutlink) {
-            PeerAnswer::Report(r) => r.load != 0,
-            // An absent holder cannot take a link: reporting it as
-            // linked makes expansion pass over it.
-            PeerAnswer::Unknown | PeerAnswer::Unreachable => {
-                self.unanswered.set(true);
-                true
-            }
-        }
-    }
-
     /// One end of every link this window creates is the node itself.
-    fn add_link(&mut self, from: u64, slot: u16, to: u64) {
+    /// A holder that does not answer marks the running scan unanswered.
+    fn link_if_absent(&mut self, from: u64, slot: u16, to: u64) -> bool {
         let elastic = !self.geometry.is_structural(slot);
         if from == self.me.id {
-            self.me.table.add_outlink(slot, to);
-            if elastic {
+            let added = self.me.table.add_outlink(slot, to);
+            if added && elastic {
                 self.ask_link(to, slot, AdaptOp::AddBackward);
             }
-        } else if let PeerAnswer::Report(_) = self.ask_link(from, slot, AdaptOp::AddOutlink) {
-            if elastic {
-                self.me.table.add_backward(from);
+            return added;
+        }
+        match self.ask_link(from, slot, AdaptOp::AddOutlink) {
+            PeerAnswer::Report(r) => {
+                let added = r.load == 0;
+                if added && elastic {
+                    self.me.table.add_backward(from);
+                }
+                added
             }
-        } else {
-            self.unanswered.set(true);
+            PeerAnswer::Unknown | PeerAnswer::Unreachable => {
+                self.unanswered = true;
+                false
+            }
         }
     }
 }
@@ -628,6 +615,8 @@ mod tests {
     use super::*;
     use crate::ChordGeometry;
     use ert_core::expand_indegree;
+    use proptest::{prelude::ProptestConfig, prop_assert_eq};
+    use rand::Rng;
     use std::collections::BTreeMap;
 
     const BITS: u8 = 6;
@@ -802,14 +791,15 @@ mod tests {
         .adapt()
     }
 
-    /// The holders asked `QueryOutlink` in `log`, in order.
-    fn queried(log: &[(u64, PeerOp)]) -> Vec<u64> {
+    /// The holders asked `AddOutlink` in `log`, in order: one op per
+    /// candidate the scan looked at.
+    fn asked_to_link(log: &[(u64, PeerOp)]) -> Vec<u64> {
         log.iter()
             .filter(|(_, op)| {
                 matches!(
                     op,
                     PeerOp::Link {
-                        op: AdaptOp::QueryOutlink,
+                        op: AdaptOp::AddOutlink,
                         ..
                     }
                 )
@@ -829,12 +819,17 @@ mod tests {
         // An idle period grows by ⌈μ·8⌉ = 4: the first four candidates.
         assert_eq!(adapt(&g, &cfg, &mut peers, &mut me, 0).delta, 4);
         assert_eq!(me.table.backward_fingers(), &order[..4]);
-        assert_eq!(queried(&peers.log), &order[..4]);
+        assert_eq!(asked_to_link(&peers.log), &order[..4]);
+        assert_eq!(
+            peers.log.len(),
+            4,
+            "one op per link gained, and nothing else"
+        );
 
         peers.log.clear();
         adapt(&g, &cfg, &mut peers, &mut me, 0);
         assert_eq!(
-            queried(&peers.log),
+            asked_to_link(&peers.log),
             &order[4..],
             "nobody the first round passed is asked again"
         );
@@ -867,7 +862,7 @@ mod tests {
         let (mut peers, mut me) = world();
         adapt(&g, &cfg, &mut peers, &mut me, 0);
         assert_eq!(
-            queried(&peers.log),
+            asked_to_link(&peers.log),
             &order[..6],
             "the scan starts over, so the shed victims are re-examined"
         );
@@ -909,9 +904,126 @@ mod tests {
         peers.hidden.clear();
         peers.log.clear();
         adapt(&g, &cfg, &mut peers, &mut me, 0);
-        assert_eq!(queried(&peers.log), &order[..]);
+        assert_eq!(asked_to_link(&peers.log), &order[..]);
         assert!(me.table.backward_fingers().contains(&order[1]));
         assert_eq!(me.scanned_to.map(|(_, c)| c), order.last().copied());
+    }
+
+    /// Algorithm 1 as the window ran it over two ops — a link query,
+    /// then `AddOutlink` to a holder that said "absent" — applied to
+    /// the peers' tables directly. Returns the holders it queried and
+    /// the ones it then added, in order.
+    fn model_expand(
+        g: &ChordGeometry,
+        peers: &mut Peers,
+        me: &mut ErtNode,
+        target: u32,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let (mut queried, mut added) = (Vec::new(), Vec::new());
+        let mut last = me.scanned_to;
+        let mut unanswered = false;
+        let mut candidates = g.inlink_candidates(ME, me.scanned_to);
+        while me.indegree() < target {
+            let Some((slot, holder)) = candidates.next() else {
+                break;
+            };
+            last = Some((slot, holder));
+            if holder == ME {
+                continue;
+            }
+            queried.push(holder);
+            let node = match peers.nodes.get_mut(&holder) {
+                Some(node) if !peers.hidden.contains(&holder) => node,
+                _ => {
+                    unanswered = true;
+                    continue;
+                }
+            };
+            if node.table.outlinks(slot).contains(&ME) {
+                continue;
+            }
+            node.table.add_outlink(slot, ME);
+            if !g.is_structural(slot) {
+                me.table.add_backward(holder);
+            }
+            added.push(holder);
+        }
+        if !unanswered {
+            me.scanned_to = last;
+        }
+        (queried, added)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Twin worlds on an arbitrary ring — holders that already
+        /// point at the node (with and without its backward finger),
+        /// hidden ones, ones the geometry lists but nobody hosts — and
+        /// a run of expansions with a heal in the middle: the one-op
+        /// window asks `AddOutlink` of exactly the holders the two-op
+        /// model queried, hears "added" from exactly those the model
+        /// added, and leaves every table and the scan position as the
+        /// model does.
+        #[test]
+        fn the_one_op_window_matches_the_query_then_add_model(seed in 0u64..100_000) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut members = vec![ME];
+            members.extend((1..64).filter(|_| rng.gen_bool(0.4)));
+            let g = ChordGeometry::from_members(BITS, &members);
+            let cfg = cfg();
+            // Built twice from one stream: the window's world and the model's.
+            let world = |mut rng: SimRng| {
+                let mut peers = Peers::new(&g);
+                let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+                for (slot, holder) in g.inlink_candidates(ME, None) {
+                    if holder != ME && rng.gen_bool(0.25) {
+                        peers.nodes.get_mut(&holder).unwrap().table.add_outlink(slot, ME);
+                        if rng.gen_bool(0.5) {
+                            me.table.add_backward(holder);
+                        }
+                    }
+                }
+                for &m in &members[1..] {
+                    match rng.gen_range(0..10) {
+                        0 => drop(peers.nodes.remove(&m)),
+                        1 | 2 => drop(peers.hidden.insert(m)),
+                        _ => {}
+                    }
+                }
+                (peers, me)
+            };
+            let world_rng = rng.fork("world");
+            let (mut peers, mut me) = world(world_rng.clone());
+            let (mut model_peers, mut model_me) = world(world_rng);
+
+            for round in 0..4 {
+                if round == 2 {
+                    peers.hidden.clear();
+                    model_peers.hidden.clear();
+                }
+                let target = me.indegree() + rng.gen_range(0..5);
+                let (queried, added) = model_expand(&g, &mut model_peers, &mut model_me, target);
+                peers.log.clear();
+                let mut answered_added = Vec::new();
+                Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
+                    let answer = peers.carry(p, op);
+                    if matches!(answer, PeerAnswer::Report(r) if r.load == 0) {
+                        answered_added.push(p);
+                    }
+                    answer
+                })
+                .expand(target);
+                prop_assert_eq!(asked_to_link(&peers.log), queried);
+                prop_assert_eq!(peers.log.len(), asked_to_link(&peers.log).len(), "no other op");
+                prop_assert_eq!(answered_added, added);
+                prop_assert_eq!(me.scanned_to, model_me.scanned_to);
+                prop_assert_eq!(me.fingerprint(), model_me.fingerprint());
+                for (id, peer) in &peers.nodes {
+                    prop_assert_eq!(peer.fingerprint(), model_peers.nodes[id].fingerprint());
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
-use ert_core::{expand_indegree, Directory};
+use ert_core::expand_indegree;
 use ert_overlay::{CycloidId, InlinkCursor};
 use ert_sim::SimTime;
 

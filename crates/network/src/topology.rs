@@ -358,8 +358,8 @@ impl Topology {
     /// * a refresh leaves each ring slot as *structural members, then
     ///   surviving extras in stored order*, and rebuilding that from
     ///   itself changes nothing;
-    /// * `add_link(.., RingSucc, ..)` appends an extra, which a refresh
-    ///   would keep where it is;
+    /// * `link_if_absent(.., RingSucc, ..)` appends an extra, which a
+    ///   refresh would keep where it is;
     /// * `purge_dead_link` and ID reuse only follow a departure, which
     ///   moves the epoch;
     /// * the one remaining writer is another node's `shed_inlinks`,
@@ -401,6 +401,30 @@ impl Topology {
             with_extras(CycloidSlot::RingSucc, succ),
             with_extras(CycloidSlot::RingPred, pred),
         ]
+    }
+
+    /// Whether `from`'s table already holds `to` in `slot`.
+    pub(crate) fn has_link(&self, from: CycloidId, slot: CycloidSlot, to: CycloidId) -> bool {
+        self.node_idx(from)
+            .is_some_and(|i| self.nodes[i].table.outlinks(slot).contains(&to))
+    }
+
+    /// Creates the double link `from → to` in `from`'s `slot` (table
+    /// build, slot repair; Algorithm 1 uses `link_if_absent`).
+    pub(crate) fn add_link(&mut self, from: CycloidId, slot: CycloidSlot, to: CycloidId) {
+        let (Some(fi), Some(ti)) = (self.node_idx(from), self.node_idx(to)) else {
+            return; // either end departed mid-operation
+        };
+        self.nodes[fi].table.add_outlink(slot, to);
+        self.record_link(fi, ti, from);
+    }
+
+    /// What follows the outlink `nodes[fi]` took in a link to `nodes[ti]`.
+    fn record_link(&mut self, fi: usize, ti: usize, from: CycloidId) {
+        self.nodes[ti].table.add_backward(from);
+        self.link_ops += 1;
+        self.note_degrees(fi);
+        self.note_degrees(ti);
     }
 
     /// Updates the degree watermarks on the host backing `node`.
@@ -512,15 +536,16 @@ impl Topology {
     /// pulled, stamped with the current [membership
     /// epoch](Self::membership_epoch). While that stamp equals the
     /// current epoch, every candidate before the cursor is `node`
-    /// itself or already points at it, so the next scan starts at the
-    /// cursor without looking at them again — and a cursor at the end
-    /// means no scan can gain anything, whatever its target. This is
-    /// exact, not a heuristic:
+    /// itself or answered `link_if_absent` with "present" or "added" —
+    /// it points at `node` — so the next scan starts at the cursor
+    /// without looking at them again, and a cursor at the end means no
+    /// scan can gain anything, whatever its target. This is exact, not
+    /// a heuristic:
     ///
     /// * at a fixed membership the candidate sequence is fixed (it is a
     ///   function of the registry, the node's ID and the leaf window);
-    /// * `add_link` only ever turns `has_link(c, slot, node)` from
-    ///   false to true;
+    /// * `link_if_absent` and `add_link` only ever turn
+    ///   `has_link(c, slot, node)` from false to true;
     /// * `purge_dead_link` only names departed targets, and
     ///   `refresh_ring_slots` only drops departed extras (and puts back
     ///   structural members) — and a departure moves the epoch;
@@ -538,7 +563,7 @@ impl Topology {
             false => InlinkCursor::Start,
         };
         crate::sanitize::check_resumed_scan(self, id, at);
-        // `add_link` runs between two pulls, so the walk cannot stay
+        // `link_if_absent` runs between two pulls, so the walk cannot stay
         // borrowed from the registry: each pull re-enters it at `at`.
         let done = expand_indegree_over(self, id, target, |topo| {
             let mut scan = topo.inlink_scan(id, at);
@@ -798,21 +823,15 @@ impl Directory for Topology {
             .map_or(0, |i| self.nodes[i].table.indegree() as u32)
     }
 
-    fn has_link(&self, from: CycloidId, slot: CycloidSlot, to: CycloidId) -> bool {
-        self.node_idx(from)
-            .is_some_and(|i| self.nodes[i].table.outlinks(slot).contains(&to))
-    }
-
-    fn add_link(&mut self, from: CycloidId, slot: CycloidSlot, to: CycloidId) {
-        let (fi, ti) = match (self.node_idx(from), self.node_idx(to)) {
-            (Some(f), Some(t)) => (f, t),
-            _ => return, // either end departed mid-operation
+    fn link_if_absent(&mut self, from: CycloidId, slot: CycloidSlot, to: CycloidId) -> bool {
+        let (Some(fi), Some(ti)) = (self.node_idx(from), self.node_idx(to)) else {
+            return false; // either end departed mid-operation
         };
-        self.nodes[fi].table.add_outlink(slot, to);
-        self.nodes[ti].table.add_backward(from);
-        self.link_ops += 1;
-        self.note_degrees(fi);
-        self.note_degrees(ti);
+        let added = self.nodes[fi].table.add_outlink(slot, to);
+        if added {
+            self.record_link(fi, ti, from);
+        }
+        added
     }
 }
 

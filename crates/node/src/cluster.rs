@@ -119,17 +119,18 @@ impl Transport for SwitchCtx<'_> {
                 to,
             });
         }
-        match decode(frame)? {
+        let request = decode(frame)?;
+        match request {
             Message::ProbeLoad { .. } => *self.probe_rpcs += 1,
             Message::AdaptIndegree { .. } => *self.adapt_rpcs += 1,
             _ => {}
         }
-        let Some(mut target) = self.nodes[to_idx].take() else {
+        let Some(target) = self.nodes[to_idx].as_mut() else {
             return Err(TransportError::UnknownPeer(to));
         };
-        let result = target.on_request(frame);
-        self.nodes[to_idx] = Some(target);
-        result.map_err(|e| TransportError::Peer(e.to_string()))
+        target
+            .on_message(request)
+            .map_err(|e| TransportError::Peer(e.to_string()))
     }
 
     fn timer(&mut self, delay: SimDuration, kind: TimerKind) {

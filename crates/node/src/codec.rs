@@ -22,8 +22,9 @@ use std::fmt;
 
 /// Two-byte frame magic.
 pub const MAGIC: [u8; 2] = *b"ER";
-/// Current protocol version carried in every frame header.
-pub const VERSION: u8 = 1;
+/// Current protocol version carried in every frame header (2: no
+/// `AdaptOp` byte 0, and `AddOutlink` answers "present" or "added").
+pub const VERSION: u8 = 2;
 /// Fixed header length: magic (2) + version (1) + tag (1) + len (4).
 pub const HEADER_LEN: usize = 8;
 /// Upper bound on the declared payload length of a single frame.
@@ -45,9 +46,9 @@ pub enum LookupStatus {
 /// Indegree-adaptation sub-operation carried on [`Message::AdaptIndegree`]
 /// — the shared node's link operation, put on the wire as is.
 ///
-/// Replies reuse [`Message::LoadReport`]: `QueryOutlink` answers with
-/// `load` set to 0/1 for absent/present, the mutating ops answer with
-/// the responder's post-op state.
+/// Replies reuse [`Message::LoadReport`] with the responder's post-op
+/// state; `AddOutlink` adds only if absent and answers with `load` set
+/// to 1 for "was already present", 0 for "added".
 pub use ert_minidht::AdaptOp;
 
 /// A wire message. See DESIGN.md "Wire Protocol & Live Node" for the
@@ -304,7 +305,6 @@ fn status_from(value: u8) -> Result<LookupStatus, CodecError> {
 
 fn op_byte(op: AdaptOp) -> u8 {
     match op {
-        AdaptOp::QueryOutlink => 0,
         AdaptOp::AddOutlink => 1,
         AdaptOp::DropOutlinks => 2,
         AdaptOp::AddBackward => 3,
@@ -313,7 +313,6 @@ fn op_byte(op: AdaptOp) -> u8 {
 
 fn op_from(value: u8) -> Result<AdaptOp, CodecError> {
     match value {
-        0 => Ok(AdaptOp::QueryOutlink),
         1 => Ok(AdaptOp::AddOutlink),
         2 => Ok(AdaptOp::DropOutlinks),
         3 => Ok(AdaptOp::AddBackward),
@@ -340,18 +339,25 @@ fn tag_of(msg: &Message) -> u8 {
 /// Encodes a message into a complete frame (header + payload).
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + 32);
+    encode_into(msg, &mut out);
+    out
+}
+
+/// [`encode`] into a buffer the caller keeps; `out` is cleared first.
+pub(crate) fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(tag_of(msg));
-    put_u32(&mut out, 0); // length backpatched below
+    put_u32(out, 0); // length backpatched below
     match msg {
         Message::Join { id, members } => {
-            put_u64(&mut out, *id);
-            put_ids(&mut out, members);
+            put_u64(out, *id);
+            put_ids(out, members);
         }
         Message::Stabilize { round, members } => {
-            put_u32(&mut out, *round);
-            put_ids(&mut out, members);
+            put_u32(out, *round);
+            put_ids(out, members);
         }
         Message::Lookup {
             query,
@@ -361,12 +367,12 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             flags,
             avoid,
         } => {
-            put_u64(&mut out, *query);
-            put_u64(&mut out, *key);
-            put_u32(&mut out, *hops);
-            put_u32(&mut out, *attempts);
+            put_u64(out, *query);
+            put_u64(out, *key);
+            put_u32(out, *hops);
+            put_u32(out, *attempts);
             out.push(*flags);
-            put_ids(&mut out, avoid);
+            put_ids(out, avoid);
         }
         Message::LookupReply {
             query,
@@ -374,13 +380,13 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             owner,
             hops,
         } => {
-            put_u64(&mut out, *query);
+            put_u64(out, *query);
             out.push(status_byte(*status));
-            put_u64(&mut out, *owner);
-            put_u32(&mut out, *hops);
+            put_u64(out, *owner);
+            put_u32(out, *hops);
         }
         Message::ProbeLoad { token } => {
-            put_u64(&mut out, *token);
+            put_u64(out, *token);
         }
         Message::LoadReport {
             token,
@@ -389,19 +395,19 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             indegree,
             spare,
         } => {
-            put_u64(&mut out, *token);
-            put_u64(&mut out, *load);
-            put_u64(&mut out, *capacity);
-            put_u32(&mut out, *indegree);
-            put_u64(&mut out, *spare as u64);
+            put_u64(out, *token);
+            put_u64(out, *load);
+            put_u64(out, *capacity);
+            put_u32(out, *indegree);
+            put_u64(out, *spare as u64);
         }
         Message::AdaptIndegree { from, slot, op } => {
-            put_u64(&mut out, *from);
-            put_u16(&mut out, *slot);
+            put_u64(out, *from);
+            put_u16(out, *slot);
             out.push(op_byte(*op));
         }
         Message::Leave { id } => {
-            put_u64(&mut out, *id);
+            put_u64(out, *id);
         }
     }
     let payload_len = out.len().saturating_sub(HEADER_LEN);
@@ -409,7 +415,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
     if let Some(slot) = out.get_mut(4..8) {
         slot.copy_from_slice(&len_bytes);
     }
-    out
 }
 
 /// Decodes one complete frame. Rejects every malformed input with a

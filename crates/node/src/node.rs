@@ -28,7 +28,7 @@ use ert_minidht::{
 };
 use ert_sim::SimRng;
 
-use crate::codec::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
+use crate::codec::{decode, encode, encode_into, CodecError, LookupStatus, Message};
 use crate::transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};
 
 /// Node-level protocol failure.
@@ -80,31 +80,42 @@ pub struct WireNode {
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
     stabilize_round: u32,
+    /// The outgoing RPC's frame, kept so that asking allocates nothing.
+    request: Vec<u8>,
 }
 
-/// Carries one [`PeerOp`] to `peer` as an RPC: encode, request, decode.
-/// Unknown and partitioned peers are answers, not errors.
-fn ask(t: &mut dyn Transport, token: u64, peer: u64, op: PeerOp) -> Result<PeerAnswer, NodeError> {
-    let frame = encode(&match op {
-        PeerOp::Probe => Message::ProbeLoad { token },
-        PeerOp::Link { from, slot, op } => Message::AdaptIndegree { from, slot, op },
-    });
-    match t.request(peer, &frame) {
+/// Carries one [`PeerOp`] to `peer` as an RPC: encode into `frame`,
+/// request, decode. Unknown and partitioned peers are answers, not
+/// errors; a reply other than the `LoadReport` under this request's
+/// token (the probe's; 0 for a link operation) is a protocol error.
+fn ask(
+    t: &mut dyn Transport,
+    frame: &mut Vec<u8>,
+    token: u64,
+    peer: u64,
+    op: PeerOp,
+) -> Result<PeerAnswer, NodeError> {
+    let (request, token) = match op {
+        PeerOp::Probe => (Message::ProbeLoad { token }, token),
+        PeerOp::Link { from, slot, op } => (Message::AdaptIndegree { from, slot, op }, 0),
+    };
+    encode_into(&request, frame);
+    match t.request(peer, frame) {
         Ok(bytes) => match decode(&bytes)? {
             Message::LoadReport {
+                token: answered,
                 load,
                 capacity,
                 indegree,
                 spare,
-                ..
-            } => Ok(PeerAnswer::Report(PeerReport {
+            } if answered == token => Ok(PeerAnswer::Report(PeerReport {
                 load,
                 capacity,
                 indegree,
                 spare,
             })),
             other => Err(NodeError::Protocol(format!(
-                "peer reply carried unexpected message {other:?}"
+                "peer reply is not the LoadReport for token {token}: {other:?}"
             ))),
         },
         Err(TransportError::UnknownPeer(_)) => Ok(PeerAnswer::Unknown),
@@ -140,6 +151,7 @@ impl WireNode {
             cfg: *cfg,
             protocol,
             stabilize_round: 0,
+            request: Vec::new(),
         }
     }
 
@@ -193,7 +205,7 @@ impl WireNode {
             if failure.is_some() {
                 return PeerAnswer::Unreachable;
             }
-            ask(t, token, peer, op).unwrap_or_else(|e| {
+            ask(t, &mut self.request, token, peer, op).unwrap_or_else(|e| {
                 failure = Some(e);
                 PeerAnswer::Unreachable
             })
@@ -389,7 +401,12 @@ impl WireNode {
     /// Fails on undecodable frames or messages that do not belong on
     /// the RPC lane.
     pub fn on_request(&mut self, frame: &[u8]) -> Result<Vec<u8>, NodeError> {
-        let (token, op) = match decode(frame)? {
+        self.on_message(decode(frame)?)
+    }
+
+    /// [`WireNode::on_request`] for a frame already decoded.
+    pub(crate) fn on_message(&mut self, request: Message) -> Result<Vec<u8>, NodeError> {
+        let (token, op) = match request {
             Message::ProbeLoad { token } => (token, PeerOp::Probe),
             Message::AdaptIndegree { from, slot, op } => (0, PeerOp::Link { from, slot, op }),
             Message::Join { id, members } => {
@@ -412,26 +429,13 @@ impl WireNode {
                 )))
             }
         };
-        let PeerReport {
-            load,
-            capacity,
-            indegree,
-            spare,
-        } = self.ert.serve(op);
+        let report = self.ert.serve(op);
         Ok(encode(&Message::LoadReport {
-            // A `QueryOutlink` answer rides in `load` and is echoed as
-            // the token.
-            token: match op {
-                PeerOp::Link {
-                    op: AdaptOp::QueryOutlink,
-                    ..
-                } => load,
-                _ => token,
-            },
-            load,
-            capacity,
-            indegree,
-            spare,
+            token,
+            load: report.load,
+            capacity: report.capacity,
+            indegree: report.indegree,
+            spare: report.spare,
         }))
     }
 
@@ -497,6 +501,7 @@ impl WireNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::AdaptOp;
     use ert_sim::{SimDuration, SimTime};
     use std::collections::BTreeMap;
 
@@ -534,6 +539,77 @@ mod tests {
         let out = f(&mut node, &mut Lan { nodes });
         nodes.insert(id, node);
         out
+    }
+
+    /// Answers every request with one canned frame.
+    struct Canned(Vec<u8>);
+
+    impl Transport for Canned {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn send(&mut self, _to: u64, _frame: &[u8]) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn request(&mut self, _to: u64, _frame: &[u8]) -> Result<Vec<u8>, TransportError> {
+            Ok(self.0.clone())
+        }
+        fn timer(&mut self, _delay: SimDuration, _kind: TimerKind) {}
+    }
+
+    fn report_with_token(token: u64) -> Vec<u8> {
+        encode(&Message::LoadReport {
+            token,
+            load: 0,
+            capacity: 8,
+            indegree: 0,
+            spare: 8,
+        })
+    }
+
+    #[test]
+    fn a_reply_carrying_another_requests_token_is_a_protocol_error() {
+        let link = PeerOp::Link {
+            from: 0,
+            slot: 3,
+            op: AdaptOp::AddOutlink,
+        };
+        let ask_with = |reply_token, token, op| {
+            ask(
+                &mut Canned(report_with_token(reply_token)),
+                &mut Vec::new(),
+                token,
+                9,
+                op,
+            )
+        };
+        // A probe is answered under its own token, a link op under 0.
+        assert!(matches!(
+            ask_with(7, 7, PeerOp::Probe),
+            Ok(PeerAnswer::Report(_))
+        ));
+        assert!(matches!(ask_with(0, 7, link), Ok(PeerAnswer::Report(_))));
+        // A late answer to an earlier probe, and a probe's answer taken
+        // for a link op's.
+        for (reply_token, op) in [(6, PeerOp::Probe), (7, link)] {
+            let err = ask_with(reply_token, 7, op).expect_err("stale token");
+            assert!(matches!(err, NodeError::Protocol(_)), "{err}");
+        }
+        // Through the node: the step fails closed.
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        let mut node = WireNode::new(0, BITS, &[0, 20], 1.0, 8, &cfg, MiniProtocol::ElasticErt);
+        let err = node
+            .build_links(&mut Canned(report_with_token(3)))
+            .expect_err("stale token");
+        assert!(matches!(err, NodeError::Protocol(_)), "{err}");
+        assert_eq!(node.indegree(), 0);
+    }
+
+    #[test]
+    fn a_reply_that_is_not_a_load_report_is_a_protocol_error() {
+        let mut leave = Canned(encode(&Message::Leave { id: 9 }));
+        let err = ask(&mut leave, &mut Vec::new(), 7, 9, PeerOp::Probe).expect_err("not a report");
+        assert!(matches!(err, NodeError::Protocol(_)), "{err}");
     }
 
     #[test]

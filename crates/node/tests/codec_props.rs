@@ -68,10 +68,9 @@ fn arbitrary_message(seed: u64, shape: u32) -> Message {
         6 => Message::AdaptIndegree {
             from: rng.gen(),
             slot: rng.gen(),
-            op: match shape % 4 {
-                0 => AdaptOp::QueryOutlink,
-                1 => AdaptOp::AddOutlink,
-                2 => AdaptOp::DropOutlinks,
+            op: match shape % 3 {
+                0 => AdaptOp::AddOutlink,
+                1 => AdaptOp::DropOutlinks,
                 _ => AdaptOp::AddBackward,
             },
         },
@@ -148,8 +147,14 @@ fn error_taxonomy_is_reachable() {
         decode(b"ER\x07\x01\0\0\0\x01\0"),
         Err(CodecError::BadVersion(7))
     ));
+    // The header of the protocol before `AddOutlink` answered
+    // present/added.
     assert!(matches!(
-        decode(b"ER\x01\x63\0\0\0\x01\0"),
+        decode(b"ER\x01\x01\0\0\0\x01\0"),
+        Err(CodecError::BadVersion(1))
+    ));
+    assert!(matches!(
+        decode(b"ER\x02\x63\0\0\0\x01\0"),
         Err(CodecError::UnknownTag(0x63))
     ));
     let valid = encode(&Message::ProbeLoad { token: 7 });
@@ -183,4 +188,18 @@ fn error_taxonomy_is_reachable() {
         decode(&bad_status),
         Err(CodecError::BadEnum { .. })
     ));
+    // Op byte 0 was version 1's link query; no op answers to it now.
+    let mut no_such_op = encode(&Message::AdaptIndegree {
+        from: 1,
+        slot: 2,
+        op: AdaptOp::AddOutlink,
+    });
+    *no_such_op.last_mut().unwrap() = 0;
+    assert_eq!(
+        decode(&no_such_op),
+        Err(CodecError::BadEnum {
+            field: "AdaptOp",
+            value: 0
+        })
+    );
 }

@@ -27,6 +27,15 @@ impl Links {
             links: Vec::new(),
         }
     }
+
+    fn link_if_absent(&mut self, from: u64, slot: u32, to: u64) -> bool {
+        if self.links.contains(&(from, slot, to)) {
+            return false;
+        }
+        self.links.push((from, slot, to));
+        *self.indegree.entry(to).or_insert(0) += 1;
+        true
+    }
 }
 
 struct ChordDirectory {
@@ -67,13 +76,8 @@ impl Directory for ChordDirectory {
         self.state.indegree.get(&node).copied().unwrap_or(0)
     }
 
-    fn has_link(&self, from: u64, slot: u32, to: u64) -> bool {
-        self.state.links.contains(&(from, slot, to))
-    }
-
-    fn add_link(&mut self, from: u64, slot: u32, to: u64) {
-        self.state.links.push((from, slot, to));
-        *self.state.indegree.entry(to).or_insert(0) += 1;
+    fn link_if_absent(&mut self, from: u64, slot: u32, to: u64) -> bool {
+        self.state.link_if_absent(from, slot, to)
     }
 }
 
@@ -125,13 +129,8 @@ impl Directory for PastryDirectory {
         self.state.indegree.get(&node).copied().unwrap_or(0)
     }
 
-    fn has_link(&self, from: u64, slot: u32, to: u64) -> bool {
-        self.state.links.contains(&(from, slot, to))
-    }
-
-    fn add_link(&mut self, from: u64, slot: u32, to: u64) {
-        self.state.links.push((from, slot, to));
-        *self.state.indegree.entry(to).or_insert(0) += 1;
+    fn link_if_absent(&mut self, from: u64, slot: u32, to: u64) -> bool {
+        self.state.link_if_absent(from, slot, to)
     }
 }
 
