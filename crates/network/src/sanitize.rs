@@ -354,6 +354,26 @@ pub(crate) fn check_ring_slots(topo: &mut Topology, node: usize) {
     topo.ring_checks += 1;
 }
 
+/// The differential for `Topology::note_degrees`, run at every sample:
+/// `ins` / `outs` must be what summing in- and outdegree over the
+/// host's live nodes gives, whether the host took the sole-node read or
+/// the sum.
+pub(crate) fn check_host_degrees(topo: &Topology, host: usize, ins: u32, outs: u32) {
+    if !Sanitizer::ACTIVE {
+        return;
+    }
+    let live = topo.hosts[host].nodes.iter().map(|&n| &topo.nodes[n]);
+    let live = live.filter(|n| n.alive);
+    let (summed_in, summed_out) = live.fold((0, 0), |(i, o), n| {
+        (i + n.table.indegree(), o + n.table.outdegree())
+    });
+    assert!(
+        (ins as usize, outs as usize) == (summed_in, summed_out),
+        "sanitize: host {host} sampled degrees in {ins} / out {outs}, \
+         but its live nodes sum to in {summed_in} / out {summed_out}"
+    );
+}
+
 /// Structural slack shared by the degree envelopes: mandatory Cycloid
 /// links (leaf-set, cyclic, cubical) sit outside the elastic budget;
 /// the theorems bury them in O(1)/O(2^d/d) terms, so the envelopes get

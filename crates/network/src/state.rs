@@ -49,9 +49,12 @@ pub struct Host {
     pub max_congestion: f64,
     /// Accumulated busy (serving) time in microseconds.
     pub busy_micros: u64,
-    /// Largest total elastic indegree observed across this host's nodes.
+    /// Largest total indegree (backward fingers) of this host's live
+    /// nodes, sampled each time a double link to or from one of them is
+    /// created; ring-slot refreshes are not sampling points.
     pub max_indegree_seen: u32,
-    /// Largest total outdegree observed across this host's nodes.
+    /// Largest total outdegree of this host's live nodes, sampled as
+    /// `max_indegree_seen` is.
     pub max_outdegree_seen: u32,
     /// Overlay nodes this host backs.
     pub nodes: Vec<usize>,

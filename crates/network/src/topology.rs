@@ -427,16 +427,35 @@ impl Topology {
         self.note_degrees(ti);
     }
 
-    /// Updates the degree watermarks on the host backing `node`.
+    /// Updates the degree watermarks on the host backing `node` with the
+    /// host's total in- and outdegree, summed over its live nodes.
+    ///
+    /// A host backing a single node reads that node's degrees instead of
+    /// summing. This is exact, not a heuristic:
+    ///
+    /// * a host's `nodes` only ever grows, by one push in `add_node` —
+    ///   nothing removes an entry, not even `remove_node` — so a
+    ///   one-entry list is `[node]`, the node whose `host` names it;
+    /// * a dead node contributes 0 to the sum, and so it does here, so
+    ///   a host whose sole node died reads 0 either way; once a second
+    ///   node joins it, the list has two entries and the sum is taken.
+    ///
+    /// Multi-node hosts (virtual servers) keep the sum. Sanitizer-armed
+    /// builds re-sum every host and compare.
     fn note_degrees(&mut self, node: usize) {
         let host = self.nodes[node].host;
-        let (mut ins, mut outs) = (0u32, 0u32);
-        for &n in &self.hosts[host].nodes {
-            if self.nodes[n].alive {
-                ins += self.nodes[n].table.indegree() as u32;
-                outs += self.nodes[n].table.outdegree() as u32;
-            }
-        }
+        let degrees = |n: &OverlayNode| match n.alive {
+            true => (n.table.indegree() as u32, n.table.outdegree() as u32),
+            false => (0, 0),
+        };
+        let (ins, outs) = match self.hosts[host].nodes.as_slice() {
+            [_sole] => degrees(&self.nodes[node]),
+            nodes => nodes.iter().fold((0, 0), |(ins, outs), &n| {
+                let (i, o) = degrees(&self.nodes[n]);
+                (ins + i, outs + o)
+            }),
+        };
+        crate::sanitize::check_host_degrees(self, host, ins, outs);
         let h = &mut self.hosts[host];
         h.max_indegree_seen = h.max_indegree_seen.max(ins);
         h.max_outdegree_seen = h.max_outdegree_seen.max(outs);
@@ -1023,17 +1042,115 @@ mod tests {
         assert!(gained <= 2, "grew {gained} past headroom");
     }
 
+    /// In- and outdegree summed over the live nodes of `host`.
+    fn summed_degrees(topo: &Topology, host: usize) -> (u32, u32) {
+        let live = topo.hosts[host].nodes.iter().map(|&n| &topo.nodes[n]);
+        live.filter(|n| n.alive).fold((0, 0), |(i, o), n| {
+            (
+                i + n.table.indegree() as u32,
+                o + n.table.outdegree() as u32,
+            )
+        })
+    }
+
+    /// Links each `(from, to)` pair of live nodes through their cyclic
+    /// slots, and after every link checks each host's watermarks against
+    /// a model that re-sums both ends' hosts at each link created.
+    fn assert_watermarks_follow(topo: &mut Topology, links: &[(usize, usize)]) {
+        let watermarks = |topo: &Topology| -> Vec<(u32, u32)> {
+            let marks = |h: &Host| (h.max_indegree_seen, h.max_outdegree_seen);
+            topo.hosts.iter().map(marks).collect()
+        };
+        let mut model = watermarks(topo);
+        for &(f, t) in links {
+            let (from, to) = (topo.nodes[f].id, topo.nodes[t].id);
+            let fingers = |topo: &Topology| topo.nodes[t].table.backward_fingers().to_vec();
+            let mut expected = fingers(topo);
+            if !expected.contains(&from) {
+                expected.push(from);
+            }
+            topo.add_link(from, CycloidSlot::Cyclic, to);
+            assert!(topo.has_link(from, CycloidSlot::Cyclic, to));
+            assert_eq!(fingers(topo), expected);
+            for n in [f, t] {
+                let host = topo.nodes[n].host;
+                let (ins, outs) = summed_degrees(topo, host);
+                model[host] = (model[host].0.max(ins), model[host].1.max(outs));
+            }
+            assert_eq!(watermarks(topo), model, "after {from} -> {to}");
+        }
+    }
+
+    /// `count` pairs of distinct live nodes.
+    fn random_links(topo: &Topology, rng: &mut SimRng, count: usize) -> Vec<(usize, usize)> {
+        let live: Vec<usize> = (0..topo.nodes.len())
+            .filter(|&n| topo.nodes[n].alive)
+            .collect();
+        let mut links = Vec::new();
+        while links.len() < count {
+            let (f, t) = (*rng.choose(&live).unwrap(), *rng.choose(&live).unwrap());
+            if f != t {
+                links.push((f, t));
+            }
+        }
+        links
+    }
+
     #[test]
     fn add_link_tracks_backward_finger_and_watermarks() {
+        // Sole-node hosts: the watermark reads the node itself.
+        let (mut topo, mut rng) = full_topology(TablePolicy::SingleClosest);
+        assert!(topo.hosts.iter().all(|h| h.nodes.len() == 1));
+        let links = random_links(&topo, &mut rng, 60);
+        assert_watermarks_follow(&mut topo, &[(3, 40), (3, 40)]);
+        assert_watermarks_follow(&mut topo, &links);
+
+        // Virtual servers: four nodes per host, one of them departed.
+        let space = CycloidSpace::new(4);
+        let params = ErtParams::default().with_alpha_for_dim(4);
+        let mut topo = Topology::new(space, TablePolicy::SingleClosest, params);
+        for lin in 0..space.ring_size() {
+            let host = match lin % 4 {
+                0 => topo.add_host(Host::new(1.0, 1.0, 1.0, 8, Coord::random(&mut rng))),
+                _ => topo.hosts.len() - 1,
+            };
+            topo.add_node(space.from_lin(lin), host, 8);
+        }
+        for n in 0..topo.nodes.len() {
+            topo.build_node_table(n, &mut rng);
+        }
+        topo.remove_node(21);
+        assert!(topo.hosts.iter().all(|h| h.nodes.len() == 4));
+        let links = random_links(&topo, &mut rng, 80);
+        assert_watermarks_follow(&mut topo, &links);
+
+        // A host whose sole node died before a second one joined it: the
+        // dead node counts for nothing once the host sums again.
+        let (mut topo, mut rng) = full_topology(TablePolicy::SingleClosest);
+        let (id, host) = (topo.nodes[10].id, topo.nodes[10].host);
+        topo.remove_node(10);
+        let fresh = topo.add_node(id, host, 5);
+        assert_eq!(topo.hosts[host].nodes, [10, fresh]);
+        topo.build_node_table(fresh, &mut rng);
+        let mut links = random_links(&topo, &mut rng, 40);
+        links.extend([(fresh, 3), (4, fresh), (fresh, 5)]);
+        assert_watermarks_follow(&mut topo, &links);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled degrees")]
+    fn sanitizer_catches_a_node_missing_from_its_hosts_list() {
         let (mut topo, _) = full_topology(TablePolicy::SingleClosest);
-        let a = topo.nodes[3].id;
-        let b = topo.nodes[40].id;
-        let before = topo.nodes[40].table.indegree();
-        topo.add_link(a, CycloidSlot::Cyclic, b);
-        assert!(topo.has_link(a, CycloidSlot::Cyclic, b));
-        assert_eq!(topo.nodes[40].table.indegree(), before + 1);
-        let host = topo.nodes[40].host;
-        assert!(topo.hosts[host].max_indegree_seen >= (before + 1) as u32);
+        // Node 3 moved onto another sole-node host behind `add_node`'s
+        // back: that host's list does not name it, and its sole node
+        // will not have node 3's indegree once the link is in.
+        let indegree = |n: usize| topo.nodes[n].table.indegree();
+        let moved = (0..topo.nodes.len())
+            .find(|&n| indegree(n) != indegree(3) + 1)
+            .unwrap();
+        topo.nodes[3].host = topo.nodes[moved].host;
+        let (from, to) = (topo.nodes[40].id, topo.nodes[3].id);
+        topo.add_link(from, CycloidSlot::Cyclic, to);
     }
 
     #[test]

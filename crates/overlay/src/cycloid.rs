@@ -34,27 +34,68 @@ use crate::ring::forward_distance;
 ///
 /// Construct through [`CycloidSpace::id`] so the components are validated
 /// against the dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CycloidId {
-    k: u8,
-    a: u32,
-}
+///
+/// Packed into one word, `(k << MAX_DIM) | a`: `a < 2^d ≤ 2^MAX_DIM`
+/// fills the low bits and `k` sits above them, so comparing the words
+/// is comparing `(k, a)` lexicographically — the order the two-field
+/// struct this replaces derived, which every ID-keyed `BTreeSet` /
+/// `BTreeMap` iterates in — and equality is one compare.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Deserialize)]
+pub struct CycloidId(u32);
+
+/// Bits `k < MAX_DIM` takes above the cubical ID.
+const K_BITS: u32 = u8::BITS - (CycloidSpace::MAX_DIM - 1).leading_zeros();
+const _: () = assert!(K_BITS + CycloidSpace::MAX_DIM as u32 <= u32::BITS);
 
 impl CycloidId {
+    /// Low-bit mask holding the cubical ID.
+    const A_MASK: u32 = (1 << CycloidSpace::MAX_DIM) - 1;
+
+    /// Packs `(k, a)`, both already in range for some dimension.
+    const fn pack(k: u8, a: u32) -> Self {
+        CycloidId(((k as u32) << CycloidSpace::MAX_DIM) | a)
+    }
+
     /// The cyclic index.
     pub fn k(self) -> u8 {
-        self.k
+        (self.0 >> CycloidSpace::MAX_DIM) as u8
     }
 
     /// The cubical ID.
     pub fn a(self) -> u32 {
-        self.a
+        self.0 & Self::A_MASK
     }
 }
 
 impl fmt::Display for CycloidId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({},{:b})", self.k, self.a)
+        write!(f, "({},{:b})", self.k(), self.a())
+    }
+}
+
+/// As the two-field struct printed: `CycloidId { k: 4, a: 186 }`.
+impl fmt::Debug for CycloidId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CycloidId")
+            .field("k", &self.k())
+            .field("a", &self.a())
+            .finish()
+    }
+}
+
+/// As the two-field struct serialized: `{"k":4,"a":186}`.
+impl Serialize for CycloidId {
+    fn serialize_json(&self, out: &mut String) {
+        #[derive(Serialize)]
+        struct Fields {
+            k: u8,
+            a: u32,
+        }
+        Fields {
+            k: self.k(),
+            a: self.a(),
+        }
+        .serialize_json(out)
     }
 }
 
@@ -77,7 +118,7 @@ pub struct CycloidRegion {
 impl CycloidRegion {
     /// Whether `id` lies in the region.
     pub fn contains(&self, id: CycloidId) -> bool {
-        id.k == self.k && (self.a_lo..=self.a_hi).contains(&id.a)
+        id.k() == self.k && (self.a_lo..=self.a_hi).contains(&id.a())
     }
 
     /// Number of IDs in the region.
@@ -128,15 +169,20 @@ pub struct CycloidSpace {
 }
 
 impl CycloidSpace {
+    /// The largest supported dimension: a cubical ID takes `MAX_DIM`
+    /// bits of a packed [`CycloidId`] and the cyclic index the rest.
+    pub const MAX_DIM: u8 = 26;
+
     /// Creates a space of dimension `dim`.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 <= dim <= 26` (the ring size must fit
-    /// comfortably in `u64`, and dimension 1 has no routable structure).
+    /// Panics unless `2 <= dim <=` [`MAX_DIM`](Self::MAX_DIM) (an ID
+    /// must pack into a `u32`, and dimension 1 has no routable
+    /// structure).
     pub fn new(dim: u8) -> Self {
         assert!(
-            (2..=26).contains(&dim),
+            (2..=Self::MAX_DIM).contains(&dim),
             "unsupported Cycloid dimension: {dim}"
         );
         CycloidSpace { dim }
@@ -181,13 +227,13 @@ impl CycloidSpace {
             self.dim
         );
         assert!((a as u64) < self.cube_size(), "cubical id {a} out of range");
-        CycloidId { k, a }
+        CycloidId::pack(k, a)
     }
 
     /// The cubical-major ring position of `id` (cycle `a` occupies the
     /// contiguous block `[a·d, a·d + d)`).
     pub fn lin(self, id: CycloidId) -> u64 {
-        id.a as u64 * self.dim as u64 + id.k as u64
+        id.a() as u64 * self.dim as u64 + id.k() as u64
     }
 
     /// Inverse of [`CycloidSpace::lin`].
@@ -197,10 +243,10 @@ impl CycloidSpace {
     /// Panics if `lin` is outside the ring.
     pub fn from_lin(self, lin: u64) -> CycloidId {
         assert!(lin < self.ring_size(), "ring position {lin} out of range");
-        CycloidId {
-            k: (lin % self.dim as u64) as u8,
-            a: (lin / self.dim as u64) as u32,
-        }
+        CycloidId::pack(
+            (lin % self.dim as u64) as u8,
+            (lin / self.dim as u64) as u32,
+        )
     }
 
     /// Draws a uniformly random ID.
@@ -211,39 +257,39 @@ impl CycloidSpace {
     /// The region the cubical slot of `id` may draw neighbors from, or
     /// `None` for `k = 0` nodes (which have no descending slots).
     pub fn cubical_region(self, id: CycloidId) -> Option<CycloidRegion> {
-        if id.k == 0 {
+        if id.k() == 0 {
             return None;
         }
-        let base = ((id.a >> id.k) ^ 1) << id.k;
+        let base = ((id.a() >> id.k()) ^ 1) << id.k();
         Some(CycloidRegion {
-            k: id.k - 1,
+            k: id.k() - 1,
             a_lo: base,
-            a_hi: base + (1 << id.k) - 1,
+            a_hi: base + (1 << id.k()) - 1,
         })
     }
 
     /// The region the cyclic slot of `id` may draw neighbors from, or
     /// `None` for `k = 0` nodes.
     pub fn cyclic_region(self, id: CycloidId) -> Option<CycloidRegion> {
-        if id.k == 0 {
+        if id.k() == 0 {
             return None;
         }
-        let base = (id.a >> id.k) << id.k;
+        let base = (id.a() >> id.k()) << id.k();
         Some(CycloidRegion {
-            k: id.k - 1,
+            k: id.k() - 1,
             a_lo: base,
-            a_hi: base + (1 << id.k) - 1,
+            a_hi: base + (1 << id.k()) - 1,
         })
     }
 
     /// IDs whose **cubical** slot may point at `id` — what Algorithm 1
     /// probes first to expand indegree. `None` for `k = d − 1` nodes.
     pub fn reverse_cubical_region(self, id: CycloidId) -> Option<CycloidRegion> {
-        if id.k + 1 >= self.dim {
+        if id.k() + 1 >= self.dim {
             return None;
         }
-        let shift = id.k + 1;
-        let base = ((id.a >> shift) ^ 1) << shift;
+        let shift = id.k() + 1;
+        let base = ((id.a() >> shift) ^ 1) << shift;
         Some(CycloidRegion {
             k: shift,
             a_lo: base,
@@ -254,11 +300,11 @@ impl CycloidSpace {
     /// IDs whose **cyclic** slot may point at `id` — what Algorithm 1
     /// probes second. `None` for `k = d − 1` nodes.
     pub fn reverse_cyclic_region(self, id: CycloidId) -> Option<CycloidRegion> {
-        if id.k + 1 >= self.dim {
+        if id.k() + 1 >= self.dim {
             return None;
         }
-        let shift = id.k + 1;
-        let base = (id.a >> shift) << shift;
+        let shift = id.k() + 1;
+        let base = (id.a() >> shift) << shift;
         Some(CycloidRegion {
             k: shift,
             a_lo: base,
@@ -282,16 +328,16 @@ impl CycloidSpace {
     /// cubical (`k = m`) or cyclic (`k > m`) slots, and *traverse the
     /// ring* once the cubical IDs agree.
     pub fn route_step(self, cur: CycloidId, key: CycloidId) -> RouteStep {
-        if cur.a == key.a {
+        if cur.a() == key.a() {
             return RouteStep::Ring;
         }
-        let m = 31 - (cur.a ^ key.a).leading_zeros(); // MSB of the diff
-        if m as u8 > cur.k {
+        let m = 31 - (cur.a() ^ key.a()).leading_zeros(); // MSB of the diff
+        if m as u8 > cur.k() {
             RouteStep::Ascend
-        } else if cur.k == 0 {
+        } else if cur.k() == 0 {
             // Only m == 0 reaches here: adjacent cycles, finish on ring.
             RouteStep::Ring
-        } else if m as u8 == cur.k {
+        } else if m as u8 == cur.k() {
             RouteStep::Entry(SlotKind::Cubical)
         } else {
             RouteStep::Entry(SlotKind::Cyclic)
@@ -424,7 +470,7 @@ impl CycloidRegistry {
 
     /// Position of `id` in the cyclic-major bitmap.
     fn region_bit(&self, id: CycloidId) -> u64 {
-        id.k as u64 * self.space.cube_size() + id.a as u64
+        id.k() as u64 * self.space.cube_size() + id.a() as u64
     }
 
     /// Adds `id`; returns `false` if it was already present.
@@ -529,7 +575,7 @@ impl CycloidRegistry {
     /// The live members of a region, in cubical order.
     pub fn nodes_in_region(&self, region: CycloidRegion) -> Vec<CycloidId> {
         self.cubicals(region.k, region.a_lo, region.a_hi + 1)
-            .map(|a| CycloidId { k: region.k, a })
+            .map(|a| CycloidId::pack(region.k, a))
             .collect()
     }
 
@@ -565,7 +611,7 @@ impl CycloidRegistry {
     /// nearest first — the targets of the ascending phase.
     pub fn cycle_above(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
         let dim = self.space.dim() as u64;
-        self.ring_members(self.space.lin(id) + 1, (id.a as u64 + 1) * dim)
+        self.ring_members(self.space.lin(id) + 1, (id.a() as u64 + 1) * dim)
     }
 
     /// The next `window` live IDs strictly after `id` on the ring
@@ -611,19 +657,19 @@ impl CycloidRegistry {
     /// or `None` when `id`'s cycle is the only populated one.
     pub fn next_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
         let dim = self.space.dim() as u64;
-        let first_elsewhere = self.at_or_after((id.a as u64 + 1) * dim)?;
-        if first_elsewhere.a == id.a {
+        let first_elsewhere = self.at_or_after((id.a() as u64 + 1) * dim)?;
+        if first_elsewhere.a() == id.a() {
             return None;
         }
-        self.cycle_head(first_elsewhere.a)
+        self.cycle_head(first_elsewhere.a())
     }
 
     /// The head of the first non-empty cycle before `id`'s own
     /// (wrapping), or `None` when `id`'s cycle is the only populated one.
     pub fn prev_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
         // The last member before `id`'s cycle is the highest of its own.
-        self.before(id.a as u64 * self.space.dim() as u64)
-            .filter(|head| head.a != id.a)
+        self.before(id.a() as u64 * self.space.dim() as u64)
+            .filter(|head| head.a() != id.a())
     }
 
     /// Clockwise ring distance from `from` to `to`.
@@ -718,7 +764,7 @@ impl InlinkScan<'_> {
     /// The nearer of the next member on the lower and on the upper
     /// side, and whether it is the upper one.
     fn nearer(&self, lower: Option<u32>, upper: Option<u32>) -> Option<(u32, bool)> {
-        let dist = |m: u32| self.registry.space.cube_dist(m, self.node.a);
+        let dist = |m: u32| self.registry.space.cube_dist(m, self.node.a());
         match (lower, upper) {
             (Some(l), Some(u)) if dist(u) < dist(l) => Some((u, true)),
             (Some(l), _) => Some((l, false)),
@@ -733,7 +779,7 @@ impl Iterator for InlinkScan<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         let (reg, node) = (self.registry, self.node);
         // Both reverse regions sit one cyclic index up.
-        let k = node.k + 1;
+        let k = node.k() + 1;
         loop {
             self.at = match self.at {
                 InlinkCursor::Start => match reg.space.reverse_cubical_region(node) {
@@ -752,11 +798,11 @@ impl Iterator for InlinkScan<'_> {
                                 true => InlinkCursor::Cubical { lo, hi: a },
                                 false => InlinkCursor::Cubical { lo: a + 1, hi },
                             };
-                            return Some((Some(SlotKind::Cubical), CycloidId { k, a }));
+                            return Some((Some(SlotKind::Cubical), CycloidId::pack(k, a)));
                         }
                         None => InlinkCursor::Cyclic {
-                            lo: node.a + 1,
-                            hi: node.a + 1,
+                            lo: node.a() + 1,
+                            hi: node.a() + 1,
                         },
                     }
                 }
@@ -772,7 +818,7 @@ impl Iterator for InlinkScan<'_> {
                                 true => InlinkCursor::Cyclic { lo, hi: a + 1 },
                                 false => InlinkCursor::Cyclic { lo: a, hi },
                             };
-                            return Some((Some(SlotKind::Cyclic), CycloidId { k, a }));
+                            return Some((Some(SlotKind::Cyclic), CycloidId::pack(k, a)));
                         }
                         None => InlinkCursor::Ring { taken: 0 },
                     }
@@ -895,6 +941,67 @@ mod tests {
             assert_eq!(s.lin(s.from_lin(lin)), lin);
         }
         assert_eq!(s.ring_size(), 2048);
+    }
+
+    /// The identifier as it was before it was packed: two fields, every
+    /// trait but `Display` derived.
+    mod two_field {
+        use serde::Serialize;
+        use std::fmt;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+        pub struct CycloidId {
+            pub k: u8,
+            pub a: u32,
+        }
+
+        impl fmt::Display for CycloidId {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "({},{:b})", self.k, self.a)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Every dimension, the four corners of its ID space and random
+        /// IDs of it: the packed ID compares, prints, serializes, sits
+        /// on the ring and iterates in a set as the two-field struct it
+        /// replaced does.
+        #[test]
+        fn packed_id_agrees_with_the_two_field_model(
+            dim in 2u8..CycloidSpace::MAX_DIM + 1,
+            draws in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..24),
+        ) {
+            let space = CycloidSpace::new(dim);
+            let top = space.cube_size() as u32 - 1;
+            let corners = [(0, 0), (0, top), (dim - 1, 0), (dim - 1, top)];
+            let draws = draws.iter().map(|&(k, a)| ((k % dim as u32) as u8, a & top));
+            let pairs: Vec<(CycloidId, two_field::CycloidId)> = corners
+                .into_iter()
+                .chain(draws)
+                .map(|(k, a)| (space.id(k, a), two_field::CycloidId { k, a }))
+                .collect();
+            for &(id, model) in &pairs {
+                assert_eq!((id.k(), id.a()), (model.k, model.a));
+                assert_eq!(id.to_string(), model.to_string());
+                assert_eq!(format!("{id:?}"), format!("{model:?}"));
+                assert_eq!(serde::json::to_string(&id), serde::json::to_string(&model));
+                let lin = space.lin(id);
+                assert_eq!(lin, model.a as u64 * dim as u64 + model.k as u64);
+                assert_eq!(space.from_lin(lin), id);
+                for &(other, other_model) in &pairs {
+                    let ord = model.cmp(&other_model);
+                    assert_eq!(id.cmp(&other), ord, "{model:?} vs {other_model:?}");
+                    assert_eq!(id == other, model == other_model);
+                }
+            }
+            let set: BTreeSet<CycloidId> = pairs.iter().map(|p| p.0).collect();
+            let model_set: BTreeSet<two_field::CycloidId> = pairs.iter().map(|p| p.1).collect();
+            let unpacked = set.iter().map(|id| (id.k(), id.a()));
+            assert!(unpacked.eq(model_set.iter().map(|m| (m.k, m.a))));
+        }
     }
 
     #[test]
@@ -1071,13 +1178,13 @@ mod tests {
         }
 
         fn next_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
-            let elsewhere = self.at_or_after(self.cycle(id.a).end)?;
-            (elsewhere.a != id.a).then(|| self.cycle_head(elsewhere.a))?
+            let elsewhere = self.at_or_after(self.cycle(id.a()).end)?;
+            (elsewhere.a() != id.a()).then(|| self.cycle_head(elsewhere.a()))?
         }
 
         fn prev_cycle_head(&self, id: CycloidId) -> Option<CycloidId> {
-            let elsewhere = self.before(self.cycle(id.a).start)?;
-            (elsewhere.a != id.a).then(|| self.cycle_head(elsewhere.a))?
+            let elsewhere = self.before(self.cycle(id.a()).start)?;
+            (elsewhere.a() != id.a()).then(|| self.cycle_head(elsewhere.a()))?
         }
 
         fn succs(&self, id: CycloidId) -> Vec<CycloidId> {
@@ -1126,9 +1233,9 @@ mod tests {
             assert_eq!(reg.owner(id), model.at_or_after(lin), "owner of {id}");
             assert_eq!(reg.successor(id), model.at_or_after(lin + 1), "{id}");
             assert_eq!(reg.predecessor(id), model.before(lin), "{id}");
-            let above = model.ids(model.live.range(lin + 1..model.cycle(id.a).end));
+            let above = model.ids(model.live.range(lin + 1..model.cycle(id.a()).end));
             assert_eq!(reg.cycle_above(id).collect::<Vec<_>>(), above, "{id}");
-            assert_eq!(reg.cycle_head(id.a), model.cycle_head(id.a), "{id}");
+            assert_eq!(reg.cycle_head(id.a()), model.cycle_head(id.a()), "{id}");
             assert_eq!(reg.next_cycle_head(id), model.next_cycle_head(id), "{id}");
             assert_eq!(reg.prev_cycle_head(id), model.prev_cycle_head(id), "{id}");
             let (succs, preds) = (model.succs(id), model.preds(id));
