@@ -2,6 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Slots a table keeps inline: a whole Cycloid table (cubical, cyclic,
+/// ring successor, ring predecessor).
+const INLINE: usize = 4;
+
 /// A routing table whose slots hold *sets* of neighbors and whose size
 /// varies with the owner's capacity and experienced load.
 ///
@@ -17,9 +21,11 @@ use serde::{Deserialize, Serialize};
 ///   remembered by the two-choice-with-memory policy (Section 4.1).
 ///
 /// A table has a handful of slots (4 on Cycloid, at most one per finger
-/// on Chord), so slots and memory are `S`-sorted vectors: a lookup is a
-/// search over one cache line or two, not a tree walk, and iteration is
-/// in slot order whatever order the slots were first touched in.
+/// on Chord), kept in `S` order: the first four inside the table itself
+/// — a whole Cycloid table, so reaching a slot's neighbor list reads
+/// the table and nothing else — and any further ones in one sorted
+/// spill vector after them. Iteration is in slot order whatever order
+/// the slots were first touched in.
 ///
 /// ```
 /// use ert_core::ElasticTable;
@@ -32,10 +38,16 @@ use serde::{Deserialize, Serialize};
 /// t.add_backward("n9");
 /// assert_eq!(t.indegree(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct ElasticTable<S: Ord, Id> {
-    /// `(slot, neighbors)`, sorted by slot, one entry per slot touched.
-    slots: Vec<(S, Vec<Id>)>,
+    /// The keys of the first `INLINE` slots, sorted, then `None`s.
+    keys: [Option<S>; INLINE],
+    /// The neighbors of `keys[i]` at `lists[i]`; empty past the last key.
+    lists: [Vec<Id>; INLINE],
+    /// `(slot, neighbors)` of every slot after the first `INLINE`,
+    /// sorted, each key above every inline one; empty unless `keys` is
+    /// full.
+    spill: Vec<(S, Vec<Id>)>,
     backward: Vec<Id>,
     /// `(slot, remembered candidate)`, sorted by slot.
     memory: Vec<(S, Id)>,
@@ -50,29 +62,82 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// Creates an empty table.
     pub fn new() -> Self {
         ElasticTable {
-            slots: Vec::new(),
+            keys: [None; INLINE],
+            lists: Default::default(),
+            spill: Vec::new(),
             backward: Vec::new(),
             memory: Vec::new(),
         }
     }
 
+    /// Where `slot` sits in slot order — below `INLINE` inline, at
+    /// `INLINE + i` the spill's `i`-th entry — or where it belongs.
+    fn position(&self, slot: S) -> Result<usize, usize> {
+        for (pos, key) in self.keys.iter().enumerate() {
+            match key {
+                Some(key) if *key < slot => {}
+                Some(key) if *key == slot => return Ok(pos),
+                _ => return Err(pos),
+            }
+        }
+        locate(&self.spill, slot)
+            .map(|i| INLINE + i)
+            .map_err(|i| INLINE + i)
+    }
+
+    fn list(&self, pos: usize) -> &Vec<Id> {
+        match pos.checked_sub(INLINE) {
+            None => &self.lists[pos],
+            Some(i) => &self.spill[i].1,
+        }
+    }
+
+    fn list_mut(&mut self, pos: usize) -> &mut Vec<Id> {
+        match pos.checked_sub(INLINE) {
+            None => &mut self.lists[pos],
+            Some(i) => &mut self.spill[i].1,
+        }
+    }
+
     /// The neighbor list of `slot`, created empty (in slot order) on
-    /// first use.
+    /// first use. A slot created inline shifts the ones above it up by
+    /// one in place; the last inline one, if any, moves to the front of
+    /// the spill.
     fn slot_mut(&mut self, slot: S) -> &mut Vec<Id> {
-        let pos = match locate(&self.slots, slot) {
+        let pos = match self.position(slot) {
             Ok(pos) => pos,
+            Err(pos) if pos >= INLINE => {
+                self.spill.insert(pos - INLINE, (slot, Vec::new()));
+                pos
+            }
             Err(pos) => {
-                self.slots.insert(pos, (slot, Vec::new()));
+                if let Some(last) = self.keys[INLINE - 1] {
+                    let ids = std::mem::take(&mut self.lists[INLINE - 1]);
+                    self.spill.insert(0, (last, ids));
+                }
+                // The rotation brings the last list to `pos`: empty,
+                // whether it was vacant or its entry just spilled.
+                self.keys[pos..].rotate_right(1);
+                self.lists[pos..].rotate_right(1);
+                self.keys[pos] = Some(slot);
                 pos
             }
         };
-        &mut self.slots[pos].1
+        self.list_mut(pos)
+    }
+
+    /// `(slot, neighbors)` of every slot touched, in slot order.
+    fn entries(&self) -> impl Iterator<Item = (S, &Vec<Id>)> + '_ {
+        let inline = self.keys.iter().zip(&self.lists);
+        inline
+            .map_while(|(key, ids)| key.map(|key| (key, ids)))
+            .chain(self.spill.iter().map(|(s, ids)| (*s, ids)))
     }
 
     /// The neighbors currently held in `slot` (empty if none).
     pub fn outlinks(&self, slot: S) -> &[Id] {
-        match locate(&self.slots, slot) {
-            Ok(pos) => &self.slots[pos].1,
+        match self.position(slot) {
+            Ok(pos) => self.list(pos),
             Err(_) => &[],
         }
     }
@@ -90,10 +155,10 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 
     /// Removes `id` from `slot`; returns `false` if it was not there.
     pub fn remove_outlink(&mut self, slot: S, id: Id) -> bool {
-        let Ok(pos) = locate(&self.slots, slot) else {
+        let Ok(pos) = self.position(slot) else {
             return false;
         };
-        let entry = &mut self.slots[pos].1;
+        let entry = self.list_mut(pos);
         match entry.iter().position(|&x| x == id) {
             Some(at) => {
                 entry.remove(at);
@@ -113,27 +178,26 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// slots counts twice, matching the paper's outdegree accounting of
     /// one overlay connection per table entry).
     pub fn outdegree(&self) -> usize {
-        self.slots.iter().map(|(_, ids)| ids.len()).sum()
+        let inline: usize = self.lists.iter().map(Vec::len).sum();
+        inline + self.spill.iter().map(|(_, ids)| ids.len()).sum::<usize>()
     }
 
     /// Iterates `(slot, neighbor)` pairs, in slot order.
     pub fn iter_outlinks(&self) -> impl Iterator<Item = (S, Id)> + '_ {
-        self.slots
-            .iter()
-            .flat_map(|(s, ids)| ids.iter().map(move |&id| (*s, id)))
+        self.entries()
+            .flat_map(|(s, ids)| ids.iter().map(move |&id| (s, id)))
     }
 
     /// Whether `id` appears in any slot.
     pub fn has_outlink_to(&self, id: Id) -> bool {
-        self.slots.iter().any(|(_, ids)| ids.contains(&id))
+        self.entries().any(|(_, ids)| ids.contains(&id))
     }
 
     /// The slots with at least one neighbor, in slot order.
     pub fn occupied_slots(&self) -> impl Iterator<Item = S> + '_ {
-        self.slots
-            .iter()
+        self.entries()
             .filter(|(_, ids)| !ids.is_empty())
-            .map(|(s, _)| *s)
+            .map(|(s, _)| s)
     }
 
     /// Records an inlink holder; returns `false` if already recorded.
@@ -187,11 +251,13 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// removed.
     pub fn purge_peer(&mut self, id: Id) -> bool {
         let mut touched = false;
-        for (_, entry) in &mut self.slots {
-            let before = entry.len();
-            entry.retain(|&x| x != id);
-            touched |= entry.len() != before;
-        }
+        let mut purge = |ids: &mut Vec<Id>| {
+            let before = ids.len();
+            ids.retain(|&x| x != id);
+            touched |= ids.len() != before;
+        };
+        self.lists.iter_mut().for_each(&mut purge);
+        self.spill.iter_mut().for_each(|(_, ids)| purge(ids));
         touched |= self.remove_backward(id);
         let before = self.memory.len();
         self.memory.retain(|&(_, m)| m != id);
@@ -202,6 +268,22 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 impl<S: Ord + Copy, Id: Copy + Eq> Default for ElasticTable<S, Id> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<S: Ord + Copy + Serialize, Id: Copy + Eq + Serialize> Serialize for ElasticTable<S, Id> {
+    /// The object a table of one `(slot, neighbors)` vector derived:
+    /// `slots` as `[slot, neighbors]` pairs in slot order, then
+    /// `backward` and `memory`.
+    fn serialize_json(&self, out: &mut String) {
+        let slots: Vec<(S, &Vec<Id>)> = self.entries().collect();
+        out.push_str("{\"slots\":");
+        slots.serialize_json(out);
+        out.push_str(",\"backward\":");
+        self.backward.serialize_json(out);
+        out.push_str(",\"memory\":");
+        self.memory.serialize_json(out);
+        out.push('}');
     }
 }
 
@@ -278,8 +360,23 @@ mod tests {
         assert_eq!(t.occupied_slots().collect::<Vec<_>>(), vec![0]);
     }
 
+    #[test]
+    fn json_is_one_sorted_slot_list() {
+        let mut t: ElasticTable<u8, u32> = ElasticTable::new();
+        for slot in [9, 2, 7, 0, 5, 1] {
+            t.add_outlink(slot, u32::from(slot) + 10);
+        }
+        t.add_backward(4);
+        t.set_memory(7, 17);
+        assert_eq!(
+            serde::json::to_string(&t),
+            "{\"slots\":[[0,[10]],[1,[11]],[2,[12]],[5,[15]],[7,[17]],[9,[19]]],\
+             \"backward\":[4],\"memory\":[[7,17]]}"
+        );
+    }
+
     /// The `BTreeMap`-backed table this module used to be: the model
-    /// the sorted-vector storage must be indistinguishable from.
+    /// the inline-then-spill storage must be indistinguishable from.
     #[derive(Default)]
     struct ModelTable {
         slots: std::collections::BTreeMap<u8, Vec<u32>>,
@@ -305,17 +402,27 @@ mod tests {
         }
     }
 
+    /// Slot keys the model test draws from: three times the inline
+    /// capacity, as wide as a Chord finger table.
+    const KEYS: u8 = 3 * INLINE as u8;
+
     proptest::proptest! {
-        /// Random operation sequences, slots touched in any order: every
-        /// return value and every accessor agrees with the model after
-        /// every step, iteration order included.
+        /// Random operation sequences, slots touched in any order — on
+        /// Cycloid-narrow tables that fit inline, and on Chord-wide ones
+        /// whose slots spill past the inline four, created below,
+        /// between and above the ones already there: every return value
+        /// and every accessor agrees with the model after every step,
+        /// iteration order included.
         #[test]
         fn sorted_vector_storage_matches_the_btreemap_model(
-            ops in proptest::collection::vec((0u8..6, 0u8..8, 0u32..10, 0u32..10), 0..120)
+            wide in proptest::bool::ANY,
+            ops in proptest::collection::vec((0u8..6, 0u8..KEYS, 0u32..10, 0u32..10), 0..160)
         ) {
+            let width = if wide { KEYS } else { INLINE as u8 };
             let mut t: ElasticTable<u8, u32> = ElasticTable::new();
             let mut m = ModelTable::default();
             for (op, slot, id, other) in ops {
+                let slot = slot % width;
                 match op {
                     0 => {
                         let entry = m.slots.entry(slot).or_default();
@@ -365,7 +472,7 @@ mod tests {
                 assert_eq!(t.occupied_slots().collect::<Vec<_>>(), occupied);
                 assert_eq!(t.backward_fingers(), m.backward.as_slice());
                 assert_eq!(t.indegree(), m.backward.len());
-                for s in 0..8u8 {
+                for s in 0..KEYS {
                     assert_eq!(t.outlinks(s), m.slots.get(&s).map_or(&[][..], Vec::as_slice));
                     assert_eq!(t.memory(s), m.memory.get(&s).copied());
                 }

@@ -954,48 +954,79 @@ mod tests {
         (queried, added)
     }
 
+    /// An arbitrary ring around `ME` and a world on it: holders that
+    /// already point at the node (with and without its backward finger),
+    /// hidden ones, ones the geometry lists but nobody hosts. Everything
+    /// is drawn from `seed`, so one seed is one world.
+    ///
+    /// Twin worlds are built from a seed, not from a generator cloned
+    /// into one call and moved into the next: for a closure `f` taking
+    /// the generator by value, rustc 1.95's MIR GVN folds `f(rng.clone())`
+    /// and `f(rng)` into one argument, which the first call advances in
+    /// place, so in release builds the second world was drawn from where
+    /// the first one's stream ended.
+    fn arbitrary_world(seed: u64) -> (ChordGeometry, Peers, ErtNode) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut members = vec![ME];
+        members.extend((1..64).filter(|_| rng.gen_bool(0.4)));
+        let g = ChordGeometry::from_members(BITS, &members);
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        for (slot, holder) in g.inlink_candidates(ME, None) {
+            if holder != ME && rng.gen_bool(0.25) {
+                peers
+                    .nodes
+                    .get_mut(&holder)
+                    .unwrap()
+                    .table
+                    .add_outlink(slot, ME);
+                if rng.gen_bool(0.5) {
+                    me.table.add_backward(holder);
+                }
+            }
+        }
+        for &m in &members[1..] {
+            match rng.gen_range(0..10) {
+                0 => drop(peers.nodes.remove(&m)),
+                1 | 2 => drop(peers.hidden.insert(m)),
+                _ => {}
+            }
+        }
+        (g, peers, me)
+    }
+
+    /// Every table of a world, the node's own last, and the hidden set.
+    fn world_fingerprint(peers: &Peers, me: &ErtNode) -> (Vec<String>, Vec<u64>) {
+        let mut tables: Vec<String> = peers.nodes.values().map(ErtNode::fingerprint).collect();
+        tables.push(me.fingerprint());
+        (tables, peers.hidden.iter().copied().collect())
+    }
+
     proptest::proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Twin worlds on an arbitrary ring — holders that already
-        /// point at the node (with and without its backward finger),
-        /// hidden ones, ones the geometry lists but nobody hosts — and
-        /// a run of expansions with a heal in the middle: the one-op
-        /// window asks `AddOutlink` of exactly the holders the two-op
-        /// model queried, hears "added" from exactly those the model
-        /// added, and leaves every table and the scan position as the
-        /// model does.
+        /// One seed is one world, in release builds too: the twin-world
+        /// test below stands on it.
+        #[test]
+        fn a_world_built_twice_from_one_seed_is_one_world(seed in 0u64..100_000) {
+            let (g, peers, me) = arbitrary_world(seed);
+            let (twin_g, twin_peers, twin_me) = arbitrary_world(seed);
+            prop_assert_eq!(g.members(), twin_g.members());
+            prop_assert_eq!(world_fingerprint(&peers, &me), world_fingerprint(&twin_peers, &twin_me));
+        }
+
+        /// Twin worlds on an arbitrary ring and a run of expansions with
+        /// a heal in the middle: the one-op window asks `AddOutlink` of
+        /// exactly the holders the two-op model queried, hears "added"
+        /// from exactly those the model added, and leaves every table
+        /// and the scan position as the model does.
         #[test]
         fn the_one_op_window_matches_the_query_then_add_model(seed in 0u64..100_000) {
-            let mut rng = SimRng::seed_from(seed);
-            let mut members = vec![ME];
-            members.extend((1..64).filter(|_| rng.gen_bool(0.4)));
-            let g = ChordGeometry::from_members(BITS, &members);
+            let (g, mut peers, mut me) = arbitrary_world(seed);
+            let (_, mut model_peers, mut model_me) = arbitrary_world(seed);
             let cfg = cfg();
-            // Built twice from one stream: the window's world and the model's.
-            let world = |mut rng: SimRng| {
-                let mut peers = Peers::new(&g);
-                let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
-                for (slot, holder) in g.inlink_candidates(ME, None) {
-                    if holder != ME && rng.gen_bool(0.25) {
-                        peers.nodes.get_mut(&holder).unwrap().table.add_outlink(slot, ME);
-                        if rng.gen_bool(0.5) {
-                            me.table.add_backward(holder);
-                        }
-                    }
-                }
-                for &m in &members[1..] {
-                    match rng.gen_range(0..10) {
-                        0 => drop(peers.nodes.remove(&m)),
-                        1 | 2 => drop(peers.hidden.insert(m)),
-                        _ => {}
-                    }
-                }
-                (peers, me)
-            };
-            let world_rng = rng.fork("world");
-            let (mut peers, mut me) = world(world_rng.clone());
-            let (mut model_peers, mut model_me) = world(world_rng);
+            // The expansion targets draw from a stream of their own.
+            let mut rng = SimRng::seed_from(!seed);
 
             for round in 0..4 {
                 if round == 2 {

@@ -6,7 +6,7 @@ use std::fmt;
 use ert_sim::stats::{Collector, Samples, Summary};
 use serde::{Deserialize, Serialize};
 
-use crate::state::Host;
+use crate::topology::Topology;
 
 /// Raw counters accumulated while the simulation runs.
 ///
@@ -218,16 +218,19 @@ impl Metrics {
         }
     }
 
-    /// Digests the counters plus final host state into a report.
+    /// Digests the counters plus the topology's final host state into a
+    /// report.
     ///
-    /// `hosts` must include departed hosts: the paper's churn metrics
-    /// are "collected from all node\[s\] including ... the nodes departed".
+    /// Every host counts, departed ones included: the paper's churn
+    /// metrics are "collected from all node\[s\] including ... the nodes
+    /// departed".
     ///
     /// The per-host digests below deliberately stay exact [`Samples`]:
     /// they hold one value per host, bounded by the network size rather
     /// than the query count, so streaming them would trade accuracy for
     /// nothing.
-    pub fn into_report(self, protocol: &str, hosts: &[Host], sim_seconds: f64) -> RunReport {
+    pub fn into_report(self, protocol: &str, topo: &Topology, sim_seconds: f64) -> RunReport {
+        let hosts = &topo.hosts;
         let max_congestion: Samples = hosts.iter().map(|h| h.max_congestion).collect();
         let mut shares = Samples::new();
         let total_load: f64 = hosts.iter().map(|h| h.total_received as f64).sum();
@@ -238,8 +241,10 @@ impl Metrics {
                 shares.push(s);
             }
         }
-        let in_deg: Samples = hosts.iter().map(|h| h.max_indegree_seen as f64).collect();
-        let out_deg: Samples = hosts.iter().map(|h| h.max_outdegree_seen as f64).collect();
+        let watermarks = (0..hosts.len()).map(|h| topo.degree_watermark(h));
+        let (in_deg, out_deg): (Samples, Samples) = watermarks
+            .map(|(ins, outs)| (f64::from(ins), f64::from(outs)))
+            .unzip();
         let horizon_micros = (sim_seconds * 1e6).max(1.0);
         let utilization: Samples = hosts
             .iter()
@@ -300,6 +305,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::Host;
     use ert_overlay::Coord;
 
     #[test]
@@ -363,9 +369,20 @@ mod tests {
         h
     }
 
+    /// A topology of `hosts` backing no nodes.
+    fn topo_of(hosts: Vec<Host>) -> Topology {
+        let space = ert_overlay::CycloidSpace::new(2);
+        let params = ert_core::ErtParams::default();
+        let mut topo = Topology::new(space, crate::spec::TablePolicy::Elastic, params);
+        for h in hosts {
+            topo.add_host(h);
+        }
+        topo
+    }
+
     #[test]
     fn report_computes_shares_and_percentiles() {
-        let hosts = vec![host(100.0, 10, 0.5), host(100.0, 30, 2.0)];
+        let topo = topo_of(vec![host(100.0, 10, 0.5), host(100.0, 30, 2.0)]);
         let mut m = Metrics {
             lookups_started: 40,
             lookups_completed: 40,
@@ -373,7 +390,7 @@ mod tests {
         };
         m.lookup_times.push(1.0);
         m.path_lengths.push(4.0);
-        let r = m.into_report("Test", &hosts, 12.5);
+        let r = m.into_report("Test", &topo, 12.5);
         assert_eq!(r.protocol, "Test");
         assert_eq!(r.p99_max_congestion, 2.0);
         // Equal capacities: share is load/mean-load.
@@ -385,7 +402,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_all_zeroes() {
-        let r = Metrics::default().into_report("Empty", &[], 0.0);
+        let r = Metrics::default().into_report("Empty", &topo_of(vec![]), 0.0);
         assert_eq!(r.lookups_completed, 0);
         assert_eq!(r.p99_share, 0.0);
         assert_eq!(r.probes_per_decision, 0.0);
@@ -400,7 +417,7 @@ mod tests {
             lookups_failed: 3,
             ..Metrics::default()
         };
-        let r = m.into_report("F", &[], 1.0);
+        let r = m.into_report("F", &topo_of(vec![]), 1.0);
         assert_eq!(r.lookups_failed, 3);
         assert_eq!(r.retries_per_lookup, 0.0);
         assert_eq!(
@@ -412,7 +429,7 @@ mod tests {
 
     #[test]
     fn report_display_is_one_glance() {
-        let hosts = vec![host(100.0, 10, 0.5)];
+        let topo = topo_of(vec![host(100.0, 10, 0.5)]);
         let mut m = Metrics {
             lookups_started: 10,
             lookups_completed: 10,
@@ -420,7 +437,7 @@ mod tests {
         };
         m.lookup_times.push(2.0);
         m.path_lengths.push(5.0);
-        let text = m.into_report("ERT/AF", &hosts, 3.0).to_string();
+        let text = m.into_report("ERT/AF", &topo, 3.0).to_string();
         assert!(text.contains("ERT/AF: 10/10 lookups"));
         assert!(text.contains("p99 congestion"));
     }
@@ -432,13 +449,13 @@ mod tests {
             forward_decisions: 5,
             ..Metrics::default()
         };
-        let r = m.into_report("P", &[], 1.0);
+        let r = m.into_report("P", &topo_of(vec![]), 1.0);
         assert_eq!(r.probes_per_decision, 2.0);
     }
 
     #[test]
     fn stream_mode_metrics_report_exact_counts_and_means() {
-        let hosts = vec![host(100.0, 10, 0.5), host(100.0, 30, 2.0)];
+        let topo = topo_of(vec![host(100.0, 10, 0.5), host(100.0, 30, 2.0)]);
         let mut exact = Metrics::for_mode(false);
         let mut stream = Metrics::for_mode(true);
         assert!(!exact.lookup_times.is_streaming());
@@ -452,8 +469,8 @@ mod tests {
                 m.min_cap_congestion.push(0.2 * (i % 7) as f64);
             }
         }
-        let re = exact.into_report("E", &hosts, 12.5);
-        let rs = stream.into_report("S", &hosts, 12.5);
+        let re = exact.into_report("E", &topo, 12.5);
+        let rs = stream.into_report("S", &topo, 12.5);
         // Count/mean/max are exact in both modes; per-host digests are
         // always exact, so they match bit for bit.
         assert_eq!(re.lookup_time.count, rs.lookup_time.count);

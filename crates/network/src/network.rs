@@ -715,7 +715,7 @@ impl Network {
         metrics.maintenance_ops = self.topo.link_ops;
         metrics.into_report(
             &self.protocol.name,
-            &self.topo.hosts,
+            &self.topo,
             self.reactor.now().as_secs_f64(),
         )
     }

@@ -354,23 +354,30 @@ pub(crate) fn check_ring_slots(topo: &mut Topology, node: usize) {
     topo.ring_checks += 1;
 }
 
-/// The differential for `Topology::note_degrees`, run at every sample:
-/// `ins` / `outs` must be what summing in- and outdegree over the
-/// host's live nodes gives, whether the host took the sole-node read or
-/// the sum.
-pub(crate) fn check_host_degrees(topo: &Topology, host: usize, ins: u32, outs: u32) {
+/// The differential for `Topology::note_degrees`, run after every
+/// sample: the host's watermark, read through
+/// [`Topology::degree_watermark`], must be `before` raised to the in-
+/// and outdegree summed over the host's live nodes — whether the sample
+/// took the sole-node read or the sum.
+pub(crate) fn check_host_degrees(topo: &Topology, host: usize, before: (u32, u32)) {
     if !Sanitizer::ACTIVE {
         return;
     }
     let live = topo.hosts[host].nodes.iter().map(|&n| &topo.nodes[n]);
     let live = live.filter(|n| n.alive);
     let (summed_in, summed_out) = live.fold((0, 0), |(i, o), n| {
-        (i + n.table.indegree(), o + n.table.outdegree())
+        (
+            i + n.table.indegree() as u32,
+            o + n.table.outdegree() as u32,
+        )
     });
+    let (ins, outs) = topo.degree_watermark(host);
     assert!(
-        (ins as usize, outs as usize) == (summed_in, summed_out),
-        "sanitize: host {host} sampled degrees in {ins} / out {outs}, \
-         but its live nodes sum to in {summed_in} / out {summed_out}"
+        (ins, outs) == (before.0.max(summed_in), before.1.max(summed_out)),
+        "sanitize: host {host} sampled degrees that took its watermark from in {} / out {} \
+         to in {ins} / out {outs}, but its live nodes sum to in {summed_in} / out {summed_out}",
+        before.0,
+        before.1
     );
 }
 
@@ -456,15 +463,19 @@ fn sweep_nodes(
     }
 }
 
+/// The tests that need an armed sanitizer are compiled where it is
+/// armed — debug builds and `--features sanitize` — and skipped in a
+/// plain release build, where every check is compiled out.
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     fn sanitizer_is_active_in_debug_or_feature_builds() {
-        // The test suite itself runs under debug_assertions or with the
-        // feature on, so ACTIVE must hold here — this guards against the
-        // cfg expression rotting into never-true.
+        // This test is compiled under the cfg that arms the sanitizer,
+        // so ACTIVE must hold here — this guards against the cfg!
+        // expression drifting from that attribute.
         #[expect(
             clippy::assertions_on_constants,
             reason = "the constant is a cfg! expression; asserting it is the whole test"
@@ -474,6 +485,7 @@ mod tests {
         }
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     fn clock_monotonicity_accepts_equal_times() {
         let mut s = Sanitizer::new();
@@ -483,6 +495,7 @@ mod tests {
         assert_eq!(s.checks(), 2);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "event clock ran backwards")]
     fn clock_regression_panics() {
@@ -492,6 +505,7 @@ mod tests {
         s.on_event(SimTime::ZERO + ert_sim::SimDuration::from_secs_f64(1.0));
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "idle service slot")]
     fn queued_query_with_idle_slot_panics() {
@@ -502,6 +516,7 @@ mod tests {
         s.check_host(&host, 0, |_| false);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "already-completed query")]
     fn serving_a_done_query_panics() {
@@ -512,6 +527,7 @@ mod tests {
         s.check_host(&host, 0, |_| true);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     fn conservation_accepts_balanced_counts() {
         let mut s = Sanitizer::new();
@@ -519,6 +535,7 @@ mod tests {
         assert_eq!(s.checks(), 1);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "lookup conservation violated")]
     fn conservation_rejects_lost_lookups() {
@@ -577,6 +594,7 @@ mod tests {
         assert_eq!(relax.tags().len(), 3);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     fn healthy_host_passes() {
         let mut host = Host::new(1000.0, 1.0, 1.0, 4, ert_overlay::Coord::new(0.0, 0.0));

@@ -49,13 +49,6 @@ pub struct Host {
     pub max_congestion: f64,
     /// Accumulated busy (serving) time in microseconds.
     pub busy_micros: u64,
-    /// Largest total indegree (backward fingers) of this host's live
-    /// nodes, sampled each time a double link to or from one of them is
-    /// created; ring-slot refreshes are not sampling points.
-    pub max_indegree_seen: u32,
-    /// Largest total outdegree of this host's live nodes, sampled as
-    /// `max_indegree_seen` is.
-    pub max_outdegree_seen: u32,
     /// Overlay nodes this host backs.
     pub nodes: Vec<usize>,
 }
@@ -84,8 +77,6 @@ impl Host {
             total_received: 0,
             max_congestion: 0.0,
             busy_micros: 0,
-            max_indegree_seen: 0,
-            max_outdegree_seen: 0,
             nodes: Vec::new(),
         }
     }
@@ -207,10 +198,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_position_and_ring_stamp_add_four_words_to_a_node() {
-        // `OverlayNode` is read on every hop; the cursor and the two
-        // epoch stamps ride along.
-        assert!(std::mem::size_of::<InlinkCursor>() + 2 * std::mem::size_of::<u64>() <= 32);
+    fn a_node_and_its_table_stay_within_their_byte_budgets() {
+        // The hop path reads `OverlayNode`. Its table holds four slot
+        // keys and four neighbor-list headers inline, then the spill,
+        // backward-finger and memory vectors: 4 + 4 × 24 + 3 × 24 bytes.
+        // The node adds its ID, host, d_max, liveness, scan cursor and
+        // two epoch stamps. Growing either is a decision, made here.
+        use std::mem::size_of;
+        assert!(size_of::<ElasticTable<CycloidSlot, CycloidId>>() <= 176);
+        assert!(size_of::<OverlayNode>() <= 224);
     }
 
     #[test]

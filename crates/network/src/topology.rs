@@ -44,6 +44,19 @@ pub struct RouteCandidates {
 /// `id_index` entry of an ID no node holds.
 const VACANT: u32 = u32::MAX;
 
+/// One host's degree watermark (see [`Topology::note_degrees`]): 12
+/// bytes, so the record of every host of an n = 8192 world is 96 KiB.
+#[derive(Debug, Clone, Copy, Default)]
+struct DegreeMark {
+    /// Overlay nodes the host backs, departed ones included: the length
+    /// of its `nodes` list.
+    backed: u32,
+    /// Largest total indegree sampled.
+    max_in: u32,
+    /// Largest total outdegree sampled.
+    max_out: u32,
+}
+
 /// The overlay state shared by every protocol: membership, tables,
 /// hosts, and the geometric helpers.
 #[derive(Debug)]
@@ -62,6 +75,8 @@ pub struct Topology {
     pub nodes: Vec<OverlayNode>,
     /// All hosts ever created (departed ones keep their slot).
     pub hosts: Vec<Host>,
+    /// Per-host degree watermarks, host for host.
+    marks: Vec<DegreeMark>,
     /// Table construction policy.
     pub table_policy: TablePolicy,
     /// ERT parameters (also carries the leaf window).
@@ -95,6 +110,7 @@ impl Topology {
             id_index: vec![VACANT; space.ring_size() as usize],
             nodes: Vec::new(),
             hosts: Vec::new(),
+            marks: Vec::new(),
             table_policy,
             params,
             landmarks: None,
@@ -112,6 +128,7 @@ impl Topology {
             host.landmark_vec = Some(frame.vector(host.coord));
         }
         self.hosts.push(host);
+        self.marks.push(DegreeMark::default());
         self.hosts.len() - 1
     }
 
@@ -135,6 +152,7 @@ impl Topology {
         self.nodes.push(OverlayNode::new(id, host, d_max));
         self.id_index[self.space.lin(id) as usize] = entry;
         self.hosts[host].nodes.push(idx);
+        self.marks[host].backed += 1;
         self.membership_epoch += 1;
         idx
     }
@@ -427,38 +445,58 @@ impl Topology {
         self.note_degrees(ti);
     }
 
-    /// Updates the degree watermarks on the host backing `node` with the
+    /// The largest total in- and outdegree of `host`'s live nodes seen
+    /// so far, sampled each time a double link to or from one of them
+    /// is created; ring-slot refreshes are not sampling points.
+    pub fn degree_watermark(&self, host: usize) -> (u32, u32) {
+        let mark = &self.marks[host];
+        (mark.max_in, mark.max_out)
+    }
+
+    /// Raises the degree watermark of the host backing `node` to the
     /// host's total in- and outdegree, summed over its live nodes.
     ///
-    /// A host backing a single node reads that node's degrees instead of
-    /// summing. This is exact, not a heuristic:
+    /// The watermark lives in a dense per-host record beside the nodes,
+    /// not in [`Host`], and a host backing a single node reads that
+    /// node's degrees instead of summing: a sole-node host costs no
+    /// `hosts` access at all. Both are exact, not heuristics:
     ///
-    /// * a host's `nodes` only ever grows, by one push in `add_node` —
-    ///   nothing removes an entry, not even `remove_node` — so a
-    ///   one-entry list is `[node]`, the node whose `host` names it;
+    /// * the record's `backed` count and the host's `nodes` list have
+    ///   one writer, `add_node`, which bumps the one and pushes onto the
+    ///   other — nothing removes a list entry, not even `remove_node` —
+    ///   so `backed` is the list's length, and `backed == 1` means the
+    ///   list is `[node]`, the node whose `host` names it;
     /// * a dead node contributes 0 to the sum, and so it does here, so
-    ///   a host whose sole node died reads 0 either way; once a second
-    ///   node joins it, the list has two entries and the sum is taken.
+    ///   a host whose sole node died reads 0 either way;
+    /// * a second node joining the host hands the record over as it
+    ///   stands: the maxima already recorded stay, `backed` becomes 2,
+    ///   and every later sample takes the sum. A watermark is the
+    ///   maximum over samples of the sum, whichever way each sample was
+    ///   read, so it is what summing at every sample would have left.
     ///
     /// Multi-node hosts (virtual servers) keep the sum. Sanitizer-armed
-    /// builds re-sum every host and compare.
+    /// builds re-sum the host at every sample and check the record.
     fn note_degrees(&mut self, node: usize) {
         let host = self.nodes[node].host;
+        let before = self.marks[host];
         let degrees = |n: &OverlayNode| match n.alive {
             true => (n.table.indegree() as u32, n.table.outdegree() as u32),
             false => (0, 0),
         };
-        let (ins, outs) = match self.hosts[host].nodes.as_slice() {
-            [_sole] => degrees(&self.nodes[node]),
-            nodes => nodes.iter().fold((0, 0), |(ins, outs), &n| {
-                let (i, o) = degrees(&self.nodes[n]);
-                (ins + i, outs + o)
-            }),
+        let (ins, outs) = match before.backed {
+            1 => degrees(&self.nodes[node]),
+            _ => self.hosts[host]
+                .nodes
+                .iter()
+                .fold((0, 0), |(ins, outs), &n| {
+                    let (i, o) = degrees(&self.nodes[n]);
+                    (ins + i, outs + o)
+                }),
         };
-        crate::sanitize::check_host_degrees(self, host, ins, outs);
-        let h = &mut self.hosts[host];
-        h.max_indegree_seen = h.max_indegree_seen.max(ins);
-        h.max_outdegree_seen = h.max_outdegree_seen.max(outs);
+        let mark = &mut self.marks[host];
+        mark.max_in = mark.max_in.max(ins);
+        mark.max_out = mark.max_out.max(outs);
+        crate::sanitize::check_host_degrees(self, host, (before.max_in, before.max_out));
     }
 
     /// Removes the stale outlink `from --slot--> to` after a failed
@@ -1058,8 +1096,8 @@ mod tests {
     /// a model that re-sums both ends' hosts at each link created.
     fn assert_watermarks_follow(topo: &mut Topology, links: &[(usize, usize)]) {
         let watermarks = |topo: &Topology| -> Vec<(u32, u32)> {
-            let marks = |h: &Host| (h.max_indegree_seen, h.max_outdegree_seen);
-            topo.hosts.iter().map(marks).collect()
+            let hosts = 0..topo.hosts.len();
+            hosts.map(|h| topo.degree_watermark(h)).collect()
         };
         let mut model = watermarks(topo);
         for &(f, t) in links {
@@ -1135,22 +1173,44 @@ mod tests {
         let mut links = random_links(&topo, &mut rng, 40);
         links.extend([(fresh, 3), (4, fresh), (fresh, 5)]);
         assert_watermarks_follow(&mut topo, &links);
+
+        // A host that gains a second node while its first already holds
+        // links: the record is handed over as it stands, and the host
+        // sums from then on.
+        let (mut topo, mut rng) = full_topology(TablePolicy::SingleClosest);
+        assert_watermarks_follow(&mut topo, &[(3, 7), (7, 3)]);
+        let host = topo.nodes[7].host;
+        let held = topo.degree_watermark(host);
+        assert!(held.0 > 0 && held.1 > 0, "node 7 holds links both ways");
+        let id = topo.nodes[12].id;
+        topo.remove_node(12);
+        let second = topo.add_node(id, host, 5);
+        assert_eq!(topo.hosts[host].nodes, [7, second]);
+        assert_eq!(topo.degree_watermark(host), held);
+        let mut links = vec![(5, 7), (second, 7), (7, second)];
+        links.extend(random_links(&topo, &mut rng, 40));
+        links.extend([(second, 3), (4, second), (7, 5)]);
+        assert_watermarks_follow(&mut topo, &links);
+        topo.build_node_table(second, &mut rng);
+        assert_watermarks_follow(&mut topo, &[(second, 9), (9, 7)]);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "sampled degrees")]
     fn sanitizer_catches_a_node_missing_from_its_hosts_list() {
         let (mut topo, _) = full_topology(TablePolicy::SingleClosest);
-        // Node 3 moved onto another sole-node host behind `add_node`'s
-        // back: that host's list does not name it, and its sole node
-        // will not have node 3's indegree once the link is in.
-        let indegree = |n: usize| topo.nodes[n].table.indegree();
-        let moved = (0..topo.nodes.len())
-            .find(|&n| indegree(n) != indegree(3) + 1)
-            .unwrap();
-        topo.nodes[3].host = topo.nodes[moved].host;
-        let (from, to) = (topo.nodes[40].id, topo.nodes[3].id);
-        topo.add_link(from, CycloidSlot::Cyclic, to);
+        // The busiest node moved onto the quietest sole-node host behind
+        // `add_node`'s back: that host's list does not name it, so its
+        // next link samples degrees the host's own node does not have.
+        let indegree = |n: usize| topo.nodes[n].table.indegree() as u32;
+        let watermark = |n: usize| topo.degree_watermark(topo.nodes[n].host).0;
+        let busiest = (0..topo.nodes.len()).max_by_key(|&n| indegree(n)).unwrap();
+        let quietest = (0..topo.nodes.len()).min_by_key(|&n| watermark(n)).unwrap();
+        assert!(watermark(quietest) < indegree(busiest));
+        topo.nodes[busiest].host = topo.nodes[quietest].host;
+        let from = topo.nodes[(busiest + 1) % topo.nodes.len()].id;
+        topo.add_link(from, CycloidSlot::Cyclic, topo.nodes[busiest].id);
     }
 
     #[test]
@@ -1400,6 +1460,7 @@ mod tests {
         }
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "which does not point at it")]
     fn sanitizer_catches_a_link_dropped_behind_the_cursor() {
@@ -1455,6 +1516,7 @@ mod tests {
         assert_eq!(topo.nodes[holder].ring_epoch, epoch);
     }
 
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "skipped refresh of")]
     fn sanitizer_catches_a_ring_slot_edited_behind_the_stamp() {
