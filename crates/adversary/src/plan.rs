@@ -1,7 +1,7 @@
 //! Adversary schedules: who attacks, how, and when.
 
 use ert_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The largest flood window the sort-key packing can carry:
 /// [`AdversaryKind::param_bits`] packs the window's microseconds into
@@ -25,7 +25,7 @@ pub const MAX_FLOOD_WINDOW_MICROS: u64 = (1 << 32) - 1;
 /// * [`AdversaryKind::RoutingDefector`] inverts Algorithm 4's
 ///   two-choice rule: defecting nodes forward to the **most**-loaded
 ///   reachable candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AdversaryKind {
     /// Clears every reversible adversary effect: capacity liars revert
     /// to their true estimates and defectors resume honest forwarding.
@@ -56,10 +56,9 @@ pub enum AdversaryKind {
     },
     /// A flash crowd: `queries` extra lookups on the single key at ring
     /// fraction `key`, injected evenly over `window` starting at the
-    /// event time, layered onto the base workload. Pair large floods
-    /// with streaming-statistics mode (`NetworkConfig::stream_stats`,
-    /// the `ert-obs` P² sketches) so 10⁶-query floods keep the metric
-    /// collectors O(1) in memory.
+    /// event time, layered onto the base workload. The exact metric
+    /// collectors keep 16 bytes per completed flood lookup (its time and
+    /// hop count) and 8 per visit to the minimum-capacity host.
     QueryFlood {
         /// Flooded key as a ring fraction, in `[0, 1)`.
         key: f64,
@@ -190,7 +189,7 @@ impl AdversaryKind {
 }
 
 /// One scheduled adversarial action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdversaryEvent {
     /// When the actor activates.
     pub at: SimTime,
@@ -229,7 +228,7 @@ impl AdversaryEvent {
 /// plan.validate().unwrap();
 /// assert!(!plan.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct AdversaryPlan {
     /// Seed of the adversary-interpretation RNG stream.
     pub seed: u64,

@@ -3,7 +3,7 @@
 //! [`AdversaryPlan`] once the run's seed and horizon are known.
 
 use ert_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::campaign::AdversaryCampaign;
 use crate::plan::{AdversaryEvent, AdversaryKind, AdversaryPlan};
@@ -17,7 +17,7 @@ const ATTACK_START_SECS: f64 = 0.05;
 /// experiments' `Scenario` carries and sweeps. Expansion via
 /// [`AdversaryScript::plan`] is deterministic in `(script, seed,
 /// horizon)`, so sweep cells stay isolated reproducible worlds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AdversaryScript {
     /// A single [`AdversaryKind::CapacityLiar`] wave at attack start.
     Liars {

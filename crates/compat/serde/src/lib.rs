@@ -3,12 +3,12 @@
 //! The build environment has no crates.io access, so the workspace
 //! vendors a minimal serde: the [`Serialize`] trait writes JSON text
 //! directly (no `Serializer` abstraction — JSON is the only format any
-//! crate here emits), and [`Deserialize`] is a marker trait satisfying
-//! the existing `#[derive(Deserialize)]` decorations. The derive macros
-//! live in the sibling `serde_derive` crate and follow serde's data
-//! model: structs become objects, newtype structs are transparent,
-//! enums are externally tagged (`"Unit"`, `{"Variant": …}`), and
-//! `#[serde(skip)]` omits a field.
+//! crate here emits). Nothing in this workspace parses serialized data
+//! back, so the crate has no reading side. The derive macro lives in the
+//! sibling `serde_derive` crate and follows serde's data model: structs
+//! become objects, newtype structs are transparent, enums are
+//! externally tagged (`"Unit"`, `{"Variant": …}`), and `#[serde(skip)]`
+//! omits a field.
 //!
 //! [`json::to_string`] is the entry point the telemetry stack uses to
 //! produce JSONL records.
@@ -18,20 +18,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A value that can write itself as JSON.
 pub trait Serialize {
     /// Appends the JSON encoding of `self` to `out`.
     fn serialize_json(&self, out: &mut String);
 }
-
-/// Marker trait satisfied by `#[derive(Deserialize)]`.
-///
-/// Nothing in this workspace parses serialized data back yet; the
-/// derive exists so type decorations written against real serde keep
-/// compiling. Grow this into a real API the day a reader is needed.
-pub trait Deserialize: Sized {}
 
 /// JSON encoding helpers.
 pub mod json {
@@ -247,20 +240,6 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
         out.push('}');
     }
 }
-
-macro_rules! deserialize_marker {
-    ($($t:ty),*) => {$( impl Deserialize for $t {} )*};
-}
-deserialize_marker!(
-    i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, u128, usize, f32, f64, bool, char, String
-);
-
-impl<T: Deserialize> Deserialize for Option<T> {}
-impl<T: Deserialize> Deserialize for Vec<T> {}
-impl<T: Deserialize> Deserialize for Box<T> {}
-impl<T: Deserialize> Deserialize for VecDeque<T> {}
-impl<K: Deserialize, V: Deserialize> Deserialize for BTreeMap<K, V> {}
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {}
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,7 @@
 //! Generates impls for the vendored `serde` crate in this workspace:
 //! `#[derive(Serialize)]` produces a `serialize_json` method following
 //! serde's data model (structs → objects, newtype structs transparent,
-//! enums externally tagged, `#[serde(skip)]` omits a field), and
-//! `#[derive(Deserialize)]` produces the marker impl.
+//! enums externally tagged, `#[serde(skip)]` omits a field).
 //!
 //! The parser is hand-rolled over `proc_macro::TokenTree` — the build
 //! environment has no crates.io access, so `syn`/`quote` are not
@@ -13,6 +12,8 @@
 //! unit, tuple, and named-field variants. Anything else produces a
 //! `compile_error!` naming the limitation rather than silently wrong
 //! code.
+
+#![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -23,22 +24,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Ok(item) => gen_serialize(&item)
             .parse()
             .expect("serde_derive generated invalid Rust"),
-        Err(msg) => compile_error(&msg),
-    }
-}
-
-/// Derives the vendored `serde::Deserialize` (marker impl).
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => format!(
-            "impl{} ::serde::Deserialize for {}{} {{}}",
-            item.impl_generics("::serde::Deserialize"),
-            item.name,
-            item.ty_generics(),
-        )
-        .parse()
-        .expect("serde_derive generated invalid Rust"),
         Err(msg) => compile_error(&msg),
     }
 }

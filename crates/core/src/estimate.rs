@@ -9,7 +9,7 @@
 
 use ert_sim::SimRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A bounded-error estimator for node capacity and network size.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let n = est.estimate_network_size(2048, &mut rng);
 /// assert!(n >= 1024 && n <= 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Estimator {
     gamma_c: f64,
     gamma_n: f64,

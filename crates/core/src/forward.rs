@@ -22,10 +22,10 @@
 use std::collections::BTreeSet;
 
 use ert_sim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which forwarding policy a protocol runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ForwardPolicy {
     /// Forward to the candidate logically closest to the target.
     Deterministic,
@@ -43,7 +43,7 @@ pub enum ForwardPolicy {
 }
 
 /// One forwarding candidate with everything the policy may inspect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Candidate<Id> {
     /// The candidate node.
     pub id: Id,
@@ -82,7 +82,7 @@ pub struct Contact<Id> {
 }
 
 /// The outcome of one forwarding decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ForwardChoice<Id> {
     /// The next hop.
     pub next: Id,

@@ -1,7 +1,7 @@
 //! Protocol parameters (Table 1 / Table 2 of the paper).
 
 use ert_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tunable parameters of the ERT congestion-control protocol.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.alpha, 11.0);
 /// p.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ErtParams {
     /// Indegree per unit of normalized capacity (`α`). The paper's
     /// default ties it to the Cycloid dimension: `α = d + 3`.

@@ -1,6 +1,6 @@
 //! The elastic routing table data structure.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Slots a table keeps inline: a whole Cycloid table (cubical, cyclic,
 /// ring successor, ring predecessor).
@@ -38,7 +38,7 @@ const INLINE: usize = 4;
 /// t.add_backward("n9");
 /// assert_eq!(t.indegree(), 1);
 /// ```
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElasticTable<S: Ord, Id> {
     /// The keys of the first `INLINE` slots, sorted, then `None`s.
     keys: [Option<S>; INLINE],

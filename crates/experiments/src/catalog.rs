@@ -47,7 +47,7 @@ pub struct Ctx {
     quick: bool,
     /// `--faults`: pins the `resilience` row to one chaos intensity.
     faults: Option<f64>,
-    /// The unscaled base scenario (seeds, jobs, shards, stream-stats).
+    /// The unscaled base scenario (seeds, jobs, shards).
     pub base: Scenario,
     /// Set by a row whose theorem check failed; `figures` exits 1.
     pub bound_violated: Cell<bool>,
@@ -75,7 +75,6 @@ impl Ctx {
         };
         base.jobs = args.jobs;
         base.shards = args.shards;
-        base.stream_stats = args.stream_stats;
         Ctx {
             quick: args.quick,
             faults: args.faults,

@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A labelled table of results (one per figure panel).
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("ERT/AF"));
 /// assert_eq!(t.to_csv().lines().count(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table {
     /// Panel title, e.g. "Fig. 4a — 99th percentile max congestion".
     pub title: String,

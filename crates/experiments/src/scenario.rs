@@ -23,10 +23,10 @@ use ert_sim::stats::Summary;
 use ert_sim::{SimRng, SimTime};
 use ert_telemetry::Telemetry;
 use ert_workloads::{churn_schedule, impulse_lookups, uniform_lookups, BoundedPareto};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The lookup workload shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Workload {
     /// Random sources and keys (Table 2 default).
     Uniform,
@@ -41,7 +41,7 @@ pub enum Workload {
 }
 
 /// Churn intensity (Section 5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ChurnSpec {
     /// Mean seconds between joins.
     pub join_interarrival: f64,
@@ -51,7 +51,7 @@ pub struct ChurnSpec {
 
 /// A complete experiment scenario: network size, workload, churn, and
 /// the seeds to average over.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Scenario {
     /// Number of physical hosts.
     pub n: usize,
@@ -87,18 +87,11 @@ pub struct Scenario {
     /// byte-identical results: runs are seed-isolated worlds and the
     /// executor collects them in canonical submission order.
     pub jobs: Option<usize>,
-    /// Streaming-statistics mode (`--stream-stats`): per-query metric
-    /// collectors become O(1)-memory P² sketches (see
-    /// [`NetworkConfig::stream_stats`]). Count, mean, and max stay
-    /// exact; interior percentiles are estimates within the tolerance
-    /// band `ert-testkit` pins. Off by default.
-    pub stream_stats: bool,
     /// Shard count for the shared-nothing sharded event core
     /// (`--shards S`, see [`NetworkConfig::shards`]). Zero — the
     /// default — keeps the legacy single event loop. Any value yields
     /// byte-identical reports; the knob buys memory locality and
     /// per-shard parallel sweep/adaptation passes at scale.
-    #[serde(default)]
     pub shards: usize,
 }
 
@@ -262,7 +255,6 @@ impl Scenario {
             chaos: None,
             adversary: None,
             jobs: None,
-            stream_stats: false,
             shards: 0,
         }
     }
@@ -280,7 +272,6 @@ impl Scenario {
             chaos: None,
             adversary: None,
             jobs: None,
-            stream_stats: false,
             shards: 0,
         }
     }
@@ -364,7 +355,6 @@ impl Scenario {
         let dim = CycloidSpace::dimension_for(self.n);
         let mut cfg = NetworkConfig::for_dimension(dim, seed)
             .with_light_service_secs(self.light_service_secs);
-        cfg.stream_stats = self.stream_stats;
         cfg.shards = self.shards;
         tweak(&mut cfg);
         let rate = self.per_node_rate * self.n as f64;

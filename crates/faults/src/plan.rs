@@ -1,7 +1,7 @@
 //! Fault schedules: what goes wrong, and when.
 
 use ert_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One kind of injected fault.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Systems*) and Roos et al. (*Comprehending Kademlia Routing*): crash-
 /// stop departures, slow ("degraded") peers, lossy links, and correlated
 /// partition events.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// A uniformly random live host crash-stops: it leaves the overlay
     /// with **no successor handoff**, and every query queued or in
@@ -127,7 +127,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -163,7 +163,7 @@ impl FaultEvent {
 /// plan.validate().unwrap();
 /// assert!(!plan.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed of the fault-interpretation RNG stream.
     pub seed: u64,

@@ -1,7 +1,7 @@
 //! Bounded retry with deterministic exponential backoff.
 
 use ert_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a sender reacts when a forward attempt is lost to a fault
 /// (message drop or partition block).
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.backoff(1), SimDuration::from_secs_f64(0.25));
 /// assert_eq!(r.backoff(2), SimDuration::from_secs_f64(0.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Total forward attempts per hop (1 = no retries).
     pub max_attempts: u32,

@@ -6,13 +6,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use ert_core::{max_indegree, normalize_capacities, ErtParams};
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::geometry::Geometry;
 use crate::node::{ErtNode, Hop, Lookup, PeerAnswer, PeerOp, Window};
 
 /// Which protocol a mini platform runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MiniProtocol {
     /// The geometry's classic table (one neighbor per slot) with
     /// deterministic greedy routing.
@@ -23,7 +23,7 @@ pub enum MiniProtocol {
 }
 
 /// Configuration of a mini-platform run (Table 2 queueing defaults).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MiniDhtConfig {
     /// Master seed.
     pub seed: u64,
@@ -57,7 +57,7 @@ impl MiniDhtConfig {
 }
 
 /// Digest of one mini-platform run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MiniReport {
     /// Platform + protocol name ("Chord+ERT", "Pastry", ...).
     pub protocol: String,
@@ -79,7 +79,7 @@ pub struct MiniReport {
 
 /// One forwarding decision: query `query` was sent from node `from` to
 /// node `to`. Recorded at the moment the hop is committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HopTrace {
     /// Query index in injection order.
     pub query: u64,
@@ -90,7 +90,7 @@ pub struct HopTrace {
 }
 
 /// Terminal record of a completed lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CompletionTrace {
     /// Query index in injection order.
     pub query: u64,
@@ -101,7 +101,7 @@ pub struct CompletionTrace {
 }
 
 /// One node's indegree-adaptation outcome in one adaptation round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AdaptTrace {
     /// Adaptation round counter (0-based).
     pub round: u32,
@@ -118,7 +118,7 @@ pub struct AdaptTrace {
 /// routing decision, every completion/drop, and the full
 /// indegree-adaptation sequence. All fields are integers so equality is
 /// exact — this is what the wire differential oracle compares.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RouteTrace {
     /// Ring id of the source node of each query, in injection order.
     pub sources: Vec<u64>,

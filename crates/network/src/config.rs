@@ -3,7 +3,7 @@
 use ert_core::{ErtParams, Estimator};
 use ert_faults::RetryPolicy;
 use ert_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Environment parameters of one simulation run.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.ert.alpha, 11.0);
 /// assert_eq!(cfg.light_service.as_secs_f64(), 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct NetworkConfig {
     /// Master seed; every random stream of the run forks from it.
     pub seed: u64,
@@ -69,20 +69,12 @@ pub struct NetworkConfig {
     /// behave byte-identically to a build that has never heard of
     /// faults.
     pub retry: RetryPolicy,
-    /// Streaming statistics mode: when on, the per-query metric
-    /// collectors (lookup times, path lengths, min-capacity congestion)
-    /// are O(1)-memory P² sketches instead of exact sample vectors —
-    /// count/mean/max stay exact, interior percentiles become estimates
-    /// within the tolerance band `ert-testkit` pins. Off by default:
-    /// paper runs keep exact percentiles and byte-identical reports.
-    pub stream_stats: bool,
     /// Shard count for the shared-nothing sharded event core. Zero —
     /// the default — keeps the legacy single global event loop; any
     /// `S >= 1` runs the same simulation on [`ert_sim::ShardedEngine`]
     /// with the node population partitioned by ID-space prefix.
     /// Reports are byte-identical for every value of this knob (pinned
     /// by `tests/shard_determinism.rs`).
-    #[serde(default)]
     pub shards: usize,
 }
 
@@ -105,7 +97,6 @@ impl NetworkConfig {
             landmark_count: 0,
             stabilization: false,
             retry: RetryPolicy::default(),
-            stream_stats: false,
             shards: 0,
         }
     }

@@ -6,10 +6,10 @@
 //! departed).
 
 use ert_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a lookup's source node is chosen when the lookup fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SourcePick {
     /// A uniformly random live node.
     Random,
@@ -20,7 +20,7 @@ pub enum SourcePick {
 }
 
 /// How a lookup's target key is chosen when the lookup fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum KeyPick {
     /// A uniformly random key.
     Random,
@@ -30,7 +30,7 @@ pub enum KeyPick {
 }
 
 /// One scheduled lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Lookup {
     /// When the query is injected.
     pub at: SimTime,
@@ -50,7 +50,7 @@ pub struct Lookup {
 /// [`ChurnEvent::sort_key`] — `Join` before `Leave`, joins tie-broken
 /// by capacity bits — **not** in schedule-slice order, so permuting a
 /// schedule never changes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ChurnEvent {
     /// A node with the given raw capacity joins.
     Join {

@@ -3,18 +3,17 @@
 
 use std::fmt;
 
-use ert_sim::stats::{Collector, Samples, Summary};
-use serde::{Deserialize, Serialize};
+use ert_sim::stats::{Samples, Summary};
+use serde::Serialize;
 
 use crate::topology::Topology;
 
 /// Raw counters accumulated while the simulation runs.
 ///
 /// The per-query series (`lookup_times`, `path_lengths`,
-/// `min_cap_congestion`) are [`Collector`]s: exact by default,
-/// O(1)-memory streaming sketches when the run was built with
-/// `stream_stats` (see [`Metrics::for_mode`]). Everything else is
-/// bounded by the host count or is a plain counter.
+/// `min_cap_congestion`) keep every observation, so the report's
+/// percentiles are exact. Everything else is bounded by the host count
+/// or is a plain counter.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
     /// Lookups injected.
@@ -44,18 +43,18 @@ pub struct Metrics {
     /// Forwarding decisions taken.
     pub forward_decisions: u64,
     /// Per-lookup end-to-end times in seconds (Fig. 5c).
-    pub lookup_times: Collector,
+    pub lookup_times: Samples,
     /// Per-lookup hop counts (Fig. 5b).
-    pub path_lengths: Collector,
+    pub path_lengths: Samples,
     /// Congestion samples of the minimum-capacity host (Fig. 4b).
-    pub min_cap_congestion: Collector,
+    pub min_cap_congestion: Samples,
     /// Elastic link operations (adds, sheds, purges) over the run —
     /// the Section 5.3 maintenance cost.
     pub maintenance_ops: u64,
 }
 
 /// The digested result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunReport {
     /// Protocol name.
     pub protocol: String,
@@ -207,28 +206,12 @@ impl fmt::Display for RunReport {
 }
 
 impl Metrics {
-    /// Metrics whose per-query collectors stream (O(1) memory) when
-    /// `stream_stats` is set, or retain exact samples otherwise.
-    pub fn for_mode(stream_stats: bool) -> Metrics {
-        Metrics {
-            lookup_times: Collector::for_mode(stream_stats),
-            path_lengths: Collector::for_mode(stream_stats),
-            min_cap_congestion: Collector::for_mode(stream_stats),
-            ..Metrics::default()
-        }
-    }
-
     /// Digests the counters plus the topology's final host state into a
     /// report.
     ///
     /// Every host counts, departed ones included: the paper's churn
     /// metrics are "collected from all node\[s\] including ... the nodes
     /// departed".
-    ///
-    /// The per-host digests below deliberately stay exact [`Samples`]:
-    /// they hold one value per host, bounded by the network size rather
-    /// than the query count, so streaming them would trade accuracy for
-    /// nothing.
     pub fn into_report(self, protocol: &str, topo: &Topology, sim_seconds: f64) -> RunReport {
         let hosts = &topo.hosts;
         let max_congestion: Samples = hosts.iter().map(|h| h.max_congestion).collect();
@@ -451,33 +434,5 @@ mod tests {
         };
         let r = m.into_report("P", &topo_of(vec![]), 1.0);
         assert_eq!(r.probes_per_decision, 2.0);
-    }
-
-    #[test]
-    fn stream_mode_metrics_report_exact_counts_and_means() {
-        let topo = topo_of(vec![host(100.0, 10, 0.5), host(100.0, 30, 2.0)]);
-        let mut exact = Metrics::for_mode(false);
-        let mut stream = Metrics::for_mode(true);
-        assert!(!exact.lookup_times.is_streaming());
-        assert!(stream.lookup_times.is_streaming());
-        for m in [&mut exact, &mut stream] {
-            m.lookups_started = 40;
-            m.lookups_completed = 40;
-            for i in 0..40 {
-                m.lookup_times.push(0.5 + 0.01 * i as f64);
-                m.path_lengths.push((3 + i % 4) as f64);
-                m.min_cap_congestion.push(0.2 * (i % 7) as f64);
-            }
-        }
-        let re = exact.into_report("E", &topo, 12.5);
-        let rs = stream.into_report("S", &topo, 12.5);
-        // Count/mean/max are exact in both modes; per-host digests are
-        // always exact, so they match bit for bit.
-        assert_eq!(re.lookup_time.count, rs.lookup_time.count);
-        assert_eq!(re.lookup_time.mean, rs.lookup_time.mean);
-        assert_eq!(re.lookup_time.max, rs.lookup_time.max);
-        assert_eq!(re.mean_path_length, rs.mean_path_length);
-        assert_eq!(re.p99_max_congestion, rs.p99_max_congestion);
-        assert_eq!(re.p99_share, rs.p99_share);
     }
 }

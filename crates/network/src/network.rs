@@ -401,7 +401,7 @@ impl Network {
             host_shard,
             queries: Vec::new(),
             lookups: Vec::new(),
-            metrics: Metrics::for_mode(cfg.stream_stats),
+            metrics: Metrics::default(),
             rng_topology,
             rng_forward,
             rng_workload,

@@ -4,16 +4,9 @@
 //! layer above — `ert-sim`, `ert-network`, `ert-telemetry` — can build
 //! on it without cycles):
 //!
-//! 1. **Bounded-memory streaming statistics** ([`sketch`], [`digest`]) —
-//!    a deterministic fixed-size quantile sketch ([`P2Quantile`], the
-//!    classic P² algorithm) composed into [`StreamSummary`], a `Copy`
-//!    collector answering the same count/mean/p01/p50/p99/max queries as
-//!    `ert_sim::stats::Samples` in O(1) memory per metric regardless of
-//!    how many observations stream through. The shared query interface
-//!    is the [`Digest`] trait; writable collectors also implement
-//!    [`Record`]. No RNG, no wall clock: the sketch state is a pure
-//!    function of the observation sequence, so same-seed runs stay
-//!    byte-identical (D1/D2 clean).
+//! 1. **The report digest** ([`digest`]) — [`Summary`], the six-field
+//!    count/mean/p01/p50/p99/max record every run report carries, with
+//!    its pinned JSON field order.
 //! 2. **Deterministic span IDs** ([`span`]) — the `(query id, hop
 //!    index)` → span-ID scheme used by `ert-network`'s per-lookup causal
 //!    tracing. IDs are pure arithmetic, so two runs of the same seed
@@ -26,19 +19,16 @@
 //!    nodes/queues — the empirical counterpart of the Theorem 3.1/3.2
 //!    envelopes the sanitizer asserts.
 //!
-//! See DESIGN.md § Observability for the span model and tolerance
-//! discussion.
+//! See DESIGN.md § Observability for the span model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;
 pub mod json;
-pub mod sketch;
 pub mod span;
 pub mod trace;
 
-pub use digest::{Digest, Record, Summary};
+pub use digest::Summary;
 pub use json::Json;
-pub use sketch::{P2Quantile, StreamSummary};
 pub use trace::TraceAnalysis;

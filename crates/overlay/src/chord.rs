@@ -12,7 +12,7 @@
 //! finger (`m = 3`) exactly by the nodes in `[1010_0000, 1010_0011]`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 use crate::ring::{forward_distance, RingRange};
@@ -28,7 +28,7 @@ use crate::ring::{forward_distance, RingRange};
 /// assert!(rev.contains(0b1010_0011));
 /// assert!(!rev.contains(0b1010_0100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ChordSpace {
     bits: u8,
 }

@@ -8,7 +8,7 @@
 //! requiring Internet measurements (see DESIGN.md, substitutions table).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point on the unit 2-D torus standing in for a node's position in
 /// the underlying (physical) network.
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // Wraps around: 0.1 -> 0.9 is 0.2 across the seam, not 0.8.
 /// assert!((a.distance(b) - 0.2).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Coord {
     x: f64,
     y: f64,

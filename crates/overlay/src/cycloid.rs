@@ -26,7 +26,7 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ring::forward_distance;
 
@@ -40,7 +40,7 @@ use crate::ring::forward_distance;
 /// is comparing `(k, a)` lexicographically — the order the two-field
 /// struct this replaces derived, which every ID-keyed `BTreeSet` /
 /// `BTreeMap` iterates in — and equality is one compare.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CycloidId(u32);
 
 /// Bits `k < MAX_DIM` takes above the cubical ID.
@@ -105,7 +105,7 @@ impl Serialize for CycloidId {
 /// All entry and reverse regions in Cycloid take this shape (the free
 /// low bits of the region definitions form an aligned, non-wrapping
 /// block of cubical IDs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CycloidRegion {
     /// Cyclic index every member shares.
     pub k: u8,
@@ -128,7 +128,7 @@ impl CycloidRegion {
 }
 
 /// Which routing-table slot a hop should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SlotKind {
     /// The cubical slot: flips bit `k`, descends to `k − 1`.
     Cubical,
@@ -137,7 +137,7 @@ pub enum SlotKind {
 }
 
 /// The routing decision for one hop of the original Cycloid algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RouteStep {
     /// Forward through the given elastic table slot.
     Entry(SlotKind),
@@ -163,7 +163,7 @@ pub enum RouteStep {
 /// let cyclic = space.cyclic_region(node).unwrap();
 /// assert_eq!(cyclic.a_lo, 0b1011_0000); // (3, 1011-xxxx)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CycloidSpace {
     dim: u8,
 }

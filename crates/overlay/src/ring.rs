@@ -1,6 +1,6 @@
 //! Arithmetic on circular identifier spaces.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A half-open arc `[start, start + len)` on a ring of size `modulus`.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(arc.contains(3));   // wrapped
 /// assert!(!arc.contains(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RingRange {
     start: u64,
     len: u64,

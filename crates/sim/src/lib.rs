@@ -17,9 +17,9 @@
 //! * [`SimRng`] — a seedable, stream-splittable ChaCha12 random number
 //!   generator so every experiment is reproducible from a single `u64`
 //!   seed.
-//! * [`stats`] — the small statistics toolkit (samples, percentile
-//!   sketches, histograms) used to report the paper's metrics (99th
-//!   percentile congestion, shares, lookup times, ...).
+//! * [`stats`] — the small statistics toolkit (exact samples,
+//!   histograms, time-weighted gauges) used to report the paper's
+//!   metrics (99th percentile congestion, shares, lookup times, ...).
 //! * [`SampleClock`] — the cadence generator behind periodic telemetry
 //!   sampling: strictly increasing tick instants at a fixed Δt on the
 //!   sim clock, so two runs with the same interval sample identically.

@@ -3,20 +3,16 @@
 //! The paper reports almost everything as a *99th percentile across
 //! nodes* (congestion, share) or as *average / 1st / 99th percentiles*
 //! (lookup time, degrees). [`Samples`] collects raw observations and
-//! answers those queries; [`Collector`] switches between `Samples` and
-//! the O(1)-memory [`StreamSummary`] sketch (the `--stream-stats`
-//! backend); [`Histogram`] counts integer-valued observations (used for
-//! the Fig. 6 indegree census).
-//!
-//! The shared query interface is [`ert_obs::Digest`], which `Samples`,
-//! `Histogram`, [`StreamSummary`], and [`Summary`] all implement;
-//! [`Summary`] itself lives in `ert-obs` and is re-exported here.
+//! answers those queries exactly; [`Histogram`] counts integer-valued
+//! observations (used for the Fig. 6 indegree census). [`Summary`], the
+//! digest [`Samples::summary`] returns, lives in `ert-obs` and is
+//! re-exported here.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-pub use ert_obs::{Digest, Record, StreamSummary, Summary};
+pub use ert_obs::Summary;
 
 /// A collector of `f64` observations supporting percentile queries.
 ///
@@ -38,7 +34,7 @@ pub use ert_obs::{Digest, Record, StreamSummary, Summary};
 /// assert_eq!(s.percentile(0.99), 99.0);
 /// assert_eq!(s.mean(), 50.5);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Samples {
     values: Vec<f64>,
 }
@@ -151,161 +147,6 @@ impl Samples {
     }
 }
 
-impl Digest for Samples {
-    fn count(&self) -> u64 {
-        self.values.len() as u64
-    }
-
-    fn mean(&self) -> f64 {
-        Samples::mean(self)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        self.percentile(p)
-    }
-
-    fn max(&self) -> f64 {
-        Samples::max(self)
-    }
-
-    fn summarize(&self) -> Summary {
-        self.summary()
-    }
-}
-
-impl Record for Samples {
-    fn observe(&mut self, value: f64) {
-        self.push(value);
-    }
-}
-
-/// A metric collector that is either exact ([`Samples`], retains every
-/// observation) or streaming ([`StreamSummary`], O(1) memory per
-/// metric) — the switch behind the `--stream-stats` CLI flag.
-///
-/// Both arms answer the same queries through [`Digest`]; in exact mode
-/// the answers are bit-identical to the pre-`Collector` code, which is
-/// what keeps the pinned reports in `tests/parallel_determinism.rs`
-/// byte-stable.
-///
-/// ```
-/// use ert_sim::stats::Collector;
-/// let mut c = Collector::for_mode(true); // streaming
-/// for v in 1..=1000 {
-///     c.push(v as f64);
-/// }
-/// assert_eq!(c.len(), 1000);
-/// assert_eq!(c.mean(), 500.5);
-/// ```
-// The sketch variant is ~440 bytes inline vs the exact arm's ~56, but
-// a `Collector` lives in two long-lived metric slots per network — not
-// in per-item arrays — and the sketch's whole point is a fixed
-// heap-free footprint.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "boxing the sketch would buy nothing and put a pointer chase on every hot-loop observe"
-)]
-#[derive(Debug, Clone)]
-pub enum Collector {
-    /// Retains every observation; exact nearest-rank percentiles.
-    Exact(Samples),
-    /// Fixed-size P² sketch; approximate p01/p50/p99, exact
-    /// count/mean/max.
-    Stream(StreamSummary),
-}
-
-impl Default for Collector {
-    fn default() -> Self {
-        Collector::Exact(Samples::new())
-    }
-}
-
-impl Collector {
-    /// An exact collector (the default).
-    pub fn exact() -> Collector {
-        Collector::default()
-    }
-
-    /// A streaming collector.
-    pub fn stream() -> Collector {
-        Collector::Stream(StreamSummary::new())
-    }
-
-    /// Streaming when `stream_stats` is set, exact otherwise.
-    pub fn for_mode(stream_stats: bool) -> Collector {
-        if stream_stats {
-            Collector::stream()
-        } else {
-            Collector::exact()
-        }
-    }
-
-    /// Whether this collector streams (O(1) memory).
-    pub fn is_streaming(&self) -> bool {
-        matches!(self, Collector::Stream(_))
-    }
-
-    /// Adds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn push(&mut self, value: f64) {
-        match self {
-            Collector::Exact(s) => s.push(value),
-            Collector::Stream(s) => s.observe(value),
-        }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        match self {
-            Collector::Exact(s) => s.len(),
-            Collector::Stream(s) => s.len(),
-        }
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Arithmetic mean, or 0.0 when empty (exact in both modes).
-    pub fn mean(&self) -> f64 {
-        self.digest().mean()
-    }
-
-    /// Largest observation clamped to ≥ 0.0 (exact in both modes).
-    pub fn max(&self) -> f64 {
-        self.digest().max()
-    }
-
-    /// The `p`-quantile: exact nearest-rank in [`Collector::Exact`]
-    /// mode, sketch estimate in [`Collector::Stream`] mode.
-    pub fn percentile(&self, p: f64) -> f64 {
-        self.digest().quantile(p)
-    }
-
-    /// Mean / percentiles / max digest.
-    pub fn summary(&self) -> Summary {
-        self.digest().summarize()
-    }
-
-    /// The query interface common to both arms.
-    pub fn digest(&self) -> &dyn Digest {
-        match self {
-            Collector::Exact(s) => s,
-            Collector::Stream(s) => s,
-        }
-    }
-}
-
-impl Record for Collector {
-    fn observe(&mut self, value: f64) {
-        self.push(value);
-    }
-}
-
 impl FromIterator<f64> for Samples {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut s = Samples::new();
@@ -336,7 +177,7 @@ impl Extend<f64> for Samples {
 /// let avg = g.mean_until(SimTime::from_secs_f64(3.0)); // then 4 for 2 s
 /// assert!((avg - (2.0 + 8.0) / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct TimeWeighted {
     started: Option<crate::SimTime>,
     last_change: crate::SimTime,
@@ -419,7 +260,7 @@ impl TimeWeighted {
 /// assert_eq!(h.count(5), 2);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Histogram {
     buckets: BTreeMap<u64, u64>,
     total: u64,
@@ -459,70 +300,6 @@ impl Histogram {
         }
         let n: u64 = self.buckets.range(threshold..).map(|(_, &c)| c).sum();
         n as f64 / self.total as f64
-    }
-}
-
-impl Digest for Histogram {
-    fn count(&self) -> u64 {
-        self.total
-    }
-
-    fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .map(|(&v, &c)| v as f64 * c as f64)
-            .sum();
-        sum / self.total as f64
-    }
-
-    /// Nearest-rank quantile over the bucketed counts.
-    #[expect(
-        clippy::expect_used,
-        reason = "past the `total == 0` return the buckets are nonempty, and the loop returns first anyway: counts sum to `total` >= rank"
-    )]
-    fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range: {p}");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = ((p * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (&value, &count) in &self.buckets {
-            seen += count;
-            if seen >= rank {
-                return value as f64;
-            }
-        }
-        // Unreachable: counts sum to `total` ≥ rank.
-        *self.buckets.keys().next_back().expect("nonempty") as f64
-    }
-
-    fn max(&self) -> f64 {
-        match self.buckets.keys().next_back() {
-            Some(&v) => v as f64,
-            None => 0.0,
-        }
-    }
-}
-
-impl Record for Histogram {
-    /// Records an integer-valued observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or not integral — the histogram
-    /// buckets exact integer observations (degree censuses), and a
-    /// silent round would hide a caller bug.
-    fn observe(&mut self, value: f64) {
-        assert!(
-            value >= 0.0 && value.fract() == 0.0,
-            "histogram observation must be a non-negative integer: {value}"
-        );
-        self.record(value as u64);
     }
 }
 
@@ -603,59 +380,6 @@ mod tests {
         assert_eq!(d.p99, s.percentile(0.99));
         assert_eq!(d.mean, s.mean());
         assert_eq!(d.max, s.max());
-    }
-
-    #[test]
-    fn collector_modes_agree_on_exact_fields() {
-        let mut exact = Collector::exact();
-        let mut stream = Collector::stream();
-        assert!(!exact.is_streaming());
-        assert!(stream.is_streaming());
-        for v in (1..=500).map(|v| (v % 37) as f64) {
-            exact.push(v);
-            stream.push(v);
-        }
-        assert_eq!(exact.len(), stream.len());
-        assert_eq!(exact.mean(), stream.mean());
-        assert_eq!(exact.max(), stream.max());
-        let (se, ss) = (exact.summary(), stream.summary());
-        assert_eq!(se.count, ss.count);
-        assert_eq!(se.mean, ss.mean);
-        assert_eq!(se.max, ss.max);
-        // Interior quantiles approximate: within a loose band here (the
-        // testkit differential oracle pins the tight band).
-        assert!((se.p50 - ss.p50).abs() <= 4.0, "{} vs {}", se.p50, ss.p50);
-    }
-
-    #[test]
-    fn collector_default_is_exact_and_for_mode_switches() {
-        assert!(!Collector::default().is_streaming());
-        assert!(Collector::for_mode(true).is_streaming());
-        assert!(!Collector::for_mode(false).is_streaming());
-    }
-
-    #[test]
-    fn histogram_digest_matches_exact_queries() {
-        let mut h = Histogram::new();
-        let mut s = Samples::new();
-        for v in [5u64, 5, 5, 14, 14, 22] {
-            h.record(v);
-            s.push(v as f64);
-        }
-        assert_eq!(Digest::count(&h), 6);
-        assert_eq!(Digest::mean(&h), s.mean());
-        assert_eq!(Digest::max(&h), 22.0);
-        for p in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(p), s.percentile(p), "p={p}");
-        }
-        h.observe(7.0);
-        assert_eq!(h.count(7), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative integer")]
-    fn histogram_rejects_fractional_observations() {
-        Histogram::new().observe(1.5);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const MICROS_PER_SEC: u64 = 1_000_000;
 
@@ -19,9 +19,7 @@ const MICROS_PER_SEC: u64 = 1_000_000;
 /// let t = SimTime::ZERO + SimDuration::from_secs_f64(1.5);
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -30,9 +28,7 @@ pub struct SimTime(u64);
 /// use ert_sim::SimDuration;
 /// assert_eq!(SimDuration::from_secs_f64(0.2).as_micros(), 200_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimTime {

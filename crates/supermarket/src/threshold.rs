@@ -20,10 +20,10 @@
 //! distribution into the mean queue length (and, via Little's law,
 //! the Theorem 4.1 waiting time).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The finite-capacity threshold supermarket model (the paper's QFM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThresholdModel {
     lambda: f64,
     b: u32,

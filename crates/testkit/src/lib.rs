@@ -1,6 +1,6 @@
 //! Conformance oracles for the ERT reproduction.
 //!
-//! Four pillars, one crate:
+//! Three pillars, one crate:
 //!
 //! 1. **Golden-master shape regression** ([`shape`], [`specs`],
 //!    [`golden`]) — every ✅ claim of EXPERIMENTS.md encoded as a
@@ -17,13 +17,7 @@
 //!    cross-checked against the pure `ChordRegistry` geometry on
 //!    identical member sets; plus multi-seed Theorem 3.1–4.1 envelope
 //!    runners.
-//! 3. **The streaming-statistics differential** ([`streamdiff`]) —
-//!    `--stream-stats` runs (P² sketch collectors) confronted with
-//!    their exact twins across seeds, workload shapes, and protocols:
-//!    exact fields bit-identical, sketched percentiles inside the
-//!    EXPERIMENTS.md tolerance bands, plus a 10^6-observation
-//!    convergence differential.
-//! 4. **A shared strategy library** ([`strategies`]) — the audited
+//! 3. **A shared strategy library** ([`strategies`]) — the audited
 //!    scenario space every property test draws from (proptest
 //!    strategies plus the deterministic builders the pinned
 //!    determinism tests share), replacing per-file copies.
@@ -40,6 +34,5 @@ pub mod golden;
 pub mod shape;
 pub mod specs;
 pub mod strategies;
-pub mod streamdiff;
 
 pub use shape::{Axis, Layout, SeriesSet, ShapeCheck, ShapeSpec, Tier, Violation};

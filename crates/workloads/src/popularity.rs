@@ -16,7 +16,7 @@
 use ert_network::{KeyPick, Lookup, SourcePick};
 use ert_sim::{SimDuration, SimRng, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fixed catalogue of keys with Zipf-distributed request
 /// probabilities.
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let r = keys.sample_rank(&mut rng);
 /// assert!(r < 100);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ZipfKeys {
     /// Ring fractions of the catalogue's keys, rank order.
     fractions: Vec<f64>,

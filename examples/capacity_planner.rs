@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example capacity_planner`
 
+#![forbid(unsafe_code)]
+
 use ert_repro::network::{Network, NetworkConfig, ProtocolSpec};
 use ert_repro::overlay::CycloidSpace;
 use ert_repro::sim::SimRng;

@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release --example churny_swarm`
 
+#![forbid(unsafe_code)]
+
 use ert_repro::baselines::{base, ns};
 use ert_repro::experiments::{fig9, Scenario};
 use ert_repro::network::ProtocolSpec;
@@ -22,7 +24,6 @@ fn main() {
         adversary: None,
         jobs: None,
         shards: 0,
-        stream_stats: false,
     };
     println!("swarm under churn (paper-scale interarrival sweep)\n");
     println!(

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example ert_on_chord`
 
+#![forbid(unsafe_code)]
+
 use ert_repro::experiments::chord::{cross_overlay_table, run_mini, MiniGeometryKind};
 use ert_repro::experiments::Scenario;
 use ert_repro::minidht::MiniProtocol;
@@ -24,7 +26,6 @@ fn main() {
         adversary: None,
         jobs: None,
         shards: 0,
-        stream_stats: false,
     };
     println!("{}", cross_overlay_table(&scenario));
 

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example flash_crowd`
 
+#![forbid(unsafe_code)]
+
 use ert_repro::baselines::{base, vs};
 use ert_repro::experiments::{Scenario, Workload};
 use ert_repro::network::ProtocolSpec;
@@ -29,7 +31,6 @@ fn main() {
         adversary: None,
         jobs: None,
         shards: 0,
-        stream_stats: false,
     };
     println!("flash crowd: 50 co-located requesters hammer 20 keys\n");
     println!(

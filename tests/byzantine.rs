@@ -92,15 +92,12 @@ fn adversarial_runs_reproduce_across_jobs_1_and_4() {
     assert_eq!(run(1), run(4), "worker count leaked into attacked runs");
 }
 
-/// A flood an order of magnitude larger than the base workload, with
-/// the streaming collectors (`stream_stats`, the `ert-obs` P² sketches)
-/// keeping metric memory O(1): everything injected is accounted for
-/// and the run still completes nearly everything after the crest
-/// drains.
+/// A flood an order of magnitude larger than the base workload:
+/// everything injected is accounted for and the run still completes
+/// nearly everything after the crest drains.
 #[test]
-fn large_flood_with_streaming_stats_is_conserved() {
+fn large_flood_is_conserved() {
     let mut s = Scenario::quick(17);
-    s.stream_stats = true;
     s.adversary = Some(AdversaryScript::Flood {
         key: 0.37,
         queries: 3000,

@@ -58,28 +58,6 @@ fn parallel_batch_is_byte_identical_to_sequential() {
     }
 }
 
-/// `--stream-stats` swaps the per-query collectors for P² sketches;
-/// the sketches are pure fold-left state machines, so worker count
-/// must not leak into sketched output either — and the same scenario
-/// sketched twice at the same seed is byte-identical to itself.
-#[test]
-fn stream_stats_batch_is_byte_identical_across_jobs_and_repeats() {
-    for (label, mut s) in shapes() {
-        s.stream_stats = true;
-        let specs = all_protocols(s.n);
-        s.jobs = Some(1);
-        let sequential = serde::json::to_string(&s.run_all(&specs));
-        let repeat = serde::json::to_string(&s.run_all(&specs));
-        assert_eq!(sequential, repeat, "{label}: same-seed sketch run diverged");
-        s.jobs = Some(4);
-        let parallel = serde::json::to_string(&s.run_all(&specs));
-        assert_eq!(
-            sequential, parallel,
-            "{label}: worker count leaked into stream-stats output"
-        );
-    }
-}
-
 /// Pins one averaged ERT/AF report against values captured **before**
 /// the executor existed (sequential per-seed loop, same scenario).
 /// Field-by-field first for readable failures, then the whole record.

@@ -90,14 +90,12 @@ fn stream_has_events_snapshots_and_monotone_timestamps() {
     assert!(event_ats.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// Runs the fixed scenario in `--stream-stats` mode with a [`SpanSink`]
-/// attached and returns the retained trace lines plus the report.
-fn traced_stream_run() -> (Vec<String>, ert_network::RunReport) {
+/// Runs the fixed scenario with a [`SpanSink`] attached and returns the
+/// retained trace lines plus the report.
+fn traced_run() -> (Vec<String>, ert_network::RunReport) {
     let caps = capacities(96);
     let lookups = ert_network::network::uniform_lookup_burst(200, 96.0, 17);
-    let mut cfg = fixed_config();
-    cfg.stream_stats = true;
-    let mut net = Network::new(cfg, &caps, ProtocolSpec::ert_af()).unwrap();
+    let mut net = Network::new(fixed_config(), &caps, ProtocolSpec::ert_af()).unwrap();
     let sink = SpanSink::new();
     let lines = sink.handle();
     let mut tel = Telemetry::disabled();
@@ -108,15 +106,14 @@ fn traced_stream_run() -> (Vec<String>, ert_network::RunReport) {
     (lines, report)
 }
 
-/// Streaming collectors don't break replay: the same `--stream-stats`
-/// scenario traced twice yields byte-for-byte the same span stream and
-/// the same report — and the stream actually carries [`HopSpan`]
-/// records for the causal per-hop breakdown, with the non-trace event
-/// kinds filtered out by the sink.
+/// The same scenario traced twice yields byte-for-byte the same span
+/// stream and the same report — and the stream actually carries
+/// [`HopSpan`] records for the causal per-hop breakdown, with the
+/// non-trace event kinds filtered out by the sink.
 #[test]
-fn stream_stats_trace_is_byte_identical_and_carries_hop_spans() {
-    let (a, ra) = traced_stream_run();
-    let (b, rb) = traced_stream_run();
+fn span_trace_is_byte_identical_and_carries_hop_spans() {
+    let (a, ra) = traced_run();
+    let (b, rb) = traced_run();
     assert!(!a.is_empty());
     assert_eq!(a.len(), b.len(), "trace lengths diverged");
     for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
