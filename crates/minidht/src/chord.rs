@@ -29,36 +29,42 @@ impl ChordGeometry {
     ///
     /// Panics if the population exceeds half the ring.
     pub fn populate(bits: u8, n: usize, rng: &mut SimRng) -> Self {
-        let space = ChordSpace::new(bits);
+        let mut g = ChordGeometry::from_members(bits, &[]);
         assert!(
-            n as u64 <= space.ring_size() / 2,
+            n as u64 <= g.space.ring_size() / 2,
             "ring too small for the population"
         );
-        let mut registry = ChordRegistry::new(space);
-        while registry.len() < n {
-            registry.insert(space.random_id(rng));
+        while g.registry.len() < n {
+            g.insert(g.space.random_id(rng));
         }
+        g
+    }
+
+    /// Builds a ring from a member list in any order, duplicates
+    /// collapsed, in one bulk pass. A live wire node starts its view
+    /// this way and keeps it current with `insert` and `remove`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is outside the `2^bits` ring.
+    pub fn from_members(bits: u8, members: &[u64]) -> Self {
+        let space = ChordSpace::new(bits);
         ChordGeometry {
             space,
-            registry,
+            registry: ChordRegistry::from_ids(space, members.iter().copied()),
             succ_list: 4,
         }
     }
 
-    /// Builds a ring from an explicit member list (deduplicated by the
-    /// registry). This is how live wire nodes replicate the simulator's
-    /// geometry from a membership view.
-    pub fn from_members(bits: u8, members: &[u64]) -> Self {
-        let space = ChordSpace::new(bits);
-        let mut registry = ChordRegistry::new(space);
-        for &id in members {
-            registry.insert(id % space.ring_size());
-        }
-        ChordGeometry {
-            space,
-            registry,
-            succ_list: 4,
-        }
+    /// Adds member `id`; returns `false` if it was already present.
+    /// Panics if `id` is outside the ring.
+    pub fn insert(&mut self, id: u64) -> bool {
+        self.registry.insert(id)
+    }
+
+    /// Removes member `id`; returns `false` if it was absent.
+    pub fn remove(&mut self, id: u64) -> bool {
+        self.registry.remove(id)
     }
 
     /// The underlying ID space.

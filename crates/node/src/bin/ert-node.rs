@@ -89,6 +89,10 @@ fn run(args: &Args) -> Result<(), String> {
     view.push(args.id);
     view.sort_unstable();
     view.dedup();
+    let ring = ert_overlay::ChordSpace::new(args.bits).ring_size();
+    if let Some(id) = view.last().filter(|&&id| id >= ring) {
+        return Err(format!("id {id} is off the {ring}-id ring"));
+    }
     let mut node = WireNode::new(
         args.id,
         args.bits,

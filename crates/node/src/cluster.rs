@@ -238,8 +238,9 @@ impl WireCluster {
     ///
     /// # Errors
     ///
-    /// Rejects unsorted/duplicate members, capacity-count mismatches,
-    /// invalid ERT/retry/fault parameters, and wire build failures.
+    /// Rejects unsorted/duplicate/off-ring members, capacity-count
+    /// mismatches, invalid ERT/retry/fault parameters, and wire build
+    /// failures.
     #[expect(
         clippy::too_many_arguments,
         reason = "`MiniDht::new`'s inputs with the geometry spelled out (bits, members) plus the wire-only ones (fault plan, retry policy, spawn order)"
@@ -266,6 +267,10 @@ impl WireCluster {
         }
         if !members.windows(2).all(|w| w[0] < w[1]) {
             return Err("members must be sorted and distinct".into());
+        }
+        let ring = ert_overlay::ChordSpace::new(bits).ring_size();
+        if members.last().is_some_and(|&last| last >= ring) {
+            return Err(format!("members must lie on the {ring}-id ring"));
         }
         cfg.ert.validate().map_err(|e| e.to_string())?;
         retry.validate()?;

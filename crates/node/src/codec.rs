@@ -336,20 +336,40 @@ fn tag_of(msg: &Message) -> u8 {
     }
 }
 
-/// Encodes a message into a complete frame (header + payload).
+/// Exact frame length of `msg`: header, fixed payload, 4-byte count
+/// plus 8 bytes per listed id.
+fn encoded_len(msg: &Message) -> usize {
+    let ids = |ids: &[u64]| 4 + 8 * ids.len();
+    HEADER_LEN
+        + match msg {
+            Message::Join { members, .. } => 8 + ids(members),
+            Message::Stabilize { members, .. } => 4 + ids(members),
+            Message::Lookup { avoid, .. } => 8 + 8 + 4 + 4 + 1 + ids(avoid),
+            Message::LookupReply { .. } => 8 + 1 + 8 + 4,
+            Message::ProbeLoad { .. } | Message::Leave { .. } => 8,
+            Message::LoadReport { .. } => 8 + 8 + 8 + 4 + 8,
+            Message::AdaptIndegree { .. } => 8 + 2 + 1,
+        }
+}
+
+/// Encodes a message into a complete frame (header + payload), in one
+/// allocation of exactly the frame's length.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 32);
+    let mut out = Vec::new();
     encode_into(msg, &mut out);
     out
 }
 
-/// [`encode`] into a buffer the caller keeps; `out` is cleared first.
+/// [`encode`] into a buffer the caller keeps; `out` is cleared first
+/// and grows only if it is shorter than the frame.
 pub(crate) fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    let len = encoded_len(msg);
     out.clear();
+    out.reserve_exact(len);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(tag_of(msg));
-    put_u32(out, 0); // length backpatched below
+    put_u32(out, (len - HEADER_LEN) as u32);
     match msg {
         Message::Join { id, members } => {
             put_u64(out, *id);
@@ -409,11 +429,6 @@ pub(crate) fn encode_into(msg: &Message, out: &mut Vec<u8>) {
         Message::Leave { id } => {
             put_u64(out, *id);
         }
-    }
-    let payload_len = out.len().saturating_sub(HEADER_LEN);
-    let len_bytes = (payload_len as u32).to_be_bytes();
-    if let Some(slot) = out.get_mut(4..8) {
-        slot.copy_from_slice(&len_bytes);
     }
 }
 
@@ -529,6 +544,7 @@ mod tests {
         ];
         for msg in msgs {
             let frame = encode(&msg);
+            assert_eq!(encoded_len(&msg), frame.len());
             assert_eq!(decode(&frame).unwrap(), msg);
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! A [`WireNode`] is the shared [`ErtNode`] of `ert-minidht` — the same
 //! state and the same Algorithm 1–4 steps the simulator runs — plus
-//! what only a live process needs: a membership view with its geometry
-//! replica, and the codec. Where the simulator reaches a peer by
-//! indexing its node vector, this node encodes the [`PeerOp`] as a
-//! `ProbeLoad` or `AdaptIndegree` frame, sends it through its
+//! what only a live process needs: its own membership view, held as a
+//! Chord geometry and kept current one id at a time, and the codec.
+//! Where the simulator reaches a peer by indexing its node vector,
+//! this node encodes the [`PeerOp`] as a `ProbeLoad` or
+//! `AdaptIndegree` frame, sends it through its
 //! [`Transport`], and decodes the `LoadReport` that comes back; the
 //! peer's [`WireNode::on_request`] decodes the frame into the same
 //! `ErtNode::serve`. Lookups travel as `Lookup` datagrams. The
@@ -19,12 +20,11 @@
 //! clock (time comes from [`Transport::now`]) and never iterates an
 //! unordered container.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use ert_minidht::{
-    AdaptTrace, ChordGeometry, ErtNode, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer,
-    PeerOp, PeerReport, Window,
+    AdaptTrace, ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
+    PeerAnswer, PeerOp, PeerReport, Window,
 };
 use ert_sim::SimRng;
 
@@ -66,16 +66,14 @@ impl From<TransportError> for NodeError {
     }
 }
 
-/// One live DHT node: the shared ERT node, a Chord geometry replica
-/// rebuilt from its membership view, and a private decision stream —
-/// all driven through a [`Transport`].
+/// One live DHT node: the shared ERT node, a Chord geometry that is its
+/// membership view, and a private decision stream — all driven through
+/// a [`Transport`].
 #[derive(Debug)]
 pub struct WireNode {
     pub(crate) ert: ErtNode,
-    bits: u8,
     pub(crate) raw_capacity: f64,
     geometry: ChordGeometry,
-    members: BTreeSet<u64>,
     decide: SimRng,
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
@@ -129,6 +127,10 @@ impl WireNode {
     /// `capacity_eval` is the evaluated capacity (`max_indegree` over
     /// the normalized capacity), computed by whoever knows the full
     /// capacity distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` or a member of `view` is outside the `2^bits` ring.
     pub fn new(
         id: u64,
         bits: u8,
@@ -138,15 +140,12 @@ impl WireNode {
         cfg: &MiniDhtConfig,
         protocol: MiniProtocol,
     ) -> WireNode {
-        let mut members: BTreeSet<u64> = view.iter().copied().collect();
-        members.insert(id);
-        let member_list: Vec<u64> = members.iter().copied().collect();
+        let mut geometry = ChordGeometry::from_members(bits, view);
+        geometry.insert(id);
         WireNode {
             ert: ErtNode::new(id, capacity_eval, protocol),
-            bits,
             raw_capacity,
-            geometry: ChordGeometry::from_members(bits, &member_list),
-            members,
+            geometry,
             decide: SimRng::seed_from(cfg.seed ^ id).fork("decide"),
             cfg: *cfg,
             protocol,
@@ -172,10 +171,10 @@ impl WireNode {
 
     /// Sorted membership view.
     pub fn members_view(&self) -> Vec<u64> {
-        self.members.iter().copied().collect()
+        self.geometry.members()
     }
 
-    /// The node's geometry replica (rebuilt from the membership view).
+    /// The node's geometry, which is its membership view.
     pub fn geometry(&self) -> &ChordGeometry {
         &self.geometry
     }
@@ -223,25 +222,38 @@ impl WireNode {
         failure.map_or(Ok(out), Err)
     }
 
-    /// Rebuilds the geometry replica from a view that just changed.
-    /// The shared node hears of the change first: its saved expansion
-    /// position is only valid at the membership it was reached under.
-    fn rebuild_geometry(&mut self) {
-        self.ert.view_changed();
-        let member_list: Vec<u64> = self.members.iter().copied().collect();
-        self.geometry = ChordGeometry::from_members(self.bits, &member_list);
+    /// Fails closed on a peer's id outside the ring, which no view holds.
+    fn check_on_ring(&self, ids: &[u64]) -> Result<(), NodeError> {
+        let ring = self.geometry.space().ring_size();
+        match ids.iter().find(|&&id| id >= ring) {
+            Some(id) => Err(NodeError::Protocol(format!(
+                "id {id} is off the {ring}-id ring"
+            ))),
+            None => Ok(()),
+        }
     }
 
-    /// Merges `others` into the view; rebuilds the O(n) geometry
-    /// replica once, and only when the view grew.
-    fn merge_view(&mut self, others: impl IntoIterator<Item = u64>) -> bool {
-        let before = self.members.len();
-        self.members.extend(others);
-        let grew = self.members.len() != before;
-        if grew {
-            self.rebuild_geometry();
+    /// Merges the `k` ids of a peer's frame into the view and returns
+    /// whether it grew; a frame with an id off the ring changes nothing.
+    ///
+    /// The view is updated in place in O(k log n), and that is exact:
+    /// the geometry is a set of ids, and every answer it gives (owner,
+    /// successor window, table slots, inlink candidates) is a function
+    /// of that set alone, so inserting the new ids answers exactly as a
+    /// geometry rebuilt from the merged set would. The shared node hears
+    /// of the change once, and only if some id was new: its saved
+    /// expansion position is valid only at the membership it was
+    /// reached under (see `ErtNode::view_changed`).
+    fn merge_view(&mut self, others: &[u64]) -> Result<bool, NodeError> {
+        self.check_on_ring(others)?;
+        let mut grew = false;
+        for &id in others {
+            grew |= self.geometry.insert(id);
         }
-        grew
+        if grew {
+            self.ert.view_changed();
+        }
+        Ok(grew)
     }
 
     // ---- membership ----------------------------------------------------
@@ -261,13 +273,18 @@ impl WireNode {
                 members: view,
             }),
         )?;
-        match decode(&reply)? {
+        self.merge_reply(&reply, "join").map(drop)
+    }
+
+    /// Merges the view a `Join` or `Stabilize` reply to `exchange`
+    /// carries; any other reply is a protocol error.
+    fn merge_reply(&mut self, reply: &[u8], exchange: &str) -> Result<bool, NodeError> {
+        match decode(reply)? {
             Message::Join { members, .. } | Message::Stabilize { members, .. } => {
-                self.merge_view(members);
-                Ok(())
+                self.merge_view(&members)
             }
             other => Err(NodeError::Protocol(format!(
-                "join reply carried unexpected message {other:?}"
+                "{exchange} reply carried unexpected message {other:?}"
             ))),
         }
     }
@@ -303,16 +320,7 @@ impl WireNode {
                 }
                 Err(e) => return Err(e.into()),
             };
-            match decode(&reply)? {
-                Message::Stabilize { members, .. } | Message::Join { members, .. } => {
-                    grew |= self.merge_view(members);
-                }
-                other => {
-                    return Err(NodeError::Protocol(format!(
-                        "stabilize reply carried unexpected message {other:?}"
-                    )))
-                }
-            }
+            grew |= self.merge_reply(&reply, "stabilize")?;
         }
         Ok(grew)
     }
@@ -378,9 +386,10 @@ impl WireNode {
                 Ok(())
             }
             Message::Leave { id } => {
-                if self.members.remove(&id) {
+                // `purge_peer` tells the shared node the view changed.
+                self.check_on_ring(&[id])?;
+                if self.geometry.remove(id) {
                     self.ert.purge_peer(id);
-                    self.rebuild_geometry();
                 }
                 Ok(())
             }
@@ -409,15 +418,16 @@ impl WireNode {
         let (token, op) = match request {
             Message::ProbeLoad { token } => (token, PeerOp::Probe),
             Message::AdaptIndegree { from, slot, op } => (0, PeerOp::Link { from, slot, op }),
-            Message::Join { id, members } => {
-                self.merge_view(members.into_iter().chain([id]));
+            Message::Join { id, mut members } => {
+                members.push(id);
+                self.merge_view(&members)?;
                 return Ok(encode(&Message::Join {
                     id: self.id(),
                     members: self.members_view(),
                 }));
             }
             Message::Stabilize { round, members } => {
-                self.merge_view(members);
+                self.merge_view(&members)?;
                 return Ok(encode(&Message::Stabilize {
                     round,
                     members: self.members_view(),
@@ -503,7 +513,9 @@ mod tests {
     use super::*;
     use crate::codec::AdaptOp;
     use ert_sim::{SimDuration, SimTime};
-    use std::collections::BTreeMap;
+    use proptest::{prelude::ProptestConfig, prop_assert, prop_assert_eq};
+    use rand::Rng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     const BITS: u8 = 6;
 
@@ -653,5 +665,235 @@ mod tests {
             "back=[20,24,32,44,48,56,28]",
             "the scan restarted from the top and reached the newcomer"
         );
+    }
+
+    // ---- ids off the ring ------------------------------------------------
+
+    /// The node under test; the ring has `2^BITS` = 64 ids.
+    const ME: u64 = 20;
+    const OFF_RING: u64 = 64 + ME;
+
+    fn node_of(view: &[u64]) -> WireNode {
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        WireNode::new(ME, BITS, view, 1.0, 8, &cfg, MiniProtocol::ElasticErt)
+    }
+
+    fn assert_protocol_error<T: fmt::Debug>(got: Result<T, NodeError>) {
+        assert!(matches!(got, Err(NodeError::Protocol(_))), "{got:?}");
+    }
+
+    #[test]
+    fn a_join_carrying_an_id_off_the_ring_is_a_protocol_error() {
+        let mut node = node_of(&[4, 40]);
+        // The joiner itself, or one id of its view, folds onto member 20.
+        for (id, members) in [(OFF_RING, vec![9]), (9, vec![9, OFF_RING])] {
+            let frame = encode(&Message::Join { id, members });
+            assert_protocol_error(node.on_request(&frame));
+        }
+        // A join reply is held to the same rule; the frame is refused
+        // whole, so 9 stays out too.
+        let reply = encode(&Message::Join {
+            id: 40,
+            members: vec![9, OFF_RING],
+        });
+        assert_protocol_error(node.join_via(&mut Canned(reply), 40));
+        assert_eq!(node.members_view(), vec![4, ME, 40]);
+    }
+
+    #[test]
+    fn a_stabilize_carrying_an_id_off_the_ring_is_a_protocol_error() {
+        let mut node = node_of(&[4, 40]);
+        let frame = encode(&Message::Stabilize {
+            round: 1,
+            members: vec![9, OFF_RING],
+        });
+        assert_protocol_error(node.on_request(&frame));
+        assert_protocol_error(node.stabilize_once(&mut Canned(frame)));
+        assert_eq!(node.members_view(), vec![4, ME, 40]);
+    }
+
+    #[test]
+    fn a_leave_naming_an_id_off_the_ring_is_a_protocol_error() {
+        let mut node = node_of(&[4, 40]);
+        let frame = encode(&Message::Leave { id: 64 + 40 });
+        assert_protocol_error(node.on_frame(&mut Canned(Vec::new()), &frame));
+        assert_eq!(node.members_view(), vec![4, ME, 40]);
+    }
+
+    #[test]
+    fn a_cluster_with_a_member_off_the_ring_is_refused() {
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        let build = |members: &[u64]| {
+            crate::WireCluster::new(
+                cfg,
+                BITS,
+                members,
+                &vec![1.0; members.len()],
+                MiniProtocol::ElasticErt,
+                &ert_faults::FaultPlan::new(5),
+                ert_faults::RetryPolicy::default(),
+                None,
+            )
+        };
+        assert!(build(&[4, ME, 63]).is_ok());
+        let err = build(&[4, ME, 64]).expect_err("64 is off the 64-id ring");
+        assert!(err.contains("ring"), "{err}");
+    }
+
+    // ---- the single view against the rebuilt replica -------------------
+
+    /// Answers every request with a report that takes any link, and
+    /// counts the `AddOutlink`s: the inlink candidates an expansion
+    /// asked.
+    #[derive(Default)]
+    struct Holders {
+        asked: usize,
+    }
+
+    impl Transport for Holders {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn send(&mut self, _to: u64, _frame: &[u8]) -> Result<(), TransportError> {
+            Ok(())
+        }
+        fn request(&mut self, _to: u64, frame: &[u8]) -> Result<Vec<u8>, TransportError> {
+            if let Ok(Message::AdaptIndegree {
+                op: AdaptOp::AddOutlink,
+                ..
+            }) = decode(frame)
+            {
+                self.asked += 1;
+            }
+            Ok(report_with_token(0))
+        }
+        fn timer(&mut self, _delay: SimDuration, _kind: TimerKind) {}
+    }
+
+    /// The view as a node used to hold it: a sorted set beside a
+    /// geometry rebuilt from the set after every change. A frame with
+    /// an id off the ring changes nothing (`None`).
+    struct Replica(BTreeSet<u64>);
+
+    impl Replica {
+        fn merge(&mut self, ids: &[u64]) -> Option<bool> {
+            if ids.iter().any(|&id| id >= 1 << BITS) {
+                return None;
+            }
+            let before = self.0.len();
+            self.0.extend(ids);
+            Some(self.0.len() != before)
+        }
+
+        fn view(&self) -> Vec<u64> {
+            self.0.iter().copied().collect()
+        }
+
+        fn geometry(&self) -> ChordGeometry {
+            ChordGeometry::from_members(BITS, &self.view())
+        }
+    }
+
+    /// A ring id, ME, or (one draw in ten) an id off the ring.
+    fn draw_id(rng: &mut SimRng) -> u64 {
+        match rng.gen_range(0..10) {
+            0 => rng.gen_range(1 << BITS..2 << BITS),
+            1 => ME,
+            _ => rng.gen_range(0..1 << BITS),
+        }
+    }
+
+    fn draw_ids(rng: &mut SimRng) -> Vec<u64> {
+        let n = rng.gen_range(0..6);
+        (0..n).map(|_| draw_id(rng)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary join, stabilize and leave traffic — duplicates,
+        /// this node's own id, ids already gone, ids off the ring —
+        /// against the replica. After every step the view, the answers
+        /// of the geometry, and the expansion scan agree with it: the
+        /// next expansion rescans every inlink candidate exactly when
+        /// the replica's view changed, and asks no one otherwise.
+        #[test]
+        fn the_single_view_matches_a_rebuilt_replica(seed in 0u64..100_000) {
+            let mut rng = SimRng::seed_from(seed);
+            let initial: Vec<u64> = (0..rng.gen_range(0..12))
+                .map(|_| rng.gen_range(0..1 << BITS))
+                .collect();
+            let cfg = MiniDhtConfig::defaults(BITS, seed);
+            // An indegree target no scan reaches: every expansion runs
+            // its candidates to the end.
+            let mut node = WireNode::new(ME, BITS, &initial, 1.0, 1 << 20, &cfg, MiniProtocol::ElasticErt);
+            let mut replica = Replica(initial.iter().copied().chain([ME]).collect());
+            let mut changed = Some(true);
+            // Each pass checks the state the previous step left.
+            for step in 0..=24 {
+                let rebuilt = replica.geometry();
+                let mut holders = Holders::default();
+                node.build_links(&mut holders).expect("every holder answers");
+                let rescan = rebuilt.inlink_candidates(ME, None).count();
+                prop_assert_eq!(holders.asked, if changed == Some(true) { rescan } else { 0 }, "step {}", step);
+                prop_assert_eq!(node.members_view(), replica.view());
+                let g = node.geometry();
+                for id in [0, 13, ME, 31, 47, 63, rng.gen_range(0..1 << BITS)] {
+                    prop_assert_eq!(g.owner(id), rebuilt.owner(id));
+                    prop_assert_eq!(g.succ_window(id), rebuilt.succ_window(id));
+                    prop_assert_eq!(g.table_slots(id), rebuilt.table_slots(id));
+                    prop_assert!(g.inlink_candidates(id, None).eq(rebuilt.inlink_candidates(id, None)));
+                }
+                if step == 24 {
+                    break;
+                }
+
+                // The step, and what the node said of it: whether the
+                // view grew where the call reports that, `None` where not.
+                let ids = draw_ids(&mut rng);
+                let said: Result<Option<bool>, NodeError>;
+                (changed, said) = match rng.gen_range(0..4) {
+                    0 => {
+                        let id = draw_id(&mut rng);
+                        let frame = encode(&Message::Join { id, members: ids.clone() });
+                        let joined = [ids.as_slice(), &[id]].concat();
+                        (replica.merge(&joined), node.on_request(&frame).map(|_| None))
+                    }
+                    1 => {
+                        let frame = encode(&Message::Stabilize { round: 0, members: ids.clone() });
+                        (replica.merge(&ids), node.on_request(&frame).map(|_| None))
+                    }
+                    2 => {
+                        // Every peer in the view answers with the same
+                        // reply; with no peer there is no exchange.
+                        let reply = encode(&Message::Stabilize { round: 0, members: ids.clone() });
+                        let has_peer = replica.0.iter().any(|&p| p != ME);
+                        let grew = if has_peer { replica.merge(&ids) } else { Some(false) };
+                        (grew, node.stabilize_once(&mut Canned(reply)).map(Some))
+                    }
+                    _ => {
+                        // A third of the leaves name a current member.
+                        let view = replica.view();
+                        let id = match rng.gen_range(0..3) {
+                            0 if !view.is_empty() => view[rng.gen_range(0..view.len())],
+                            _ => draw_id(&mut rng),
+                        };
+                        let gone = (id < 1 << BITS).then(|| replica.0.remove(&id));
+                        let frame = encode(&Message::Leave { id });
+                        (gone, node.on_frame(&mut Canned(Vec::new()), &frame).map(|()| None))
+                    }
+                };
+                match said {
+                    Ok(grew) => {
+                        prop_assert!(changed.is_some(), "step {}: an off-ring frame was taken", step);
+                        prop_assert!(grew.is_none() || grew == changed, "step {}", step);
+                    }
+                    Err(e) => {
+                        prop_assert!(matches!(e, NodeError::Protocol(_)), "{}", e);
+                        prop_assert_eq!(changed, None);
+                    }
+                }
+            }
+        }
     }
 }

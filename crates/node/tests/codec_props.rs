@@ -1,9 +1,11 @@
 //! Satellite 1: codec robustness properties.
 //!
-//! Three layers of defense for the wire codec:
+//! Three layers of defense for the wire codec, plus its sizing:
 //!
 //! * **roundtrip** — every message shape survives encode→decode bit
 //!   for bit, across the whole generator space;
+//! * **sizing** — `encode` allocates each frame once, at exactly its
+//!   length;
 //! * **truncation** — every strict prefix of a valid frame decodes to
 //!   a typed error, never a panic and never a bogus `Ok`;
 //! * **bit-flip fuzz** — flipping any single bit of a valid frame
@@ -88,6 +90,17 @@ proptest! {
         prop_assert_eq!(decode(&bytes).unwrap(), msg);
     }
 
+    /// `encode` reserves `encoded_len(&m)` bytes up front and
+    /// `Vec::reserve_exact` on an empty vector allocates exactly that,
+    /// so `capacity() == len()` is `encoded_len(&m) == encode(&m).len()`
+    /// seen from outside the crate: a short size would have grown the
+    /// frame, a long one left it slack.
+    #[test]
+    fn encoded_len_sizes_every_frame_exactly(seed in 0u64..100_000, shape in 0u32..256) {
+        let frame = encode(&arbitrary_message(seed, shape));
+        prop_assert_eq!(frame.capacity(), frame.len());
+    }
+
     #[test]
     fn every_strict_prefix_is_a_typed_error(seed in 0u64..50_000, shape in 0u32..256) {
         let msg = arbitrary_message(seed, shape);
@@ -133,6 +146,29 @@ proptest! {
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let _unused = decode(&bytes);
     }
+}
+
+#[test]
+fn the_frames_the_build_and_the_route_send_most_fit_their_allocation() {
+    // Every table-build RPC is answered by a 44-byte report; a lookup
+    // past an overloaded hop carries its avoid-set.
+    let report = encode(&Message::LoadReport {
+        token: 3,
+        load: 1,
+        capacity: 8,
+        indegree: 5,
+        spare: -2,
+    });
+    let lookup = encode(&Message::Lookup {
+        query: 1,
+        key: 99,
+        hops: 3,
+        attempts: 0,
+        flags: 0,
+        avoid: vec![4, 8, 15, 16],
+    });
+    assert_eq!((report.len(), report.capacity()), (44, 44));
+    assert_eq!((lookup.len(), lookup.capacity()), (69, 69));
 }
 
 #[test]

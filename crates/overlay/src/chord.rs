@@ -126,10 +126,20 @@ pub struct ChordRegistry {
 impl ChordRegistry {
     /// Creates an empty registry over `space`.
     pub fn new(space: ChordSpace) -> Self {
-        ChordRegistry {
-            space,
-            members: BTreeSet::new(),
-        }
+        Self::from_ids(space, [])
+    }
+
+    /// A registry of `ids` in any order, duplicates collapsed, built in
+    /// one bulk pass rather than one tree insert per id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside the ring, as [`ChordRegistry::insert`].
+    pub fn from_ids(space: ChordSpace, ids: impl IntoIterator<Item = u64>) -> Self {
+        let size = space.ring_size();
+        let in_range = |&id: &u64| assert!(id < size, "id out of range");
+        let members = ids.into_iter().inspect(in_range).collect();
+        ChordRegistry { space, members }
     }
 
     /// The underlying ID space.
@@ -361,6 +371,33 @@ mod tests {
     fn oversized_id_rejected() {
         let mut reg = ChordRegistry::new(ChordSpace::new(4));
         reg.insert(16);
+    }
+
+    #[test]
+    fn bulk_build_matches_the_insert_loop() {
+        use ert_sim::SimRng;
+        let space = ChordSpace::new(8);
+        let mut rng = SimRng::seed_from(4);
+        for n in [0usize, 1, 2, 40, 300] {
+            // Unsorted draws; 300 of them on a 256-id ring must repeat.
+            let ids: Vec<u64> = (0..n).map(|_| space.random_id(&mut rng)).collect();
+            let mut looped = ChordRegistry::new(space);
+            for &id in &ids {
+                looped.insert(id);
+            }
+            let bulk = ChordRegistry::from_ids(space, ids.iter().copied());
+            assert_eq!(
+                bulk.iter().collect::<Vec<_>>(),
+                looped.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(bulk.space(), space);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "id out of range")]
+    fn bulk_build_rejects_an_oversized_id() {
+        let _ = ChordRegistry::from_ids(ChordSpace::new(4), [3, 16, 5]);
     }
 
     #[test]
