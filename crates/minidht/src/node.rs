@@ -17,7 +17,10 @@
 //! expansion starts after it (see [`ErtNode::view_changed`] for why
 //! that is exact). Algorithm 4 is *draw-then-probe*: the poll set is
 //! drawn from the hop's candidate ids and only the drawn candidates
-//! are asked for their load.
+//! are asked for their load. So is Algorithm 2's table build: an
+//! elastic slot draws its region's members in random order and asks
+//! each drawn member for its spare indegree until one has some (see
+//! [`Window::build_table`] for why that is the same pick).
 //!
 //! The two hosts differ only in that closure. [`crate::MiniDht`]
 //! indexes its node vector and calls the peer's `serve` directly;
@@ -37,6 +40,7 @@ use ert_core::{
     AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy,
 };
 use ert_sim::{SimDuration, SimRng};
+use rand::Rng;
 
 use crate::geometry::Geometry;
 use crate::platform::{AdaptTrace, MiniDhtConfig, MiniProtocol};
@@ -402,19 +406,33 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
     /// random peer among those with spare indegree (none if the whole
     /// region is saturated — greedy routing tolerates the gap), then
     /// the indegree expands to the `β·d_max` target.
+    ///
+    /// An elastic slot is *draw-then-probe*: a partial Fisher–Yates
+    /// shuffle of the region's members, probing each member as it is
+    /// drawn and taking the first with spare ≥ 1. That is the same pick
+    /// as probing every member, filtering, and drawing uniformly among
+    /// the eligible ones. The first eligible element of a uniformly
+    /// random permutation is uniform over the eligible set; the set is
+    /// fixed for the whole draw, because `PeerOp::Probe` is read-only
+    /// and nothing else runs between two draws of one slot; and a peer
+    /// that does not answer counts as spare 0 in both forms. Only the
+    /// RNG stream differs. A region of `m` members of which `e` are
+    /// eligible costs `(m + 1)/(e + 1)` probes on average — one when
+    /// every member has spare — instead of `m`.
     pub fn build_table(&mut self) {
         let id = self.me.id;
         let elastic = self.protocol == MiniProtocol::ElasticErt;
         let mut rng = SimRng::seed_from(self.cfg.seed ^ id);
-        for (slot, members) in self.geometry.table_slots(id) {
+        for (slot, mut members) in self.geometry.table_slots(id) {
             let pick = if !elastic || self.geometry.is_structural(slot) {
                 self.geometry.classic_pick(id, slot, &members)
             } else {
-                let eligible: Vec<u64> = members
-                    .into_iter()
-                    .filter(|&c| self.spare_indegree(c) >= 1)
-                    .collect();
-                rng.choose(&eligible).copied()
+                let m = members.len();
+                (0..m).find_map(|k| {
+                    members.swap(k, rng.gen_range(k..m));
+                    let c = members[k];
+                    (self.spare_indegree(c) >= 1).then_some(c)
+                })
             };
             if let Some(pick) = pick {
                 self.link_if_absent(id, slot, pick);
@@ -615,8 +633,7 @@ mod tests {
     use super::*;
     use crate::ChordGeometry;
     use ert_core::expand_indegree;
-    use proptest::{prelude::ProptestConfig, prop_assert_eq};
-    use rand::Rng;
+    use proptest::{prelude::ProptestConfig, prop_assert, prop_assert_eq};
     use std::collections::BTreeMap;
 
     const BITS: u8 = 6;
@@ -661,6 +678,15 @@ mod tests {
             match self.nodes.get_mut(&peer) {
                 Some(node) => PeerAnswer::Report(node.serve(op)),
                 None => PeerAnswer::Unknown,
+            }
+        }
+
+        /// A peer's spare indegree as the build reads it, without
+        /// logging: 0 for a hidden or unhosted peer.
+        fn spare(&self, peer: u64) -> i64 {
+            match self.nodes.get(&peer) {
+                Some(node) if !self.hidden.contains(&peer) => node.spare(),
+                _ => 0,
             }
         }
     }
@@ -1107,5 +1133,176 @@ mod tests {
             [52],
             "classic routing asks only its pick"
         );
+    }
+
+    /// The elastic-slot rule the build used before it drew first: ask
+    /// every member, keep those with spare indegree, draw one uniformly.
+    /// Returns the eligible set and the draw.
+    fn model_pick(
+        members: &[u64],
+        spare: impl Fn(u64) -> i64,
+        rng: &mut SimRng,
+    ) -> (Vec<u64>, Option<u64>) {
+        let eligible: Vec<u64> = members.iter().copied().filter(|&c| spare(c) >= 1).collect();
+        let pick = rng.choose(&eligible).copied();
+        (eligible, pick)
+    }
+
+    fn build(cfg: &MiniDhtConfig, g: &ChordGeometry, peers: &mut Peers, me: &mut ErtNode) {
+        Window::new(cfg, MiniProtocol::ElasticErt, g, me, |p, op| {
+            peers.carry(p, op)
+        })
+        .build_table();
+    }
+
+    #[test]
+    fn a_build_among_fresh_peers_probes_once_per_elastic_slot() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        build(&cfg, &g, &mut peers, &mut me);
+
+        let regions: Vec<usize> = g
+            .table_slots(ME)
+            .into_iter()
+            .filter(|(slot, members)| !g.is_structural(*slot) && !members.is_empty())
+            .map(|(_, members)| members.len())
+            .collect();
+        assert!(regions.len() >= 3 && regions.iter().sum::<usize>() > regions.len());
+        let probes = peers.log.iter().filter(|(_, op)| *op == PeerOp::Probe);
+        assert_eq!(
+            probes.count(),
+            regions.len(),
+            "every member has spare, so the first draw is taken"
+        );
+        let picked = me.table.occupied_slots().filter(|&s| !g.is_structural(s));
+        assert_eq!(picked.count(), regions.len());
+    }
+
+    /// `arbitrary_world` with some hosted peers' indegree bound lowered
+    /// to 0 (saturated) or 1 (saturated once the node's pick lands).
+    fn saturated_world(seed: u64) -> (ChordGeometry, Peers, ErtNode) {
+        let (g, mut peers, me) = arbitrary_world(seed);
+        let mut rng = SimRng::seed_from(seed.rotate_left(32));
+        for node in peers.nodes.values_mut() {
+            match rng.gen_range(0..4) {
+                0 => node.d_max = 0,
+                1 => node.d_max = 1,
+                _ => {}
+            }
+        }
+        (g, peers, me)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// At every elastic slot of a build over a world of saturated,
+        /// hidden and unhosted members: the pick is in the eager model's
+        /// eligible set, and is `None` exactly when that set is empty;
+        /// the slot's probes are distinct members, at most one per
+        /// member, every one before the pick ineligible — so a slot
+        /// whose first draw is eligible costs one probe.
+        #[test]
+        fn the_drawn_pick_is_one_the_eager_model_could_draw(seed in 0u64..100_000) {
+            let (g, mut peers, mut me) = saturated_world(seed);
+            // The twin replays the build's link ops, so at each slot its
+            // peers are as the build found them.
+            let (_, mut twin, _) = saturated_world(seed);
+            build(&MiniDhtConfig::defaults(BITS, seed), &g, &mut peers, &mut me);
+
+            let mut log = peers.log.iter().copied().peekable();
+            for (slot, members) in g.table_slots(ME) {
+                if g.is_structural(slot) {
+                    continue;
+                }
+                let probes: Vec<u64> = std::iter::from_fn(|| {
+                    log.next_if(|&(p, op)| op == PeerOp::Probe && members.contains(&p))
+                        .map(|(p, _)| p)
+                })
+                .collect();
+                let backward = PeerOp::Link { from: ME, slot, op: AdaptOp::AddBackward };
+                let pick = log.next_if(|&(_, op)| op == backward).map(|(p, _)| p);
+                let (eligible, _) = model_pick(&members, |c| twin.spare(c), &mut SimRng::seed_from(seed));
+
+                prop_assert_eq!(pick.is_none(), eligible.is_empty(), "slot {}", slot);
+                let mut distinct = probes.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), probes.len(), "slot {}: {:?}", slot, probes);
+                prop_assert!(probes.len() <= members.len());
+                if probes.first().is_some_and(|p| eligible.contains(p)) {
+                    prop_assert_eq!(probes.len(), 1);
+                }
+                match pick {
+                    Some(p) => {
+                        prop_assert!(eligible.contains(&p));
+                        prop_assert_eq!(probes.last(), Some(&p));
+                        let passed = &probes[..probes.len() - 1];
+                        prop_assert!(passed.iter().all(|c| !eligible.contains(c)));
+                        twin.carry(p, backward);
+                    }
+                    None => prop_assert_eq!(probes.len(), members.len()),
+                }
+            }
+            // What is left is the initial expansion.
+            prop_assert!(log.all(|(_, op)| matches!(
+                op,
+                PeerOp::Link { op: AdaptOp::AddOutlink, .. }
+            )));
+        }
+    }
+
+    #[test]
+    fn an_elastic_pick_is_uniform_over_the_eligible_members() {
+        // One elastic region, finger 5 of node 0: [32, 48). Three of its
+        // six members are eligible; of the others one is saturated, one
+        // hidden and one hosted nowhere.
+        let g = ChordGeometry::from_members(BITS, &[ME, 32, 34, 36, 38, 40, 42]);
+        let (slot, region) = g
+            .table_slots(ME)
+            .into_iter()
+            .find(|(slot, _)| !g.is_structural(*slot))
+            .unwrap();
+        assert_eq!(region, [32, 34, 36, 38, 40, 42]);
+        let eligible = [32, 36, 40];
+        let peers = || {
+            let mut peers = Peers::new(&g);
+            peers.nodes.get_mut(&34).unwrap().d_max = 0;
+            peers.hidden.insert(38);
+            peers.nodes.remove(&42);
+            peers
+        };
+
+        const SEEDS: u64 = 30_000;
+        let (mut drawn, mut modelled) = (BTreeMap::new(), BTreeMap::new());
+        for seed in 0..SEEDS {
+            let mut peers = peers();
+            let (_, model) = model_pick(&region, |c| peers.spare(c), &mut SimRng::seed_from(seed));
+            *modelled.entry(model.unwrap()).or_insert(0u64) += 1;
+            let (cfg, mut me) = (
+                MiniDhtConfig::defaults(BITS, seed),
+                ErtNode::new(ME, 8, MiniProtocol::ElasticErt),
+            );
+            build(&cfg, &g, &mut peers, &mut me);
+            let [pick] = me.table.outlinks(slot) else {
+                panic!("seed {seed}: {:?}", me.table.outlinks(slot));
+            };
+            *drawn.entry(*pick).or_insert(0u64) += 1;
+        }
+
+        let (n, p) = (SEEDS as f64, 1.0 / 3.0);
+        let sigma = (n * p * (1.0 - p)).sqrt();
+        for (rule, counts) in [("draw-then-probe", &drawn), ("model", &modelled)] {
+            let picked: Vec<u64> = counts.keys().copied().collect();
+            assert_eq!(picked, eligible, "{rule}: only eligible members are picked");
+            for (c, &k) in counts {
+                let off = (k as f64 - n * p).abs();
+                assert!(
+                    off <= 4.0 * sigma,
+                    "{rule}: {c} picked {k} times in {SEEDS}"
+                );
+            }
+        }
     }
 }

@@ -6,7 +6,11 @@
 //! protocol steps moved into the shared `ErtNode`, so they check the
 //! shared node against the hand-written `MiniDht` it replaced rather
 //! than against itself. Each `pins/*.txt` holds the `MiniReport` JSON
-//! on its first line and one `table_fingerprints` entry per line after.
+//! on its first line and one `table_fingerprints` entry per line after,
+//! below any `#` header lines, which say when and why a pin was last
+//! re-captured. The two ERT pins were re-captured once, when the table
+//! build began drawing an elastic slot's pick before probing; the
+//! classic pin, whose build never probes, is still the original.
 
 use ert_minidht::{ChordGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol, PastryGeometry};
 use ert_sim::SimRng;
@@ -30,7 +34,17 @@ fn snapshot<G: Geometry>(cfg: MiniDhtConfig, geometry: G, protocol: MiniProtocol
     out
 }
 
-fn assert_pinned(name: &str, got: &str, want: &str) {
+/// A pin file without its `#` header lines.
+fn body(pin: &str) -> &str {
+    let mut rest = pin;
+    while rest.starts_with('#') {
+        rest = rest.split_once('\n').map_or("", |(_, after)| after);
+    }
+    rest
+}
+
+fn assert_pinned(name: &str, got: &str, pin: &str) {
+    let want = body(pin);
     if got == want {
         return;
     }

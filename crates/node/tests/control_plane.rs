@@ -14,7 +14,13 @@
 //!   that already points at the node.
 //!
 //! Table construction is accounted separately
-//! ([`WireCluster::build_rpcs`]) and has the same budget.
+//! ([`WireCluster::build_rpcs`]). Its `AdaptIndegree`s keep the
+//! Algorithm 1 budget above. Its `ProbeLoad`s are the elastic slots'
+//! spare-indegree probes, drawn before they are sent: a slot asks its
+//! region's members in random order until one has spare, so a slot
+//! costs one probe while every member has spare and
+//! `(m + 1)/(e + 1)` on average with `e` of `m` members eligible — not
+//! one per member.
 
 use ert_faults::{FaultPlan, RetryPolicy};
 use ert_minidht::{ChordGeometry, Geometry, MiniDhtConfig, MiniProtocol};
@@ -85,6 +91,32 @@ fn a_run_probes_at_most_probe_width_peers_per_hop() {
     );
     // Not vacuous: most decisions do poll a second candidate.
     assert!(run_probes > trace.hops.len() as u64);
+}
+
+#[test]
+fn a_table_build_probes_about_once_per_elastic_slot() {
+    let (cluster, _) = cluster(33);
+    let (build_probes, _) = cluster.build_rpcs();
+    // The slots and regions every node's build draws from.
+    let geometry = ChordGeometry::populate(BITS, N, &mut SimRng::seed_from(33));
+    let (mut slots, mut region_total) = (0u64, 0u64);
+    for id in geometry.members() {
+        for (slot, region) in geometry.table_slots(id) {
+            if !geometry.is_structural(slot) && !region.is_empty() {
+                slots += 1;
+                region_total += region.len() as u64;
+            }
+        }
+    }
+    assert!(
+        slots <= build_probes && build_probes <= 2 * slots,
+        "{build_probes} build-phase ProbeLoads for {slots} non-empty elastic slots"
+    );
+    // Asking every member first would have cost one probe per member.
+    assert!(
+        8 * build_probes < region_total,
+        "{build_probes} build-phase ProbeLoads against {region_total} region members"
+    );
 }
 
 #[test]
