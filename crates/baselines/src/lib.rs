@@ -164,7 +164,7 @@ mod tests {
         let over = topo
             .nodes
             .iter()
-            .filter(|n| n.table.indegree() as i64 > n.d_max as i64)
+            .filter(|n| n.table.indegree() as i64 > n.d_max() as i64)
             .count();
         assert!(over * 10 <= topo.nodes.len(), "{over} nodes over bound");
     }

@@ -7,6 +7,7 @@
 //! and mock-based unit tests.
 
 use ert_sim::SimRng;
+use rand::Rng;
 
 use crate::params::ErtParams;
 
@@ -21,6 +22,27 @@ pub trait Directory {
     /// The slots of `node`'s table, each with the live candidates its
     /// region currently contains.
     fn table_slots(&self, node: Self::Id) -> Vec<(Self::Slot, Vec<Self::Id>)>;
+
+    /// The slots of [`Directory::table_slots`], in its order, without
+    /// their candidates.
+    fn slots(&self, node: Self::Id) -> Vec<Self::Slot> {
+        let slots = self.table_slots(node).into_iter();
+        slots.map(|(slot, _)| slot).collect()
+    }
+
+    /// How many candidates of `node`'s `slot` other than `node` have
+    /// spare indegree `d^∞ − d ≥ 1`.
+    fn spare_count(&self, node: Self::Id, slot: Self::Slot) -> usize {
+        let candidates = slot_candidates(self, node, slot).into_iter();
+        candidates.filter(|&c| self.spare_indegree(c) >= 1).count()
+    }
+
+    /// The `i`-th of the [`spare_count`](Directory::spare_count)
+    /// candidates (0-based), in candidate order.
+    fn nth_spare(&self, node: Self::Id, slot: Self::Slot, i: usize) -> Option<Self::Id> {
+        let candidates = slot_candidates(self, node, slot).into_iter();
+        candidates.filter(|&c| self.spare_indegree(c) >= 1).nth(i)
+    }
 
     /// `(slot-of-theirs, candidate)` pairs whose tables may legally
     /// point at `node`, in the probe order of Algorithm 1 (cubical
@@ -69,42 +91,54 @@ pub fn initial_indegree_target(params: &ErtParams, d_max: u32) -> u32 {
 /// that "only nodes with available capacity `d^∞ − d ≥ 1` can be the
 /// joining node's neighbors".
 ///
+/// Slot by slot, the pick is one draw `gen_range(0..count)` over the
+/// [`spare_count`](Directory::spare_count) candidates with spare
+/// indegree, taken through [`nth_spare`](Directory::nth_spare) — the
+/// draw `rng.choose` makes over those candidates listed, so a directory
+/// that can count and index them without listing them picks exactly
+/// what the list would have.
+///
 /// When a region has members but none with spare indegree, the member
 /// with the most spare (least negative) indegree is taken anyway — a
 /// table without a neighbor in a populated region would break routing,
-/// and the periodic adaptation will shed the excess.
+/// and the periodic adaptation will shed the excess. Among members tied
+/// for the most, the *last* in candidate order is taken, and no draw is
+/// made. This fallback is the only step that lists a slot's candidates.
 ///
 /// Returns the number of links created.
 pub fn build_table<D: Directory>(dir: &mut D, node: D::Id, rng: &mut SimRng) -> usize {
     let mut created = 0;
-    for (slot, candidates) in dir.table_slots(node) {
-        let candidates: Vec<D::Id> = candidates.into_iter().filter(|&c| c != node).collect();
-        if candidates.is_empty() {
-            continue;
-        }
-        let with_spare: Vec<D::Id> = candidates
-            .iter()
-            .copied()
-            .filter(|&c| dir.spare_indegree(c) >= 1)
-            .collect();
+    for slot in dir.slots(node) {
         #[expect(
             clippy::expect_used,
-            reason = "`candidates` passed the is_empty check above, and `with_spare` is nonempty in the else arm"
+            reason = "the draw is below `spare_count`, which `nth_spare` indexes"
         )]
-        let chosen = if with_spare.is_empty() {
-            candidates
-                .iter()
-                .copied()
-                .max_by_key(|&c| dir.spare_indegree(c))
-                .expect("candidates nonempty")
-        } else {
-            *rng.choose(&with_spare).expect("with_spare nonempty")
+        let chosen = match dir.spare_count(node, slot) {
+            0 => {
+                let candidates = slot_candidates(dir, node, slot).into_iter();
+                match candidates.max_by_key(|&c| dir.spare_indegree(c)) {
+                    Some(most) => most,
+                    None => continue,
+                }
+            }
+            count => {
+                let i = rng.gen_range(0..count);
+                dir.nth_spare(node, slot, i).expect("i < spare_count")
+            }
         };
         if dir.link_if_absent(node, slot, chosen) {
             created += 1;
         }
     }
     created
+}
+
+/// The candidates of `node`'s `slot` other than `node`, listed.
+fn slot_candidates<D: Directory + ?Sized>(dir: &D, node: D::Id, slot: D::Slot) -> Vec<D::Id> {
+    let mut slots = dir.table_slots(node).into_iter();
+    let candidates = slots.find(|&(s, _)| s == slot).map(|(_, c)| c);
+    let candidates = candidates.into_iter().flatten();
+    candidates.filter(|&c| c != node).collect()
 }
 
 /// Expands `node`'s indegree toward `target` by probing its reverse
@@ -168,7 +202,6 @@ pub fn expand_indegree_over<D: Directory>(
 mod tests {
     use super::*;
     use proptest::{prelude::ProptestConfig, prop_assert_eq};
-    use rand::Rng;
     use std::collections::BTreeMap;
 
     /// A two-slot toy overlay: every node's table has slots 0 and 1;
@@ -423,6 +456,19 @@ mod tests {
         // Slot 0's only member (2) is saturated but still linked.
         assert_eq!(created, 1);
         assert_eq!(dir.links, vec![(4, 0, 2)]);
+    }
+
+    #[test]
+    fn build_table_fallback_takes_the_last_of_the_tied_members() {
+        // Node 6's slot-0 candidates, in order: 2 over-full, then 4 and
+        // 8 saturated alike. Slot 1 has nobody.
+        let mut dir = MockDir::new(&[2, 4, 6, 8], 0);
+        dir.indegree.insert(2, 1);
+        let mut rng = SimRng::seed_from(4);
+        assert_eq!(build_table(&mut dir, 6, &mut rng), 1);
+        assert_eq!(dir.links, vec![(6, 0, 8)]);
+        // The fallback draws nothing.
+        assert_eq!(rng.gen::<u64>(), SimRng::seed_from(4).gen::<u64>());
     }
 
     #[test]

@@ -210,6 +210,13 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
         }
     }
 
+    /// Makes room for `inlinks` backward fingers in all, so recording
+    /// up to that many allocates nothing more.
+    pub fn reserve_backward(&mut self, inlinks: usize) {
+        let more = inlinks.saturating_sub(self.backward.len());
+        self.backward.reserve(more);
+    }
+
     /// Forgets an inlink holder; returns `false` if it was unknown.
     pub fn remove_backward(&mut self, id: Id) -> bool {
         match self.backward.iter().position(|&x| x == id) {

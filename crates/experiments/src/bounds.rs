@@ -36,7 +36,7 @@ pub fn theorem31_check(n: usize, gamma_c: f64, seed: u64, shards: usize) -> (Tab
     for node in &topo.nodes {
         let host = &topo.hosts[node.host];
         let (lo, hi) = theorem31_initial_indegree_bounds(alpha, host.norm_capacity, gamma_c);
-        let d = node.d_max as f64;
+        let d = node.d_max() as f64;
         if d < lo {
             below += 1;
         } else if d > hi {

@@ -1286,8 +1286,8 @@ impl Network {
                         let x = x.min(self.topo.nodes[node].table.indegree() as u32);
                         if x > 0 {
                             let shed = self.topo.shed_inlinks(node, x);
-                            let nd = &mut self.topo.nodes[node];
-                            nd.d_max = nd.d_max.saturating_sub(shed).max(1);
+                            let d_max = self.topo.nodes[node].d_max();
+                            self.topo.set_d_max(node, d_max.saturating_sub(shed).max(1));
                             let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
                             self.telemetry.emit(now, || TelemetryEvent::LinkShed {
                                 node: node_lin,
@@ -1297,8 +1297,8 @@ impl Network {
                     }
                     AdaptAction::Grow(x) => {
                         let cap = 8 * self.topo.hosts[host].capacity_eval.max(8);
-                        let nd = &mut self.topo.nodes[node];
-                        nd.d_max = (nd.d_max + x).min(cap);
+                        let d_max = self.topo.nodes[node].d_max();
+                        self.topo.set_d_max(node, (d_max + x).min(cap));
                         let grown = self.topo.grow_inlinks(node, x);
                         if grown > 0 {
                             let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
@@ -1445,7 +1445,7 @@ impl Network {
             // charged), the new one built from scratch.
             let old = &self.topo.nodes[light_node];
             self.topo.link_ops += (old.table.outdegree() + old.table.indegree()) as u64;
-            let d_max = old.d_max;
+            let d_max = old.d_max();
             let old_lin = self.topo.space.lin(old.id);
             self.topo.remove_node(light_node);
             let fresh = self.topo.add_node(new_id, lh, d_max);

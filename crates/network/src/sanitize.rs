@@ -22,7 +22,7 @@
 use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
 use ert_core::expand_indegree;
-use ert_overlay::{CycloidId, InlinkCursor};
+use ert_overlay::{CycloidId, CycloidRegion, InlinkCursor};
 use ert_sim::SimTime;
 
 use crate::spec::TablePolicy;
@@ -354,6 +354,27 @@ pub(crate) fn check_ring_slots(topo: &mut Topology, node: usize) {
     topo.ring_checks += 1;
 }
 
+/// The differential for `Topology`'s spare index, run at every count of
+/// a region: re-derived from the registry and the nodes, each of the
+/// region's bits must say whether the live holder of that ID has spare
+/// indegree `d^∞ − d ≥ 1`.
+pub(crate) fn check_spare_index(topo: &Topology, region: CycloidRegion) {
+    if !Sanitizer::ACTIVE {
+        return;
+    }
+    for a in region.a_lo..=region.a_hi {
+        let id = topo.space.id(region.k, a);
+        let holder = topo.node_idx(id);
+        let spare = holder.map(|i| topo.nodes[i].spare_indegree());
+        assert!(
+            topo.spare_bit(id) == spare.is_some_and(|s| s >= 1),
+            "sanitize: spare index bit of {id} is {}, but its live holder {holder:?} has spare \
+             indegree {spare:?}",
+            topo.spare_bit(id)
+        );
+    }
+}
+
 /// The differential for `Topology::note_degrees`, run after every
 /// sample: the host's watermark, read through
 /// [`Topology::degree_watermark`], must be `before` raised to the in-
@@ -436,7 +457,10 @@ fn sweep_nodes(
         if !node.alive {
             continue;
         }
-        assert!(node.d_max >= 1, "sanitize: node {i} adapted d_max to zero");
+        assert!(
+            node.d_max() >= 1,
+            "sanitize: node {i} adapted d_max to zero"
+        );
         // Theorem 3.2 enforcement: adaptation keeps the elastic
         // indegree within a capacity-proportional band. The growth
         // cap in `on_adapt_tick` is 8·max(capacity_eval, 8); links

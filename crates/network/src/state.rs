@@ -6,6 +6,7 @@ use ert_core::ElasticTable;
 use ert_overlay::{Coord, CycloidId, InlinkCursor, LandmarkVector};
 
 use crate::spec::CycloidSlot;
+use crate::topology::SpareIndexed;
 
 /// A physical machine: the unit that owns capacity, a query queue, and
 /// the congestion metrics. With virtual servers one host backs several
@@ -118,8 +119,10 @@ pub struct OverlayNode {
     pub host: usize,
     /// The (elastic) routing table.
     pub table: ElasticTable<CycloidSlot, CycloidId>,
-    /// Dynamic maximum indegree `d^∞` (drifts under adaptation).
-    pub d_max: u32,
+    /// Dynamic maximum indegree `d^∞`: read through
+    /// [`OverlayNode::d_max`], written only through
+    /// `Topology::set_d_max`, which keeps the spare index in step.
+    d_max: u32,
     /// Whether the node is still in the overlay.
     pub alive: bool,
     /// Where Algorithm 1's scan of this node's inlink candidates
@@ -150,6 +153,20 @@ impl OverlayNode {
             scan_epoch: 0,
             ring_epoch: UNSTAMPED,
         }
+    }
+
+    /// Dynamic maximum indegree `d^∞` (drifts under adaptation).
+    pub fn d_max(&self) -> u32 {
+        self.d_max
+    }
+
+    /// Sets `d^∞`. Only [`Topology`] can make the [`SpareIndexed`] this
+    /// takes, so only it writes `d^∞`, and it updates the spare index
+    /// after.
+    ///
+    /// [`Topology`]: crate::topology::Topology
+    pub(crate) fn set_d_max(&mut self, d_max: u32, _: SpareIndexed) {
+        self.d_max = d_max;
     }
 
     /// Spare indegree `d^∞ − d` (negative when adaptation shrank `d^∞`

@@ -11,13 +11,19 @@ use ert_core::{
     Directory, ErtParams, Expansion, ShedCandidate,
 };
 use ert_overlay::{
-    ring::forward_distance, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor,
-    InlinkScan, LandmarkFrame, RouteStep, SlotKind,
+    ring::forward_distance, Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace,
+    InlinkCursor, InlinkScan, LandmarkFrame, RouteStep, SlotKind,
 };
 use ert_sim::SimRng;
+use rand::Rng;
 
 use crate::spec::{CycloidSlot, TablePolicy};
 use crate::state::{Host, OverlayNode, UNSTAMPED};
+
+/// What [`OverlayNode::set_d_max`] takes: only this module can make
+/// one, so only [`Topology`] writes `d^∞`, and it keeps the spare index
+/// in step with every write.
+pub(crate) struct SpareIndexed(());
 
 /// Routing candidates for one hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,6 +77,10 @@ pub struct Topology {
     /// the dimension was chosen for), so resolving an ID is an array
     /// read.
     id_index: Vec<u32>,
+    /// The spare index, in the registry's region order (bit
+    /// `space.k_major(id)`): set while the node holding the ID is live
+    /// with spare indegree `d^∞ − d ≥ 1`. See [`Topology::spare_in`].
+    spare: Bitmap,
     /// All overlay nodes ever created (departed ones keep their slot).
     pub nodes: Vec<OverlayNode>,
     /// All hosts ever created (departed ones keep their slot).
@@ -108,6 +118,7 @@ impl Topology {
             space,
             registry: CycloidRegistry::new(space),
             id_index: vec![VACANT; space.ring_size() as usize],
+            spare: Bitmap::new(space.ring_size()),
             nodes: Vec::new(),
             hosts: Vec::new(),
             marks: Vec::new(),
@@ -151,6 +162,7 @@ impl Topology {
             .expect("node slab fits the u32 index");
         self.nodes.push(OverlayNode::new(id, host, d_max));
         self.id_index[self.space.lin(id) as usize] = entry;
+        self.sync_spare(idx);
         self.hosts[host].nodes.push(idx);
         self.marks[host].backed += 1;
         self.membership_epoch += 1;
@@ -163,13 +175,67 @@ impl Topology {
     pub fn remove_node(&mut self, node: usize) {
         let id = self.nodes[node].id;
         self.nodes[node].alive = false;
-        self.registry.remove(id);
         // A newer node may have reused the ID: only unmap what is ours.
         let entry = &mut self.id_index[self.space.lin(id) as usize];
         if *entry as usize == node {
             *entry = VACANT;
+            self.registry.remove(id);
+            self.spare.set(self.space.k_major(id), false);
         }
         self.membership_epoch += 1;
+    }
+
+    /// Sets `node`'s `d^∞` — after the join, the one way to — and
+    /// puts its bit of the spare index in step.
+    pub fn set_d_max(&mut self, node: usize, d_max: u32) {
+        self.nodes[node].set_d_max(d_max, SpareIndexed(()));
+        self.sync_spare(node);
+    }
+
+    /// Sets `node`'s bit of the spare index from its spare indegree, if
+    /// it is live (a departed node's bit is clear, or belongs to whoever
+    /// reused the ID). A live node holds its ID: `add_node` remaps an ID
+    /// only when the registry had nobody live on it.
+    fn sync_spare(&mut self, node: usize) {
+        let n = &self.nodes[node];
+        if n.alive {
+            self.spare
+                .set(self.space.k_major(n.id), n.spare_indegree() >= 1);
+        }
+    }
+
+    /// Whether `id`'s bit of the spare index is set.
+    pub(crate) fn spare_bit(&self, id: CycloidId) -> bool {
+        self.spare.get(self.space.k_major(id))
+    }
+
+    /// How many live members of `region` have spare indegree `d^∞ − d ≥
+    /// 1`: a popcount over the region's run of the spare index.
+    ///
+    /// The index is exact, not a cache that can go stale: a bit depends
+    /// on the holder of its ID, that holder's liveness, its `d^∞` and
+    /// its indegree, and each of those has writers that update the bit
+    /// — `add_node` sets the newcomer's, `remove_node` clears the bit
+    /// of an ID it unmaps, `record_link` clears the target's when its
+    /// spare falls below 1 (a link only raises indegree), `shed_inlinks`
+    /// re-reads the shedding node's after its indegree fell, and
+    /// `set_d_max` re-reads the node's after `d^∞` moved. `d^∞` has no
+    /// writer outside this module, and the backward fingers (the
+    /// indegree) none outside `record_link` and `shed_inlinks`.
+    /// Sanitizer-armed builds re-derive the region's bits at every
+    /// count.
+    pub(crate) fn spare_in(&self, region: CycloidRegion) -> usize {
+        crate::sanitize::check_spare_index(self, region);
+        let bits = self.space.k_major_range(region);
+        self.spare.count_ones(bits.start, bits.end) as usize
+    }
+
+    /// The `i`-th member of [`Topology::spare_in`]'s count, in cubical
+    /// order.
+    pub(crate) fn nth_spare_in(&self, region: CycloidRegion, i: usize) -> Option<CycloidId> {
+        let bits = self.space.k_major_range(region);
+        let bit = self.spare.select(bits.start, bits.end, i as u64)?;
+        Some(self.space.in_region(region, bit))
     }
 
     /// The slab index currently holding `id`, if the ID is live.
@@ -358,7 +424,12 @@ impl Topology {
             }
             TablePolicy::Elastic => {
                 build_table(self, id, rng);
-                let target = initial_indegree_target(&self.params, self.nodes[node].d_max);
+                let d_max = self.nodes[node].d_max();
+                // Room for every inlink the cap allows, so the growth of
+                // the expansion and of the adaptation ticks seldom
+                // reallocates.
+                self.nodes[node].table.reserve_backward(d_max as usize);
+                let target = initial_indegree_target(&self.params, d_max);
                 self.expand(node, target);
             }
         }
@@ -439,7 +510,12 @@ impl Topology {
 
     /// What follows the outlink `nodes[fi]` took in a link to `nodes[ti]`.
     fn record_link(&mut self, fi: usize, ti: usize, from: CycloidId) {
-        self.nodes[ti].table.add_backward(from);
+        let to = &mut self.nodes[ti];
+        to.table.add_backward(from);
+        // The target's spare can only have fallen.
+        if to.spare_indegree() < 1 {
+            self.spare.set(self.space.k_major(to.id), false);
+        }
         self.link_ops += 1;
         self.note_degrees(fi);
         self.note_degrees(ti);
@@ -575,6 +651,7 @@ impl Topology {
             self.link_ops += 1;
             shed += 1;
         }
+        self.sync_spare(node);
         shed
     }
 
@@ -582,7 +659,7 @@ impl Topology {
     /// expansion algorithm. Returns the number gained.
     pub fn grow_inlinks(&mut self, node: usize, count: u32) -> u32 {
         let target = self.nodes[node].table.indegree() as u32 + count;
-        let capped = target.min(self.nodes[node].d_max);
+        let capped = target.min(self.nodes[node].d_max());
         self.expand(node, capped).gained
     }
 
@@ -633,6 +710,16 @@ impl Topology {
         done
     }
 
+    /// The region `id`'s entry `slot` draws from; `None` for the ring
+    /// slots and for `k = 0` nodes.
+    fn entry_region(&self, id: CycloidId, slot: CycloidSlot) -> Option<CycloidRegion> {
+        match slot {
+            CycloidSlot::Cubical => self.space.cubical_region(id),
+            CycloidSlot::Cyclic => self.space.cyclic_region(id),
+            CycloidSlot::RingSucc | CycloidSlot::RingPred => None,
+        }
+    }
+
     /// Algorithm 1's probe sequence for `node`, from `from` on.
     pub(crate) fn inlink_scan(&self, node: CycloidId, from: InlinkCursor) -> InlinkScan<'_> {
         let ring_window = 2 * self.params.leaf_window;
@@ -649,11 +736,7 @@ impl Topology {
         rng: &mut SimRng,
     ) -> Option<CycloidId> {
         let id = self.nodes[node].id;
-        let region = match slot {
-            CycloidSlot::Cubical => self.space.cubical_region(id)?,
-            CycloidSlot::Cyclic => self.space.cyclic_region(id)?,
-            CycloidSlot::RingSucc | CycloidSlot::RingPred => return None,
-        };
+        let region = self.entry_region(id, slot)?;
         let pick = match self.table_policy {
             TablePolicy::SingleClosest => {
                 let ideal = match slot {
@@ -663,27 +746,21 @@ impl Topology {
                 self.closest_in_region(region, ideal, id)
             }
             TablePolicy::SingleHighestCapacity => self.highest_capacity_in_region(region, id, &[]),
-            TablePolicy::Elastic => {
-                let members: Vec<CycloidId> = self
-                    .registry
-                    .nodes_in_region(region)
-                    .into_iter()
-                    .filter(|&m| m != id)
-                    .collect();
-                let with_spare: Vec<CycloidId> = members
-                    .iter()
-                    .copied()
-                    .filter(|&m| {
-                        self.node_idx(m)
-                            .is_some_and(|i| self.nodes[i].spare_indegree() >= 1)
-                    })
-                    .collect();
-                if with_spare.is_empty() {
-                    rng.choose(&members).copied()
-                } else {
-                    rng.choose(&with_spare).copied()
+            // A uniform draw over the members with spare indegree, else
+            // over all of them; none is `id`, one cyclic index up.
+            TablePolicy::Elastic => match self.spare_in(region) {
+                0 => match self.registry.region_population(region) {
+                    0 => None,
+                    members => {
+                        let i = rng.gen_range(0..members);
+                        self.registry.nth_in_region(region, i)
+                    }
+                },
+                spare => {
+                    let i = rng.gen_range(0..spare);
+                    self.nth_spare_in(region, i)
                 }
-            }
+            },
         }?;
         self.add_link(id, slot, pick);
         Some(pick)
@@ -854,14 +931,31 @@ impl Directory for Topology {
     type Slot = CycloidSlot;
 
     fn table_slots(&self, node: CycloidId) -> Vec<(CycloidSlot, Vec<CycloidId>)> {
-        let mut out = Vec::new();
-        if let Some(region) = self.space.cubical_region(node) {
-            out.push((CycloidSlot::Cubical, self.registry.nodes_in_region(region)));
-        }
-        if let Some(region) = self.space.cyclic_region(node) {
-            out.push((CycloidSlot::Cyclic, self.registry.nodes_in_region(region)));
-        }
-        out
+        let slots = self.slots(node).into_iter();
+        slots
+            .filter_map(|slot| {
+                let region = self.entry_region(node, slot)?;
+                Some((slot, self.registry.nodes_in_region(region)))
+            })
+            .collect()
+    }
+
+    fn slots(&self, node: CycloidId) -> Vec<CycloidSlot> {
+        let entry = [CycloidSlot::Cubical, CycloidSlot::Cyclic].into_iter();
+        entry
+            .filter(|&slot| self.entry_region(node, slot).is_some())
+            .collect()
+    }
+
+    /// From the spare index. `node` is never a member: its entry
+    /// regions sit one cyclic index below it.
+    fn spare_count(&self, node: CycloidId, slot: CycloidSlot) -> usize {
+        self.entry_region(node, slot)
+            .map_or(0, |region| self.spare_in(region))
+    }
+
+    fn nth_spare(&self, node: CycloidId, slot: CycloidSlot, i: usize) -> Option<CycloidId> {
+        self.nth_spare_in(self.entry_region(node, slot)?, i)
     }
 
     fn inlink_candidates(&self, node: CycloidId) -> Vec<(CycloidSlot, CycloidId)> {
@@ -940,9 +1034,9 @@ mod tests {
         let (topo, _) = full_topology(TablePolicy::Elastic);
         let mut reached = 0;
         for node in &topo.nodes {
-            let target = initial_indegree_target(&topo.params, node.d_max);
+            let target = initial_indegree_target(&topo.params, node.d_max());
             assert!(
-                node.table.indegree() as u32 <= node.d_max,
+                node.table.indegree() as u32 <= node.d_max(),
                 "indegree above d_max on {}",
                 node.id
             );
@@ -1073,9 +1167,10 @@ mod tests {
     fn grow_respects_d_max() {
         let (mut topo, _) = full_topology(TablePolicy::Elastic);
         let node = 5;
-        topo.nodes[node].d_max = topo.nodes[node].table.indegree() as u32; // no headroom
+        let indegree = topo.nodes[node].table.indegree() as u32;
+        topo.set_d_max(node, indegree); // no headroom
         assert_eq!(topo.grow_inlinks(node, 10), 0);
-        topo.nodes[node].d_max += 2;
+        topo.set_d_max(node, indegree + 2);
         let gained = topo.grow_inlinks(node, 10);
         assert!(gained <= 2, "grew {gained} past headroom");
     }
@@ -1282,12 +1377,14 @@ mod tests {
         let fresh = topo.add_node(id, host, 5);
         assert_eq!(topo.node_idx(id), Some(fresh));
         // The ID now belongs to the newer node: removing the stale older
-        // one again must not unmap it.
+        // one again must not unmap it, nor take it out of the membership.
         topo.remove_node(10);
         assert_eq!(topo.node_idx(id), Some(fresh));
         assert_eq!(topo.host_of_id(id), Some(host));
+        assert!(topo.registry.contains(id));
         topo.remove_node(fresh);
         assert_eq!(topo.node_idx(id), None);
+        assert!(!topo.registry.contains(id));
     }
 
     #[test]
@@ -1375,7 +1472,7 @@ mod tests {
     /// regions to grow from, its supply exhausted by one big scan.
     fn exhausted_node(topo: &mut Topology) -> usize {
         let node = topo.node_idx(topo.space.id(1, 0b0101)).unwrap();
-        topo.nodes[node].d_max = 1000;
+        topo.set_d_max(node, 1000);
         assert!(topo.grow_inlinks(node, 1000) > 0);
         assert_eq!(live_cursor(topo, node), Some(InlinkCursor::End));
         node
@@ -1416,7 +1513,7 @@ mod tests {
         let (mut topo, _) = full_topology(TablePolicy::Elastic);
         let node = topo.node_idx(topo.space.id(2, 0b0101)).unwrap();
         let id = topo.nodes[node].id;
-        topo.nodes[node].d_max = 1000;
+        topo.set_d_max(node, 1000);
         let sequence = topo.inlink_candidates(id);
         // The table build already walked part of the sequence.
         let built = live_cursor(&topo, node).unwrap();
@@ -1549,9 +1646,20 @@ mod tests {
         assert!(topo.has_link(joiner, CycloidSlot::Cyclic, id));
         assert_eq!(live_cursor(&topo, node), Some(InlinkCursor::End));
     }
+
     /// A dim-`dim` overlay with Pareto-ish capacities, `fill` of its IDs
     /// live, every table built.
     fn random_world(dim: u8, fill: f64, seed: u64) -> (Topology, SimRng) {
+        random_world_built_by(dim, fill, seed, Topology::build_node_table)
+    }
+
+    /// [`random_world`] with every table built by `build`.
+    fn random_world_built_by(
+        dim: u8,
+        fill: f64,
+        seed: u64,
+        build: fn(&mut Topology, usize, &mut SimRng),
+    ) -> (Topology, SimRng) {
         let space = CycloidSpace::new(dim);
         let params = ErtParams::default().with_alpha_for_dim(dim);
         let mut topo = Topology::new(space, TablePolicy::Elastic, params);
@@ -1565,7 +1673,7 @@ mod tests {
             }
         }
         for n in 0..topo.nodes.len() {
-            topo.build_node_table(n, &mut rng);
+            build(&mut topo, n, &mut rng);
         }
         (topo, rng)
     }
@@ -1589,7 +1697,7 @@ mod tests {
             // Algorithm 3, underloaded.
             0..=3 => {
                 let cap = 8 * topo.hosts[host].capacity_eval.max(8);
-                topo.nodes[node].d_max = (topo.nodes[node].d_max + count).min(cap);
+                topo.set_d_max(node, (topo.nodes[node].d_max() + count).min(cap));
                 topo.grow_inlinks(node, count)
             }
             // Algorithm 3, overloaded — lightly (the farthest holders
@@ -1597,7 +1705,7 @@ mod tests {
             4 | 5 => {
                 let count = if op == 5 { 8 * count } else { count };
                 let shed = topo.shed_inlinks(node, count);
-                topo.nodes[node].d_max = topo.nodes[node].d_max.saturating_sub(shed).max(1);
+                topo.set_d_max(node, topo.nodes[node].d_max().saturating_sub(shed).max(1));
                 shed
             }
             // A join on a vacant ID.
@@ -1618,7 +1726,7 @@ mod tests {
             // Item movement: the node leaves and rejoins elsewhere.
             8 => match topo.registry.random_vacant(rng) {
                 Some(id) => {
-                    let d_max = topo.nodes[node].d_max;
+                    let d_max = topo.nodes[node].d_max();
                     topo.remove_node(node);
                     let fresh = topo.add_node(id, host, d_max);
                     topo.build_node_table(fresh, rng);
@@ -1670,14 +1778,226 @@ mod tests {
                 }
                 let did = step(&mut resumed, &mut rng_a, op, pick, count);
                 assert_eq!(did, step(&mut scratch, &mut rng_b, op, pick, count));
-                assert_eq!(resumed.link_ops, scratch.link_ops);
-                assert_eq!(resumed.nodes.len(), scratch.nodes.len());
-                for (a, b) in resumed.nodes.iter().zip(&scratch.nodes) {
-                    assert_eq!((a.id, a.alive, a.d_max), (b.id, b.alive, b.d_max));
-                    assert_eq!(a.table.backward_fingers(), b.table.backward_fingers());
-                    assert!(a.table.iter_outlinks().eq(b.table.iter_outlinks()), "{}", a.id);
+                assert_same_tables(&resumed, &scratch);
+            }
+        }
+    }
+
+    /// Two worlds hold the same nodes with the same `d^∞`, backward
+    /// fingers and outlinks, in stored order, and count the same link
+    /// operations.
+    fn assert_same_tables(a: &Topology, b: &Topology) {
+        assert_eq!(a.link_ops, b.link_ops);
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            assert_eq!((x.id, x.alive, x.d_max()), (y.id, y.alive, y.d_max()));
+            assert_eq!(x.table.backward_fingers(), y.table.backward_fingers());
+            assert!(
+                x.table.iter_outlinks().eq(y.table.iter_outlinks()),
+                "{}",
+                x.id
+            );
+        }
+    }
+
+    /// `build_table` as it was written before the spare index: each
+    /// slot's region listed, filtered by spare indegree and drawn from
+    /// with `rng.choose`; when nobody has spare, the last member with
+    /// the most.
+    fn listed_build_table(topo: &mut Topology, node: CycloidId, rng: &mut SimRng) {
+        for (slot, candidates) in topo.table_slots(node) {
+            let candidates: Vec<CycloidId> =
+                candidates.into_iter().filter(|&c| c != node).collect();
+            let with_spare: Vec<CycloidId> = candidates
+                .iter()
+                .copied()
+                .filter(|&c| topo.spare_indegree(c) >= 1)
+                .collect();
+            let most = candidates.iter().copied();
+            let most = most.max_by_key(|&c| topo.spare_indegree(c));
+            let Some(chosen) = rng.choose(&with_spare).copied().or(most) else {
+                continue;
+            };
+            topo.link_if_absent(node, slot, chosen);
+        }
+    }
+
+    /// `build_node_table`'s elastic arm over [`listed_build_table`].
+    fn listed_build_node_table(topo: &mut Topology, node: usize, rng: &mut SimRng) {
+        listed_build_table(topo, topo.nodes[node].id, rng);
+        let target = initial_indegree_target(&topo.params, topo.nodes[node].d_max());
+        topo.expand(node, target);
+        topo.refresh_ring_slots(node);
+    }
+
+    /// `repair_slot`'s elastic arm as it was written before the spare
+    /// index: the region listed and filtered, then `rng.choose` over the
+    /// members with spare, else over all of them.
+    fn listed_repair_slot(
+        topo: &mut Topology,
+        node: usize,
+        slot: CycloidSlot,
+        rng: &mut SimRng,
+    ) -> Option<CycloidId> {
+        let id = topo.nodes[node].id;
+        let region = topo.entry_region(id, slot)?;
+        let members = topo.registry.nodes_in_region(region).into_iter();
+        let members: Vec<CycloidId> = members.filter(|&m| m != id).collect();
+        let with_spare: Vec<CycloidId> = members
+            .iter()
+            .copied()
+            .filter(|&m| topo.spare_indegree(m) >= 1)
+            .collect();
+        let pool = if with_spare.is_empty() {
+            &members
+        } else {
+            &with_spare
+        };
+        let pick = rng.choose(pool).copied()?;
+        topo.add_link(id, slot, pick);
+        Some(pick)
+    }
+
+    /// Every entry region of every ID of the space, read through the
+    /// spare index, against its members filtered by spare indegree.
+    fn assert_spare_index_matches_the_filter(topo: &Topology) {
+        for lin in 0..topo.space.ring_size() {
+            let id = topo.space.from_lin(lin);
+            for slot in topo.slots(id) {
+                let region = topo.entry_region(id, slot).unwrap();
+                let members = topo.registry.nodes_in_region(region).into_iter();
+                let spare: Vec<CycloidId> =
+                    members.filter(|&m| topo.spare_indegree(m) >= 1).collect();
+                assert_eq!(topo.spare_count(id, slot), spare.len(), "{id} {slot:?}");
+                for i in 0..=spare.len() {
+                    let nth = topo.nth_spare(id, slot, i);
+                    assert_eq!(nth, spare.get(i).copied(), "{id} {slot:?} #{i}");
                 }
             }
         }
+    }
+
+    /// A world's table build and slot repair.
+    struct Picks {
+        build: fn(&mut Topology, usize, &mut SimRng),
+        repair: fn(&mut Topology, usize, CycloidSlot, &mut SimRng) -> Option<CycloidId>,
+    }
+
+    /// One membership, link or `d^∞` event on the `pick`-th live node
+    /// (a departed one for a stale removal), tables built and slots
+    /// repaired by `picks`.
+    fn spare_step(
+        topo: &mut Topology,
+        rng: &mut SimRng,
+        picks: &Picks,
+        op: u8,
+        pick: usize,
+        x: u32,
+    ) {
+        let live: Vec<usize> = (0..topo.nodes.len())
+            .filter(|&n| topo.nodes[n].alive)
+            .collect();
+        let node = live[pick % live.len()];
+        let (id, host) = (topo.nodes[node].id, topo.nodes[node].host);
+        let slot = match x % 2 {
+            0 => CycloidSlot::Cubical,
+            _ => CycloidSlot::Cyclic,
+        };
+        match op {
+            // A join on a vacant ID.
+            0 => {
+                if let Some(vacant) = topo.registry.random_vacant(rng) {
+                    let host = topo.add_host(Host::new(1.0, 1.0, 1.0, x, Coord::random(rng)));
+                    let fresh = topo.add_node(vacant, host, x);
+                    (picks.build)(topo, fresh, rng);
+                }
+            }
+            // A leave.
+            1 if live.len() > 4 => topo.remove_node(node),
+            // A leave, and a join on the ID it left.
+            2 => {
+                topo.remove_node(node);
+                let fresh = topo.add_node(id, host, x);
+                (picks.build)(topo, fresh, rng);
+            }
+            // A departed node removed again: whoever holds its ID now
+            // keeps the bit.
+            3 => {
+                let mut dead = (0..topo.nodes.len()).filter(|&n| !topo.nodes[n].alive);
+                if let Some(dead) = dead.nth(pick) {
+                    topo.remove_node(dead);
+                }
+            }
+            // Algorithm 1's exchange between two live nodes.
+            4 => {
+                let from = topo.nodes[live[(pick + x as usize + 1) % live.len()]].id;
+                if from != id {
+                    topo.link_if_absent(from, slot, id);
+                }
+            }
+            // Algorithm 3: a shed, then a `d^∞` that may leave the node
+            // saturated or over-full.
+            5 => {
+                topo.shed_inlinks(node, x);
+            }
+            6 => topo.set_d_max(node, x),
+            // A slot repair.
+            7 => {
+                (picks.repair)(topo, node, slot, rng);
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Two copies of one world take the same joins, leaves, ID
+        /// reuses, stale removals, links, sheds, `d^∞` writes and slot
+        /// repairs; one builds tables and repairs slots through the spare
+        /// index, the other lists and filters each region as the code
+        /// before the index did. They must never differ, nor draw
+        /// differently, and after every step each region's spare count
+        /// and spare members, read through the index, are the filtered
+        /// members — a writer that forgets the index fails here.
+        #[test]
+        fn spare_index_matches_the_filtered_region_model(
+            dim in 3u8..7,
+            dense in proptest::bool::ANY,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec((0u8..8, 0usize..6, 0u32..6), 1..40),
+        ) {
+            let fill = if dense { 0.9 } else { 0.35 };
+            let indexed_picks = Picks { build: Topology::build_node_table, repair: Topology::repair_slot };
+            let listed_picks = Picks { build: listed_build_node_table, repair: listed_repair_slot };
+            let (mut indexed, mut rng_a) = random_world(dim, fill, seed);
+            let (mut listed, mut rng_b) =
+                random_world_built_by(dim, fill, seed, listed_build_node_table);
+            assert_same_tables(&indexed, &listed);
+            assert_spare_index_matches_the_filter(&indexed);
+            for (op, pick, x) in ops {
+                spare_step(&mut indexed, &mut rng_a, &indexed_picks, op, pick, x);
+                spare_step(&mut listed, &mut rng_b, &listed_picks, op, pick, x);
+                assert_same_tables(&indexed, &listed);
+                assert_spare_index_matches_the_filter(&indexed);
+            }
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        }
+    }
+
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    #[test]
+    #[should_panic(expected = "spare index bit of")]
+    fn sanitizer_catches_a_spare_index_out_of_step() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let (space, node) = (topo.space, topo.node_idx(topo.space.id(2, 0b0110)).unwrap());
+        // Inlinks recorded behind `record_link`'s back, until the node
+        // has no spare indegree left.
+        let mut holders = (0..space.ring_size()).map(|lin| space.from_lin(lin));
+        while topo.nodes[node].spare_indegree() >= 1 {
+            topo.nodes[node].table.add_backward(holders.next().unwrap());
+        }
+        // (3, 0110)'s cyclic region holds (2, 0110).
+        topo.spare_count(space.id(3, 0b0110), CycloidSlot::Cyclic);
     }
 }

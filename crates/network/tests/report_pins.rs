@@ -33,7 +33,7 @@ fn table_fingerprints(net: &Network) -> Vec<String> {
             format!(
                 "{} d_max={} back={:?} cub={:?} cyc={:?} succ={:?} pred={:?}",
                 topo.space.lin(n.id),
-                n.d_max,
+                n.d_max(),
                 lins(n.table.backward_fingers()),
                 lins(n.table.outlinks(CycloidSlot::Cubical)),
                 lins(n.table.outlinks(CycloidSlot::Cyclic)),

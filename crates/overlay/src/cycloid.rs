@@ -24,6 +24,7 @@
 //! these: first cubical inlinks, then cyclic).
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::Rng;
 use serde::Serialize;
@@ -249,6 +250,25 @@ impl CycloidSpace {
         )
     }
 
+    /// The cyclic-major position of `id`, `k·2^d + a`: every region is
+    /// one contiguous run of it ([`CycloidSpace::k_major_range`]).
+    pub fn k_major(self, id: CycloidId) -> u64 {
+        id.k() as u64 * self.cube_size() + id.a() as u64
+    }
+
+    /// The cyclic-major positions of `region`'s IDs, in cubical order.
+    pub fn k_major_range(self, region: CycloidRegion) -> Range<u64> {
+        let base = region.k as u64 * self.cube_size();
+        base + region.a_lo as u64..base + region.a_hi as u64 + 1
+    }
+
+    /// The ID at cyclic-major position `bit` of `region`.
+    pub fn in_region(self, region: CycloidRegion, bit: u64) -> CycloidId {
+        let id = CycloidId::pack(region.k, (bit - region.k as u64 * self.cube_size()) as u32);
+        debug_assert!(region.contains(id), "position {bit} is outside {region:?}");
+        id
+    }
+
     /// Draws a uniformly random ID.
     pub fn random_id<R: Rng>(self, rng: &mut R) -> CycloidId {
         self.from_lin(rng.gen_range(0..self.ring_size()))
@@ -345,25 +365,50 @@ impl CycloidSpace {
     }
 }
 
-/// One bit per ID of the space under some linear order, with the two
-/// range scans both registry indexes are queried through.
+/// One bit per ID of the space under some linear order, with the range
+/// scans both registry indexes are queried through, and the range
+/// count and select a uniform draw over the set bits of a range needs.
+///
+/// ```
+/// use ert_overlay::Bitmap;
+/// let mut bits = Bitmap::new(200);
+/// for bit in [3, 64, 70, 199] {
+///     bits.set(bit, true);
+/// }
+/// assert_eq!(bits.count_ones(4, 200), 3);
+/// assert_eq!(bits.select(4, 200, 1), Some(70));
+/// assert_eq!(bits.select(4, 199, 2), None);
+/// ```
 #[derive(Debug, Clone)]
-struct Bitmap {
+pub struct Bitmap {
     words: Vec<u64>,
 }
 
+/// The bits of `word` (the one holding bits `base..base + 64`) that lie
+/// in `from..end`.
+fn in_range(word: u64, base: u64, from: u64, end: u64) -> u64 {
+    let low = from.saturating_sub(base);
+    let high = end.saturating_sub(base);
+    let above_low = if low >= 64 { 0 } else { !0 << low };
+    let below_high = if high >= 64 { !0 } else { (1 << high) - 1 };
+    word & above_low & below_high
+}
+
 impl Bitmap {
-    fn new(bits: u64) -> Self {
+    /// `bits` clear bits.
+    pub fn new(bits: u64) -> Self {
         Bitmap {
             words: vec![0; bits.div_ceil(64) as usize],
         }
     }
 
-    fn get(&self, bit: u64) -> bool {
+    /// Whether `bit` is set.
+    pub fn get(&self, bit: u64) -> bool {
         self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0
     }
 
-    fn set(&mut self, bit: u64, live: bool) {
+    /// Sets `bit` to `live`.
+    pub fn set(&mut self, bit: u64, live: bool) {
         let word = &mut self.words[(bit / 64) as usize];
         match live {
             true => *word |= 1 << (bit % 64),
@@ -417,6 +462,50 @@ impl Bitmap {
             Some(bit)
         })
     }
+
+    /// The words that hold bits of `from..end`, each with its first bit
+    /// and cut to the range.
+    fn range_words(&self, from: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let last = (end.div_ceil(64) as usize).min(self.words.len());
+        let words = self
+            .words
+            .get((from / 64) as usize..last)
+            .unwrap_or_default();
+        let first = from / 64 * 64;
+        (first..).step_by(64).zip(words).map(move |(base, &word)| {
+            let word = in_range(word, base, from, end);
+            (base, word)
+        })
+    }
+
+    /// Number of set bits in `from..end`: one popcount per word.
+    pub fn count_ones(&self, from: u64, end: u64) -> u64 {
+        if from >= end {
+            return 0;
+        }
+        let words = self.range_words(from, end);
+        words.map(|(_, word)| u64::from(word.count_ones())).sum()
+    }
+
+    /// The `i`-th set bit of `from..end` in ascending order (0-based),
+    /// or `None` when the range holds `i` or fewer: a popcount per word
+    /// up to the one that holds it, then a walk of that word.
+    pub fn select(&self, from: u64, end: u64, mut i: u64) -> Option<u64> {
+        if from >= end {
+            return None;
+        }
+        for (base, mut word) in self.range_words(from, end) {
+            let ones = u64::from(word.count_ones());
+            if i < ones {
+                for _ in 0..i {
+                    word &= word - 1;
+                }
+                return Some(base + u64::from(word.trailing_zeros()));
+            }
+            i -= ones;
+        }
+        None
+    }
 }
 
 /// The set of live Cycloid IDs, with the ring / cycle / region queries
@@ -468,17 +557,12 @@ impl CycloidRegistry {
         self.space
     }
 
-    /// Position of `id` in the cyclic-major bitmap.
-    fn region_bit(&self, id: CycloidId) -> u64 {
-        id.k() as u64 * self.space.cube_size() + id.a() as u64
-    }
-
     /// Adds `id`; returns `false` if it was already present.
     pub fn insert(&mut self, id: CycloidId) -> bool {
         let fresh = !self.contains(id);
         if fresh {
             self.ring.set(self.space.lin(id), true);
-            self.k_major.set(self.region_bit(id), true);
+            self.k_major.set(self.space.k_major(id), true);
             self.live += 1;
         }
         fresh
@@ -489,7 +573,7 @@ impl CycloidRegistry {
         let had = self.contains(id);
         if had {
             self.ring.set(self.space.lin(id), false);
-            self.k_major.set(self.region_bit(id), false);
+            self.k_major.set(self.space.k_major(id), false);
             self.live -= 1;
         }
         had
@@ -581,8 +665,16 @@ impl CycloidRegistry {
 
     /// Number of live members of a region.
     pub fn region_population(&self, region: CycloidRegion) -> usize {
-        self.cubicals(region.k, region.a_lo, region.a_hi + 1)
-            .count()
+        let bits = self.space.k_major_range(region);
+        self.k_major.count_ones(bits.start, bits.end) as usize
+    }
+
+    /// The `i`-th live member of a region in cubical order (0-based):
+    /// `nodes_in_region(region).get(i)` without the list.
+    pub fn nth_in_region(&self, region: CycloidRegion, i: usize) -> Option<CycloidId> {
+        let bits = self.space.k_major_range(region);
+        let bit = self.k_major.select(bits.start, bits.end, i as u64)?;
+        Some(self.space.in_region(region, bit))
     }
 
     /// Algorithm 1's probe order for `node`, lazily, from `from` on:
@@ -1126,6 +1218,30 @@ mod tests {
                 let live: Vec<u32> = (lo..hi).filter(|&a| reg.contains(s.id(k, a))).collect();
                 assert_eq!(reg.last_cubical(k, lo, hi), live.last().copied());
                 assert_eq!(reg.cubicals(k, lo, hi).collect::<Vec<_>>(), live);
+                let base = k as u64 * s.cube_size();
+                let (from, end) = (base + lo as u64, base + hi as u64);
+                assert_eq!(reg.k_major.count_ones(from, end), live.len() as u64);
+                for (i, &a) in live.iter().enumerate() {
+                    assert_eq!(
+                        reg.k_major.select(from, end, i as u64),
+                        Some(base + a as u64)
+                    );
+                }
+                assert_eq!(reg.k_major.select(from, end, live.len() as u64), None);
+            }
+            // Every entry region of every ID, counted and indexed.
+            for lin in 0..s.ring_size() {
+                let id = s.from_lin(lin);
+                for region in [s.cubical_region(id), s.cyclic_region(id)]
+                    .into_iter()
+                    .flatten()
+                {
+                    let members = reg.nodes_in_region(region);
+                    assert_eq!(reg.region_population(region), members.len());
+                    for i in 0..=members.len() {
+                        assert_eq!(reg.nth_in_region(region, i), members.get(i).copied());
+                    }
+                }
             }
         }
     }

@@ -49,8 +49,8 @@ pub mod ring;
 pub use chord::{ChordRegistry, ChordSpace};
 pub use coords::Coord;
 pub use cycloid::{
-    CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan, RouteStep,
-    SlotKind,
+    Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan,
+    RouteStep, SlotKind,
 };
 pub use landmarks::{LandmarkFrame, LandmarkVector};
 pub use pastry::{PastryRegistry, PastrySpace};
