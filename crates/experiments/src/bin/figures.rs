@@ -1,13 +1,13 @@
 //! The one experiment binary: `figures [<name>...] [flags]` runs the
 //! named rows of the experiment table (`ert_experiments::catalog`) —
-//! every paper figure and theorem table when no name is given — and
-//! writes their CSVs to `results/`. The flags are documented in
-//! `ert_experiments::cli`; a bad command line prints the usage (with
-//! every row name) and exits 2 before any sweep starts.
+//! every row when no name is given — and writes their CSVs to
+//! `results/`. The flags are documented in `ert_experiments::cli`; a
+//! bad command line prints the usage (with every row name) and exits 2
+//! before any sweep starts.
 //!
-//! At paper scale (n = 2048, 3000 lookups, Table 2 defaults) the
-//! all-in-one run takes a few minutes in release mode; `--quick` runs a
-//! reduced version in seconds.
+//! With no name and no flag it rewrites all 47 committed CSVs byte for
+//! byte: about 130 s in release mode with `--jobs 2` on a 2-vCPU VM.
+//! `--quick` runs a reduced version in seconds.
 
 #![forbid(unsafe_code)]
 

@@ -1,8 +1,12 @@
-//! The experiment table behind `figures [<name>...]`.
+//! The experiment table behind `figures [<name>...]`, and the one rule
+//! that decides a committed file's bytes.
 //!
-//! One row per experiment. `figures` with no name runs every paper
-//! row — the all-in-one run is a loop over the same rows a per-figure
-//! run selects, so the two cannot drift.
+//! One row per experiment. `figures` with no name runs every row — the
+//! all-in-one run is a loop over the same rows a per-figure run
+//! selects, so the two cannot drift. Every paper-scale run averages
+//! [`SEEDS`] seeds unless `--seeds` says otherwise, whatever the
+//! selection, so `figures` with no flag rewrites `results/` byte for
+//! byte.
 //! [`Ctx`] carries the run-wide scale and the two sweeps several
 //! figures share, computed at most once per process.
 
@@ -23,15 +27,16 @@ use crate::{
     intro, resilience, thm41, ChurnSpec, Scenario, Workload,
 };
 
+/// Seeds `1..=SEEDS` every paper-scale run averages when `--seeds` is
+/// not given (`--quick` runs one). Ten is where every claim the
+/// catalogue judges reads the same on seeds 1–10 and on the disjoint
+/// 101–110 (`ert-testkit`'s `claims_hold_on_disjoint_seed_sets`).
+pub const SEEDS: usize = 10;
+
 /// One experiment of the table.
 pub struct Experiment {
     /// The name `figures <name>` selects it by.
     pub name: &'static str,
-    /// Part of the paper's evaluation: run when no name is given.
-    pub(crate) paper: bool,
-    /// Default `--seeds` at paper scale when this is the only row
-    /// selected (`--quick` always defaults to one seed).
-    pub(crate) seeds: usize,
     /// Paper-scale adjustment of the Table 2 base scenario.
     pub(crate) scale: fn(&mut Scenario),
     /// Runs the experiment on its scaled base scenario.
@@ -45,8 +50,6 @@ pub struct Experiment {
 pub struct Ctx {
     /// `--quick`: laptop-CI scale instead of Table 2 scale.
     quick: bool,
-    /// `--faults`: pins the `resilience` row to one chaos intensity.
-    faults: Option<f64>,
     /// The unscaled base scenario (seeds, jobs, shards).
     pub base: Scenario,
     /// Set by a row whose theorem check failed; `figures` exits 1.
@@ -56,33 +59,38 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Builds the context of a parsed command line. Without `--seeds`
-    /// a quick run averages one seed, a single selected row its own
-    /// default, and a multi-row run two.
+    /// Builds the context of a parsed command line: seeds `1..=K` for
+    /// `--seeds K`, else one seed under `--quick`, else [`SEEDS`].
     pub fn new(args: &Args) -> Ctx {
-        let seeds = args.seeds.unwrap_or(match args.rows[..] {
-            _ if args.quick => 1,
-            [only] => only.seeds,
-            _ => 2,
-        });
-        let mut base = if args.quick {
-            Scenario {
-                seeds: (1..=seeds as u64).collect(),
-                ..Scenario::quick(1)
-            }
+        let k = args.seeds.unwrap_or(if args.quick { 1 } else { SEEDS });
+        let mut ctx = Ctx::with_seeds(args.quick, (1..=k as u64).collect());
+        ctx.base.jobs = args.jobs;
+        ctx.base.shards = args.shards;
+        ctx
+    }
+
+    /// A context averaging exactly `seeds`, at quick or paper scale.
+    pub fn with_seeds(quick: bool, seeds: Vec<u64>) -> Ctx {
+        let base = if quick {
+            Scenario::quick(1)
         } else {
-            Scenario::paper_default(seeds)
+            Scenario::paper_default(1)
         };
-        base.jobs = args.jobs;
-        base.shards = args.shards;
         Ctx {
-            quick: args.quick,
-            faults: args.faults,
-            base,
+            quick,
+            base: Scenario { seeds, ..base },
             bound_violated: Cell::new(false),
             lookup_sweep: OnceCell::new(),
             churn_sweep: OnceCell::new(),
         }
+    }
+
+    /// Every row's tables, in table order.
+    pub fn run_all(&self) -> Vec<Table> {
+        EXPERIMENTS
+            .iter()
+            .flat_map(|row| (row.run)(self, &self.scenario(row)))
+            .collect()
     }
 
     /// The base scenario at `row`'s scale.
@@ -116,19 +124,21 @@ impl Ctx {
         }
     }
 
-    /// The lookup-count sweep Figs. 4, 5a and 7 share, on the base
-    /// scenario (those rows run at full scale).
-    fn lookup_sweep(&self) -> &[(usize, Vec<RunReport>)] {
+    /// The lookup-count sweep Figs. 4, 5a and 7 share, on the scenario
+    /// of the row that asks first. Those rows all run at full scale on
+    /// the run's seeds, so that is every asker's scenario.
+    fn lookup_sweep(&self, base: &Scenario) -> &[(usize, Vec<RunReport>)] {
         self.lookup_sweep.get_or_init(|| {
             let points = self.pick(fig4::quick_points(), fig4::paper_points());
-            fig4::lookup_sweep(&self.base, &points)
+            fig4::lookup_sweep(base, &points)
         })
     }
 
-    /// The churn sweep Figs. 9 and 10 share, on the base scenario.
-    fn churn_sweep(&self) -> &[(f64, Vec<RunReport>)] {
+    /// The churn sweep Figs. 9 and 10 share, on the scenario of the row
+    /// that asks first (both run at full scale).
+    fn churn_sweep(&self, base: &Scenario) -> &[(f64, Vec<RunReport>)] {
         self.churn_sweep
-            .get_or_init(|| fig9::churn_sweep(&self.base, &self.interarrivals()))
+            .get_or_init(|| fig9::churn_sweep(base, &self.interarrivals()))
     }
 
     fn interarrivals(&self) -> Vec<f64> {
@@ -139,33 +149,26 @@ impl Ctx {
     fn impulse(&self) -> (usize, usize) {
         self.pick((20, 5), (100, 50))
     }
-
-    fn intensities(&self) -> Vec<f64> {
-        match self.faults {
-            Some(x) => vec![x],
-            None => resilience::intensities(self.quick),
-        }
-    }
 }
 
 /// Every experiment, in the order a multi-row run executes them:
-/// name, paper row?, default seeds, paper scale, runner, capture shape.
+/// name, paper scale, runner, capture shape.
 pub(crate) static EXPERIMENTS: [Experiment; 15] = [
-    row("fig4", true, 3, full, fig4, plain),
-    row("fig4-service", true, 3, full, fig4_service, plain),
-    row("fig5", true, 3, full, fig5, plain),
-    row("fig7", true, 3, full, fig7, plain),
-    row("intro", true, 2, full, intro, plain),
-    row("fig6", true, 2, full, fig6, plain),
-    row("fig8", true, 3, full, fig8, capture_impulse),
-    row("fig9", true, 2, full, fig9, capture_churn),
-    row("fig10", true, 2, full, fig10, capture_churn),
-    row("thm41", true, 2, full, thm41, plain),
-    row("bounds", true, 2, full, bounds, plain),
-    row("ablation", false, 2, full, ablation, plain),
-    row("extensions", false, 2, full, extensions, plain),
-    row("resilience", false, 3, reduced, resilience, capture_chaos),
-    row("adversarial", false, 3, reduced, adversarial, capture_mix),
+    row("fig4", full, fig4, plain),
+    row("fig4-service", full, fig4_service, plain),
+    row("fig5", full, fig5, plain),
+    row("fig7", full, fig7, plain),
+    row("intro", full, intro, plain),
+    row("fig6", full, fig6, plain),
+    row("fig8", full, fig8, capture_impulse),
+    row("fig9", full, fig9, capture_churn),
+    row("fig10", full, fig10, capture_churn),
+    row("thm41", full, thm41, plain),
+    row("bounds", full, bounds, plain),
+    row("ablation", full, ablation, plain),
+    row("extensions", full, extensions, plain),
+    row("resilience", reduced, resilience, capture_chaos),
+    row("adversarial", reduced, adversarial, capture_mix),
 ];
 
 /// Looks an experiment up by name.
@@ -175,16 +178,12 @@ pub(crate) fn find(name: &str) -> Option<&'static Experiment> {
 
 const fn row(
     name: &'static str,
-    paper: bool,
-    seeds: usize,
     scale: fn(&mut Scenario),
     run: fn(&Ctx, &Scenario) -> Vec<Table>,
     capture: fn(&Ctx, &mut Scenario) -> fn(&mut NetworkConfig),
 ) -> Experiment {
     Experiment {
         name,
-        paper,
-        seeds,
         scale,
         run,
         capture,
@@ -230,7 +229,9 @@ fn capture_churn(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
 /// the stream shows fault, retry and failure events and reproduces the
 /// sweep's ERT/AF data point.
 fn capture_chaos(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
-    s.chaos = ctx.intensities().into_iter().find(|&x| x > 0.0);
+    s.chaos = resilience::intensities(ctx.quick)
+        .into_iter()
+        .find(|&x| x > 0.0);
     |cfg| cfg.retry = RetryPolicy::standard()
 }
 
@@ -245,8 +246,8 @@ fn capture_mix(_: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
     no_tweak
 }
 
-fn fig4(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
-    fig4::tables(ctx.lookup_sweep())
+fn fig4(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    fig4::tables(ctx.lookup_sweep(base))
 }
 
 fn fig4_service(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
@@ -257,7 +258,7 @@ fn fig4_service(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
 fn fig5(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
     let sizes = ctx.pick(fig5::quick_sizes(), fig5::paper_sizes());
     vec![
-        fig5::table_5a(ctx.lookup_sweep()),
+        fig5::table_5a(ctx.lookup_sweep(base)),
         fig5::table_5b(base, &sizes),
         fig5::table_5c(base),
     ]
@@ -271,8 +272,8 @@ fn fig6(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
     ]
 }
 
-fn fig7(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
-    fig7::tables(ctx.lookup_sweep())
+fn fig7(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    fig7::tables(ctx.lookup_sweep(base))
 }
 
 fn fig8(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
@@ -281,12 +282,12 @@ fn fig8(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
     fig8::tables(&fig8::service_sweep(base, &services, nodes, keys))
 }
 
-fn fig9(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
-    fig9::tables(ctx.churn_sweep())
+fn fig9(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    fig9::tables(ctx.churn_sweep(base))
 }
 
-fn fig10(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
-    fig10::tables(ctx.churn_sweep())
+fn fig10(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
+    fig10::tables(ctx.churn_sweep(base))
 }
 
 fn intro(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
@@ -349,7 +350,8 @@ fn extensions(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
 }
 
 fn resilience(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    resilience::tables(&resilience::resilience_sweep(base, &ctx.intensities()))
+    let intensities = resilience::intensities(ctx.quick);
+    resilience::tables(&resilience::resilience_sweep(base, &intensities))
 }
 
 fn adversarial(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
@@ -377,49 +379,24 @@ mod tests {
     fn usage_lists_every_row() {
         let usage = crate::cli::usage();
         for e in &EXPERIMENTS {
-            let line = format!("  {} {}\n", if e.paper { '*' } else { ' ' }, e.name);
-            assert!(usage.contains(&line), "usage omits {}", e.name);
+            assert!(
+                usage.contains(&format!("  {}\n", e.name)),
+                "usage omits {}",
+                e.name
+            );
         }
     }
 
-    /// No name runs the paper's evaluation: Figs. 4–10 with the Fig. 4
-    /// service-time variant, the intro table, Thm 4.1 and the degree
-    /// bounds. Thm 3.3 and Lemma A.1 b = 1 are tables of the `bounds`
-    /// and `thm41` rows.
     #[test]
-    fn paper_set_is_the_papers_evaluation() {
-        let paper: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| e.paper)
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(
-            paper,
-            [
-                "fig4",
-                "fig4-service",
-                "fig5",
-                "fig7",
-                "intro",
-                "fig6",
-                "fig8",
-                "fig9",
-                "fig10",
-                "thm41",
-                "bounds"
-            ]
-        );
-    }
-
-    #[test]
-    fn default_seeds_follow_the_selection() {
+    fn default_seeds_ignore_the_selection() {
         let ctx =
             |args: &[&str]| Ctx::new(&Args::parse(args.iter().map(|a| (*a).to_owned())).unwrap());
+        let paper: Vec<u64> = (1..=SEEDS as u64).collect();
         assert_eq!(ctx(&["fig4", "--quick"]).base.seeds, [1]);
-        assert_eq!(ctx(&["fig4"]).base.seeds, [1, 2, 3]);
-        assert_eq!(ctx(&["fig9"]).base.seeds, [1, 2]);
-        assert_eq!(ctx(&["fig4", "fig9"]).base.seeds, [1, 2]);
-        assert_eq!(ctx(&[]).base.seeds, [1, 2]);
+        assert_eq!(ctx(&["--quick"]).base.seeds, [1]);
+        assert_eq!(ctx(&["fig4"]).base.seeds, paper);
+        assert_eq!(ctx(&["fig4", "fig9"]).base.seeds, paper);
+        assert_eq!(ctx(&[]).base.seeds, paper);
         assert_eq!(ctx(&["--seeds", "5"]).base.seeds, [1, 2, 3, 4, 5]);
         // Only the faulted and attacked sweeps run below Table 2 scale.
         let paper = ctx(&[]);

@@ -2,14 +2,16 @@
 //! parsed once, failing closed.
 //!
 //! `figures [<name>...]` selects rows of the experiment table
-//! ([`crate::catalog`]); no name selects every paper row. A malformed
-//! value, an unknown flag or an unknown name is an [`ArgError`] —
-//! `figures` prints it with [`usage`] and exits 2 before any sweep
-//! starts. The flags, with one uniform contract — **none but
-//! `--faults` changes the bytes a run emits**, only how fast it emits
-//! them or what side-channel observability it produces:
+//! ([`crate::catalog`]); no name selects every row. A malformed value,
+//! an unknown flag or an unknown name is an [`ArgError`] — `figures`
+//! prints it with [`usage`] and exits 2 before any sweep starts. The
+//! contract: **with no flag, a run writes the committed `results/`
+//! bytes**. `--quick` and `--seeds` are for exploration and change
+//! them; every other flag changes only how fast a run emits them or
+//! what side-channel observability it produces:
 //!
-//! - `--quick` — laptop-CI scale instead of Table 2 scale;
+//! - `--quick` — laptop-CI scale and one seed instead of Table 2 scale
+//!   and [`crate::catalog::SEEDS`];
 //! - `--seeds <K>` — seeds `1..=K` to average over;
 //! - `--jobs <N>` — worker threads for the parallel fan-out; the
 //!   default is every available core, and any value produces
@@ -19,9 +21,6 @@
 //!   event core (see `ert_sim::ShardedEngine`); `0`/absent selects the
 //!   legacy single event loop, and any value is byte-identical to it
 //!   (pinned by `tests/shard_determinism.rs`);
-//! - `--faults <intensity>` — pins the `resilience` row to one chaos
-//!   intensity in `[0, 1]` instead of its sweep (this one *does* change
-//!   output — it changes the experiment, not the evaluation);
 //!
 //! and the telemetry trio:
 //!
@@ -58,18 +57,16 @@ use crate::Scenario;
 #[derive(Default)]
 pub struct Args {
     /// The selected rows in table order, without duplicates; every
-    /// paper row when no name was given.
+    /// row when no name was given.
     pub rows: Vec<&'static Experiment>,
     /// `--quick`.
     pub quick: bool,
-    /// `--seeds`, when given (the default depends on the selection).
+    /// `--seeds`, when given.
     pub seeds: Option<usize>,
     /// `--jobs`, when given (`None` = every available core).
     pub jobs: Option<usize>,
     /// `--shards` (0 = the legacy single event loop).
     pub shards: usize,
-    /// `--faults`, when given.
-    pub faults: Option<f64>,
     /// The telemetry trio.
     pub telemetry: TelemetryOpts,
 }
@@ -92,8 +89,6 @@ pub enum ArgError {
         /// What the flag accepts.
         expected: &'static str,
     },
-    /// `--faults` without the `resilience` row: it would do nothing.
-    FaultsWithoutResilience,
 }
 
 impl fmt::Display for ArgError {
@@ -107,9 +102,6 @@ impl fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "`{flag} {value}`: expected {expected}"),
-            ArgError::FaultsWithoutResilience => {
-                write!(f, "`--faults` only applies to the `resilience` experiment")
-            }
         }
     }
 }
@@ -133,9 +125,6 @@ impl Args {
                     parsed.jobs = Some(number("--jobs", &mut it, POSITIVE, 1..=usize::MAX)?);
                 }
                 "--shards" => parsed.shards = number("--shards", &mut it, NATURAL, 0..=usize::MAX)?,
-                "--faults" => {
-                    parsed.faults = Some(number("--faults", &mut it, UNIT, 0.0..=1.0)?);
-                }
                 "--telemetry" => {
                     parsed.telemetry.jsonl_path = Some(value("--telemetry", &mut it)?.into());
                 }
@@ -156,17 +145,8 @@ impl Args {
         }
         parsed.rows = EXPERIMENTS
             .iter()
-            .filter(|e| {
-                if names.is_empty() {
-                    e.paper
-                } else {
-                    names.contains(&e.name)
-                }
-            })
+            .filter(|e| names.is_empty() || names.contains(&e.name))
             .collect();
-        if parsed.faults.is_some() && !names.contains(&"resilience") {
-            return Err(ArgError::FaultsWithoutResilience);
-        }
         let default_interval = if parsed.telemetry.jsonl_path.is_some() {
             1.0
         } else {
@@ -187,7 +167,6 @@ fn value(flag: &'static str, it: &mut impl Iterator<Item = String>) -> Result<St
 /// What the numeric flags accept, as [`ArgError::BadValue`] words it.
 const POSITIVE: &str = "an integer >= 1";
 const NATURAL: &str = "a non-negative integer";
-const UNIT: &str = "a number in [0, 1]";
 const SECONDS: &str = "seconds >= 0";
 
 /// The value following `flag`, parsed and range-checked (NaN is in no
@@ -214,13 +193,12 @@ fn number<T: std::str::FromStr + PartialOrd>(
 pub fn usage() -> String {
     let mut text = String::from(
         "usage: figures [<name>...] [--quick] [--seeds K] [--jobs N] [--shards S]\n               \
-         [--faults X] [--telemetry <path.jsonl>] [--sample-interval <secs>] [--trace N]\n\n\
-         Runs the named experiments (no name: every one marked *) and writes their\n\
-         tables to ./results/*.csv.\n\n",
+         [--telemetry <path.jsonl>] [--sample-interval <secs>] [--trace N]\n\n\
+         Runs the named experiments (no name: every one) and writes their tables\n\
+         to ./results/*.csv.\n\n",
     );
     for e in &EXPERIMENTS {
-        let mark = if e.paper { '*' } else { ' ' };
-        text.push_str(&format!("  {mark} {}\n", e.name));
+        text.push_str(&format!("  {}\n", e.name));
     }
     text
 }
@@ -324,10 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn no_name_selects_the_paper_rows_and_names_select_in_table_order() {
+    fn no_name_selects_every_row_and_names_select_in_table_order() {
         let all = parse(&["--quick"]).unwrap();
-        assert!(all.rows.iter().all(|e| e.paper));
-        assert!(all.rows.len() > 1);
+        assert_eq!(all.rows.len(), EXPERIMENTS.len());
         let some = parse(&["resilience", "fig7", "fig4", "fig7"]).unwrap();
         assert_eq!(names(&some), ["fig4", "fig7", "resilience"]);
         assert_eq!(
@@ -346,7 +323,7 @@ mod tests {
         assert_eq!((a.seeds, a.jobs, a.shards), (Some(3), Some(4), 8));
         let d = parse(&["fig4"]).unwrap();
         assert!(!d.quick);
-        assert_eq!((d.seeds, d.jobs, d.shards, d.faults), (None, None, 0, None));
+        assert_eq!((d.seeds, d.jobs, d.shards), (None, None, 0));
         assert_eq!(parse(&["fig4", "--shards", "0"]).unwrap().shards, 0);
     }
 
@@ -377,29 +354,6 @@ mod tests {
         let removed = concat!("--stream", "-stats");
         let unknown = Some(ArgError::UnknownFlag(removed.into()));
         assert_eq!(err(&["fig4", removed]), unknown);
-    }
-
-    #[test]
-    fn faults_flag_needs_resilience_and_a_unit_interval_value() {
-        assert_eq!(parse(&["resilience"]).unwrap().faults, None);
-        assert_eq!(
-            parse(&["resilience", "--faults", "0.4"]).unwrap().faults,
-            Some(0.4)
-        );
-        for garbage in ["7", "-0.1", "NaN", "inf", "half"] {
-            assert_eq!(
-                parse(&["resilience", "--faults", garbage]).err(),
-                Some(bad("--faults", garbage, UNIT))
-            );
-        }
-        assert_eq!(
-            parse(&["resilience", "--faults"]).err(),
-            Some(ArgError::MissingValue("--faults"))
-        );
-        assert_eq!(
-            parse(&["fig4", "--faults", "0.4"]).err(),
-            Some(ArgError::FaultsWithoutResilience)
-        );
     }
 
     #[test]

@@ -261,7 +261,7 @@ pub fn utilization_table(base_scenario: &Scenario) -> Table {
             "util mean",
             "util p01",
             "util p99",
-            "corr(cap, util)",
+            "corr(cap; util)",
         ],
     );
     for r in &reports {

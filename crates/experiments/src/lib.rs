@@ -5,8 +5,8 @@
 //! [`thm41`] validates Theorem 4.1 against the supermarket model, and
 //! [`bounds`] checks Theorems 3.1–3.3 on measured tables. The one
 //! binary, `figures [<name>...]`, runs rows of the [`catalog`] table —
-//! every paper row when no name is given — and writes CSVs to
-//! `results/`; [`cli`] parses its command line once.
+//! every row when no name is given — and writes CSVs to `results/`;
+//! [`cli`] parses its command line once.
 //!
 //! Every figure function takes its scale as arguments so tests can run
 //! reduced versions: [`Scenario::paper_default`] is Table 2 scale

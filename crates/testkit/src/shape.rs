@@ -33,6 +33,8 @@ pub enum Layout {
     Wide,
     /// `axis, group, v1, v2, ...` — one row per `(axis, group)` pair;
     /// the named value column becomes the group's series (Figs. 7a/7b).
+    /// A non-numeric axis (the extension tables' `mode` / `workload`)
+    /// is categorical: [`Axis::Named`] addresses its points.
     Long {
         /// The value column to extract.
         value: &'static str,
@@ -128,23 +130,18 @@ impl SeriesSet {
         let value_idx = table
             .column_index(value)
             .ok_or_else(|| format!("long table has no `{value}` column"))?;
-        let mut axis: Vec<f64> = Vec::new();
         let mut axis_labels: Vec<String> = Vec::new();
         let mut series: Vec<(String, Vec<f64>)> = Vec::new();
         for row in &table.rows {
-            let x = row[0]
-                .parse::<f64>()
-                .map_err(|_| format!("non-numeric axis cell `{}`", row[0]))?;
             let group = row[1].clone();
             let v = row[value_idx]
                 .parse::<f64>()
                 .map_err(|_| format!("non-numeric `{value}` cell `{}`", row[value_idx]))?;
-            let point = match axis.iter().position(|&a| a == x) {
+            let point = match axis_labels.iter().position(|l| *l == row[0]) {
                 Some(i) => i,
                 None => {
-                    axis.push(x);
                     axis_labels.push(row[0].clone());
-                    axis.len() - 1
+                    axis_labels.len() - 1
                 }
             };
             let entry = match series.iter_mut().find(|(name, _)| *name == group) {
@@ -156,12 +153,19 @@ impl SeriesSet {
             };
             if entry.1.len() != point {
                 return Err(format!(
-                    "group `{}` misses a point before axis {x}",
-                    entry.0
+                    "group `{}` misses a point before axis {}",
+                    entry.0, row[0]
                 ));
             }
             entry.1.push(v);
         }
+        // A categorical axis (`direct`, `anonymous`) is addressed by
+        // label; its points sit at their positions.
+        let axis: Vec<f64> = axis_labels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| l.parse().unwrap_or(i as f64))
+            .collect();
         let n = axis.len();
         if let Some((name, s)) = series.iter().find(|(_, s)| s.len() != n) {
             return Err(format!("group `{name}` has {} of {n} points", s.len()));
@@ -620,6 +624,22 @@ mod tests {
         assert_eq!(s.values("VS"), Some(&[9.0, 9.9][..]));
         let m = SeriesSet::from_csv(csv, Layout::Long { value: "mean" }).unwrap();
         assert_eq!(m.values("Base"), Some(&[1.0, 1.1][..]));
+    }
+
+    #[test]
+    fn long_parsing_accepts_a_categorical_axis() {
+        let csv = "mode,protocol,cong\n\
+                   direct,Base,1.8\ndirect,ERT/AF,1.2\n\
+                   anonymous,Base,3.2\nanonymous,ERT/AF,1.4\n";
+        let s = SeriesSet::from_csv(csv, Layout::Long { value: "cong" }).unwrap();
+        assert_eq!(s.axis_labels, vec!["direct", "anonymous"]);
+        assert_eq!(s.values("Base"), Some(&[1.8, 3.2][..]));
+        let v = spec(vec![ShapeCheck::Min {
+            series: "ERT/AF",
+            at: Axis::Named("anonymous"),
+        }])
+        .eval(&s);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

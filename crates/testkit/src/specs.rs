@@ -1,20 +1,21 @@
-//! The catalogue: every ✅ claim of EXPERIMENTS.md as a [`ShapeSpec`].
+//! The catalogue: every claim of EXPERIMENTS.md as a [`ShapeSpec`].
 //!
 //! Two calibration tiers coexist per figure, selected by `axis_gate`:
 //!
 //! * **quick** specs encode the shape of `figures --quick` output
-//!   (n = 192, 100–300 lookups, sizes 64/128). Determinism makes a
-//!   fresh quick run byte-identical to the committed quick-scale CSVs,
-//!   so these run against both.
+//!   (n = 192, 100–300 lookups, sizes 64/128). Nothing under
+//!   `results/` is quick-scale, so these judge fresh quick sweeps.
 //! * **paper** specs encode the Table 2 scale claims (n = 2048,
-//!   1000–5000 lookups) — the ✅ marks themselves, including the
-//!   documented deviations (e.g. Fig. 7a's elastic indegree p99
-//!   exceeding VS at paper scale, where at quick scale VS still tops).
+//!   1000–5000 lookups) and judge the committed `results/*.csv`, which
+//!   `figures` with no flag writes at `catalog::SEEDS` seeds. They
+//!   include the documented deviations (`*.deviation`): where the
+//!   measurement contradicts the paper, the spec asserts what is
+//!   measured and the paper's claim moves to [`refuted`].
 //!
-//! Orderings genuinely differ between scales (EXPERIMENTS.md discusses
-//! this: NS's congestion penalty needs the paper's load level to
-//! dominate Base), which is why the tiers are separate calibrations
-//! rather than one spec with giant slack.
+//! Orderings genuinely differ between scales (NS's congestion penalty
+//! and ERT/AF's processing-time win show at quick scale, not at Table 2
+//! scale), which is why the tiers are separate calibrations rather than
+//! one spec with giant slack.
 
 use crate::shape::{Axis, Layout, ShapeCheck, ShapeSpec, Tier};
 use Axis::{All, At, Last, Named};
@@ -59,7 +60,87 @@ pub fn catalogue() -> Vec<ShapeSpec> {
     fig7(&mut specs);
     theorems(&mut specs);
     adversarial(&mut specs);
+    extensions(&mut specs);
     specs
+}
+
+/// The claims the Table 2-scale measurement contradicts. Each fails on
+/// seeds `1..=SEEDS`, on the disjoint `101..=100 + SEEDS`, or on both;
+/// a `*.deviation` spec in [`catalogue`] asserts what is measured
+/// instead, and EXPERIMENTS.md marks the claim ⚠️. They stay here,
+/// unloosened, so the mark flips back the day a claim holds again. A
+/// tier-free one still holds at quick scale and judges fresh quick
+/// sweeps there.
+pub fn refuted() -> Vec<ShapeSpec> {
+    vec![
+        spec(
+            "fig4a.paper.ns-worst",
+            "at Table 2 load NS is worse than Base and the high-load ordering is ERT/AF < VS < Base < NS (paper Fig. 4a)",
+            "fig_4a",
+            Layout::Wide,
+            Tier::Paper,
+            PAPER_LOOKUPS,
+            vec![
+                Max { series: "NS", at: Last },
+                Ordering { order: &["ERT/AF", "VS", "Base", "NS"], at: Last, slack: 0.0 },
+                NonDecreasing { series: "Base", slack: 0.1 },
+                NonDecreasing { series: "NS", slack: 0.1 },
+            ],
+        ),
+        spec(
+            "fig4svc.paper.ordering",
+            "service-time axis at Table 2 scale: NS worst at every service time; at the 2.1 s end ERT/AF < ERT/A < ERT/F < Base < NS (the paper's 'similar results' claim for the alternate load axis)",
+            "fig_4_(service-time_axis)",
+            Layout::Wide,
+            Tier::Paper,
+            PAPER_SERVICE,
+            vec![
+                Max { series: "NS", at: All },
+                Ordering {
+                    order: &["ERT/AF", "ERT/A", "ERT/F", "Base", "NS"],
+                    at: Last,
+                    slack: 0.0,
+                },
+                Less { a: "VS", b: "Base", at: All, slack: 0.0 },
+            ],
+        ),
+        spec(
+            "fig5c.any.processing-time",
+            "query processing time: NS worst on mean and p99 (no-shedding queues explode); ERT/AF beats Base and ties ERT/F for lowest mean within 5%",
+            "fig_5c",
+            Layout::Rows,
+            Tier::Any,
+            None,
+            vec![
+                Max { series: "NS", at: Named("mean") },
+                Max { series: "NS", at: Named("p99") },
+                Less { a: "ERT/AF", b: "Base", at: Named("mean"), slack: 0.0 },
+                Less { a: "ERT/AF", b: "ERT/F", at: Named("mean"), slack: 0.05 },
+                Less { a: "ERT/A", b: "VS", at: Named("p99"), slack: 0.0 },
+            ],
+        ),
+        spec(
+            "advflood.any.containment",
+            "flash-crowd flood: ERT/AF contains the hotspot — its peak queue depth stays below Base's (two-choice forwarding spreads the crest that Base funnels into one host)",
+            "adv_flood",
+            Layout::Rows,
+            Tier::Any,
+            None,
+            vec![
+                Less { a: "ERT/AF", b: "Base", at: Named("peak"), slack: 0.0 },
+                RatioBand { num: "ERT/AF", den: "Base", at: Named("peak"), lo: 0.0, hi: 0.95 },
+            ],
+        ),
+        spec(
+            "exthotspot.paper.adaptation-tracks",
+            "drifting hot set: ERT/AF (adaptation on) ends with the lowest congestion, below ERT/F and Base; the periodic indegree adaptation tracks time-varying popularity",
+            "ext_hotspot",
+            Layout::Long { value: "p99 cong" },
+            Tier::Paper,
+            None,
+            vec![Min { series: "ERT/AF", at: Named("drifting") }],
+        ),
+    ]
 }
 
 fn fig4(specs: &mut Vec<ShapeSpec>) {
@@ -83,17 +164,18 @@ fn fig4(specs: &mut Vec<ShapeSpec>) {
         ],
     ));
     specs.push(spec(
-        "fig4a.paper.ns-worst",
-        "at Table 2 load NS is worse than Base and the high-load ordering is ERT/AF < VS < Base < NS (paper Fig. 4a)",
+        "fig4a.paper.deviation",
+        "Fig. 4a at Table 2 load, the DOCUMENTED DEVIATION: Base, not NS, tops at 5000 lookups; ERT/AF stays lowest and the rest of the paper's high-load ordering, ERT/AF < VS < Base, holds",
         "fig_4a",
         Layout::Wide,
         Tier::Paper,
         PAPER_LOOKUPS,
         vec![
-            Max { series: "NS", at: Last },
-            Ordering { order: &["ERT/AF", "VS", "Base", "NS"], at: Last, slack: 0.0 },
-            NonDecreasing { series: "Base", slack: 0.1 },
-            NonDecreasing { series: "NS", slack: 0.1 },
+            Max { series: "Base", at: Last },
+            Min { series: "ERT/AF", at: Last },
+            Ordering { order: &["ERT/AF", "VS", "NS", "Base"], at: Last, slack: 0.0 },
+            NonDecreasing { series: "Base", slack: 0.0 },
+            NonDecreasing { series: "NS", slack: 0.0 },
         ],
     ));
     specs.push(spec(
@@ -153,16 +235,17 @@ fn fig4(specs: &mut Vec<ShapeSpec>) {
         ],
     ));
     specs.push(spec(
-        "fig4svc.paper.ordering",
-        "service-time axis at Table 2 scale: NS worst at every service time; at the 2.1 s end ERT/AF < ERT/A < ERT/F < Base < NS (the paper's 'similar results' claim for the alternate load axis)",
+        "fig4svc.paper.deviation",
+        "service-time axis at Table 2 scale, the DOCUMENTED DEVIATION: once queues form (0.6 s on) Base, not NS, is worst; at the 2.1 s end ERT/AF < ERT/A < ERT/F < NS < Base, and VS stays below Base throughout",
         "fig_4_(service-time_axis)",
         Layout::Wide,
         Tier::Paper,
         PAPER_SERVICE,
         vec![
-            Max { series: "NS", at: All },
+            Max { series: "Base", at: At(0.6) },
+            Max { series: "Base", at: Last },
             Ordering {
-                order: &["ERT/AF", "ERT/A", "ERT/F", "Base", "NS"],
+                order: &["ERT/AF", "ERT/A", "ERT/F", "NS", "Base"],
                 at: Last,
                 slack: 0.0,
             },
@@ -267,18 +350,18 @@ fn fig5(specs: &mut Vec<ShapeSpec>) {
         ],
     ));
     specs.push(spec(
-        "fig5c.any.processing-time",
-        "query processing time: NS worst on mean and p99 (no-shedding queues explode); ERT/AF beats Base and ties ERT/F for lowest mean within 5%",
+        "fig5c.paper.deviation",
+        "query processing time at Table 2 scale, the DOCUMENTED DEVIATION: NS worst on mean and p99, but Base, not ERT/AF, has the lowest mean; ERT/AF still beats ERT/F, and ERT/A's p99 exceeds VS's",
         "fig_5c",
         Layout::Rows,
-        Tier::Any,
+        Tier::Paper,
         None,
         vec![
             Max { series: "NS", at: Named("mean") },
             Max { series: "NS", at: Named("p99") },
-            Less { a: "ERT/AF", b: "Base", at: Named("mean"), slack: 0.0 },
-            Less { a: "ERT/AF", b: "ERT/F", at: Named("mean"), slack: 0.05 },
-            Less { a: "ERT/A", b: "VS", at: Named("p99"), slack: 0.0 },
+            Min { series: "Base", at: Named("mean") },
+            Less { a: "ERT/AF", b: "ERT/F", at: Named("mean"), slack: 0.0 },
+            Less { a: "VS", b: "ERT/A", at: Named("p99"), slack: 0.0 },
         ],
     ));
 }
@@ -570,30 +653,163 @@ fn adversarial(specs: &mut Vec<ShapeSpec>) {
         ],
     ));
     specs.push(spec(
-        "advflood.any.containment",
-        "flash-crowd flood: ERT/AF contains the hotspot — its peak queue depth stays below Base's (two-choice forwarding spreads the crest that Base funnels into one host)",
+        "advflood.any.deviation",
+        "flash-crowd flood, the DOCUMENTED DEVIATION: ERT/AF's peak queue depth never exceeds Base's, but by how much is one seed's draw — the panel runs the first seed only, and the ratio ranges from well under 0.95 to near parity",
         "adv_flood",
         Layout::Rows,
         Tier::Any,
         None,
+        vec![Less { a: "ERT/AF", b: "Base", at: Named("peak"), slack: 0.0 }],
+    ));
+}
+
+// The `extensions` row (EXPERIMENTS.md "Extensions"). Its tables are
+// keyed by protocol, platform or workload rather than by a load axis,
+// so nothing gates them: they are paper-tier and judge the committed
+// files only (fresh quick sweeps do not run this row).
+fn extensions(specs: &mut Vec<ShapeSpec>) {
+    specs.push(spec(
+        "extzipf.paper.share",
+        "Zipf popularity: Base's p99 share rises with the exponent",
+        "ext_zipf",
+        Layout::Long { value: "p99 share" },
+        Tier::Paper,
+        None,
+        vec![NonDecreasing {
+            series: "Base",
+            slack: 0.0,
+        }],
+    ));
+    specs.push(spec(
+        "extzipf.paper.skew",
+        "Zipf popularity: raising the exponent raises Base's p99 congestion, and ERT/A stays the lowest of Base and the ERT variants at every exponent",
+        "ext_zipf",
+        Layout::Long { value: "p99 cong" },
+        Tier::Paper,
+        None,
         vec![
-            Less { a: "ERT/AF", b: "Base", at: Named("peak"), slack: 0.0 },
-            RatioBand { num: "ERT/AF", den: "Base", at: Named("peak"), lo: 0.0, hi: 0.95 },
+            NonDecreasing { series: "Base", slack: 0.0 },
+            Less { a: "ERT/A", b: "ERT/F", at: All, slack: 0.0 },
+            Less { a: "ERT/A", b: "ERT/AF", at: All, slack: 0.0 },
+            Less { a: "ERT/A", b: "Base", at: All, slack: 0.0 },
+        ],
+    ));
+    specs.push(spec(
+        "exthotspot.paper.deviation",
+        "drifting hot set, the DOCUMENTED DEVIATION: both two-choice variants end well below Base, but ERT/AF's adaptation buys nothing over ERT/F: the two end within 5% of each other",
+        "ext_hotspot",
+        Layout::Long { value: "p99 cong" },
+        Tier::Paper,
+        None,
+        vec![
+            Max { series: "Base", at: Named("drifting") },
+            RatioBand { num: "ERT/AF", den: "ERT/F", at: Named("drifting"), lo: 0.95, hi: 1.05 },
+        ],
+    ));
+    specs.push(spec(
+        "extanon.paper.absorbs",
+        "anonymity mode: retracing responses raises Base's p99 congestion; ERT/AF stays below Base in both modes and absorbs the extra relay load (the Base/ERT/AF gap widens)",
+        "ext_anonymity",
+        Layout::Long { value: "p99 cong" },
+        Tier::Paper,
+        None,
+        vec![
+            NonDecreasing { series: "Base", slack: 0.0 },
+            Less { a: "ERT/AF", b: "Base", at: All, slack: 0.0 },
+            Widening { num: "Base", den: "ERT/AF", factor: 1.0 },
+        ],
+    ));
+    specs.push(spec(
+        "extutil.paper.capacity-aware",
+        "utilization: busy time tracks capacity least under Base and most under VS, and ERT/AF's p99 utilization stays below Base's",
+        "ext_utilization",
+        Layout::Rows,
+        Tier::Paper,
+        None,
+        vec![
+            Min { series: "Base", at: Named("corr(cap; util)") },
+            Max { series: "VS", at: Named("corr(cap; util)") },
+            Less { a: "ERT/AF", b: "Base", at: Named("util p99"), slack: 0.0 },
+        ],
+    ));
+    for (id, claim, value, check) in [
+        (
+            "extim.paper.congestion",
+            "item movement under the impulse: IM improves on Base's p99 congestion but stays above ERT/AF",
+            "p99 cong",
+            Ordering { order: &["ERT/AF", "IM", "Base"], at: Named("impulse"), slack: 0.0 },
+        ),
+        (
+            "extim.paper.share",
+            "item movement under the impulse: ERT/AF's p99 share stays below IM's",
+            "p99 share",
+            Less { a: "ERT/AF", b: "IM", at: Named("impulse"), slack: 0.0 },
+        ),
+        (
+            "extim.paper.id-churn",
+            "item movement pays an ID-churn cost: IM's maintenance per lookup exceeds Base's on both workloads",
+            "maint/lookup",
+            Less { a: "Base", b: "IM", at: All, slack: 0.0 },
+        ),
+    ] {
+        specs.push(spec(
+            id,
+            claim,
+            "ext_item-movement",
+            Layout::Long { value },
+            Tier::Paper,
+            None,
+            vec![check],
+        ));
+    }
+    specs.push(spec(
+        "extstab.paper.zero-timeouts",
+        "stabilization buys Base fewer stale-link timeouts for more repair traffic, but only ERT/AF reaches zero timeouts",
+        "ext_stabilization",
+        Layout::Rows,
+        Tier::Paper,
+        None,
+        vec![
+            Less { a: "Base stabilized", b: "Base lazy", at: Named("timeouts/lookup"), slack: 0.0 },
+            Less { a: "Base lazy", b: "Base stabilized", at: Named("maint/lookup"), slack: 0.0 },
+            Min { series: "ERT/AF lazy", at: Named("timeouts/lookup") },
+            RatioBand { num: "ERT/AF lazy", den: "Base lazy", at: Named("timeouts/lookup"), lo: 0.0, hi: 0.0 },
+        ],
+    ));
+    specs.push(spec(
+        "extchord.paper.beyond-cycloid",
+        "ERT beyond Cycloid: ERT lowers p99 congestion on Chord and on Pastry and removes Chord's heavy encounters, and both ERT overlays route in fewer hops than Cycloid ERT/AF",
+        "ext_chord",
+        Layout::Rows,
+        Tier::Paper,
+        None,
+        vec![
+            Less { a: "Chord+ERT", b: "Chord", at: Named("p99 cong"), slack: 0.0 },
+            Less { a: "Pastry+ERT", b: "Pastry", at: Named("p99 cong"), slack: 0.0 },
+            Less { a: "Chord+ERT", b: "Chord", at: Named("heavy"), slack: 0.0 },
+            Less { a: "Chord+ERT", b: "Cycloid ERT/AF", at: Named("path"), slack: 0.0 },
+            Less { a: "Pastry+ERT", b: "Cycloid ERT/AF", at: Named("path"), slack: 0.0 },
         ],
     ));
 }
 
 /// A deliberately inverted claim — "NS handles load *better* than
 /// Base" — used by the conformance suite to prove the machinery
-/// actually rejects wrong shapes instead of vacuously passing.
-pub fn inverted_example() -> ShapeSpec {
+/// actually rejects wrong shapes instead of vacuously passing. The
+/// quick twin judges a fresh quick sweep, the paper twin the committed
+/// files.
+pub fn inverted_example(tier: Tier) -> ShapeSpec {
     spec(
         "inverted.ns-better-than-base",
         "INVERTED ON PURPOSE: NS beats Base on heavy-node encounters and is the sweep minimum",
         "fig_5a",
         Layout::Wide,
-        Tier::Quick,
-        QUICK_LOOKUPS,
+        tier,
+        if tier == Tier::Quick {
+            QUICK_LOOKUPS
+        } else {
+            PAPER_LOOKUPS
+        },
         vec![
             Less {
                 a: "NS",
@@ -615,8 +831,12 @@ mod tests {
 
     #[test]
     fn catalogue_ids_are_unique_and_nonempty() {
-        let specs = catalogue();
-        assert!(specs.len() >= 20, "catalogue shrank to {}", specs.len());
+        let specs: Vec<ShapeSpec> = catalogue().into_iter().chain(refuted()).collect();
+        assert!(
+            catalogue().len() >= 20,
+            "catalogue shrank to {}",
+            catalogue().len()
+        );
         let mut ids: Vec<&str> = specs.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         let before = ids.len();

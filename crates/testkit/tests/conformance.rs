@@ -3,16 +3,29 @@
 //! differential oracles. CI runs this as the `conformance` step
 //! (release mode — the fresh sweeps are real simulations).
 
+use ert_experiments::catalog::{Ctx, SEEDS};
 use ert_testkit::diff::{self};
 use ert_testkit::envelopes;
 use ert_testkit::golden::{self, GoldenReport};
+use ert_testkit::shape::{ShapeSpec, Tier};
 use ert_testkit::specs;
+
+/// The specs a fresh quick sweep answers to: every catalogue spec and
+/// every refuted claim but the paper tier. A tier-free refuted claim
+/// (Fig. 5c's processing-time order) fails only at Table 2 scale.
+fn quick_scale_specs() -> Vec<ShapeSpec> {
+    specs::catalogue()
+        .into_iter()
+        .chain(specs::refuted())
+        .filter(|s| s.tier != Tier::Paper)
+        .collect()
+}
 
 /// Every committed `results/*.csv` a spec names must parse, pass the
 /// tier gate it was calibrated for, and satisfy its checks. The
-/// committed files mix scales (figure sweeps are quick-scale, the
-/// service axis and Fig. 7 are paper-scale), so both tiers of the
-/// catalogue exercise here.
+/// committed files are all paper-scale (`figures` with no flag), so the
+/// paper-tier and tier-free specs evaluate here and the quick tier
+/// skips.
 #[test]
 fn committed_results_satisfy_catalogue() {
     let report = golden::check_committed(&specs::catalogue(), &golden::results_dir());
@@ -27,20 +40,36 @@ fn committed_results_satisfy_catalogue() {
         report.summary()
     );
     assert!(
-        report.evaluated.len() >= 10,
+        report.evaluated.len() >= 20,
         "suspiciously few specs evaluated ({}) — did the tier gates rot?\n{}",
         report.evaluated.len(),
         report.summary()
     );
 }
 
+/// Every refuted claim still finds its committed table and passes its
+/// tier gate there, so none can rot into a silent skip. Whether each
+/// still fails is `claims_hold_on_disjoint_seed_sets`'s question: the
+/// flood panel's claim fails only on the disjoint seeds.
+#[test]
+fn refuted_claims_still_evaluate_on_committed_results() {
+    let refuted = specs::refuted();
+    let report = golden::check_committed(&refuted, &golden::results_dir());
+    assert_eq!(
+        report.evaluated.len(),
+        refuted.len(),
+        "{}",
+        report.summary()
+    );
+}
+
 /// A fresh quick-scale run of the figure harness must satisfy every
-/// quick-tier spec: the shape claims hold on regenerated data, not
-/// just on the committed snapshot.
+/// quick-tier and tier-free spec: the shape claims hold on regenerated
+/// data at the scale they were calibrated for.
 #[test]
 fn fresh_quick_run_satisfies_catalogue() {
     let tables = golden::quick_tables();
-    let report = golden::check_tables(&specs::catalogue(), &tables);
+    let report = golden::check_tables(&quick_scale_specs(), &tables);
     assert!(
         report.violations.is_empty(),
         "fresh quick sweep violates the catalogue:\n{}",
@@ -61,7 +90,7 @@ fn fresh_quick_run_satisfies_catalogue() {
 /// regenerated data, not just on the committed full-scale snapshot.
 #[test]
 fn fresh_quick_adversarial_run_satisfies_catalogue() {
-    let adv: Vec<_> = specs::catalogue()
+    let adv: Vec<_> = quick_scale_specs()
         .into_iter()
         .filter(|s| s.table.starts_with("adv_"))
         .collect();
@@ -90,20 +119,21 @@ fn fresh_quick_adversarial_run_satisfies_catalogue() {
 }
 
 /// The machinery must be falsifiable: a deliberately inverted claim
-/// ("NS beats Base") fails against both the committed results and a
-/// fresh run.
+/// ("NS beats Base") fails against both the committed results (its
+/// paper twin) and a fresh quick run (its quick twin).
 #[test]
 fn inverted_spec_demonstrably_fails() {
-    let inverted = vec![specs::inverted_example()];
-
-    let committed = golden::check_committed(&inverted, &golden::results_dir());
+    let paper = [specs::inverted_example(Tier::Paper)];
+    let committed = golden::check_committed(&paper, &golden::results_dir());
     assert_eq!(committed.evaluated.len(), 1);
     assert!(
         !committed.violations.is_empty(),
         "inverted spec passed against committed results — the oracle is vacuous"
     );
 
-    let fresh = golden::check_tables(&inverted, &golden::quick_tables());
+    let quick = [specs::inverted_example(Tier::Quick)];
+    let fresh = golden::check_tables(&quick, &golden::quick_tables());
+    assert_eq!(fresh.evaluated.len(), 1);
     assert!(
         !fresh.violations.is_empty(),
         "inverted spec passed against a fresh run — the oracle is vacuous"
@@ -217,4 +247,43 @@ fn theorem_envelopes_hold_across_seeds() {
 
     let t41 = envelopes::theorem41_envelope(250, 0.95, 2000.0, 3.0, &[305, 306, 307]);
     assert!(t41.all_ok(), "{}", t41.summary());
+}
+
+/// The seed count from evidence: a fresh paper-scale run of every
+/// catalog row on seeds `1..=SEEDS` (the committed bytes) and one on
+/// the disjoint `101..=100 + SEEDS` must each satisfy the whole
+/// catalogue, and every refuted claim must fail on at least one of
+/// them. A claim holds only if it holds on both. Two full runs take
+/// minutes, so the test is ignored; run it with
+/// `cargo test --release -p ert-testkit --test conformance -- --ignored`.
+#[test]
+#[ignore = "two paper-scale runs of every catalog row (minutes)"]
+fn claims_hold_on_disjoint_seed_sets() {
+    let k = SEEDS as u64;
+    let refuted = specs::refuted();
+    let mut failed = String::new();
+    let mut still_refuted = vec![false; refuted.len()];
+    for seeds in [(1..=k).collect::<Vec<u64>>(), (101..=100 + k).collect()] {
+        let label = format!("seeds {}..={}", seeds[0], seeds[seeds.len() - 1]);
+        let tables = Ctx::with_seeds(false, seeds).run_all();
+        let report = golden::check_tables(&specs::catalogue(), &tables);
+        eprintln!("{label}: {}", report.summary());
+        if !report.violations.is_empty() || !report.missing.is_empty() {
+            failed.push_str(&format!("{label}: {}", report.summary()));
+        }
+        for (spec, fails) in refuted.iter().zip(&mut still_refuted) {
+            let report = golden::check_tables(std::slice::from_ref(spec), &tables);
+            eprintln!("{label}: refuted {}: {}", spec.id, report.summary());
+            *fails |= !report.violations.is_empty();
+        }
+    }
+    for (spec, fails) in refuted.iter().zip(still_refuted) {
+        if !fails {
+            failed.push_str(&format!(
+                "{} holds on both seed sets: move it back into the catalogue\n",
+                spec.id
+            ));
+        }
+    }
+    assert!(failed.is_empty(), "{failed}");
 }
