@@ -18,8 +18,9 @@
 use std::cell::{Cell, OnceCell};
 
 use ert_core::ErtParams;
-use ert_network::{AdversaryScript, NetworkConfig, RetryPolicy, RunReport};
+use ert_network::{NetworkConfig, RetryPolicy, RunReport};
 
+use crate::adversarial::AdversaryScript;
 use crate::cli::Args;
 use crate::report::Table;
 use crate::{

@@ -1,15 +1,36 @@
-//! Fault schedules: what goes wrong, and when.
+//! Perturbation schedules: what goes wrong, who attacks, and when.
 
 use ert_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
-/// One kind of injected fault.
+/// The largest flood window the sort-key packing can carry:
+/// [`FaultKind::param_bits`] packs the window's microseconds into
+/// 32 bits next to the query count, so windows are capped at ~4295 s —
+/// far beyond any simulated horizon.
+pub const MAX_FLOOD_WINDOW_MICROS: u64 = (1 << 32) - 1;
+
+/// One kind of scheduled perturbation.
 ///
-/// The taxonomy follows the failure models of Kong et al. (*A General
-/// Framework for Scalability and Performance Analysis of DHT Routing
-/// Systems*) and Roos et al. (*Comprehending Kademlia Routing*): crash-
-/// stop departures, slow ("degraded") peers, lossy links, and correlated
-/// partition events.
+/// Two classes share the type. The **environment** kinds (`Heal`
+/// through `Partition`) follow the failure models of Kong et al. (*A
+/// General Framework for Scalability and Performance Analysis of DHT
+/// Routing Systems*) and Roos et al. (*Comprehending Kademlia
+/// Routing*): crash-stop departures, slow ("degraded") peers, lossy
+/// links, and correlated partition events. The **adversary** kinds
+/// (`Restore` through `RoutingDefector`) attack an assumption of the
+/// paper's provable congestion bounds:
+///
+/// * [`FaultKind::CapacityLiar`] misreports the capacity estimate ĉ,
+///   stressing the estimation-error factor γ_c that Theorems 3.1 and
+///   3.2 bound indegree by;
+/// * [`FaultKind::SybilSwarm`] joins coordinated identities packed into
+///   one ring region, concentrating indegree (and therefore forwarded
+///   load) on the victims there;
+/// * [`FaultKind::QueryFlood`] layers a flash crowd on a single key
+///   over the base workload;
+/// * [`FaultKind::RoutingDefector`] inverts Algorithm 4's two-choice
+///   rule: defecting nodes forward to the **most**-loaded reachable
+///   candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// A uniformly random live host crash-stops: it leaves the overlay
@@ -46,14 +67,64 @@ pub enum FaultKind {
     /// and partition episodes end. (Crashed hosts stay gone — crash is
     /// a membership event, not an episode.)
     Heal,
+    /// Clears every reversible adversary effect: capacity liars revert
+    /// to their true estimates and defectors resume honest forwarding.
+    /// (Sybil identities stay — joining is a membership event, not an
+    /// episode — and flood queries already injected keep flowing.)
+    Restore,
+    /// A `fraction` of live hosts (drawn from the adversary stream)
+    /// misreport their capacity estimate ĉ by the multiplicative
+    /// `error`: `error > 1` inflates (attracting more inlinks than the
+    /// host can serve), `error < 1` deflates. Applying a second liar
+    /// event to an already-lying host compounds the error; `Restore`
+    /// reverts to the original truth in one step.
+    CapacityLiar {
+        /// Fraction of live hosts turned liars, in `(0, 1]`.
+        fraction: f64,
+        /// Multiplicative misreport factor (finite, > 0).
+        error: f64,
+    },
+    /// `count` coordinated identities join, packed into the vacant ID
+    /// slots nearest ring fraction `region` — the victim neighborhood
+    /// whose indegree the swarm concentrates.
+    SybilSwarm {
+        /// Number of Sybil identities to join (≥ 1).
+        count: u32,
+        /// Victim ring position as a fraction of the ID space, in
+        /// `[0, 1)`.
+        region: f64,
+    },
+    /// A flash crowd: `queries` extra lookups on the single key at ring
+    /// fraction `key`, injected evenly over `window` starting at the
+    /// event time, layered onto the base workload. The exact metric
+    /// collectors keep 16 bytes per completed flood lookup (its time and
+    /// hop count) and 8 per visit to the minimum-capacity host.
+    QueryFlood {
+        /// Flooded key as a ring fraction, in `[0, 1)`.
+        key: f64,
+        /// Number of flood lookups (≥ 1).
+        queries: u32,
+        /// Injection window (positive, at most
+        /// [`MAX_FLOOD_WINDOW_MICROS`] µs).
+        window: SimDuration,
+    },
+    /// A `fraction` of live hosts defect: their forwards invert the
+    /// two-choice rule and pick the most-loaded reachable candidate.
+    RoutingDefector {
+        /// Fraction of live hosts turned defectors, in `(0, 1]`.
+        fraction: f64,
+    },
 }
 
 impl FaultKind {
-    /// Taxonomy rank used to tie-break equal-timestamp events:
-    /// `Heal < Crash < Degrade < DropMessages < Partition`. Healing
+    /// Taxonomy rank used to tie-break equal-timestamp events: the
+    /// environment kinds `Heal < Crash < Degrade < DropMessages <
+    /// Partition`, then the adversary kinds `Restore < CapacityLiar <
+    /// SybilSwarm < QueryFlood < RoutingDefector`. Healing (restoring)
     /// first means a schedule that heals and re-injects at the same
     /// instant nets out to the re-injection, which is the least
-    /// surprising reading.
+    /// surprising reading; faults before adversaries means an equal-time
+    /// crash draws its victim before a Sybil swarm joins.
     fn rank(self) -> u8 {
         match self {
             FaultKind::Heal => 0,
@@ -61,18 +132,43 @@ impl FaultKind {
             FaultKind::Degrade { .. } => 2,
             FaultKind::DropMessages { .. } => 3,
             FaultKind::Partition { .. } => 4,
+            FaultKind::Restore => 5,
+            FaultKind::CapacityLiar { .. } => 6,
+            FaultKind::SybilSwarm { .. } => 7,
+            FaultKind::QueryFlood { .. } => 8,
+            FaultKind::RoutingDefector { .. } => 9,
         }
     }
 
     /// Parameter bits for the final tie-break level, so even two events
     /// of the same kind at the same instant order deterministically.
+    /// Injective per kind (the flood window cap makes the packed pair
+    /// unambiguous), so equal keys mean equal events and stable sorting
+    /// cannot leak input order into a run.
     fn param_bits(self) -> (u64, u64) {
         match self {
-            FaultKind::Heal | FaultKind::Crash => (0, 0),
+            FaultKind::Heal | FaultKind::Crash | FaultKind::Restore => (0, 0),
             FaultKind::Degrade { factor } => (factor.to_bits(), 0),
             FaultKind::DropMessages { p, window } => (p.to_bits(), window.as_micros()),
             FaultKind::Partition { groups, window } => (u64::from(groups), window.as_micros()),
+            FaultKind::CapacityLiar { fraction, error } => (fraction.to_bits(), error.to_bits()),
+            FaultKind::SybilSwarm { count, region } => (u64::from(count), region.to_bits()),
+            FaultKind::QueryFlood {
+                key,
+                queries,
+                window,
+            } => (
+                key.to_bits(),
+                (u64::from(queries) << 32) | (window.as_micros() & MAX_FLOOD_WINDOW_MICROS),
+            ),
+            FaultKind::RoutingDefector { fraction } => (fraction.to_bits(), 0),
         }
+    }
+
+    /// Whether the kind attacks an honest-node assumption (`Restore`
+    /// through `RoutingDefector`) rather than the environment.
+    pub fn is_adversarial(&self) -> bool {
+        self.rank() >= FaultKind::Restore.rank()
     }
 
     /// The kind's stable tag, matching the serialized variant name —
@@ -84,6 +180,11 @@ impl FaultKind {
             FaultKind::DropMessages { .. } => "DropMessages",
             FaultKind::Partition { .. } => "Partition",
             FaultKind::Heal => "Heal",
+            FaultKind::Restore => "Restore",
+            FaultKind::CapacityLiar { .. } => "CapacityLiar",
+            FaultKind::SybilSwarm { .. } => "SybilSwarm",
+            FaultKind::QueryFlood { .. } => "QueryFlood",
+            FaultKind::RoutingDefector { .. } => "RoutingDefector",
         }
     }
 
@@ -93,8 +194,15 @@ impl FaultKind {
     ///
     /// Returns a message naming the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        let fraction_ok = |fraction: f64, who: &str| {
+            if fraction.is_finite() && fraction > 0.0 && fraction <= 1.0 {
+                Ok(())
+            } else {
+                Err(format!("{who} fraction must be in (0, 1], got {fraction}"))
+            }
+        };
         match *self {
-            FaultKind::Crash | FaultKind::Heal => Ok(()),
+            FaultKind::Crash | FaultKind::Heal | FaultKind::Restore => Ok(()),
             FaultKind::Degrade { factor } => {
                 if factor.is_finite() && factor >= 1.0 {
                     Ok(())
@@ -122,14 +230,55 @@ impl FaultKind {
                 }
                 Ok(())
             }
+            FaultKind::CapacityLiar { fraction, error } => {
+                fraction_ok(fraction, "liar")?;
+                if error.is_finite() && error > 0.0 {
+                    Ok(())
+                } else {
+                    Err(format!("liar error must be finite and > 0, got {error}"))
+                }
+            }
+            FaultKind::SybilSwarm { count, region } => {
+                if count == 0 {
+                    return Err("sybil swarm needs >= 1 identity".into());
+                }
+                if region.is_finite() && (0.0..1.0).contains(&region) {
+                    Ok(())
+                } else {
+                    Err(format!("sybil region must be in [0, 1), got {region}"))
+                }
+            }
+            FaultKind::QueryFlood {
+                key,
+                queries,
+                window,
+            } => {
+                if !(key.is_finite() && (0.0..1.0).contains(&key)) {
+                    return Err(format!("flood key must be in [0, 1), got {key}"));
+                }
+                if queries == 0 {
+                    return Err("flood needs >= 1 query".into());
+                }
+                if window == SimDuration::ZERO {
+                    return Err("flood window must be positive".into());
+                }
+                if window.as_micros() > MAX_FLOOD_WINDOW_MICROS {
+                    return Err(format!(
+                        "flood window must be at most {MAX_FLOOD_WINDOW_MICROS} us, got {}",
+                        window.as_micros()
+                    ));
+                }
+                Ok(())
+            }
+            FaultKind::RoutingDefector { fraction } => fraction_ok(fraction, "defector"),
         }
     }
 }
 
-/// One scheduled fault.
+/// One scheduled perturbation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultEvent {
-    /// When the fault fires.
+    /// When the perturbation fires.
     pub at: SimTime,
     /// What goes wrong.
     pub kind: FaultKind,
@@ -146,28 +295,33 @@ impl FaultEvent {
     }
 }
 
-/// A seeded, serializable fault schedule.
+/// A seeded, serializable perturbation schedule.
 ///
-/// The `seed` names the interpretation stream: the network draws every
+/// The `seed` names the interpretation streams: the network draws every
 /// fault-time random choice (which host crashes, which messages drop)
-/// from a generator forked off this seed, independent of the topology /
-/// forwarding / workload streams. An empty plan draws nothing, so a run
-/// with an empty plan is byte-identical to one that never heard of
-/// faults.
+/// and every adversary-time one (which hosts lie or defect, where
+/// Sybils estimate from) from generators forked off this seed,
+/// independent of the topology / forwarding / workload streams. An
+/// empty plan draws nothing, so a run with an empty plan is
+/// byte-identical to one that never heard of faults.
 ///
 /// ```
 /// use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 /// use ert_sim::SimTime;
 /// let mut plan = FaultPlan::new(7);
 /// plan.events.push(FaultEvent { at: SimTime::from_micros(1_000_000), kind: FaultKind::Crash });
+/// plan.events.push(FaultEvent {
+///     at: SimTime::from_micros(50_000),
+///     kind: FaultKind::RoutingDefector { fraction: 0.1 },
+/// });
 /// plan.validate().unwrap();
 /// assert!(!plan.is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
-    /// Seed of the fault-interpretation RNG stream.
+    /// Seed of the interpretation RNG streams.
     pub seed: u64,
-    /// The scheduled faults (any order; interpretation sorts by
+    /// The scheduled events (any order; interpretation sorts by
     /// [`FaultEvent::sort_key`]).
     pub events: Vec<FaultEvent>,
 }
@@ -181,7 +335,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan schedules no faults at all.
+    /// Whether the plan schedules no events at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -192,6 +346,12 @@ impl FaultPlan {
         let mut out = self.events.clone();
         out.sort_by_key(FaultEvent::sort_key);
         out
+    }
+
+    /// Whether any event's kind satisfies `pred` — how the network
+    /// decides which theorem envelopes the plan deliberately violates.
+    pub fn any_kind(&self, pred: impl Fn(&FaultKind) -> bool) -> bool {
+        self.events.iter().any(|e| pred(&e.kind))
     }
 
     /// Validates every event's parameters.
@@ -229,61 +389,71 @@ mod tests {
     #[test]
     fn sorted_events_tie_break_by_taxonomy_then_params() {
         let t = at(500);
-        let plan = FaultPlan {
-            seed: 1,
-            events: vec![
-                FaultEvent {
-                    at: t,
-                    kind: FaultKind::Partition {
-                        groups: 2,
-                        window: SimDuration::from_secs_f64(1.0),
-                    },
-                },
-                FaultEvent {
-                    at: t,
-                    kind: FaultKind::Degrade { factor: 3.0 },
-                },
-                FaultEvent {
-                    at: t,
-                    kind: FaultKind::Heal,
-                },
-                FaultEvent {
-                    at: t,
-                    kind: FaultKind::Degrade { factor: 2.0 },
-                },
-                FaultEvent {
-                    at: at(100),
-                    kind: FaultKind::Crash,
-                },
-            ],
-        };
-        let sorted = plan.sorted_events();
-        assert_eq!(sorted[0].kind, FaultKind::Crash); // earlier time wins
-        assert_eq!(sorted[1].kind, FaultKind::Heal);
-        assert_eq!(sorted[2].kind, FaultKind::Degrade { factor: 2.0 });
-        assert_eq!(sorted[3].kind, FaultKind::Degrade { factor: 3.0 });
-        assert!(matches!(sorted[4].kind, FaultKind::Partition { .. }));
+        let kinds = [
+            FaultKind::RoutingDefector { fraction: 0.2 },
+            FaultKind::CapacityLiar {
+                fraction: 0.3,
+                error: 4.0,
+            },
+            FaultKind::Partition {
+                groups: 2,
+                window: SimDuration::from_secs_f64(1.0),
+            },
+            FaultKind::Restore,
+            FaultKind::Degrade { factor: 3.0 },
+            FaultKind::Heal,
+            FaultKind::CapacityLiar {
+                fraction: 0.1,
+                error: 4.0,
+            },
+            FaultKind::Degrade { factor: 2.0 },
+        ];
+        let mut events: Vec<_> = kinds
+            .iter()
+            .map(|&kind| FaultEvent { at: t, kind })
+            .collect();
+        events.push(FaultEvent {
+            at: at(100),
+            kind: FaultKind::Crash,
+        });
+        let sorted = FaultPlan { seed: 1, events }.sorted_events();
+        let got: Vec<_> = sorted.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            got,
+            [
+                FaultKind::Crash, // earlier time wins
+                FaultKind::Heal,
+                FaultKind::Degrade { factor: 2.0 },
+                FaultKind::Degrade { factor: 3.0 },
+                kinds[2],
+                FaultKind::Restore,
+                kinds[6],
+                kinds[1],
+                kinds[0],
+            ]
+        );
     }
 
     #[test]
     fn permuting_a_plan_does_not_change_its_canonical_order() {
-        let events = vec![
-            FaultEvent {
-                at: at(9),
-                kind: FaultKind::Crash,
+        let events: Vec<_> = [
+            FaultKind::Crash,
+            FaultKind::RoutingDefector { fraction: 0.1 },
+            FaultKind::Heal,
+            FaultKind::Restore,
+            FaultKind::DropMessages {
+                p: 0.1,
+                window: SimDuration::from_secs_f64(0.5),
             },
-            FaultEvent {
-                at: at(9),
-                kind: FaultKind::Heal,
+            FaultKind::QueryFlood {
+                key: 0.25,
+                queries: 40,
+                window: SimDuration::from_secs_f64(0.5),
             },
-            FaultEvent {
-                at: at(9),
-                kind: FaultKind::DropMessages {
-                    p: 0.1,
-                    window: SimDuration::from_secs_f64(0.5),
-                },
-            },
-        ];
+        ]
+        .into_iter()
+        .map(|kind| FaultEvent { at: at(9), kind })
+        .collect();
         let mut reversed = events.clone();
         reversed.reverse();
         let a = FaultPlan { seed: 3, events };
@@ -295,13 +465,31 @@ mod tests {
     }
 
     #[test]
+    fn flood_param_bits_distinguish_query_count_and_window() {
+        let mk = |queries, secs: f64| FaultEvent {
+            at: at(7),
+            kind: FaultKind::QueryFlood {
+                key: 0.5,
+                queries,
+                window: SimDuration::from_secs_f64(secs),
+            },
+        };
+        let keys: std::collections::BTreeSet<_> = [mk(1, 1.0), mk(2, 1.0), mk(1, 2.0)]
+            .iter()
+            .map(FaultEvent::sort_key)
+            .collect();
+        assert_eq!(keys.len(), 3, "packed params must stay injective");
+    }
+
+    #[test]
     fn rejects_bad_parameters() {
+        let one_sec = SimDuration::from_secs_f64(1.0);
         for kind in [
             FaultKind::Degrade { factor: 0.5 },
             FaultKind::Degrade { factor: f64::NAN },
             FaultKind::DropMessages {
                 p: 1.5,
-                window: SimDuration::from_secs_f64(1.0),
+                window: one_sec,
             },
             FaultKind::DropMessages {
                 p: 0.2,
@@ -309,11 +497,54 @@ mod tests {
             },
             FaultKind::Partition {
                 groups: 1,
-                window: SimDuration::from_secs_f64(1.0),
+                window: one_sec,
             },
             FaultKind::Partition {
                 groups: 4,
                 window: SimDuration::ZERO,
+            },
+            FaultKind::CapacityLiar {
+                fraction: 0.0,
+                error: 2.0,
+            },
+            FaultKind::CapacityLiar {
+                fraction: 1.5,
+                error: 2.0,
+            },
+            FaultKind::CapacityLiar {
+                fraction: 0.2,
+                error: 0.0,
+            },
+            FaultKind::CapacityLiar {
+                fraction: 0.2,
+                error: f64::NAN,
+            },
+            FaultKind::SybilSwarm {
+                count: 0,
+                region: 0.5,
+            },
+            FaultKind::SybilSwarm {
+                count: 4,
+                region: 1.0,
+            },
+            FaultKind::QueryFlood {
+                key: 1.0,
+                queries: 10,
+                window: one_sec,
+            },
+            FaultKind::QueryFlood {
+                key: 0.5,
+                queries: 0,
+                window: one_sec,
+            },
+            FaultKind::QueryFlood {
+                key: 0.5,
+                queries: 10,
+                window: SimDuration::ZERO,
+            },
+            FaultKind::RoutingDefector { fraction: -0.1 },
+            FaultKind::RoutingDefector {
+                fraction: f64::INFINITY,
             },
         ] {
             assert!(kind.validate().is_err(), "{kind:?} should be rejected");
@@ -324,8 +555,31 @@ mod tests {
             let err = plan.validate().unwrap_err();
             assert!(err.starts_with("fault event 0:"), "{err}");
         }
-        FaultKind::Crash.validate().unwrap();
-        FaultKind::Heal.validate().unwrap();
+        for kind in [FaultKind::Crash, FaultKind::Heal, FaultKind::Restore] {
+            kind.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn any_kind_and_class_split_at_restore() {
+        let plan = FaultPlan {
+            seed: 4,
+            events: vec![FaultEvent {
+                at: at(5),
+                kind: FaultKind::CapacityLiar {
+                    fraction: 0.2,
+                    error: 4.0,
+                },
+            }],
+        };
+        assert!(plan.any_kind(|k| matches!(k, FaultKind::CapacityLiar { .. })));
+        assert!(!plan.any_kind(|k| matches!(k, FaultKind::SybilSwarm { .. })));
+        assert!(!FaultKind::Partition {
+            groups: 2,
+            window: SimDuration::from_secs_f64(1.0),
+        }
+        .is_adversarial());
+        assert!(FaultKind::Restore.is_adversarial());
     }
 
     #[test]
@@ -341,6 +595,13 @@ mod tests {
                     },
                 },
                 FaultEvent {
+                    at: at(500_000),
+                    kind: FaultKind::SybilSwarm {
+                        count: 8,
+                        region: 0.75,
+                    },
+                },
+                FaultEvent {
                     at: at(750_000),
                     kind: FaultKind::Heal,
                 },
@@ -349,5 +610,6 @@ mod tests {
         let json = serde::json::to_string(&plan);
         assert!(json.contains("\"seed\":11"), "{json}");
         assert!(json.contains("DropMessages"), "{json}");
+        assert!(json.contains("SybilSwarm"), "{json}");
     }
 }

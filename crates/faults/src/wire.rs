@@ -5,9 +5,10 @@
 //! `DropMessages` episode is active each delivery rolls the plan's
 //! seeded stream against the drop probability, and while a `Partition`
 //! episode is active deliveries crossing partition-class boundaries are
-//! blocked outright. `Heal` clears both episodes; `Crash` and `Degrade`
-//! are host-level faults outside the link layer's jurisdiction and are
-//! skipped here (the transport owner models them, if at all).
+//! blocked outright. `Heal` clears both episodes. Every other kind —
+//! the host-level `Crash` and `Degrade` and the five adversary kinds —
+//! is outside the link layer's jurisdiction, and a plan carrying one is
+//! refused up front rather than silently ignored.
 //!
 //! Determinism contract: an empty plan — and more generally any stretch
 //! of a run with no active drop episode — consumes **zero** random
@@ -47,9 +48,21 @@ impl LinkFaults {
     ///
     /// # Errors
     ///
-    /// Propagates [`FaultPlan::validate`] failures.
+    /// Propagates [`FaultPlan::validate`] failures, and names the first
+    /// event whose kind the link layer does not interpret.
     pub fn new(plan: &FaultPlan) -> Result<Self, String> {
         plan.validate()?;
+        if let Some((i, e)) = plan.events.iter().enumerate().find(|(_, e)| {
+            !matches!(
+                e.kind,
+                FaultKind::Heal | FaultKind::DropMessages { .. } | FaultKind::Partition { .. }
+            )
+        }) {
+            return Err(format!(
+                "fault event {i}: the link layer does not interpret {}",
+                e.kind.tag()
+            ));
+        }
         Ok(LinkFaults {
             rng: SimRng::seed_from(plan.seed).fork("link-faults"),
             events: plan.sorted_events(),
@@ -76,9 +89,8 @@ impl LinkFaults {
                 FaultKind::Partition { groups, window } => {
                     self.partition = Some((groups, ev.at + window));
                 }
-                // Host-level faults; the link layer does not interpret
-                // them (see module docs).
-                FaultKind::Crash | FaultKind::Degrade { .. } => {}
+                // `new` refuses every other kind (see module docs).
+                _ => {}
             }
             self.cursor += 1;
         }
@@ -188,5 +200,43 @@ mod tests {
         assert_eq!(lf.deliver(at(2.0), 0, 2), Delivery::Pass);
         assert!(!lf.reachable(at(2.0), 2, 3));
         assert_eq!(lf.deliver(at(5.0), 0, 1), Delivery::Pass);
+    }
+
+    #[test]
+    fn kinds_outside_the_link_layer_are_refused() {
+        for kind in [
+            FaultKind::Crash,
+            FaultKind::Degrade { factor: 2.0 },
+            FaultKind::Restore,
+            FaultKind::CapacityLiar {
+                fraction: 0.2,
+                error: 4.0,
+            },
+            FaultKind::SybilSwarm {
+                count: 4,
+                region: 0.5,
+            },
+            FaultKind::QueryFlood {
+                key: 0.5,
+                queries: 10,
+                window: SimDuration::from_secs_f64(1.0),
+            },
+            FaultKind::RoutingDefector { fraction: 0.1 },
+        ] {
+            let mut plan = FaultPlan::new(3);
+            plan.events.push(FaultEvent {
+                at: at(1.0),
+                kind: FaultKind::Heal,
+            });
+            plan.events.push(FaultEvent { at: at(2.0), kind });
+            let err = LinkFaults::new(&plan).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "fault event 1: the link layer does not interpret {}",
+                    kind.tag()
+                )
+            );
+        }
     }
 }

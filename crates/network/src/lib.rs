@@ -25,28 +25,22 @@
 //! variants are constructed here ([`ProtocolSpec::ert_af`] etc.); the
 //! paper's comparison baselines live in `ert-baselines`.
 //!
-//! # Fault injection
+//! # Faults and adversaries
 //!
 //! [`Network::run_with_faults`] interprets a seeded [`FaultPlan`] (from
-//! `ert-faults`, re-exported here) alongside the churn schedule:
-//! crash-stop departures, degraded hosts, message-loss episodes, and
-//! partitions. Lost forwards retry under [`NetworkConfig::retry`]
-//! (default: a single attempt, i.e. retries off) and exhausted queries
-//! are accounted as `lookups_failed`. An empty plan leaves every run
-//! byte-identical to [`Network::run`].
-//!
-//! # Adversarial interpretation
-//!
-//! [`Network::run_with_plans`] additionally interprets a seeded
-//! [`AdversaryPlan`] (from `ert-adversary`, re-exported here): capacity
-//! liars that misreport ĉ and so violate the γ_c assumption behind
-//! Theorems 3.1/3.2, Sybil swarms concentrating identities on a ring
-//! region, query-flood flash crowds layered onto the base workload, and
-//! routing defectors that invert Algorithm 4's two-choice rule. The
-//! sanitizer's theorem envelopes are relaxed *only* for the specific
-//! theorems whose assumptions the plan deliberately violates (see
-//! [`Network::envelope_relaxations`]). An empty plan leaves every run
-//! byte-identical to [`Network::run_with_faults`].
+//! `ert-faults`, re-exported here) alongside the churn schedule. Its
+//! environment kinds are crash-stop departures, degraded hosts,
+//! message-loss episodes, and partitions: lost forwards retry under
+//! [`NetworkConfig::retry`] (default: a single attempt, i.e. retries
+//! off) and exhausted queries are accounted as `lookups_failed`. Its
+//! adversary kinds are capacity liars that misreport ĉ and so violate
+//! the γ_c assumption behind Theorems 3.1/3.2, Sybil swarms
+//! concentrating identities on a ring region, query-flood flash crowds
+//! layered onto the base workload, and routing defectors that invert
+//! Algorithm 4's two-choice rule. The sanitizer's theorem envelopes are
+//! relaxed *only* for the specific theorems whose assumptions the plan
+//! deliberately violates (see [`Network::envelope_relaxations`]). An
+//! empty plan leaves every run byte-identical to [`Network::run`].
 //!
 //! # Invariant sanitizer
 //!
@@ -82,9 +76,6 @@ pub mod state;
 pub mod topology;
 
 pub use config::NetworkConfig;
-pub use ert_adversary::{
-    AdversaryCampaign, AdversaryEvent, AdversaryKind, AdversaryPlan, AdversaryScript,
-};
 pub use ert_faults::{ChaosPlan, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 pub use lookup::{ChurnEvent, KeyPick, Lookup, SourcePick};
 pub use metrics::RunReport;

@@ -6,7 +6,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::{
     adaptation_action, choose_next_reachable, max_indegree, normalize_capacities, AdaptAction,
     Candidate, ForwardPolicy,
@@ -33,14 +32,14 @@ use crate::topology::Topology;
 /// # Ordering at equal timestamps
 ///
 /// The engine breaks time ties by scheduling order (FIFO), so the
-/// same-instant processing order is fixed by how `run_with_plans`
+/// same-instant processing order is fixed by how `run_with_faults`
 /// enqueues things: lookups in schedule order, then churn in the
-/// canonical [`ChurnEvent::sort_key`] order, then faults in the
-/// canonical [`FaultEvent::sort_key`] order, then adversary events in
-/// the canonical [`ert_adversary::AdversaryEvent::sort_key`] order.
-/// Churn-before-faults means an equal-time join is a member before a
-/// crash draws its victim; faults-before-adversary means an equal-time
-/// heal never undoes a fresh attack.
+/// canonical [`ChurnEvent::sort_key`] order, then the plan's events in
+/// the canonical [`FaultEvent::sort_key`] order. Churn-before-plan
+/// means an equal-time join is a member before a crash draws its
+/// victim; within the plan the kind's rank puts environment faults
+/// before adversary kinds, so an equal-time heal never undoes a fresh
+/// attack.
 #[derive(Debug)]
 enum Event {
     Inject(usize),
@@ -54,11 +53,8 @@ enum Event {
     },
     AdaptTick,
     Churn(usize),
-    /// The `i`-th event of the canonically-sorted fault schedule fires.
+    /// The `i`-th event of the canonically-sorted fault plan fires.
     Fault(usize),
-    /// The `i`-th event of the canonically-sorted adversary schedule
-    /// fires.
-    Adversary(usize),
     /// A query whose forward was lost to a fault wakes up after its
     /// retry backoff and attempts the hop again.
     Retry {
@@ -82,8 +78,8 @@ enum Event {
 /// event lands on, the pop sequence — and therefore the run report —
 /// is byte-identical to the legacy path. Data-plane events follow the
 /// ID-space partition ([`Network::shard_of_event`]); control-plane
-/// events (injection, churn, faults, adversaries, adaptation,
-/// sampling) run on shard 0.
+/// events (injection, churn, the fault plan, adaptation, sampling) run
+/// on shard 0.
 #[derive(Debug)]
 enum Reactor {
     /// One global event queue — the pre-sharding engine, untouched.
@@ -175,8 +171,9 @@ struct QueryState {
     service_started_at: SimTime,
 }
 
-/// Active fault effects, kept outside the paper's host/node state so an
-/// empty [`FaultPlan`] leaves zero residue in the simulation.
+/// Active fault and adversary effects, kept outside the paper's
+/// host/node state so an empty [`FaultPlan`] leaves zero residue in the
+/// simulation.
 #[derive(Debug, Default)]
 struct FaultState {
     /// Per-host service-time inflation factors, cleared by `Heal`.
@@ -185,12 +182,6 @@ struct FaultState {
     drop: Option<(f64, SimTime)>,
     /// Active partition: class count and expiry time.
     partition: Option<(u32, SimTime)>,
-}
-
-/// Active adversarial effects, kept outside the paper's host/node state
-/// so an empty [`AdversaryPlan`] leaves zero residue in the simulation.
-#[derive(Debug, Default)]
-struct AdversaryState {
     /// Hosts currently inverting Algorithm 4's two-choice rule.
     defectors: BTreeSet<usize>,
     /// Capacity liars: host index → the honest `(est_capacity,
@@ -257,18 +248,16 @@ pub struct Network {
     churn_schedule: Vec<ChurnEvent>,
     fault_schedule: Vec<FaultEvent>,
     faults: FaultState,
-    /// Fault-interpretation stream. Reseeded from the plan at the start
-    /// of a faulted run and never drawn from otherwise, so runs with an
+    /// Fault-interpretation stream (crash and degrade victims, message
+    /// drops). Reseeded from the plan at the start of a run with a
+    /// nonempty plan and never drawn from otherwise, so runs with an
     /// empty plan are byte-identical to builds without faults.
     rng_faults: SimRng,
-    adversary_schedule: Vec<ert_adversary::AdversaryEvent>,
-    adversaries: AdversaryState,
-    /// Adversary-interpretation stream, with the same discipline as
-    /// `rng_faults`: reseeded only when the plan is nonempty, never
-    /// drawn from otherwise.
+    /// Adversary-interpretation stream (liars, defectors, Sybils), with
+    /// the same discipline as `rng_faults`.
     rng_adversary: SimRng,
-    /// Theorem envelopes the sanitizer skips because the run's adversary
-    /// plan deliberately violates their assumptions.
+    /// Theorem envelopes the sanitizer skips because the run's plan
+    /// deliberately violates their assumptions.
     relax: EnvelopeRelaxations,
     telemetry: Telemetry,
     sample_clock: Option<SampleClock>,
@@ -414,8 +403,6 @@ impl Network {
             fault_schedule: Vec::new(),
             faults: FaultState::default(),
             rng_faults: SimRng::seed_from(cfg.seed),
-            adversary_schedule: Vec::new(),
-            adversaries: AdversaryState::default(),
             rng_adversary: SimRng::seed_from(cfg.seed),
             relax: EnvelopeRelaxations::NONE,
             telemetry: Telemetry::with_trace_capacity(cfg.trace_capacity),
@@ -440,7 +427,7 @@ impl Network {
 
     /// Which theorem envelopes the sanitizer skipped for this run, each
     /// tagged with the violated assumption. [`EnvelopeRelaxations::NONE`]
-    /// unless [`Network::run_with_plans`] was given a plan that attacks
+    /// unless [`Network::run_with_faults`] was given a plan that attacks
     /// a degree bound (see [`EnvelopeRelaxations::from_plan`]).
     pub fn envelope_relaxations(&self) -> EnvelopeRelaxations {
         self.relax
@@ -499,9 +486,9 @@ impl Network {
     /// belongs to the shard owning the destination ID, a service
     /// completion to the serving host's shard, a retry to the shard of
     /// the node holding the query. Control-plane events (injection,
-    /// churn, faults, adversaries, adaptation, sampling) run on shard
-    /// 0. Routing is pure affinity — the merge key makes any total
-    /// routing function produce the identical pop sequence.
+    /// churn, the fault plan, adaptation, sampling) run on shard 0.
+    /// Routing is pure affinity — the merge key makes any total routing
+    /// function produce the identical pop sequence.
     fn shard_of_event(&self, ev: &Event) -> usize {
         let Reactor::Sharded { map, .. } = &self.reactor else {
             return 0;
@@ -518,7 +505,6 @@ impl Network {
             | Event::AdaptTick
             | Event::Churn(_)
             | Event::Fault(_)
-            | Event::Adversary(_)
             | Event::Sample => 0,
         }
     }
@@ -589,58 +575,33 @@ impl Network {
         self.run_with_faults(lookups, churn, &FaultPlan::default())
     }
 
-    /// Runs the schedule under an injected fault plan (see `ert-faults`).
+    /// Runs the schedule under a perturbation plan (see `ert-faults`):
+    /// environment faults, adversarial actors, or both.
     ///
     /// The plan's events interleave with churn on the same event clock;
-    /// at equal timestamps churn applies before faults, and events of
-    /// each kind apply in their canonical sorted order (see the
-    /// [`Event`] ordering note), so permuting either schedule never
-    /// changes the run. With an empty plan this is exactly [`Network::run`]:
-    /// the fault stream is never drawn from and no fault events are
-    /// scheduled, keeping paper scenarios byte-identical.
+    /// at equal timestamps churn applies first, then the plan's events
+    /// in their canonical sorted order (see the [`Event`] ordering
+    /// note), so permuting either schedule never changes the run. With
+    /// an empty plan this is exactly [`Network::run`]: neither
+    /// interpretation stream is drawn from, no plan events are
+    /// scheduled, and every theorem envelope stays armed, keeping paper
+    /// scenarios byte-identical.
     ///
     /// # Panics
     ///
     /// Panics when the plan fails [`FaultPlan::validate`].
+    #[expect(
+        clippy::panic,
+        reason = "the documented contract: an invalid plan is refused before the first event is scheduled, never mid-run (tests/chaos.rs relies on it)"
+    )]
     pub fn run_with_faults(
         &mut self,
         lookups: &[Lookup],
         churn: &[ChurnEvent],
         plan: &FaultPlan,
     ) -> RunReport {
-        self.run_with_plans(lookups, churn, plan, &AdversaryPlan::default())
-    }
-
-    /// Runs the schedule under a fault plan *and* an adversary plan
-    /// (see `ert-adversary`).
-    ///
-    /// Adversary events share the event clock with everything else; at
-    /// equal timestamps they apply after churn and faults, in their
-    /// canonical sorted order (see the [`Event`] ordering note), so
-    /// permuting any schedule never changes the run. With an empty
-    /// adversary plan this is exactly [`Network::run_with_faults`]: the
-    /// adversary stream is never drawn from, no adversary events are
-    /// scheduled, and every theorem envelope stays armed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either plan fails its `validate`.
-    #[expect(
-        clippy::panic,
-        reason = "the documented contract: an invalid plan is refused before the first event is scheduled, never mid-run (tests/chaos.rs relies on it)"
-    )]
-    pub fn run_with_plans(
-        &mut self,
-        lookups: &[Lookup],
-        churn: &[ChurnEvent],
-        plan: &FaultPlan,
-        adversary: &AdversaryPlan,
-    ) -> RunReport {
         if let Err(e) = plan.validate() {
             panic!("invalid fault plan: {e}");
-        }
-        if let Err(e) = adversary.validate() {
-            panic!("invalid adversary plan: {e}");
         }
         self.lookups = lookups.to_vec();
         self.injections_left = lookups.len() as u64;
@@ -656,24 +617,16 @@ impl Network {
         }
         self.churn_schedule = churn_sorted;
         if !plan.is_empty() {
-            // Seed the interpretation stream from (config, plan) so the
-            // fault outcomes are a pure function of both, independent of
-            // the topology / forwarding / workload streams.
+            // Seed the interpretation streams from (config, plan) so the
+            // outcomes are a pure function of both, independent of the
+            // topology / forwarding / workload streams. Distinct rotation
+            // constants keep fault and adversary outcomes decorrelated.
             self.rng_faults = SimRng::seed_from(self.cfg.seed.rotate_left(17) ^ plan.seed);
+            self.rng_adversary = SimRng::seed_from(self.cfg.seed.rotate_left(29) ^ plan.seed);
+            self.relax = EnvelopeRelaxations::from_plan(plan);
             self.fault_schedule = plan.sorted_events();
             for i in 0..self.fault_schedule.len() {
                 self.schedule_event(self.fault_schedule[i].at, Event::Fault(i));
-            }
-        }
-        if !adversary.is_empty() {
-            // Same discipline as the fault stream, with a distinct
-            // rotation constant so fault and adversary outcomes built
-            // from the same seeds stay decorrelated.
-            self.rng_adversary = SimRng::seed_from(self.cfg.seed.rotate_left(29) ^ adversary.seed);
-            self.relax = EnvelopeRelaxations::from_plan(adversary);
-            self.adversary_schedule = adversary.sorted_events();
-            for i in 0..self.adversary_schedule.len() {
-                self.schedule_event(self.adversary_schedule[i].at, Event::Adversary(i));
             }
         }
         if self.protocol.adaptation || self.protocol.item_movement || self.cfg.stabilization {
@@ -694,7 +647,6 @@ impl Network {
                 Event::AdaptTick => self.on_adapt_tick(now),
                 Event::Churn(i) => self.on_churn(i, now),
                 Event::Fault(i) => self.on_fault(i, now),
-                Event::Adversary(i) => self.on_adversary(i, now),
                 Event::Retry { q } => self.on_retry(q, now),
                 Event::Sample => self.on_sample(now),
             }
@@ -1083,10 +1035,7 @@ impl Network {
         // delegates to the ordinary two-choice selection with identical
         // RNG draws, keeping fault-free runs byte-identical.
         let cut = self.partition_cut(node, &rc.ids, now);
-        let defecting = self
-            .adversaries
-            .defectors
-            .contains(&self.topo.nodes[node].host);
+        let defecting = self.faults.defectors.contains(&self.topo.nodes[node].host);
         let picked = if defecting {
             // Routing defection: invert Algorithm 4 and forward to the
             // *most*-loaded reachable candidate, ignoring the avoid
@@ -1571,27 +1520,9 @@ impl Network {
             return; // keep the overlay routable
         }
         let pos = self.rng_topology.gen_range(0..self.alive_hosts.len());
-        let host_idx = self.alive_hosts.swap_remove(pos);
-        let node_idxs = self.topo.hosts[host_idx].nodes.clone();
-        let mut removed: u32 = 0;
-        for n in node_idxs {
-            if self.topo.nodes[n].alive {
-                self.topo.remove_node(n);
-                removed += 1;
-            }
-        }
-        self.topo.hosts[host_idx].alive = false;
-        self.telemetry.emit(now, || TelemetryEvent::NodeDeparted {
-            host: host_idx as u64,
-            nodes: removed,
-        });
         // Queries stranded on the departed host resume at the successor
         // of the node they were queued at, after a timeout.
-        let mut stranded: Vec<usize> = self.topo.hosts[host_idx].queue.drain(..).collect();
-        if let Some(in_service) = self.topo.hosts[host_idx].in_service.take() {
-            stranded.push(in_service);
-        }
-        for q in stranded {
+        for q in self.remove_host(pos, now) {
             if self.queries[q].done {
                 continue;
             }
@@ -1614,14 +1545,46 @@ impl Network {
         }
     }
 
+    /// Removes the live host at `alive_hosts[pos]` and all its nodes,
+    /// and returns the queries queued or in service on it.
+    fn remove_host(&mut self, pos: usize, now: SimTime) -> Vec<usize> {
+        let host_idx = self.alive_hosts.swap_remove(pos);
+        let node_idxs = self.topo.hosts[host_idx].nodes.clone();
+        let mut removed: u32 = 0;
+        for n in node_idxs {
+            if self.topo.nodes[n].alive {
+                self.topo.remove_node(n);
+                removed += 1;
+            }
+        }
+        self.faults.degraded.remove(&host_idx);
+        let host = &mut self.topo.hosts[host_idx];
+        host.alive = false;
+        let mut stranded: Vec<usize> = host.queue.drain(..).collect();
+        stranded.extend(host.in_service.take());
+        self.telemetry.emit(now, || TelemetryEvent::NodeDeparted {
+            host: host_idx as u64,
+            nodes: removed,
+        });
+        stranded
+    }
+
     fn on_fault(&mut self, i: usize, now: SimTime) {
         let ev = self.fault_schedule[i];
         let seq = i as u64;
         let tag = ev.kind.tag();
-        self.telemetry.emit(now, || TelemetryEvent::FaultInjected {
-            seq,
-            fault: tag.to_string(),
-        });
+        if ev.kind.is_adversarial() {
+            self.telemetry
+                .emit(now, || TelemetryEvent::AdversaryActivated {
+                    seq,
+                    actor: tag.to_string(),
+                });
+        } else {
+            self.telemetry.emit(now, || TelemetryEvent::FaultInjected {
+                seq,
+                fault: tag.to_string(),
+            });
+        }
         match ev.kind {
             FaultKind::Crash => self.crash_random_host(now),
             FaultKind::Degrade { factor } => {
@@ -1636,30 +1599,17 @@ impl Network {
                 self.faults.partition = Some((groups, now + window));
             }
             FaultKind::Heal => self.faults.heal(),
-        }
-    }
-
-    fn on_adversary(&mut self, i: usize, now: SimTime) {
-        let ev = self.adversary_schedule[i];
-        let seq = i as u64;
-        let tag = ev.kind.tag();
-        self.telemetry
-            .emit(now, || TelemetryEvent::AdversaryActivated {
-                seq,
-                actor: tag.to_string(),
-            });
-        match ev.kind {
-            AdversaryKind::Restore => self.restore_honest(),
-            AdversaryKind::CapacityLiar { fraction, error } => {
+            FaultKind::Restore => self.restore_honest(),
+            FaultKind::CapacityLiar { fraction, error } => {
                 self.activate_liars(fraction, error, now)
             }
-            AdversaryKind::SybilSwarm { count, region } => self.join_sybils(count, region, now),
-            AdversaryKind::QueryFlood {
+            FaultKind::SybilSwarm { count, region } => self.join_sybils(count, region, now),
+            FaultKind::QueryFlood {
                 key,
                 queries,
                 window,
             } => self.inject_flood(key, queries, window, now),
-            AdversaryKind::RoutingDefector { fraction } => self.activate_defectors(fraction),
+            FaultKind::RoutingDefector { fraction } => self.activate_defectors(fraction),
         }
     }
 
@@ -1671,7 +1621,7 @@ impl Network {
     /// honest threshold, so a liar attracts two-choice traffic by
     /// advertising slack congestion while its queue physically
     /// saturates at the honest capacity. The honest pair is stashed for
-    /// [`AdversaryKind::Restore`]; lying twice compounds the error but
+    /// [`FaultKind::Restore`]; lying twice compounds the error but
     /// restores to the original truth.
     fn activate_liars(&mut self, fraction: f64, error: f64, now: SimTime) {
         let n = self.alive_hosts.len();
@@ -1684,7 +1634,7 @@ impl Network {
             let h = self.alive_hosts[p];
             {
                 let host = &mut self.topo.hosts[h];
-                self.adversaries
+                self.faults
                     .liars
                     .entry(h)
                     .or_insert((host.est_capacity, host.capacity_eval));
@@ -1709,7 +1659,7 @@ impl Network {
         }
         let k = ((fraction * n as f64).ceil() as usize).clamp(1, n);
         for p in self.rng_adversary.sample_indices(n, k) {
-            self.adversaries.defectors.insert(self.alive_hosts[p]);
+            self.faults.defectors.insert(self.alive_hosts[p]);
         }
     }
 
@@ -1790,13 +1740,13 @@ impl Network {
     /// Sybils stay (identity joins are as irreversible as churn joins)
     /// and already-injected flood lookups run their course.
     fn restore_honest(&mut self) {
-        let liars = std::mem::take(&mut self.adversaries.liars);
+        let liars = std::mem::take(&mut self.faults.liars);
         for (h, (est, eval)) in liars {
             let host = &mut self.topo.hosts[h];
             host.est_capacity = est;
             host.capacity_eval = eval;
         }
-        self.adversaries.defectors.clear();
+        self.faults.defectors.clear();
     }
 
     /// Crash-stop departure: like [`Network::leave_random_host`] but
@@ -1807,26 +1757,7 @@ impl Network {
             return; // keep the overlay routable, as with clean leaves
         }
         let pos = self.rng_faults.gen_range(0..self.alive_hosts.len());
-        let host_idx = self.alive_hosts.swap_remove(pos);
-        let node_idxs = self.topo.hosts[host_idx].nodes.clone();
-        let mut removed: u32 = 0;
-        for n in node_idxs {
-            if self.topo.nodes[n].alive {
-                self.topo.remove_node(n);
-                removed += 1;
-            }
-        }
-        self.topo.hosts[host_idx].alive = false;
-        self.faults.degraded.remove(&host_idx);
-        self.telemetry.emit(now, || TelemetryEvent::NodeDeparted {
-            host: host_idx as u64,
-            nodes: removed,
-        });
-        let mut lost: Vec<usize> = self.topo.hosts[host_idx].queue.drain(..).collect();
-        if let Some(in_service) = self.topo.hosts[host_idx].in_service.take() {
-            lost.push(in_service);
-        }
-        for q in lost {
+        for q in self.remove_host(pos, now) {
             self.fail_query(q, now);
         }
     }

@@ -19,9 +19,9 @@
 //! touched); the degree sweep is O(nodes) and runs only on adaptation
 //! ticks and at the end of the run.
 
-use ert_adversary::{AdversaryKind, AdversaryPlan};
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
 use ert_core::expand_indegree;
+use ert_faults::{FaultKind, FaultPlan};
 use ert_overlay::{CycloidId, CycloidRegion, InlinkCursor};
 use ert_sim::SimTime;
 
@@ -30,14 +30,15 @@ use crate::state::Host;
 use crate::topology::{inlink_pair, Topology};
 
 /// Which theorem envelopes the degree sweep must *not* assert for one
-/// run, because the run's [`AdversaryPlan`] deliberately violates the
+/// run, because the run's [`FaultPlan`] deliberately violates the
 /// assumption the theorem rests on. Each relaxed envelope carries a tag
 /// naming the violated assumption, so a relaxation is never silent: the
 /// tag is what reports and the byzantine harness surface.
 ///
-/// Derivation is deliberately narrow — defectors and query floods
-/// attack routing and workload, not the degree structure, so they relax
-/// nothing and every envelope stays armed under them:
+/// Derivation is deliberately narrow — environment faults, defectors
+/// and query floods attack the environment, routing and workload, not
+/// the degree structure, so they relax nothing and every envelope stays
+/// armed under them:
 ///
 /// * **capacity liars** break the γ_c honest-estimate premise. That
 ///   invalidates Theorem 3.1 directly (capacity_eval vs. *true*
@@ -71,15 +72,15 @@ impl EnvelopeRelaxations {
     };
 
     /// Derives the relaxations a plan warrants. An empty plan — and any
-    /// plan of only defectors, floods, and restores — relaxes nothing.
-    pub fn from_plan(plan: &AdversaryPlan) -> EnvelopeRelaxations {
+    /// plan without capacity liars or Sybil swarms — relaxes nothing.
+    pub fn from_plan(plan: &FaultPlan) -> EnvelopeRelaxations {
         let mut relax = EnvelopeRelaxations::NONE;
-        if plan.any_kind(|k| matches!(k, AdversaryKind::CapacityLiar { .. })) {
+        if plan.any_kind(|k| matches!(k, FaultKind::CapacityLiar { .. })) {
             relax.thm31 = Some(GAMMA_C_VIOLATED);
             relax.thm32 = Some(GAMMA_C_VIOLATED);
             relax.thm33 = Some(GAMMA_C_VIOLATED);
         }
-        if plan.any_kind(|k| matches!(k, AdversaryKind::SybilSwarm { .. })) {
+        if plan.any_kind(|k| matches!(k, FaultKind::SybilSwarm { .. })) {
             relax.thm32.get_or_insert(SYBIL_CONCENTRATION);
         }
         relax
@@ -571,27 +572,30 @@ mod tests {
     fn relaxations_derive_only_from_degree_violating_actors() {
         use ert_sim::SimTime;
 
-        let mut plan = AdversaryPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         assert!(EnvelopeRelaxations::from_plan(&plan).is_none());
 
-        plan.events.push(ert_adversary::AdversaryEvent {
-            at: SimTime::ZERO,
-            kind: AdversaryKind::RoutingDefector { fraction: 0.2 },
-        });
-        plan.events.push(ert_adversary::AdversaryEvent {
-            at: SimTime::ZERO,
-            kind: AdversaryKind::QueryFlood {
+        for kind in [
+            FaultKind::Crash,
+            FaultKind::RoutingDefector { fraction: 0.2 },
+            FaultKind::QueryFlood {
                 key: 0.5,
                 queries: 100,
                 window: ert_sim::SimDuration::from_secs_f64(1.0),
             },
-        });
-        // Defectors and floods attack routing/workload, not degrees.
+        ] {
+            plan.events.push(ert_faults::FaultEvent {
+                at: SimTime::ZERO,
+                kind,
+            });
+        }
+        // Crashes, defectors and floods attack the environment, routing
+        // and workload, not degrees.
         assert!(EnvelopeRelaxations::from_plan(&plan).is_none());
 
-        plan.events.push(ert_adversary::AdversaryEvent {
+        plan.events.push(ert_faults::FaultEvent {
             at: SimTime::ZERO,
-            kind: AdversaryKind::SybilSwarm {
+            kind: FaultKind::SybilSwarm {
                 count: 8,
                 region: 0.3,
             },
@@ -601,9 +605,9 @@ mod tests {
         assert!(relax.thm32.unwrap().contains("SybilSwarm"));
         assert_eq!(relax.tags().len(), 1);
 
-        plan.events.push(ert_adversary::AdversaryEvent {
+        plan.events.push(ert_faults::FaultEvent {
             at: SimTime::ZERO,
-            kind: AdversaryKind::CapacityLiar {
+            kind: FaultKind::CapacityLiar {
                 fraction: 0.2,
                 error: 4.0,
             },

@@ -23,7 +23,8 @@ pub struct Host {
     /// Queries the host claims it can hold at a time: `⌊0.5 + α·ĉ⌋`
     /// (Section 5). This is the *advertised* value — it feeds candidate
     /// congestion comparisons, indegree caps, and adaptation decisions,
-    /// and capacity liars (see `ert-adversary`) inflate it together
+    /// and capacity liars (`ert_faults::FaultKind::CapacityLiar`)
+    /// inflate it together
     /// with `est_capacity`.
     pub capacity_eval: u32,
     /// The honest queue-pressure threshold that service speed and the

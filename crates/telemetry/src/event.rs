@@ -114,7 +114,8 @@ pub enum TelemetryEvent {
         /// Tick ordinal (1-based).
         round: u64,
     },
-    /// A scheduled fault fired (see `ert-faults`).
+    /// A scheduled environment fault of the plan fired (see
+    /// `ert-faults`).
     FaultInjected {
         /// Index of the event within the (canonically ordered) plan.
         seq: u64,
@@ -146,7 +147,7 @@ pub enum TelemetryEvent {
         /// Hops taken before the failure.
         hops: u32,
     },
-    /// A scheduled adversary activation fired (see `ert-adversary`).
+    /// A scheduled adversary kind of the plan fired (see `ert-faults`).
     AdversaryActivated {
         /// Index of the event within the (canonically ordered) plan.
         seq: u64,

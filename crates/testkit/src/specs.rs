@@ -531,7 +531,7 @@ fn theorems(specs: &mut Vec<ShapeSpec>) {
     ));
 }
 
-// Adversarial panels (`ert-adversary`, EXPERIMENTS.md "Adversarial
+// Adversarial panels (`ert-experiments::adversarial`, EXPERIMENTS.md "Adversarial
 // sweeps"). The liar/defector/sybil sweeps use different axis maxima
 // per tier (quick errors top out at 4, paper at 8; fractions 0.2 vs
 // 0.3; swarm sizes 16 vs 32), which is what the gates key on. The

@@ -22,10 +22,7 @@ use std::ops::Range;
 
 use ert_experiments::{ChurnSpec, Scenario, Workload};
 use ert_network::network::uniform_lookup_burst;
-use ert_network::{
-    AdversaryEvent, AdversaryKind, AdversaryPlan, FaultEvent, FaultKind, FaultPlan, Lookup,
-    NetworkConfig,
-};
+use ert_network::{FaultEvent, FaultKind, FaultPlan, Lookup, NetworkConfig};
 use ert_overlay::CycloidSpace;
 use ert_sim::{SimDuration, SimRng, SimTime};
 use ert_workloads::{uniform_lookups, BoundedPareto};
@@ -110,21 +107,29 @@ pub fn small_world(n_range: Range<usize>) -> SmallWorldStrategy {
 /// The tuple strategy one fault event is drawn from.
 pub type FaultEventStrategy = (Range<u64>, Range<u8>, Range<u64>, Range<u64>);
 
-/// Raw fault-event tuples `(at_us, kind_tag, a, b)` as drawn by the
-/// fault-plan property: up to ten events over an 8-second horizon.
+/// Raw plan-event tuples `(at_us, kind_tag, a, b)` as drawn by the
+/// fault-plan property: up to ten events of any of the ten kinds over a
+/// 2-second horizon, which covers a small world's injection phase.
 /// Decode with [`fault_kind`] / assemble with [`fault_plan`].
 #[must_use]
 pub fn fault_events() -> proptest::collection::VecStrategy<FaultEventStrategy> {
-    proptest::collection::vec((0u64..8_000_000, 0u8..5, 0u64..100, 1u64..5_000_000), 0..10)
+    proptest::collection::vec(
+        (0u64..2_000_000, 0u8..10, 0u64..100, 1u64..5_000_000),
+        0..10,
+    )
 }
 
 /// Decodes a drawn `(kind_tag, a, b)` triple into a [`FaultKind`] —
-/// the canonical mapping every fault property uses (tag 0 crash,
-/// 1 degrade, 2 drop, 3 partition, else heal; `a` scales the
-/// magnitude, `b` is the window in microseconds).
+/// the canonical mapping every plan property uses, in rank order: tag
+/// 0 crash, 1 degrade, 2 drop, 3 partition, 4 heal, 5 restore,
+/// 6 capacity liar, 7 Sybil swarm, 8 query flood, else routing
+/// defector. `a` scales magnitudes, fractions and counts; `b` is the
+/// window in microseconds or scales errors and regions. Every decoded
+/// kind passes [`FaultKind::validate`] by construction.
 #[must_use]
 pub fn fault_kind(kind_tag: u8, a: u64, b: u64) -> FaultKind {
     let window = SimDuration::from_micros(b);
+    let fraction = (a + 1) as f64 / 101.0;
     match kind_tag {
         0 => FaultKind::Crash,
         1 => FaultKind::Degrade {
@@ -138,7 +143,22 @@ pub fn fault_kind(kind_tag: u8, a: u64, b: u64) -> FaultKind {
             groups: 2 + (a % 3) as u32,
             window,
         },
-        _ => FaultKind::Heal,
+        4 => FaultKind::Heal,
+        5 => FaultKind::Restore,
+        6 => FaultKind::CapacityLiar {
+            fraction,
+            error: 0.25 + b as f64 / 1.0e6,
+        },
+        7 => FaultKind::SybilSwarm {
+            count: 1 + (a % 16) as u32,
+            region: b as f64 / 5.0e6,
+        },
+        8 => FaultKind::QueryFlood {
+            key: a as f64 / 101.0,
+            queries: 1 + (a % 50) as u32,
+            window,
+        },
+        _ => FaultKind::RoutingDefector { fraction },
     }
 }
 
@@ -153,79 +173,6 @@ pub fn fault_plan(seed: u64, events: &[(u64, u8, u64, u64)]) -> FaultPlan {
         });
     }
     plan
-}
-
-/// Raw adversary-event tuples `(at_us, kind_tag, a, b)` — the same
-/// drawing shape as [`fault_events`], so mixed fault+adversary
-/// properties can share one generator loop. Decode with
-/// [`adversary_kind`] / assemble with [`adversary_plan`].
-#[must_use]
-pub fn adversary_events() -> proptest::collection::VecStrategy<FaultEventStrategy> {
-    proptest::collection::vec((0u64..8_000_000, 0u8..5, 0u64..100, 1u64..5_000_000), 0..10)
-}
-
-/// Decodes a drawn `(kind_tag, a, b)` triple into a valid
-/// [`AdversaryKind`] — the canonical mapping for adversary properties
-/// (tag 0 restore, 1 capacity liar, 2 Sybil swarm, 3 query flood, else
-/// routing defector; `a` scales fractions/counts, `b` scales
-/// errors/regions/windows). Every decoded kind passes
-/// [`AdversaryKind::validate`] by construction.
-#[must_use]
-pub fn adversary_kind(kind_tag: u8, a: u64, b: u64) -> AdversaryKind {
-    match kind_tag {
-        0 => AdversaryKind::Restore,
-        1 => AdversaryKind::CapacityLiar {
-            fraction: (a + 1) as f64 / 101.0,
-            error: 0.25 + b as f64 / 1.0e6,
-        },
-        2 => AdversaryKind::SybilSwarm {
-            count: 1 + (a % 16) as u32,
-            region: b as f64 / 5.0e6,
-        },
-        3 => AdversaryKind::QueryFlood {
-            key: a as f64 / 101.0,
-            queries: 1 + (a % 50) as u32,
-            window: SimDuration::from_micros(b),
-        },
-        _ => AdversaryKind::RoutingDefector {
-            fraction: (a + 1) as f64 / 101.0,
-        },
-    }
-}
-
-/// Assembles an [`AdversaryPlan`] from drawn event tuples.
-#[must_use]
-pub fn adversary_plan(seed: u64, events: &[(u64, u8, u64, u64)]) -> AdversaryPlan {
-    let mut plan = AdversaryPlan::new(seed);
-    for &(at, kind_tag, a, b) in events {
-        plan.events.push(AdversaryEvent {
-            at: SimTime::from_micros(at),
-            kind: adversary_kind(kind_tag, a, b),
-        });
-    }
-    plan
-}
-
-/// Strategy producing whole validated [`AdversaryPlan`]s: a seed from
-/// the stock `0..10_000` space plus up to ten decoded events over the
-/// 8-second horizon.
-#[derive(Debug, Clone, Copy)]
-pub struct AdversaryPlanStrategy;
-
-impl Strategy for AdversaryPlanStrategy {
-    type Value = AdversaryPlan;
-    fn sample(&self, rng: &mut TestRng) -> AdversaryPlan {
-        let seed = (0u64..10_000).sample(rng);
-        let events = adversary_events().sample(rng);
-        adversary_plan(seed, &events)
-    }
-}
-
-/// Strategy over seeded [`AdversaryPlan`]s (see
-/// [`AdversaryPlanStrategy`]).
-#[must_use]
-pub fn adversary_plans() -> AdversaryPlanStrategy {
-    AdversaryPlanStrategy
 }
 
 /// Churn intensities from mild (20 s interarrivals) to the paper's
@@ -389,7 +336,32 @@ mod tests {
             other => panic!("wrong kind: {other:?}"),
         }
         assert!(matches!(fault_kind(4, 0, 1), FaultKind::Heal));
-        assert!(matches!(fault_kind(200, 0, 1), FaultKind::Heal));
+        assert!(matches!(fault_kind(5, 7, 9), FaultKind::Restore));
+        assert!(matches!(
+            fault_kind(6, 99, 9),
+            FaultKind::CapacityLiar { .. }
+        ));
+        assert!(matches!(fault_kind(7, 20, 9), FaultKind::SybilSwarm { .. }));
+        assert!(matches!(
+            fault_kind(8, 100, 1),
+            FaultKind::QueryFlood { .. }
+        ));
+        assert!(matches!(
+            fault_kind(9, 0, 1),
+            FaultKind::RoutingDefector { .. }
+        ));
+        assert!(matches!(
+            fault_kind(200, 0, 1),
+            FaultKind::RoutingDefector { .. }
+        ));
+        // Every corner of the drawn parameter space decodes valid.
+        for tag in 0u8..=10 {
+            for a in [0u64, 1, 50, 99] {
+                for b in [1u64, 2_500_000, 4_999_999] {
+                    fault_kind(tag, a, b).validate().unwrap();
+                }
+            }
+        }
     }
 
     #[test]
@@ -399,59 +371,6 @@ mod tests {
             let events = fault_events().sample(&mut rng);
             let plan = fault_plan(11, &events);
             assert!(plan.validate().is_ok(), "invalid plan from {events:?}");
-        }
-    }
-
-    #[test]
-    fn adversary_kind_mapping_is_total_and_valid() {
-        assert!(matches!(adversary_kind(0, 7, 9), AdversaryKind::Restore));
-        match adversary_kind(1, 99, 4_999_999) {
-            AdversaryKind::CapacityLiar { fraction, error } => {
-                assert!(fraction > 0.0 && fraction <= 1.0);
-                assert!(error > 0.0 && error.is_finite());
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match adversary_kind(2, 20, 4_999_999) {
-            AdversaryKind::SybilSwarm { count, region } => {
-                assert!(count >= 1);
-                assert!((0.0..1.0).contains(&region));
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match adversary_kind(3, 100, 1) {
-            AdversaryKind::QueryFlood { key, queries, .. } => {
-                assert!((0.0..1.0).contains(&key));
-                assert!(queries >= 1);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        assert!(matches!(
-            adversary_kind(4, 0, 1),
-            AdversaryKind::RoutingDefector { .. }
-        ));
-        assert!(matches!(
-            adversary_kind(200, 0, 1),
-            AdversaryKind::RoutingDefector { .. }
-        ));
-        // Every corner of the drawn parameter space decodes valid.
-        for tag in 0u8..=5 {
-            for a in [0u64, 1, 50, 99] {
-                for b in [1u64, 2_500_000, 4_999_999] {
-                    adversary_kind(tag, a, b).validate().unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn drawn_adversary_plans_validate() {
-        let mut rng = TestRng::deterministic();
-        for _ in 0..50 {
-            let plan = adversary_plans().sample(&mut rng);
-            assert!(plan.validate().is_ok(), "invalid plan: {plan:?}");
-            assert!(plan.seed < 10_000);
-            assert!(plan.events.len() < 10);
         }
     }
 

@@ -7,9 +7,9 @@
 //! * [`overlay`] — Cycloid / Chord / Pastry geometry and registries;
 //! * [`core`] — the elastic-routing-table mechanism (the paper's
 //!   contribution);
-//! * [`faults`] — fault plans, retry policies, and the chaos generator;
-//! * [`adversary`] — byzantine actor plans: capacity liars, Sybil
-//!   swarms, query floods, routing defectors;
+//! * [`faults`] — perturbation plans (environment faults and byzantine
+//!   actors: capacity liars, Sybil swarms, query floods, routing
+//!   defectors), retry policies, and the randomized plan generator;
 //! * [`par`] — the deterministic worker pool behind every sweep's
 //!   fan-out (canonical-order collection, panic containment);
 //! * [`network`] — the simulated DHT network and protocol specs;
@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ert_adversary as adversary;
 pub use ert_baselines as baselines;
 pub use ert_core as core;
 pub use ert_experiments as experiments;

@@ -8,9 +8,9 @@
 //! envelopes, and would abort here if `ert-network::sanitize` failed
 //! to relax exactly those checks (and only those) for such plans.
 
-use ert_repro::adversary::AdversaryScript;
+use ert_repro::experiments::adversarial::AdversaryScript;
 use ert_repro::experiments::Scenario;
-use ert_repro::network::{AdversaryPlan, FaultPlan, Network, NetworkConfig, ProtocolSpec};
+use ert_repro::network::{FaultPlan, Network, NetworkConfig, ProtocolSpec};
 use ert_repro::overlay::CycloidSpace;
 use ert_repro::sim::SimRng;
 use ert_repro::workloads::{uniform_lookups, BoundedPareto};
@@ -51,9 +51,9 @@ fn pinned_byzantine_mix_meets_the_acceptance_gate() {
     }
 }
 
-/// An explicit empty adversary plan is indistinguishable from a plain
-/// run, field for field: the adversary subsystem draws nothing and
-/// schedules nothing unless a plan actually carries events.
+/// An explicit empty plan is indistinguishable from a plain run, field
+/// for field: the fault and adversary interpreters draw nothing and
+/// schedule nothing unless a plan actually carries events.
 #[test]
 fn empty_adversary_plan_is_byte_identical_to_plain_run() {
     let n = 192;
@@ -68,12 +68,7 @@ fn empty_adversary_plan_is_byte_identical_to_plain_run() {
     let (mut plain, lookups) = build();
     let rp = plain.run(&lookups, &[]);
     let (mut explicit, lookups) = build();
-    let re = explicit.run_with_plans(
-        &lookups,
-        &[],
-        &FaultPlan::default(),
-        &AdversaryPlan::default(),
-    );
+    let re = explicit.run_with_faults(&lookups, &[], &FaultPlan::default());
     assert_eq!(format!("{rp:?}"), format!("{re:?}"));
 }
 

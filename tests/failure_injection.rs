@@ -126,29 +126,22 @@ fn permuting_equal_time_churn_does_not_change_the_report() {
     assert_eq!(baseline, run(&rotated));
 }
 
-/// The same order-invariance holds across *all three* schedules at
-/// once: churn, fault events, and adversary events piled onto one
-/// instant apply in their canonical `sort_key` orders (churn, then
-/// faults, then adversaries; each kind tie-broken by taxonomy rank and
-/// parameter bits), so permuting any of the three event lists never
-/// changes the run.
+/// The same order-invariance holds for a plan mixing both classes:
+/// fault and adversary events piled onto one instant apply in the
+/// canonical `sort_key` order (environment faults before adversary
+/// kinds, each tie-broken by taxonomy rank and parameter bits), so
+/// permuting the plan's event list never changes the run.
 #[test]
 fn permuting_mixed_fault_and_adversary_plans_is_order_invariant() {
-    use ert_repro::adversary::{AdversaryEvent, AdversaryKind, AdversaryPlan};
     use ert_repro::faults::{FaultEvent, FaultKind, FaultPlan};
     use ert_repro::sim::SimDuration;
 
-    let run = |fault_events: &[FaultEvent], adv_events: &[AdversaryEvent]| {
+    let run = |fault_events: &[FaultEvent], adv_events: &[FaultEvent]| {
         let (mut net, mut rng) = build(192, 405, ProtocolSpec::ert_af());
         let lookups = uniform_lookups(300, 192.0, &mut rng);
-        let mut faults = FaultPlan::new(9);
-        faults.events = fault_events.to_vec();
-        let mut adversary = AdversaryPlan::new(5);
-        adversary.events = adv_events.to_vec();
-        format!(
-            "{:?}",
-            net.run_with_plans(&lookups, &[], &faults, &adversary)
-        )
+        let mut plan = FaultPlan::new(9);
+        plan.events = [fault_events, adv_events].concat();
+        format!("{:?}", net.run_with_faults(&lookups, &[], &plan))
     };
 
     let mid = {
@@ -173,27 +166,27 @@ fn permuting_mixed_fault_and_adversary_plans_is_order_invariant() {
         },
     ];
     let adversaries = vec![
-        AdversaryEvent {
+        FaultEvent {
             at: mid,
-            kind: AdversaryKind::RoutingDefector { fraction: 0.15 },
+            kind: FaultKind::RoutingDefector { fraction: 0.15 },
         },
-        AdversaryEvent {
+        FaultEvent {
             at: mid,
-            kind: AdversaryKind::CapacityLiar {
+            kind: FaultKind::CapacityLiar {
                 fraction: 0.2,
                 error: 4.0,
             },
         },
-        AdversaryEvent {
+        FaultEvent {
             at: mid,
-            kind: AdversaryKind::SybilSwarm {
+            kind: FaultKind::SybilSwarm {
                 count: 6,
                 region: 0.4,
             },
         },
-        AdversaryEvent {
+        FaultEvent {
             at: mid,
-            kind: AdversaryKind::QueryFlood {
+            kind: FaultKind::QueryFlood {
                 key: 0.37,
                 queries: 60,
                 window: SimDuration::from_secs_f64(0.4),

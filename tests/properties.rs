@@ -299,19 +299,20 @@ proptest! {
         );
     }
 
-    /// Fault-plan property: any small syntactically valid fault plan,
-    /// with retries on or off, conserves lookups exactly — and the
-    /// runtime sanitizer (armed in debug builds) audits that balance
-    /// after every event without firing. Event tuples come from the
-    /// shared `testkit::strategies::fault_events` strategy and decode
-    /// through the canonical `fault_plan` assembler.
+    /// Fault-plan property: any small syntactically valid plan — any
+    /// mix of environment faults and adversary kinds — with retries on
+    /// or off, conserves lookups exactly, flood lookups included, and
+    /// the runtime sanitizer (armed in debug builds) audits that
+    /// balance after every event without firing. Event tuples come from
+    /// the shared `testkit::strategies::fault_events` strategy and
+    /// decode through the canonical `fault_plan` assembler.
     #[test]
     fn arbitrary_fault_plans_conserve_lookups(
         world in strategies::small_world(48usize..49),
         retries in proptest::bool::ANY,
         events in strategies::fault_events(),
     ) {
-        use ert_repro::faults::RetryPolicy;
+        use ert_repro::faults::{FaultKind, RetryPolicy};
         use ert_repro::network::{Network, ProtocolSpec};
 
         let mut world = world;
@@ -324,7 +325,19 @@ proptest! {
             .expect("valid network");
         let lookups = world.lookups(60);
         let r = net.run_with_faults(&lookups, &[], &plan);
-        prop_assert_eq!(r.lookups_started, 60);
+        // A flood fires iff it is due by the run's end; each one that
+        // fired adds its queries to the ledger.
+        let flooded: u64 = plan
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                FaultKind::QueryFlood { queries, .. } if e.at.as_secs_f64() <= r.sim_seconds => {
+                    Some(u64::from(queries))
+                }
+                _ => None,
+            })
+            .sum();
+        prop_assert_eq!(r.lookups_started, 60 + flooded);
         prop_assert_eq!(
             r.lookups_completed + r.lookups_dropped + r.lookups_failed,
             r.lookups_started

@@ -112,7 +112,6 @@ fn build(n: usize, seed: u64, shards: usize, spec: ProtocolSpec) -> (Network, Si
 /// single loop holds sharded too.
 #[test]
 fn mixed_fault_and_adversary_schedule_is_shard_invariant() {
-    use ert_repro::adversary::{AdversaryEvent, AdversaryKind, AdversaryPlan};
     use ert_repro::faults::{FaultEvent, FaultKind, FaultPlan};
     use ert_repro::sim::SimDuration;
 
@@ -120,8 +119,8 @@ fn mixed_fault_and_adversary_schedule_is_shard_invariant() {
         let (mut net, mut rng) = build(192, 405, shards, ProtocolSpec::ert_af());
         let lookups = uniform_lookups(300, 192.0, &mut rng);
         let mid = lookups[150].at;
-        let mut faults = FaultPlan::new(9);
-        faults.events = vec![
+        let mut plan = FaultPlan::new(9);
+        plan.events = vec![
             FaultEvent {
                 at: mid,
                 kind: FaultKind::Crash,
@@ -137,30 +136,27 @@ fn mixed_fault_and_adversary_schedule_is_shard_invariant() {
                     window: SimDuration::from_secs_f64(0.5),
                 },
             },
-        ];
-        let mut adversary = AdversaryPlan::new(5);
-        adversary.events = vec![
-            AdversaryEvent {
+            FaultEvent {
                 at: mid,
-                kind: AdversaryKind::RoutingDefector { fraction: 0.15 },
+                kind: FaultKind::RoutingDefector { fraction: 0.15 },
             },
-            AdversaryEvent {
+            FaultEvent {
                 at: mid,
-                kind: AdversaryKind::CapacityLiar {
+                kind: FaultKind::CapacityLiar {
                     fraction: 0.2,
                     error: 4.0,
                 },
             },
-            AdversaryEvent {
+            FaultEvent {
                 at: mid,
-                kind: AdversaryKind::SybilSwarm {
+                kind: FaultKind::SybilSwarm {
                     count: 6,
                     region: 0.4,
                 },
             },
-            AdversaryEvent {
+            FaultEvent {
                 at: mid,
-                kind: AdversaryKind::QueryFlood {
+                kind: FaultKind::QueryFlood {
                     key: 0.37,
                     queries: 60,
                     window: SimDuration::from_secs_f64(0.4),
@@ -168,13 +164,9 @@ fn mixed_fault_and_adversary_schedule_is_shard_invariant() {
             },
         ];
         if reverse_plans {
-            faults.events.reverse();
-            adversary.events.reverse();
+            plan.events.reverse();
         }
-        format!(
-            "{:?}",
-            net.run_with_plans(&lookups, &[], &faults, &adversary)
-        )
+        format!("{:?}", net.run_with_faults(&lookups, &[], &plan))
     };
 
     let legacy = run(0, false);

@@ -137,32 +137,32 @@ fn span_trace_is_byte_identical_and_carries_hop_spans() {
 /// The pinned mixed adversary schedule (liars + defectors + a Sybil
 /// swarm + a flood at 0.5 s) used by the adversarial observer-
 /// neutrality pin below.
-fn mixed_adversary_plan() -> ert_network::AdversaryPlan {
-    use ert_network::{AdversaryEvent, AdversaryKind};
+fn mixed_adversary_plan() -> ert_network::FaultPlan {
+    use ert_network::{FaultEvent, FaultKind};
     let at = ert_sim::SimTime::from_micros(500_000);
-    let mut plan = ert_network::AdversaryPlan::new(23);
+    let mut plan = ert_network::FaultPlan::new(23);
     plan.events = vec![
-        AdversaryEvent {
+        FaultEvent {
             at,
-            kind: AdversaryKind::CapacityLiar {
+            kind: FaultKind::CapacityLiar {
                 fraction: 0.2,
                 error: 4.0,
             },
         },
-        AdversaryEvent {
+        FaultEvent {
             at,
-            kind: AdversaryKind::RoutingDefector { fraction: 0.2 },
+            kind: FaultKind::RoutingDefector { fraction: 0.2 },
         },
-        AdversaryEvent {
+        FaultEvent {
             at,
-            kind: AdversaryKind::SybilSwarm {
+            kind: FaultKind::SybilSwarm {
                 count: 6,
                 region: 0.37,
             },
         },
-        AdversaryEvent {
+        FaultEvent {
             at,
-            kind: AdversaryKind::QueryFlood {
+            kind: FaultKind::QueryFlood {
                 key: 0.37,
                 queries: 80,
                 window: SimDuration::from_secs_f64(0.5),
@@ -181,12 +181,11 @@ fn adversarial_telemetry_does_not_perturb_the_report() {
     let caps = capacities(96);
     let lookups = ert_network::network::uniform_lookup_burst(200, 96.0, 17);
     let plan = mixed_adversary_plan();
-    let no_faults = ert_network::FaultPlan::default();
 
     // Fully uninstrumented: default config, no sinks, no sampler.
     let cfg = NetworkConfig::for_dimension(6, 17);
     let mut plain = Network::new(cfg, &caps, ProtocolSpec::ert_af()).unwrap();
-    let rp = plain.run_with_plans(&lookups, &[], &no_faults, &plan);
+    let rp = plain.run_with_faults(&lookups, &[], &plan);
 
     // Instrumented: memory sink plus the 0.5 s snapshot sampler.
     let mut net = Network::new(fixed_config(), &caps, ProtocolSpec::ert_af()).unwrap();
@@ -195,7 +194,7 @@ fn adversarial_telemetry_does_not_perturb_the_report() {
     let mut tel = Telemetry::disabled();
     tel.add_sink(Box::new(sink));
     net.set_telemetry(tel);
-    let rt = net.run_with_plans(&lookups, &[], &no_faults, &plan);
+    let rt = net.run_with_faults(&lookups, &[], &plan);
     let lines = lines.lock().unwrap().clone();
 
     assert_eq!(rp.lookups_completed, rt.lookups_completed);
@@ -234,12 +233,7 @@ fn adversarial_event_stream_is_byte_identical_across_runs() {
         let mut tel = Telemetry::disabled();
         tel.add_sink(Box::new(sink));
         net.set_telemetry(tel);
-        let report = net.run_with_plans(
-            &lookups,
-            &[],
-            &ert_network::FaultPlan::default(),
-            &mixed_adversary_plan(),
-        );
+        let report = net.run_with_faults(&lookups, &[], &mixed_adversary_plan());
         let lines = lines.lock().unwrap().clone();
         (lines, report)
     };
