@@ -18,16 +18,17 @@
 //! Cost model: per-event checks are O(1) (plus O(queue) when a host is
 //! touched); the degree sweep is O(nodes) and runs only on adaptation
 //! ticks and at the end of the run.
+//!
+//! `Topology`'s derived state keeps its checks in `topology.rs`, each
+//! beside its structure; they count into `Network::sanitize_checks`.
 
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
-use ert_core::expand_indegree;
 use ert_faults::{FaultKind, FaultPlan};
-use ert_overlay::{CycloidId, CycloidRegion, InlinkCursor};
 use ert_sim::SimTime;
 
 use crate::spec::TablePolicy;
 use crate::state::Host;
-use crate::topology::{inlink_pair, Topology};
+use crate::topology::Topology;
 
 /// Which theorem envelopes the degree sweep must *not* assert for one
 /// run, because the run's [`FaultPlan`] deliberately violates the
@@ -300,107 +301,6 @@ impl Sanitizer {
         });
         self.checks += 1;
     }
-}
-
-/// The differential for `Topology`'s scan cursor, run before every
-/// expansion that resumes at `at`: each candidate of the from-scratch
-/// sequence that lies before `at` must be `node` itself or already
-/// point at it, and `at` must be a position of that sequence. A cursor
-/// at the end claims more — that no scan can gain anything, whatever
-/// its target — so the full Algorithm 1 scan is re-run against it.
-pub(crate) fn check_resumed_scan(topo: &mut Topology, node: CycloidId, at: InlinkCursor) {
-    if !Sanitizer::ACTIVE || at == InlinkCursor::Start {
-        return;
-    }
-    let mut skipped = topo.inlink_scan(node, InlinkCursor::Start);
-    while skipped.cursor() != at {
-        match skipped.next().map(inlink_pair) {
-            Some((slot, candidate)) => assert!(
-                candidate == node || topo.has_link(candidate, slot, node),
-                "sanitize: resumed scan on {node} skips {candidate}, which does not point at it"
-            ),
-            // Running out leaves the fresh scan at the end.
-            None => assert!(
-                skipped.cursor() == at,
-                "sanitize: scan cursor {at:?} of {node} is not a position of its candidate sequence"
-            ),
-        }
-    }
-    if at == InlinkCursor::End {
-        let gained = expand_indegree(topo, node, u32::MAX);
-        assert!(
-            gained == 0,
-            "sanitize: exhausted scan on {node} skipped a scan that gains {gained} inlinks"
-        );
-    }
-    topo.scan_checks += 1;
-}
-
-/// The differential for `Topology`'s ring-slot stamp, run on every
-/// refresh the stamp skips: rebuilding both ring slots from the
-/// registry's windows and the surviving extras must give exactly what
-/// the table holds, in stored order.
-pub(crate) fn check_ring_slots(topo: &mut Topology, node: usize) {
-    if !Sanitizer::ACTIVE {
-        return;
-    }
-    for (slot, rebuilt) in topo.rebuilt_ring_slots(node) {
-        let stored = topo.nodes[node].table.outlinks(slot);
-        assert!(
-            stored == rebuilt,
-            "sanitize: skipped refresh of {} would turn its {slot:?} slot {stored:?} into {rebuilt:?}",
-            topo.nodes[node].id
-        );
-    }
-    topo.ring_checks += 1;
-}
-
-/// The differential for `Topology`'s spare index, run at every count of
-/// a region: re-derived from the registry and the nodes, each of the
-/// region's bits must say whether the live holder of that ID has spare
-/// indegree `d^∞ − d ≥ 1`.
-pub(crate) fn check_spare_index(topo: &Topology, region: CycloidRegion) {
-    if !Sanitizer::ACTIVE {
-        return;
-    }
-    for a in region.a_lo..=region.a_hi {
-        let id = topo.space.id(region.k, a);
-        let holder = topo.node_idx(id);
-        let spare = holder.map(|i| topo.nodes[i].spare_indegree());
-        assert!(
-            topo.spare_bit(id) == spare.is_some_and(|s| s >= 1),
-            "sanitize: spare index bit of {id} is {}, but its live holder {holder:?} has spare \
-             indegree {spare:?}",
-            topo.spare_bit(id)
-        );
-    }
-}
-
-/// The differential for `Topology::note_degrees`, run after every
-/// sample: the host's watermark, read through
-/// [`Topology::degree_watermark`], must be `before` raised to the in-
-/// and outdegree summed over the host's live nodes — whether the sample
-/// took the sole-node read or the sum.
-pub(crate) fn check_host_degrees(topo: &Topology, host: usize, before: (u32, u32)) {
-    if !Sanitizer::ACTIVE {
-        return;
-    }
-    let live = topo.hosts[host].nodes.iter().map(|&n| &topo.nodes[n]);
-    let live = live.filter(|n| n.alive);
-    let (summed_in, summed_out) = live.fold((0, 0), |(i, o), n| {
-        (
-            i + n.table.indegree() as u32,
-            o + n.table.outdegree() as u32,
-        )
-    });
-    let (ins, outs) = topo.degree_watermark(host);
-    assert!(
-        (ins, outs) == (before.0.max(summed_in), before.1.max(summed_out)),
-        "sanitize: host {host} sampled degrees that took its watermark from in {} / out {} \
-         to in {ins} / out {outs}, but its live nodes sum to in {summed_in} / out {summed_out}",
-        before.0,
-        before.1
-    );
 }
 
 /// Structural slack shared by the degree envelopes: mandatory Cycloid

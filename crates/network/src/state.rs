@@ -6,7 +6,6 @@ use ert_core::ElasticTable;
 use ert_overlay::{Coord, CycloidId, InlinkCursor, LandmarkVector};
 
 use crate::spec::CycloidSlot;
-use crate::topology::SpareIndexed;
 
 /// A physical machine: the unit that owns capacity, a query queue, and
 /// the congestion metrics. With virtual servers one host backs several
@@ -120,10 +119,9 @@ pub struct OverlayNode {
     pub host: usize,
     /// The (elastic) routing table.
     pub table: ElasticTable<CycloidSlot, CycloidId>,
-    /// Dynamic maximum indegree `d^∞`: read through
-    /// [`OverlayNode::d_max`], written only through
-    /// `Topology::set_d_max`, which keeps the spare index in step.
-    d_max: u32,
+    /// Dynamic maximum indegree `d^∞`: written only by
+    /// `Topology::apply`, which keeps the spare index in step.
+    pub(crate) d_max: u32,
     /// Whether the node is still in the overlay.
     pub alive: bool,
     /// Where Algorithm 1's scan of this node's inlink candidates
@@ -159,15 +157,6 @@ impl OverlayNode {
     /// Dynamic maximum indegree `d^∞` (drifts under adaptation).
     pub fn d_max(&self) -> u32 {
         self.d_max
-    }
-
-    /// Sets `d^∞`. Only [`Topology`] can make the [`SpareIndexed`] this
-    /// takes, so only it writes `d^∞`, and it updates the spare index
-    /// after.
-    ///
-    /// [`Topology`]: crate::topology::Topology
-    pub(crate) fn set_d_max(&mut self, d_max: u32, _: SpareIndexed) {
-        self.d_max = d_max;
     }
 
     /// Spare indegree `d^∞ − d` (negative when adaptation shrank `d^∞`

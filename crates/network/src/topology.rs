@@ -7,8 +7,8 @@
 #![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 use ert_core::{
-    assign::initial_indegree_target, build_table, expand_indegree_over, select_shed_victims,
-    Directory, ErtParams, Expansion, ShedCandidate,
+    assign::initial_indegree_target, build_table, expand_indegree, expand_indegree_over,
+    select_shed_victims, Directory, ErtParams, Expansion, ShedCandidate,
 };
 use ert_overlay::{
     ring::forward_distance, Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace,
@@ -16,14 +16,33 @@ use ert_overlay::{
 };
 use ert_sim::SimRng;
 use rand::Rng;
+use std::ops::Range;
 
+use crate::sanitize::Sanitizer;
 use crate::spec::{CycloidSlot, TablePolicy};
 use crate::state::{Host, OverlayNode, UNSTAMPED};
 
-/// What [`OverlayNode::set_d_max`] takes: only this module can make
-/// one, so only [`Topology`] writes `d^∞`, and it keeps the spare index
-/// in step with every write.
-pub(crate) struct SpareIndexed(());
+/// One change to what [`Topology`]'s derived structures are derived
+/// from; nodes are slab indices. A purge drops only links to departed
+/// nodes, which no structure depends on, and is not one.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// The node just put on the slab joins on its ID and host.
+    Join(usize),
+    /// The node leaves, if it has not already. Its table stays for
+    /// post-run metrics; links to it go stale.
+    Leave(usize),
+    /// `from` holds `to` in a slot — its caller has just put it there,
+    /// or found it there — and `to` records the backward finger: one
+    /// double link. The caller takes the outlink because whether
+    /// Algorithm 1 links at all is its answer.
+    Link { from: usize, to: usize },
+    /// `node` drops the inlink of `holder`, which, if still live, drops
+    /// `node` from every slot.
+    Shed { node: usize, holder: CycloidId },
+    /// `node`'s `d^∞` is set.
+    SetDMax { node: usize, d_max: u32 },
+}
 
 /// Routing candidates for one hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,12 +66,12 @@ pub struct RouteCandidates {
     pub fell_back: bool,
 }
 
-/// `id_index` entry of an ID no node holds.
+/// `id_index` entry of an ID no live node holds.
 const VACANT: u32 = u32::MAX;
 
-/// One host's degree watermark (see [`Topology::note_degrees`]): 12
+/// One host's degree watermark (see [`Topology::on_marks`]): 12
 /// bytes, so the record of every host of an n = 8192 world is 96 KiB.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct DegreeMark {
     /// Overlay nodes the host backs, departed ones included: the length
     /// of its `nodes` list.
@@ -65,27 +84,37 @@ struct DegreeMark {
 
 /// The overlay state shared by every protocol: membership, tables,
 /// hosts, and the geometric helpers.
+///
+/// Five structures are derived from membership, links and `d^∞`: the
+/// ID index, the spare index, each node's scan cursor and ring-slot
+/// stamp, and the per-host degree marks. Every change to those inputs
+/// is a `Mutation`, made only by `Topology::apply`, which hands it to
+/// each structure's `on_*` arms: the structure's only writers, whose
+/// doc comment is the argument that keeps it exact. Each structure has
+/// one `check_*` holding it to that argument: armed builds run it on
+/// the entry about to be trusted, the cold-twin test on the whole
+/// structure after every step.
 #[derive(Debug)]
 pub struct Topology {
     /// The Cycloid ID space.
     pub space: CycloidSpace,
     /// Live membership.
     pub registry: CycloidRegistry,
-    /// Ring position (`space.lin(id)`) → node slab index of the latest
-    /// holder of the ID, [`VACANT`] where there is none. One entry per
-    /// ID of the space (`d·2^d`, never more than twice the population
-    /// the dimension was chosen for), so resolving an ID is an array
-    /// read.
+    /// Ring position (`space.lin(id)`) → slab index of the live node
+    /// holding the ID, [`VACANT`] where none does (see
+    /// [`Topology::on_id_index`]). One entry per ID of the space
+    /// (`d·2^d`, never more than twice the population the dimension was
+    /// chosen for), so resolving an ID is an array read.
     id_index: Vec<u32>,
     /// The spare index, in the registry's region order (bit
-    /// `space.k_major(id)`): set while the node holding the ID is live
-    /// with spare indegree `d^∞ − d ≥ 1`. See [`Topology::spare_in`].
+    /// `space.k_major(id)`; see [`Topology::on_spare`]).
     spare: Bitmap,
     /// All overlay nodes ever created (departed ones keep their slot).
     pub nodes: Vec<OverlayNode>,
     /// All hosts ever created (departed ones keep their slot).
     pub hosts: Vec<Host>,
-    /// Per-host degree watermarks, host for host.
+    /// Per-host degree watermarks, host for host (see
+    /// [`Topology::on_marks`]).
     marks: Vec<DegreeMark>,
     /// Table construction policy.
     pub table_policy: TablePolicy,
@@ -97,18 +126,12 @@ pub struct Topology {
     /// Elastic link operations performed (adds, sheds, purges): the
     /// maintenance-message count of Section 5.3.
     pub link_ops: u64,
-    /// Bumped by every `add_node` and `remove_node` — the only two
-    /// places membership changes (joins, leaves, crashes, Sybil joins
-    /// and item-movement relocations all go through them). Stamps the
-    /// scan cursor of [`Topology::grow_inlinks`] and the ring slots of
-    /// [`Topology::refresh_ring_slots`].
+    /// Bumped by every join and leave: what the scan cursors and the
+    /// ring-slot stamps are stamped with.
     membership_epoch: u64,
-    /// Resumed scans the sanitizer re-checked (0 in plain release
-    /// builds).
-    pub(crate) scan_checks: u64,
-    /// Skipped ring-slot refreshes the sanitizer re-checked (0 in plain
-    /// release builds).
-    pub(crate) ring_checks: u64,
+    /// Derived-state checks run (0 in plain release builds, where only
+    /// tests run them).
+    pub(crate) derived_checks: u64,
 }
 
 impl Topology {
@@ -127,8 +150,7 @@ impl Topology {
             landmarks: None,
             link_ops: 0,
             membership_epoch: 0,
-            scan_checks: 0,
-            ring_checks: 0,
+            derived_checks: 0,
         }
     }
 
@@ -150,92 +172,179 @@ impl Topology {
     ///
     /// Panics if the ID is already live.
     pub fn add_node(&mut self, id: CycloidId, host: usize, d_max: u32) -> usize {
-        assert!(self.registry.insert(id), "duplicate live id {id}");
-        let idx = self.nodes.len();
-        #[expect(
-            clippy::expect_used,
-            reason = "the slab gains one entry per join; no run comes within orders of magnitude of 2^32 - 1 joins, and an index that aliased VACANT would corrupt `id_index` silently"
-        )]
-        let entry = u32::try_from(idx)
-            .ok()
-            .filter(|&e| e != VACANT)
-            .expect("node slab fits the u32 index");
+        let node = self.nodes.len();
         self.nodes.push(OverlayNode::new(id, host, d_max));
-        self.id_index[self.space.lin(id) as usize] = entry;
-        self.sync_spare(idx);
-        self.hosts[host].nodes.push(idx);
-        self.marks[host].backed += 1;
-        self.membership_epoch += 1;
-        idx
+        self.apply(Mutation::Join(node));
+        node
     }
 
     /// Removes `node` from the overlay (its table state is kept for
     /// post-run metrics; other nodes' links to it go stale and are
     /// discovered lazily).
     pub fn remove_node(&mut self, node: usize) {
-        let id = self.nodes[node].id;
-        self.nodes[node].alive = false;
-        // A newer node may have reused the ID: only unmap what is ours.
-        let entry = &mut self.id_index[self.space.lin(id) as usize];
-        if *entry as usize == node {
-            *entry = VACANT;
-            self.registry.remove(id);
-            self.spare.set(self.space.k_major(id), false);
-        }
-        self.membership_epoch += 1;
+        self.apply(Mutation::Leave(node));
     }
 
-    /// Sets `node`'s `d^∞` — after the join, the one way to — and
-    /// puts its bit of the spare index in step.
+    /// Sets `node`'s `d^∞` — after the join, the one way to.
     pub fn set_d_max(&mut self, node: usize, d_max: u32) {
-        self.nodes[node].set_d_max(d_max, SpareIndexed(()));
-        self.sync_spare(node);
+        self.apply(Mutation::SetDMax { node, d_max });
     }
 
-    /// Sets `node`'s bit of the spare index from its spare indegree, if
-    /// it is live (a departed node's bit is clear, or belongs to whoever
-    /// reused the ID). A live node holds its ID: `add_node` remaps an ID
-    /// only when the registry had nobody live on it.
-    fn sync_spare(&mut self, node: usize) {
-        let n = &self.nodes[node];
-        if n.alive {
-            self.spare
-                .set(self.space.k_major(n.id), n.spare_indegree() >= 1);
+    /// Makes `m`, then moves every derived structure with it: the ID
+    /// index first, since the spare index reads holders through it.
+    /// Inlined, so that each caller runs only its own mutation's arms:
+    /// the link path is Algorithm 1's inner loop.
+    #[inline(always)]
+    fn apply(&mut self, m: Mutation) {
+        match m {
+            Mutation::Join(node) => {
+                let (id, host) = (self.nodes[node].id, self.nodes[node].host);
+                assert!(self.registry.insert(id), "duplicate live id {id}");
+                self.hosts[host].nodes.push(node);
+                self.membership_epoch += 1;
+            }
+            Mutation::Leave(node) => {
+                let node = &mut self.nodes[node];
+                // A node that left before may have seen its ID reused.
+                if std::mem::replace(&mut node.alive, false) {
+                    self.registry.remove(node.id);
+                }
+                self.membership_epoch += 1;
+            }
+            Mutation::Link { from, to } => {
+                let from_id = self.nodes[from].id;
+                self.nodes[to].table.add_backward(from_id);
+                self.link_ops += 1;
+            }
+            Mutation::Shed { node, holder } => {
+                let id = self.nodes[node].id;
+                if let Some(h) = self.node_idx(holder) {
+                    for slot in [
+                        CycloidSlot::Cubical,
+                        CycloidSlot::Cyclic,
+                        CycloidSlot::RingSucc,
+                        CycloidSlot::RingPred,
+                    ] {
+                        self.nodes[h].table.remove_outlink(slot, id);
+                    }
+                }
+                self.nodes[node].table.remove_backward(holder);
+                self.link_ops += 1;
+            }
+            Mutation::SetDMax { node, d_max } => self.nodes[node].d_max = d_max,
+        }
+        self.on_id_index(m);
+        self.on_spare(m);
+        self.on_scan(m);
+        self.on_ring_stamp(m);
+        self.on_marks(m);
+    }
+
+    /// The ID index's writers. It is exact: only a join makes a node
+    /// live on an ID, and only on one no live node holds (the registry
+    /// insert asserts that), and only a leave ends that. A departed
+    /// node that leaves again finds its entry cleared or, if the ID was
+    /// reused, naming the newer node, and leaves it.
+    fn on_id_index(&mut self, m: Mutation) {
+        match m {
+            Mutation::Join(node) => {
+                // An index that aliased VACANT would corrupt the entry.
+                assert!(node < VACANT as usize, "node slab fits the u32 index");
+                let lin = self.space.lin(self.nodes[node].id) as usize;
+                self.id_index[lin] = node as u32;
+            }
+            Mutation::Leave(node) => {
+                let entry = &mut self.id_index[self.space.lin(self.nodes[node].id) as usize];
+                if *entry as usize == node {
+                    *entry = VACANT;
+                }
+            }
+            _ => {}
         }
     }
 
-    /// Whether `id`'s bit of the spare index is set.
-    pub(crate) fn spare_bit(&self, id: CycloidId) -> bool {
-        self.spare.get(self.space.k_major(id))
+    /// What the ID index holds: each live node's slab index at its ID,
+    /// [`VACANT`] elsewhere.
+    #[cfg(test)]
+    fn live_holders(&self) -> Vec<u32> {
+        let mut holders = vec![VACANT; self.id_index.len()];
+        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
+            holders[self.space.lin(n.id) as usize] = i as u32;
+        }
+        holders
     }
 
-    /// How many live members of `region` have spare indegree `d^∞ − d ≥
-    /// 1`: a popcount over the region's run of the spare index.
-    ///
-    /// The index is exact, not a cache that can go stale: a bit depends
-    /// on the holder of its ID, that holder's liveness, its `d^∞` and
-    /// its indegree, and each of those has writers that update the bit
-    /// — `add_node` sets the newcomer's, `remove_node` clears the bit
-    /// of an ID it unmaps, `record_link` clears the target's when its
-    /// spare falls below 1 (a link only raises indegree), `shed_inlinks`
-    /// re-reads the shedding node's after its indegree fell, and
-    /// `set_d_max` re-reads the node's after `d^∞` moved. `d^∞` has no
-    /// writer outside this module, and the backward fingers (the
-    /// indegree) none outside `record_link` and `shed_inlinks`.
-    /// Sanitizer-armed builds re-derive the region's bits at every
-    /// count.
-    pub(crate) fn spare_in(&self, region: CycloidRegion) -> usize {
-        crate::sanitize::check_spare_index(self, region);
-        let bits = self.space.k_major_range(region);
-        self.spare.count_ones(bits.start, bits.end) as usize
+    /// Checks the whole ID index against [`Topology::live_holders`], and
+    /// the registry against it: an ID is a member iff a live node holds
+    /// it.
+    #[cfg(test)]
+    fn check_id_index(&mut self) {
+        let holders = self.live_holders();
+        for (lin, (&entry, &holder)) in self.id_index.iter().zip(&holders).enumerate() {
+            let id = self.space.from_lin(lin as u64);
+            let member = self.registry.contains(id);
+            assert!(
+                entry == holder && member == (holder != VACANT),
+                "sanitize: ID index entry of {id} is {entry} (a member: {member}), but its live \
+                 holder is {holder}"
+            );
+        }
+        self.derived_checks += 1;
     }
 
-    /// The `i`-th member of [`Topology::spare_in`]'s count, in cubical
-    /// order.
-    pub(crate) fn nth_spare_in(&self, region: CycloidRegion, i: usize) -> Option<CycloidId> {
-        let bits = self.space.k_major_range(region);
-        let bit = self.spare.select(bits.start, bits.end, i as u64)?;
-        Some(self.space.in_region(region, bit))
+    /// The spare index's writers. Bit `space.k_major(id)` is set iff
+    /// the live holder of `id` has spare indegree `d^∞ − d ≥ 1`
+    /// ([`Topology::has_spare`]): a function of who holds the ID,
+    /// whether it is live, its `d^∞` and its indegree. It is exact:
+    /// every mutation that moves one of those for a node updates that
+    /// node's bit. A join, a shed (the shedder's indegree falls) and a
+    /// `d^∞` write re-read the node, if live: a live node holds its ID,
+    /// while a departed one's bit belongs to the ID's next holder. A
+    /// leave re-reads the ID's holder. A link only raises the target's
+    /// indegree, so it clears the target's bit once its spare is gone.
+    fn on_spare(&mut self, m: Mutation) {
+        match m {
+            Mutation::Leave(node) => self.sync_spare(self.nodes[node].id),
+            Mutation::Link { to, .. } => {
+                let n = &self.nodes[to];
+                if n.spare_indegree() < 1 {
+                    self.spare.set(self.space.k_major(n.id), false);
+                }
+            }
+            Mutation::Join(node) | Mutation::Shed { node, .. } | Mutation::SetDMax { node, .. } => {
+                let n = &self.nodes[node];
+                if n.alive {
+                    self.spare
+                        .set(self.space.k_major(n.id), n.spare_indegree() >= 1);
+                }
+            }
+        }
+    }
+
+    /// Sets `id`'s bit of the spare index to [`Topology::has_spare`].
+    fn sync_spare(&mut self, id: CycloidId) {
+        let bit = self.has_spare(id);
+        self.spare.set(self.space.k_major(id), bit);
+    }
+
+    /// Whether a live node holds `id` with spare indegree `d^∞ − d ≥ 1`.
+    fn has_spare(&self, id: CycloidId) -> bool {
+        self.node_idx(id)
+            .is_some_and(|i| self.nodes[i].spare_indegree() >= 1)
+    }
+
+    /// Checks the spare index's `bits` against [`Topology::has_spare`].
+    fn check_spare(&mut self, bits: Range<u64>) {
+        let cube = self.space.cube_size();
+        for bit in bits {
+            let id = self.space.id((bit / cube) as u8, (bit % cube) as u32);
+            assert!(
+                self.spare.get(bit) == self.has_spare(id),
+                "sanitize: spare index bit of {id} is {}, against its live holder's spare indegree",
+                self.spare.get(bit)
+            );
+        }
+        self.derived_checks += 1;
     }
 
     /// The slab index currently holding `id`, if the ID is live.
@@ -369,10 +478,7 @@ impl Topology {
         let with_spare: Vec<CycloidId> = members
             .iter()
             .copied()
-            .filter(|&m| {
-                self.node_idx(m)
-                    .is_some_and(|i| self.nodes[i].spare_indegree() >= 1)
-            })
+            .filter(|&m| self.has_spare(m))
             .collect();
         let pool = if with_spare.is_empty() {
             &members
@@ -423,6 +529,15 @@ impl Topology {
                 }
             }
             TablePolicy::Elastic => {
+                if Sanitizer::ACTIVE {
+                    // The build reads both entry regions' counts; its
+                    // first link moves a bit of the first region only.
+                    for slot in [CycloidSlot::Cubical, CycloidSlot::Cyclic] {
+                        if let Some(region) = self.entry_region(id, slot) {
+                            self.check_spare(self.space.k_major_range(region));
+                        }
+                    }
+                }
                 build_table(self, id, rng);
                 let d_max = self.nodes[node].d_max();
                 // Room for every inlink the cap allows, so the growth of
@@ -439,29 +554,14 @@ impl Topology {
     /// Refreshes the structural ring slots from the membership view,
     /// keeping any still-live elastic extras gained through indegree
     /// expansion — once per membership epoch: a node whose slots carry
-    /// the current epoch's stamp returns at once. Skipping is exact, not
-    /// a heuristic:
-    ///
-    /// * at a fixed membership `succ_window` / `pred_window` and every
-    ///   `is_alive` answer are fixed;
-    /// * a refresh leaves each ring slot as *structural members, then
-    ///   surviving extras in stored order*, and rebuilding that from
-    ///   itself changes nothing;
-    /// * `link_if_absent(.., RingSucc, ..)` appends an extra, which a
-    ///   refresh would keep where it is;
-    /// * `purge_dead_link` and ID reuse only follow a departure, which
-    ///   moves the epoch;
-    /// * the one remaining writer is another node's `shed_inlinks`,
-    ///   which can take out even a *structural* member (the next
-    ///   refresh re-adds it — ring links are not backward-tracked), and
-    ///   that write clears the stamp.
-    ///
-    /// Under churn the epoch moves at every event and every ring hop
-    /// rebuilds as before, at the cost of one integer compare.
-    /// Sanitizer-armed builds rebuild on every skip and compare.
+    /// the current epoch's stamp (see `Topology::on_ring_stamp`)
+    /// returns at once. Under churn the epoch moves at every event and
+    /// every ring hop rebuilds, at the cost of one integer compare.
     pub fn refresh_ring_slots(&mut self, node: usize) {
         if self.nodes[node].ring_epoch == self.membership_epoch {
-            crate::sanitize::check_ring_slots(self, node);
+            if Sanitizer::ACTIVE {
+                self.check_ring_stamps([node]);
+            }
             return;
         }
         self.nodes[node].ring_epoch = self.membership_epoch;
@@ -473,7 +573,7 @@ impl Topology {
     /// What a refresh makes of `node`'s two ring slots: the leaf window
     /// on that side, then the live entries the slot holds beyond it, in
     /// stored order.
-    pub(crate) fn rebuilt_ring_slots(&self, node: usize) -> [(CycloidSlot, Vec<CycloidId>); 2] {
+    fn rebuilt_ring_slots(&self, node: usize) -> [(CycloidSlot, Vec<CycloidId>); 2] {
         let me = &self.nodes[node];
         let window = self.params.leaf_window;
         let with_extras = |slot, mut members: Vec<CycloidId>| {
@@ -492,6 +592,52 @@ impl Topology {
         ]
     }
 
+    /// The ring-slot stamp's writer, besides the refresh that sets it.
+    /// While a node's stamp equals the membership epoch, a refresh would
+    /// change nothing, so it is skipped. That is exact:
+    ///
+    /// * a join or a leave moves the epoch, and at a fixed membership
+    ///   `succ_window` / `pred_window` and every `is_alive` answer are
+    ///   fixed;
+    /// * a refresh leaves each ring slot as *structural members, then
+    ///   surviving extras in stored order*, and rebuilding that from
+    ///   itself changes nothing;
+    /// * a link into a ring slot appends an extra, which a refresh would
+    ///   keep where it is, and a `d^∞` write links nothing;
+    /// * a purge names a departed target, which a refresh at the current
+    ///   epoch has already dropped;
+    /// * a shed edits its holder's table, and can take out even a
+    ///   *structural* member (ring links are not backward-tracked), so
+    ///   it clears the holder's stamp.
+    fn on_ring_stamp(&mut self, m: Mutation) {
+        if let Mutation::Shed { holder, .. } = m {
+            if let Some(h) = self.node_idx(holder) {
+                self.nodes[h].ring_epoch = UNSTAMPED;
+            }
+        }
+    }
+
+    /// Checks that each of `nodes` whose stamp is current holds both
+    /// ring slots exactly as a refresh would rebuild them, in stored
+    /// order.
+    fn check_ring_stamps(&mut self, nodes: impl IntoIterator<Item = usize>) {
+        for node in nodes {
+            if self.nodes[node].ring_epoch != self.membership_epoch {
+                continue;
+            }
+            for (slot, rebuilt) in self.rebuilt_ring_slots(node) {
+                let stored = self.nodes[node].table.outlinks(slot);
+                assert!(
+                    stored == rebuilt,
+                    "sanitize: skipped refresh of {} would turn its {slot:?} slot {stored:?} into \
+                     {rebuilt:?}",
+                    self.nodes[node].id
+                );
+            }
+            self.derived_checks += 1;
+        }
+    }
+
     /// Whether `from`'s table already holds `to` in `slot`.
     pub(crate) fn has_link(&self, from: CycloidId, slot: CycloidSlot, to: CycloidId) -> bool {
         self.node_idx(from)
@@ -505,20 +651,7 @@ impl Topology {
             return; // either end departed mid-operation
         };
         self.nodes[fi].table.add_outlink(slot, to);
-        self.record_link(fi, ti, from);
-    }
-
-    /// What follows the outlink `nodes[fi]` took in a link to `nodes[ti]`.
-    fn record_link(&mut self, fi: usize, ti: usize, from: CycloidId) {
-        let to = &mut self.nodes[ti];
-        to.table.add_backward(from);
-        // The target's spare can only have fallen.
-        if to.spare_indegree() < 1 {
-            self.spare.set(self.space.k_major(to.id), false);
-        }
-        self.link_ops += 1;
-        self.note_degrees(fi);
-        self.note_degrees(ti);
+        self.apply(Mutation::Link { from: fi, to: ti });
     }
 
     /// The largest total in- and outdegree of `host`'s live nodes seen
@@ -529,6 +662,25 @@ impl Topology {
         (mark.max_in, mark.max_out)
     }
 
+    /// The degree marks' writers: a join bumps its host's `backed`, and
+    /// a link samples both ends' hosts ([`Topology::note_degrees`]).
+    ///
+    /// `backed` is exact: the host's `nodes` list has one writer, the
+    /// join, which pushes onto it as this bumps `backed`, and nothing
+    /// removes a list entry, not even a leave. So `backed` is the list's
+    /// length, and `backed == 1` means the list is `[node]`, the node
+    /// whose `host` names it.
+    fn on_marks(&mut self, m: Mutation) {
+        match m {
+            Mutation::Join(node) => self.marks[self.nodes[node].host].backed += 1,
+            Mutation::Link { from, to } => {
+                self.note_degrees(from);
+                self.note_degrees(to);
+            }
+            _ => {}
+        }
+    }
+
     /// Raises the degree watermark of the host backing `node` to the
     /// host's total in- and outdegree, summed over its live nodes.
     ///
@@ -537,11 +689,6 @@ impl Topology {
     /// node's degrees instead of summing: a sole-node host costs no
     /// `hosts` access at all. Both are exact, not heuristics:
     ///
-    /// * the record's `backed` count and the host's `nodes` list have
-    ///   one writer, `add_node`, which bumps the one and pushes onto the
-    ///   other — nothing removes a list entry, not even `remove_node` —
-    ///   so `backed` is the list's length, and `backed == 1` means the
-    ///   list is `[node]`, the node whose `host` names it;
     /// * a dead node contributes 0 to the sum, and so it does here, so
     ///   a host whose sole node died reads 0 either way;
     /// * a second node joining the host hands the record over as it
@@ -549,38 +696,69 @@ impl Topology {
     ///   and every later sample takes the sum. A watermark is the
     ///   maximum over samples of the sum, whichever way each sample was
     ///   read, so it is what summing at every sample would have left.
-    ///
-    /// Multi-node hosts (virtual servers) keep the sum. Sanitizer-armed
-    /// builds re-sum the host at every sample and check the record.
     fn note_degrees(&mut self, node: usize) {
         let host = self.nodes[node].host;
         let before = self.marks[host];
-        let degrees = |n: &OverlayNode| match n.alive {
-            true => (n.table.indegree() as u32, n.table.outdegree() as u32),
-            false => (0, 0),
-        };
         let (ins, outs) = match before.backed {
-            1 => degrees(&self.nodes[node]),
-            _ => self.hosts[host]
-                .nodes
-                .iter()
-                .fold((0, 0), |(ins, outs), &n| {
-                    let (i, o) = degrees(&self.nodes[n]);
-                    (ins + i, outs + o)
-                }),
+            1 => live_degrees(&self.nodes[node]),
+            _ => self.host_degrees(host),
         };
         let mark = &mut self.marks[host];
         mark.max_in = mark.max_in.max(ins);
         mark.max_out = mark.max_out.max(outs);
-        crate::sanitize::check_host_degrees(self, host, (before.max_in, before.max_out));
+        if Sanitizer::ACTIVE {
+            self.check_marks(host, Some((before.max_in, before.max_out)));
+        }
+    }
+
+    /// In- and outdegree summed over the live nodes of `host`.
+    fn host_degrees(&self, host: usize) -> (u32, u32) {
+        let nodes = self.hosts[host].nodes.iter();
+        nodes.fold((0, 0), |(ins, outs), &n| {
+            let (i, o) = live_degrees(&self.nodes[n]);
+            (ins + i, outs + o)
+        })
+    }
+
+    /// Checks `host`'s degree mark: `backed` is the length of the host's
+    /// `nodes` list, every listed node names the host, and the maxima
+    /// are `sample` (the maxima before a sample) raised to the host's
+    /// summed degrees. Without a sample the maxima are history and only
+    /// bounded: no live node's indegree, nor its entry-slot outdegree,
+    /// rises but by a link, which samples it.
+    fn check_marks(&mut self, host: usize, sample: Option<(u32, u32)>) {
+        let (mark, listed) = (self.marks[host], &self.hosts[host].nodes);
+        let (ins, outs) = self.host_degrees(host);
+        let live = listed.iter().map(|&n| &self.nodes[n]).filter(|n| n.alive);
+        let entry = [CycloidSlot::Cubical, CycloidSlot::Cyclic];
+        let entry_outs = live.flat_map(|n| entry.map(|slot| n.table.outlinks(slot).len()));
+        let entry_outs = entry_outs.sum::<usize>() as u32;
+        let maxima = match sample {
+            Some((i, o)) => (mark.max_in, mark.max_out) == (i.max(ins), o.max(outs)),
+            None => mark.max_in >= ins && mark.max_out >= entry_outs,
+        };
+        assert!(
+            maxima
+                && mark.backed as usize == listed.len()
+                && listed.iter().all(|&n| self.nodes[n].host == host),
+            "sanitize: host {host}'s mark {mark:?} is not what its sampled degrees leave: it lists \
+             {listed:?}, whose live nodes sum to in {ins} / out {outs} ({entry_outs} out of entry \
+             slots), sampled from {sample:?}"
+        );
+        self.derived_checks += 1;
     }
 
     /// Removes the stale outlink `from --slot--> to` after a failed
-    /// contact. `to` must have departed: the scan cursor of
-    /// [`Topology::grow_inlinks`] relies on links to live nodes only
-    /// ever being dropped by the target's own shed.
+    /// contact. `to` must have departed: the scan cursors and the
+    /// ring-slot stamps rest on that (see `Topology::on_scan`), and armed
+    /// builds check it.
     pub fn purge_dead_link(&mut self, from: usize, slot: CycloidSlot, to: CycloidId) {
-        debug_assert!(!self.is_alive(to), "purging a link to live node {to}");
+        if Sanitizer::ACTIVE {
+            assert!(
+                !self.is_alive(to),
+                "sanitize: purging a link to live node {to}"
+            );
+        }
         if self.nodes[from].table.remove_outlink(slot, to) {
             self.link_ops += 1;
         }
@@ -615,7 +793,6 @@ impl Topology {
     /// longest logical then physical distance (Algorithm 3). Returns the
     /// number actually shed.
     pub fn shed_inlinks(&mut self, node: usize, count: u32) -> u32 {
-        self.nodes[node].scan = InlinkCursor::Start;
         let id = self.nodes[node].id;
         let fingers: Vec<ShedCandidate<CycloidId>> = self.nodes[node]
             .table
@@ -628,31 +805,10 @@ impl Topology {
             })
             .collect();
         let victims = select_shed_victims(&fingers, count);
-        let mut shed = 0;
-        for v in victims {
-            if let Some(vidx) = self.node_idx(v) {
-                // The holder drops us from every elastic slot. In a ring
-                // slot we may have been a structural member, which the
-                // holder's next refresh has to put back.
-                let holder = &mut self.nodes[vidx];
-                for slot in [
-                    CycloidSlot::Cubical,
-                    CycloidSlot::Cyclic,
-                    CycloidSlot::RingSucc,
-                    CycloidSlot::RingPred,
-                ] {
-                    let ring = matches!(slot, CycloidSlot::RingSucc | CycloidSlot::RingPred);
-                    if holder.table.remove_outlink(slot, id) && ring {
-                        holder.ring_epoch = UNSTAMPED;
-                    }
-                }
-            }
-            self.nodes[node].table.remove_backward(v);
-            self.link_ops += 1;
-            shed += 1;
+        for &holder in &victims {
+            self.apply(Mutation::Shed { node, holder });
         }
-        self.sync_spare(node);
-        shed
+        victims.len() as u32
     }
 
     /// Grows `node`'s indegree by up to `count` inlinks through the
@@ -664,39 +820,12 @@ impl Topology {
     }
 
     /// Algorithm 1 on `node`, from where its last scan stopped.
-    ///
-    /// A scan pulls a candidate only while the indegree is short of
-    /// `target` and leaves the node's cursor just past the last one it
-    /// pulled, stamped with the current [membership
-    /// epoch](Self::membership_epoch). While that stamp equals the
-    /// current epoch, every candidate before the cursor is `node`
-    /// itself or answered `link_if_absent` with "present" or "added" —
-    /// it points at `node` — so the next scan starts at the cursor
-    /// without looking at them again, and a cursor at the end means no
-    /// scan can gain anything, whatever its target. This is exact, not
-    /// a heuristic:
-    ///
-    /// * at a fixed membership the candidate sequence is fixed (it is a
-    ///   function of the registry, the node's ID and the leaf window);
-    /// * `link_if_absent` and `add_link` only ever turn
-    ///   `has_link(c, slot, node)` from false to true;
-    /// * `purge_dead_link` only names departed targets, and
-    ///   `refresh_ring_slots` only drops departed extras (and puts back
-    ///   structural members) — and a departure moves the epoch;
-    /// * the one remaining way a live candidate stops pointing at
-    ///   `node` is `node`'s own `shed_inlinks`, which clears the cursor.
-    ///
-    /// Under churn the epoch moves at every event and every scan simply
-    /// starts from the top, at the cost of one integer compare.
-    /// Sanitizer-armed builds check the skipped prefix on every resume.
     fn expand(&mut self, node: usize, target: u32) -> Expansion {
-        let id = self.nodes[node].id;
-        let epoch = self.membership_epoch;
-        let mut at = match self.nodes[node].scan_epoch == epoch {
-            true => self.nodes[node].scan,
-            false => InlinkCursor::Start,
-        };
-        crate::sanitize::check_resumed_scan(self, id, at);
+        if Sanitizer::ACTIVE {
+            self.check_scans([node]);
+        }
+        let (id, epoch) = (self.nodes[node].id, self.membership_epoch);
+        let mut at = self.scan_cursor(node);
         // `link_if_absent` runs between two pulls, so the walk cannot stay
         // borrowed from the registry: each pull re-enters it at `at`.
         let done = expand_indegree_over(self, id, target, |topo| {
@@ -708,6 +837,80 @@ impl Topology {
         let node = &mut self.nodes[node];
         (node.scan, node.scan_epoch) = (at, epoch);
         done
+    }
+
+    /// The scan cursor's writer, besides the scan that sets it. A scan
+    /// pulls a candidate only while the indegree is short of its target
+    /// and leaves the node's cursor just past the last one it pulled,
+    /// stamped with the membership epoch. While that stamp is current,
+    /// every candidate before the cursor is the node itself or answered
+    /// `link_if_absent` with "present" or "added" — it points at the
+    /// node — so the next scan starts at the cursor, and a cursor at the
+    /// end means no scan can gain anything, whatever its target. That
+    /// is exact:
+    ///
+    /// * a join or a leave moves the epoch, and at a fixed membership
+    ///   the candidate sequence is fixed (a function of the registry,
+    ///   the node's ID and the leaf window);
+    /// * a link only ever turns `has_link(c, slot, node)` from false to
+    ///   true, and a `d^∞` write links nothing;
+    /// * a purge names only departed targets, and a refresh only drops
+    ///   departed extras (and puts back structural members) — and a
+    ///   departure moved the epoch;
+    /// * the one remaining way a live candidate stops pointing at the
+    ///   node is the node's own shed, which clears its cursor.
+    fn on_scan(&mut self, m: Mutation) {
+        if let Mutation::Shed { node, .. } = m {
+            self.nodes[node].scan = InlinkCursor::Start;
+        }
+    }
+
+    /// Where `node`'s next scan starts: its cursor if that was taken at
+    /// the current membership epoch, else the start.
+    fn scan_cursor(&self, node: usize) -> InlinkCursor {
+        let node = &self.nodes[node];
+        match node.scan_epoch == self.membership_epoch {
+            true => node.scan,
+            false => InlinkCursor::Start,
+        }
+    }
+
+    /// Checks the current cursor of each of `nodes` that is past the
+    /// start: each candidate of the from-scratch sequence before it must
+    /// be the node itself or already point at it, and the cursor must
+    /// be a position of that sequence. A cursor at the end claims more —
+    /// that no scan can gain anything, whatever its target — so the
+    /// full Algorithm 1 scan is re-run against it.
+    fn check_scans(&mut self, nodes: impl IntoIterator<Item = usize>) {
+        for node in nodes {
+            let (id, at) = (self.nodes[node].id, self.scan_cursor(node));
+            if at == InlinkCursor::Start {
+                continue;
+            }
+            let mut skipped = self.inlink_scan(id, InlinkCursor::Start);
+            while skipped.cursor() != at {
+                match skipped.next().map(inlink_pair) {
+                    Some((slot, candidate)) => assert!(
+                        candidate == id || self.has_link(candidate, slot, id),
+                        "sanitize: resumed scan on {id} skips {candidate}, which does not point at it"
+                    ),
+                    // Running out leaves the fresh scan at the end.
+                    None => assert!(
+                        skipped.cursor() == at,
+                        "sanitize: scan cursor {at:?} of {id} is not a position of its candidate \
+                         sequence"
+                    ),
+                }
+            }
+            if at == InlinkCursor::End {
+                let gained = expand_indegree(self, id, u32::MAX);
+                assert!(
+                    gained == 0,
+                    "sanitize: exhausted scan on {id} skipped a scan that gains {gained} inlinks"
+                );
+            }
+            self.derived_checks += 1;
+        }
     }
 
     /// The region `id`'s entry `slot` draws from; `None` for the ring
@@ -748,19 +951,24 @@ impl Topology {
             TablePolicy::SingleHighestCapacity => self.highest_capacity_in_region(region, id, &[]),
             // A uniform draw over the members with spare indegree, else
             // over all of them; none is `id`, one cyclic index up.
-            TablePolicy::Elastic => match self.spare_in(region) {
-                0 => match self.registry.region_population(region) {
-                    0 => None,
-                    members => {
-                        let i = rng.gen_range(0..members);
-                        self.registry.nth_in_region(region, i)
-                    }
-                },
-                spare => {
-                    let i = rng.gen_range(0..spare);
-                    self.nth_spare_in(region, i)
+            TablePolicy::Elastic => {
+                if Sanitizer::ACTIVE {
+                    self.check_spare(self.space.k_major_range(region));
                 }
-            },
+                match self.spare_count(id, slot) {
+                    0 => match self.registry.region_population(region) {
+                        0 => None,
+                        members => {
+                            let i = rng.gen_range(0..members);
+                            self.registry.nth_in_region(region, i)
+                        }
+                    },
+                    spare => {
+                        let i = rng.gen_range(0..spare);
+                        self.nth_spare(id, slot, i)
+                    }
+                }
+            }
         }?;
         self.add_link(id, slot, pick);
         Some(pick)
@@ -915,15 +1123,21 @@ impl Topology {
 
 /// An [`InlinkScan`] item with the slot it names spelled as a slot of
 /// this crate's tables.
-pub(crate) fn inlink_pair(
-    (kind, candidate): (Option<SlotKind>, CycloidId),
-) -> (CycloidSlot, CycloidId) {
+fn inlink_pair((kind, candidate): (Option<SlotKind>, CycloidId)) -> (CycloidSlot, CycloidId) {
     let slot = match kind {
         Some(SlotKind::Cubical) => CycloidSlot::Cubical,
         Some(SlotKind::Cyclic) => CycloidSlot::Cyclic,
         None => CycloidSlot::RingSucc,
     };
     (slot, candidate)
+}
+
+/// A node's in- and outdegree, 0 for a departed one.
+fn live_degrees(n: &OverlayNode) -> (u32, u32) {
+    match n.alive {
+        true => (n.table.indegree() as u32, n.table.outdegree() as u32),
+        false => (0, 0),
+    }
 }
 
 impl Directory for Topology {
@@ -947,15 +1161,23 @@ impl Directory for Topology {
             .collect()
     }
 
-    /// From the spare index. `node` is never a member: its entry
-    /// regions sit one cyclic index below it.
+    /// From the spare index: a popcount over the run of the slot's
+    /// region. `node` is never a member: its entry regions sit one cyclic
+    /// index below it. A caller about to trust the count checks the
+    /// region first in armed builds.
     fn spare_count(&self, node: CycloidId, slot: CycloidSlot) -> usize {
-        self.entry_region(node, slot)
-            .map_or(0, |region| self.spare_in(region))
+        self.entry_region(node, slot).map_or(0, |region| {
+            let bits = self.space.k_major_range(region);
+            self.spare.count_ones(bits.start, bits.end) as usize
+        })
     }
 
+    /// The `i`-th member of the spare count, in cubical order.
     fn nth_spare(&self, node: CycloidId, slot: CycloidSlot, i: usize) -> Option<CycloidId> {
-        self.nth_spare_in(self.entry_region(node, slot)?, i)
+        let region = self.entry_region(node, slot)?;
+        let bits = self.space.k_major_range(region);
+        let bit = self.spare.select(bits.start, bits.end, i as u64)?;
+        Some(self.space.in_region(region, bit))
     }
 
     fn inlink_candidates(&self, node: CycloidId) -> Vec<(CycloidSlot, CycloidId)> {
@@ -980,7 +1202,7 @@ impl Directory for Topology {
         };
         let added = self.nodes[fi].table.add_outlink(slot, to);
         if added {
-            self.record_link(fi, ti, from);
+            self.apply(Mutation::Link { from: fi, to: ti });
         }
         added
     }
@@ -1175,17 +1397,6 @@ mod tests {
         assert!(gained <= 2, "grew {gained} past headroom");
     }
 
-    /// In- and outdegree summed over the live nodes of `host`.
-    fn summed_degrees(topo: &Topology, host: usize) -> (u32, u32) {
-        let live = topo.hosts[host].nodes.iter().map(|&n| &topo.nodes[n]);
-        live.filter(|n| n.alive).fold((0, 0), |(i, o), n| {
-            (
-                i + n.table.indegree() as u32,
-                o + n.table.outdegree() as u32,
-            )
-        })
-    }
-
     /// Links each `(from, to)` pair of live nodes through their cyclic
     /// slots, and after every link checks each host's watermarks against
     /// a model that re-sums both ends' hosts at each link created.
@@ -1207,7 +1418,7 @@ mod tests {
             assert_eq!(fingers(topo), expected);
             for n in [f, t] {
                 let host = topo.nodes[n].host;
-                let (ins, outs) = summed_degrees(topo, host);
+                let (ins, outs) = topo.host_degrees(host);
                 model[host] = (model[host].0.max(ins), model[host].1.max(outs));
             }
             assert_eq!(watermarks(topo), model, "after {from} -> {to}");
@@ -1367,27 +1578,6 @@ mod tests {
     }
 
     #[test]
-    fn removed_node_is_not_alive_and_id_is_reusable() {
-        let (mut topo, _) = full_topology(TablePolicy::SingleClosest);
-        let id = topo.nodes[10].id;
-        topo.remove_node(10);
-        assert!(!topo.is_alive(id));
-        assert!(topo.node_idx(id).is_none());
-        let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 1, Coord::new(0.0, 0.0)));
-        let fresh = topo.add_node(id, host, 5);
-        assert_eq!(topo.node_idx(id), Some(fresh));
-        // The ID now belongs to the newer node: removing the stale older
-        // one again must not unmap it, nor take it out of the membership.
-        topo.remove_node(10);
-        assert_eq!(topo.node_idx(id), Some(fresh));
-        assert_eq!(topo.host_of_id(id), Some(host));
-        assert!(topo.registry.contains(id));
-        topo.remove_node(fresh);
-        assert_eq!(topo.node_idx(id), None);
-        assert!(!topo.registry.contains(id));
-    }
-
-    #[test]
     fn vacant_ids_resolve_to_none() {
         let space = CycloidSpace::new(4);
         let params = ErtParams::default().with_alpha_for_dim(4);
@@ -1474,14 +1664,8 @@ mod tests {
         let node = topo.node_idx(topo.space.id(1, 0b0101)).unwrap();
         topo.set_d_max(node, 1000);
         assert!(topo.grow_inlinks(node, 1000) > 0);
-        assert_eq!(live_cursor(topo, node), Some(InlinkCursor::End));
+        assert_eq!(topo.scan_cursor(node), InlinkCursor::End);
         node
-    }
-
-    /// The node's scan cursor, if the next expansion would resume at it.
-    fn live_cursor(topo: &Topology, node: usize) -> Option<InlinkCursor> {
-        let node = &topo.nodes[node];
-        (node.scan_epoch == topo.membership_epoch).then_some(node.scan)
     }
 
     #[test]
@@ -1492,17 +1676,17 @@ mod tests {
         for (slot, c) in topo.inlink_candidates(id) {
             assert!(topo.has_link(c, slot, id), "{c} does not point at {id}");
         }
-        let (ops, checks) = (topo.link_ops, topo.scan_checks);
+        let (ops, checks) = (topo.link_ops, topo.derived_checks);
         let idle = topo.expand(node, 1000);
         assert_eq!((idle.gained, idle.examined), (0, 0));
         assert_eq!(topo.link_ops, ops);
         // A scan resumed at the end is one armed builds re-run in full.
         let rescans = u64::from(crate::sanitize::Sanitizer::ACTIVE);
-        assert_eq!(topo.scan_checks, checks + rescans);
+        assert_eq!(topo.derived_checks, checks + rescans);
         // Any membership event puts the whole sequence back in play.
         let other = topo.node_idx(topo.space.id(3, 0b1111)).unwrap();
         topo.remove_node(other);
-        assert_eq!(live_cursor(&topo, node), None);
+        assert_eq!(topo.scan_cursor(node), InlinkCursor::Start);
         let rescan = topo.expand(node, 1000);
         assert_eq!(rescan.gained, 0);
         assert_eq!(rescan.examined, topo.inlink_candidates(id).len());
@@ -1516,7 +1700,7 @@ mod tests {
         topo.set_d_max(node, 1000);
         let sequence = topo.inlink_candidates(id);
         // The table build already walked part of the sequence.
-        let built = live_cursor(&topo, node).unwrap();
+        let built = topo.scan_cursor(node);
         let mut passed = sequence.len() - scan_from(&topo, id, built).len();
         assert!(passed > 0);
         for _ in 0..2 {
@@ -1526,35 +1710,13 @@ mod tests {
             // Every pull moved the cursor on by one: none went back to
             // a candidate an earlier pass had looked at.
             passed += step.examined;
-            let cursor = live_cursor(&topo, node).unwrap();
+            let cursor = topo.scan_cursor(node);
             assert_eq!(scan_from(&topo, id, cursor), sequence[passed..]);
             // The pass ended on the candidate that met its target.
             let (slot, last) = sequence[passed - 1];
             assert!(topo.has_link(last, slot, id));
         }
         assert!(passed < sequence.len());
-    }
-
-    #[test]
-    fn own_shed_rearms_the_scan_and_reacquires_the_holders() {
-        let (mut topo, _) = full_topology(TablePolicy::Elastic);
-        let node = exhausted_node(&mut topo);
-        let id = topo.nodes[node].id;
-        let before = topo.nodes[node].table.backward_fingers().to_vec();
-        assert_eq!(topo.shed_inlinks(node, 3), 3);
-        assert_eq!(live_cursor(&topo, node), Some(InlinkCursor::Start));
-        let shed: Vec<CycloidId> = before
-            .iter()
-            .copied()
-            .filter(|bf| !topo.nodes[node].table.backward_fingers().contains(bf))
-            .collect();
-        assert_eq!(shed.len(), 3);
-        assert!(topo.grow_inlinks(node, 1000) >= 3);
-        assert_eq!(topo.nodes[node].table.indegree(), before.len());
-        for holder in shed {
-            let h = topo.node_idx(holder).unwrap();
-            assert!(topo.nodes[h].table.has_outlink_to(id), "{holder} not back");
-        }
     }
 
     #[cfg(any(debug_assertions, feature = "sanitize"))]
@@ -1627,34 +1789,9 @@ mod tests {
         topo.route_candidates(node, succ, true, false, &mut rng);
     }
 
-    #[test]
-    fn join_inside_the_reverse_region_is_picked_up() {
-        let (mut topo, _) = full_topology(TablePolicy::Elastic);
-        let id = topo.space.id(1, 0b0101);
-        let region = topo.space.reverse_cyclic_region(id).unwrap();
-        let joiner = topo.registry.nodes_in_region(region)[0];
-        let (old, host) = {
-            let old = topo.node_idx(joiner).unwrap();
-            (old, topo.nodes[old].host)
-        };
-        topo.remove_node(old);
-        let node = exhausted_node(&mut topo);
-        assert_eq!(topo.grow_inlinks(node, 1000), 0);
-        topo.add_node(joiner, host, 4);
-        assert_eq!(live_cursor(&topo, node), None);
-        assert!(topo.grow_inlinks(node, 1000) >= 1);
-        assert!(topo.has_link(joiner, CycloidSlot::Cyclic, id));
-        assert_eq!(live_cursor(&topo, node), Some(InlinkCursor::End));
-    }
-
     /// A dim-`dim` overlay with Pareto-ish capacities, `fill` of its IDs
-    /// live, every table built.
-    fn random_world(dim: u8, fill: f64, seed: u64) -> (Topology, SimRng) {
-        random_world_built_by(dim, fill, seed, Topology::build_node_table)
-    }
-
-    /// [`random_world`] with every table built by `build`.
-    fn random_world_built_by(
+    /// live, every table built by `build`.
+    fn random_world(
         dim: u8,
         fill: f64,
         seed: u64,
@@ -1682,110 +1819,155 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Did {
         Count(u32),
+        Pick(Option<CycloidId>),
         Hop(Option<RouteCandidates>),
     }
 
-    /// One membership, adaptation or routing event, as `Network`
-    /// performs it, on the `pick`-th live node.
-    fn step(topo: &mut Topology, rng: &mut SimRng, op: u8, pick: usize, count: u32) -> Did {
+    /// A world's table build and slot repair.
+    struct Picks {
+        build: fn(&mut Topology, usize, &mut SimRng),
+        repair: fn(&mut Topology, usize, CycloidSlot, &mut SimRng) -> Option<CycloidId>,
+    }
+
+    /// One membership, link, `d^∞` or routing event, as `Network`
+    /// performs it, on the `pick`-th live node (the `pick`-th departed
+    /// one for a stale removal), tables built and slots repaired by
+    /// `picks`.
+    fn step(
+        topo: &mut Topology,
+        rng: &mut SimRng,
+        picks: &Picks,
+        op: u8,
+        pick: usize,
+        x: u32,
+    ) -> Did {
         let live: Vec<usize> = (0..topo.nodes.len())
             .filter(|&n| topo.nodes[n].alive)
             .collect();
         let node = live[pick % live.len()];
-        let host = topo.nodes[node].host;
+        let n = &topo.nodes[node];
+        let (id, host, d_max) = (n.id, n.host, n.d_max());
+        let slot = match x % 2 {
+            0 => CycloidSlot::Cubical,
+            _ => CycloidSlot::Cyclic,
+        };
+        let join = |topo: &mut Topology, rng: &mut SimRng, id, host, d_max| {
+            let fresh = topo.add_node(id, host, d_max);
+            (picks.build)(topo, fresh, rng);
+            topo.nodes[fresh].table.indegree() as u32
+        };
         Did::Count(match op {
             // Algorithm 3, underloaded.
-            0..=3 => {
+            0..=2 => {
                 let cap = 8 * topo.hosts[host].capacity_eval.max(8);
-                topo.set_d_max(node, (topo.nodes[node].d_max() + count).min(cap));
-                topo.grow_inlinks(node, count)
+                topo.set_d_max(node, (d_max + x).min(cap));
+                topo.grow_inlinks(node, x)
             }
-            // Algorithm 3, overloaded — lightly (the farthest holders
-            // go) or so badly that the ring neighbors go too.
-            4 | 5 => {
-                let count = if op == 5 { 8 * count } else { count };
-                let shed = topo.shed_inlinks(node, count);
-                topo.set_d_max(node, topo.nodes[node].d_max().saturating_sub(shed).max(1));
+            // A shed alone: the farthest holders go.
+            3 => topo.shed_inlinks(node, x),
+            // Algorithm 3, overloaded so badly that the ring neighbors
+            // go too.
+            4 => {
+                let shed = topo.shed_inlinks(node, 8 * x);
+                topo.set_d_max(node, d_max.saturating_sub(shed).max(1));
                 shed
             }
-            // A join on a vacant ID.
-            6 => match topo.registry.random_vacant(rng) {
-                Some(id) => {
-                    let host = topo.add_host(Host::new(1.0, 1.0, 1.0, 6, Coord::random(rng)));
-                    let fresh = topo.add_node(id, host, 6);
-                    topo.build_node_table(fresh, rng);
-                    topo.nodes[fresh].table.indegree() as u32
+            // A `d^∞` that may leave the node saturated or over-full.
+            5 | 6 => {
+                topo.set_d_max(node, x);
+                x
+            }
+            // A join on a vacant ID, by a host of its own or, as a
+            // virtual server, by the picked node's host.
+            7 | 8 => match topo.registry.random_vacant(rng) {
+                Some(vacant) => {
+                    let host = match op {
+                        7 => topo.add_host(Host::new(1.0, 1.0, 1.0, x, Coord::random(rng))),
+                        _ => host,
+                    };
+                    join(topo, rng, vacant, host, x)
                 }
                 None => 0,
             },
             // A leave; holders find the stale links later.
-            7 if live.len() > 8 => {
+            9 if live.len() > 8 => {
                 topo.remove_node(node);
                 1
             }
+            // A leave, and a join on the ID it left.
+            10 => {
+                topo.remove_node(node);
+                join(topo, rng, id, host, x)
+            }
             // Item movement: the node leaves and rejoins elsewhere.
-            8 => match topo.registry.random_vacant(rng) {
-                Some(id) => {
-                    let d_max = topo.nodes[node].d_max();
+            11 => match topo.registry.random_vacant(rng) {
+                Some(vacant) => {
                     topo.remove_node(node);
-                    let fresh = topo.add_node(id, host, d_max);
-                    topo.build_node_table(fresh, rng);
-                    topo.nodes[fresh].table.indegree() as u32
+                    join(topo, rng, vacant, host, d_max)
                 }
                 None => 0,
             },
+            // A departed node removed again: whoever holds its ID now
+            // keeps it.
+            12 => {
+                let mut dead = (0..topo.nodes.len()).filter(|&n| !topo.nodes[n].alive);
+                if let Some(dead) = dead.nth(pick) {
+                    topo.remove_node(dead);
+                }
+                0
+            }
+            // Algorithm 1's exchange between two live nodes.
+            13 => {
+                let from = topo.nodes[live[(pick + x as usize + 1) % live.len()]].id;
+                u32::from(from != id && topo.link_if_absent(from, slot, id))
+            }
+            // A slot repair.
+            14 | 15 => return Did::Pick((picks.repair)(topo, node, slot, rng)),
             // A stabilization round: purge, repair, refresh ring slots.
-            9 => topo.stabilize_node(node, rng),
+            16 => topo.stabilize_node(node, rng),
             // One hop toward a random key, probing or not, by geometry
             // or on the ring; half the keys of a small space are in
             // the ring endgame anyway.
             _ => {
                 let key = topo.space.random_id(rng);
-                let (probing, ring_only) = (count.is_multiple_of(2), count > 3);
+                let (probing, ring_only) = (x.is_multiple_of(2), x > 3);
                 return Did::Hop(topo.route_candidates(node, key, probing, ring_only, rng));
             }
         })
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+    /// Puts `topo`'s derived state back to cold: every cursor at the
+    /// start, every stamp cleared, and the ID index, the spare index and
+    /// each host's `backed` rebuilt from the nodes. The degree maxima
+    /// are history, not a function of the nodes, and stay.
+    fn chill(topo: &mut Topology) {
+        for node in &mut topo.nodes {
+            node.scan = InlinkCursor::Start;
+            node.ring_epoch = UNSTAMPED;
+        }
+        topo.id_index = topo.live_holders();
+        for lin in 0..topo.space.ring_size() {
+            topo.sync_spare(topo.space.from_lin(lin));
+        }
+        for (mark, host) in topo.marks.iter_mut().zip(&topo.hosts) {
+            mark.backed = host.nodes.len() as u32;
+        }
+    }
 
-        /// Two copies of one world take the same grow / shed / join /
-        /// leave / relocation / routing / stabilization steps; one
-        /// resumes its scans and skips stamped ring-slot refreshes, the
-        /// other has every cursor and stamp cleared before each step.
-        /// They must never differ, down to the stored order of every
-        /// slot — a link-removal path that forgets to clear the cursor
-        /// or the stamp fails here.
-        #[test]
-        fn resumed_scans_change_nothing_a_from_scratch_scan_would_do(
-            dim in 4u8..7,
-            dense in proptest::bool::ANY,
-            seed in 0u64..1000,
-            // Few nodes take most steps — ring neighbors, as the slab
-            // starts out in ring order — so one node's grows and sheds,
-            // its holders' hops and the membership events around them
-            // interleave often.
-            ops in proptest::collection::vec((0u8..16, 0usize..5, 1u32..6), 1..60),
-        ) {
-            let fill = if dense { 0.9 } else { 0.35 };
-            let (mut resumed, mut rng_a) = random_world(dim, fill, seed);
-            let (mut scratch, mut rng_b) = random_world(dim, fill, seed);
-            for (op, pick, count) in ops {
-                for node in &mut scratch.nodes {
-                    node.scan = InlinkCursor::Start;
-                    node.ring_epoch = UNSTAMPED;
-                }
-                let did = step(&mut resumed, &mut rng_a, op, pick, count);
-                assert_eq!(did, step(&mut scratch, &mut rng_b, op, pick, count));
-                assert_same_tables(&resumed, &scratch);
-            }
+    /// Checks every derived structure of `topo` whole.
+    fn check_derived(topo: &mut Topology) {
+        topo.check_id_index();
+        topo.check_spare(0..topo.space.ring_size());
+        topo.check_scans(0..topo.nodes.len());
+        topo.check_ring_stamps(0..topo.nodes.len());
+        for host in 0..topo.hosts.len() {
+            topo.check_marks(host, None);
         }
     }
 
     /// Two worlds hold the same nodes with the same `d^∞`, backward
-    /// fingers and outlinks, in stored order, and count the same link
-    /// operations.
+    /// fingers and outlinks, in stored order, count the same link
+    /// operations and keep the same degree marks.
     fn assert_same_tables(a: &Topology, b: &Topology) {
         assert_eq!(a.link_ops, b.link_ops);
         assert_eq!(a.nodes.len(), b.nodes.len());
@@ -1797,6 +1979,48 @@ mod tests {
                 "{}",
                 x.id
             );
+        }
+        assert_eq!(a.marks, b.marks);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Two copies of one world take the same random steps. One keeps
+        /// its derived state; the other is put back to cold before every
+        /// step and builds tables and repairs slots through the
+        /// list-filter-`rng.choose` code the spare index replaced, kept
+        /// here as the model. After every step they must hold the same
+        /// tables, link counts and watermarks, have answered alike and
+        /// stand at the same RNG position, and every structure of the
+        /// first must pass its check whole: an `on_*` arm that misses a
+        /// write fails here.
+        #[test]
+        fn derived_state_matches_a_cold_twin(
+            dim in 3u8..7,
+            dense in proptest::bool::ANY,
+            seed in 0u64..1000,
+            // Few nodes take most steps — ring neighbors, as the slab
+            // starts out in ring order — so one node's grows and sheds,
+            // its holders' hops and the membership events around them
+            // interleave often.
+            ops in proptest::collection::vec((0u8..21, 0usize..6, 0u32..6), 1..60),
+        ) {
+            let fill = if dense { 0.9 } else { 0.35 };
+            let warm_picks = Picks { build: Topology::build_node_table, repair: Topology::repair_slot };
+            let cold_picks = Picks { build: listed_build_node_table, repair: listed_repair_slot };
+            let (mut warm, mut rng_a) = random_world(dim, fill, seed, warm_picks.build);
+            let (mut cold, mut rng_b) = random_world(dim, fill, seed, cold_picks.build);
+            assert_same_tables(&warm, &cold);
+            check_derived(&mut warm);
+            for (op, pick, x) in ops {
+                chill(&mut cold);
+                let did = step(&mut warm, &mut rng_a, &warm_picks, op, pick, x);
+                assert_eq!(did, step(&mut cold, &mut rng_b, &cold_picks, op, pick, x));
+                assert_same_tables(&warm, &cold);
+                assert_eq!(rng_a.clone().gen::<u64>(), rng_b.clone().gen::<u64>());
+                check_derived(&mut warm);
+            }
         }
     }
 
@@ -1858,146 +2082,30 @@ mod tests {
         Some(pick)
     }
 
-    /// Every entry region of every ID of the space, read through the
-    /// spare index, against its members filtered by spare indegree.
-    fn assert_spare_index_matches_the_filter(topo: &Topology) {
-        for lin in 0..topo.space.ring_size() {
-            let id = topo.space.from_lin(lin);
-            for slot in topo.slots(id) {
-                let region = topo.entry_region(id, slot).unwrap();
-                let members = topo.registry.nodes_in_region(region).into_iter();
-                let spare: Vec<CycloidId> =
-                    members.filter(|&m| topo.spare_indegree(m) >= 1).collect();
-                assert_eq!(topo.spare_count(id, slot), spare.len(), "{id} {slot:?}");
-                for i in 0..=spare.len() {
-                    let nth = topo.nth_spare(id, slot, i);
-                    assert_eq!(nth, spare.get(i).copied(), "{id} {slot:?} #{i}");
-                }
-            }
-        }
-    }
-
-    /// A world's table build and slot repair.
-    struct Picks {
-        build: fn(&mut Topology, usize, &mut SimRng),
-        repair: fn(&mut Topology, usize, CycloidSlot, &mut SimRng) -> Option<CycloidId>,
-    }
-
-    /// One membership, link or `d^∞` event on the `pick`-th live node
-    /// (a departed one for a stale removal), tables built and slots
-    /// repaired by `picks`.
-    fn spare_step(
-        topo: &mut Topology,
-        rng: &mut SimRng,
-        picks: &Picks,
-        op: u8,
-        pick: usize,
-        x: u32,
-    ) {
-        let live: Vec<usize> = (0..topo.nodes.len())
-            .filter(|&n| topo.nodes[n].alive)
-            .collect();
-        let node = live[pick % live.len()];
-        let (id, host) = (topo.nodes[node].id, topo.nodes[node].host);
-        let slot = match x % 2 {
-            0 => CycloidSlot::Cubical,
-            _ => CycloidSlot::Cyclic,
-        };
-        match op {
-            // A join on a vacant ID.
-            0 => {
-                if let Some(vacant) = topo.registry.random_vacant(rng) {
-                    let host = topo.add_host(Host::new(1.0, 1.0, 1.0, x, Coord::random(rng)));
-                    let fresh = topo.add_node(vacant, host, x);
-                    (picks.build)(topo, fresh, rng);
-                }
-            }
-            // A leave.
-            1 if live.len() > 4 => topo.remove_node(node),
-            // A leave, and a join on the ID it left.
-            2 => {
-                topo.remove_node(node);
-                let fresh = topo.add_node(id, host, x);
-                (picks.build)(topo, fresh, rng);
-            }
-            // A departed node removed again: whoever holds its ID now
-            // keeps the bit.
-            3 => {
-                let mut dead = (0..topo.nodes.len()).filter(|&n| !topo.nodes[n].alive);
-                if let Some(dead) = dead.nth(pick) {
-                    topo.remove_node(dead);
-                }
-            }
-            // Algorithm 1's exchange between two live nodes.
-            4 => {
-                let from = topo.nodes[live[(pick + x as usize + 1) % live.len()]].id;
-                if from != id {
-                    topo.link_if_absent(from, slot, id);
-                }
-            }
-            // Algorithm 3: a shed, then a `d^∞` that may leave the node
-            // saturated or over-full.
-            5 => {
-                topo.shed_inlinks(node, x);
-            }
-            6 => topo.set_d_max(node, x),
-            // A slot repair.
-            7 => {
-                (picks.repair)(topo, node, slot, rng);
-            }
-            _ => {}
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
-
-        /// Two copies of one world take the same joins, leaves, ID
-        /// reuses, stale removals, links, sheds, `d^∞` writes and slot
-        /// repairs; one builds tables and repairs slots through the spare
-        /// index, the other lists and filters each region as the code
-        /// before the index did. They must never differ, nor draw
-        /// differently, and after every step each region's spare count
-        /// and spare members, read through the index, are the filtered
-        /// members — a writer that forgets the index fails here.
-        #[test]
-        fn spare_index_matches_the_filtered_region_model(
-            dim in 3u8..7,
-            dense in proptest::bool::ANY,
-            seed in 0u64..1000,
-            ops in proptest::collection::vec((0u8..8, 0usize..6, 0u32..6), 1..40),
-        ) {
-            let fill = if dense { 0.9 } else { 0.35 };
-            let indexed_picks = Picks { build: Topology::build_node_table, repair: Topology::repair_slot };
-            let listed_picks = Picks { build: listed_build_node_table, repair: listed_repair_slot };
-            let (mut indexed, mut rng_a) = random_world(dim, fill, seed);
-            let (mut listed, mut rng_b) =
-                random_world_built_by(dim, fill, seed, listed_build_node_table);
-            assert_same_tables(&indexed, &listed);
-            assert_spare_index_matches_the_filter(&indexed);
-            for (op, pick, x) in ops {
-                spare_step(&mut indexed, &mut rng_a, &indexed_picks, op, pick, x);
-                spare_step(&mut listed, &mut rng_b, &listed_picks, op, pick, x);
-                assert_same_tables(&indexed, &listed);
-                assert_spare_index_matches_the_filter(&indexed);
-            }
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-        }
-    }
-
     #[cfg(any(debug_assertions, feature = "sanitize"))]
     #[test]
     #[should_panic(expected = "spare index bit of")]
     fn sanitizer_catches_a_spare_index_out_of_step() {
-        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let (mut topo, mut rng) = full_topology(TablePolicy::Elastic);
         let (space, node) = (topo.space, topo.node_idx(topo.space.id(2, 0b0110)).unwrap());
-        // Inlinks recorded behind `record_link`'s back, until the node
-        // has no spare indegree left.
+        // Inlinks recorded behind `apply`'s back, until the node has no
+        // spare indegree left.
         let mut holders = (0..space.ring_size()).map(|lin| space.from_lin(lin));
         while topo.nodes[node].spare_indegree() >= 1 {
             topo.nodes[node].table.add_backward(holders.next().unwrap());
         }
-        // (3, 0110)'s cyclic region holds (2, 0110).
-        topo.spare_count(space.id(3, 0b0110), CycloidSlot::Cyclic);
+        // (3, 0110)'s cyclic region holds (2, 0110): repairing that slot
+        // counts it.
+        let repairer = topo.node_idx(space.id(3, 0b0110)).unwrap();
+        topo.repair_slot(repairer, CycloidSlot::Cyclic, &mut rng);
+    }
+
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    #[test]
+    #[should_panic(expected = "purging a link to live node")]
+    fn sanitizer_catches_a_purge_of_a_link_to_a_live_node() {
+        let (mut topo, _) = full_topology(TablePolicy::Elastic);
+        let to = topo.nodes[5].table.outlinks(CycloidSlot::RingSucc)[0];
+        topo.purge_dead_link(5, CycloidSlot::RingSucc, to);
     }
 }
