@@ -124,6 +124,9 @@ pub struct OverlayNode {
     pub(crate) d_max: u32,
     /// Whether the node is still in the overlay.
     pub alive: bool,
+    /// Whether no node had joined on the ID before this one: written
+    /// only by `Topology::apply` (see `Topology::on_fresh`).
+    pub(crate) fresh: bool,
     /// Where Algorithm 1's scan of this node's inlink candidates
     /// stands (see `Topology::grow_inlinks`).
     pub(crate) scan: InlinkCursor,
@@ -148,6 +151,7 @@ impl OverlayNode {
             table: ElasticTable::new(),
             d_max: d_max.max(1),
             alive: true,
+            fresh: false,
             scan: InlinkCursor::Start,
             scan_epoch: 0,
             ring_epoch: UNSTAMPED,
@@ -209,8 +213,9 @@ mod tests {
         // The hop path reads `OverlayNode`. Its table holds four slot
         // keys and four neighbor-list headers inline, then the spill,
         // backward-finger and memory vectors: 4 + 4 × 24 + 3 × 24 bytes.
-        // The node adds its ID, host, d_max, liveness, scan cursor and
-        // two epoch stamps. Growing either is a decision, made here.
+        // The node adds its ID, host, d_max, liveness, freshness, scan
+        // cursor and two epoch stamps. Growing either is a decision,
+        // made here.
         use std::mem::size_of;
         assert!(size_of::<ElasticTable<CycloidSlot, CycloidId>>() <= 176);
         assert!(size_of::<OverlayNode>() <= 224);
