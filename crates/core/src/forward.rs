@@ -13,11 +13,13 @@
 //!   the forward, and carry the set of overloaded nodes seen so far so
 //!   later hops avoid them.
 //!
-//! There is one implementation, [`choose_next_lazy`]: it draws from what
-//! the forwarding node knows locally ([`Contact`]) and asks a candidate
-//! for its load only once it is drawn — on a live node that question is
-//! an RPC. [`choose_next_b`] is the same function for a caller that
-//! already holds every load (the simulator reads them from memory).
+//! There is one implementation, [`choose_next_lazy`]: it draws from the
+//! candidates' ids, and learns what the forwarding node knows locally
+//! ([`Contact`]) and asks a candidate for its load only once it is
+//! drawn — on a live node that question is an RPC, in the simulator a
+//! memory read. [`choose_next_reachable`] adds the hard exclusion of a
+//! partition cut, and [`choose_next_b`] is the same function for a
+//! caller that already holds every candidate's load in a slice.
 
 use std::collections::BTreeSet;
 
@@ -71,14 +73,36 @@ impl<Id> Candidate<Id> {
 
 /// What a forwarding node knows about a candidate without asking it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Contact<Id> {
-    /// The candidate node.
-    pub id: Id,
+pub struct Contact {
     /// Remaining logical distance to the query target through this
     /// candidate.
     pub logical_distance: u64,
     /// Physical distance from the forwarding node to this candidate.
     pub physical_distance: f64,
+}
+
+/// The buffers one Algorithm 4 decision works in. A caller that decides
+/// at every hop keeps one and hands it to each decision, so a hop
+/// allocates none of them; what they hold between decisions is
+/// meaningless.
+#[derive(Debug)]
+pub struct ForwardScratch<Id> {
+    /// Candidates not drawn yet, as indices into the decision's ids.
+    pool: Vec<usize>,
+    /// Known-overloaded candidates held back by Algorithm 4 line 3.
+    avoided: Vec<usize>,
+    /// The poll set of a [`ForwardPolicy::TwoChoice`] decision.
+    polled: Vec<Candidate<Id>>,
+}
+
+impl<Id> Default for ForwardScratch<Id> {
+    fn default() -> Self {
+        ForwardScratch {
+            pool: Vec::new(),
+            avoided: Vec::new(),
+            polled: Vec::new(),
+        }
+    }
 }
 
 /// The outcome of one forwarding decision.
@@ -160,43 +184,46 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
             c.id
         );
     }
-    let known = |c: &Candidate<Id>| Contact {
-        id: c.id,
-        logical_distance: c.logical_distance,
-        physical_distance: c.physical_distance,
-    };
-    let probe = |i: usize| Some((candidates[i].load, candidates[i].capacity));
+    let ids: Vec<Id> = candidates.iter().map(|c| c.id).collect();
     choose_next_lazy(
         policy,
-        candidates,
-        known,
+        &ids,
+        |i| Contact {
+            logical_distance: candidates[i].logical_distance,
+            physical_distance: candidates[i].physical_distance,
+        },
         memory,
         avoid,
         gamma_l,
         probe_width,
         rng,
-        probe,
+        |i| Some((candidates[i].load, candidates[i].capacity)),
+        &mut ForwardScratch::default(),
     )
 }
 
-/// Algorithm 4 as draw-then-probe: the poll set is drawn from what the
-/// forwarding node knows without asking — the candidates' ids and
-/// distances — and only a drawn candidate is asked for its load.
+/// Algorithm 4 as draw-then-probe: the poll set is drawn from the
+/// candidates' ids alone, and only a drawn candidate is looked at.
 ///
-/// `candidates` can be any slice: `known` says what the node knows of
-/// an item without asking. `probe(i)` asks `candidates[i]` and returns
-/// its `(load, capacity)`, or `None` when it cannot be reached. An
+/// `contact(i)` says what the forwarding node knows of `ids[i]` without
+/// asking it — its distances. `probe(i)` asks `ids[i]` and returns its
+/// `(load, capacity)`, or `None` when it cannot be reached. An
 /// unreachable candidate is out of this decision and the draw repeats;
 /// `None` is returned when no candidate is left. [`ForwardPolicy::TwoChoice`]
 /// asks each member of its poll set once — the remembered candidate
 /// first, then fresh draws — so at most `probe_width` candidates when
-/// all answer; [`ForwardPolicy::Deterministic`] and
-/// [`ForwardPolicy::RandomWalk`] ask only the candidate they picked
-/// (to learn that it is reachable; they do not use its load).
+/// all answer, and needs the contact of those that answer only;
+/// [`ForwardPolicy::Deterministic`] reads each remaining candidate's
+/// contact once per pick and asks only the candidate it picked, as does
+/// [`ForwardPolicy::RandomWalk`], which reads no contact (both ask to
+/// learn that the pick is reachable; they do not use its load).
 ///
 /// Every draw depends only on the pool's length and order, never on a
 /// load, so when every probe is answered the RNG stream is consumed
 /// exactly as if all loads had been known up front.
+///
+/// The decision works in `scratch`'s buffers; their contents on entry
+/// do not matter.
 ///
 /// # Ties at equal load
 ///
@@ -218,51 +245,53 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
     clippy::too_many_arguments,
     reason = "Algorithm 4 has this many inputs; a parameter struct would only rename them at each call site"
 )]
-pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
+pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug>(
     policy: ForwardPolicy,
-    candidates: &[T],
-    known: impl Fn(&T) -> Contact<Id>,
+    ids: &[Id],
+    mut contact: impl FnMut(usize) -> Contact,
     memory: Option<Id>,
     avoid: &BTreeSet<Id>,
     gamma_l: f64,
     probe_width: usize,
     rng: &mut SimRng,
     mut probe: impl FnMut(usize) -> Option<(f64, f64)>,
+    scratch: &mut ForwardScratch<Id>,
 ) -> Option<ForwardChoice<Id>> {
     assert!(probe_width >= 1, "need at least one probe");
-    let id = |i: usize| known(&candidates[i]).id;
+    let ForwardScratch {
+        pool,
+        avoided,
+        polled,
+    } = scratch;
     // The candidates not drawn yet, in slice order. Known-overloaded
     // nodes wait in `avoided` and come in only when that would leave
     // nobody (Algorithm 4 line 3) — at the start, or once everyone
     // else has been drawn and found unreachable.
-    let (mut pool, mut avoided): (Vec<usize>, Vec<usize>) =
-        (0..candidates.len()).partition(|&i| !avoid.contains(&id(i)));
+    pool.clear();
+    avoided.clear();
+    pool.reserve(ids.len());
+    for (i, id) in ids.iter().enumerate() {
+        match avoid.contains(id) {
+            true => avoided.push(i),
+            false => pool.push(i),
+        }
+    }
     fn line3(pool: &mut Vec<usize>, avoided: &mut Vec<usize>) {
         if pool.is_empty() {
-            *pool = std::mem::take(avoided);
+            std::mem::swap(pool, avoided);
         }
     }
     // Drawing a candidate takes it out of the pool, whether or not it
     // answers.
     let mut draw = |i: usize, pool: &mut Vec<usize>| {
-        let c = known(&candidates[i]);
-        pool.retain(|&j| id(j) != c.id);
+        let id = ids[i];
+        pool.retain(|&j| ids[j] != id);
         let (load, capacity) = probe(i)?;
-        assert!(
-            capacity > 0.0,
-            "candidate {:?} has non-positive capacity",
-            c.id
-        );
-        Some(Candidate {
-            id: c.id,
-            load,
-            capacity,
-            logical_distance: c.logical_distance,
-            physical_distance: c.physical_distance,
-        })
+        assert!(capacity > 0.0, "candidate {id:?} has non-positive capacity");
+        Some((load, capacity))
     };
-    let unprobed = |c: Candidate<Id>| ForwardChoice {
-        next: c.id,
+    let unprobed = |next: Id| ForwardChoice {
+        next,
         new_memory: None,
         newly_overloaded: Vec::new(),
         probes: 0,
@@ -270,22 +299,24 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
 
     match policy {
         ForwardPolicy::Deterministic => loop {
-            line3(&mut pool, &mut avoided);
-            let &best = pool.iter().min_by(|&&x, &&y| {
-                let (x, y) = (known(&candidates[x]), known(&candidates[y]));
-                x.logical_distance
-                    .cmp(&y.logical_distance)
-                    .then(x.physical_distance.total_cmp(&y.physical_distance))
-            })?;
-            if let Some(c) = draw(best, &mut pool) {
-                return Some(unprobed(c));
+            line3(pool, avoided);
+            let (best, _) = pool
+                .iter()
+                .map(|&i| (i, contact(i)))
+                .min_by(|(_, x), (_, y)| {
+                    x.logical_distance
+                        .cmp(&y.logical_distance)
+                        .then(x.physical_distance.total_cmp(&y.physical_distance))
+                })?;
+            if draw(best, pool).is_some() {
+                return Some(unprobed(ids[best]));
             }
         },
         ForwardPolicy::RandomWalk => loop {
-            line3(&mut pool, &mut avoided);
-            let &pick = rng.choose(&pool)?;
-            if let Some(c) = draw(pick, &mut pool) {
-                return Some(unprobed(c));
+            line3(pool, avoided);
+            let &pick = rng.choose(pool)?;
+            if draw(pick, pool).is_some() {
+                return Some(unprobed(ids[pick]));
             }
         },
         ForwardPolicy::TwoChoice {
@@ -294,24 +325,38 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
         } => {
             // Assemble the poll set: the remembered candidate first (it
             // is a free extra choice), then fresh random draws up to b.
-            let mut polled: Vec<Candidate<Id>> = Vec::with_capacity(probe_width);
-            line3(&mut pool, &mut avoided);
+            polled.clear();
+            polled.reserve(probe_width);
+            let mut poll = |i: usize, pool: &mut Vec<usize>, polled: &mut Vec<Candidate<Id>>| {
+                if let Some((load, capacity)) = draw(i, pool) {
+                    let c = contact(i);
+                    polled.push(Candidate {
+                        id: ids[i],
+                        load,
+                        capacity,
+                        logical_distance: c.logical_distance,
+                        physical_distance: c.physical_distance,
+                    });
+                }
+            };
+            line3(pool, avoided);
             let remembered = memory
                 .filter(|_| use_memory)
-                .and_then(|m| pool.iter().copied().find(|&i| id(i) == m));
+                .and_then(|m| pool.iter().copied().find(|&i| ids[i] == m));
             if let Some(i) = remembered {
-                polled.extend(draw(i, &mut pool));
+                poll(i, pool, polled);
             }
             while polled.len() < probe_width {
                 if polled.is_empty() {
-                    line3(&mut pool, &mut avoided);
+                    line3(pool, avoided);
                 }
-                let Some(&i) = rng.choose(&pool) else {
+                let Some(&i) = rng.choose(pool) else {
                     break;
                 };
-                polled.extend(draw(i, &mut pool));
+                poll(i, pool, polled);
             }
 
+            let polled = &*polled;
             let newly_overloaded: Vec<Id> = polled
                 .iter()
                 .filter(|c| c.is_heavy(gamma_l))
@@ -358,48 +403,76 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug, T>(
     }
 }
 
-/// [`choose_next_b`] restricted to *reachable* candidates.
+/// [`choose_next_lazy`] restricted to *reachable* candidates.
 ///
 /// Fault injection (`ert-faults`) can make candidates unreachable in a
 /// way the avoid-set must not model: `avoid` is a soft preference
 /// (Algorithm 4 falls back to the full set when it empties the pool),
 /// while a crashed or partitioned peer is a hard exclusion — forwarding
-/// to it can never succeed. This wrapper drops unreachable candidates
-/// first and returns `None` when nothing survives, letting the caller
-/// degrade to its successor-ring fallback (or retry after backoff)
-/// instead of livelocking on a dead entry.
+/// to it can never succeed. This wrapper drops unreachable ids before
+/// the draw, and returns `None` when nothing survives, letting the
+/// caller degrade to its successor-ring fallback (or retry after
+/// backoff) instead of livelocking on a dead entry. A remembered
+/// candidate across the cut is forgotten with it: the memory is looked
+/// up among the ids drawn from. `contact` and `probe` keep taking
+/// indices into `ids`.
 ///
-/// With an empty `unreachable` set the result is identical to
-/// [`choose_next_b`], RNG draw for RNG draw.
+/// Filtering first, rather than letting the cut's probes fail, draws
+/// from the reachable candidates only: the RNG stream is that of
+/// [`choose_next_lazy`] over the surviving ids, and with an empty
+/// `unreachable` set it is [`choose_next_lazy`]'s, draw for draw.
 ///
 /// # Panics
 ///
-/// Panics if any surviving candidate has non-positive capacity or
+/// Panics if a probed candidate reports non-positive capacity or
 /// `probe_width == 0`.
 #[expect(
     clippy::too_many_arguments,
-    reason = "choose_next_b's inputs plus the unreachable set; same trade as choose_next_lazy"
+    reason = "choose_next_lazy's inputs plus the unreachable set; same trade as choose_next_lazy"
 )]
 pub fn choose_next_reachable<Id: Copy + Ord + std::fmt::Debug>(
     policy: ForwardPolicy,
-    candidates: &[Candidate<Id>],
+    ids: &[Id],
     unreachable: &BTreeSet<Id>,
+    mut contact: impl FnMut(usize) -> Contact,
     memory: Option<Id>,
     avoid: &BTreeSet<Id>,
     gamma_l: f64,
     probe_width: usize,
     rng: &mut SimRng,
+    mut probe: impl FnMut(usize) -> Option<(f64, f64)>,
+    scratch: &mut ForwardScratch<Id>,
 ) -> Option<ForwardChoice<Id>> {
     if unreachable.is_empty() {
-        return choose_next_b(policy, candidates, memory, avoid, gamma_l, probe_width, rng);
+        return choose_next_lazy(
+            policy,
+            ids,
+            contact,
+            memory,
+            avoid,
+            gamma_l,
+            probe_width,
+            rng,
+            probe,
+            scratch,
+        );
     }
-    let reachable: Vec<Candidate<Id>> = candidates
-        .iter()
-        .filter(|c| !unreachable.contains(&c.id))
-        .copied()
+    let kept: Vec<usize> = (0..ids.len())
+        .filter(|&i| !unreachable.contains(&ids[i]))
         .collect();
-    let memory = memory.filter(|m| !unreachable.contains(m));
-    choose_next_b(policy, &reachable, memory, avoid, gamma_l, probe_width, rng)
+    let reachable: Vec<Id> = kept.iter().map(|&i| ids[i]).collect();
+    choose_next_lazy(
+        policy,
+        &reachable,
+        |i| contact(kept[i]),
+        memory,
+        avoid,
+        gamma_l,
+        probe_width,
+        rng,
+        |i| probe(kept[i]),
+        scratch,
+    )
 }
 
 #[cfg(test)]
@@ -710,6 +783,49 @@ mod tests {
         assert_eq!(c.congestion(), 0.5);
     }
 
+    /// What the forwarding node knows of `c` without asking it.
+    fn contact_of(c: &Candidate<u32>) -> Contact {
+        Contact {
+            logical_distance: c.logical_distance,
+            physical_distance: c.physical_distance,
+        }
+    }
+
+    fn ids_of(cands: &[Candidate<u32>]) -> Vec<u32> {
+        cands.iter().map(|c| c.id).collect()
+    }
+
+    /// [`choose_next_reachable`] over a candidate slice whose every
+    /// candidate answers its probe.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "choose_next_reachable's own inputs, with the slice standing in for the closures"
+    )]
+    fn reachable(
+        policy: ForwardPolicy,
+        cands: &[Candidate<u32>],
+        unreachable: &BTreeSet<u32>,
+        memory: Option<u32>,
+        avoid: &BTreeSet<u32>,
+        gamma_l: f64,
+        probe_width: usize,
+        rng: &mut SimRng,
+    ) -> Option<ForwardChoice<u32>> {
+        choose_next_reachable(
+            policy,
+            &ids_of(cands),
+            unreachable,
+            |i| contact_of(&cands[i]),
+            memory,
+            avoid,
+            gamma_l,
+            probe_width,
+            rng,
+            |i| Some((cands[i].load, cands[i].capacity)),
+            &mut ForwardScratch::default(),
+        )
+    }
+
     #[test]
     fn reachable_filter_hard_excludes() {
         let mut rng = SimRng::seed_from(12);
@@ -717,7 +833,7 @@ mod tests {
         let b = cand(2, 0.0, 1, 0.1);
         let cut: BTreeSet<u32> = [1].into_iter().collect();
         for _ in 0..20 {
-            let c = choose_next_reachable(
+            let c = reachable(
                 two_choice(),
                 &[a, b],
                 &cut,
@@ -740,7 +856,7 @@ mod tests {
         let a = cand(1, 0.0, 1, 0.1);
         let b = cand(2, 0.0, 1, 0.1);
         let cut: BTreeSet<u32> = [1, 2].into_iter().collect();
-        let c = choose_next_reachable(
+        let c = reachable(
             two_choice(),
             &[a, b],
             &cut,
@@ -764,7 +880,7 @@ mod tests {
         let b = cand(2, 9.0, 1, 0.1);
         let cut: BTreeSet<u32> = [1].into_iter().collect();
         // Memory points at the unreachable node; the pick must not be it.
-        let c = choose_next_reachable(
+        let c = reachable(
             policy,
             &[a, b],
             &cut,
@@ -797,7 +913,7 @@ mod tests {
                 2,
                 &mut ra,
             );
-            let b = choose_next_reachable(
+            let b = reachable(
                 two_choice(),
                 &cands,
                 &BTreeSet::new(),
@@ -956,44 +1072,96 @@ mod tests {
         }
     }
 
-    fn contacts_of(cands: &[Candidate<u32>]) -> Vec<Contact<u32>> {
-        cands
+    /// The eager `choose_next_reachable` as it stood before the simulator
+    /// drew, then probed, kept verbatim as the reference model over
+    /// [`eager_choose_next_b`]: every candidate's load and distances are
+    /// in the slice before the cut is filtered.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the model keeps the signature it had"
+    )]
+    fn eager_choose_next_reachable<Id: Copy + Ord + std::fmt::Debug>(
+        policy: ForwardPolicy,
+        candidates: &[Candidate<Id>],
+        unreachable: &BTreeSet<Id>,
+        memory: Option<Id>,
+        avoid: &BTreeSet<Id>,
+        gamma_l: f64,
+        probe_width: usize,
+        rng: &mut SimRng,
+    ) -> Option<ForwardChoice<Id>> {
+        if unreachable.is_empty() {
+            return eager_choose_next_b(
+                policy,
+                candidates,
+                memory,
+                avoid,
+                gamma_l,
+                probe_width,
+                rng,
+            );
+        }
+        let reachable: Vec<Candidate<Id>> = candidates
             .iter()
-            .map(|c| Contact {
-                id: c.id,
-                logical_distance: c.logical_distance,
-                physical_distance: c.physical_distance,
-            })
-            .collect()
+            .filter(|c| !unreachable.contains(&c.id))
+            .copied()
+            .collect();
+        let memory = memory.filter(|m| !unreachable.contains(m));
+        eager_choose_next_b(policy, &reachable, memory, avoid, gamma_l, probe_width, rng)
     }
 
     proptest::proptest! {
-        /// Draw-then-probe with a closure that reads the slice makes the
-        /// same choice as the eager model and leaves the RNG where the
-        /// model leaves it, and asks exactly the candidates it polled.
+        /// Draw-then-probe behind the partition cut makes the same choice
+        /// as the eager model and leaves the RNG where the model leaves
+        /// it; it asks exactly the candidates it polled, and reads the
+        /// contact of a two-choice poll's members only — of no candidate
+        /// across the cut, under any policy.
         #[test]
         fn lazy_matches_the_eager_model_draw_for_draw(
-            specs in proptest::collection::vec((0u32..40, 0u64..6, 0u32..4, 1u32..20), 0..9),
+            specs in proptest::collection::vec(
+                ((0u32..40, 0u64..6, 0u32..4, 1u32..20), (0u8..4, 0u8..4)),
+                0..9,
+            ),
             avoid in proptest::collection::vec(0usize..9, 0..4),
-            memory in 0usize..14,
+            memory in 0usize..16,
             probe_width in 1usize..5,
             policy_ix in 0usize..6,
             seed in 0u64..1000,
         ) {
+            // A quarter of the candidates have departed, and answer
+            // (0, 1) as the simulator's departed ids do; a quarter of the
+            // rest sit across the cut.
+            let departed: Vec<bool> = specs.iter().map(|&(_, (d, _))| d == 0).collect();
+            let cut: BTreeSet<u32> = (0..specs.len())
+                .filter(|&i| !departed[i] && specs[i].1 .1 == 0)
+                .map(|i| i as u32)
+                .collect();
+            let answer = |i: usize| {
+                let (load, _, _, capacity) = specs[i].0;
+                match departed[i] {
+                    true => (0.0, 1.0),
+                    false => (f64::from(load), f64::from(capacity)),
+                }
+            };
             let cands: Vec<Candidate<u32>> = specs
                 .iter()
                 .enumerate()
-                .map(|(i, &(load, logical, physical, capacity))| Candidate {
+                .map(|(i, &((_, logical, physical, _), _))| Candidate {
                     id: i as u32,
-                    load: f64::from(load),
-                    capacity: f64::from(capacity),
+                    load: answer(i).0,
+                    capacity: answer(i).1,
                     logical_distance: logical,
                     physical_distance: f64::from(physical) / 4.0,
                 })
                 .collect();
-            // Indices past the end make a stale memory / a foreign avoid entry.
+            // Indices past the end make a stale memory / a foreign avoid
+            // entry; the top two values remember a candidate in the cut.
             let avoid: BTreeSet<u32> = avoid.into_iter().map(|i| i as u32).collect();
-            let memory = (memory < 10).then_some(memory as u32);
+            let memory = match memory {
+                0..=9 => Some(memory as u32),
+                10..=13 => None,
+                _ => cut.first().copied(),
+            };
             let policy = match policy_ix {
                 0 => ForwardPolicy::Deterministic,
                 1 => ForwardPolicy::RandomWalk,
@@ -1004,13 +1172,19 @@ mod tests {
             };
             let mut eager_rng = SimRng::seed_from(seed);
             let mut lazy_rng = SimRng::seed_from(seed);
-            let eager =
-                eager_choose_next_b(policy, &cands, memory, &avoid, 0.75, probe_width, &mut eager_rng);
-            let mut asked = Vec::new();
-            let lazy = choose_next_lazy(
+            let eager = eager_choose_next_reachable(
+                policy, &cands, &cut, memory, &avoid, 0.75, probe_width, &mut eager_rng,
+            );
+            let (ids, mut scratch) = (ids_of(&cands), ForwardScratch::default());
+            let (mut contacted, mut asked) = (Vec::new(), Vec::new());
+            let lazy = choose_next_reachable(
                 policy,
-                &contacts_of(&cands),
-                |c| *c,
+                &ids,
+                &cut,
+                |i| {
+                    contacted.push(i);
+                    contact_of(&cands[i])
+                },
                 memory,
                 &avoid,
                 0.75,
@@ -1018,22 +1192,57 @@ mod tests {
                 &mut lazy_rng,
                 |i| {
                     asked.push(i);
-                    Some((cands[i].load, cands[i].capacity))
+                    Some(answer(i))
                 },
+                &mut scratch,
             );
             proptest::prop_assert_eq!(&lazy, &eager);
             proptest::prop_assert_eq!(lazy_rng.exp_secs(1.0).to_bits(), eager_rng.exp_secs(1.0).to_bits());
+            // The buffers a decision leaves behind change nothing.
+            let again = choose_next_reachable(
+                policy,
+                &ids,
+                &cut,
+                |i| contact_of(&cands[i]),
+                memory,
+                &avoid,
+                0.75,
+                probe_width,
+                &mut SimRng::seed_from(seed),
+                |i| Some(answer(i)),
+                &mut scratch,
+            );
+            proptest::prop_assert_eq!(&again, &eager);
             let mut distinct = asked.clone();
             distinct.sort_unstable();
             distinct.dedup();
             proptest::prop_assert_eq!(distinct.len(), asked.len(), "a candidate was asked twice");
-            if let Some(choice) = &lazy {
-                match policy {
-                    ForwardPolicy::TwoChoice { .. } => proptest::prop_assert_eq!(asked.len(), choice.probes),
-                    _ => proptest::prop_assert_eq!(&asked, &[choice.next as usize]),
+            let across = |i: &usize| cut.contains(&(*i as u32));
+            proptest::prop_assert!(!asked.iter().any(across), "a candidate across the cut was asked");
+            proptest::prop_assert!(!contacted.iter().any(across), "a candidate across the cut was read");
+            let reachable = specs.len() - cut.len();
+            match (policy, &lazy) {
+                (_, None) => {
+                    proptest::prop_assert_eq!(reachable, 0);
+                    proptest::prop_assert!(asked.is_empty() && contacted.is_empty());
                 }
-            } else {
-                proptest::prop_assert!(asked.is_empty());
+                (ForwardPolicy::TwoChoice { .. }, Some(choice)) => {
+                    proptest::prop_assert_eq!(asked.len(), choice.probes);
+                    proptest::prop_assert_eq!(&contacted, &asked, "contacts are read for the poll only");
+                    proptest::prop_assert!(choice.probes <= probe_width);
+                }
+                (ForwardPolicy::Deterministic, Some(choice)) => {
+                    proptest::prop_assert_eq!(&asked, &[choice.next as usize]);
+                    let mut once = contacted.clone();
+                    once.sort_unstable();
+                    once.dedup();
+                    proptest::prop_assert_eq!(once.len(), contacted.len(), "a contact was read twice");
+                    proptest::prop_assert!(contacted.len() <= reachable);
+                }
+                (ForwardPolicy::RandomWalk, Some(choice)) => {
+                    proptest::prop_assert_eq!(&asked, &[choice.next as usize]);
+                    proptest::prop_assert!(contacted.is_empty());
+                }
             }
         }
     }
@@ -1045,7 +1254,7 @@ mod tests {
             cand(2, 0.0, 2, 0.1),
             cand(3, 0.0, 3, 0.1),
         ];
-        let contacts = contacts_of(&cands);
+        let ids = ids_of(&cands);
         let none = BTreeSet::new();
         for policy in [
             ForwardPolicy::Deterministic,
@@ -1057,27 +1266,29 @@ mod tests {
                 // Only candidate 3 answers.
                 let c = choose_next_lazy(
                     policy,
-                    &contacts,
-                    |c| *c,
+                    &ids,
+                    |i| contact_of(&cands[i]),
                     Some(1),
                     &none,
                     1.0,
                     2,
                     &mut rng,
                     |i| (i == 2).then_some((0.0, 10.0)),
+                    &mut ForwardScratch::default(),
                 )
                 .unwrap();
                 assert_eq!(c.next, 3, "{policy:?}");
                 let c = choose_next_lazy(
                     policy,
-                    &contacts,
-                    |c| *c,
+                    &ids,
+                    |i| contact_of(&cands[i]),
                     None,
                     &none,
                     1.0,
                     2,
                     &mut rng,
                     |_| None,
+                    &mut ForwardScratch::default(),
                 );
                 assert!(c.is_none(), "{policy:?}: nobody answers");
             }
@@ -1093,14 +1304,15 @@ mod tests {
         let mut rng = SimRng::seed_from(15);
         let c = choose_next_lazy(
             two_choice(),
-            &contacts_of(&cands),
-            |c| *c,
+            &ids_of(&cands),
+            |i| contact_of(&cands[i]),
             None,
             &avoid,
             1.0,
             2,
             &mut rng,
             |i| (i == 1).then_some((0.0, 10.0)),
+            &mut ForwardScratch::default(),
         )
         .unwrap();
         assert_eq!(c.next, 2);

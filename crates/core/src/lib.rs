@@ -64,7 +64,7 @@ pub use capacity::{max_indegree, normalize_capacities};
 pub use estimate::Estimator;
 pub use forward::{
     choose_next, choose_next_b, choose_next_lazy, choose_next_reachable, Candidate, Contact,
-    ForwardChoice, ForwardPolicy,
+    ForwardChoice, ForwardPolicy, ForwardScratch,
 };
 pub use params::ErtParams;
 pub use table::ElasticTable;

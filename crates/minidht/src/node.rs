@@ -37,7 +37,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use ert_core::{
     adaptation_action, assign::initial_indegree_target, choose_next_lazy, expand_indegree_over,
-    AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy,
+    AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy, ForwardScratch,
 };
 use ert_sim::{SimDuration, SimRng};
 use rand::Rng;
@@ -490,9 +490,8 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         let Some(choice) = choose_next_lazy(
             policy,
             &hc.ids,
-            |&c| Contact {
-                id: c,
-                logical_distance: self.geometry.metric(c, owner),
+            |i| Contact {
+                logical_distance: self.geometry.metric(hc.ids[i], owner),
                 physical_distance: 0.0,
             },
             self.me.table.memory(hc.slot),
@@ -505,6 +504,7 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
                 PeerAnswer::Unknown => Some((0.0, 1.0)),
                 PeerAnswer::Unreachable => None,
             },
+            &mut ForwardScratch::default(),
         ) else {
             // Every candidate was hidden by a partition.
             return Hop::Failed;

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ert_core::{
     adaptation_action, choose_next_reachable, max_indegree, normalize_capacities, AdaptAction,
-    Candidate, ForwardPolicy,
+    Contact, ForwardPolicy, ForwardScratch,
 };
 use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 use ert_overlay::{Coord, CycloidId, CycloidSpace};
@@ -263,6 +263,8 @@ pub struct Network {
     sample_clock: Option<SampleClock>,
     adapt_rounds: u64,
     sanitizer: Sanitizer,
+    /// Algorithm 4's buffers, reused by every forwarding decision.
+    forward_scratch: ForwardScratch<CycloidId>,
 }
 
 impl Network {
@@ -409,6 +411,7 @@ impl Network {
             sample_clock: None,
             adapt_rounds: 0,
             sanitizer: Sanitizer::new(),
+            forward_scratch: ForwardScratch::default(),
         })
     }
 
@@ -974,23 +977,6 @@ impl Network {
             .emit(now, || TelemetryEvent::LookupFailed { q: q as u64, hops });
     }
 
-    fn candidate_info(&self, me: CycloidId, id: CycloidId, key: CycloidId) -> Candidate<CycloidId> {
-        let (load, capacity) = match self.topo.host_of_id(id) {
-            Some(h) => {
-                let host = &self.topo.hosts[h];
-                (host.load() as f64, host.capacity_eval as f64)
-            }
-            None => (0.0, 1.0), // departed: non-probing policies may pick it
-        };
-        Candidate {
-            id,
-            load,
-            capacity,
-            logical_distance: self.topo.logical_metric(id, key),
-            physical_distance: self.topo.phys_dist(me, id),
-        }
-    }
-
     fn forward(&mut self, q: usize, node: usize, now: SimTime) {
         if self.queries[q].hops >= self.cfg.max_hops {
             self.drop_query(q, now);
@@ -1016,11 +1002,6 @@ impl Network {
         if rc.fell_back {
             self.queries[q].ring_mode = true;
         }
-        let cands: Vec<Candidate<CycloidId>> = rc
-            .ids
-            .iter()
-            .map(|&id| self.candidate_info(me, id, key))
-            .collect();
         let memory = match (self.protocol.forwarding, rc.slot) {
             (
                 ForwardPolicy::TwoChoice {
@@ -1036,6 +1017,7 @@ impl Network {
         // RNG draws, keeping fault-free runs byte-identical.
         let cut = self.partition_cut(node, &rc.ids, now);
         let defecting = self.faults.defectors.contains(&self.topo.nodes[node].host);
+        let topo = &self.topo;
         let picked = if defecting {
             // Routing defection: invert Algorithm 4 and forward to the
             // *most*-loaded reachable candidate, ignoring the avoid
@@ -1043,32 +1025,39 @@ impl Network {
             // higher ring position) and draws nothing from the
             // forwarding stream; probes are charged for every reachable
             // candidate the defector "inspected" to find the worst.
-            let reachable: Vec<&Candidate<CycloidId>> =
-                cands.iter().filter(|c| !cut.contains(&c.id)).collect();
-            let probes = reachable.len();
-            reachable
-                .into_iter()
-                .max_by(|a, b| {
-                    a.load
-                        .total_cmp(&b.load)
-                        .then_with(|| self.topo.space.lin(a.id).cmp(&self.topo.space.lin(b.id)))
+            let reachable = || rc.ids.iter().copied().filter(|id| !cut.contains(id));
+            let probes = reachable().count();
+            reachable()
+                .map(|id| (id, probe_load(topo, id).0))
+                .max_by(|&(a, la), &(b, lb)| {
+                    la.total_cmp(&lb)
+                        .then_with(|| topo.space.lin(a).cmp(&topo.space.lin(b)))
                 })
-                .map(|c| ert_core::ForwardChoice {
-                    next: c.id,
+                .map(|(next, _)| ert_core::ForwardChoice {
+                    next,
                     new_memory: None,
                     newly_overloaded: Vec::new(),
                     probes,
                 })
         } else {
+            // Distances and load are read for the candidates drawn, not
+            // for every candidate.
+            let ids = &rc.ids;
             choose_next_reachable(
                 self.protocol.forwarding,
-                &cands,
+                ids,
                 &cut,
+                |i| Contact {
+                    logical_distance: topo.logical_metric(ids[i], key),
+                    physical_distance: topo.phys_dist(me, ids[i]),
+                },
                 memory,
                 &self.queries[q].avoid,
                 self.cfg.ert.gamma_l,
                 self.cfg.ert.probe_width,
                 &mut self.rng_forward,
+                |i| Some(probe_load(topo, ids[i])),
+                &mut self.forward_scratch,
             )
         };
         if defecting {
@@ -1159,25 +1148,25 @@ impl Network {
                 Some(alt) => alt,
                 None => {
                     // Re-assemble with dead filtering (repairs the slot).
-                    match self.topo.route_candidates(
+                    let Some(rc2) = self.topo.route_candidates(
                         node,
                         key,
                         true,
                         self.queries[q].ring_mode,
                         &mut self.rng_forward,
-                    ) {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "every `Some` from route_candidates holds at least one id (the debug_assert at the head of this fn): an empty slot is repaired or falls back to ring_candidates, which steps to the owner when no link is in stride"
-                        )]
-                        Some(rc2) => rc2
-                            .ids
-                            .iter()
-                            .copied()
-                            .min_by_key(|&x| self.topo.logical_metric(x, key))
-                            .expect("repaired candidates nonempty"),
+                    ) else {
+                        self.complete_query(q, now);
+                        return;
+                    };
+                    // Every `Some` from route_candidates holds at least
+                    // one id (the debug_assert at the head of this fn);
+                    // were one empty, the lookup fails, typed, rather
+                    // than the run.
+                    let repaired = rc2.ids.iter().copied();
+                    match repaired.min_by_key(|&x| self.topo.logical_metric(x, key)) {
+                        Some(alt) => alt,
                         None => {
-                            self.complete_query(q, now);
+                            self.fail_query(q, now);
                             return;
                         }
                     }
@@ -1854,6 +1843,19 @@ impl Network {
             let id = self.topo.nodes[node].id;
             self.deliver(q, id, now);
         }
+    }
+}
+
+/// What probing the overlay node `id` reports: its host's
+/// `(load, capacity)`, or `(0, 1)` for a departed node, which
+/// non-probing policies may still pick.
+fn probe_load(topo: &Topology, id: CycloidId) -> (f64, f64) {
+    match topo.host_of_id(id) {
+        Some(h) => {
+            let host = &topo.hosts[h];
+            (host.load() as f64, host.capacity_eval as f64)
+        }
+        None => (0.0, 1.0),
     }
 }
 

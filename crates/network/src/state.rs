@@ -122,7 +122,9 @@ pub struct OverlayNode {
     /// Dynamic maximum indegree `d^∞`: written only by
     /// `Topology::apply`, which keeps the spare index in step.
     pub(crate) d_max: u32,
-    /// Whether the node is still in the overlay.
+    /// Whether the node is still in the overlay: cleared only by
+    /// `Topology::apply`, which clears the node's ID index entry with it
+    /// (see `Topology::on_id_index`).
     pub alive: bool,
     /// Whether no node had joined on the ID before this one: written
     /// only by `Topology::apply` (see `Topology::on_fresh`).

@@ -368,10 +368,22 @@ impl Topology {
         self.derived_checks += 1;
     }
 
-    /// The slab index currently holding `id`, if the ID is live.
+    /// The slab index currently holding `id`, if the ID is live: one
+    /// read of the ID index, which is exact (see
+    /// [`Topology::on_id_index`]). Armed builds check that the entry
+    /// names a live node.
     pub fn node_idx(&self, id: CycloidId) -> Option<usize> {
         let entry = *self.id_index.get(self.space.lin(id) as usize)?;
-        (entry != VACANT && self.nodes[entry as usize].alive).then_some(entry as usize)
+        if entry == VACANT {
+            return None;
+        }
+        if Sanitizer::ACTIVE {
+            assert!(
+                self.nodes[entry as usize].alive,
+                "sanitize: ID index entry of {id} names departed node {entry}"
+            );
+        }
+        Some(entry as usize)
     }
 
     /// Whether `id` is a live overlay node.
@@ -1195,7 +1207,7 @@ impl Topology {
         };
         let mut ids: Vec<CycloidId> = Vec::new();
         for (_, x) in self.nodes[node].table.iter_outlinks() {
-            if self.is_alive(x) && in_stride(x) && !ids.contains(&x) {
+            if in_stride(x) && !ids.contains(&x) && self.is_alive(x) {
                 ids.push(x);
             }
         }
@@ -2221,6 +2233,16 @@ mod tests {
         // counts it.
         let repairer = topo.node_idx(space.id(3, 0b0110)).unwrap();
         topo.repair_slot(repairer, CycloidSlot::Cyclic, &mut rng);
+    }
+
+    #[cfg(any(debug_assertions, feature = "sanitize"))]
+    #[test]
+    #[should_panic(expected = "names departed node")]
+    fn sanitizer_catches_an_id_index_entry_naming_a_departed_node() {
+        let (mut topo, _) = full_topology(TablePolicy::SingleClosest);
+        // Node 5 leaves behind `apply`'s back: its entry still names it.
+        topo.nodes[5].alive = false;
+        assert!(!topo.is_alive(topo.nodes[5].id));
     }
 
     #[cfg(any(debug_assertions, feature = "sanitize"))]
