@@ -1,11 +1,9 @@
 //! Periodic indegree adaptation (Section 3.3, Algorithm 3 of the paper).
 
-use serde::Serialize;
-
 use crate::params::ErtParams;
 
 /// What a node should do with its indegree after one measurement period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptAction {
     /// Load and capacity are balanced; leave the table alone.
     Keep,
@@ -64,7 +62,7 @@ pub fn adaptation_action(load: f64, capacity: f64, params: &ErtParams) -> AdaptA
 }
 
 /// A backward finger considered for shedding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedCandidate<Id> {
     /// The inlink holder.
     pub id: Id,

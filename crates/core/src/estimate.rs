@@ -9,7 +9,6 @@
 
 use ert_sim::SimRng;
 use rand::Rng;
-use serde::Serialize;
 
 /// A bounded-error estimator for node capacity and network size.
 ///
@@ -23,7 +22,7 @@ use serde::Serialize;
 /// let n = est.estimate_network_size(2048, &mut rng);
 /// assert!(n >= 1024 && n <= 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimator {
     gamma_c: f64,
     gamma_n: f64,

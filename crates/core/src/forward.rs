@@ -24,10 +24,9 @@
 use std::collections::BTreeSet;
 
 use ert_sim::SimRng;
-use serde::Serialize;
 
 /// Which forwarding policy a protocol runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardPolicy {
     /// Forward to the candidate logically closest to the target.
     Deterministic,
@@ -45,7 +44,7 @@ pub enum ForwardPolicy {
 }
 
 /// One forwarding candidate with everything the policy may inspect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate<Id> {
     /// The candidate node.
     pub id: Id,
@@ -106,7 +105,7 @@ impl<Id> Default for ForwardScratch<Id> {
 }
 
 /// The outcome of one forwarding decision.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForwardChoice<Id> {
     /// The next hop.
     pub next: Id,

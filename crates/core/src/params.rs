@@ -1,7 +1,6 @@
 //! Protocol parameters (Table 1 / Table 2 of the paper).
 
 use ert_sim::SimDuration;
-use serde::Serialize;
 
 /// Tunable parameters of the ERT congestion-control protocol.
 ///
@@ -17,7 +16,7 @@ use serde::Serialize;
 /// assert_eq!(p.alpha, 11.0);
 /// p.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErtParams {
     /// Indegree per unit of normalized capacity (`α`). The paper's
     /// default ties it to the Cycloid dimension: `α = d + 3`.

@@ -8,49 +8,10 @@
 //!   at join time.
 
 use ert_core::ForwardPolicy;
-use ert_network::{NetworkConfig, ProtocolSpec, RunReport, TablePolicy};
+use ert_network::{ProtocolSpec, TablePolicy};
 
-use crate::report::{fnum, Table};
-use crate::scenario::{average_reports, try_run_batch, RunCell, Scenario};
-
-/// Fans an ERT/AF parameter sweep — every `(value, seed)` cell as one
-/// flat batch on the worker pool — and returns the averaged report per
-/// value, in value order.
-fn value_sweep<V, F>(base: &Scenario, spec: &ProtocolSpec, values: &[V], apply: F) -> Vec<RunReport>
-where
-    V: Copy + Send + Sync,
-    F: Fn(V, &mut NetworkConfig) + Send + Sync,
-{
-    let apply = &apply;
-    let cells: Vec<RunCell> = values
-        .iter()
-        .flat_map(|&v| {
-            base.seeds.iter().map(move |&seed| RunCell {
-                scenario: base,
-                spec,
-                seed,
-                tweak: Box::new(move |cfg| apply(v, cfg)),
-            })
-        })
-        .collect();
-    let mut outcomes = try_run_batch(base.effective_jobs(), cells).into_iter();
-    values
-        .iter()
-        .map(|_| {
-            let runs: Vec<RunReport> = base
-                .seeds
-                .iter()
-                .map(|_| {
-                    outcomes
-                        .next()
-                        .expect("one outcome per cell")
-                        .unwrap_or_else(|e| panic!("{e}"))
-                })
-                .collect();
-            average_reports(&runs)
-        })
-        .collect()
-}
+use crate::report::fnum;
+use crate::sweep::{Axis, Cell, Layout, Panel, Sweep};
 
 fn ert_with_forwarding(name: &str, forwarding: ForwardPolicy) -> ProtocolSpec {
     ProtocolSpec {
@@ -91,125 +52,96 @@ pub fn forwarding_ladder() -> Vec<ProtocolSpec> {
     ]
 }
 
-fn summary_row(r: &RunReport) -> Vec<String> {
-    vec![
-        r.protocol.clone(),
-        fnum(r.p99_max_congestion),
-        fnum(r.p99_share),
-        r.heavy_encounters.to_string(),
-        fnum(r.mean_path_length),
-        fnum(r.lookup_time.mean),
-        fnum(r.probes_per_decision),
-    ]
+fn ert_af(_n: usize) -> Vec<ProtocolSpec> {
+    vec![ProtocolSpec::ert_af()]
 }
 
-const SUMMARY_HEADER: [&str; 7] = [
-    "variant",
-    "p99 cong",
-    "p99 share",
-    "heavy",
-    "path",
-    "time_s",
-    "probes",
-];
-
-/// Ablation of Algorithm 4's ingredients on a fixed scenario.
-pub fn forwarding_table(base: &Scenario) -> Table {
-    let specs = forwarding_ladder();
-    let reports = base.run_all(&specs);
-    let mut t = Table::new(
-        "Ablation fwd — forwarding-policy ladder (ERT tables + adaptation)",
-        &SUMMARY_HEADER,
-    );
-    for r in &reports {
-        t.row(summary_row(r));
-    }
-    t
+/// Algorithm 4's ingredients on a fixed scenario: the forwarding
+/// ladder at the base scenario.
+pub fn forwarding_sweep() -> Sweep<()> {
+    Sweep::base(|_| forwarding_ladder())
 }
+
+/// The forwarding ladder, one row per variant.
+pub static FORWARDING_PANEL: Panel = Panel {
+    title: "Ablation fwd — forwarding-policy ladder (ERT tables + adaptation)",
+    layout: Layout::Rows(
+        Some("variant"),
+        &[
+            ("p99 cong", |r| fnum(r.p99_max_congestion)),
+            ("p99 share", |r| fnum(r.p99_share)),
+            ("heavy", |r| r.heavy_encounters.to_string()),
+            ("path", |r| fnum(r.mean_path_length)),
+            ("time_s", |r| fnum(r.lookup_time.mean)),
+            ("probes", |r| fnum(r.probes_per_decision)),
+        ],
+    ),
+};
 
 /// Sensitivity of ERT/AF to `α` around the paper's `d + 3` default.
-pub fn alpha_table(base: &Scenario, alphas: &[f64]) -> Table {
-    let mut t = Table::new(
-        "Ablation alpha — indegree per unit capacity",
-        &[
-            "alpha",
-            "p99 cong",
-            "p99 share",
-            "mean max indegree",
-            "time_s",
-        ],
-    );
-    let spec = ProtocolSpec::ert_af();
-    let averaged = value_sweep(base, &spec, alphas, |alpha, cfg| cfg.ert.alpha = alpha);
-    for (&alpha, r) in alphas.iter().zip(&averaged) {
-        t.row(vec![
-            fnum(alpha),
-            fnum(r.p99_max_congestion),
-            fnum(r.p99_share),
-            fnum(r.max_indegree.mean),
-            fnum(r.lookup_time.mean),
-        ]);
-    }
-    t
+pub fn alpha_sweep(alphas: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("alpha", alphas, |a| fnum(*a)).config(|cfg, &a| cfg.ert.alpha = a);
+    Sweep::new(axis, ert_af)
 }
 
 /// Sensitivity of ERT/AF to the reservation fraction `β`.
-pub fn beta_table(base: &Scenario, betas: &[f64]) -> Table {
-    let mut t = Table::new(
-        "Ablation beta — initial indegree reservation",
-        &[
-            "beta",
-            "p99 cong",
-            "p99 share",
-            "mean max indegree",
-            "time_s",
-        ],
-    );
-    let spec = ProtocolSpec::ert_af();
-    let averaged = value_sweep(base, &spec, betas, |beta, cfg| cfg.ert.beta = beta);
-    for (&beta, r) in betas.iter().zip(&averaged) {
-        t.row(vec![
-            fnum(beta),
-            fnum(r.p99_max_congestion),
-            fnum(r.p99_share),
-            fnum(r.max_indegree.mean),
-            fnum(r.lookup_time.mean),
-        ]);
-    }
-    t
+pub fn beta_sweep(betas: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("beta", betas, |b| fnum(*b)).config(|cfg, &b| cfg.ert.beta = b);
+    Sweep::new(axis, ert_af)
 }
+
+/// The `α` and `β` panels' columns.
+const RESERVATION: [Cell; 4] = [
+    ("p99 cong", |r| fnum(r.p99_max_congestion)),
+    ("p99 share", |r| fnum(r.p99_share)),
+    ("mean max indegree", |r| fnum(r.max_indegree.mean)),
+    ("time_s", |r| fnum(r.lookup_time.mean)),
+];
+
+/// The `α` sweep's table.
+pub static ALPHA_PANEL: Panel = Panel {
+    title: "Ablation alpha — indegree per unit capacity",
+    layout: Layout::Rows(None, &RESERVATION),
+};
+
+/// The `β` sweep's table.
+pub static BETA_PANEL: Panel = Panel {
+    title: "Ablation beta — initial indegree reservation",
+    layout: Layout::Rows(None, &RESERVATION),
+};
 
 /// Sensitivity of ERT/AF to the poll size `b` (Section 4.1 quotes
 /// Mitzenmacher: two choices give the exponential gain; more gain
 /// little and cost probes).
-pub fn probe_width_table(base: &Scenario, widths: &[usize]) -> Table {
-    let mut t = Table::new(
-        "Ablation b — poll size of the randomized forwarding",
-        &["b", "p99 cong", "heavy", "time_s", "probes/decision"],
-    );
-    let spec = ProtocolSpec::ert_af();
-    let averaged = value_sweep(base, &spec, widths, |b, cfg| cfg.ert.probe_width = b);
-    for (&b, r) in widths.iter().zip(&averaged) {
-        t.row(vec![
-            b.to_string(),
-            fnum(r.p99_max_congestion),
-            r.heavy_encounters.to_string(),
-            fnum(r.lookup_time.mean),
-            fnum(r.probes_per_decision),
-        ]);
-    }
-    t
+pub fn probe_width_sweep(widths: Vec<usize>) -> Sweep<usize> {
+    let axis = Axis::new("b", widths, usize::to_string).config(|cfg, &b| cfg.ert.probe_width = b);
+    Sweep::new(axis, ert_af)
 }
+
+/// The poll-size sweep's table.
+pub static PROBE_WIDTH_PANEL: Panel = Panel {
+    title: "Ablation b — poll size of the randomized forwarding",
+    layout: Layout::Rows(
+        None,
+        &[
+            ("p99 cong", |r| fnum(r.p99_max_congestion)),
+            ("heavy", |r| r.heavy_encounters.to_string()),
+            ("time_s", |r| fnum(r.lookup_time.mean)),
+            ("probes/decision", |r| fnum(r.probes_per_decision)),
+        ],
+    ),
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn forwarding_ladder_runs_and_probes_grow() {
         let mut s = Scenario::quick(300);
         s.lookups = 250;
-        let t = forwarding_table(&s);
+        let t = forwarding_sweep().run(&s).table(&FORWARDING_PANEL);
         assert_eq!(t.rows.len(), 4);
         let probes_rw: f64 = t.rows[0][6].parse().unwrap();
         let probes_2c: f64 = t.rows[1][6].parse().unwrap();
@@ -221,7 +153,7 @@ mod tests {
     fn alpha_sweep_monotone_table_size() {
         let mut s = Scenario::quick(301);
         s.lookups = 200;
-        let t = alpha_table(&s, &[4.0, 16.0]);
+        let t = alpha_sweep(vec![4.0, 16.0]).run(&s).table(&ALPHA_PANEL);
         let small: f64 = t.rows[0][3].parse().unwrap();
         let large: f64 = t.rows[1][3].parse().unwrap();
         assert!(
@@ -231,10 +163,20 @@ mod tests {
     }
 
     #[test]
+    fn beta_sweep_runs() {
+        let mut s = Scenario::quick(302);
+        s.lookups = 150;
+        let t = beta_sweep(vec![0.25, 1.0]).run(&s).table(&BETA_PANEL);
+        assert_eq!(t.rows.len(), 2);
+    }
+
+    #[test]
     fn probe_width_sweep_probes_scale() {
         let mut s = Scenario::quick(303);
         s.lookups = 200;
-        let t = probe_width_table(&s, &[1, 2, 4]);
+        let t = probe_width_sweep(vec![1, 2, 4])
+            .run(&s)
+            .table(&PROBE_WIDTH_PANEL);
         let probes: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
         assert!(
             probes[0] <= probes[1] && probes[1] <= probes[2],
@@ -245,13 +187,5 @@ mod tests {
             "b=4 should poll more than 2: {}",
             probes[2]
         );
-    }
-
-    #[test]
-    fn beta_sweep_runs() {
-        let mut s = Scenario::quick(302);
-        s.lookups = 150;
-        let t = beta_table(&s, &[0.25, 1.0]);
-        assert_eq!(t.rows.len(), 2);
     }
 }

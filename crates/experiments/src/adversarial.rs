@@ -23,13 +23,14 @@
 //! theorem envelope armed.
 
 use ert_baselines::base;
-use ert_network::{FaultEvent, FaultKind, FaultPlan, ProtocolSpec, RunReport};
+use ert_network::{FaultEvent, FaultKind, FaultPlan, ProtocolSpec};
 use ert_sim::{SimDuration, SimTime};
 use ert_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::report::{fnum, Table};
-use crate::scenario::{run_sweep, Scenario};
+use crate::scenario::Scenario;
+use crate::sweep::{completion, Axis, Layout, Panel, Sweep};
 
 /// When scripted actors activate: shortly after t = 0, so the first
 /// adaptation rounds already run under attack but topology construction
@@ -156,35 +157,8 @@ pub const VICTIM_REGION: f64 = 0.37;
 /// back to within this factor of the pre-flood peak.
 pub const RECOVERY_BAND: f64 = 2.0;
 
-/// The capacity-misreport error factors swept (1 = honest control).
-pub fn liar_errors(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![1.0, 4.0]
-    } else {
-        vec![1.0, 2.0, 4.0, 8.0]
-    }
-}
-
-/// The defector fractions swept (0 = honest control).
-pub fn defector_fractions(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 0.2]
-    } else {
-        vec![0.0, 0.1, 0.2, 0.3]
-    }
-}
-
-/// The Sybil swarm sizes swept (0 = honest control).
-pub fn sybil_counts(quick: bool) -> Vec<u32> {
-    if quick {
-        vec![0, 16]
-    } else {
-        vec![0, 8, 16, 32]
-    }
-}
-
-/// The protocols the sweeps compare.
-pub fn protocols() -> Vec<ProtocolSpec> {
+/// The protocols the attack and fault sweeps compare, at any size.
+pub fn protocols(_n: usize) -> Vec<ProtocolSpec> {
     vec![base(), ProtocolSpec::ert_af()]
 }
 
@@ -194,145 +168,68 @@ fn horizon_secs(s: &Scenario) -> f64 {
     s.lookups as f64 / (s.per_node_rate * s.n as f64).max(1e-9)
 }
 
-fn sweep_scripts(base_s: &Scenario, scripts: Vec<Option<AdversaryScript>>) -> Vec<Vec<RunReport>> {
-    let specs = protocols();
-    let variants: Vec<(Scenario, Vec<ProtocolSpec>)> = scripts
-        .into_iter()
-        .map(|script| {
-            let mut s = base_s.clone();
-            s.adversary = script;
-            (s, specs.clone())
-        })
-        .collect();
-    run_sweep(&variants)
-}
-
-/// Runs every protocol at each misreport error factor (error 1 is the
-/// adversary-free honest control), averaging over the scenario's seeds.
-pub fn liar_sweep(base_s: &Scenario, errors: &[f64]) -> Vec<(f64, Vec<RunReport>)> {
-    let scripts = errors
-        .iter()
-        .map(|&error| {
-            (error > 1.0).then_some(AdversaryScript::Liars {
-                fraction: LIAR_FRACTION,
-                error,
-            })
-        })
-        .collect();
-    errors
-        .iter()
-        .copied()
-        .zip(sweep_scripts(base_s, scripts))
-        .collect()
-}
-
-/// Runs every protocol at each defector fraction (fraction 0 is the
+/// Every protocol at each misreport error factor (error 1 is the
 /// adversary-free honest control).
-pub fn defector_sweep(base_s: &Scenario, fractions: &[f64]) -> Vec<(f64, Vec<RunReport>)> {
-    let scripts = fractions
-        .iter()
-        .map(|&fraction| (fraction > 0.0).then_some(AdversaryScript::Defectors { fraction }))
-        .collect();
-    fractions
-        .iter()
-        .copied()
-        .zip(sweep_scripts(base_s, scripts))
-        .collect()
+pub fn liar_sweep(errors: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("error", errors, f64::to_string).scenario(|s, &error| {
+        s.adversary = (error > 1.0).then_some(AdversaryScript::Liars {
+            fraction: LIAR_FRACTION,
+            error,
+        });
+    });
+    Sweep::new(axis, protocols)
 }
 
-/// Runs every protocol at each Sybil swarm size (count 0 is the
+/// Every protocol at each defector fraction (fraction 0 is the
 /// adversary-free honest control).
-pub fn sybil_sweep(base_s: &Scenario, counts: &[u32]) -> Vec<(u32, Vec<RunReport>)> {
-    let scripts = counts
-        .iter()
-        .map(|&count| {
-            (count > 0).then_some(AdversaryScript::Sybils {
-                count,
-                region: VICTIM_REGION,
-            })
-        })
-        .collect();
-    counts
-        .iter()
-        .copied()
-        .zip(sweep_scripts(base_s, scripts))
-        .collect()
+pub fn defector_sweep(fractions: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("fraction", fractions, f64::to_string).scenario(|s, &fraction| {
+        s.adversary = (fraction > 0.0).then_some(AdversaryScript::Defectors { fraction });
+    });
+    Sweep::new(axis, protocols)
+}
+
+/// Every protocol at each Sybil swarm size (count 0 is the
+/// adversary-free honest control).
+pub fn sybil_sweep(counts: Vec<u32>) -> Sweep<u32> {
+    let axis = Axis::new("count", counts, u32::to_string).scenario(|s, &count| {
+        s.adversary = (count > 0).then_some(AdversaryScript::Sybils {
+            count,
+            region: VICTIM_REGION,
+        });
+    });
+    Sweep::new(axis, protocols)
 }
 
 /// The liar panel: p99 max congestion and completion per protocol vs
 /// the misreport error factor.
-pub fn liar_table(sweep: &[(f64, Vec<RunReport>)]) -> Table {
-    let mut header = vec!["error".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        for r in rs {
-            header.push(format!("{} p99 congestion", r.protocol));
-            header.push(format!("{} completed", r.protocol));
-        }
-    }
-    let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Adv. liars — congestion and survival vs capacity-misreport error",
-        &refs,
-    );
-    for (error, reports) in sweep {
-        let mut row = vec![format!("{error}")];
-        for r in reports {
-            row.push(fnum(r.p99_max_congestion));
-            row.push(fnum(completion(r)));
-        }
-        t.row(row);
-    }
-    t
-}
+pub static LIAR_PANEL: Panel = Panel {
+    title: "Adv. liars — congestion and survival vs capacity-misreport error",
+    layout: Layout::WideCells(&[
+        ("p99 congestion", |r| fnum(r.p99_max_congestion)),
+        ("completed", |r| fnum(completion(r))),
+    ]),
+};
 
 /// The defector panel: completion and p99 lookup time per protocol vs
 /// the defector fraction.
-pub fn defector_table(sweep: &[(f64, Vec<RunReport>)]) -> Table {
-    let mut header = vec!["fraction".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        for r in rs {
-            header.push(format!("{} completed", r.protocol));
-            header.push(format!("{} p99 lookup time", r.protocol));
-        }
-    }
-    let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Adv. defectors — survival and latency vs defector fraction",
-        &refs,
-    );
-    for (fraction, reports) in sweep {
-        let mut row = vec![format!("{fraction}")];
-        for r in reports {
-            row.push(fnum(completion(r)));
-            row.push(fnum(r.lookup_time.p99));
-        }
-        t.row(row);
-    }
-    t
-}
+pub static DEFECTOR_PANEL: Panel = Panel {
+    title: "Adv. defectors — survival and latency vs defector fraction",
+    layout: Layout::WideCells(&[
+        ("completed", |r| fnum(completion(r))),
+        ("p99 lookup time", |r| fnum(r.lookup_time.p99)),
+    ]),
+};
 
 /// The Sybil panel: worst-host indegree and completion per protocol vs
 /// the swarm size.
-pub fn sybil_table(sweep: &[(u32, Vec<RunReport>)]) -> Table {
-    let mut header = vec!["count".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        for r in rs {
-            header.push(format!("{} max indegree", r.protocol));
-            header.push(format!("{} completed", r.protocol));
-        }
-    }
-    let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new("Adv. sybils — indegree concentration vs swarm size", &refs);
-    for (count, reports) in sweep {
-        let mut row = vec![format!("{count}")];
-        for r in reports {
-            row.push(fnum(r.max_indegree.max));
-            row.push(fnum(completion(r)));
-        }
-        t.row(row);
-    }
-    t
-}
+pub static SYBIL_PANEL: Panel = Panel {
+    title: "Adv. sybils — indegree concentration vs swarm size",
+    layout: Layout::WideCells(&[
+        ("max indegree", |r| fnum(r.max_indegree.max)),
+        ("completed", |r| fnum(completion(r))),
+    ]),
+};
 
 /// The flood script used by [`flood_recovery`], sized relative to the
 /// scenario's injection horizon: the flash crowd starts at 30% of the
@@ -380,7 +277,7 @@ pub fn flood_recovery(base_s: &Scenario) -> Table {
         "Adv. flood — hotspot queue depth by phase",
         &["protocol", "pre", "peak", "end", "spike", "recovery"],
     );
-    for spec in protocols() {
+    for spec in protocols(s.n) {
         let (_, tel) = s.run_once_instrumented(
             &spec,
             seed,
@@ -423,25 +320,6 @@ pub fn flood_recovery(base_s: &Scenario) -> Table {
         fnum(RECOVERY_BAND),
     ]);
     t
-}
-
-/// Runs all four panels at the scenario's scale and returns their
-/// tables (the `adversarial` row of `figures` emits these to `results/`).
-pub fn tables(base_s: &Scenario, quick: bool) -> Vec<Table> {
-    vec![
-        liar_table(&liar_sweep(base_s, &liar_errors(quick))),
-        defector_table(&defector_sweep(base_s, &defector_fractions(quick))),
-        sybil_table(&sybil_sweep(base_s, &sybil_counts(quick))),
-        flood_recovery(base_s),
-    ]
-}
-
-fn completion(r: &RunReport) -> f64 {
-    if r.lookups_started == 0 {
-        0.0
-    } else {
-        r.lookups_completed as f64 / r.lookups_started as f64
-    }
 }
 
 #[cfg(test)]
@@ -495,9 +373,9 @@ mod tests {
     #[test]
     fn honest_controls_match_adversary_free_runs() {
         let s = Scenario::quick(21);
-        let sweep = liar_sweep(&s, &[1.0, 4.0]);
-        let honest = &sweep[0].1;
-        let plain = s.run_all(&protocols());
+        let sweep = liar_sweep(vec![1.0, 4.0]).run(&s);
+        let honest = &sweep.points[0].1;
+        let plain = s.run_all(&protocols(s.n));
         for (h, p) in honest.iter().zip(&plain) {
             assert_eq!(
                 serde::json::to_string(h),
@@ -509,11 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn liar_sweep_survives_and_tables_line_up() {
+    fn liar_sweep_conserves_lookups() {
         let mut s = Scenario::quick(22);
         s.lookups = 200;
-        let sweep = liar_sweep(&s, &[1.0, 8.0]);
-        for (error, reports) in &sweep {
+        let sweep = liar_sweep(vec![1.0, 8.0]).run(&s);
+        for (error, reports) in &sweep.points {
             for r in reports {
                 assert_eq!(
                     r.lookups_completed + r.lookups_dropped + r.lookups_failed,
@@ -523,21 +401,6 @@ mod tests {
                 );
             }
         }
-        let t = liar_table(&sweep);
-        assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.csv_stem(), "adv_liars");
-    }
-
-    #[test]
-    fn defector_and_sybil_tables_have_expected_stems() {
-        let mut s = Scenario::quick(23);
-        s.lookups = 150;
-        let d = defector_table(&defector_sweep(&s, &[0.0, 0.3]));
-        assert_eq!(d.csv_stem(), "adv_defectors");
-        assert_eq!(d.rows.len(), 2);
-        let y = sybil_table(&sybil_sweep(&s, &[0, 12]));
-        assert_eq!(y.csv_stem(), "adv_sybils");
-        assert_eq!(y.rows.len(), 2);
     }
 
     #[test]
@@ -546,7 +409,7 @@ mod tests {
         s.lookups = 200;
         let t = flood_recovery(&s);
         assert_eq!(t.csv_stem(), "adv_flood");
-        assert_eq!(t.rows.len(), protocols().len() + 1);
+        assert_eq!(t.rows.len(), protocols(s.n).len() + 1);
         let band = t.rows.last().expect("band row");
         assert_eq!(band[0], "band (documented)");
         assert_eq!(band[5], fnum(RECOVERY_BAND));

@@ -17,12 +17,14 @@
 
 use std::cell::{Cell, OnceCell};
 
+use ert_baselines::all_protocols;
 use ert_core::ErtParams;
-use ert_network::{NetworkConfig, RetryPolicy, RunReport};
+use ert_network::{NetworkConfig, RetryPolicy};
 
 use crate::adversarial::AdversaryScript;
 use crate::cli::Args;
 use crate::report::Table;
+use crate::sweep::{Runs, Sweep};
 use crate::{
     ablation, adversarial, bounds, chord, extensions, fig10, fig4, fig5, fig6, fig7, fig8, fig9,
     intro, resilience, thm41, ChurnSpec, Scenario, Workload,
@@ -55,8 +57,8 @@ pub struct Ctx {
     pub base: Scenario,
     /// Set by a row whose theorem check failed; `figures` exits 1.
     pub bound_violated: Cell<bool>,
-    lookup_sweep: OnceCell<Vec<(usize, Vec<RunReport>)>>,
-    churn_sweep: OnceCell<Vec<(f64, Vec<RunReport>)>>,
+    lookup_sweep: OnceCell<Runs>,
+    churn_sweep: OnceCell<Runs>,
 }
 
 impl Ctx {
@@ -88,10 +90,12 @@ impl Ctx {
 
     /// Every row's tables, in table order.
     pub fn run_all(&self) -> Vec<Table> {
-        EXPERIMENTS
-            .iter()
-            .flat_map(|row| (row.run)(self, &self.scenario(row)))
-            .collect()
+        EXPERIMENTS.iter().flat_map(|row| self.run(row)).collect()
+    }
+
+    /// One row's tables, on its scaled scenario.
+    pub fn run(&self, row: &Experiment) -> Vec<Table> {
+        (row.run)(self, &self.scenario(row))
     }
 
     /// The base scenario at `row`'s scale.
@@ -128,22 +132,34 @@ impl Ctx {
     /// The lookup-count sweep Figs. 4, 5a and 7 share, on the scenario
     /// of the row that asks first. Those rows all run at full scale on
     /// the run's seeds, so that is every asker's scenario.
-    fn lookup_sweep(&self, base: &Scenario) -> &[(usize, Vec<RunReport>)] {
+    fn lookup_sweep(&self, base: &Scenario) -> &Runs {
         self.lookup_sweep.get_or_init(|| {
-            let points = self.pick(fig4::quick_points(), fig4::paper_points());
-            fig4::lookup_sweep(base, &points)
+            let points = self.pick(vec![100, 200, 300], vec![1000, 2000, 3000, 4000, 5000]);
+            fig4::lookup_sweep(points).run(base)
         })
     }
 
     /// The churn sweep Figs. 9 and 10 share, on the scenario of the row
     /// that asks first (both run at full scale).
-    fn churn_sweep(&self, base: &Scenario) -> &[(f64, Vec<RunReport>)] {
+    fn churn_sweep(&self, base: &Scenario) -> &Runs {
         self.churn_sweep
-            .get_or_init(|| fig9::churn_sweep(base, &self.interarrivals()))
+            .get_or_init(|| fig9::churn_sweep(self.interarrivals()).run(base))
     }
 
+    /// Figs. 9 and 10's interarrival times, on the paper's time scale
+    /// (lookups at one per second).
     fn interarrivals(&self) -> Vec<f64> {
-        self.pick(fig9::quick_interarrivals(), fig9::paper_interarrivals())
+        self.pick(vec![0.3, 0.9], vec![0.1, 0.3, 0.5, 0.7, 0.9])
+    }
+
+    /// The resilience row's chaos intensities.
+    fn intensities(&self) -> Vec<f64> {
+        self.pick(vec![0.0, 0.5, 1.0], vec![0.0, 0.25, 0.5, 0.75, 1.0])
+    }
+
+    /// The light service times of Fig. 4's alternate axis and Fig. 8.
+    fn services(&self) -> Vec<f64> {
+        self.pick(vec![0.1, 0.6], vec![0.1, 0.6, 1.1, 1.6, 2.1])
     }
 
     /// Fig. 8's impulse: `(source nodes, distinct keys)`.
@@ -173,7 +189,7 @@ pub(crate) static EXPERIMENTS: [Experiment; 15] = [
 ];
 
 /// Looks an experiment up by name.
-pub(crate) fn find(name: &str) -> Option<&'static Experiment> {
+pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
@@ -230,9 +246,7 @@ fn capture_churn(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
 /// the stream shows fault, retry and failure events and reproduces the
 /// sweep's ERT/AF data point.
 fn capture_chaos(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
-    s.chaos = resilience::intensities(ctx.quick)
-        .into_iter()
-        .find(|&x| x > 0.0);
+    s.chaos = ctx.intensities().into_iter().find(|&x| x > 0.0);
     |cfg| cfg.retry = RetryPolicy::standard()
 }
 
@@ -248,20 +262,21 @@ fn capture_mix(_: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
 }
 
 fn fig4(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    fig4::tables(ctx.lookup_sweep(base))
+    ctx.lookup_sweep(base).tables(&fig4::PANELS)
 }
 
 fn fig4_service(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    let services: &[f64] = ctx.pick(&[0.1, 0.6], &[0.1, 0.6, 1.1, 1.6, 2.1]);
-    vec![fig4::service_time_variant(base, services)]
+    vec![fig4::service_sweep(ctx.services())
+        .run(base)
+        .table(&fig4::SERVICE_PANEL)]
 }
 
 fn fig5(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    let sizes = ctx.pick(fig5::quick_sizes(), fig5::paper_sizes());
+    let sizes = ctx.pick(vec![64, 128], vec![256, 512, 1024, 2048]);
     vec![
-        fig5::table_5a(ctx.lookup_sweep(base)),
-        fig5::table_5b(base, &sizes),
-        fig5::table_5c(base),
+        ctx.lookup_sweep(base).table(&fig5::PANEL_5A),
+        fig5::size_sweep(sizes).run(base).table(&fig5::PANEL_5B),
+        Sweep::base(all_protocols).run(base).table(&fig5::PANEL_5C),
     ]
 }
 
@@ -274,21 +289,23 @@ fn fig6(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
 }
 
 fn fig7(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    fig7::tables(ctx.lookup_sweep(base))
+    ctx.lookup_sweep(base).tables(&fig7::PANELS)
 }
 
 fn fig8(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    let services = ctx.pick(fig8::quick_services(), fig8::paper_services());
-    let (nodes, keys) = ctx.impulse();
-    fig8::tables(&fig8::service_sweep(base, &services, nodes, keys))
+    let mut impulse = base.clone();
+    capture_impulse(ctx, &mut impulse);
+    fig4::service_sweep(ctx.services())
+        .run(&impulse)
+        .tables(&fig8::PANELS)
 }
 
 fn fig9(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    fig9::tables(ctx.churn_sweep(base))
+    ctx.churn_sweep(base).tables(&fig9::PANELS)
 }
 
 fn fig10(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    fig10::tables(ctx.churn_sweep(base))
+    ctx.churn_sweep(base).tables(&fig10::PANELS)
 }
 
 fn intro(ctx: &Ctx, _: &Scenario) -> Vec<Table> {
@@ -328,12 +345,20 @@ fn bounds(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
 
 fn ablation(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
     // `α` at the dimension of the scenario's ID space.
-    let dim_alpha = ctx.pick(9.0, 11.0);
+    let alphas = vec![4.0, 8.0, ctx.pick(9.0, 11.0), 16.0, 24.0];
     vec![
-        ablation::forwarding_table(base),
-        ablation::alpha_table(base, &[4.0, 8.0, dim_alpha, 16.0, 24.0]),
-        ablation::beta_table(base, &[0.25, 0.5, 0.75, 1.0]),
-        ablation::probe_width_table(base, &[1, 2, 3, 4]),
+        ablation::forwarding_sweep()
+            .run(base)
+            .table(&ablation::FORWARDING_PANEL),
+        ablation::alpha_sweep(alphas)
+            .run(base)
+            .table(&ablation::ALPHA_PANEL),
+        ablation::beta_sweep(vec![0.25, 0.5, 0.75, 1.0])
+            .run(base)
+            .table(&ablation::BETA_PANEL),
+        ablation::probe_width_sweep(vec![1, 2, 3, 4])
+            .run(base)
+            .table(&ablation::PROBE_WIDTH_PANEL),
     ]
 }
 
@@ -351,12 +376,28 @@ fn extensions(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
 }
 
 fn resilience(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    let intensities = resilience::intensities(ctx.quick);
-    resilience::tables(&resilience::resilience_sweep(base, &intensities))
+    let sweep = resilience::resilience_sweep(ctx.intensities());
+    sweep.run(base).tables(&resilience::PANELS)
 }
 
+/// The liar, defector and Sybil sweeps (each with its honest control
+/// first) and the flood phase table.
 fn adversarial(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
-    adversarial::tables(base, ctx.quick)
+    let errors = ctx.pick(vec![1.0, 4.0], vec![1.0, 2.0, 4.0, 8.0]);
+    let fractions = ctx.pick(vec![0.0, 0.2], vec![0.0, 0.1, 0.2, 0.3]);
+    let counts = ctx.pick(vec![0, 16], vec![0, 8, 16, 32]);
+    vec![
+        adversarial::liar_sweep(errors)
+            .run(base)
+            .table(&adversarial::LIAR_PANEL),
+        adversarial::defector_sweep(fractions)
+            .run(base)
+            .table(&adversarial::DEFECTOR_PANEL),
+        adversarial::sybil_sweep(counts)
+            .run(base)
+            .table(&adversarial::SYBIL_PANEL),
+        adversarial::flood_recovery(base),
+    ]
 }
 
 #[cfg(test)]

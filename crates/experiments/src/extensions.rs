@@ -16,21 +16,22 @@ use ert_overlay::CycloidSpace;
 use ert_sim::SimRng;
 use ert_workloads::{shifting_hotspot_lookups, zipf_lookups, BoundedPareto};
 
+use crate::adversarial::protocols;
 use crate::report::{fnum, Table};
-use crate::scenario::{average_reports, Scenario};
+use crate::scenario::{average_reports, Scenario, Workload};
+use crate::sweep::{Axis, Layout, Panel, Sweep};
 
 /// Fans [`run_with_lookups`] across the scenario's seeds on the worker
 /// pool, in seed order.
 fn seed_reports(
     base_scenario: &Scenario,
     spec: &ProtocolSpec,
-    anonymous: bool,
     make_lookups: impl Fn(&mut SimRng) -> Vec<Lookup> + Sync,
 ) -> Vec<RunReport> {
     ert_par::map_ordered(
         base_scenario.effective_jobs(),
         base_scenario.seeds.clone(),
-        |seed| run_with_lookups(base_scenario, spec, seed, anonymous, &make_lookups),
+        |seed| run_with_lookups(base_scenario, spec, seed, &make_lookups),
     )
 }
 
@@ -38,16 +39,14 @@ fn run_with_lookups(
     base_scenario: &Scenario,
     spec: &ProtocolSpec,
     seed: u64,
-    anonymous: bool,
     make_lookups: impl Fn(&mut SimRng) -> Vec<Lookup>,
 ) -> RunReport {
     let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9e37_79b9));
     let capacities =
         BoundedPareto::paper_default().sample_n(base_scenario.n, &mut rng.fork("capacities"));
     let dim = CycloidSpace::dimension_for(base_scenario.n);
-    let mut cfg = NetworkConfig::for_dimension(dim, seed)
+    let cfg = NetworkConfig::for_dimension(dim, seed)
         .with_light_service_secs(base_scenario.light_service_secs);
-    cfg.anonymous_responses = anonymous;
     let lookups = make_lookups(&mut rng.fork("lookups"));
     let mut net = Network::new(cfg, &capacities, spec.clone()).expect("valid scenario");
     let churn: Vec<ChurnEvent> = Vec::new();
@@ -63,7 +62,7 @@ pub fn zipf_table(base_scenario: &Scenario, exponents: &[f64], n_keys: usize) ->
     );
     for &s_exp in exponents {
         for spec in &specs {
-            let reports = seed_reports(base_scenario, spec, false, |rng| {
+            let reports = seed_reports(base_scenario, spec, |rng| {
                 zipf_lookups(
                     base_scenario.lookups,
                     base_scenario.per_node_rate * base_scenario.n as f64,
@@ -112,7 +111,7 @@ pub fn shifting_hotspot_table(
     );
     for (label, drifting) in [("static", false), ("drifting", true)] {
         for spec in &specs {
-            let reports = seed_reports(base_scenario, spec, false, |rng| {
+            let reports = seed_reports(base_scenario, spec, |rng| {
                 let rate = base_scenario.per_node_rate * base_scenario.n as f64;
                 if drifting {
                     shifting_hotspot_lookups(
@@ -143,31 +142,22 @@ pub fn shifting_hotspot_table(
 
 /// Direct responses vs. anonymity-mode (path-retracing) responses.
 pub fn anonymity_table(base_scenario: &Scenario) -> Table {
-    let specs = [base(), ProtocolSpec::ert_af()];
-    let mut t = Table::new(
-        "Ext anonymity — direct vs path-retraced responses",
-        &["mode", "protocol", "p99 cong", "round-trip_s", "heavy"],
-    );
-    for (label, anon) in [("direct", false), ("anonymous", true)] {
-        for spec in &specs {
-            let reports = seed_reports(base_scenario, spec, anon, |rng| {
-                ert_workloads::uniform_lookups(
-                    base_scenario.lookups,
-                    base_scenario.per_node_rate * base_scenario.n as f64,
-                    rng,
-                )
-            });
-            let r = average_reports(&reports);
-            t.row(vec![
-                label.into(),
-                r.protocol.clone(),
-                fnum(r.p99_max_congestion),
-                fnum(r.lookup_time.mean),
-                r.heavy_encounters.to_string(),
-            ]);
-        }
-    }
-    t
+    let axis = Axis::new("mode", vec![false, true], |&anon| {
+        if anon { "anonymous" } else { "direct" }.to_owned()
+    })
+    .config(|cfg, &anon| cfg.anonymous_responses = anon);
+    static PANEL: Panel = Panel {
+        title: "Ext anonymity — direct vs path-retraced responses",
+        layout: Layout::Rows(
+            Some("protocol"),
+            &[
+                ("p99 cong", |r| fnum(r.p99_max_congestion)),
+                ("round-trip_s", |r| fnum(r.lookup_time.mean)),
+                ("heavy", |r| r.heavy_encounters.to_string()),
+            ],
+        ),
+    };
+    Sweep::new(axis, protocols).run(base_scenario).table(&PANEL)
 }
 
 /// Item movement vs. elasticity: the other related-work family
@@ -175,7 +165,6 @@ pub fn anonymity_table(base_scenario: &Scenario) -> Table {
 /// and impulse workloads, with the ID-change overhead made visible as
 /// maintenance messages.
 pub fn item_movement_table(base_scenario: &Scenario) -> Table {
-    let specs = [base(), im(), ProtocolSpec::ert_af()];
     // A fully packed ID space (the paper's exact n = d·2^d default)
     // leaves item movement no vacant ID to rejoin into — relocation is
     // then structurally impossible. Run the comparison at 3/4 density
@@ -186,38 +175,31 @@ pub fn item_movement_table(base_scenario: &Scenario) -> Table {
     if (dim as u64) << dim == base_scenario.n as u64 {
         base_scenario.n = base_scenario.n * 3 / 4;
     }
-    let mut t = Table::new(
-        "Ext item-movement — relocation-based balancing vs ERT (3/4 density)",
-        &[
-            "workload",
-            "protocol",
-            "p99 cong",
-            "p99 share",
-            "time_s",
-            "maint/lookup",
-        ],
-    );
-    for (label, impulse) in [("uniform", false), ("impulse", true)] {
-        for spec in &specs {
-            let mut s = base_scenario.clone();
-            if impulse {
-                s.workload = crate::scenario::Workload::Impulse {
-                    nodes: (base_scenario.n / 20).max(4),
-                    keys: (base_scenario.n / 40).max(2),
-                };
-            }
-            let r = s.run(spec);
-            t.row(vec![
-                label.into(),
-                r.protocol.clone(),
-                fnum(r.p99_max_congestion),
-                fnum(r.p99_share),
-                fnum(r.lookup_time.mean),
-                fnum(r.maintenance_per_lookup),
-            ]);
+    let axis = Axis::new("workload", vec![false, true], |&impulse| {
+        if impulse { "impulse" } else { "uniform" }.to_owned()
+    })
+    .scenario(|s, &impulse| {
+        if impulse {
+            s.workload = Workload::Impulse {
+                nodes: (s.n / 20).max(4),
+                keys: (s.n / 40).max(2),
+            };
         }
-    }
-    t
+    });
+    static PANEL: Panel = Panel {
+        title: "Ext item-movement — relocation-based balancing vs ERT (3/4 density)",
+        layout: Layout::Rows(
+            Some("protocol"),
+            &[
+                ("p99 cong", |r| fnum(r.p99_max_congestion)),
+                ("p99 share", |r| fnum(r.p99_share)),
+                ("time_s", |r| fnum(r.lookup_time.mean)),
+                ("maint/lookup", |r| fnum(r.maintenance_per_lookup)),
+            ],
+        ),
+    };
+    let sweep = Sweep::new(axis, |_| vec![base(), im(), ProtocolSpec::ert_af()]);
+    sweep.run(&base_scenario).table(&PANEL)
 }
 
 /// Lazy repair vs. classic periodic stabilization under churn: how
@@ -252,28 +234,21 @@ pub fn stabilization_table(base_scenario: &Scenario, paper_interarrival: f64) ->
 /// serving, and how strongly utilization tracks capacity — the paper's
 /// "full use of each node's capacity" claim, measured directly.
 pub fn utilization_table(base_scenario: &Scenario) -> Table {
-    let specs = all_protocols(base_scenario.n);
-    let reports = base_scenario.run_all(&specs);
-    let mut t = Table::new(
-        "Ext utilization — busy-time fraction and capacity tracking",
-        &[
-            "protocol",
-            "util mean",
-            "util p01",
-            "util p99",
-            "corr(cap; util)",
-        ],
-    );
-    for r in &reports {
-        t.row(vec![
-            r.protocol.clone(),
-            fnum(r.utilization.mean),
-            fnum(r.utilization.p01),
-            fnum(r.utilization.p99),
-            fnum(r.capacity_utilization_correlation),
-        ]);
-    }
-    t
+    static PANEL: Panel = Panel {
+        title: "Ext utilization — busy-time fraction and capacity tracking",
+        layout: Layout::Rows(
+            Some("protocol"),
+            &[
+                ("util mean", |r| fnum(r.utilization.mean)),
+                ("util p01", |r| fnum(r.utilization.p01)),
+                ("util p99", |r| fnum(r.utilization.p99)),
+                ("corr(cap; util)", |r| {
+                    fnum(r.capacity_utilization_correlation)
+                }),
+            ],
+        ),
+    };
+    Sweep::base(all_protocols).run(base_scenario).table(&PANEL)
 }
 
 #[cfg(test)]

@@ -3,76 +3,34 @@
 //! Section 5.5 time-out statistic (ERT/AF ≈ 0, others small but
 //! nonzero).
 
-use ert_network::RunReport;
+use crate::report::fnum;
+use crate::sweep::{Layout, Panel};
 
-use crate::report::{fnum, Table};
-
-/// Builds the Fig. 10 panels (and the timeout table) from a churn sweep
-/// produced by [`crate::fig9::churn_sweep`].
-pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
-    let mut header = vec!["interarrival_s".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        header.extend(rs.iter().map(|r| r.protocol.clone()));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t10a = Table::new(
-        "Fig. 10a — heavy nodes in routings under churn",
-        &header_refs,
-    );
-    let mut t10b = Table::new("Fig. 10b — lookup path length under churn", &header_refs);
-    let mut t10c = Table::new(
-        "Fig. 10c — lookup time under churn (seconds)",
-        &["interarrival_s", "protocol", "mean", "p01", "p99"],
-    );
-    let mut timeouts = Table::new(
-        "Sec. 5.5 — average timeouts per lookup under churn",
-        &header_refs,
-    );
-    for (ia, reports) in sweep {
-        let key = format!("{ia:.1}");
-        t10a.row(
-            std::iter::once(key.clone())
-                .chain(reports.iter().map(|r| r.heavy_encounters.to_string()))
-                .collect(),
-        );
-        t10b.row(
-            std::iter::once(key.clone())
-                .chain(reports.iter().map(|r| fnum(r.mean_path_length)))
-                .collect(),
-        );
-        for r in reports {
-            t10c.row(vec![
-                key.clone(),
-                r.protocol.clone(),
-                fnum(r.lookup_time.mean),
-                fnum(r.lookup_time.p01),
-                fnum(r.lookup_time.p99),
-            ]);
-        }
-        timeouts.row(
-            std::iter::once(key)
-                .chain(reports.iter().map(|r| fnum(r.timeouts_per_lookup)))
-                .collect(),
-        );
-    }
-    vec![t10a, t10b, t10c, timeouts]
-}
+/// The Fig. 10 panels and the timeout table, from the churn sweep
+/// [`crate::fig9::churn_sweep`].
+pub static PANELS: [Panel; 4] = [
+    Panel {
+        title: "Fig. 10a — heavy nodes in routings under churn",
+        layout: Layout::Wide(|r| r.heavy_encounters.to_string()),
+    },
+    Panel {
+        title: "Fig. 10b — lookup path length under churn",
+        layout: Layout::Wide(|r| fnum(r.mean_path_length)),
+    },
+    Panel {
+        title: "Fig. 10c — lookup time under churn (seconds)",
+        layout: Layout::Digest(|r| r.lookup_time),
+    },
+    Panel {
+        title: "Sec. 5.5 — average timeouts per lookup under churn",
+        layout: Layout::Wide(|r| fnum(r.timeouts_per_lookup)),
+    },
+];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fig9::churn_sweep;
     use crate::scenario::Scenario;
-
-    #[test]
-    fn churn_tables_have_all_panels() {
-        let mut base = Scenario::quick(11);
-        base.lookups = 150;
-        let sweep = churn_sweep(&base, &[0.5]);
-        let ts = tables(&sweep);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts[2].rows.len(), 6); // long-format time digest
-    }
 
     #[test]
     fn probing_protocol_times_out_less_than_deterministic() {
@@ -80,8 +38,8 @@ mod tests {
         // departed neighbors for free; Base pays timeouts.
         let mut base = Scenario::quick(12);
         base.lookups = 250;
-        let sweep = churn_sweep(&base, &[0.2]);
-        let reports = &sweep[0].1;
+        let sweep = churn_sweep(vec![0.2]).run(&base);
+        let reports = &sweep.points[0].1;
         let base_r = reports.iter().find(|r| r.protocol == "Base").unwrap();
         let af = reports.iter().find(|r| r.protocol == "ERT/AF").unwrap();
         assert!(

@@ -3,104 +3,47 @@
 //! (c) per-query processing time (mean / 1st / 99th percentile).
 
 use ert_baselines::all_protocols;
-use ert_network::RunReport;
 
-use crate::report::{fnum, Table};
-use crate::scenario::{run_sweep, Scenario};
+use crate::report::fnum;
+use crate::sweep::{Axis, Layout, Panel, Sweep};
 
-/// Fig. 5a from the shared lookup sweep (see [`crate::fig4`]).
-pub fn table_5a(sweep: &[(usize, Vec<RunReport>)]) -> Table {
-    let mut header = vec!["lookups".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        header.extend(rs.iter().map(|r| r.protocol.clone()));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        "Fig. 5a — heavy nodes encountered in routings",
-        &header_refs,
-    );
-    for (lookups, reports) in sweep {
-        t.row(
-            std::iter::once(lookups.to_string())
-                .chain(reports.iter().map(|r| r.heavy_encounters.to_string()))
-                .collect(),
-        );
-    }
-    t
+/// Fig. 5a, a panel of the shared lookup sweep (see [`crate::fig4`]).
+pub static PANEL_5A: Panel = Panel {
+    title: "Fig. 5a — heavy nodes encountered in routings",
+    layout: Layout::Wide(|r| r.heavy_encounters.to_string()),
+};
+
+/// Fig. 5b's sweep: every protocol as the network grows.
+pub fn size_sweep(sizes: Vec<usize>) -> Sweep<usize> {
+    Sweep::new(
+        Axis::new("n", sizes, usize::to_string).scenario(|s, &n| s.n = n),
+        all_protocols,
+    )
 }
 
-/// Fig. 5b: mean lookup path length as the network grows.
-pub fn table_5b(base: &Scenario, sizes: &[usize]) -> Table {
-    let mut header = vec!["n".to_owned()];
-    let specs = all_protocols(base.n);
-    header.extend(specs.iter().map(|s| s.name.clone()));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new("Fig. 5b — lookup path length vs network size", &header_refs);
-    let variants: Vec<(Scenario, _)> = sizes
-        .iter()
-        .map(|&n| {
-            let mut s = base.clone();
-            s.n = n;
-            (s, all_protocols(n))
-        })
-        .collect();
-    for (&n, reports) in sizes.iter().zip(run_sweep(&variants)) {
-        t.row(
-            std::iter::once(n.to_string())
-                .chain(reports.iter().map(|r| fnum(r.mean_path_length)))
-                .collect(),
-        );
-    }
-    t
-}
+/// Fig. 5b: mean lookup path length on the size sweep.
+pub static PANEL_5B: Panel = Panel {
+    title: "Fig. 5b — lookup path length vs network size",
+    layout: Layout::Wide(|r| fnum(r.mean_path_length)),
+};
 
-/// Fig. 5c: per-query processing-time digest at the base scenario.
-pub fn table_5c(base: &Scenario) -> Table {
-    let specs = all_protocols(base.n);
-    let reports = base.run_all(&specs);
-    let mut t = Table::new(
-        "Fig. 5c — query processing time (seconds)",
-        &["protocol", "mean", "p01", "p99"],
-    );
-    for r in &reports {
-        t.row(vec![
-            r.protocol.clone(),
-            fnum(r.lookup_time.mean),
-            fnum(r.lookup_time.p01),
-            fnum(r.lookup_time.p99),
-        ]);
-    }
-    t
-}
-
-/// The paper's network-size sweep for Fig. 5b.
-pub fn paper_sizes() -> Vec<usize> {
-    vec![256, 512, 1024, 2048]
-}
-
-/// A reduced size sweep.
-pub fn quick_sizes() -> Vec<usize> {
-    vec![64, 128]
-}
+/// Fig. 5c: the per-query processing-time digest, on every protocol at
+/// the base scenario ([`Sweep::base`]).
+pub static PANEL_5C: Panel = Panel {
+    title: "Fig. 5c — query processing time (seconds)",
+    layout: Layout::Digest(|r| r.lookup_time),
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig4::lookup_sweep;
-
-    #[test]
-    fn panel_5a_counts_match_sweep() {
-        let sweep = lookup_sweep(&Scenario::quick(3), &[100]);
-        let t = table_5a(&sweep);
-        assert_eq!(t.rows.len(), 1);
-        assert_eq!(t.rows[0][0], "100");
-    }
+    use crate::scenario::Scenario;
 
     #[test]
     fn panel_5b_paths_grow_with_n() {
         let mut s = Scenario::quick(4);
         s.lookups = 150;
-        let t = table_5b(&s, &[48, 160]);
+        let t = size_sweep(vec![48, 160]).run(&s).table(&PANEL_5B);
         let small: f64 = t.rows[0][1].parse().unwrap(); // Base column
         let large: f64 = t.rows[1][1].parse().unwrap();
         assert!(
@@ -111,7 +54,9 @@ mod tests {
 
     #[test]
     fn panel_5c_has_six_protocols() {
-        let t = table_5c(&Scenario::quick(5));
+        let t = Sweep::base(all_protocols)
+            .run(&Scenario::quick(5))
+            .table(&PANEL_5C);
         assert_eq!(t.rows.len(), 6);
         for row in &t.rows {
             let mean: f64 = row[1].parse().unwrap();

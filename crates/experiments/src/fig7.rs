@@ -1,67 +1,41 @@
 //! Fig. 7 — routing-table degrees and maintenance cost: the average /
 //! 1st / 99th percentile of each node's maximum indegree (a) and
-//! outdegree (b) as total query load varies.
+//! outdegree (b) as total query load varies, plus Section 5.3's
+//! maintenance operations per lookup.
 
-use ert_network::RunReport;
+use crate::report::fnum;
+use crate::sweep::{Layout, Panel};
 
-use crate::report::{fnum, Table};
-
-/// Builds the two Fig. 7 panels from the shared lookup sweep (see
-/// [`crate::fig4::lookup_sweep`]), in long format: one row per
-/// `(lookups, protocol)`.
-pub fn tables(sweep: &[(usize, Vec<RunReport>)]) -> Vec<Table> {
-    let mut t7a = Table::new(
-        "Fig. 7a — max indegree per host (avg/p01/p99)",
-        &["lookups", "protocol", "mean", "p01", "p99"],
-    );
-    let mut t7b = Table::new(
-        "Fig. 7b — max outdegree per host (avg/p01/p99)",
-        &["lookups", "protocol", "mean", "p01", "p99"],
-    );
-    for (lookups, reports) in sweep {
-        for r in reports {
-            t7a.row(vec![
-                lookups.to_string(),
-                r.protocol.clone(),
-                fnum(r.max_indegree.mean),
-                fnum(r.max_indegree.p01),
-                fnum(r.max_indegree.p99),
-            ]);
-            t7b.row(vec![
-                lookups.to_string(),
-                r.protocol.clone(),
-                fnum(r.max_outdegree.mean),
-                fnum(r.max_outdegree.p01),
-                fnum(r.max_outdegree.p99),
-            ]);
-        }
-    }
-    let mut t7c = Table::new(
-        "Sec. 5.3 — elastic maintenance operations per lookup",
-        &["lookups", "protocol", "maintenance/lookup"],
-    );
-    for (lookups, reports) in sweep {
-        for r in reports {
-            t7c.row(vec![
-                lookups.to_string(),
-                r.protocol.clone(),
-                fnum(r.maintenance_per_lookup),
-            ]);
-        }
-    }
-    vec![t7a, t7b, t7c]
-}
+/// The two Fig. 7 panels and the Section 5.3 cost, from the shared
+/// lookup sweep (see [`crate::fig4::lookup_sweep`]), in long format:
+/// one row per `(lookups, protocol)`.
+pub static PANELS: [Panel; 3] = [
+    Panel {
+        title: "Fig. 7a — max indegree per host (avg/p01/p99)",
+        layout: Layout::Digest(|r| r.max_indegree),
+    },
+    Panel {
+        title: "Fig. 7b — max outdegree per host (avg/p01/p99)",
+        layout: Layout::Digest(|r| r.max_outdegree),
+    },
+    Panel {
+        title: "Sec. 5.3 — elastic maintenance operations per lookup",
+        layout: Layout::Rows(
+            Some("protocol"),
+            &[("maintenance/lookup", |r| fnum(r.maintenance_per_lookup))],
+        ),
+    },
+];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fig4::lookup_sweep;
     use crate::scenario::Scenario;
 
     #[test]
     fn vs_degrees_exceed_base_degrees() {
-        let sweep = lookup_sweep(&Scenario::quick(6), &[150]);
-        let reports = &sweep[0].1;
+        let sweep = lookup_sweep(vec![150]).run(&Scenario::quick(6));
+        let reports = &sweep.points[0].1;
         let base = reports.iter().find(|r| r.protocol == "Base").unwrap();
         let vs = reports.iter().find(|r| r.protocol == "VS").unwrap();
         assert!(
@@ -73,17 +47,9 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_long_format() {
-        let sweep = lookup_sweep(&Scenario::quick(7), &[100]);
-        let ts = tables(&sweep);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts[0].rows.len(), 6); // 1 sweep point x 6 protocols
-    }
-
-    #[test]
     fn elastic_protocols_pay_modest_maintenance() {
-        let sweep = lookup_sweep(&Scenario::quick(13), &[200]);
-        let reports = &sweep[0].1;
+        let sweep = lookup_sweep(vec![200]).run(&Scenario::quick(13));
+        let reports = &sweep.points[0].1;
         let find = |name: &str| reports.iter().find(|r| r.protocol == name).unwrap();
         // ERT pays for elasticity; the static protocols only pay for
         // table construction.

@@ -1,95 +1,31 @@
 //! Fig. 8 — skewed lookups (the "impulse"): 100 nodes on a contiguous
 //! interval of the ID space query the same 50 keys while the per-query
 //! service time sweeps from 0.1 to 2.1 s. Panels: (a) heavy nodes in
-//! routings, (b) lookup time, (c) 99th-percentile share.
+//! routings, (b) lookup time, (c) 99th-percentile share. The sweep is
+//! [`crate::fig4::service_sweep`] on an impulse base scenario.
 
-use ert_baselines::all_protocols;
-use ert_network::RunReport;
+use crate::report::fnum;
+use crate::sweep::{Layout, Panel};
 
-use crate::report::{fnum, Table};
-use crate::scenario::{run_sweep, Scenario, Workload};
-
-/// The paper's light-service sweep (seconds), 0.5 s steps.
-pub fn paper_services() -> Vec<f64> {
-    vec![0.1, 0.6, 1.1, 1.6, 2.1]
-}
-
-/// A reduced sweep.
-pub fn quick_services() -> Vec<f64> {
-    vec![0.1, 0.6]
-}
-
-/// Runs the impulse workload at each service time.
-pub fn service_sweep(
-    base: &Scenario,
-    services: &[f64],
-    impulse_nodes: usize,
-    impulse_keys: usize,
-) -> Vec<(f64, Vec<RunReport>)> {
-    let specs = all_protocols(base.n);
-    let variants: Vec<(Scenario, _)> = services
-        .iter()
-        .map(|&svc| {
-            let mut s = base.clone();
-            s.light_service_secs = svc;
-            s.workload = Workload::Impulse {
-                nodes: impulse_nodes,
-                keys: impulse_keys,
-            };
-            (s, specs.clone())
-        })
-        .collect();
-    services.iter().copied().zip(run_sweep(&variants)).collect()
-}
-
-/// Builds the three Fig. 8 panels from a sweep.
-pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
-    let mut header = vec!["service_s".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        header.extend(rs.iter().map(|r| r.protocol.clone()));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t8a = Table::new(
-        "Fig. 8a — heavy nodes in routings (skewed lookups)",
-        &header_refs,
-    );
-    let mut t8b = Table::new("Fig. 8b — mean lookup time, seconds (skewed)", &header_refs);
-    let mut t8c = Table::new("Fig. 8c — 99th percentile share (skewed)", &header_refs);
-    for (svc, reports) in sweep {
-        let key = format!("{svc:.1}");
-        t8a.row(
-            std::iter::once(key.clone())
-                .chain(reports.iter().map(|r| r.heavy_encounters.to_string()))
-                .collect(),
-        );
-        t8b.row(
-            std::iter::once(key.clone())
-                .chain(reports.iter().map(|r| fnum(r.lookup_time.mean)))
-                .collect(),
-        );
-        t8c.row(
-            std::iter::once(key)
-                .chain(reports.iter().map(|r| fnum(r.p99_share)))
-                .collect(),
-        );
-    }
-    vec![t8a, t8b, t8c]
-}
+/// The three Fig. 8 panels of the impulse service sweep.
+pub static PANELS: [Panel; 3] = [
+    Panel {
+        title: "Fig. 8a — heavy nodes in routings (skewed lookups)",
+        layout: Layout::Wide(|r| r.heavy_encounters.to_string()),
+    },
+    Panel {
+        title: "Fig. 8b — mean lookup time, seconds (skewed)",
+        layout: Layout::Wide(|r| fnum(r.lookup_time.mean)),
+    },
+    Panel {
+        title: "Fig. 8c — 99th percentile share (skewed)",
+        layout: Layout::Wide(|r| fnum(r.p99_share)),
+    },
+];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn impulse_sweep_shapes() {
-        let mut base = Scenario::quick(8);
-        base.lookups = 200;
-        let sweep = service_sweep(&base, &[0.1], 20, 5);
-        let ts = tables(&sweep);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts[0].rows.len(), 1);
-        assert_eq!(ts[0].header.len(), 7);
-    }
+    use crate::scenario::{Scenario, Workload};
 
     #[test]
     fn skew_raises_share_over_uniform() {

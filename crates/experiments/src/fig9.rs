@@ -4,21 +4,10 @@
 //! time scale: lower is heavier churn).
 
 use ert_baselines::all_protocols;
-use ert_network::RunReport;
 
-use crate::report::{fnum, Table};
-use crate::scenario::{run_sweep, ChurnSpec, Scenario};
-
-/// The paper's interarrival sweep in its own time scale (lookups at one
-/// per second): 0.1–0.9 s.
-pub fn paper_interarrivals() -> Vec<f64> {
-    vec![0.1, 0.3, 0.5, 0.7, 0.9]
-}
-
-/// A reduced sweep.
-pub fn quick_interarrivals() -> Vec<f64> {
-    vec![0.3, 0.9]
-}
+use crate::report::fnum;
+use crate::scenario::{ChurnSpec, Scenario};
+use crate::sweep::{Axis, Layout, Panel, Sweep};
 
 /// Converts a paper-scale interarrival (relative to one lookup per
 /// second) into this simulation's time scale, preserving the
@@ -33,51 +22,25 @@ pub fn churn_spec_for(base: &Scenario, paper_interarrival: f64) -> ChurnSpec {
     }
 }
 
-/// Runs every protocol at each churn level.
-pub fn churn_sweep(base: &Scenario, interarrivals: &[f64]) -> Vec<(f64, Vec<RunReport>)> {
-    let specs = all_protocols(base.n);
-    let variants: Vec<(Scenario, _)> = interarrivals
-        .iter()
-        .map(|&ia| {
-            let mut s = base.clone();
-            s.churn = Some(churn_spec_for(base, ia));
-            (s, specs.clone())
-        })
-        .collect();
-    interarrivals
-        .iter()
-        .copied()
-        .zip(run_sweep(&variants))
-        .collect()
+/// The churn sweep Figs. 9 and 10 share: every protocol at each churn
+/// level.
+pub fn churn_sweep(interarrivals: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("interarrival_s", interarrivals, |ia| format!("{ia:.1}"))
+        .scenario(|s, &ia| s.churn = Some(churn_spec_for(s, ia)));
+    Sweep::new(axis, all_protocols)
 }
 
-/// Builds the two Fig. 9 panels from a churn sweep.
-pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
-    let mut header = vec!["interarrival_s".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        header.extend(rs.iter().map(|r| r.protocol.clone()));
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t9a = Table::new(
-        "Fig. 9a — 99th percentile max congestion under churn",
-        &header_refs,
-    );
-    let mut t9b = Table::new("Fig. 9b — 99th percentile share under churn", &header_refs);
-    for (ia, reports) in sweep {
-        let key = format!("{ia:.1}");
-        t9a.row(
-            std::iter::once(key.clone())
-                .chain(reports.iter().map(|r| fnum(r.p99_max_congestion)))
-                .collect(),
-        );
-        t9b.row(
-            std::iter::once(key)
-                .chain(reports.iter().map(|r| fnum(r.p99_share)))
-                .collect(),
-        );
-    }
-    vec![t9a, t9b]
-}
+/// The two Fig. 9 panels of the churn sweep.
+pub static PANELS: [Panel; 2] = [
+    Panel {
+        title: "Fig. 9a — 99th percentile max congestion under churn",
+        layout: Layout::Wide(|r| fnum(r.p99_max_congestion)),
+    },
+    Panel {
+        title: "Fig. 9b — 99th percentile share under churn",
+        layout: Layout::Wide(|r| fnum(r.p99_share)),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -95,11 +58,13 @@ mod tests {
     fn quick_churn_sweep_runs_all_protocols() {
         let mut base = Scenario::quick(10);
         base.lookups = 150;
-        let sweep = churn_sweep(&base, &[0.9]);
-        let ts = tables(&sweep);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts[0].rows.len(), 1);
-        let completed: Vec<u64> = sweep[0].1.iter().map(|r| r.lookups_completed).collect();
+        let sweep = churn_sweep(vec![0.9]).run(&base);
+        let completed: Vec<u64> = sweep.points[0]
+            .1
+            .iter()
+            .map(|r| r.lookups_completed)
+            .collect();
+        assert_eq!(completed.len(), 6);
         assert!(completed.iter().all(|&c| c > 120), "{completed:?}");
     }
 }

@@ -6,8 +6,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use serde::Serialize;
-
 /// A labelled table of results (one per figure panel).
 ///
 /// ```
@@ -19,7 +17,7 @@ use serde::Serialize;
 /// assert!(text.contains("ERT/AF"));
 /// assert_eq!(t.to_csv().lines().count(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Panel title, e.g. "Fig. 4a — 99th percentile max congestion".
     pub title: String,

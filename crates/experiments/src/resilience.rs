@@ -10,100 +10,51 @@
 //! tables, because a lost forward usually has a live, reachable
 //! alternative.
 
-use ert_baselines::base;
-use ert_network::{ProtocolSpec, RetryPolicy, RunReport};
+use ert_network::RetryPolicy;
 
-use crate::report::{fnum, Table};
-use crate::scenario::{run_sweep_with, Scenario};
+use crate::adversarial::protocols;
+use crate::report::fnum;
+use crate::sweep::{completion, Axis, Layout, Panel, Sweep};
 
-/// The chaos-intensity sweep.
-pub fn intensities(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 0.5, 1.0]
-    } else {
-        vec![0.0, 0.25, 0.5, 0.75, 1.0]
-    }
+/// Base and ERT/AF at each chaos intensity (0 runs fault-free) under
+/// the standard retry policy.
+pub fn resilience_sweep(intensities: Vec<f64>) -> Sweep<f64> {
+    let axis = Axis::new("intensity", intensities, |x| format!("{x:.2}"))
+        .scenario(|s, &x| s.chaos = (x > 0.0).then_some(x))
+        .config(|cfg, _| cfg.retry = RetryPolicy::standard());
+    Sweep::new(axis, protocols)
 }
 
-/// The protocols the sweep compares.
-pub fn protocols() -> Vec<ProtocolSpec> {
-    vec![base(), ProtocolSpec::ert_af()]
-}
-
-/// Runs every protocol at each chaos intensity under the standard
-/// retry policy — one flat `(intensity, protocol, seed)` batch on the
-/// worker pool — averaging over the scenario's seeds.
-pub fn resilience_sweep(base_s: &Scenario, intensities: &[f64]) -> Vec<(f64, Vec<RunReport>)> {
-    let specs = protocols();
-    let variants: Vec<(Scenario, _)> = intensities
-        .iter()
-        .map(|&x| {
-            let mut s = base_s.clone();
-            s.chaos = (x > 0.0).then_some(x);
-            (s, specs.clone())
-        })
-        .collect();
-    let swept = run_sweep_with(&variants, |cfg| cfg.retry = RetryPolicy::standard());
-    intensities.iter().copied().zip(swept).collect()
-}
-
-/// Builds the completion-fraction and recovery-overhead tables.
-pub fn tables(sweep: &[(f64, Vec<RunReport>)]) -> Vec<Table> {
-    let mut header = vec!["intensity".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        for r in rs {
-            header.push(format!("{} completed", r.protocol));
-            header.push(format!("{} failed", r.protocol));
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut survival = Table::new(
-        "Resilience a — lookup completion under injected faults",
-        &header_refs,
-    );
-    let mut over_header = vec!["intensity".to_owned()];
-    if let Some((_, rs)) = sweep.first() {
-        for r in rs {
-            over_header.push(format!("{} retries/lookup", r.protocol));
-            over_header.push(format!("{} timeouts/lookup", r.protocol));
-        }
-    }
-    let over_refs: Vec<&str> = over_header.iter().map(String::as_str).collect();
-    let mut overhead = Table::new(
-        "Resilience b — recovery overhead under injected faults",
-        &over_refs,
-    );
-    for (x, reports) in sweep {
-        let mut row = vec![format!("{x:.2}")];
-        let mut orow = vec![format!("{x:.2}")];
-        for r in reports {
-            let frac = if r.lookups_started == 0 {
-                0.0
-            } else {
-                r.lookups_completed as f64 / r.lookups_started as f64
-            };
-            row.push(fnum(frac));
-            row.push(format!("{}", r.lookups_failed));
-            orow.push(fnum(r.retries_per_lookup));
-            orow.push(fnum(r.timeouts_per_lookup));
-        }
-        survival.row(row);
-        overhead.row(orow);
-    }
-    vec![survival, overhead]
-}
+/// The completion-fraction and recovery-overhead tables.
+pub static PANELS: [Panel; 2] = [
+    Panel {
+        title: "Resilience a — lookup completion under injected faults",
+        layout: Layout::WideCells(&[
+            ("completed", |r| fnum(completion(r))),
+            ("failed", |r| r.lookups_failed.to_string()),
+        ]),
+    },
+    Panel {
+        title: "Resilience b — recovery overhead under injected faults",
+        layout: Layout::WideCells(&[
+            ("retries/lookup", |r| fnum(r.retries_per_lookup)),
+            ("timeouts/lookup", |r| fnum(r.timeouts_per_lookup)),
+        ]),
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn quick_sweep_degrades_gracefully() {
         let s = Scenario::quick(11);
-        let sweep = resilience_sweep(&s, &[0.0, 1.0]);
-        assert_eq!(sweep.len(), 2);
-        let calm = &sweep[0].1;
-        let hostile = &sweep[1].1;
+        let sweep = resilience_sweep(vec![0.0, 1.0]).run(&s);
+        assert_eq!(sweep.points.len(), 2);
+        let calm = &sweep.points[0].1;
+        let hostile = &sweep.points[1].1;
         // Fault-free: everything completes for both protocols.
         for r in calm {
             assert_eq!(r.lookups_completed, r.lookups_started, "{}", r.protocol);
@@ -126,23 +77,5 @@ mod tests {
                 r.lookups_started
             );
         }
-    }
-
-    #[test]
-    fn tables_have_one_row_per_intensity() {
-        let s = Scenario::quick(12);
-        let sweep = resilience_sweep(&s, &[0.0, 0.5]);
-        let ts = tables(&sweep);
-        assert_eq!(ts.len(), 2);
-        for t in &ts {
-            assert_eq!(t.rows.len(), 2);
-        }
-    }
-
-    #[test]
-    fn the_two_tables_go_to_distinct_csv_files() {
-        let ts = tables(&[]);
-        assert_eq!(ts[0].csv_stem(), "resilience_a");
-        assert_eq!(ts[1].csv_stem(), "resilience_b");
     }
 }

@@ -22,12 +22,12 @@ use ert_sim::stats::Summary;
 use ert_sim::{SimRng, SimTime};
 use ert_telemetry::Telemetry;
 use ert_workloads::{churn_schedule, impulse_lookups, uniform_lookups, BoundedPareto};
-use serde::Serialize;
 
 use crate::adversarial::AdversaryScript;
+use crate::sweep::run_points;
 
 /// The lookup workload shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Random sources and keys (Table 2 default).
     Uniform,
@@ -42,7 +42,7 @@ pub enum Workload {
 }
 
 /// Churn intensity (Section 5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSpec {
     /// Mean seconds between joins.
     pub join_interarrival: f64,
@@ -52,7 +52,7 @@ pub struct ChurnSpec {
 
 /// A complete experiment scenario: network size, workload, churn, and
 /// the seeds to average over.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Number of physical hosts.
     pub n: usize,
@@ -174,71 +174,8 @@ pub fn try_run_batch(workers: usize, cells: Vec<RunCell<'_>>) -> Vec<Result<RunR
 
 /// Unwraps a batch outcome, panicking with the structured error text —
 /// the behavior the pre-parallel harness had for invalid scenarios.
-fn expect_run(outcome: Result<RunReport, RunError>) -> RunReport {
+pub(crate) fn expect_run(outcome: Result<RunReport, RunError>) -> RunReport {
     outcome.unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs a whole sweep — `(scenario variant, protocols)` pairs — as one
-/// flat batch of `(variant, protocol, seed)` cells and regroups the
-/// averaged per-protocol reports per variant, preserving order.
-///
-/// Flattening matters: a sweep point whose runs finish early releases
-/// its workers to later points instead of idling at a per-point
-/// barrier.
-pub fn run_sweep(variants: &[(Scenario, Vec<ProtocolSpec>)]) -> Vec<Vec<RunReport>> {
-    run_sweep_with(variants, |_| {})
-}
-
-/// [`run_sweep`] with a shared configuration tweak applied to every
-/// cell (e.g. the resilience sweep's retry policy).
-///
-/// # Panics
-///
-/// Panics with the [`RunError`] rendering when any cell's
-/// configuration is rejected by [`Network::new`].
-pub fn run_sweep_with<F>(
-    variants: &[(Scenario, Vec<ProtocolSpec>)],
-    tweak: F,
-) -> Vec<Vec<RunReport>>
-where
-    F: Fn(&mut NetworkConfig) + Send + Sync,
-{
-    let tweak = &tweak;
-    let mut cells: Vec<RunCell> = Vec::new();
-    for (scenario, specs) in variants {
-        for spec in specs {
-            for &seed in &scenario.seeds {
-                cells.push(RunCell {
-                    scenario,
-                    spec,
-                    seed,
-                    tweak: Box::new(move |cfg| tweak(cfg)),
-                });
-            }
-        }
-    }
-    let workers = variants
-        .iter()
-        .map(|(s, _)| s.effective_jobs())
-        .max()
-        .unwrap_or(1);
-    let mut outcomes = try_run_batch(workers, cells).into_iter();
-    variants
-        .iter()
-        .map(|(scenario, specs)| {
-            specs
-                .iter()
-                .map(|_| {
-                    let runs: Vec<RunReport> = scenario
-                        .seeds
-                        .iter()
-                        .map(|_| expect_run(outcomes.next().expect("one outcome per cell")))
-                        .collect();
-                    average_reports(&runs)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 impl Scenario {
@@ -448,45 +385,15 @@ impl Scenario {
     /// Runs one protocol across every seed (in parallel, canonical
     /// order) and averages the reports.
     pub fn run(&self, spec: &ProtocolSpec) -> RunReport {
-        average_reports(&self.run_seeds(spec))
-    }
-
-    /// Like [`Scenario::run`], but a failed run surfaces as a
-    /// [`RunError`] instead of a panic.
-    pub fn try_run(&self, spec: &ProtocolSpec) -> Result<RunReport, RunError> {
-        let mut reports = Vec::with_capacity(self.seeds.len());
-        for (_, outcome) in self.try_run_seeds_with(spec, |_| {}) {
-            reports.push(outcome?);
-        }
-        Ok(average_reports(&reports))
+        let mut reports = self.run_all(std::slice::from_ref(spec));
+        reports.pop().expect("one report per protocol")
     }
 
     /// Runs several protocols as one flat `(protocol, seed)` batch on
     /// the worker pool, preserving protocol order.
     pub fn run_all(&self, specs: &[ProtocolSpec]) -> Vec<RunReport> {
-        self.run_matrix_with(specs, |_| {})
-    }
-
-    /// [`Scenario::run_all`] with a shared configuration tweak applied
-    /// to every run.
-    pub fn run_matrix_with<F>(&self, specs: &[ProtocolSpec], tweak: F) -> Vec<RunReport>
-    where
-        F: Fn(&mut NetworkConfig) + Send + Sync,
-    {
-        let variants = [(self.clone(), specs.to_vec())];
-        run_sweep_with(&variants, tweak)
-            .pop()
-            .expect("one report set per variant")
-    }
-
-    /// Runs two protocols side by side (one flat batch) and returns
-    /// their averaged reports as a pair — the shape every "Base vs.
-    /// ERT/AF" comparison table wants.
-    pub fn run_pair(&self, a: &ProtocolSpec, b: &ProtocolSpec) -> (RunReport, RunReport) {
-        let mut reports = self.run_all(&[a.clone(), b.clone()]);
-        let second = reports.pop().expect("two reports");
-        let first = reports.pop().expect("two reports");
-        (first, second)
+        let mut reports = run_points(&[(self.clone(), specs.to_vec())], &|_, _| {});
+        reports.pop().expect("one report set per point")
     }
 }
 
@@ -579,18 +486,6 @@ mod tests {
         let out = s.run_all(&specs);
         assert_eq!(out[0].protocol, "Base");
         assert_eq!(out[1].protocol, "ERT/AF");
-    }
-
-    #[test]
-    fn run_pair_matches_run_all() {
-        let mut s = Scenario::quick(6);
-        s.lookups = 150;
-        let (a, b) = s.run_pair(&base(), &ert_network::ProtocolSpec::ert_af());
-        assert_eq!(a.protocol, "Base");
-        assert_eq!(b.protocol, "ERT/AF");
-        let all = s.run_all(&[base(), ert_network::ProtocolSpec::ert_af()]);
-        assert_eq!(a.lookups_completed, all[0].lookups_completed);
-        assert_eq!(b.lookups_completed, all[1].lookups_completed);
     }
 
     #[test]

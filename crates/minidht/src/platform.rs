@@ -12,7 +12,7 @@ use crate::geometry::Geometry;
 use crate::node::{ErtNode, Hop, Lookup, PeerAnswer, PeerOp, Window};
 
 /// Which protocol a mini platform runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MiniProtocol {
     /// The geometry's classic table (one neighbor per slot) with
     /// deterministic greedy routing.
@@ -23,7 +23,7 @@ pub enum MiniProtocol {
 }
 
 /// Configuration of a mini-platform run (Table 2 queueing defaults).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MiniDhtConfig {
     /// Master seed.
     pub seed: u64,
@@ -79,7 +79,7 @@ pub struct MiniReport {
 
 /// One forwarding decision: query `query` was sent from node `from` to
 /// node `to`. Recorded at the moment the hop is committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopTrace {
     /// Query index in injection order.
     pub query: u64,
@@ -90,7 +90,7 @@ pub struct HopTrace {
 }
 
 /// Terminal record of a completed lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionTrace {
     /// Query index in injection order.
     pub query: u64,
@@ -101,7 +101,7 @@ pub struct CompletionTrace {
 }
 
 /// One node's indegree-adaptation outcome in one adaptation round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptTrace {
     /// Adaptation round counter (0-based).
     pub round: u32,
@@ -118,7 +118,7 @@ pub struct AdaptTrace {
 /// routing decision, every completion/drop, and the full
 /// indegree-adaptation sequence. All fields are integers so equality is
 /// exact — this is what the wire differential oracle compares.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTrace {
     /// Ring id of the source node of each query, in injection order.
     pub sources: Vec<u64>,

@@ -3,7 +3,6 @@
 use ert_core::{ErtParams, Estimator};
 use ert_faults::RetryPolicy;
 use ert_sim::SimDuration;
-use serde::Serialize;
 
 /// Environment parameters of one simulation run.
 ///
@@ -17,7 +16,7 @@ use serde::Serialize;
 /// assert_eq!(cfg.ert.alpha, 11.0);
 /// assert_eq!(cfg.light_service.as_secs_f64(), 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
     /// Master seed; every random stream of the run forks from it.
     pub seed: u64,

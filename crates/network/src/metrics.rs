@@ -54,7 +54,7 @@ pub struct Metrics {
 }
 
 /// The digested result of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RunReport {
     /// Protocol name.
     pub protocol: String,

@@ -2,7 +2,6 @@
 //! forwarding policy a run uses.
 
 use ert_core::ForwardPolicy;
-use serde::Serialize;
 
 /// The slots of a Cycloid node's (possibly elastic) routing table.
 ///
@@ -12,7 +11,7 @@ use serde::Serialize;
 /// `RingSucc`/`RingPred` may also receive *elastic* members through
 /// indegree expansion, following the paper's note that nodes probe their
 /// ring neighbors too (proof of Theorem 3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CycloidSlot {
     /// Descending slot flipping cubical bit `k`.
     Cubical,
@@ -25,7 +24,7 @@ pub enum CycloidSlot {
 }
 
 /// How a joining node fills the `Cubical`/`Cyclic` slots of its table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TablePolicy {
     /// One neighbor per slot, the region member closest to the classic
     /// Cycloid target (plain Cycloid; used by Base and VS).
@@ -41,7 +40,7 @@ pub enum TablePolicy {
 
 /// Sizing of the virtual-server layer (the VS baseline, after
 /// Godfrey & Stoica).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualServerConfig {
     /// Mean virtual servers per unit of normalized capacity. The
     /// classic choice is `Θ(log n)`; `log2(n)/2` keeps the virtual
@@ -71,7 +70,7 @@ impl VirtualServerConfig {
 
 /// A complete protocol description: the paper's Base/NS/VS baselines and
 /// the ERT/A, ERT/F, ERT/AF variants are all values of this type.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolSpec {
     /// Display name used in reports ("Base", "ERT/AF", ...).
     pub name: String,

@@ -463,19 +463,14 @@ impl Topology {
             .into_iter()
             .filter(|&m| m != exclude)
             .collect();
-        if members.is_empty() {
-            return Vec::new();
-        }
         let cube = self.space.cube_size();
-        #[expect(
-            clippy::expect_used,
-            reason = "`members` passed the is_empty return above"
-        )]
-        let larger = members
+        let Some(larger) = members
             .iter()
             .copied()
             .min_by_key(|m| forward_distance(a as u64, m.a() as u64, cube))
-            .expect("members nonempty");
+        else {
+            return Vec::new();
+        };
         let smaller = members
             .iter()
             .copied()

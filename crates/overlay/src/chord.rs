@@ -12,7 +12,6 @@
 //! finger (`m = 3`) exactly by the nodes in `[1010_0000, 1010_0011]`.
 
 use rand::Rng;
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 use crate::ring::{forward_distance, RingRange};
@@ -28,7 +27,7 @@ use crate::ring::{forward_distance, RingRange};
 /// assert!(rev.contains(0b1010_0011));
 /// assert!(!rev.contains(0b1010_0100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChordSpace {
     bits: u8,
 }

@@ -8,7 +8,6 @@
 //! requiring Internet measurements (see DESIGN.md, substitutions table).
 
 use rand::Rng;
-use serde::Serialize;
 
 /// A point on the unit 2-D torus standing in for a node's position in
 /// the underlying (physical) network.
@@ -20,7 +19,7 @@ use serde::Serialize;
 /// // Wraps around: 0.1 -> 0.9 is 0.2 across the seam, not 0.8.
 /// assert!((a.distance(b) - 0.2).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Coord {
     x: f64,
     y: f64,

@@ -106,7 +106,7 @@ impl Serialize for CycloidId {
 /// All entry and reverse regions in Cycloid take this shape (the free
 /// low bits of the region definitions form an aligned, non-wrapping
 /// block of cubical IDs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CycloidRegion {
     /// Cyclic index every member shares.
     pub k: u8,
@@ -129,7 +129,7 @@ impl CycloidRegion {
 }
 
 /// Which routing-table slot a hop should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotKind {
     /// The cubical slot: flips bit `k`, descends to `k − 1`.
     Cubical,
@@ -138,7 +138,7 @@ pub enum SlotKind {
 }
 
 /// The routing decision for one hop of the original Cycloid algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteStep {
     /// Forward through the given elastic table slot.
     Entry(SlotKind),
@@ -164,7 +164,7 @@ pub enum RouteStep {
 /// let cyclic = space.cyclic_region(node).unwrap();
 /// assert_eq!(cyclic.a_lo, 0b1011_0000); // (3, 1011-xxxx)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycloidSpace {
     dim: u8,
 }

@@ -9,7 +9,6 @@
 //! estimate deviates from the true distance.
 
 use rand::Rng;
-use serde::Serialize;
 
 use crate::coords::Coord;
 
@@ -25,13 +24,13 @@ use crate::coords::Coord;
 /// let far = frame.vector(Coord::new(0.7, 0.7));
 /// assert!(frame.estimate(&a, &b) < frame.estimate(&a, &far));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LandmarkFrame {
     landmarks: Vec<Coord>,
 }
 
 /// A node's measured distances to every landmark.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LandmarkVector(Vec<f64>);
 
 impl LandmarkFrame {

@@ -10,7 +10,6 @@
 //! differing at digit `m`.
 
 use rand::Rng;
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// The Pastry identifier space: `rows` digits of `bits_per_digit` bits.
@@ -27,7 +26,7 @@ use std::collections::BTreeSet;
 /// assert_eq!(space.digit(lo, 2), 0);
 /// assert_eq!(hi - lo + 1, 4u64.pow(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PastrySpace {
     rows: u8,
     bits_per_digit: u8,

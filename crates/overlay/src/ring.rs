@@ -1,7 +1,5 @@
 //! Arithmetic on circular identifier spaces.
 
-use serde::Serialize;
-
 /// A half-open arc `[start, start + len)` on a ring of size `modulus`.
 ///
 /// Used for Chord finger regions and their reverses, and for leaf-set
@@ -14,7 +12,7 @@ use serde::Serialize;
 /// assert!(arc.contains(3));   // wrapped
 /// assert!(!arc.contains(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RingRange {
     start: u64,
     len: u64,

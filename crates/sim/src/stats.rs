@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 pub use ert_obs::Summary;
 
 /// A collector of `f64` observations supporting percentile queries.
@@ -34,7 +32,7 @@ pub use ert_obs::Summary;
 /// assert_eq!(s.percentile(0.99), 99.0);
 /// assert_eq!(s.mean(), 50.5);
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
 }
@@ -177,7 +175,7 @@ impl Extend<f64> for Samples {
 /// let avg = g.mean_until(SimTime::from_secs_f64(3.0)); // then 4 for 2 s
 /// assert!((avg - (2.0 + 8.0) / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TimeWeighted {
     started: Option<crate::SimTime>,
     last_change: crate::SimTime,
@@ -260,7 +258,7 @@ impl TimeWeighted {
 /// assert_eq!(h.count(5), 2);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     buckets: BTreeMap<u64, u64>,
     total: u64,

@@ -1,12 +1,10 @@
 //! Transient (mean-field) dynamics of the supermarket model.
 
-use serde::Serialize;
-
 /// Which time stepper [`OdeModel::integrate_with`] uses. RK4 is the
 /// default everywhere; forward Euler exists as an independent
 /// discretization so conformance tests can cross-check the two (a
 /// stepper bug is very unlikely to reproduce in both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrationMethod {
     /// First-order forward Euler.
     Euler,
@@ -33,7 +31,7 @@ pub enum IntegrationMethod {
 /// assert!((s[1] - fp[1]).abs() < 5e-3);
 /// assert!((s[3] - fp[3]).abs() < 5e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdeModel {
     lambda: f64,
     b: u32,

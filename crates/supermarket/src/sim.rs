@@ -2,10 +2,9 @@
 
 use ert_sim::stats::TimeWeighted;
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
-use serde::Serialize;
 
 /// The dispatch policy of one arriving customer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChoicePolicy {
     /// Number of servers sampled (`b`).
     pub choices: u32,
@@ -30,7 +29,7 @@ impl ChoicePolicy {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOutcome {
     /// Mean time customers spent in the system (service time is mean 1).
     pub mean_time_in_system: f64,
@@ -55,7 +54,7 @@ pub struct SimOutcome {
 /// let two = sim.run(ChoicePolicy::shortest_of(2), 2_000.0, 7);
 /// assert!(two.mean_time_in_system < one.mean_time_in_system / 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupermarketSim {
     n: usize,
     lambda: f64,

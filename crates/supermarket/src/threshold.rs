@@ -20,10 +20,8 @@
 //! distribution into the mean queue length (and, via Little's law,
 //! the Theorem 4.1 waiting time).
 
-use serde::Serialize;
-
 /// The finite-capacity threshold supermarket model (the paper's QFM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdModel {
     lambda: f64,
     b: u32,

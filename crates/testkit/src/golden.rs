@@ -1,6 +1,6 @@
 //! Golden-master evaluation: run the [`crate::specs`] catalogue
-//! against the committed `results/*.csv` files and against
-//! freshly-generated quick-mode sweeps.
+//! against the committed `results/*.csv` files and against the
+//! catalog's own rows run fresh at quick scale.
 //!
 //! Matching is by CSV stem: a spec's `table` field names the stem the
 //! experiment harness derives from the panel title
@@ -12,7 +12,8 @@
 
 use std::path::{Path, PathBuf};
 
-use ert_experiments::{adversarial, fig4, fig5, fig7, Scenario, Table};
+use ert_experiments::catalog::{find, Ctx};
+use ert_experiments::Table;
 
 use crate::shape::{SeriesSet, ShapeSpec, Violation};
 
@@ -117,41 +118,30 @@ pub fn check_tables(specs: &[ShapeSpec], tables: &[Table]) -> GoldenReport {
     report
 }
 
-/// The service times the fresh quick conformance sweep probes —
-/// chosen to sit inside the quick tier's axis gate.
-pub const QUICK_SERVICE_TIMES: [f64; 2] = [0.1, 0.6];
-
-/// Runs the figure harness at quick scale — the same recipe as
-/// `figures --quick` (single seed, n = 192) — and returns every panel
-/// the catalogue knows how to judge. Deterministic: identical output
-/// every run.
-#[must_use]
-pub fn quick_tables() -> Vec<Table> {
-    let base = Scenario {
-        seeds: vec![1],
-        ..Scenario::quick(7)
-    };
-    let sweep = fig4::lookup_sweep(&base, &fig4::quick_points());
-    let mut tables = fig4::tables(&sweep);
-    tables.push(fig4::service_time_variant(&base, &QUICK_SERVICE_TIMES));
-    tables.push(fig5::table_5a(&sweep));
-    tables.push(fig5::table_5b(&base, &fig5::quick_sizes()));
-    tables.push(fig5::table_5c(&base));
-    tables.extend(fig7::tables(&sweep));
-    tables
+/// Runs the named catalog rows at quick scale on seed 1 — exactly what
+/// `figures <rows> --quick` writes, one [`Ctx`] memoising the sweeps the
+/// rows share.
+fn quick_rows(rows: &[&str]) -> Vec<Table> {
+    let ctx = Ctx::with_seeds(true, vec![1]);
+    rows.iter()
+        .flat_map(|name| ctx.run(find(name).expect("a catalog row")))
+        .collect()
 }
 
-/// Runs the adversarial panels at quick scale — the same recipe as
-/// `adversarial --quick` (single seed, n = 192, seed 17) — so the
-/// quick-tier `adv_*` specs judge freshly regenerated attack data,
-/// not just the committed full-scale snapshot. Deterministic.
+/// The catalog rows `fig4`, `fig4-service`, `fig5` and `fig7` at quick
+/// scale: every panel the quick-tier figure specs judge.
+/// Deterministic: identical output every run.
+#[must_use]
+pub fn quick_tables() -> Vec<Table> {
+    quick_rows(&["fig4", "fig4-service", "fig5", "fig7"])
+}
+
+/// The catalog row `adversarial` at quick scale, so the quick-tier
+/// `adv_*` specs judge freshly regenerated attack data, not just the
+/// committed full-scale snapshot. Deterministic.
 #[must_use]
 pub fn adversarial_quick_tables() -> Vec<Table> {
-    let base = Scenario {
-        seeds: vec![1],
-        ..Scenario::quick(17)
-    };
-    adversarial::tables(&base, true)
+    quick_rows(&["adversarial"])
 }
 
 #[cfg(test)]

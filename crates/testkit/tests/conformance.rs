@@ -1,6 +1,6 @@
 //! The cross-layer conformance suite: golden-master shape regression
-//! against committed results, fresh quick-mode regeneration, and the
-//! differential oracles. CI runs this as the `conformance` step
+//! against committed results and against the catalog's own rows run
+//! fresh at quick scale, and the differential oracles. CI runs this as the `conformance` step
 //! (release mode — the fresh sweeps are real simulations).
 
 use ert_experiments::catalog::{Ctx, SEEDS};
@@ -63,9 +63,10 @@ fn refuted_claims_still_evaluate_on_committed_results() {
     );
 }
 
-/// A fresh quick-scale run of the figure harness must satisfy every
-/// quick-tier and tier-free spec: the shape claims hold on regenerated
-/// data at the scale they were calibrated for.
+/// The catalog rows `fig4`, `fig4-service`, `fig5` and `fig7`, run
+/// fresh as `figures --quick` runs them, must satisfy every quick-tier
+/// and tier-free spec: the shape claims hold on regenerated data at the
+/// scale they were calibrated for.
 #[test]
 fn fresh_quick_run_satisfies_catalogue() {
     let tables = golden::quick_tables();
@@ -83,8 +84,8 @@ fn fresh_quick_run_satisfies_catalogue() {
     );
 }
 
-/// A fresh quick-scale adversarial sweep (the `adversarial --quick`
-/// recipe) must satisfy every quick-tier `adv_*` spec: the attack
+/// The catalog row `adversarial`, run fresh as `figures adversarial
+/// --quick` runs it, must satisfy every quick-tier `adv_*` spec: the attack
 /// shapes — liar immunity/containment, the defector latency penalty,
 /// Sybil indegree concentration, flood spike-and-drain — hold on
 /// regenerated data, not just on the committed full-scale snapshot.

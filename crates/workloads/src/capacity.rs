@@ -2,7 +2,6 @@
 
 use ert_sim::SimRng;
 use rand::Rng;
-use serde::Serialize;
 
 /// The bounded Pareto distribution the paper samples node capacities
 /// from: "shape 2, lower bound 500, upper bound 50000".
@@ -15,7 +14,7 @@ use serde::Serialize;
 /// let c = dist.sample(&mut rng);
 /// assert!((500.0..=50000.0).contains(&c));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
     shape: f64,
     lower: f64,
