@@ -23,126 +23,25 @@
 //! theorem envelope armed.
 
 use ert_baselines::base;
-use ert_network::{FaultEvent, FaultKind, FaultPlan, ProtocolSpec};
+use ert_network::{FaultEvent, FaultKind, ProtocolSpec};
 use ert_sim::{SimDuration, SimTime};
 use ert_telemetry::Telemetry;
-use serde::Serialize;
 
 use crate::report::{fnum, Table};
 use crate::scenario::Scenario;
 use crate::sweep::{completion, Axis, Layout, Panel, Sweep};
 
-/// When scripted actors activate: shortly after t = 0, so the first
-/// adaptation rounds already run under attack but topology construction
-/// (which happens before the clock starts) is untouched.
+/// When attacks activate: shortly after t = 0, so the first adaptation
+/// rounds already run under attack but topology construction (which
+/// happens before the clock starts) is untouched.
 const ATTACK_START_SECS: f64 = 0.05;
 
-/// A named attack shape with free parameters — the unit a
-/// [`Scenario`] carries and the sweeps vary. Expansion via
-/// [`AdversaryScript::plan`] is deterministic in `(script, seed)`, so
-/// sweep cells stay isolated reproducible worlds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum AdversaryScript {
-    /// A single [`FaultKind::CapacityLiar`] wave at attack start.
-    Liars {
-        /// Fraction of live hosts turned liars, in `(0, 1]`.
-        fraction: f64,
-        /// Multiplicative capacity misreport factor.
-        error: f64,
-    },
-    /// A single [`FaultKind::RoutingDefector`] wave at attack start.
-    Defectors {
-        /// Fraction of live hosts turned defectors, in `(0, 1]`.
-        fraction: f64,
-    },
-    /// The pinned byzantine mix the CI acceptance gate runs: liars and
-    /// defectors activated together at attack start.
-    Mix {
-        /// Fraction of live hosts turned liars, in `(0, 1]`.
-        liar_fraction: f64,
-        /// Liars' multiplicative misreport factor.
-        liar_error: f64,
-        /// Fraction of live hosts turned defectors, in `(0, 1]`.
-        defector_fraction: f64,
-    },
-    /// A [`FaultKind::QueryFlood`] flash crowd in the middle of the run,
-    /// leaving headroom on both sides to measure the pre-flood level and
-    /// the post-flood recovery.
-    Flood {
-        /// Flooded key as a ring fraction, in `[0, 1)`.
-        key: f64,
-        /// Number of flood lookups.
-        queries: u32,
-        /// Flood start, seconds into the run.
-        start_secs: f64,
-        /// Injection window length in seconds.
-        window_secs: f64,
-    },
-    /// A [`FaultKind::SybilSwarm`] joining at attack start.
-    Sybils {
-        /// Number of Sybil identities.
-        count: u32,
-        /// Victim ring position as a fraction of the ID space.
-        region: f64,
-    },
-}
-
-impl AdversaryScript {
-    /// Expands the script into a concrete plan for one run.
-    ///
-    /// The returned plan always carries `seed` as its interpretation
-    /// seed; its events land at fixed offsets.
-    pub fn plan(&self, seed: u64) -> FaultPlan {
-        let start = SimTime::ZERO + SimDuration::from_secs_f64(ATTACK_START_SECS);
-        let mut plan = FaultPlan::new(seed);
-        let mut push = |at, kind| plan.events.push(FaultEvent { at, kind });
-        match *self {
-            AdversaryScript::Liars { fraction, error } => {
-                push(start, FaultKind::CapacityLiar { fraction, error });
-            }
-            AdversaryScript::Defectors { fraction } => {
-                push(start, FaultKind::RoutingDefector { fraction });
-            }
-            AdversaryScript::Mix {
-                liar_fraction,
-                liar_error,
-                defector_fraction,
-            } => {
-                push(
-                    start,
-                    FaultKind::CapacityLiar {
-                        fraction: liar_fraction,
-                        error: liar_error,
-                    },
-                );
-                push(
-                    start,
-                    FaultKind::RoutingDefector {
-                        fraction: defector_fraction,
-                    },
-                );
-            }
-            AdversaryScript::Flood {
-                key,
-                queries,
-                start_secs,
-                window_secs,
-            } => {
-                push(
-                    SimTime::ZERO + SimDuration::from_secs_f64(start_secs),
-                    FaultKind::QueryFlood {
-                        key,
-                        queries,
-                        window: SimDuration::from_secs_f64(window_secs),
-                    },
-                );
-            }
-            AdversaryScript::Sybils { count, region } => {
-                push(start, FaultKind::SybilSwarm { count, region });
-            }
-        }
-        plan
-    }
+/// The attack that activates every kind in `kinds` together at attack
+/// start — the [`Scenario::adversary`] of the liar, defector and Sybil
+/// sweeps and of the pinned liar + defector mix.
+pub fn attack(kinds: &[FaultKind]) -> Vec<FaultEvent> {
+    let at = SimTime::ZERO + SimDuration::from_secs_f64(ATTACK_START_SECS);
+    kinds.iter().map(|&kind| FaultEvent { at, kind }).collect()
 }
 
 /// Fraction of hosts turned liars in the misreport-error sweep.
@@ -172,10 +71,11 @@ fn horizon_secs(s: &Scenario) -> f64 {
 /// adversary-free honest control).
 pub fn liar_sweep(errors: Vec<f64>) -> Sweep<f64> {
     let axis = Axis::new("error", errors, f64::to_string).scenario(|s, &error| {
-        s.adversary = (error > 1.0).then_some(AdversaryScript::Liars {
+        let liars = FaultKind::CapacityLiar {
             fraction: LIAR_FRACTION,
             error,
-        });
+        };
+        s.adversary = attack((error > 1.0).then_some(liars).as_slice());
     });
     Sweep::new(axis, protocols)
 }
@@ -184,7 +84,8 @@ pub fn liar_sweep(errors: Vec<f64>) -> Sweep<f64> {
 /// adversary-free honest control).
 pub fn defector_sweep(fractions: Vec<f64>) -> Sweep<f64> {
     let axis = Axis::new("fraction", fractions, f64::to_string).scenario(|s, &fraction| {
-        s.adversary = (fraction > 0.0).then_some(AdversaryScript::Defectors { fraction });
+        let defectors = FaultKind::RoutingDefector { fraction };
+        s.adversary = attack((fraction > 0.0).then_some(defectors).as_slice());
     });
     Sweep::new(axis, protocols)
 }
@@ -193,10 +94,11 @@ pub fn defector_sweep(fractions: Vec<f64>) -> Sweep<f64> {
 /// adversary-free honest control).
 pub fn sybil_sweep(counts: Vec<u32>) -> Sweep<u32> {
     let axis = Axis::new("count", counts, u32::to_string).scenario(|s, &count| {
-        s.adversary = (count > 0).then_some(AdversaryScript::Sybils {
+        let swarm = FaultKind::SybilSwarm {
             count,
             region: VICTIM_REGION,
-        });
+        };
+        s.adversary = attack((count > 0).then_some(swarm).as_slice());
     });
     Sweep::new(axis, protocols)
 }
@@ -231,17 +133,22 @@ pub static SYBIL_PANEL: Panel = Panel {
     ]),
 };
 
-/// The flood script used by [`flood_recovery`], sized relative to the
-/// scenario's injection horizon: the flash crowd starts at 30% of the
+/// Where the flood starts, as a fraction of the injection horizon.
+const FLOOD_START: f64 = 0.3;
+
+/// The flood [`flood_recovery`] runs, sized relative to the scenario's
+/// injection horizon: the flash crowd starts at [`FLOOD_START`] of the
 /// horizon, injects half the base lookup count onto one key over a 20%
 /// window, and leaves the back half of the run to recover in.
-pub fn flood_script(s: &Scenario) -> AdversaryScript {
+pub fn flood_script(s: &Scenario) -> FaultEvent {
     let h = horizon_secs(s);
-    AdversaryScript::Flood {
-        key: VICTIM_REGION,
-        queries: (s.lookups / 2).max(50) as u32,
-        start_secs: 0.3 * h,
-        window_secs: 0.2 * h,
+    FaultEvent {
+        at: SimTime::ZERO + SimDuration::from_secs_f64(FLOOD_START * h),
+        kind: FaultKind::QueryFlood {
+            key: VICTIM_REGION,
+            queries: (s.lookups / 2).max(50) as u32,
+            window: SimDuration::from_secs_f64(0.2 * h),
+        },
     }
 }
 
@@ -265,12 +172,11 @@ pub fn flood_script(s: &Scenario) -> AdversaryScript {
 ///   flood query drains through).
 pub fn flood_recovery(base_s: &Scenario) -> Table {
     let mut s = base_s.clone();
-    s.adversary = Some(flood_script(base_s));
+    s.adversary = vec![flood_script(base_s)];
     let h = horizon_secs(base_s);
-    let start = match flood_script(base_s) {
-        AdversaryScript::Flood { start_secs, .. } => start_secs,
-        _ => unreachable!("flood_script builds a flood"),
-    };
+    // The phase boundary stays the unrounded f64: the event time is
+    // rounded to whole microseconds, which can move a snapshot across.
+    let start = FLOOD_START * h;
     let interval = h / 50.0;
     let seed = s.seeds.first().copied().unwrap_or(1);
     let mut t = Table::new(
@@ -327,47 +233,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scripts_expand_deterministically() {
-        for script in [
-            AdversaryScript::Liars {
-                fraction: 0.2,
-                error: 4.0,
-            },
-            AdversaryScript::Defectors { fraction: 0.1 },
-            AdversaryScript::Mix {
-                liar_fraction: 0.2,
-                liar_error: 4.0,
-                defector_fraction: 0.1,
-            },
-            AdversaryScript::Flood {
-                key: 0.37,
-                queries: 200,
-                start_secs: 3.0,
-                window_secs: 2.0,
-            },
-            AdversaryScript::Sybils {
-                count: 12,
-                region: 0.37,
-            },
+    fn every_declared_attack_is_a_valid_adversarial_plan() {
+        let attacked = |edit: &dyn Fn(&mut Scenario)| {
+            let mut s = Scenario::quick(1);
+            edit(&mut s);
+            s.adversary
+        };
+        let ctx = crate::catalog::Ctx::with_seeds(true, vec![1]);
+        let row = crate::catalog::find("adversarial").expect("the adversarial row");
+        let liars = attacked(&|s| (liar_sweep(Vec::new()).axis.scenario)(s, &4.0));
+        let defectors = attacked(&|s| (defector_sweep(Vec::new()).axis.scenario)(s, &0.1));
+        let sybils = attacked(&|s| (sybil_sweep(Vec::new()).axis.scenario)(s, &16));
+        let mix = attacked(&|s| {
+            (row.capture)(&ctx, s);
+        });
+        for (events, tags) in [
+            (liars, &["CapacityLiar"][..]),
+            (defectors, &["RoutingDefector"]),
+            (sybils, &["SybilSwarm"]),
+            (mix, &["CapacityLiar", "RoutingDefector"]),
+            (vec![flood_script(&Scenario::quick(1))], &["QueryFlood"]),
         ] {
-            let a = script.plan(17);
-            assert_eq!(a, script.plan(17), "{script:?}");
-            assert!(!a.is_empty(), "{script:?}");
-            a.validate().unwrap_or_else(|e| panic!("{script:?}: {e}"));
-            assert_eq!(a.seed, 17);
-            assert!(a.events.iter().all(|e| e.kind.is_adversarial()));
+            let plan = ert_network::FaultPlan { seed: 17, events };
+            plan.validate().unwrap_or_else(|e| panic!("{plan:?}: {e}"));
+            let kinds: Vec<_> = plan.events.iter().map(|e| e.kind.tag()).collect();
+            assert_eq!(kinds, tags);
+            let adversarial = plan.events.iter().all(|e| e.kind.is_adversarial());
+            assert!(adversarial, "{plan:?}");
         }
-        let mix = AdversaryScript::Mix {
-            liar_fraction: 0.2,
-            liar_error: 4.0,
-            defector_fraction: 0.1,
-        }
-        .plan(3);
-        assert!(mix.any_kind(|k| matches!(k, FaultKind::CapacityLiar { .. })));
-        assert!(mix.any_kind(|k| matches!(k, FaultKind::RoutingDefector { .. })));
-        assert_eq!(mix.events.len(), 2);
-        let json = serde::json::to_string(&AdversaryScript::Defectors { fraction: 0.1 });
-        assert!(json.contains("Defectors"), "{json}");
     }
 
     #[test]

@@ -19,9 +19,8 @@ use std::cell::{Cell, OnceCell};
 
 use ert_baselines::all_protocols;
 use ert_core::ErtParams;
-use ert_network::{NetworkConfig, RetryPolicy};
+use ert_network::{FaultKind, NetworkConfig, RetryPolicy};
 
-use crate::adversarial::AdversaryScript;
 use crate::cli::Args;
 use crate::report::Table;
 use crate::sweep::{Runs, Sweep};
@@ -253,11 +252,13 @@ fn capture_chaos(ctx: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
 /// The CI acceptance mix (liars + defectors together), so the stream
 /// shows adversary activation, misreport and defection events.
 fn capture_mix(_: &Ctx, s: &mut Scenario) -> fn(&mut NetworkConfig) {
-    s.adversary = Some(AdversaryScript::Mix {
-        liar_fraction: 0.2,
-        liar_error: 4.0,
-        defector_fraction: 0.1,
-    });
+    s.adversary = adversarial::attack(&[
+        FaultKind::CapacityLiar {
+            fraction: 0.2,
+            error: 4.0,
+        },
+        FaultKind::RoutingDefector { fraction: 0.1 },
+    ]);
     no_tweak
 }
 
@@ -365,8 +366,12 @@ fn ablation(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
 fn extensions(ctx: &Ctx, base: &Scenario) -> Vec<Table> {
     let (keys, epoch) = ctx.pick((20, 100), (100, 500));
     vec![
-        extensions::zipf_table(base, &[0.0, 0.6, 1.0, 1.4], keys),
-        extensions::shifting_hotspot_table(base, keys, 1.0, epoch),
+        extensions::zipf_sweep(keys, &[0.0, 0.6, 1.0, 1.4])
+            .run(base)
+            .table(&extensions::ZIPF_PANEL),
+        extensions::hotspot_sweep(keys, 1.0, epoch)
+            .run(base)
+            .table(&extensions::HOTSPOT_PANEL),
         extensions::anonymity_table(base),
         extensions::utilization_table(base),
         extensions::item_movement_table(base),

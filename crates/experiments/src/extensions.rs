@@ -11,134 +11,62 @@
 //!   when every relay is loaded twice.
 
 use ert_baselines::{all_protocols, base, im};
-use ert_network::{ChurnEvent, Lookup, Network, NetworkConfig, ProtocolSpec, RunReport};
-use ert_overlay::CycloidSpace;
-use ert_sim::SimRng;
-use ert_workloads::{shifting_hotspot_lookups, zipf_lookups, BoundedPareto};
+use ert_network::ProtocolSpec;
 
 use crate::adversarial::protocols;
 use crate::report::{fnum, Table};
-use crate::scenario::{average_reports, Scenario, Workload};
-use crate::sweep::{Axis, Layout, Panel, Sweep};
+use crate::scenario::{Scenario, Workload};
+use crate::sweep::{run_points, Axis, Cell, Layout, Panel, Sweep};
 
-/// Fans [`run_with_lookups`] across the scenario's seeds on the worker
-/// pool, in seed order.
-fn seed_reports(
-    base_scenario: &Scenario,
-    spec: &ProtocolSpec,
-    make_lookups: impl Fn(&mut SimRng) -> Vec<Lookup> + Sync,
-) -> Vec<RunReport> {
-    ert_par::map_ordered(
-        base_scenario.effective_jobs(),
-        base_scenario.seeds.clone(),
-        |seed| run_with_lookups(base_scenario, spec, seed, &make_lookups),
-    )
+/// The columns the Zipf and hotspot panels share.
+static SKEW_CELLS: [Cell; 4] = [
+    ("p99 cong", |r| fnum(r.p99_max_congestion)),
+    ("p99 share", |r| fnum(r.p99_share)),
+    ("heavy", |r| r.heavy_encounters.to_string()),
+    ("time_s", |r| fnum(r.lookup_time.mean)),
+];
+
+/// Every protocol at each Zipf exponent over `keys` keys.
+pub fn zipf_sweep(keys: usize, exponents: &[f64]) -> Sweep<(usize, f64)> {
+    let values = exponents.iter().map(|&e| (keys, e)).collect();
+    let axis = Axis::new("s", values, |&(_, e)| format!("{e:.1}"))
+        .scenario(|s, &(keys, exponent)| s.workload = Workload::Zipf { keys, exponent });
+    Sweep::new(axis, all_protocols)
 }
 
-fn run_with_lookups(
-    base_scenario: &Scenario,
-    spec: &ProtocolSpec,
-    seed: u64,
-    make_lookups: impl Fn(&mut SimRng) -> Vec<Lookup>,
-) -> RunReport {
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9e37_79b9));
-    let capacities =
-        BoundedPareto::paper_default().sample_n(base_scenario.n, &mut rng.fork("capacities"));
-    let dim = CycloidSpace::dimension_for(base_scenario.n);
-    let cfg = NetworkConfig::for_dimension(dim, seed)
-        .with_light_service_secs(base_scenario.light_service_secs);
-    let lookups = make_lookups(&mut rng.fork("lookups"));
-    let mut net = Network::new(cfg, &capacities, spec.clone()).expect("valid scenario");
-    let churn: Vec<ChurnEvent> = Vec::new();
-    net.run(&lookups, &churn)
-}
+/// Congestion and share vs. Zipf exponent.
+pub static ZIPF_PANEL: Panel = Panel {
+    title: "Ext zipf — congestion and share vs Zipf exponent",
+    layout: Layout::Rows(Some("protocol"), &SKEW_CELLS),
+};
 
-/// Congestion and share vs. Zipf exponent, every protocol.
-pub fn zipf_table(base_scenario: &Scenario, exponents: &[f64], n_keys: usize) -> Table {
-    let specs = all_protocols(base_scenario.n);
-    let mut t = Table::new(
-        "Ext zipf — congestion and share vs Zipf exponent",
-        &["s", "protocol", "p99 cong", "p99 share", "heavy", "time_s"],
-    );
-    for &s_exp in exponents {
-        for spec in &specs {
-            let reports = seed_reports(base_scenario, spec, |rng| {
-                zipf_lookups(
-                    base_scenario.lookups,
-                    base_scenario.per_node_rate * base_scenario.n as f64,
-                    n_keys,
-                    s_exp,
-                    rng,
-                )
-            });
-            let r = average_reports(&reports);
-            t.row(vec![
-                format!("{s_exp:.1}"),
-                r.protocol.clone(),
-                fnum(r.p99_max_congestion),
-                fnum(r.p99_share),
-                r.heavy_encounters.to_string(),
-                fnum(r.lookup_time.mean),
-            ]);
-        }
-    }
-    t
-}
-
-/// Static vs. drifting hot set under ERT (adaptation on/off) — the
+/// A static Zipf hot set, then the same one drifting every `epoch`
+/// lookups, under Base and ERT without and with adaptation — the
 /// "time-varying popularity" claim isolated.
-pub fn shifting_hotspot_table(
-    base_scenario: &Scenario,
-    n_keys: usize,
-    exponent: f64,
-    epoch_lookups: usize,
-) -> Table {
-    let specs = [
-        base(),
-        ProtocolSpec::ert_f(), // no adaptation
-        ProtocolSpec::ert_af(),
+pub fn hotspot_sweep(keys: usize, exponent: f64, epoch: usize) -> Sweep<(&'static str, Workload)> {
+    let values = vec![
+        ("static", Workload::Zipf { keys, exponent }),
+        (
+            "drifting",
+            Workload::Hotspot {
+                keys,
+                exponent,
+                epoch,
+            },
+        ),
     ];
-    let mut t = Table::new(
-        "Ext hotspot — static vs drifting Zipf hot set",
-        &[
-            "workload",
-            "protocol",
-            "p99 cong",
-            "p99 share",
-            "heavy",
-            "time_s",
-        ],
-    );
-    for (label, drifting) in [("static", false), ("drifting", true)] {
-        for spec in &specs {
-            let reports = seed_reports(base_scenario, spec, |rng| {
-                let rate = base_scenario.per_node_rate * base_scenario.n as f64;
-                if drifting {
-                    shifting_hotspot_lookups(
-                        base_scenario.lookups,
-                        rate,
-                        n_keys,
-                        exponent,
-                        epoch_lookups,
-                        rng,
-                    )
-                } else {
-                    zipf_lookups(base_scenario.lookups, rate, n_keys, exponent, rng)
-                }
-            });
-            let r = average_reports(&reports);
-            t.row(vec![
-                label.into(),
-                r.protocol.clone(),
-                fnum(r.p99_max_congestion),
-                fnum(r.p99_share),
-                r.heavy_encounters.to_string(),
-                fnum(r.lookup_time.mean),
-            ]);
-        }
-    }
-    t
+    let axis = Axis::new("workload", values, |&(label, _)| label.to_owned())
+        .scenario(|s, &(_, workload)| s.workload = workload);
+    Sweep::new(axis, |_| {
+        vec![base(), ProtocolSpec::ert_f(), ProtocolSpec::ert_af()]
+    })
 }
+
+/// Static vs. drifting hot set.
+pub static HOTSPOT_PANEL: Panel = Panel {
+    title: "Ext hotspot — static vs drifting Zipf hot set",
+    layout: Layout::Rows(Some("protocol"), &SKEW_CELLS),
+};
 
 /// Direct responses vs. anonymity-mode (path-retracing) responses.
 pub fn anonymity_table(base_scenario: &Scenario) -> Table {
@@ -213,15 +141,19 @@ pub fn stabilization_table(base_scenario: &Scenario, paper_interarrival: f64) ->
     let churn = crate::fig9::churn_spec_for(base_scenario, paper_interarrival);
     let mut s = base_scenario.clone();
     s.churn = Some(churn);
-    for (label, spec, stabilize) in [
-        ("Base lazy", base(), false),
-        ("Base stabilized", base(), true),
-        ("ERT/AF lazy", ProtocolSpec::ert_af(), false),
-    ] {
-        let reports = s.run_seeds_with(&spec, |cfg| cfg.stabilization = stabilize);
-        let r = average_reports(&reports);
+    let variants = [
+        ("Base lazy", base()),
+        ("Base stabilized", base()),
+        ("ERT/AF lazy", ProtocolSpec::ert_af()),
+    ];
+    let points: Vec<_> = variants
+        .iter()
+        .map(|(_, spec)| (s.clone(), vec![spec.clone()]))
+        .collect();
+    let reports = run_points(&points, &|i, cfg| cfg.stabilization = i == 1);
+    for ((label, _), r) in variants.iter().zip(reports.iter().flatten()) {
         t.row(vec![
-            label.into(),
+            (*label).into(),
             fnum(r.timeouts_per_lookup),
             fnum(r.maintenance_per_lookup),
             fnum(r.lookup_time.mean),
@@ -328,7 +260,7 @@ mod tests {
     #[test]
     fn zipf_skew_raises_congestion() {
         let s = small();
-        let t = zipf_table(&s, &[0.0, 1.2], 40);
+        let t = zipf_sweep(40, &[0.0, 1.2]).run(&s).table(&ZIPF_PANEL);
         // Base row at s=0 vs s=1.2.
         let flat: f64 = t.rows[0][2].parse().unwrap();
         let skew: f64 = t.rows[6][2].parse().unwrap();
@@ -342,7 +274,7 @@ mod tests {
     #[test]
     fn hotspot_table_shapes() {
         let s = small();
-        let t = shifting_hotspot_table(&s, 20, 1.0, 100);
+        let t = hotspot_sweep(20, 1.0, 100).run(&s).table(&HOTSPOT_PANEL);
         assert_eq!(t.rows.len(), 6);
         for row in &t.rows {
             let time: f64 = row[5].parse().unwrap();

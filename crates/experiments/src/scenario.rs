@@ -15,19 +15,23 @@
 use std::fmt;
 
 use ert_network::{
-    ChaosPlan, ChurnEvent, FaultPlan, Lookup, Network, NetworkConfig, ProtocolSpec, RunReport,
+    ChaosPlan, ChurnEvent, FaultEvent, FaultPlan, Lookup, Network, NetworkConfig, ProtocolSpec,
+    RunReport,
 };
 use ert_overlay::CycloidSpace;
 use ert_sim::stats::Summary;
 use ert_sim::{SimRng, SimTime};
 use ert_telemetry::Telemetry;
-use ert_workloads::{churn_schedule, impulse_lookups, uniform_lookups, BoundedPareto};
+use ert_workloads::{
+    churn_schedule, impulse_lookups, shifting_hotspot_lookups, uniform_lookups, zipf_lookups,
+    BoundedPareto,
+};
 
-use crate::adversarial::AdversaryScript;
 use crate::sweep::run_points;
 
-/// The lookup workload shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The lookup stream a run injects, drawn from the run's `"lookups"`
+/// RNG fork (see `ert_workloads` for each generator).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Random sources and keys (Table 2 default).
     Uniform,
@@ -38,6 +42,23 @@ pub enum Workload {
         nodes: usize,
         /// Number of distinct keys queried (paper: 50).
         keys: usize,
+    },
+    /// Random sources; keys drawn from a fixed Zipf-ranked set.
+    Zipf {
+        /// Number of distinct keys.
+        keys: usize,
+        /// Zipf exponent (0 is uniform over the keys).
+        exponent: f64,
+    },
+    /// [`Workload::Zipf`] whose hot set drifts: every `epoch` lookups
+    /// the rank-to-key mapping rotates by one.
+    Hotspot {
+        /// Number of distinct keys.
+        keys: usize,
+        /// Zipf exponent.
+        exponent: f64,
+        /// Lookups per popularity epoch.
+        epoch: usize,
     },
 }
 
@@ -76,13 +97,14 @@ pub struct Scenario {
     /// configured separately via [`NetworkConfig::retry`] (e.g. in a
     /// `run_once_with` tweak).
     pub chaos: Option<f64>,
-    /// Adversarial attack script, if any: each run expands the script
-    /// into adversary events over the lookup horizon (capacity liars,
-    /// Sybil swarms, query floods, routing defectors). `None` runs
+    /// The attack, as adversary [`FaultEvent`]s at fixed times
+    /// (capacity liars, Sybil swarms, query floods, routing defectors;
+    /// see `adversarial::attack`). Each run puts them in its
+    /// [`FaultPlan`] under a seed folded from the run seed; empty runs
     /// adversary-free and byte-identical to a build without adversary
-    /// support. With `chaos` also set, the script's events join the
-    /// chaos plan and share its seed.
-    pub adversary: Option<AdversaryScript>,
+    /// support. With `chaos` also set, the events join the chaos plan
+    /// and share its seed.
+    pub adversary: Vec<FaultEvent>,
     /// Worker threads for the multi-run fan-out (`None` = all available
     /// cores, the `--jobs` default of `figures`). Any value yields
     /// byte-identical results: runs are seed-isolated worlds and the
@@ -191,7 +213,7 @@ impl Scenario {
             workload: Workload::Uniform,
             churn: None,
             chaos: None,
-            adversary: None,
+            adversary: Vec::new(),
             jobs: None,
             shards: 0,
         }
@@ -208,7 +230,7 @@ impl Scenario {
             workload: Workload::Uniform,
             churn: None,
             chaos: None,
-            adversary: None,
+            adversary: Vec::new(),
             jobs: None,
             shards: 0,
         }
@@ -296,6 +318,14 @@ impl Scenario {
             Workload::Impulse { nodes, keys } => {
                 impulse_lookups(self.lookups, rate, self.n, nodes, keys, &mut wl_rng)
             }
+            Workload::Zipf { keys, exponent } => {
+                zipf_lookups(self.lookups, rate, keys, exponent, &mut wl_rng)
+            }
+            Workload::Hotspot {
+                keys,
+                exponent,
+                epoch,
+            } => shifting_hotspot_lookups(self.lookups, rate, keys, exponent, epoch, &mut wl_rng),
         };
         let horizon = lookups.last().map_or(SimTime::ZERO, |l| l.at);
         let churn: Vec<ChurnEvent> = match self.churn {
@@ -313,9 +343,9 @@ impl Scenario {
         // schedule and fault and adversary schedules built from the same
         // run seed stay decorrelated. The chaos plan covers the injection
         // phase plus a tail for retries.
-        let mut plan = match self.adversary {
-            Some(script) => script.plan(seed.wrapping_mul(0x2545_f491_4f6c_dd1d)),
-            None => FaultPlan::default(),
+        let mut plan = FaultPlan {
+            seed: seed.wrapping_mul(0x2545_f491_4f6c_dd1d),
+            events: self.adversary.clone(),
         };
         if let Some(intensity) = self.chaos {
             let chaos = ChaosPlan::generate_over(
@@ -328,58 +358,6 @@ impl Scenario {
         }
         let net = Network::new(cfg, &capacities, spec.clone()).expect("valid scenario");
         (net, lookups, churn, plan)
-    }
-
-    /// Fans one protocol across every seed on the worker pool and
-    /// returns the per-seed outcomes **in seed-list order**, each keyed
-    /// by its seed. A run that panics (e.g. a tweak rejected by
-    /// [`Network::new`]) comes back as a [`RunError`] naming the
-    /// protocol and seed; the other seeds' reports are intact.
-    pub fn try_run_seeds_with<F>(
-        &self,
-        spec: &ProtocolSpec,
-        tweak: F,
-    ) -> Vec<(u64, Result<RunReport, RunError>)>
-    where
-        F: Fn(&mut NetworkConfig) + Send + Sync,
-    {
-        let tweak = &tweak;
-        let cells: Vec<RunCell> = self
-            .seeds
-            .iter()
-            .map(|&seed| RunCell {
-                scenario: self,
-                spec,
-                seed,
-                tweak: Box::new(move |cfg| tweak(cfg)),
-            })
-            .collect();
-        self.seeds
-            .iter()
-            .copied()
-            .zip(try_run_batch(self.effective_jobs(), cells))
-            .collect()
-    }
-
-    /// Per-seed reports for one protocol, fanned out on the worker
-    /// pool, in seed-list order.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`RunError`] rendering when any run fails.
-    pub fn run_seeds_with<F>(&self, spec: &ProtocolSpec, tweak: F) -> Vec<RunReport>
-    where
-        F: Fn(&mut NetworkConfig) + Send + Sync,
-    {
-        self.try_run_seeds_with(spec, tweak)
-            .into_iter()
-            .map(|(_, outcome)| expect_run(outcome))
-            .collect()
-    }
-
-    /// [`Scenario::run_seeds_with`] without a tweak.
-    pub fn run_seeds(&self, spec: &ProtocolSpec) -> Vec<RunReport> {
-        self.run_seeds_with(spec, |_| {})
     }
 
     /// Runs one protocol across every seed (in parallel, canonical
@@ -502,26 +480,6 @@ mod tests {
             serde::json::to_string(&sequential),
             serde::json::to_string(&parallel)
         );
-    }
-
-    #[test]
-    fn poisoned_run_surfaces_a_structured_error() {
-        let mut s = Scenario::quick(1);
-        s.n = 64;
-        s.lookups = 60;
-        s.seeds = vec![1, 2, 3];
-        let outcomes = s.try_run_seeds_with(&base(), |cfg| {
-            if cfg.seed == 2 {
-                cfg.max_hops = 0; // rejected by Network::new
-            }
-        });
-        assert!(outcomes[0].1.is_ok());
-        assert!(outcomes[2].1.is_ok());
-        let (seed, err) = (&outcomes[1].0, outcomes[1].1.as_ref().unwrap_err());
-        assert_eq!(*seed, 2);
-        assert_eq!(err.seed, 2);
-        assert_eq!(err.protocol, "Base");
-        assert!(err.message.contains("max hops"), "message: {}", err.message);
     }
 
     #[test]

@@ -297,7 +297,9 @@ mod tests {
     //! The executor's layouts on hand-built reports: no simulation runs.
 
     use super::*;
-    use crate::{ablation, adversarial, fig10, fig4, fig5, fig7, fig8, fig9, resilience};
+    use crate::{
+        ablation, adversarial, extensions, fig10, fig4, fig5, fig7, fig8, fig9, resilience,
+    };
 
     /// Runs of `sweep` whose report `j` at point `i` reads `10·i + j`
     /// in every field a panel prints.
@@ -469,5 +471,30 @@ mod tests {
         let t = fake(&ablation::beta_sweep(Vec::new())).table(&ablation::BETA_PANEL);
         assert_eq!(t.header[0], "beta");
         assert!(t.rows.is_empty());
+        // `{:.1}` and a label: the Zipf and hotspot panels share cells.
+        let skew = ["protocol", "p99 cong", "p99 share", "heavy", "time_s"];
+        let zipf = fake(&extensions::zipf_sweep(20, &[0.0, 1.4]));
+        let t = zipf.table(&extensions::ZIPF_PANEL);
+        assert_eq!(t.header[0], "s");
+        assert_eq!(t.header[1..], skew);
+        assert_eq!(t.rows.len(), 12);
+        assert_eq!(t.rows[0][..2], ["0.0", "Base"]);
+        assert_eq!(t.rows[6][..2], ["1.4", "Base"]);
+        assert_eq!(t.csv_stem(), "ext_zipf");
+        let hotspot = fake(&extensions::hotspot_sweep(20, 1.0, 100));
+        let t = hotspot.table(&extensions::HOTSPOT_PANEL);
+        assert_eq!(t.header[0], "workload");
+        assert_eq!(t.header[1..], skew);
+        assert_eq!(
+            t.column("workload"),
+            Some(vec![
+                "static", "static", "static", "drifting", "drifting", "drifting"
+            ])
+        );
+        assert_eq!(
+            t.column("protocol").unwrap()[..3],
+            ["Base", "ERT/F", "ERT/AF"]
+        );
+        assert_eq!(t.csv_stem(), "ext_hotspot");
     }
 }

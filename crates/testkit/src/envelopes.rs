@@ -29,16 +29,6 @@ impl Envelope {
         !self.runs.is_empty() && self.runs.iter().all(|&(_, ok)| ok)
     }
 
-    /// Seeds that violated the bound.
-    #[must_use]
-    pub fn failing_seeds(&self) -> Vec<u64> {
-        self.runs
-            .iter()
-            .filter(|&&(_, ok)| !ok)
-            .map(|&(s, _)| s)
-            .collect()
-    }
-
     /// Failure-message summary: label, verdicts, and the diagnostics
     /// of failing seeds.
     #[must_use]
@@ -144,7 +134,6 @@ mod tests {
             details: vec!["d1".into(), "d2".into()],
         };
         assert!(!e.all_ok());
-        assert_eq!(e.failing_seeds(), vec![2]);
         assert!(e.summary().contains("d2"));
         assert!(!e.summary().contains("d1"));
         let empty = Envelope {

@@ -236,9 +236,6 @@ pub enum Axis {
 impl Axis {
     fn resolve(self, set: &SeriesSet) -> Result<Vec<usize>, String> {
         let n = set.axis.len();
-        if n == 0 {
-            return Err("series set has no axis points".to_owned());
-        }
         match self {
             Axis::First => Ok(vec![0]),
             Axis::Last => Ok(vec![n - 1]),
@@ -438,6 +435,10 @@ fn point_name(set: &SeriesSet, i: usize) -> String {
 }
 
 fn eval_check(check: &ShapeCheck, set: &SeriesSet) -> Result<(), String> {
+    // A header-only table holds no claim, however vacuous the check.
+    if set.axis.is_empty() {
+        return Err("series set has no axis points".to_owned());
+    }
     match *check {
         ShapeCheck::Less { a, b, at, slack } => {
             let (va, vb) = (need(set, a)?, need(set, b)?);
@@ -703,7 +704,7 @@ mod tests {
         assert!(good.eval(&s).is_empty(), "{:?}", good.eval(&s));
 
         // Each inverted claim is caught.
-        for bad in [
+        let bads = [
             ShapeCheck::Max {
                 series: "VS",
                 at: Axis::Last,
@@ -733,9 +734,19 @@ mod tests {
                 series: "Base",
                 tol: 0.01,
             },
-        ] {
+        ];
+        for bad in &bads {
             let v = spec(vec![bad.clone()]).eval(&s);
             assert_eq!(v.len(), 1, "{bad:?} should fail");
+        }
+
+        // A header-only table fails every check, vacuous ones included.
+        let empty = SeriesSet::from_csv("lookups,Base,NS,VS\n", Layout::Wide).unwrap();
+        assert_eq!(empty.max_axis(), 0.0);
+        for check in good.checks.iter().chain(&bads) {
+            let v = spec(vec![check.clone()]).eval(&empty);
+            assert_eq!(v.len(), 1, "{check:?} should fail on no points");
+            assert!(v[0].detail.contains("no axis points"), "{v:?}");
         }
     }
 

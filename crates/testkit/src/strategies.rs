@@ -5,8 +5,8 @@
 //! module is the single audited home for them. Two kinds of exports:
 //!
 //! * **proptest strategies** ([`small_world`], [`fault_events`],
-//!   [`churn_specs`], [`workloads`]) — draw randomized-but-bounded
-//!   scenario ingredients for `proptest!` properties;
+//!   [`wire_cluster`]) — draw randomized-but-bounded scenario
+//!   ingredients for `proptest!` properties;
 //! * **deterministic builders** ([`SmallWorld::build`],
 //!   [`fault_plan`], [`ramp_capacities`], [`pinned_network_config`],
 //!   [`churned_quick_scenario`]) — the exact recipes behind the pinned
@@ -20,7 +20,7 @@
 
 use std::ops::Range;
 
-use ert_experiments::{ChurnSpec, Scenario, Workload};
+use ert_experiments::{ChurnSpec, Scenario};
 use ert_network::network::uniform_lookup_burst;
 use ert_network::{FaultEvent, FaultKind, FaultPlan, Lookup, NetworkConfig};
 use ert_overlay::CycloidSpace;
@@ -173,51 +173,6 @@ pub fn fault_plan(seed: u64, events: &[(u64, u8, u64, u64)]) -> FaultPlan {
         });
     }
     plan
-}
-
-/// Churn intensities from mild (20 s interarrivals) to the paper's
-/// Section 5.5 stress level (0.5 s).
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnSpecStrategy;
-
-impl Strategy for ChurnSpecStrategy {
-    type Value = ChurnSpec;
-    fn sample(&self, rng: &mut TestRng) -> ChurnSpec {
-        ChurnSpec {
-            join_interarrival: (0.5f64..20.0).sample(rng),
-            leave_interarrival: (0.5f64..20.0).sample(rng),
-        }
-    }
-}
-
-/// Strategy over [`ChurnSpec`] intensities.
-#[must_use]
-pub fn churn_specs() -> ChurnSpecStrategy {
-    ChurnSpecStrategy
-}
-
-/// Workload shapes: uniform or a bounded Section 5.4-style impulse.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadStrategy;
-
-impl Strategy for WorkloadStrategy {
-    type Value = Workload;
-    fn sample(&self, rng: &mut TestRng) -> Workload {
-        if (0u8..2).sample(rng) == 0 {
-            Workload::Uniform
-        } else {
-            Workload::Impulse {
-                nodes: (4usize..32).sample(rng),
-                keys: (2usize..16).sample(rng),
-            }
-        }
-    }
-}
-
-/// Strategy over [`Workload`] shapes.
-#[must_use]
-pub fn workloads() -> WorkloadStrategy {
-    WorkloadStrategy
 }
 
 /// Ingredients of a small wire cluster (`ert-node` over the in-memory
@@ -394,14 +349,6 @@ mod tests {
             let w = small_world(24usize..96).sample(&mut rng);
             assert!((24..96).contains(&w.n));
             assert_eq!(w.capacities.len(), w.n);
-            let c = churn_specs().sample(&mut rng);
-            assert!(c.join_interarrival >= 0.5 && c.leave_interarrival < 20.0);
-            match workloads().sample(&mut rng) {
-                Workload::Uniform => {}
-                Workload::Impulse { nodes, keys } => {
-                    assert!(nodes < 32 && keys < 16);
-                }
-            }
         }
     }
 }

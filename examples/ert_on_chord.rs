@@ -23,7 +23,7 @@ fn main() {
         workload: ert_repro::experiments::Workload::Uniform,
         churn: None,
         chaos: None,
-        adversary: None,
+        adversary: Vec::new(),
         jobs: None,
         shards: 0,
     };

@@ -28,7 +28,7 @@ fn main() {
         },
         churn: None,
         chaos: None,
-        adversary: None,
+        adversary: Vec::new(),
         jobs: None,
         shards: 0,
     };

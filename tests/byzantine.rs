@@ -8,21 +8,23 @@
 //! envelopes, and would abort here if `ert-network::sanitize` failed
 //! to relax exactly those checks (and only those) for such plans.
 
-use ert_repro::experiments::adversarial::AdversaryScript;
+use ert_repro::experiments::adversarial::attack;
 use ert_repro::experiments::Scenario;
-use ert_repro::network::{FaultPlan, Network, NetworkConfig, ProtocolSpec};
+use ert_repro::network::{FaultEvent, FaultKind, FaultPlan, Network, NetworkConfig, ProtocolSpec};
 use ert_repro::overlay::CycloidSpace;
-use ert_repro::sim::SimRng;
+use ert_repro::sim::{SimDuration, SimRng, SimTime};
 use ert_repro::workloads::{uniform_lookups, BoundedPareto};
 
 /// The pinned CI acceptance mix: 20% capacity liars at 4× misreport
 /// plus 10% routing defectors.
-fn acceptance_mix() -> AdversaryScript {
-    AdversaryScript::Mix {
-        liar_fraction: 0.2,
-        liar_error: 4.0,
-        defector_fraction: 0.1,
-    }
+fn acceptance_mix() -> Vec<FaultEvent> {
+    attack(&[
+        FaultKind::CapacityLiar {
+            fraction: 0.2,
+            error: 4.0,
+        },
+        FaultKind::RoutingDefector { fraction: 0.1 },
+    ])
 }
 
 fn conserved(r: &ert_repro::network::RunReport) -> bool {
@@ -36,7 +38,7 @@ fn conserved(r: &ert_repro::network::RunReport) -> bool {
 #[test]
 fn pinned_byzantine_mix_meets_the_acceptance_gate() {
     let mut s = Scenario::quick(17);
-    s.adversary = Some(acceptance_mix());
+    s.adversary = acceptance_mix();
     for spec in [ProtocolSpec::ert_af(), ert_repro::baselines::base()] {
         let name = spec.name.clone();
         let r = s.run_once(&spec, 1);
@@ -80,7 +82,7 @@ fn adversarial_runs_reproduce_across_jobs_1_and_4() {
     let specs = [ProtocolSpec::ert_af(), ert_repro::baselines::base()];
     let run = |jobs: usize| {
         let mut s = Scenario::quick(17);
-        s.adversary = Some(acceptance_mix());
+        s.adversary = acceptance_mix();
         s.jobs = Some(jobs);
         serde::json::to_string(&s.run_all(&specs))
     };
@@ -93,12 +95,14 @@ fn adversarial_runs_reproduce_across_jobs_1_and_4() {
 #[test]
 fn large_flood_is_conserved() {
     let mut s = Scenario::quick(17);
-    s.adversary = Some(AdversaryScript::Flood {
-        key: 0.37,
-        queries: 3000,
-        start_secs: 0.4,
-        window_secs: 0.5,
-    });
+    s.adversary = vec![FaultEvent {
+        at: SimTime::ZERO + SimDuration::from_secs_f64(0.4),
+        kind: FaultKind::QueryFlood {
+            key: 0.37,
+            queries: 3000,
+            window: SimDuration::from_secs_f64(0.5),
+        },
+    }];
     let r = s.run_once(&ProtocolSpec::ert_af(), 1);
     assert!(conserved(&r), "flood lookups leaked from the ledger");
     assert_eq!(r.lookups_started, s.lookups as u64 + 3000);

@@ -10,7 +10,7 @@
 //! digests, correlations — must match to the last bit.
 
 use ert_repro::baselines::{all_protocols, base};
-use ert_repro::experiments::{ChurnSpec, Scenario, Workload};
+use ert_repro::experiments::{try_run_batch, ChurnSpec, RunCell, Scenario, Workload};
 use ert_repro::network::ProtocolSpec;
 
 fn small(seed: u64) -> Scenario {
@@ -141,16 +141,25 @@ fn parallel_average_matches_the_pre_parallel_pin() {
 /// batch drains to intact reports.
 #[test]
 fn poisoned_cell_is_contained_and_named() {
-    let mut s = small(5);
-    s.seeds = vec![1, 2, 3, 4];
-    s.jobs = Some(4);
-    let outcomes = s.try_run_seeds_with(&base(), |cfg| {
-        if cfg.seed == 3 {
-            cfg.max_hops = 0; // invalid: rejected by Network::new
-        }
-    });
+    let s = small(5);
+    let spec = base();
+    let seeds = [1, 2, 3, 4];
+    let cells = seeds
+        .iter()
+        .map(|&seed| RunCell {
+            scenario: &s,
+            spec: &spec,
+            seed,
+            tweak: Box::new(|cfg| {
+                if cfg.seed == 3 {
+                    cfg.max_hops = 0; // invalid: rejected by Network::new
+                }
+            }),
+        })
+        .collect();
+    let outcomes = try_run_batch(4, cells);
     assert_eq!(outcomes.len(), 4);
-    for (seed, outcome) in &outcomes {
+    for (seed, outcome) in seeds.iter().zip(&outcomes) {
         if *seed == 3 {
             let err = outcome.as_ref().expect_err("poisoned seed must fail");
             assert_eq!(err.seed, 3);

@@ -361,26 +361,36 @@ proptest! {
         use std::collections::BTreeMap;
 
         use ert_repro::baselines::base;
-        use ert_repro::experiments::Scenario;
+        use ert_repro::experiments::{try_run_batch, RunCell, Scenario};
 
         let mut s = Scenario::quick(seed);
         s.n = 48;
         s.lookups = 40;
-        s.seeds = vec![seed, seed + 1, seed + 2, seed + 3];
-        s.jobs = Some(1);
-        let reference: BTreeMap<u64, String> = s
-            .seeds
-            .iter()
-            .copied()
-            .zip(s.run_seeds(&base()).iter().map(serde::json::to_string))
-            .collect();
+        let spec = base();
+        let run = |workers: usize, seeds: &[u64]| {
+            let cells = seeds
+                .iter()
+                .map(|&seed| RunCell {
+                    scenario: &s,
+                    spec: &spec,
+                    seed,
+                    tweak: Box::new(|_| {}),
+                })
+                .collect();
+            try_run_batch(workers, cells)
+                .into_iter()
+                .map(|outcome| serde::json::to_string(&outcome.expect("healthy run")))
+                .collect::<Vec<_>>()
+        };
+        let mut seeds = vec![seed, seed + 1, seed + 2, seed + 3];
+        let reference: BTreeMap<u64, String> =
+            seeds.iter().copied().zip(run(1, &seeds)).collect();
 
-        s.seeds.rotate_left(rot);
-        s.jobs = Some(workers);
-        let fanned = s.run_seeds(&base());
-        for (seed, report) in s.seeds.iter().zip(&fanned) {
+        seeds.rotate_left(rot);
+        let fanned = run(workers, &seeds);
+        for (seed, report) in seeds.iter().zip(&fanned) {
             prop_assert_eq!(
-                &serde::json::to_string(report),
+                report,
                 &reference[seed],
                 "seed {} diverged at {} workers, rotation {}", seed, workers, rot
             );
