@@ -67,6 +67,11 @@ impl ChordGeometry {
         self.registry.remove(id)
     }
 
+    /// Whether `id` is a member.
+    pub fn contains(&self, id: u64) -> bool {
+        self.registry.contains(id)
+    }
+
     /// The underlying ID space.
     pub fn space(&self) -> ChordSpace {
         self.space

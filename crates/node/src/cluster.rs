@@ -1,11 +1,12 @@
 //! Deterministic in-memory cluster: the test-side [`Transport`] plus
 //! the lookup-issuing client.
 //!
-//! A [`WireCluster`] owns one [`WireNode`] per member and a single
-//! [`EventQueue`] — the `(time, seq)` FIFO-stable queue under
-//! `MiniDht`'s engine — over four entry kinds: client injections,
-//! in-flight frames, node timers, and client retries. Sequence numbers
-//! are allocated when work is emitted, so equal-timestamp events run in
+//! A [`WireCluster`] owns one [`WireNode`] per member, all built on one
+//! shared copy-on-write membership view, and a single [`EventQueue`] —
+//! the `(time, seq)` FIFO-stable queue under `MiniDht`'s engine — over
+//! five entry kinds: client injections, in-flight frames, node timers,
+//! adaptation rounds, and client retries. Sequence numbers are
+//! allocated when work is emitted, so equal-timestamp events run in
 //! emission order exactly like the simulator; the correspondence
 //! argument lives in DESIGN.md "Wire Protocol & Live Node".
 //!
@@ -16,9 +17,13 @@
 //! machinery at all — `transport_faults.rs` pins that, along with
 //! byte-identity across node-spawn orders.
 
+use std::sync::Arc;
+
 use ert_core::{max_indegree, normalize_capacities};
 use ert_faults::{Delivery, FaultPlan, LinkFaults, RetryPolicy};
-use ert_minidht::{CompletionTrace, HopTrace, MiniDhtConfig, MiniProtocol, RouteTrace};
+use ert_minidht::{
+    ChordGeometry, CompletionTrace, HopTrace, MiniDhtConfig, MiniProtocol, RouteTrace,
+};
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
@@ -34,6 +39,13 @@ enum Work {
     Frame { to: u64, bytes: Vec<u8> },
     /// A timer callback owed to node `node`.
     Timer { node: usize, kind: TimerKind },
+    /// One adaptation period: every live node's `AdaptTick`, in index
+    /// order — `MiniDht`'s `Ev::Adapt`. It stands for the n per-node
+    /// `AdaptTick` timers a live node arms for itself, and it is exact:
+    /// those n timers would be scheduled back to back at one instant
+    /// with consecutive `seq`s, and a tick schedules no event (its RPCs
+    /// are synchronous), so nothing could pop between them.
+    AdaptRound,
     /// Client retry check for query `query`.
     Retry { query: u64 },
 }
@@ -223,7 +235,6 @@ pub struct WireCluster {
     probe_rpcs: u64,
     adapt_rpcs: u64,
     build_rpcs: (u64, u64),
-    adapt_seen: usize,
 }
 
 impl WireCluster {
@@ -276,6 +287,7 @@ impl WireCluster {
         retry.validate()?;
         let faults = LinkFaults::new(plan)?;
         let norm = normalize_capacities(capacities);
+        let view = Arc::new(ChordGeometry::from_members(bits, members));
         let mut nodes: Vec<Option<WireNode>> = (0..n).map(|_| None).collect();
         let spawn: Vec<usize> = match spawn_order {
             Some(order) => {
@@ -295,10 +307,9 @@ impl WireCluster {
         };
         for &i in &spawn {
             let capacity_eval = max_indegree(cfg.ert.alpha, norm[i]);
-            nodes[i] = Some(WireNode::new(
+            nodes[i] = Some(WireNode::with_view(
                 members[i],
-                bits,
-                members,
+                Arc::clone(&view),
                 capacities[i],
                 capacity_eval,
                 &cfg,
@@ -330,7 +341,6 @@ impl WireCluster {
             probe_rpcs: 0,
             adapt_rpcs: 0,
             build_rpcs: (0, 0),
-            adapt_seen: 0,
         };
         // The platform's seeded build permutation — identical draws to
         // MiniDht::new, so table construction interleaves identically.
@@ -416,7 +426,6 @@ impl WireCluster {
     /// Propagates node protocol failures (impossible in fault-free
     /// runs; fault plans surface them as lost lookups instead).
     pub fn run_schedule(&mut self, schedule: &[(SimTime, u64)]) -> Result<WireReport, String> {
-        let n = self.ids.len();
         let count = schedule.len();
         self.started = vec![SimTime::ZERO; count];
         self.resolved = vec![false; count];
@@ -435,15 +444,7 @@ impl WireCluster {
         }
         if self.protocol == MiniProtocol::ElasticErt {
             let at = self.now + self.cfg.ert.adaptation_period;
-            for i in 0..n {
-                self.events.schedule(
-                    at,
-                    Work::Timer {
-                        node: i,
-                        kind: TimerKind::AdaptTick,
-                    },
-                );
-            }
+            self.events.schedule(at, Work::AdaptRound);
         }
         while self.pending > 0 {
             let Some((at, work)) = self.events.pop() else {
@@ -460,6 +461,7 @@ impl WireCluster {
                     }
                 }
                 Work::Timer { node, kind } => self.on_timer(node, kind)?,
+                Work::AdaptRound => self.on_adapt_round()?,
                 Work::Retry { query } => self.on_retry(query)?,
             }
         }
@@ -565,37 +567,30 @@ impl WireCluster {
     }
 
     fn on_timer(&mut self, idx: usize, kind: TimerKind) -> Result<(), String> {
-        let is_adapt = matches!(kind, TimerKind::AdaptTick);
-        if self.nodes[idx].is_some() {
-            let outcome = self
-                .with_node(idx, |node, ctx| node.on_timer(ctx, kind))?
-                .map_err(|e| format!("timer on node {idx}: {e}"))?;
-            if let Some(adapt) = outcome {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.adapts.push(adapt);
-                }
+        if self.nodes[idx].is_none() {
+            return Ok(());
+        }
+        let outcome = self
+            .with_node(idx, |node, ctx| node.on_timer(ctx, kind))?
+            .map_err(|e| format!("timer on node {idx}: {e}"))?;
+        if let Some(adapt) = outcome {
+            if let Some(tr) = self.trace.as_mut() {
+                tr.adapts.push(adapt);
             }
         }
-        if is_adapt {
-            self.adapt_seen += 1;
-            if self.adapt_seen == self.ids.len() {
-                // Round complete: reschedule iff work remains — the
-                // simulator's `injections_left > 0 || outstanding > 0`
-                // is exactly "some query is still unresolved".
-                self.adapt_seen = 0;
-                if self.pending > 0 {
-                    let at = self.now + self.cfg.ert.adaptation_period;
-                    for i in 0..self.ids.len() {
-                        self.events.schedule(
-                            at,
-                            Work::Timer {
-                                node: i,
-                                kind: TimerKind::AdaptTick,
-                            },
-                        );
-                    }
-                }
-            }
+        Ok(())
+    }
+
+    fn on_adapt_round(&mut self) -> Result<(), String> {
+        for i in 0..self.ids.len() {
+            self.on_timer(i, TimerKind::AdaptTick)?;
+        }
+        // Reschedule iff work remains — the simulator's
+        // `injections_left > 0 || outstanding > 0` is exactly "some
+        // query is still unresolved".
+        if self.pending > 0 {
+            let at = self.now + self.cfg.ert.adaptation_period;
+            self.events.schedule(at, Work::AdaptRound);
         }
         Ok(())
     }
@@ -656,5 +651,63 @@ impl WireCluster {
             probe_rpcs: self.probe_rpcs,
             adapt_rpcs: self.adapt_rpcs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ert_minidht::Geometry;
+    use rand::Rng;
+
+    const BITS: u8 = 8;
+
+    /// Every live node reads node 0's view allocation.
+    fn assert_one_view(cluster: &WireCluster) {
+        let first = cluster.nodes[0].as_ref().expect("node 0 is live");
+        for node in cluster.nodes.iter().flatten() {
+            assert!(
+                node.shares_view_with(first),
+                "node {} holds a view of its own",
+                node.id()
+            );
+        }
+    }
+
+    #[test]
+    fn a_static_cluster_holds_one_view() {
+        let members = ChordGeometry::populate(BITS, 40, &mut SimRng::seed_from(6)).members();
+        let caps: Vec<f64> = (0..members.len())
+            .map(|i| 600.0 + 250.0 * (i % 5) as f64)
+            .collect();
+        let mut cluster = WireCluster::new(
+            MiniDhtConfig::defaults(BITS, 6),
+            BITS,
+            &members,
+            &caps,
+            MiniProtocol::ElasticErt,
+            &FaultPlan::new(6),
+            RetryPolicy::default(),
+            None,
+        )
+        .expect("cluster construction");
+        assert_one_view(&cluster);
+        assert_eq!(
+            cluster.nodes[0].as_ref().map(WireNode::members_view),
+            Some(members)
+        );
+
+        let mut rng = SimRng::seed_from(6).fork("schedule");
+        let schedule: Vec<(SimTime, u64)> = (0..300u64)
+            .map(|i| SimTime::from_micros(i * 40_000))
+            .map(|at| (at, rng.gen_range(0..1 << BITS)))
+            .collect();
+        let report = cluster.run_schedule(&schedule).expect("fault-free run");
+        assert_eq!(report.completed, 300);
+        assert!(
+            report.adapt_rpcs > cluster.build_rpcs().1,
+            "adaptation rounds ran and linked over the wire"
+        );
+        assert_one_view(&cluster);
     }
 }

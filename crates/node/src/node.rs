@@ -3,7 +3,9 @@
 //! A [`WireNode`] is the shared [`ErtNode`] of `ert-minidht` — the same
 //! state and the same Algorithm 1–4 steps the simulator runs — plus
 //! what only a live process needs: its own membership view, held as a
-//! Chord geometry and kept current one id at a time, and the codec.
+//! copy-on-write Chord geometry and kept current one id at a time, and
+//! the codec. Nodes built on one view share it until one of them learns
+//! a change the others have not (see [`WireNode::with_view`]).
 //! Where the simulator reaches a peer by indexing its node vector,
 //! this node encodes the [`PeerOp`] as a `ProbeLoad` or
 //! `AdaptIndegree` frame, sends it through its
@@ -21,6 +23,7 @@
 //! unordered container.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ert_minidht::{
     AdaptTrace, ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
@@ -73,7 +76,10 @@ impl From<TransportError> for NodeError {
 pub struct WireNode {
     pub(crate) ert: ErtNode,
     pub(crate) raw_capacity: f64,
-    geometry: ChordGeometry,
+    /// The membership view, possibly shared with other nodes; written
+    /// only through `Arc::make_mut`, and only by a write that changes
+    /// the set.
+    geometry: Arc<ChordGeometry>,
     decide: SimRng,
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
@@ -140,8 +146,28 @@ impl WireNode {
         cfg: &MiniDhtConfig,
         protocol: MiniProtocol,
     ) -> WireNode {
-        let mut geometry = ChordGeometry::from_members(bits, view);
-        geometry.insert(id);
+        let view = Arc::new(ChordGeometry::from_members(bits, view));
+        WireNode::with_view(id, view, raw_capacity, capacity_eval, cfg, protocol)
+    }
+
+    /// [`WireNode::new`] on a view that other nodes may hold too. The
+    /// node reads the shared geometry until a write would change its
+    /// set — a merged id it lacks, a `Leave` of an id it holds, or its
+    /// own id missing here — and only then takes a private copy. That
+    /// is exact: every answer the geometry gives is a function of the
+    /// id set alone, so a node reads exactly the set it would have
+    /// built for itself.
+    pub(crate) fn with_view(
+        id: u64,
+        mut geometry: Arc<ChordGeometry>,
+        raw_capacity: f64,
+        capacity_eval: u32,
+        cfg: &MiniDhtConfig,
+        protocol: MiniProtocol,
+    ) -> WireNode {
+        if !geometry.contains(id) {
+            Arc::make_mut(&mut geometry).insert(id);
+        }
         WireNode {
             ert: ErtNode::new(id, capacity_eval, protocol),
             raw_capacity,
@@ -179,6 +205,12 @@ impl WireNode {
         &self.geometry
     }
 
+    /// Whether this node and `other` read one view allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_view_with(&self, other: &WireNode) -> bool {
+        Arc::ptr_eq(&self.geometry, &other.geometry)
+    }
+
     /// Canonical routing-state fingerprint, the same formatter behind
     /// `MiniDht::table_fingerprints`, so oracle comparisons are string
     /// equality.
@@ -213,7 +245,7 @@ impl WireNode {
             &mut Window::new(
                 &self.cfg,
                 self.protocol,
-                &self.geometry,
+                &*self.geometry,
                 &mut self.ert,
                 &mut carry,
             ),
@@ -240,15 +272,19 @@ impl WireNode {
     /// the geometry is a set of ids, and every answer it gives (owner,
     /// successor window, table slots, inlink candidates) is a function
     /// of that set alone, so inserting the new ids answers exactly as a
-    /// geometry rebuilt from the merged set would. The shared node hears
-    /// of the change once, and only if some id was new: its saved
-    /// expansion position is valid only at the membership it was
-    /// reached under (see `ErtNode::view_changed`).
+    /// geometry rebuilt from the merged set would. A view shared with
+    /// other nodes is copied at the first new id, never for ids it
+    /// holds. The shared node hears of the change once, and only if
+    /// some id was new: its saved expansion position is valid only at
+    /// the membership it was reached under (see `ErtNode::view_changed`).
     fn merge_view(&mut self, others: &[u64]) -> Result<bool, NodeError> {
         self.check_on_ring(others)?;
         let mut grew = false;
         for &id in others {
-            grew |= self.geometry.insert(id);
+            if !self.geometry.contains(id) {
+                Arc::make_mut(&mut self.geometry).insert(id);
+                grew = true;
+            }
         }
         if grew {
             self.ert.view_changed();
@@ -388,7 +424,8 @@ impl WireNode {
             Message::Leave { id } => {
                 // `purge_peer` tells the shared node the view changed.
                 self.check_on_ring(&[id])?;
-                if self.geometry.remove(id) {
+                if self.geometry.contains(id) {
+                    Arc::make_mut(&mut self.geometry).remove(id);
                     self.ert.purge_peer(id);
                 }
                 Ok(())
@@ -816,7 +853,10 @@ mod tests {
         /// against the replica. After every step the view, the answers
         /// of the geometry, and the expansion scan agree with it: the
         /// next expansion rescans every inlink candidate exactly when
-        /// the replica's view changed, and asks no one otherwise.
+        /// the replica's view changed, and asks no one otherwise. A
+        /// bystander built on the node's view keeps the initial set
+        /// throughout, and the node shares it until the replica first
+        /// changes: a step that adds or removes nothing copies nothing.
         #[test]
         fn the_single_view_matches_a_rebuilt_replica(seed in 0u64..100_000) {
             let mut rng = SimRng::seed_from(seed);
@@ -828,6 +868,9 @@ mod tests {
             // its candidates to the end.
             let mut node = WireNode::new(ME, BITS, &initial, 1.0, 1 << 20, &cfg, MiniProtocol::ElasticErt);
             let mut replica = Replica(initial.iter().copied().chain([ME]).collect());
+            let bystander = WireNode::with_view(ME, Arc::clone(&node.geometry), 1.0, 1, &cfg, MiniProtocol::ElasticErt);
+            let initial_view = replica.view();
+            let mut diverged = false;
             let mut changed = Some(true);
             // Each pass checks the state the previous step left.
             for step in 0..=24 {
@@ -837,6 +880,8 @@ mod tests {
                 let rescan = rebuilt.inlink_candidates(ME, None).count();
                 prop_assert_eq!(holders.asked, if changed == Some(true) { rescan } else { 0 }, "step {}", step);
                 prop_assert_eq!(node.members_view(), replica.view());
+                prop_assert_eq!(bystander.members_view(), initial_view.clone());
+                prop_assert_eq!(node.shares_view_with(&bystander), !diverged, "step {}", step);
                 let g = node.geometry();
                 for id in [0, 13, ME, 31, 47, 63, rng.gen_range(0..1 << BITS)] {
                     prop_assert_eq!(g.owner(id), rebuilt.owner(id));
@@ -883,6 +928,7 @@ mod tests {
                         (gone, node.on_frame(&mut Canned(Vec::new()), &frame).map(|()| None))
                     }
                 };
+                diverged |= changed == Some(true);
                 match said {
                     Ok(grew) => {
                         prop_assert!(changed.is_some(), "step {}: an off-ring frame was taken", step);

@@ -211,14 +211,15 @@ impl ChordRegistry {
     }
 
     /// Live members of an arc, in clockwise order from its start,
-    /// without collecting them: two range scans, the second one empty
-    /// unless the arc wraps past zero.
+    /// without collecting them: one range scan, and a second from zero
+    /// only when the arc wraps past it.
     pub fn arc_iter(&self, arc: RingRange) -> impl Iterator<Item = u64> + '_ {
         let size = self.space.ring_size();
         let end = arc.start() + arc.len();
+        let wrapped = (end > size).then(|| self.members.range(0..end - size));
         self.members
             .range(arc.start()..end.min(size))
-            .chain(self.members.range(0..end.saturating_sub(size)))
+            .chain(wrapped.into_iter().flatten())
             .copied()
     }
 
@@ -357,6 +358,12 @@ mod tests {
         assert_eq!(reg.nodes_in(RingRange::new(15, 40, 64)), vec![20, 50]);
         assert_eq!(reg.nodes_in(RingRange::new(60, 20, 64)), vec![10]);
         assert_eq!(reg.nodes_in(RingRange::new(20, 0, 64)), vec![]);
+        // An arc ending exactly at the ring's end does not wrap; one a
+        // point longer does, and so does the whole ring.
+        assert_eq!(reg.nodes_in(RingRange::new(40, 24, 64)), vec![50]);
+        assert_eq!(reg.nodes_in(RingRange::new(40, 25, 64)), vec![50]);
+        assert_eq!(reg.nodes_in(RingRange::new(40, 35, 64)), vec![50, 10]);
+        assert_eq!(reg.nodes_in(RingRange::new(20, 64, 64)), vec![20, 50, 10]);
         // Resuming a clockwise walk after a visited member.
         let arc = RingRange::new(45, 40, 64);
         assert_eq!(reg.nodes_in(arc), vec![50, 10, 20]);
