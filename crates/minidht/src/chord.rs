@@ -252,6 +252,11 @@ mod tests {
     }
 
     #[test]
+    fn each_inlink_holder_has_one_elastic_slot() {
+        crate::geometry::assert_one_elastic_slot_per_holder(&geometry());
+    }
+
+    #[test]
     fn hop_candidates_progress_toward_owner() {
         let g = geometry();
         let members = g.members();

@@ -22,8 +22,9 @@ pub trait Geometry {
     /// Display name for reports ("Chord", "Pastry").
     fn name(&self) -> &'static str;
 
-    /// The live member IDs, in a stable order (node construction maps
-    /// them 1:1 onto capacities).
+    /// The live member IDs, ascending (node construction maps them 1:1
+    /// onto capacities, and a driver's [`crate::PeerIndex`] indexes
+    /// them).
     fn members(&self) -> Vec<u64>;
 
     /// The live node owning `key`, or `None` on an empty overlay.
@@ -46,6 +47,15 @@ pub trait Geometry {
     /// a position a later call can resume from. Evaluated lazily, one
     /// region scan at a time: reaching the first pair costs O(log n),
     /// each further pair O(1) amortized, and nothing is allocated.
+    ///
+    /// *One elastic slot per holder.* Each holder appears at most once,
+    /// paired with the only non-structural slot of its table whose
+    /// region holds `node`: on Chord the unique finger `m` with
+    /// `node ∈ [h + 2^m, h + 2^(m+1))`, on Pastry the row of the shared
+    /// prefix and `node`'s digit in it. A holder's "added" answer to
+    /// Algorithm 1 therefore means it held `node` in no elastic slot,
+    /// which is what lets the asker record the inlink without searching
+    /// its backward fingers (`Window::link_if_absent`).
     fn inlink_candidates(
         &self,
         node: u64,
@@ -89,4 +99,28 @@ pub(crate) fn assert_inlink_scan_resumes(g: &impl Geometry) {
             assert_eq!(rest, all[i + 1..], "node {node}, after {pair:?}");
         }
     }
+}
+
+/// Shared by the geometries' tests: the contract that lets an "added"
+/// answer be recorded without a search. No holder repeats in a node's
+/// inlink candidates, and each is paired with the one non-structural
+/// slot of its own table whose region holds the node.
+#[cfg(test)]
+pub(crate) fn assert_one_elastic_slot_per_holder(g: &impl Geometry) {
+    let mut pairs = 0;
+    for node in g.members().into_iter().step_by(7) {
+        let mut seen = std::collections::BTreeSet::new();
+        for (slot, holder) in g.inlink_candidates(node, None) {
+            assert!(seen.insert(holder), "node {node}: holder {holder} repeats");
+            let holding: Vec<u16> = g
+                .table_slots(holder)
+                .into_iter()
+                .filter(|(s, members)| !g.is_structural(*s) && members.contains(&node))
+                .map(|(s, _)| s)
+                .collect();
+            assert_eq!(holding, [slot], "node {node}, holder {holder}");
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 100, "only {pairs} pairs checked");
 }

@@ -23,7 +23,8 @@
 //! [`Window`] (the `ert_core::Directory` over one peer-access closure).
 //! [`MiniDht`] is the driver of a vector of such nodes and reaches a
 //! peer by indexing that vector; `ert-node`'s `WireNode` hosts the same
-//! node and reaches a peer by RPC.
+//! node and reaches a peer by RPC. Both drivers turn a peer id into a
+//! node index through one [`PeerIndex`].
 //!
 //! ```
 //! use ert_minidht::{ChordGeometry, MiniDht, MiniDhtConfig, MiniProtocol};
@@ -55,12 +56,14 @@ mod chord;
 mod geometry;
 mod node;
 mod pastry;
+mod peer_index;
 mod platform;
 
 pub use chord::ChordGeometry;
 pub use geometry::{Geometry, HopCandidates};
 pub use node::{AdaptOp, ErtNode, Hop, Lookup, PeerAnswer, PeerOp, PeerReport, Window};
 pub use pastry::PastryGeometry;
+pub use peer_index::PeerIndex;
 pub use platform::{
     AdaptTrace, CompletionTrace, HopTrace, MiniDht, MiniDhtConfig, MiniProtocol, MiniReport,
     RouteTrace,

@@ -22,6 +22,23 @@
 //! each drawn member for its spare indegree until one has some (see
 //! [`Window::build_table`] for why that is the same pick).
 //!
+//! A link is recorded once at each end, without a search. The holder's
+//! "added" answer is the whole record of an inlink: the node appends
+//! the holder to its backward fingers without first looking for it
+//! there, because it cannot be there. That rests on one invariant and
+//! one geometry contract. *Invariant I*: every backward finger of a
+//! node names a peer that holds the node in the one elastic slot its
+//! table can hold it in. A finger is written only after its holder
+//! linked (the holder's `AddBackward` after its own build pick, or the
+//! holder's "added" answer), and a holder drops that outlink
+//! only on the node's `DropOutlinks` — its shed, which removes the
+//! finger in the same step — or when the node departs, which takes the
+//! node's fingers with it. *The contract*
+//! ([`Geometry::inlink_candidates`]): a holder is paired with exactly
+//! one elastic slot that can hold the node. So a holder that answers
+//! "added" did not hold the node in that slot, hence in no elastic
+//! slot, hence is not a finger. See [`Window::link_if_absent`].
+//!
 //! The two hosts differ only in that closure. [`crate::MiniDht`]
 //! indexes its node vector and calls the peer's `serve` directly;
 //! `ert-node`'s `WireNode` encodes the op, sends it through its
@@ -204,6 +221,12 @@ impl ErtNode {
     /// Arrivals that found this node heavy.
     pub fn heavy_encounters(&self) -> u64 {
         self.heavy_encounters
+    }
+
+    /// The routing table, for the drivers' symmetry checks.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &ElasticTable<u16, u64> {
+        &self.table
     }
 
     /// Forgets a departed peer: drops it from every slot, the memory
@@ -603,6 +626,16 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
 
     /// One end of every link this window creates is the node itself.
     /// A holder that does not answer marks the running scan unanswered.
+    ///
+    /// A holder's "added" is recorded with `push_backward`, not with the
+    /// scanning `add_backward`: by invariant I (module doc) every
+    /// backward finger holds this node in the one elastic slot the
+    /// geometry pairs it with, and "added" says the holder did not hold
+    /// it in `slot`, that one slot, so the holder is not yet a finger.
+    /// A crash-restarted or re-joined holder, or a forged `Leave`, can
+    /// strand a finger whose holder no longer points here and break
+    /// that; the driver that admits one must drop the holder from every
+    /// backward list first (ROADMAP item 9(c)).
     fn link_if_absent(&mut self, from: u64, slot: u16, to: u64) -> bool {
         let elastic = !self.geometry.is_structural(slot);
         if from == self.me.id {
@@ -616,7 +649,7 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
             PeerAnswer::Report(r) => {
                 let added = r.load == 0;
                 if added && elastic {
-                    self.me.table.add_backward(from);
+                    self.me.table.push_backward(from);
                 }
                 added
             }

@@ -252,6 +252,11 @@ mod tests {
     }
 
     #[test]
+    fn each_inlink_holder_has_one_elastic_slot() {
+        crate::geometry::assert_one_elastic_slot_per_holder(&geometry());
+    }
+
+    #[test]
     fn metric_prefers_longer_prefix_then_distance() {
         let g = geometry();
         let owner = g.members()[0];

@@ -1,7 +1,7 @@
 //! The mini queueing simulator: the driver of a vector of
 //! [`ErtNode`]s (event engine, query and trace bookkeeping, report).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ert_core::{max_indegree, normalize_capacities, ErtParams};
 use ert_sim::stats::{Samples, Summary};
@@ -10,6 +10,7 @@ use serde::Serialize;
 
 use crate::geometry::Geometry;
 use crate::node::{ErtNode, Hop, Lookup, PeerAnswer, PeerOp, Window};
+use crate::peer_index::PeerIndex;
 
 /// Which protocol a mini platform runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +150,8 @@ pub struct MiniDht<G: Geometry> {
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
     geometry: G,
-    id_map: BTreeMap<u64, usize>,
+    /// Node `i` is the member at position `i` of the geometry's list.
+    peers: PeerIndex,
     nodes: Vec<ErtNode>,
     capacities: Vec<f64>,
     engine: Engine<Ev>,
@@ -172,7 +174,8 @@ impl<G: Geometry> MiniDht<G> {
     /// # Errors
     ///
     /// Returns a message when the capacity list does not match the
-    /// geometry's population or the parameters are invalid.
+    /// geometry's population, the geometry's members do not ascend, or
+    /// the parameters are invalid.
     pub fn new(
         cfg: MiniDhtConfig,
         geometry: G,
@@ -194,12 +197,13 @@ impl<G: Geometry> MiniDht<G> {
             .zip(&norm)
             .map(|(&id, &nc)| ErtNode::new(id, max_indegree(cfg.ert.alpha, nc), protocol))
             .collect();
-        let id_map = members.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let peers = PeerIndex::new(members)
+            .ok_or_else(|| format!("{} members must ascend", geometry.name()))?;
         let mut net = MiniDht {
             cfg,
             protocol,
             geometry,
-            id_map,
+            peers,
             nodes,
             capacities: capacities.to_vec(),
             engine: Engine::new(),
@@ -234,16 +238,16 @@ impl<G: Geometry> MiniDht<G> {
             Some(streams) => &mut streams[i],
             None => &mut self.rng,
         };
-        let id_map = &self.id_map;
+        let index = &self.peers;
         let (left, rest) = self.nodes.split_at_mut(i);
         #[expect(
             clippy::expect_used,
             reason = "`i` is always a node index of this driver (the node a service just finished on, or the adaptation loop's 0..n), so nodes[i..] is nonempty"
         )]
         let (me, right) = rest.split_first_mut().expect("node index in range");
-        let peers = move |peer: u64, op| match id_map.get(&peer) {
-            Some(&j) if j < i => PeerAnswer::Report(left[j].serve(op)),
-            Some(&j) if j > i => PeerAnswer::Report(right[j - i - 1].serve(op)),
+        let peers = move |peer: u64, op| match index.index_of(peer) {
+            Some(j) if j < i => PeerAnswer::Report(left[j].serve(op)),
+            Some(j) if j > i => PeerAnswer::Report(right[j - i - 1].serve(op)),
             // The window answers for the node itself before asking.
             _ => PeerAnswer::Unknown,
         };
@@ -395,7 +399,7 @@ impl<G: Geometry> MiniDht<G> {
     }
 
     fn on_arrive(&mut self, lookup: Lookup, to: u64, now: SimTime) {
-        let Some(&node) = self.id_map.get(&to) else {
+        let Some(node) = self.peers.index_of(to) else {
             return self.drop(lookup.query);
         };
         let q = lookup.query;
@@ -471,6 +475,7 @@ impl<G: Geometry> MiniDht<G> {
 mod tests {
     use super::*;
     use crate::{ChordGeometry, PastryGeometry};
+    use std::collections::BTreeMap;
 
     fn caps(n: usize) -> Vec<f64> {
         (0..n).map(|i| 500.0 + 400.0 * (i % 6) as f64).collect()
@@ -597,6 +602,54 @@ mod tests {
                 indegree <= d_max,
                 "pastry node {id:#x}: {indegree} > {d_max}"
             );
+        }
+    }
+
+    /// ROADMAP item 9(d)'s symmetry oracle on a quiescent driver: every
+    /// node's backward fingers are distinct, and are exactly the peers
+    /// that hold it in a non-structural slot.
+    fn assert_double_links_symmetric<G: Geometry>(net: &MiniDht<G>) {
+        let mut holders: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        for node in &net.nodes {
+            for (slot, target) in node.table().iter_outlinks() {
+                if !net.geometry.is_structural(slot) {
+                    holders.entry(target).or_default().insert(node.id());
+                }
+            }
+        }
+        let mut fingers = 0;
+        for node in &net.nodes {
+            let recorded = node.table().backward_fingers();
+            let back: BTreeSet<u64> = recorded.iter().copied().collect();
+            assert_eq!(
+                back.len(),
+                recorded.len(),
+                "node {}: {recorded:?}",
+                node.id()
+            );
+            let held_by = holders.remove(&node.id()).unwrap_or_default();
+            assert_eq!(back, held_by, "node {}", node.id());
+            fingers += back.len();
+        }
+        assert!(holders.is_empty(), "links to non-members: {holders:?}");
+        assert!(fingers > net.nodes.len(), "only {fingers} links");
+    }
+
+    #[test]
+    fn pastry_double_links_are_symmetric_after_build_and_after_a_run() {
+        for seed in [11, 12, 13] {
+            let cfg = MiniDhtConfig::defaults(12, seed);
+            let mut net =
+                MiniDht::new(cfg, pastry(200, seed), &caps(200), MiniProtocol::ElasticErt).unwrap();
+            assert_double_links_symmetric(&net);
+            net.enable_trace();
+            // Busy enough that nodes shed as well as grow.
+            let r = net.run_poisson(1500, 1500.0);
+            assert_eq!(r.completed, 1500, "dropped {}", r.dropped);
+            let adapts = net.take_trace().unwrap().adapts;
+            assert!(adapts.iter().any(|a| a.delta < 0), "seed {seed}: no shed");
+            assert!(adapts.iter().any(|a| a.delta > 0), "seed {seed}: no grow");
+            assert_double_links_symmetric(&net);
         }
     }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use ert_core::{max_indegree, normalize_capacities};
 use ert_faults::{Delivery, FaultPlan, LinkFaults, RetryPolicy};
 use ert_minidht::{
-    ChordGeometry, CompletionTrace, HopTrace, MiniDhtConfig, MiniProtocol, RouteTrace,
+    ChordGeometry, CompletionTrace, HopTrace, MiniDhtConfig, MiniProtocol, PeerIndex, RouteTrace,
 };
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -61,7 +61,7 @@ struct SwitchCtx<'a> {
     events: &'a mut EventQueue<Work>,
     faults: &'a mut LinkFaults,
     nodes: &'a mut Vec<Option<WireNode>>,
-    ids: &'a [u64],
+    peers: &'a PeerIndex,
     trace: &'a mut Option<RouteTrace>,
     probe_rpcs: &'a mut u64,
     adapt_rpcs: &'a mut u64,
@@ -103,7 +103,7 @@ impl Transport for SwitchCtx<'_> {
                 });
             }
         }
-        let Ok(to_idx) = self.ids.binary_search(&to) else {
+        let Some(to_idx) = self.peers.index_of(to) else {
             // Datagram to a peer outside the switch: vanishes, as on a
             // real network.
             return Ok(());
@@ -122,7 +122,7 @@ impl Transport for SwitchCtx<'_> {
     }
 
     fn request(&mut self, to: u64, frame: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let Ok(to_idx) = self.ids.binary_search(&to) else {
+        let Some(to_idx) = self.peers.index_of(to) else {
             return Err(TransportError::UnknownPeer(to));
         };
         if !self.faults.reachable(self.now, self.me, to_idx) {
@@ -213,7 +213,8 @@ impl WireReport {
 pub struct WireCluster {
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
-    ids: Vec<u64>,
+    /// Node `i` is member `i`.
+    peers: PeerIndex,
     nodes: Vec<Option<WireNode>>,
     events: EventQueue<Work>,
     now: SimTime,
@@ -276,9 +277,9 @@ impl WireCluster {
                 capacities.len()
             ));
         }
-        if !members.windows(2).all(|w| w[0] < w[1]) {
+        let Some(peers) = PeerIndex::new(members.to_vec()) else {
             return Err("members must be sorted and distinct".into());
-        }
+        };
         let ring = ert_overlay::ChordSpace::new(bits).ring_size();
         if members.last().is_some_and(|&last| last >= ring) {
             return Err(format!("members must lie on the {ring}-id ring"));
@@ -319,7 +320,7 @@ impl WireCluster {
         let mut cluster = WireCluster {
             cfg,
             protocol,
-            ids: members.to_vec(),
+            peers,
             nodes,
             events: EventQueue::new(),
             now: SimTime::ZERO,
@@ -379,7 +380,7 @@ impl WireCluster {
             .enumerate()
             .map(|(i, n)| match n {
                 Some(node) => node.fingerprint(),
-                None => format!("id={};departed", self.ids[i]),
+                None => format!("id={};departed", self.peers.ids()[i]),
             })
             .collect()
     }
@@ -408,7 +409,7 @@ impl WireCluster {
             events: &mut self.events,
             faults: &mut self.faults,
             nodes: &mut self.nodes,
-            ids: &self.ids,
+            peers: &self.peers,
             trace: &mut self.trace,
             probe_rpcs: &mut self.probe_rpcs,
             adapt_rpcs: &mut self.adapt_rpcs,
@@ -480,13 +481,13 @@ impl WireCluster {
     }
 
     fn on_inject(&mut self, query: u64, key: u64) -> Result<(), String> {
-        let n = self.ids.len();
+        let n = self.peers.len();
         // Identical draw to the simulator's per-injection source pick.
         let source = self.platform_rng.fork("source").sample_indices(n, 1)[0];
         let q = query as usize;
         self.sources[q] = source;
         self.started[q] = self.now;
-        let source_id = self.ids[source];
+        let source_id = self.peers.ids()[source];
         if let Some(tr) = self.trace.as_mut() {
             tr.sources.push(source_id);
         }
@@ -504,7 +505,7 @@ impl WireCluster {
     }
 
     fn on_node_frame(&mut self, to: u64, bytes: &[u8]) -> Result<(), String> {
-        let Ok(idx) = self.ids.binary_search(&to) else {
+        let Some(idx) = self.peers.index_of(to) else {
             return Ok(());
         };
         if self.nodes[idx].is_none() {
@@ -582,7 +583,7 @@ impl WireCluster {
     }
 
     fn on_adapt_round(&mut self) -> Result<(), String> {
-        for i in 0..self.ids.len() {
+        for i in 0..self.peers.len() {
             self.on_timer(i, TimerKind::AdaptTick)?;
         }
         // Reschedule iff work remains — the simulator's

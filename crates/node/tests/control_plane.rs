@@ -21,9 +21,17 @@
 //! costs one probe while every member has spare and
 //! `(m + 1)/(e + 1)` on average with `e` of `m` members eligible — not
 //! one per member.
+//!
+//! Every link is a double link: the holder's outlink and the target's
+//! backward finger. At quiescence both drivers hold them symmetric —
+//! each node's backward fingers are distinct and are exactly the peers
+//! that hold it in an elastic slot — which is what lets the shared node
+//! record an "added" answer without searching its fingers first.
 
 use ert_faults::{FaultPlan, RetryPolicy};
-use ert_minidht::{ChordGeometry, Geometry, MiniDhtConfig, MiniProtocol};
+use std::collections::{BTreeMap, BTreeSet};
+
+use ert_minidht::{ChordGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol};
 use ert_node::WireCluster;
 use ert_sim::{SimDuration, SimRng, SimTime};
 use rand::Rng;
@@ -31,9 +39,13 @@ use rand::Rng;
 const BITS: u8 = 16;
 const N: usize = 256;
 
+fn capacities() -> Vec<f64> {
+    (0..N).map(|i| 600.0 + 250.0 * (i % 5) as f64).collect()
+}
+
 fn cluster(seed: u64) -> (WireCluster, MiniDhtConfig) {
     let members = ChordGeometry::populate(BITS, N, &mut SimRng::seed_from(seed)).members();
-    let caps: Vec<f64> = (0..N).map(|i| 600.0 + 250.0 * (i % 5) as f64).collect();
+    let caps = capacities();
     let cfg = MiniDhtConfig::defaults(BITS, seed);
     let mut cluster = WireCluster::new(
         cfg,
@@ -160,4 +172,123 @@ fn while_nobody_sheds_no_holder_is_asked_twice() {
     );
     // Not vacuous on either side: some were met, most RPCs bought a link.
     assert!(already_linked > 0 && already_linked < gained);
+}
+
+/// One node's routing state read back from its fingerprint
+/// (`ErtNode::fingerprint`): its id, its outlinks per slot, and its
+/// backward fingers in recorded order.
+struct Links {
+    id: u64,
+    out: Vec<(u16, Vec<u64>)>,
+    back: Vec<u64>,
+}
+
+fn parse_links(fingerprint: &str) -> Links {
+    let field = |name: &str| -> &str {
+        fingerprint
+            .split(';')
+            .find_map(|part| part.strip_prefix(name))
+            .unwrap_or_else(|| panic!("no {name} in {fingerprint}"))
+    };
+    let ids = |list: &str| -> Vec<u64> {
+        list.split(',')
+            .filter(|id| !id.is_empty())
+            .map(|id| id.parse().expect("an id"))
+            .collect()
+    };
+    let bracketed = |name: &str| -> &str {
+        field(name)
+            .strip_prefix('[')
+            .and_then(|rest| rest.strip_suffix(']'))
+            .unwrap_or_else(|| panic!("{name} is not a list in {fingerprint}"))
+    };
+    let out = bracketed("out=")
+        .split('|')
+        .filter(|slot| !slot.is_empty())
+        .map(|slot| {
+            let (slot, held) = slot.split_once(':').expect("slot:ids");
+            (slot.parse().expect("a slot"), ids(held))
+        })
+        .collect();
+    Links {
+        id: field("id=").parse().expect("an id"),
+        out,
+        back: ids(bracketed("back=")),
+    }
+}
+
+/// ROADMAP item 9(d)'s symmetry oracle on a quiescent, fault-free
+/// driver: every node's backward fingers are distinct, and are exactly
+/// the peers that hold the node in a non-structural slot.
+fn assert_double_links_symmetric(who: &str, fingerprints: &[String], geometry: &ChordGeometry) {
+    let nodes: Vec<Links> = fingerprints.iter().map(|f| parse_links(f)).collect();
+    let mut holders: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for node in &nodes {
+        for (slot, held) in &node.out {
+            if !geometry.is_structural(*slot) {
+                for &target in held {
+                    holders.entry(target).or_default().insert(node.id);
+                }
+            }
+        }
+    }
+    let mut fingers = 0;
+    for node in &nodes {
+        let back: BTreeSet<u64> = node.back.iter().copied().collect();
+        assert_eq!(
+            back.len(),
+            node.back.len(),
+            "{who}: node {} records a backward finger twice: {:?}",
+            node.id,
+            node.back
+        );
+        let held_by = holders.remove(&node.id).unwrap_or_default();
+        assert_eq!(
+            back, held_by,
+            "{who}: node {}'s backward fingers are not the peers holding it",
+            node.id
+        );
+        fingers += back.len();
+    }
+    assert!(
+        holders.is_empty(),
+        "{who}: links to non-members {holders:?}"
+    );
+    assert!(fingers > N, "{who}: only {fingers} links");
+}
+
+#[test]
+fn double_links_are_symmetric_after_build_and_after_a_run() {
+    for seed in [41, 42, 43] {
+        let (mut wire, cfg) = cluster(seed);
+        let geometry = ChordGeometry::populate(BITS, N, &mut SimRng::seed_from(seed));
+        let mut sim = MiniDht::new(
+            cfg,
+            geometry.clone(),
+            &capacities(),
+            MiniProtocol::ElasticErt,
+        )
+        .expect("twin construction");
+        sim.use_node_decision_rngs();
+        assert_double_links_symmetric("wire, built", &wire.table_fingerprints(), &geometry);
+        assert_double_links_symmetric("MiniDht, built", &sim.table_fingerprints(), &geometry);
+
+        // Busy enough that nodes shed as well as grow.
+        let schedule = uniform_schedule(1500, 1500.0, seed);
+        let report = wire.run_schedule(&schedule).expect("run");
+        assert_eq!(report.completed, 1500);
+        let trace = wire.take_trace().expect("tracing was on");
+        assert!(
+            trace.adapts.iter().any(|a| a.delta < 0),
+            "seed {seed}: no shed"
+        );
+        assert!(
+            trace.adapts.iter().any(|a| a.delta > 0),
+            "seed {seed}: no grow"
+        );
+        sim.run_schedule(&schedule);
+        assert_eq!(wire.table_fingerprints(), sim.table_fingerprints());
+        assert_double_links_symmetric("wire, run", &wire.table_fingerprints(), &geometry);
+        assert_double_links_symmetric("MiniDht, run", &sim.table_fingerprints(), &geometry);
+    }
 }
