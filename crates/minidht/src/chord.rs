@@ -1,7 +1,7 @@
 //! Chord geometry for the mini platform.
 
 use ert_core::ElasticTable;
-use ert_overlay::{ring::forward_distance, ChordRegistry, ChordSpace};
+use ert_overlay::{ring::forward_distance, ArcMembers, ChordRegistry, ChordSpace};
 use ert_sim::SimRng;
 
 use crate::geometry::{Geometry, HopCandidates};
@@ -62,6 +62,12 @@ impl ChordGeometry {
         self.registry.insert(id)
     }
 
+    /// Adds every member of `ids` not yet present, in one merge;
+    /// returns whether any was new. Panics if an id is outside the ring.
+    pub fn extend(&mut self, ids: &[u64]) -> bool {
+        self.registry.extend(ids)
+    }
+
     /// Removes member `id`; returns `false` if it was absent.
     pub fn remove(&mut self, id: u64) -> bool {
         self.registry.remove(id)
@@ -105,21 +111,22 @@ impl Geometry for ChordGeometry {
         self.space.random_id(rng)
     }
 
-    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
-        let mut out: Vec<(u16, Vec<u64>)> = (0..self.space.bits())
-            .map(|m| {
-                let members: Vec<u64> = self
-                    .registry
-                    .nodes_in(self.space.finger_region(node, m))
-                    .into_iter()
-                    .filter(|&c| c != node)
-                    .collect();
-                (m as u16, members)
+    fn region_slots(&self, node: u64) -> impl Iterator<Item = (u16, ArcMembers<'_>)> + '_ {
+        // Finger `m`'s region ends 2^m + w_m ≤ 2^m + 2^(m−1) past
+        // `node`, short of the ring's length: it never wraps round to
+        // `node`.
+        (0..self.space.bits())
+            .map(move |m| {
+                (
+                    m as u16,
+                    self.registry.arc(self.space.finger_region(node, m)),
+                )
             })
             .filter(|(_, members)| !members.is_empty())
-            .collect();
-        out.push((SUCC_SLOT, self.registry.succ_window(node, self.succ_list)));
-        out
+    }
+
+    fn sentinel_slot(&self, node: u64) -> (u16, Vec<u64>) {
+        (SUCC_SLOT, self.registry.succ_window(node, self.succ_list))
     }
 
     fn inlink_candidates(
@@ -139,7 +146,8 @@ impl Geometry for ChordGeometry {
                     _ => region,
                 };
                 self.registry
-                    .arc_iter(rest)
+                    .arc(rest)
+                    .iter()
                     .map(move |cand| (m as u16, cand))
             })
             .filter(move |&(_, cand)| cand != node)
@@ -149,10 +157,10 @@ impl Geometry for ChordGeometry {
         slot <= STRUCTURAL_MAX_FINGER || slot == SUCC_SLOT
     }
 
-    fn classic_pick(&self, node: u64, _slot: u16, members: &[u64]) -> Option<u64> {
+    fn classic_pick(&self, node: u64, _slot: u16, members: ArcMembers<'_>) -> Option<u64> {
         // Classic Chord: the first node at or after the finger start —
         // the region members come in clockwise order from the start.
-        members.iter().copied().find(|&c| c != node)
+        members.iter().find(|&c| c != node)
     }
 
     fn hop_candidates(

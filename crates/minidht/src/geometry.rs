@@ -1,6 +1,7 @@
 //! The overlay-geometry abstraction of the mini platforms.
 
 use ert_core::ElasticTable;
+use ert_overlay::ArcMembers;
 
 /// The candidates one routing hop may use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,9 +34,25 @@ pub trait Geometry {
     /// A uniformly random key.
     fn random_key(&self, rng: &mut ert_sim::SimRng) -> u64;
 
+    /// The slots of `node`'s table but the sentinel, in table order,
+    /// each with the live candidates its region holds (empty regions
+    /// omitted), borrowed from the membership. No region holds `node`.
+    fn region_slots(&self, node: u64) -> impl Iterator<Item = (u16, ArcMembers<'_>)> + '_;
+
+    /// The last slot of `node`'s table and its members, which are a
+    /// list rather than a region: the successor list on Chord, the
+    /// leaf set on Pastry.
+    fn sentinel_slot(&self, node: u64) -> (u16, Vec<u64>);
+
     /// The slots of `node`'s table with the live candidates each
-    /// region currently holds (empty regions omitted).
-    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)>;
+    /// region currently holds (empty regions omitted): the region
+    /// slots copied out, then the sentinel.
+    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
+        let regions = self
+            .region_slots(node)
+            .map(|(slot, members)| (slot, members.to_vec()));
+        regions.chain([self.sentinel_slot(node)]).collect()
+    }
 
     /// `(slot-of-theirs, candidate)` pairs whose tables may legally
     /// point at `node`, scarcest slots first — the probe order of the
@@ -68,7 +85,7 @@ pub trait Geometry {
 
     /// The geometry's preferred single neighbor for `slot` under the
     /// classic (non-elastic) protocol, given the region's members.
-    fn classic_pick(&self, node: u64, slot: u16, members: &[u64]) -> Option<u64>;
+    fn classic_pick(&self, node: u64, slot: u16, members: ArcMembers<'_>) -> Option<u64>;
 
     /// Routing candidates for one hop from `cur` toward `owner`, using
     /// (and possibly refreshing) the node's table. `numeric_mode` is

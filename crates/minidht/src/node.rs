@@ -50,12 +50,13 @@
 )]
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ert_core::{
     adaptation_action, assign::initial_indegree_target, choose_next_lazy, expand_indegree_over,
     AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy, ForwardScratch,
 };
+use ert_overlay::ArcMembers;
 use ert_sim::{SimDuration, SimRng};
 use rand::Rng;
 
@@ -432,30 +433,29 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
     ///
     /// An elastic slot is *draw-then-probe*: a partial Fisher–Yates
     /// shuffle of the region's members, probing each member as it is
-    /// drawn and taking the first with spare ≥ 1. That is the same pick
-    /// as probing every member, filtering, and drawing uniformly among
-    /// the eligible ones. The first eligible element of a uniformly
-    /// random permutation is uniform over the eligible set; the set is
-    /// fixed for the whole draw, because `PeerOp::Probe` is read-only
-    /// and nothing else runs between two draws of one slot; and a peer
-    /// that does not answer counts as spare 0 in both forms. Only the
-    /// RNG stream differs. A region of `m` members of which `e` are
-    /// eligible costs `(m + 1)/(e + 1)` probes on average — one when
-    /// every member has spare — instead of `m`.
+    /// drawn and taking the first with spare ≥ 1 ([`draw_first`], which
+    /// draws from the membership's borrowed slices without copying the
+    /// region). That is the same pick as probing every member,
+    /// filtering, and drawing uniformly among the eligible ones. The
+    /// first eligible element of a uniformly random permutation is
+    /// uniform over the eligible set; the set is fixed for the whole
+    /// draw, because `PeerOp::Probe` is read-only and nothing else runs
+    /// between two draws of one slot; and a peer that does not answer
+    /// counts as spare 0 in both forms. Only the RNG stream differs. A
+    /// region of `m` members of which `e` are eligible costs
+    /// `(m + 1)/(e + 1)` probes on average — one when every member has
+    /// spare — instead of `m`.
     pub fn build_table(&mut self) {
-        let id = self.me.id;
+        let (id, geometry) = (self.me.id, self.geometry);
         let elastic = self.protocol == MiniProtocol::ElasticErt;
         let mut rng = SimRng::seed_from(self.cfg.seed ^ id);
-        for (slot, mut members) in self.geometry.table_slots(id) {
-            let pick = if !elastic || self.geometry.is_structural(slot) {
-                self.geometry.classic_pick(id, slot, &members)
+        let (sentinel, listed) = geometry.sentinel_slot(id);
+        let slots = geometry.region_slots(id);
+        for (slot, members) in slots.chain([(sentinel, listed.as_slice().into())]) {
+            let pick = if !elastic || geometry.is_structural(slot) {
+                geometry.classic_pick(id, slot, members)
             } else {
-                let m = members.len();
-                (0..m).find_map(|k| {
-                    members.swap(k, rng.gen_range(k..m));
-                    let c = members[k];
-                    (self.spare_indegree(c) >= 1).then_some(c)
-                })
+                draw_first(members, &mut rng, |c| self.spare_indegree(c) >= 1)
             };
             if let Some(pick) = pick {
                 self.link_if_absent(id, slot, pick);
@@ -592,6 +592,35 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
     }
 }
 
+/// The first member of `region` that `take` accepts, offered in the
+/// order a partial Fisher–Yates shuffle visits them: draw `k` swaps
+/// position `k` with a uniform `j ∈ [k, m)` and reads position `k`.
+///
+/// The shuffle runs over the region in place. Once drawn, position `k`
+/// is never read again, so what the swaps changed is only where the
+/// members displaced from a drawn position went: `moved` maps each
+/// such later position to the member now there, one entry per refused
+/// draw. The RNG calls and the members offered are exactly those of
+/// shuffling a copy of the region, which the tests hold it to.
+fn draw_first<R: Rng>(
+    region: ArcMembers<'_>,
+    rng: &mut R,
+    mut take: impl FnMut(u64) -> bool,
+) -> Option<u64> {
+    let m = region.len();
+    let mut moved = BTreeMap::new();
+    for k in 0..m {
+        let j = rng.gen_range(k..m);
+        let at = |i: usize| moved.get(&i).copied().or_else(|| region.get(i));
+        let (drawn, displaced) = (at(j)?, at(k)?);
+        if take(drawn) {
+            return Some(drawn);
+        }
+        moved.insert(j, displaced);
+    }
+    None
+}
+
 impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, G, P> {
     type Id = u64;
     type Slot = u16;
@@ -667,7 +696,6 @@ mod tests {
     use crate::ChordGeometry;
     use ert_core::expand_indegree;
     use proptest::{prelude::ProptestConfig, prop_assert, prop_assert_eq};
-    use std::collections::BTreeMap;
 
     const BITS: u8 = 6;
     const ME: u64 = 0;
@@ -1181,6 +1209,55 @@ mod tests {
         (eligible, pick)
     }
 
+    /// The elastic draw as the build made it before it drew in place:
+    /// copy the region, shuffle the copy, offer each member drawn.
+    fn copy_then_shuffle(
+        region: &[u64],
+        rng: &mut SimRng,
+        mut take: impl FnMut(u64) -> bool,
+    ) -> Option<u64> {
+        let mut members = region.to_vec();
+        let m = members.len();
+        (0..m).find_map(|k| {
+            members.swap(k, rng.gen_range(k..m));
+            let c = members[k];
+            take(c).then_some(c)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `draw_first` over a region of two runs — as a wrapping arc
+        /// comes — offers the same members in the same order, makes the
+        /// same pick and leaves the RNG in the same state as shuffling a
+        /// copy: with no member eligible, some, and all.
+        #[test]
+        fn the_in_place_draw_is_the_copy_then_shuffle_draw(seed in 0u64..100_000) {
+            let mut rng = SimRng::seed_from(seed);
+            let ids: Vec<u64> = (0..1u64 << BITS).filter(|_| rng.gen_bool(0.5)).collect();
+            let ids = &ids[..rng.gen_range(0..=ids.len())];
+            let (tail, head) = ids.split_at(rng.gen_range(0..=ids.len()));
+            let region = ArcMembers::new(head, tail);
+            let p = [0.0, 0.05, 0.3, 1.0][rng.gen_range(0..4)];
+            let eligible: BTreeSet<u64> = ids.iter().copied().filter(|_| rng.gen_bool(p)).collect();
+
+            let (mut drawn, mut copied) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+            let (mut offered, mut modelled) = (Vec::new(), Vec::new());
+            let pick = draw_first(region, &mut drawn, |c| {
+                offered.push(c);
+                eligible.contains(&c)
+            });
+            let model = copy_then_shuffle(&region.to_vec(), &mut copied, |c| {
+                modelled.push(c);
+                eligible.contains(&c)
+            });
+            prop_assert_eq!(pick, model);
+            prop_assert_eq!(offered, modelled);
+            prop_assert_eq!(drawn.gen::<u64>(), copied.gen::<u64>(), "RNG state");
+        }
+    }
+
     fn build(cfg: &MiniDhtConfig, g: &ChordGeometry, peers: &mut Peers, me: &mut ErtNode) {
         Window::new(cfg, MiniProtocol::ElasticErt, g, me, |p, op| {
             peers.carry(p, op)
@@ -1235,14 +1312,19 @@ mod tests {
         /// eligible set, and is `None` exactly when that set is empty;
         /// the slot's probes are distinct members, at most one per
         /// member, every one before the pick ineligible — so a slot
-        /// whose first draw is eligible costs one probe.
+        /// whose first draw is eligible costs one probe. The probes and
+        /// the pick are exactly those of shuffling a copy of the region
+        /// with one stream over the whole build, so the in-place draw
+        /// leaves the stream where the copy left it at every slot.
         #[test]
         fn the_drawn_pick_is_one_the_eager_model_could_draw(seed in 0u64..100_000) {
             let (g, mut peers, mut me) = saturated_world(seed);
             // The twin replays the build's link ops, so at each slot its
             // peers are as the build found them.
             let (_, mut twin, _) = saturated_world(seed);
-            build(&MiniDhtConfig::defaults(BITS, seed), &g, &mut peers, &mut me);
+            let cfg = MiniDhtConfig::defaults(BITS, seed);
+            build(&cfg, &g, &mut peers, &mut me);
+            let mut copy_rng = SimRng::seed_from(cfg.seed ^ ME);
 
             let mut log = peers.log.iter().copied().peekable();
             for (slot, members) in g.table_slots(ME) {
@@ -1257,6 +1339,13 @@ mod tests {
                 let backward = PeerOp::Link { from: ME, slot, op: AdaptOp::AddBackward };
                 let pick = log.next_if(|&(_, op)| op == backward).map(|(p, _)| p);
                 let (eligible, _) = model_pick(&members, |c| twin.spare(c), &mut SimRng::seed_from(seed));
+                let mut offered = Vec::new();
+                let copied = copy_then_shuffle(&members, &mut copy_rng, |c| {
+                    offered.push(c);
+                    twin.spare(c) >= 1
+                });
+                prop_assert_eq!(pick, copied, "slot {}", slot);
+                prop_assert_eq!(&probes, &offered, "slot {}", slot);
 
                 prop_assert_eq!(pick.is_none(), eligible.is_empty(), "slot {}", slot);
                 let mut distinct = probes.clone();

@@ -8,7 +8,7 @@
 //! structural, like Chord's short fingers.
 
 use ert_core::ElasticTable;
-use ert_overlay::{ring::shortest_distance, PastryRegistry, PastrySpace};
+use ert_overlay::{ring::shortest_distance, ArcMembers, PastryRegistry, PastrySpace};
 use ert_sim::SimRng;
 
 use crate::geometry::{Geometry, HopCandidates};
@@ -77,25 +77,20 @@ impl Geometry for PastryGeometry {
         self.space.random_id(rng)
     }
 
-    fn table_slots(&self, node: u64) -> Vec<(u16, Vec<u64>)> {
-        let mut out = Vec::new();
-        for row in 0..self.space.rows() {
-            for col in 0..self.space.base() {
-                if let Some((lo, hi)) = self.space.row_region(node, row, col) {
-                    let members: Vec<u64> = self
-                        .registry
-                        .nodes_in_span(lo, hi)
-                        .into_iter()
-                        .filter(|&c| c != node)
-                        .collect();
-                    if !members.is_empty() {
-                        out.push((self.encode(row, col), members));
-                    }
-                }
-            }
-        }
-        out.push((LEAF_SLOT, self.registry.leaf_set(node, LEAF_WINDOW)));
-        out
+    fn region_slots(&self, node: u64) -> impl Iterator<Item = (u16, ArcMembers<'_>)> + '_ {
+        // A cell's region differs from `node` at digit `row`.
+        (0..self.space.rows())
+            .flat_map(move |row| (0..self.space.base()).map(move |col| (row, col)))
+            .filter_map(move |(row, col)| {
+                let (lo, hi) = self.space.row_region(node, row, col)?;
+                let members = ArcMembers::from(self.registry.span(lo, hi));
+                Some((self.encode(row, col), members))
+            })
+            .filter(|(_, members)| !members.is_empty())
+    }
+
+    fn sentinel_slot(&self, node: u64) -> (u16, Vec<u64>) {
+        (LEAF_SLOT, self.registry.leaf_set(node, LEAF_WINDOW))
     }
 
     fn inlink_candidates(
@@ -119,7 +114,8 @@ impl Geometry for PastryGeometry {
                 };
                 self.space
                     .reverse_row_spans(node, row)
-                    .flat_map(move |(lo, hi)| self.registry.span_iter(lo.max(floor), hi))
+                    .flat_map(move |(lo, hi)| self.registry.span(lo.max(floor), hi))
+                    .copied()
                     .map(move |cand| (slot, cand))
             })
             .filter(move |&(_, cand)| cand != node)
@@ -133,7 +129,7 @@ impl Geometry for PastryGeometry {
         self.row_of(slot) + 2 >= self.space.rows()
     }
 
-    fn classic_pick(&self, node: u64, slot: u16, members: &[u64]) -> Option<u64> {
+    fn classic_pick(&self, node: u64, slot: u16, members: ArcMembers<'_>) -> Option<u64> {
         if members.is_empty() {
             return None;
         }
@@ -145,7 +141,7 @@ impl Geometry for PastryGeometry {
         let h = (node ^ ((slot as u64) << 48))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(31);
-        Some(members[(h % members.len() as u64) as usize])
+        members.get((h % members.len() as u64) as usize)
     }
 
     fn hop_candidates(

@@ -3,7 +3,7 @@
 //! A [`WireNode`] is the shared [`ErtNode`] of `ert-minidht` — the same
 //! state and the same Algorithm 1–4 steps the simulator runs — plus
 //! what only a live process needs: its own membership view, held as a
-//! copy-on-write Chord geometry and kept current one id at a time, and
+//! copy-on-write Chord geometry and kept current frame by frame, and
 //! the codec. Nodes built on one view share it until one of them learns
 //! a change the others have not (see [`WireNode::with_view`]).
 //! Where the simulator reaches a peer by indexing its node vector,
@@ -268,25 +268,22 @@ impl WireNode {
     /// Merges the `k` ids of a peer's frame into the view and returns
     /// whether it grew; a frame with an id off the ring changes nothing.
     ///
-    /// The view is updated in place in O(k log n), and that is exact:
-    /// the geometry is a set of ids, and every answer it gives (owner,
-    /// successor window, table slots, inlink candidates) is a function
-    /// of that set alone, so inserting the new ids answers exactly as a
-    /// geometry rebuilt from the merged set would. A view shared with
-    /// other nodes is copied at the first new id, never for ids it
-    /// holds. The shared node hears of the change once, and only if
-    /// some id was new: its saved expansion position is valid only at
-    /// the membership it was reached under (see `ErtNode::view_changed`).
+    /// The view is updated in place: each id is looked up in the sorted
+    /// membership (O(k log n)), and the new ones are merged in with one
+    /// sort of the slice, O(n + k log k). That is exact: the geometry is
+    /// a set of ids, and every answer it gives (owner, successor window,
+    /// table slots, inlink candidates) is a function of that set alone,
+    /// so merging the new ids answers exactly as a geometry rebuilt from
+    /// the merged set would. A view shared with other nodes is copied
+    /// only when some id is new, never for ids it holds. The node hears
+    /// of the change once, and only if some id was new: its saved
+    /// expansion position is valid only at the membership it was
+    /// reached under (see `ErtNode::view_changed`).
     fn merge_view(&mut self, others: &[u64]) -> Result<bool, NodeError> {
         self.check_on_ring(others)?;
-        let mut grew = false;
-        for &id in others {
-            if !self.geometry.contains(id) {
-                Arc::make_mut(&mut self.geometry).insert(id);
-                grew = true;
-            }
-        }
+        let grew = others.iter().any(|&id| !self.geometry.contains(id));
         if grew {
+            Arc::make_mut(&mut self.geometry).extend(others);
             self.ert.view_changed();
         }
         Ok(grew)

@@ -12,8 +12,8 @@
 //! finger (`m = 3`) exactly by the nodes in `[1010_0000, 1010_0011]`.
 
 use rand::Rng;
-use std::collections::BTreeSet;
 
+use crate::members::{ArcMembers, RingMembers};
 use crate::ring::{forward_distance, RingRange};
 
 /// The Chord identifier space `0 .. 2^bits`.
@@ -105,7 +105,8 @@ impl ChordSpace {
     }
 }
 
-/// The set of live Chord IDs.
+/// The set of live Chord IDs, kept as one sorted slice
+/// ([`RingMembers`]).
 ///
 /// ```
 /// use ert_overlay::{ChordRegistry, ChordSpace};
@@ -119,7 +120,7 @@ impl ChordSpace {
 #[derive(Debug, Clone)]
 pub struct ChordRegistry {
     space: ChordSpace,
-    members: BTreeSet<u64>,
+    members: RingMembers,
 }
 
 impl ChordRegistry {
@@ -129,7 +130,7 @@ impl ChordRegistry {
     }
 
     /// A registry of `ids` in any order, duplicates collapsed, built in
-    /// one bulk pass rather than one tree insert per id.
+    /// one sort rather than one insert per id.
     ///
     /// # Panics
     ///
@@ -137,7 +138,7 @@ impl ChordRegistry {
     pub fn from_ids(space: ChordSpace, ids: impl IntoIterator<Item = u64>) -> Self {
         let size = space.ring_size();
         let in_range = |&id: &u64| assert!(id < size, "id out of range");
-        let members = ids.into_iter().inspect(in_range).collect();
+        let members = RingMembers::from_ids(ids.into_iter().inspect(in_range));
         ChordRegistry { space, members }
     }
 
@@ -156,14 +157,26 @@ impl ChordRegistry {
         self.members.insert(id)
     }
 
+    /// Adds every id of `ids` not yet present, in one merge; returns
+    /// whether any was new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside the ring, as [`ChordRegistry::insert`].
+    pub fn extend(&mut self, ids: &[u64]) -> bool {
+        let size = self.space.ring_size();
+        assert!(ids.iter().all(|&id| id < size), "id out of range");
+        self.members.extend(ids)
+    }
+
     /// Removes `id`; returns `false` if absent.
     pub fn remove(&mut self, id: u64) -> bool {
-        self.members.remove(&id)
+        self.members.remove(id)
     }
 
     /// Whether `id` is live.
     pub fn contains(&self, id: u64) -> bool {
-        self.members.contains(&id)
+        self.members.contains(id)
     }
 
     /// Number of live IDs.
@@ -178,64 +191,40 @@ impl ChordRegistry {
 
     /// Iterates live IDs in ring order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.iter().copied()
+        self.members.iter()
     }
 
     /// First live ID at or after `key` (wrapping): the key's owner.
     pub fn owner(&self, key: u64) -> Option<u64> {
-        self.members
-            .range(key..)
-            .next()
-            .or_else(|| self.members.iter().next())
-            .copied()
+        self.members.at_or_after(key)
     }
 
     /// First live ID strictly after `id` (wrapping). Returns `id` when it
     /// is the only member.
     pub fn successor(&self, id: u64) -> Option<u64> {
-        self.members
-            .range(id + 1..)
-            .next()
-            .or_else(|| self.members.iter().next())
-            .copied()
+        self.members.after(id)
     }
 
     /// First live ID strictly before `id` (wrapping). Returns `id` when
     /// it is the only member.
     pub fn predecessor(&self, id: u64) -> Option<u64> {
-        self.members
-            .range(..id)
-            .next_back()
-            .or_else(|| self.members.iter().next_back())
-            .copied()
+        self.members.before(id)
     }
 
     /// Live members of an arc, in clockwise order from its start,
-    /// without collecting them: one range scan, and a second from zero
-    /// only when the arc wraps past it.
-    pub fn arc_iter(&self, arc: RingRange) -> impl Iterator<Item = u64> + '_ {
-        let size = self.space.ring_size();
-        let end = arc.start() + arc.len();
-        let wrapped = (end > size).then(|| self.members.range(0..end - size));
-        self.members
-            .range(arc.start()..end.min(size))
-            .chain(wrapped.into_iter().flatten())
-            .copied()
+    /// borrowed: at most two runs of the sorted membership.
+    pub fn arc(&self, arc: RingRange) -> ArcMembers<'_> {
+        self.members.arc(arc)
     }
 
     /// Live members of an arc, in clockwise order from its start.
     pub fn nodes_in(&self, arc: RingRange) -> Vec<u64> {
-        self.arc_iter(arc).collect()
+        self.arc(arc).to_vec()
     }
 
     /// The next `window` live IDs strictly after `id` (wrapping).
     pub fn succ_window(&self, id: u64, window: usize) -> Vec<u64> {
-        self.members
-            .range(id + 1..)
-            .chain(self.members.range(..id))
-            .take(window)
-            .copied()
-            .collect()
+        self.members.succ_window(id, window).to_vec()
     }
 
     /// One greedy routing hop from `cur` toward `key`: the live node in
@@ -251,9 +240,9 @@ impl ChordRegistry {
         let budget = forward_distance(cur, owner, size);
         let mut m = self.space.best_finger(cur, key).unwrap_or(0);
         loop {
-            let candidates = self.nodes_in(self.space.finger_region(cur, m));
+            let candidates = self.arc(self.space.finger_region(cur, m));
             if let Some(best) = candidates
-                .into_iter()
+                .iter()
                 .filter(|&c| {
                     let d = forward_distance(cur, c, size);
                     d > 0 && d <= budget

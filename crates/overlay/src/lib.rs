@@ -16,7 +16,8 @@
 //!   (Algorithm 1);
 //! * routing decisions — which slot the original DHT routing algorithm
 //!   would use for a given (current node, target key) pair;
-//! * membership registries with successor/predecessor/region queries;
+//! * membership registries with successor/predecessor/region queries,
+//!   the Chord and Pastry ones over one sorted slice ([`RingMembers`]);
 //! * synthetic physical coordinates ([`Coord`]) standing in for the
 //!   paper's landmark-based proximity measurements.
 //!
@@ -43,6 +44,7 @@ pub mod chord;
 pub mod coords;
 pub mod cycloid;
 pub mod landmarks;
+pub mod members;
 pub mod pastry;
 pub mod ring;
 
@@ -53,5 +55,6 @@ pub use cycloid::{
     RouteStep, SlotKind,
 };
 pub use landmarks::{LandmarkFrame, LandmarkVector};
+pub use members::{ArcMembers, RingMembers};
 pub use pastry::{PastryRegistry, PastrySpace};
 pub use ring::RingRange;

@@ -10,7 +10,9 @@
 //! differing at digit `m`.
 
 use rand::Rng;
-use std::collections::BTreeSet;
+
+use crate::members::RingMembers;
+use crate::ring::shortest_distance;
 
 /// The Pastry identifier space: `rows` digits of `bits_per_digit` bits.
 ///
@@ -153,12 +155,13 @@ impl PastrySpace {
     }
 }
 
-/// The set of live Pastry IDs. A key is owned by the *numerically
-/// closest* live node (ties to the lower ID), per Pastry's semantics.
+/// The set of live Pastry IDs, kept as one sorted slice
+/// ([`RingMembers`]). A key is owned by the *numerically closest* live
+/// node (ties to the lower ID), per Pastry's semantics.
 #[derive(Debug, Clone)]
 pub struct PastryRegistry {
     space: PastrySpace,
-    members: BTreeSet<u64>,
+    members: RingMembers,
 }
 
 impl PastryRegistry {
@@ -166,7 +169,7 @@ impl PastryRegistry {
     pub fn new(space: PastrySpace) -> Self {
         PastryRegistry {
             space,
-            members: BTreeSet::new(),
+            members: RingMembers::new(),
         }
     }
 
@@ -187,12 +190,12 @@ impl PastryRegistry {
 
     /// Removes `id`; returns `false` if absent.
     pub fn remove(&mut self, id: u64) -> bool {
-        self.members.remove(&id)
+        self.members.remove(id)
     }
 
     /// Whether `id` is live.
     pub fn contains(&self, id: u64) -> bool {
-        self.members.contains(&id)
+        self.members.contains(id)
     }
 
     /// Number of live IDs.
@@ -207,56 +210,53 @@ impl PastryRegistry {
 
     /// Iterates live IDs in numeric order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.members.iter().copied()
+        self.members.iter()
     }
 
     /// The numerically closest live node to `key` (ties to the lower
     /// ID, wrapping considered), or `None` when empty.
     pub fn owner(&self, key: u64) -> Option<u64> {
         let size = self.space.ring_size();
-        let above = self
-            .members
-            .range(key..)
-            .next()
-            .or_else(|| self.members.iter().next());
-        let below = self
-            .members
-            .range(..=key)
-            .next_back()
-            .or_else(|| self.members.iter().next_back());
-        match (above, below) {
-            (None, None) => None,
-            (Some(&a), None) => Some(a),
-            (None, Some(&b)) => Some(b),
-            (Some(&a), Some(&b)) => {
-                let da = crate::ring::shortest_distance(key, a, size);
-                let db = crate::ring::shortest_distance(key, b, size);
-                if da < db || (da == db && a < b) {
-                    Some(a)
-                } else {
-                    Some(b)
-                }
-            }
-        }
+        // A member at `key` is `above`, at distance 0: `below` may
+        // skip it.
+        let above = self.members.at_or_after(key)?;
+        let below = self.members.before(key)?;
+        let (da, db) = (
+            shortest_distance(key, above, size),
+            shortest_distance(key, below, size),
+        );
+        Some(if da < db || (da == db && above < below) {
+            above
+        } else {
+            below
+        })
     }
 
     /// Live members of the inclusive span `[lo, hi]` in ascending
-    /// order, without collecting them. Empty when `lo > hi`.
-    pub fn span_iter(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
-        self.members.range(lo..(hi + 1).max(lo)).copied()
+    /// order, borrowed. Empty when `lo > hi`.
+    pub fn span(&self, lo: u64, hi: u64) -> &[u64] {
+        self.members.span(lo, hi)
     }
 
     /// Live members of the inclusive span `[lo, hi]`.
     pub fn nodes_in_span(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.span_iter(lo, hi).collect()
+        self.span(lo, hi).to_vec()
     }
 
     /// The `window` live nodes numerically nearest to `id` (excluding
-    /// `id` itself): the leaf set.
+    /// `id` itself), nearest first, ties to the lower ID: the leaf set.
+    ///
+    /// Every member that lies between `id` and a member `m` on `m`'s
+    /// shorter way round is strictly nearer than `m`, so the `window`
+    /// nearest are among the `window` members on each side of `id`:
+    /// sorting those `2·window` gives what sorting all would.
     pub fn leaf_set(&self, id: u64, window: usize) -> Vec<u64> {
-        let mut nearest: Vec<u64> = self.members.iter().copied().filter(|&m| m != id).collect();
         let size = self.space.ring_size();
-        nearest.sort_by_key(|&m| crate::ring::shortest_distance(id, m, size));
+        let before = self.members.pred_window(id, window);
+        let after = self.members.succ_window(id, window);
+        let mut nearest: Vec<u64> = before.iter().chain(after.iter()).collect();
+        nearest.sort_unstable_by_key(|&m| (shortest_distance(id, m, size), m));
+        nearest.dedup();
         nearest.truncate(window);
         nearest
     }
@@ -267,21 +267,22 @@ impl PastryRegistry {
     fn prefix_hop(&self, cur: u64, key: u64) -> Option<u64> {
         let (row, col) = self.space.route_cell(cur, key)?;
         let (lo, hi) = self.space.row_region(cur, row, col)?;
-        self.nodes_in_span(lo, hi)
-            .into_iter()
-            .min_by_key(|&m| crate::ring::shortest_distance(m, key, self.space.ring_size()))
+        self.span(lo, hi)
+            .iter()
+            .copied()
+            .min_by_key(|&m| shortest_distance(m, key, self.space.ring_size()))
     }
 
     /// The numeric (leaf-set) hop: a node strictly closer to the key,
     /// or the owner itself on a distance tie.
     fn numeric_hop(&self, cur: u64, key: u64, owner: u64) -> u64 {
         let size = self.space.ring_size();
-        let my_dist = crate::ring::shortest_distance(cur, key, size);
+        let my_dist = shortest_distance(cur, key, size);
         self.leaf_set(cur, 8)
             .into_iter()
             .chain(std::iter::once(owner))
-            .filter(|&m| crate::ring::shortest_distance(m, key, size) < my_dist)
-            .min_by_key(|&m| crate::ring::shortest_distance(m, key, size))
+            .filter(|&m| shortest_distance(m, key, size) < my_dist)
+            .min_by_key(|&m| shortest_distance(m, key, size))
             .unwrap_or(owner)
     }
 

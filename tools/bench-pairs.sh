@@ -9,14 +9,16 @@
 # change first on even ones, pair i with seed i on both sides — and
 # hands that workload's two `--out` files to `ert-benchmark compare`.
 # Exits 1 if any workload's compare reports a `worse` / `differs` row.
-# After each compare, one traced run per side (`--trace 1 --seed 1`)
-# and the per-layer lines of the two side by side, so the PR can show
-# where a saving sits (choosing-metrics §6.6); `compare` never reads
-# those.
+# After each compare, three traced runs per side (`--trace 1 --seed 1`),
+# alternating like the pairs, and the per-layer lines of the two side
+# by side as each side's median and min–max over its three runs, so
+# the PR can show where a saving sits (choosing-metrics §6.6) and a
+# row whose ranges overlap reads as noise, not as a change; `compare`
+# never reads those.
 #
 # Everything lands in .bench_build/pairs-<workloads>/ (ignored) and
 # stays there: the two trees and, per workload, parent-<workload>.jsonl,
-# change-<workload>.jsonl and the two <side>-<workload>.trace.txt.
+# change-<workload>.jsonl and the six <side>-<workload>.trace<run>.txt.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -61,17 +63,38 @@ for workload in "${workloads[@]}"; do
     done
     (cd "$work/change" && "${bench[@]}" compare "$work/parent-$workload.jsonl" "$work/change-$workload.jsonl") ||
         status=1
-    for side in parent change; do
-        echo "$workload: traced run, $side, seed 1" >&2
-        (cd "$work/$side" && "${bench[@]}" --workload "$workload" --seed 1 \
-            --seconds "$seconds" --trace 1 >"$work/$side-$workload.trace.txt")
+    traced=3
+    for ((run = 1; run <= traced; run++)); do
+        if ((run % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            echo "$workload: traced run $run/$traced, $side, seed 1" >&2
+            (cd "$work/$side" && "${bench[@]}" --workload "$workload" --seed 1 \
+                --seconds "$seconds" --trace 1 >"$work/$side-$workload.trace$run.txt")
+        done
     done
     # The ledger rows are `   <layer>.<metric> <value> <unit>`; a layer
-    # off this workload's path reads 0 on both sides and is left out.
-    echo "== $workload · per-layer, --trace 1 --seed 1 · parent | change"
+    # off this workload's path reads 0 in every run and is left out.
+    echo "== $workload · per-layer, --trace 1 --seed 1 · median [min–max] of $traced runs · parent | change"
     awk '$1 !~ /^[a-z]+\.[a-z0-9_]+$/ || NF != 3 { next }
-        NR == FNR { parent[$1] = $2; next }
-        parent[$1] + $2 != 0 { printf "   %-34s %16s %16s %s\n", $1, parent[$1], $2, $3 }' \
-        "$work/parent-$workload.trace.txt" "$work/change-$workload.trace.txt"
+        {
+            side = (FILENAME ~ /\/parent-[^\/]*$/) ? "parent" : "change"
+            if (!($1 in unit)) { order[++rows] = $1; unit[$1] = $3 }
+            v[side, $1, ++n[side, $1]] = $2
+            if ($2 + 0 != 0) live[$1] = 1
+        }
+        # The median and the range of the values of one side, as printed
+        # by the ledger (sorted by value, not as text).
+        function summary(side, key,    k, j, m, t, s) {
+            m = n[side, key]
+            for (k = 1; k <= m; k++) s[k] = v[side, key, k]
+            for (k = 2; k <= m; k++)
+                for (j = k; j > 1 && s[j - 1] + 0 > s[j] + 0; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+            return s[int((m + 1) / 2)] " [" s[1] "–" s[m] "]"
+        }
+        END {
+            for (r = 1; r <= rows; r++) if (order[r] in live)
+                printf "   %-34s %32s %32s %s\n", order[r], summary("parent", order[r]),
+                    summary("change", order[r]), unit[order[r]]
+        }' "$work"/parent-"$workload".trace*.txt "$work"/change-"$workload".trace*.txt
 done
 exit "$status"

@@ -19,6 +19,10 @@
 # stack, once per sample). With a frame filter, only the samples whose
 # stack has a function whose name contains it are kept, and the shares
 # are of those: `tools/profile.sh wire-chord1k WireCluster::run_schedule`.
+# The inclusive list leaves out the frames on (nearly) every kept sample,
+# share ≥ 0.9999 — `main`, the runtime's start-up, the benchmark's timing
+# wrappers, the filtered frame and its callers — which say nothing and
+# would fill the list; the header line counts them.
 #
 # Everything lands in .bench_build/profile/ (ignored) and stays there:
 # the tree, the build, the sampler, samples.bin, maps.txt and the
@@ -197,5 +201,9 @@ awk -F '\t' -v filter="$filter" -v top="$top" '
         if (kept == 0) exit
         for (f in self) printf "self\t%.4f\t%s\n", self[f] / kept, f | "sort -t \"\t\" -k2,2nr | head -n " top
         close("sort -t \"\t\" -k2,2nr | head -n " top)
-        for (f in incl) printf "incl\t%.4f\t%s\n", incl[f] / kept, f | "sort -t \"\t\" -k2,2nr | head -n " top
+        for (f in incl) if (incl[f] / kept >= 0.9999) everywhere++
+        printf "%d frames on every kept sample left out of the inclusive list\n", everywhere
+        fflush()
+        for (f in incl) if (incl[f] / kept < 0.9999)
+            printf "incl\t%.4f\t%s\n", incl[f] / kept, f | "sort -t \"\t\" -k2,2nr | head -n " top
     }' "$work/symbols.txt" "$work/stacks.txt"
