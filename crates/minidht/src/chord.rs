@@ -167,7 +167,7 @@ impl Geometry for ChordGeometry {
         &self,
         cur: u64,
         owner: u64,
-        table: &mut ElasticTable<u16, u64>,
+        table: &ElasticTable<u16, u64>,
         _numeric_mode: &mut bool,
     ) -> HopCandidates {
         let size = self.space.ring_size();
@@ -188,6 +188,7 @@ impl Geometry for ChordGeometry {
                 return HopCandidates {
                     slot: m,
                     ids: members,
+                    refreshed: None,
                 };
             }
             if m == 0 {
@@ -198,18 +199,14 @@ impl Geometry for ChordGeometry {
         // Refresh and use the successor list; the owner is live and
         // ahead, so the nearest successors always qualify.
         let succ = self.registry.succ_window(cur, self.succ_list);
-        table.set_slot(SUCC_SLOT, succ.clone());
-        let ids: Vec<u64> = succ.into_iter().filter(|&c| in_budget(c)).collect();
+        let mut ids: Vec<u64> = succ.iter().copied().filter(|&c| in_budget(c)).collect();
         if ids.is_empty() {
-            HopCandidates {
-                slot: SUCC_SLOT,
-                ids: vec![owner],
-            }
-        } else {
-            HopCandidates {
-                slot: SUCC_SLOT,
-                ids,
-            }
+            ids.push(owner);
+        }
+        HopCandidates {
+            slot: SUCC_SLOT,
+            ids,
+            refreshed: Some(succ),
         }
     }
 
@@ -275,9 +272,9 @@ mod tests {
             return;
         }
         // Even with an empty table the successor fallback progresses.
-        let mut table = ElasticTable::new();
+        let table = ElasticTable::new();
         let mut numeric = false;
-        let hc = g.hop_candidates(cur, owner, &mut table, &mut numeric);
+        let hc = g.hop_candidates(cur, owner, &table, &mut numeric);
         assert!(!hc.ids.is_empty());
         for id in hc.ids {
             assert!(g.metric(id, owner) < g.metric(cur, owner));

@@ -11,6 +11,11 @@ pub struct HopCandidates {
     /// The candidate next hops (live by construction — the mini
     /// platforms have no churn).
     pub ids: Vec<u64>,
+    /// The fresh contents of `slot` when the hop fell back to the
+    /// geometry's structural list (the successor list on Chord, the
+    /// leaf set on Pastry): the node writes them into `slot` through
+    /// `ErtNode`, the one writer of its slots.
+    pub refreshed: Option<Vec<u64>>,
 }
 
 /// What a DHT geometry must provide to run on [`crate::MiniDht`].
@@ -87,15 +92,17 @@ pub trait Geometry {
     /// classic (non-elastic) protocol, given the region's members.
     fn classic_pick(&self, node: u64, slot: u16, members: ArcMembers<'_>) -> Option<u64>;
 
-    /// Routing candidates for one hop from `cur` toward `owner`, using
-    /// (and possibly refreshing) the node's table. `numeric_mode` is
-    /// per-query sticky state: once a geometry falls back to its
-    /// numeric/ring endgame it stays there (guaranteeing termination).
+    /// Routing candidates for one hop from `cur` toward `owner`, read
+    /// from the node's table; a hop that falls back to the structural
+    /// list hands back its refresh in [`HopCandidates::refreshed`]
+    /// instead of writing the table. `numeric_mode` is per-query sticky
+    /// state: once a geometry falls back to its numeric/ring endgame it
+    /// stays there (guaranteeing termination).
     fn hop_candidates(
         &self,
         cur: u64,
         owner: u64,
-        table: &mut ElasticTable<u16, u64>,
+        table: &ElasticTable<u16, u64>,
         numeric_mode: &mut bool,
     ) -> HopCandidates;
 

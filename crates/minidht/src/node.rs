@@ -39,6 +39,18 @@
 //! "added" did not hold the node in that slot, hence in no elastic
 //! slot, hence is not a finger. See [`Window::link_if_absent`].
 //!
+//! The holder mostly answers "added" without a search of its own. Each
+//! node keeps a presence filter ([`HeldIds`], 1024 bits) that holds a
+//! superset of the ids in all its slots. An id enters a slot through one
+//! writer only: `ErtNode::add_outlink` for `serve(AddOutlink)` and the
+//! node's own build pick, or `ErtNode::set_slot` for a hop's structural
+//! refresh. That writer sets the id's bit first, and no bit is ever
+//! cleared. A clear bit therefore means no slot holds the id, and the
+//! id is appended with `ElasticTable::push_outlink`. A set bit means
+//! the id was held once, or its bit collides with one that was, and the
+//! insert takes the scanning `add_outlink`. A filter that fills up only
+//! sends more inserts down that scan. It never gives a wrong answer.
+//!
 //! The two hosts differ only in that closure. [`crate::MiniDht`]
 //! indexes its node vector and calls the peer's `serve` directly;
 //! `ert-node`'s `WireNode` encodes the op, sends it through its
@@ -151,6 +163,50 @@ pub enum Hop {
     Failed,
 }
 
+/// Bits in a [`HeldIds`] filter, as a power of two: 1024 bits, 128
+/// bytes per node.
+const HELD_LOG2: u32 = 10;
+
+/// A presence filter over every peer id a node's slots have held: one
+/// bit per id, at the top ten bits of its Fibonacci hash.
+///
+/// *Exactness.* The filter holds a superset of the ids in every slot of
+/// the node's table, so a clear bit means no slot holds the id, and
+/// [`ErtNode::add_outlink`] appends it without scanning. Three facts
+/// keep the superset:
+/// - *One writer.* An id enters a slot only through
+///   `ErtNode::add_outlink` (`serve(AddOutlink)` and the window's own
+///   build pick) or `ErtNode::set_slot` (a hop's structural refresh,
+///   [`crate::HopCandidates::refreshed`]), and each sets the id's bit
+///   before it writes. [`Geometry::hop_candidates`] reads the table and
+///   never writes it.
+/// - *Structural writes set bits too.* So the filter does not lean on
+///   the contract that `AddOutlink` names only elastic slots
+///   ([`Geometry::inlink_candidates`]): an `AddOutlink` that names a
+///   structural slot — a forged frame, say — is still answered exactly.
+/// - *No clears.* `DropOutlinks`, `purge_peer` and a refresh remove ids
+///   and leave their bits set. A set bit for an id no slot holds only
+///   costs the scan that every insert paid before the filter.
+///
+/// *Saturation.* Bits only accumulate, so a node whose slots have held
+/// many distinct peers sets most of them, and its inserts fall back to
+/// the scan: the old cost plus one bit test, never a wrong answer. A
+/// `debug_assertions` differential in `add_outlink` checks, on every
+/// clear-bit insert, that no slot holds the id.
+#[derive(Debug, Clone, Copy, Default)]
+struct HeldIds([u64; 1 << (HELD_LOG2 - 6)]);
+
+impl HeldIds {
+    /// Sets `id`'s bit; returns whether it was clear.
+    fn insert(&mut self, id: u64) -> bool {
+        let bit = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - HELD_LOG2);
+        let (word, mask) = (&mut self.0[(bit >> 6) as usize], 1 << (bit & 63));
+        let clear = *word & mask == 0;
+        *word |= mask;
+        clear
+    }
+}
+
 /// State of one ERT node.
 #[derive(Debug)]
 pub struct ErtNode {
@@ -168,6 +224,11 @@ pub struct ErtNode {
     /// The last inlink candidate Algorithm 1 passed with a definite
     /// answer; `None` when the next expansion must scan from the top.
     scanned_to: Option<(u16, u64)>,
+    /// Every peer id the table's slots have held.
+    held: HeldIds,
+    /// Inserts through `add_outlink`: `[clear bit, set bit]`.
+    #[cfg(test)]
+    pub(crate) inserts: [u64; 2],
 }
 
 impl ErtNode {
@@ -191,6 +252,9 @@ impl ErtNode {
             heavy_encounters: 0,
             adapt_round: 0,
             scanned_to: None,
+            held: HeldIds::default(),
+            #[cfg(test)]
+            inserts: [0; 2],
         }
     }
 
@@ -228,6 +292,39 @@ impl ErtNode {
     #[cfg(test)]
     pub(crate) fn table(&self) -> &ElasticTable<u16, u64> {
         &self.table
+    }
+
+    /// Adds `peer` to `slot` unless it is already there; returns whether
+    /// it was added. With [`ErtNode::set_slot`] the only way an id
+    /// enters a slot: a clear [`HeldIds`] bit says no slot holds `peer`,
+    /// so it is appended without a scan, and a set bit falls back to the
+    /// scanning `add_outlink`.
+    fn add_outlink(&mut self, slot: u16, peer: u64) -> bool {
+        let clear = self.held.insert(peer);
+        #[cfg(test)]
+        {
+            self.inserts[usize::from(!clear)] += 1;
+        }
+        if clear {
+            debug_assert!(
+                !self.table.has_outlink_to(peer),
+                "node {}: the bit of {peer} is clear, but a slot holds it",
+                self.id
+            );
+            self.table.push_outlink(slot, peer);
+            true
+        } else {
+            self.table.add_outlink(slot, peer)
+        }
+    }
+
+    /// Replaces a structural slot's contents with a hop's refresh,
+    /// setting the bit of every id first.
+    fn set_slot(&mut self, slot: u16, ids: Vec<u64>) {
+        for &id in &ids {
+            self.held.insert(id);
+        }
+        self.table.set_slot(slot, ids);
     }
 
     /// Forgets a departed peer: drops it from every slot, the memory
@@ -326,11 +423,18 @@ impl ErtNode {
     }
 
     /// Answers a peer's probe or link operation from local state only.
+    ///
+    /// An `AddOutlink` answer carries its outcome where the load would
+    /// be, so the holder does not read its queue for it: the serve
+    /// touches only the filter, the slot and the fields the report
+    /// names.
     pub fn serve(&mut self, op: PeerOp) -> PeerReport {
-        let mut load = self.load() as u64;
         if let PeerOp::Link { from, slot, op } = op {
             match op {
-                AdaptOp::AddOutlink => load = u64::from(!self.table.add_outlink(slot, from)),
+                AdaptOp::AddOutlink => {
+                    let present = !self.add_outlink(slot, from);
+                    return self.report(u64::from(present));
+                }
                 AdaptOp::DropOutlinks => {
                     let slots: Vec<u16> = self.table.occupied_slots().collect();
                     for s in slots {
@@ -342,6 +446,10 @@ impl ErtNode {
                 }
             }
         }
+        self.report(self.load() as u64)
+    }
+
+    fn report(&self, load: u64) -> PeerReport {
         PeerReport {
             load,
             capacity: self.capacity_eval as u64,
@@ -500,9 +608,12 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         let Some(owner) = owner else {
             return Hop::Failed;
         };
-        let hc =
-            self.geometry
-                .hop_candidates(id, owner, &mut self.me.table, &mut lookup.numeric_mode);
+        let hc = self
+            .geometry
+            .hop_candidates(id, owner, &self.me.table, &mut lookup.numeric_mode);
+        if let Some(ids) = hc.refreshed {
+            self.me.set_slot(hc.slot, ids);
+        }
         let policy = match self.protocol {
             MiniProtocol::Classic => ForwardPolicy::Deterministic,
             MiniProtocol::ElasticErt => ForwardPolicy::TwoChoice {
@@ -668,7 +779,7 @@ impl<G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Directory for Window<'_, 
     fn link_if_absent(&mut self, from: u64, slot: u16, to: u64) -> bool {
         let elastic = !self.geometry.is_structural(slot);
         if from == self.me.id {
-            let added = self.me.table.add_outlink(slot, to);
+            let added = self.me.add_outlink(slot, to);
             if added && elastic {
                 self.ask_link(to, slot, AdaptOp::AddBackward);
             }
@@ -769,8 +880,8 @@ mod tests {
         let mut peers = Peers::new(&g);
         let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
         // Finger 5 of node 0 covers [32, 64): give it two outlinks.
-        me.table.add_outlink(5, 32);
-        me.table.add_outlink(5, 36);
+        me.add_outlink(5, 32);
+        me.add_outlink(5, 36);
         let mut rng = SimRng::seed_from(1);
 
         peers.hidden.insert(32);
@@ -801,12 +912,7 @@ mod tests {
         assert!(candidates.len() > 3);
         // The first candidate already points at us.
         let (slot0, linked) = candidates[0];
-        peers
-            .nodes
-            .get_mut(&linked)
-            .unwrap()
-            .table
-            .add_outlink(slot0, ME);
+        peers.nodes.get_mut(&linked).unwrap().add_outlink(slot0, ME);
 
         let gained = {
             let mut w = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut me, |p, op| {
@@ -837,12 +943,7 @@ mod tests {
         let mut me = ErtNode::new(ME, 1, MiniProtocol::ElasticErt);
         for holder in [8, 16, 24] {
             me.table.add_backward(holder);
-            peers
-                .nodes
-                .get_mut(&holder)
-                .unwrap()
-                .table
-                .add_outlink(4, ME);
+            peers.nodes.get_mut(&holder).unwrap().add_outlink(4, ME);
         }
         // μ = 1/2: load 5 over capacity 1 sheds ⌈(5 − 1)/2⌉ = 2.
         me.period_load = 5;
@@ -1029,7 +1130,7 @@ mod tests {
             if node.table.outlinks(slot).contains(&ME) {
                 continue;
             }
-            node.table.add_outlink(slot, ME);
+            node.add_outlink(slot, ME);
             if !g.is_structural(slot) {
                 me.table.add_backward(holder);
             }
@@ -1061,12 +1162,7 @@ mod tests {
         let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
         for (slot, holder) in g.inlink_candidates(ME, None) {
             if holder != ME && rng.gen_bool(0.25) {
-                peers
-                    .nodes
-                    .get_mut(&holder)
-                    .unwrap()
-                    .table
-                    .add_outlink(slot, ME);
+                peers.nodes.get_mut(&holder).unwrap().add_outlink(slot, ME);
                 if rng.gen_bool(0.5) {
                     me.table.add_backward(holder);
                 }
@@ -1144,6 +1240,107 @@ mod tests {
         }
     }
 
+    /// One step of a stream against the filter: a peer's `AddOutlink`,
+    /// the node's own build pick, a peer's `DropOutlinks`, a departure,
+    /// and a hop's structural refresh.
+    #[derive(Debug)]
+    enum Step {
+        Serve(u16, u64),
+        Pick(u16, u64),
+        Drop(u64),
+        Purge(u64),
+        Refresh(u16, Vec<u64>),
+    }
+
+    /// A stream of `Step`s on the test ring's slots, structural and
+    /// elastic, over a pool of peer ids: a few ids (mostly repeats,
+    /// through the set-bit scan), a ring's worth, or thousands (random
+    /// ids, so clear bits, false positives and a filling filter).
+    fn arbitrary_stream(seed: u64) -> Vec<Step> {
+        let mut rng = SimRng::seed_from(seed);
+        let g = ring();
+        let slots: Vec<u16> = (0..BITS as u16).chain([u16::MAX]).collect();
+        assert!(slots.iter().any(|&s| g.is_structural(s)));
+        assert!(slots.iter().any(|&s| !g.is_structural(s)));
+        let pool: Vec<u64> = match rng.gen_range(0..3) {
+            0 => (1..9).collect(),
+            1 => (1..64).collect(),
+            _ => (0..4096).map(|_| rng.gen::<u64>()).collect(),
+        };
+        let steps = rng.gen_range(1..600);
+        (0..steps)
+            .map(|_| {
+                let slot = slots[rng.gen_range(0..slots.len())];
+                let peer = pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0..20) {
+                    0..=9 => Step::Serve(slot, peer),
+                    10..=13 => Step::Pick(slot, peer),
+                    14 | 15 => Step::Drop(peer),
+                    16 | 17 => Step::Purge(peer),
+                    _ => {
+                        let len = rng.gen_range(0..6);
+                        let mut ids: Vec<u64> = (0..len)
+                            .map(|_| pool[rng.gen_range(0..pool.len())])
+                            .collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        Step::Refresh(u16::MAX, ids)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A node that answers through its presence filter against a twin
+        /// whose table always scans: after every step of an arbitrary
+        /// stream the answer ("added" or not) and the fingerprint agree.
+        /// The own pick runs through the window, as the build makes it;
+        /// the twin applies each step to its table directly.
+        #[test]
+        fn the_filtered_node_answers_as_the_scanning_one(seed in 0u64..100_000) {
+            let (g, cfg) = (ring(), cfg());
+            let mut node = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+            let mut twin = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+            for (i, step) in arbitrary_stream(seed).into_iter().enumerate() {
+                let (got, want) = match step {
+                    Step::Serve(slot, peer) => {
+                        let op = PeerOp::Link { from: peer, slot, op: AdaptOp::AddOutlink };
+                        (Some(node.serve(op).load == 0), Some(twin.table.add_outlink(slot, peer)))
+                    }
+                    Step::Pick(slot, peer) => {
+                        let mut w = Window::new(&cfg, MiniProtocol::ElasticErt, &g, &mut node, |_, _| {
+                            PeerAnswer::Unknown
+                        });
+                        (Some(w.link_if_absent(ME, slot, peer)), Some(twin.table.add_outlink(slot, peer)))
+                    }
+                    Step::Drop(peer) => {
+                        node.serve(PeerOp::Link { from: peer, slot: 0, op: AdaptOp::DropOutlinks });
+                        let slots: Vec<u16> = twin.table.occupied_slots().collect();
+                        for s in slots {
+                            twin.table.remove_outlink(s, peer);
+                        }
+                        (None, None)
+                    }
+                    Step::Purge(peer) => {
+                        node.purge_peer(peer);
+                        twin.table.purge_peer(peer);
+                        (None, None)
+                    }
+                    Step::Refresh(slot, ids) => {
+                        node.set_slot(slot, ids.clone());
+                        twin.table.set_slot(slot, ids);
+                        (None, None)
+                    }
+                };
+                prop_assert_eq!(got, want, "step {}", i);
+                prop_assert_eq!(node.fingerprint(), twin.fingerprint(), "step {}", i);
+            }
+        }
+    }
+
     #[test]
     fn route_asks_only_the_candidates_it_draws() {
         let (g, cfg) = (ring(), cfg());
@@ -1156,7 +1353,7 @@ mod tests {
         // Six candidates in the finger toward key 58 (owner 60).
         let slot = |me: &mut ErtNode| {
             for c in [32, 36, 40, 44, 48, 52] {
-                me.table.add_outlink(5, c);
+                me.add_outlink(5, c);
             }
         };
         assert_eq!(cfg.ert.probe_width, 2);

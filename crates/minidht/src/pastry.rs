@@ -148,7 +148,7 @@ impl Geometry for PastryGeometry {
         &self,
         cur: u64,
         owner: u64,
-        table: &mut ElasticTable<u16, u64>,
+        table: &ElasticTable<u16, u64>,
         numeric_mode: &mut bool,
     ) -> HopCandidates {
         if !*numeric_mode {
@@ -156,7 +156,11 @@ impl Geometry for PastryGeometry {
                 let slot = self.encode(row, col);
                 let ids = table.outlinks(slot).to_vec();
                 if !ids.is_empty() {
-                    return HopCandidates { slot, ids };
+                    return HopCandidates {
+                        slot,
+                        ids,
+                        refreshed: None,
+                    };
                 }
             }
             // Empty cell (or no differing digit): commit to the numeric
@@ -167,22 +171,19 @@ impl Geometry for PastryGeometry {
         let size = self.space.ring_size();
         let my_dist = shortest_distance(cur, owner, size);
         let leafs = self.registry.leaf_set(cur, LEAF_WINDOW);
-        table.set_slot(LEAF_SLOT, leafs.clone());
-        let ids: Vec<u64> = leafs
-            .into_iter()
+        let mut ids: Vec<u64> = leafs
+            .iter()
+            .copied()
             .chain(std::iter::once(owner))
             .filter(|&c| shortest_distance(c, owner, size) < my_dist)
             .collect();
         if ids.is_empty() {
-            HopCandidates {
-                slot: LEAF_SLOT,
-                ids: vec![owner],
-            }
-        } else {
-            HopCandidates {
-                slot: LEAF_SLOT,
-                ids,
-            }
+            ids.push(owner);
+        }
+        HopCandidates {
+            slot: LEAF_SLOT,
+            ids,
+            refreshed: Some(leafs),
         }
     }
 
@@ -286,9 +287,9 @@ mod tests {
         if owner == cur {
             return;
         }
-        let mut table = ElasticTable::new(); // empty: forces numeric mode
+        let table = ElasticTable::new(); // empty: forces numeric mode
         let mut numeric = false;
-        let hc = g.hop_candidates(cur, owner, &mut table, &mut numeric);
+        let hc = g.hop_candidates(cur, owner, &table, &mut numeric);
         assert!(numeric, "empty prefix cell must commit to numeric mode");
         for id in hc.ids {
             assert!(

@@ -653,6 +653,28 @@ mod tests {
         }
     }
 
+    /// The presence filter is live: on a Chord run that builds, grows
+    /// and sheds, most inserts — `AddOutlink` serves and the build's own
+    /// picks — find their id's bit clear and skip the slot scan.
+    #[test]
+    fn a_chord_run_takes_the_filters_fast_path_on_most_inserts() {
+        let cfg = MiniDhtConfig::defaults(16, 21);
+        let geometry = ChordGeometry::populate(16, 512, &mut SimRng::seed_from(21));
+        let mut net = MiniDht::new(cfg, geometry, &caps(512), MiniProtocol::ElasticErt).unwrap();
+        net.enable_trace();
+        let r = net.run_poisson(3000, 1500.0);
+        assert_eq!(r.completed, 3000, "dropped {}", r.dropped);
+        let adapts = net.take_trace().unwrap().adapts;
+        assert!(adapts.iter().any(|a| a.delta < 0), "no shed");
+        assert!(adapts.iter().any(|a| a.delta > 0), "no grow");
+        let [clear, set] = net
+            .nodes
+            .iter()
+            .fold([0, 0], |[c, s], n| [c + n.inserts[0], s + n.inserts[1]]);
+        assert!(clear + set > 50 * 512, "only {} inserts", clear + set);
+        assert!(clear > 4 * set, "{clear} fast, {set} scanned");
+    }
+
     #[test]
     fn capacity_count_mismatch_rejected() {
         let cfg = MiniDhtConfig::defaults(10, 7);
