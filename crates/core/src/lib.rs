@@ -58,7 +58,10 @@ pub mod forward;
 pub mod params;
 pub mod table;
 
-pub use adapt::{adaptation_action, select_shed_victims, AdaptAction, ShedCandidate};
+pub use adapt::{
+    adapt_step, adaptation_action, indegree_cap, select_shed_victims, AdaptAction, AdaptStep,
+    ShedCandidate,
+};
 pub use assign::{build_table, expand_indegree, expand_indegree_over, Directory, Expansion};
 pub use capacity::{max_indegree, normalize_capacities};
 pub use estimate::Estimator;

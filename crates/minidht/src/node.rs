@@ -65,8 +65,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ert_core::{
-    adaptation_action, assign::initial_indegree_target, choose_next_lazy, expand_indegree_over,
-    AdaptAction, Contact, Directory, ElasticTable, ForwardPolicy, ForwardScratch,
+    adapt_step, adaptation_action, assign::initial_indegree_target, choose_next_lazy,
+    expand_indegree_over, AdaptAction, AdaptStep, Contact, Directory, ElasticTable, ForwardPolicy,
+    ForwardScratch,
 };
 use ert_overlay::ArcMembers;
 use ert_sim::{SimDuration, SimRng};
@@ -653,44 +654,39 @@ impl<'a, G: Geometry, P: FnMut(u64, PeerOp) -> PeerAnswer> Window<'a, G, P> {
         Hop::Next(choice.next)
     }
 
-    /// One Algorithm 3 round for this node: shed the most recently
-    /// added inlinks (the mini platforms carry no locality to rank by),
-    /// or raise the bound and expand, then reset the period load.
+    /// One Algorithm 3 round for this node: `ert_core::adapt_step`
+    /// sizes the action, then the node drops its newest backward fingers
+    /// (the mini platforms carry no locality to rank by) or expands
+    /// toward the step's target, and resets the period load.
     pub fn adapt(&mut self) -> AdaptTrace {
-        let id = self.me.id;
-        let capacity = self.me.capacity_eval;
-        let mut delta: i64 = 0;
-        match adaptation_action(self.me.period_load as f64, capacity as f64, &self.cfg.ert) {
-            AdaptAction::Keep => {}
-            AdaptAction::Shed(x) => {
-                let x = x.min(self.me.indegree());
-                delta = -(x as i64);
-                let victims: Vec<u64> = self
-                    .me
-                    .table
-                    .backward_fingers()
-                    .iter()
-                    .rev()
-                    .take(x as usize)
-                    .copied()
-                    .collect();
+        let (id, capacity) = (self.me.id, self.me.capacity_eval);
+        let action = adaptation_action(self.me.period_load as f64, capacity as f64, &self.cfg.ert);
+        if let AdaptAction::Shed(_) = action {
+            // Victims no longer point here: passed candidates are open
+            // again. Also on a shed of 0: a holder whose `AddBackward`
+            // was lost holds this node unrecorded, maybe behind the scan.
+            self.me.scanned_to = None;
+        }
+        let delta = match adapt_step(action, capacity, self.me.indegree(), self.me.d_max) {
+            AdaptStep::Keep => 0,
+            AdaptStep::Shed { count, d_max } => {
+                let fingers = self.me.table.backward_fingers().iter().rev();
+                let victims: Vec<u64> = fingers.take(count as usize).copied().collect();
+                debug_assert_eq!(victims.len(), count as usize, "a shed sized {count}");
                 for v in victims {
                     // An absent victim has nothing left to drop.
                     self.ask_link(v, 0, AdaptOp::DropOutlinks);
                     self.me.table.remove_backward(v);
                 }
-                // The victims no longer point here: candidates the scan
-                // already passed are open again.
-                self.me.scanned_to = None;
-                self.me.d_max = self.me.d_max.saturating_sub(x).max(1);
+                self.me.d_max = d_max;
+                -i64::from(count)
             }
-            AdaptAction::Grow(x) => {
-                delta = x as i64;
-                self.me.d_max = (self.me.d_max + x).min(8 * capacity.max(8));
-                let target = (self.me.indegree() + x).min(self.me.d_max);
+            AdaptStep::Grow { ask, target, d_max } => {
+                self.me.d_max = d_max;
                 self.expand(target);
+                i64::from(ask)
             }
-        }
+        };
         self.me.period_load = 0;
         let trace = AdaptTrace {
             round: self.me.adapt_round,
@@ -1095,6 +1091,136 @@ mod tests {
         assert_eq!(asked_to_link(&peers.log), &order[..]);
         assert!(me.table.backward_fingers().contains(&order[1]));
         assert_eq!(me.scanned_to.map(|(_, c)| c), order.last().copied());
+    }
+
+    #[test]
+    fn a_shed_of_zero_still_restarts_the_scan() {
+        let (g, cfg) = (ring(), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        // Every holder took this node into its slot, and every
+        // `AddBackward` that said so was lost: indegree 0.
+        let candidates: Vec<(u16, u64)> = g.inlink_candidates(ME, None).collect();
+        for &(slot, holder) in &candidates {
+            peers.nodes.get_mut(&holder).unwrap().add_outlink(slot, ME);
+        }
+        let order: Vec<u64> = candidates.iter().map(|&(_, c)| c).collect();
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(me.indegree(), 0, "every holder said present");
+        assert_eq!(me.scanned_to.map(|(_, c)| c), order.last().copied());
+
+        // Overloaded with nothing to shed: the step keeps, but the scan
+        // starts over, so the next grow asks every holder again.
+        let trace = adapt(&g, &cfg, &mut peers, &mut me, 20);
+        assert_eq!((trace.delta, trace.d_max), (0, me.d_max));
+        assert_eq!(me.scanned_to, None);
+        peers.log.clear();
+        adapt(&g, &cfg, &mut peers, &mut me, 0);
+        assert_eq!(asked_to_link(&peers.log), order);
+    }
+
+    /// The same Algorithm 3 sequence on a Cycloid `Topology` node (the
+    /// simulator's `Topology::adapt`) and on an `ErtNode` (this window
+    /// over the fake), from one (capacity, indegree, `d^∞`) and one
+    /// load per round. Both size through `ert_core::adapt_step`, so shed
+    /// counts, grow asks, `d^∞` and indegree agree round by round.
+    /// Victims follow each runtime's own rule: the farthest holders
+    /// (`select_shed_victims`) on Cycloid, the newest fingers here.
+    #[test]
+    fn both_runtimes_take_one_adaptation_sequence_alike() {
+        use ert_core::{max_indegree, select_shed_victims, ErtParams, ShedCandidate};
+        use ert_network::{state::Host, topology::Topology, TablePolicy};
+        use ert_overlay::{Coord, CycloidSpace};
+
+        /// The members of `before` that `after` no longer holds.
+        fn dropped<T: Copy + PartialEq>(before: &[T], after: &[T]) -> Vec<T> {
+            before
+                .iter()
+                .filter(|f| !after.contains(f))
+                .copied()
+                .collect()
+        }
+
+        let space = CycloidSpace::new(4);
+        let mut topo = Topology::new(space, TablePolicy::Elastic, ErtParams::default());
+        let mut rng = SimRng::seed_from(42);
+        let capacity = max_indegree(7.0, 1.0);
+        for lin in 0..space.ring_size() {
+            let host = Host::new(1000.0, 1.0, 1.0, capacity, Coord::random(&mut rng));
+            let host = topo.add_host(host);
+            topo.add_node(space.from_lin(lin), host, capacity);
+        }
+        for n in 0..topo.nodes.len() {
+            topo.build_node_table(n, &mut rng);
+        }
+        let t = (0..topo.nodes.len())
+            .find(|&n| topo.nodes[n].table.indegree() >= 4)
+            .expect("some node has four inlinks");
+        let t_id = topo.nodes[t].id;
+
+        // A dense ring, so the node's grows find as much supply as the
+        // Cycloid node's; its first inlinks are its first holders.
+        let all: Vec<u64> = (0..1 << BITS).collect();
+        let (g, cfg) = (ChordGeometry::from_members(BITS, &all), cfg());
+        let mut peers = Peers::new(&g);
+        let mut me = ErtNode::new(ME, capacity, MiniProtocol::ElasticErt);
+        me.d_max = topo.nodes[t].d_max();
+        let mut candidates: Vec<(u16, u64)> = g.inlink_candidates(ME, None).collect();
+        candidates.dedup_by_key(|&mut (_, holder)| holder);
+        for &(slot, holder) in &candidates[..topo.nodes[t].table.indegree()] {
+            peers.nodes.get_mut(&holder).unwrap().add_outlink(slot, ME);
+            me.table.add_backward(holder);
+        }
+        assert_eq!(cfg.ert.mu, topo.params.mu);
+        assert_eq!(cfg.ert.gamma_l, topo.params.gamma_l);
+
+        // Shed two, grow ⌈μc⌉, shed everything, grow again.
+        let loads = [capacity as u64 + 4, 0, capacity as u64 + 1000, 0];
+        let mut sheds = 0;
+        for load in loads {
+            let (indegree, d_max) = (me.indegree(), me.d_max);
+            assert_eq!(topo.nodes[t].table.indegree() as u32, indegree);
+            assert_eq!(topo.nodes[t].d_max(), d_max);
+            let action = adaptation_action(load as f64, capacity as f64, &cfg.ert);
+            let fingers = topo.nodes[t].table.backward_fingers().to_vec();
+            let ranked: Vec<ShedCandidate<_>> = fingers
+                .iter()
+                .map(|&bf| ShedCandidate {
+                    id: bf,
+                    logical_distance: topo.logical_metric(bf, t_id),
+                    physical_distance: topo.phys_dist(bf, t_id),
+                })
+                .collect();
+            let newest = me.table.backward_fingers().to_vec();
+
+            let (step, links) = topo.adapt(t, action);
+            let trace = adapt(&g, &cfg, &mut peers, &mut me, load);
+            assert_eq!(step, adapt_step(action, capacity, indegree, d_max));
+            match step {
+                AdaptStep::Shed { count, d_max } => {
+                    sheds += 1;
+                    assert_eq!((links, trace.delta), (count, -i64::from(count)));
+                    assert_eq!(me.d_max, d_max);
+                    let mut cut = dropped(&fingers, topo.nodes[t].table.backward_fingers());
+                    let mut farthest = select_shed_victims(&ranked, count);
+                    cut.sort();
+                    farthest.sort();
+                    assert_eq!(cut, farthest, "Cycloid sheds its farthest holders");
+                    let cut = dropped(&newest, me.table.backward_fingers());
+                    assert_eq!(cut, newest[newest.len() - count as usize..]);
+                }
+                AdaptStep::Grow { ask, target, d_max } => {
+                    assert_eq!(trace.delta, i64::from(ask));
+                    assert_eq!(me.d_max, d_max);
+                    assert_eq!(me.indegree(), target, "the dense ring meets the target");
+                }
+                AdaptStep::Keep => panic!("load {load} kept"),
+            }
+            assert_eq!(trace.d_max, me.d_max);
+        }
+        assert_eq!(sheds, 2);
+        assert_eq!(topo.nodes[t].table.indegree() as u32, me.indegree());
+        assert_eq!(topo.nodes[t].d_max(), me.d_max);
     }
 
     /// Algorithm 1 as the window ran it over two ops — a link query,

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ert_core::{
     adaptation_action, choose_next_reachable, max_indegree, normalize_capacities, AdaptAction,
-    Contact, ForwardPolicy, ForwardScratch,
+    AdaptStep, Contact, ForwardPolicy, ForwardScratch,
 };
 use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 use ert_overlay::{Coord, CycloidId, CycloidSpace};
@@ -1202,6 +1202,8 @@ impl Network {
         self.deliver(q, to, now);
     }
 
+    /// One adaptation period: Algorithm 3 on each node that
+    /// [`Network::adapt_decisions`] names, through [`Topology::adapt`].
     fn on_adapt_tick(&mut self, now: SimTime) {
         self.adapt_rounds += 1;
         let round = self.adapt_rounds;
@@ -1215,38 +1217,17 @@ impl Network {
             // inputs or indegree. Decisions therefore commute with
             // application, and the sharded core computes them per shard
             // in parallel while applying them in global node order,
-            // byte-identical to the legacy inline loop.
+            // byte-identical to the legacy inline loop. The step is
+            // sized at the node's turn, from its own table.
             for (node, action) in self.adapt_decisions() {
-                let host = self.topo.nodes[node].host;
-                match action {
-                    AdaptAction::Keep => {}
-                    AdaptAction::Shed(x) => {
-                        let x = x.min(self.topo.nodes[node].table.indegree() as u32);
-                        if x > 0 {
-                            let shed = self.topo.shed_inlinks(node, x);
-                            let d_max = self.topo.nodes[node].d_max();
-                            self.topo.set_d_max(node, d_max.saturating_sub(shed).max(1));
-                            let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
-                            self.telemetry.emit(now, || TelemetryEvent::LinkShed {
-                                node: node_lin,
-                                count: shed,
-                            });
-                        }
-                    }
-                    AdaptAction::Grow(x) => {
-                        let cap = 8 * self.topo.hosts[host].capacity_eval.max(8);
-                        let d_max = self.topo.nodes[node].d_max();
-                        self.topo.set_d_max(node, (d_max + x).min(cap));
-                        let grown = self.topo.grow_inlinks(node, x);
-                        if grown > 0 {
-                            let node_lin = self.topo.space.lin(self.topo.nodes[node].id);
-                            self.telemetry.emit(now, || TelemetryEvent::LinkGrown {
-                                node: node_lin,
-                                count: grown,
-                            });
-                        }
-                    }
-                }
+                let (step, count) = self.topo.adapt(node, action);
+                let node = self.topo.space.lin(self.topo.nodes[node].id);
+                let event = match step {
+                    _ if count == 0 => continue,
+                    AdaptStep::Shed { .. } => TelemetryEvent::LinkShed { node, count },
+                    _ => TelemetryEvent::LinkGrown { node, count },
+                };
+                self.telemetry.emit(now, || event);
             }
         }
         if self.protocol.item_movement {

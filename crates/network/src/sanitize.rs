@@ -23,6 +23,7 @@
 //! beside its structure; they count into `Network::sanitize_checks`.
 
 use ert_core::bounds::{theorem31_initial_indegree_bounds, theorem33_outdegree_bound};
+use ert_core::indegree_cap;
 use ert_faults::{FaultKind, FaultPlan};
 use ert_sim::SimTime;
 
@@ -53,7 +54,8 @@ use crate::topology::Topology;
 pub struct EnvelopeRelaxations {
     /// Violated-assumption tag relaxing the Theorem 3.1 envelope.
     pub thm31: Option<&'static str>,
-    /// Violated-assumption tag relaxing the Theorem 3.2 cap.
+    /// Violated-assumption tag relaxing the indegree check against the
+    /// growth cap (`ert_core::indegree_cap`), reported under Theorem 3.2.
     pub thm32: Option<&'static str>,
     /// Violated-assumption tag relaxing the Theorem 3.3 ceiling.
     pub thm33: Option<&'static str>,
@@ -362,17 +364,16 @@ fn sweep_nodes(
             node.d_max() >= 1,
             "sanitize: node {i} adapted d_max to zero"
         );
-        // Theorem 3.2 enforcement: adaptation keeps the elastic
-        // indegree within a capacity-proportional band. The growth
-        // cap in `on_adapt_tick` is 8·max(capacity_eval, 8); links
-        // outside the elastic budget are covered by `slack`.
+        // The growth cap: Algorithm 3 never raises d∞ past `indegree_cap`
+        // (a repo bound; Theorem 3.2's band is ROADMAP item 13), and
+        // links outside the elastic budget are covered by `slack`.
         let host = &topo.hosts[node.host];
         if relax.thm32.is_none() {
-            let in_cap = 8 * u64::from(host.capacity_eval.max(8)) + slack;
+            let in_cap = u64::from(indegree_cap(host.capacity_eval)) + slack;
             let ind = node.table.indegree() as u64;
             assert!(
                 ind <= in_cap,
-                "sanitize: node {i} indegree {ind} exceeds adapted Theorem 3.2 cap {in_cap} \
+                "sanitize: node {i} indegree {ind} exceeds the growth cap plus slack {in_cap} \
                  (capacity_eval {})",
                 host.capacity_eval
             );

@@ -7,8 +7,9 @@
 #![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 use ert_core::{
-    assign::initial_indegree_target, build_table, expand_indegree, expand_indegree_over,
-    select_shed_victims, Directory, ErtParams, Expansion, ShedCandidate,
+    adapt_step, assign::initial_indegree_target, build_table, expand_indegree,
+    expand_indegree_over, select_shed_victims, AdaptAction, AdaptStep, Directory, ErtParams,
+    Expansion, ShedCandidate,
 };
 use ert_overlay::{
     ring::forward_distance, Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace,
@@ -915,12 +916,32 @@ impl Topology {
         victims.len() as u32
     }
 
-    /// Grows `node`'s indegree by up to `count` inlinks through the
-    /// expansion algorithm. Returns the number gained.
-    pub fn grow_inlinks(&mut self, node: usize, count: u32) -> u32 {
-        let target = self.nodes[node].table.indegree() as u32 + count;
-        let capped = target.min(self.nodes[node].d_max());
-        self.expand(node, capped).gained
+    /// Algorithm 1 on `node` toward indegree `target`; returns the gain.
+    pub fn grow_inlinks(&mut self, node: usize, target: u32) -> u32 {
+        self.expand(node, target).gained
+    }
+
+    /// One Algorithm 3 round on `node`: [`adapt_step`] sizes `action`,
+    /// then the node sheds its farthest inlinks or grows toward the
+    /// step's target. Returns the step and the links shed or gained.
+    pub fn adapt(&mut self, node: usize, action: AdaptAction) -> (AdaptStep, u32) {
+        let n = &self.nodes[node];
+        let capacity = self.hosts[n.host].capacity_eval;
+        let step = adapt_step(action, capacity, n.table.indegree() as u32, n.d_max());
+        let links = match step {
+            AdaptStep::Keep => 0,
+            AdaptStep::Shed { count, d_max } => {
+                let shed = self.shed_inlinks(node, count);
+                debug_assert_eq!(shed, count, "a shed sized {count} dropped {shed}");
+                self.set_d_max(node, d_max);
+                shed
+            }
+            AdaptStep::Grow { target, d_max, .. } => {
+                self.set_d_max(node, d_max);
+                self.grow_inlinks(node, target)
+            }
+        };
+        (step, links)
     }
 
     /// Algorithm 1 on `node`, from where its last scan stopped.
@@ -1513,11 +1534,21 @@ mod tests {
         let (mut topo, _) = full_topology(TablePolicy::Elastic);
         let node = 5;
         let indegree = topo.nodes[node].table.indegree() as u32;
-        topo.set_d_max(node, indegree); // no headroom
-        assert_eq!(topo.grow_inlinks(node, 10), 0);
-        topo.set_d_max(node, indegree + 2);
-        let gained = topo.grow_inlinks(node, 10);
+        topo.set_d_max(node, indegree);
+        // No headroom: Algorithm 3 raises d∞ by the ask, and the grow
+        // stops there.
+        let (step, gained) = topo.adapt(node, AdaptAction::Grow(2));
+        assert_eq!(
+            step,
+            AdaptStep::Grow {
+                ask: 2,
+                target: indegree + 2,
+                d_max: indegree + 2
+            }
+        );
         assert!(gained <= 2, "grew {gained} past headroom");
+        assert_eq!(topo.nodes[node].d_max(), indegree + 2);
+        assert!(topo.nodes[node].table.indegree() as u32 <= indegree + 2);
     }
 
     /// Links each `(from, to)` pair of live nodes through their cyclic
@@ -1854,7 +1885,8 @@ mod tests {
         let h = topo.node_idx(holder).unwrap();
         assert!(topo.nodes[h].table.purge_peer(id));
         topo.nodes[node].table.remove_backward(holder);
-        topo.grow_inlinks(node, 1);
+        let target = topo.nodes[node].table.indegree() as u32 + 1;
+        topo.grow_inlinks(node, target);
     }
 
     /// The ring slots of `node`, `RingSucc` first.
@@ -1981,20 +2013,12 @@ mod tests {
         };
         Did::Count(match op {
             // Algorithm 3, underloaded.
-            0..=2 => {
-                let cap = 8 * topo.hosts[host].capacity_eval.max(8);
-                topo.set_d_max(node, (d_max + x).min(cap));
-                topo.grow_inlinks(node, x)
-            }
+            0..=2 => topo.adapt(node, AdaptAction::Grow(x)).1,
             // A shed alone: the farthest holders go.
             3 => topo.shed_inlinks(node, x),
             // Algorithm 3, overloaded so badly that the ring neighbors
             // go too.
-            4 => {
-                let shed = topo.shed_inlinks(node, 8 * x);
-                topo.set_d_max(node, d_max.saturating_sub(shed).max(1));
-                shed
-            }
+            4 => topo.adapt(node, AdaptAction::Shed(8 * x)).1,
             // A `d^∞` that may leave the node saturated or over-full.
             5 | 6 => {
                 topo.set_d_max(node, x);
@@ -2282,7 +2306,7 @@ mod tests {
         assert_eq!(held.iter().filter(|&&h| h == id).count(), 1);
         // A whole build and grow of Y leaves no entry twice in a slot.
         topo.build_node_table(y, &mut rng);
-        topo.grow_inlinks(y, 1000);
+        topo.grow_inlinks(y, d_max);
         for n in topo.nodes.iter().filter(|n| n.alive) {
             for (slot, to) in n.table.iter_outlinks() {
                 let copies = n.table.outlinks(slot).iter().filter(|&&t| t == to).count();
