@@ -2,9 +2,10 @@
 //! Algorithms 1–2 of the paper).
 //!
 //! Both operations are written against the [`Directory`] trait — the
-//! joining node's window onto the network — so the same logic drives the
-//! Cycloid simulator in `ert-network`, the Chord/Pastry demonstrations,
-//! and mock-based unit tests.
+//! joining node's window onto the network — which the Cycloid
+//! simulator's `Topology` in `ert-network` and mock-based tests
+//! implement. A node that reaches its peers only by message runs the
+//! same rules as tasks instead ([`crate::node`]).
 
 use ert_sim::SimRng;
 use rand::Rng;
@@ -173,29 +174,44 @@ pub struct Expansion {
 /// sequence in Algorithm 1's probe order. `next` yields the sequence one
 /// candidate per call; it is handed the directory so a sequence that
 /// lives inside it can be read between two links (one that does
-/// not passes `|_| iter.next()`). A candidate is pulled only while the
-/// indegree is short of `target`, so a caller that remembers where the
-/// sequence stood can resume the scan there later.
+/// not passes `|_| iter.next()`). Each [`next_inlink_ask`] is answered
+/// by [`Directory::link_if_absent`], so a caller that remembers where
+/// the sequence stood can resume the scan there later.
 pub fn expand_indegree_over<D: Directory>(
     dir: &mut D,
     node: D::Id,
     target: u32,
     mut next: impl FnMut(&D) -> Option<(D::Slot, D::Id)>,
 ) -> Expansion {
-    let mut done = Expansion {
-        gained: 0,
-        examined: 0,
-    };
-    while dir.indegree(node) < target {
-        let Some((slot, candidate)) = next(dir) else {
-            break;
+    let (mut gained, mut examined) = (0, 0);
+    loop {
+        let mut pulled = std::iter::from_fn(|| next(dir)).inspect(|_| examined += 1);
+        let Some((slot, candidate)) =
+            next_inlink_ask(node, dir.indegree(node), target, &mut pulled)
+        else {
+            return Expansion { gained, examined };
         };
-        done.examined += 1;
-        if candidate != node && dir.link_if_absent(candidate, slot, node) {
-            done.gained += 1;
-        }
+        gained += u32::from(dir.link_if_absent(candidate, slot, node));
     }
-    done
+}
+
+/// Algorithm 1 one ask at a time: the next of `candidates` other than
+/// `node` while its `indegree` is short of `target`, to be asked "take
+/// me as a neighbour". The caller records the answer and asks for the
+/// next with the indegree that left; `None` ends the scan, with
+/// `candidates` at the first candidate it did not look at. A node that
+/// reaches its holders only by message answers each ask by message
+/// ([`crate::node`]).
+pub fn next_inlink_ask<S, Id: PartialEq>(
+    node: Id,
+    indegree: u32,
+    target: u32,
+    candidates: &mut impl Iterator<Item = (S, Id)>,
+) -> Option<(S, Id)> {
+    if indegree >= target {
+        return None;
+    }
+    candidates.find(|(_, candidate)| *candidate != node)
 }
 
 #[cfg(test)]

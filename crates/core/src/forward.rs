@@ -13,13 +13,15 @@
 //!   the forward, and carry the set of overloaded nodes seen so far so
 //!   later hops avoid them.
 //!
-//! There is one implementation, [`choose_next_lazy`]: it draws from the
+//! There is one implementation, `Decision`: it draws from the
 //! candidates' ids, and learns what the forwarding node knows locally
 //! ([`Contact`]) and asks a candidate for its load only once it is
 //! drawn — on a live node that question is an RPC, in the simulator a
-//! memory read. [`choose_next_reachable`] adds the hard exclusion of a
-//! partition cut, and [`choose_next_b`] is the same function for a
-//! caller that already holds every candidate's load in a slice.
+//! memory read. A decision stops at each question and resumes with its
+//! answer; [`choose_next_lazy`] is the loop that answers from a closure.
+//! [`choose_next_reachable`] adds the hard exclusion of a partition cut,
+//! and [`choose_next_b`] is the same function for a caller that already
+//! holds every candidate's load in a slice.
 
 use std::collections::BTreeSet;
 
@@ -221,6 +223,7 @@ pub fn choose_next_b<Id: Copy + Ord + std::fmt::Debug>(
 /// load, so when every probe is answered the RNG stream is consumed
 /// exactly as if all loads had been known up front.
 ///
+/// This is the loop that answers a `Decision`'s polls from `probe`.
 /// The decision works in `scratch`'s buffers; their contents on entry
 /// do not matter.
 ///
@@ -256,131 +259,183 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug>(
     mut probe: impl FnMut(usize) -> Option<(f64, f64)>,
     scratch: &mut ForwardScratch<Id>,
 ) -> Option<ForwardChoice<Id>> {
-    assert!(probe_width >= 1, "need at least one probe");
-    let ForwardScratch {
-        pool,
-        avoided,
-        polled,
-    } = scratch;
-    // The candidates not drawn yet, in slice order. Known-overloaded
-    // nodes wait in `avoided` and come in only when that would leave
-    // nobody (Algorithm 4 line 3) — at the start, or once everyone
-    // else has been drawn and found unreachable.
-    pool.clear();
-    avoided.clear();
-    pool.reserve(ids.len());
-    for (i, id) in ids.iter().enumerate() {
-        match avoid.contains(id) {
-            true => avoided.push(i),
-            false => pool.push(i),
+    let mut decision = Decision::new(policy, ids, memory, avoid, gamma_l, probe_width, scratch);
+    let mut reply = None;
+    loop {
+        match decision.poll(scratch, reply, ids, &mut contact, rng) {
+            Poll::Probe(i) => reply = probe(i),
+            Poll::Done(choice) => return choice,
         }
     }
-    fn line3(pool: &mut Vec<usize>, avoided: &mut Vec<usize>) {
-        if pool.is_empty() {
-            std::mem::swap(pool, avoided);
-        }
-    }
-    // Drawing a candidate takes it out of the pool, whether or not it
-    // answers.
-    let mut draw = |i: usize, pool: &mut Vec<usize>| {
-        let id = ids[i];
-        pool.retain(|&j| ids[j] != id);
-        let (load, capacity) = probe(i)?;
-        assert!(capacity > 0.0, "candidate {id:?} has non-positive capacity");
-        Some((load, capacity))
-    };
-    let unprobed = |next: Id| ForwardChoice {
-        next,
-        new_memory: None,
-        newly_overloaded: Vec::new(),
-        probes: 0,
-    };
+}
 
-    match policy {
-        ForwardPolicy::Deterministic => loop {
-            line3(pool, avoided);
-            let (best, _) = pool
-                .iter()
-                .map(|&i| (i, contact(i)))
-                .min_by(|(_, x), (_, y)| {
-                    x.logical_distance
-                        .cmp(&y.logical_distance)
-                        .then(x.physical_distance.total_cmp(&y.physical_distance))
-                })?;
-            if draw(best, pool).is_some() {
-                return Some(unprobed(ids[best]));
+/// What a [`Decision`] needs next.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Poll<Id> {
+    /// Ask `ids[i]` for its load; the reply goes to the next poll.
+    Probe(usize),
+    /// Decided; `None` when no candidate is left.
+    Done(Option<ForwardChoice<Id>>),
+}
+
+/// The [`choose_next_lazy`] decision, stopped at each probe for a
+/// caller that must send the question and wait: each
+/// [`Decision::poll`] takes the reply to the probe it asked for last.
+/// It works in the buffers of the one scratch handed to every call.
+#[derive(Debug)]
+pub(crate) struct Decision {
+    policy: ForwardPolicy,
+    gamma_l: f64,
+    probe_width: usize,
+    /// The remembered candidate, asked before any draw.
+    remembered: Option<usize>,
+    /// The candidate whose probe is out.
+    asked: Option<usize>,
+}
+
+impl Decision {
+    /// Opens a decision in `s`'s buffers; the inputs, and the panics,
+    /// are [`choose_next_lazy`]'s.
+    pub(crate) fn new<Id: Copy + Ord + std::fmt::Debug>(
+        policy: ForwardPolicy,
+        ids: &[Id],
+        memory: Option<Id>,
+        avoid: &BTreeSet<Id>,
+        gamma_l: f64,
+        probe_width: usize,
+        s: &mut ForwardScratch<Id>,
+    ) -> Self {
+        assert!(probe_width >= 1, "need at least one probe");
+        // The candidates not drawn yet, in slice order. Known-overloaded
+        // nodes wait in `avoided` and come in only when that would leave
+        // nobody (Algorithm 4 line 3) — at the start, or once everyone
+        // else has been drawn and found unreachable.
+        s.pool.clear();
+        s.avoided.clear();
+        s.pool.reserve(ids.len());
+        for (i, id) in ids.iter().enumerate() {
+            match avoid.contains(id) {
+                true => s.avoided.push(i),
+                false => s.pool.push(i),
             }
-        },
-        ForwardPolicy::RandomWalk => loop {
-            line3(pool, avoided);
-            let &pick = rng.choose(pool)?;
-            if draw(pick, pool).is_some() {
-                return Some(unprobed(ids[pick]));
-            }
-        },
-        ForwardPolicy::TwoChoice {
-            topology_aware,
-            use_memory,
-        } => {
-            // Assemble the poll set: the remembered candidate first (it
-            // is a free extra choice), then fresh random draws up to b.
-            polled.clear();
-            polled.reserve(probe_width);
-            let mut poll = |i: usize, pool: &mut Vec<usize>, polled: &mut Vec<Candidate<Id>>| {
-                if let Some((load, capacity)) = draw(i, pool) {
-                    let c = contact(i);
-                    polled.push(Candidate {
-                        id: ids[i],
-                        load,
-                        capacity,
-                        logical_distance: c.logical_distance,
-                        physical_distance: c.physical_distance,
-                    });
-                }
-            };
-            line3(pool, avoided);
-            let remembered = memory
+        }
+        let mut remembered = None;
+        if let ForwardPolicy::TwoChoice { use_memory, .. } = policy {
+            // The poll set: the remembered candidate first (it is a free
+            // extra choice), then fresh random draws up to b.
+            s.polled.clear();
+            s.polled.reserve(probe_width);
+            line3(&mut s.pool, &mut s.avoided);
+            let mut pool = s.pool.iter().copied();
+            remembered = memory
                 .filter(|_| use_memory)
-                .and_then(|m| pool.iter().copied().find(|&i| ids[i] == m));
-            if let Some(i) = remembered {
-                poll(i, pool, polled);
-            }
-            while polled.len() < probe_width {
-                if polled.is_empty() {
-                    line3(pool, avoided);
-                }
-                let Some(&i) = rng.choose(pool) else {
-                    break;
-                };
-                poll(i, pool, polled);
-            }
+                .and_then(|m| pool.find(|&i| ids[i] == m));
+        }
+        Decision {
+            policy,
+            gamma_l,
+            probe_width,
+            remembered,
+            asked: None,
+        }
+    }
 
-            let polled = &*polled;
-            let newly_overloaded: Vec<Id> = polled
-                .iter()
-                .filter(|c| c.is_heavy(gamma_l))
-                .map(|c| c.id)
-                .collect();
-            let light = || polled.iter().filter(|c| !c.is_heavy(gamma_l));
-
-            // `?` fires when every candidate was unreachable (`polled`
-            // is empty); `total_cmp` gives NaN a fixed order instead of
-            // a panic.
-            let chosen = if newly_overloaded.len() == polled.len() {
-                // All heavy: the least heavily loaded takes it anyway.
-                polled
-                    .iter()
-                    .min_by(|x, y| x.congestion().total_cmp(&y.congestion()))?
-            } else if topology_aware {
-                light().min_by(|x, y| {
+    /// Takes `reply` to the probe asked for last (`None`: unreachable;
+    /// ignored when no probe is out) and draws on, in the buffers `new`
+    /// filled, with [`choose_next_lazy`]'s `ids`, `contact` and `rng`.
+    #[inline]
+    pub(crate) fn poll<Id: Copy + Ord + std::fmt::Debug>(
+        &mut self,
+        s: &mut ForwardScratch<Id>,
+        reply: Option<(f64, f64)>,
+        ids: &[Id],
+        mut contact: impl FnMut(usize) -> Contact,
+        rng: &mut SimRng,
+    ) -> Poll<Id> {
+        if let (Some(i), Some((load, capacity))) = (self.asked.take(), reply) {
+            let id = ids[i];
+            assert!(capacity > 0.0, "candidate {id:?} has non-positive capacity");
+            let ForwardPolicy::TwoChoice { .. } = self.policy else {
+                // The others take their pick once it answers, whatever
+                // its load.
+                return Poll::Done(Some(ForwardChoice {
+                    next: id,
+                    new_memory: None,
+                    newly_overloaded: Vec::new(),
+                    probes: 0,
+                }));
+            };
+            let c = contact(i);
+            s.polled.push(Candidate {
+                id,
+                load,
+                capacity,
+                logical_distance: c.logical_distance,
+                physical_distance: c.physical_distance,
+            });
+        }
+        let next = match self.policy {
+            ForwardPolicy::Deterministic => {
+                line3(&mut s.pool, &mut s.avoided);
+                let pool = s.pool.iter().map(|&i| (i, contact(i)));
+                let best = pool.min_by(|(_, x), (_, y)| {
                     x.logical_distance
                         .cmp(&y.logical_distance)
                         .then(x.physical_distance.total_cmp(&y.physical_distance))
-                })?
-            } else {
-                light().min_by(|x, y| x.load.total_cmp(&y.load))?
-            };
+                });
+                best.map(|(i, _)| i)
+            }
+            ForwardPolicy::RandomWalk => {
+                line3(&mut s.pool, &mut s.avoided);
+                rng.choose(&s.pool).copied()
+            }
+            ForwardPolicy::TwoChoice { .. } => match self.remembered.take() {
+                Some(i) => Some(i),
+                None if s.polled.len() < self.probe_width => {
+                    if s.polled.is_empty() {
+                        line3(&mut s.pool, &mut s.avoided);
+                    }
+                    rng.choose(&s.pool).copied()
+                }
+                None => None,
+            },
+        };
+        if let Some(i) = next {
+            // Drawing a candidate takes it out of the pool, whether or
+            // not it answers.
+            let id = ids[i];
+            s.pool.retain(|&j| ids[j] != id);
+            self.asked = Some(i);
+            return Poll::Probe(i);
+        }
+        let ForwardPolicy::TwoChoice { topology_aware, .. } = self.policy else {
+            return Poll::Done(None);
+        };
+        let (gamma_l, polled) = (self.gamma_l, &s.polled);
+        let newly_overloaded: Vec<Id> = polled
+            .iter()
+            .filter(|c| c.is_heavy(gamma_l))
+            .map(|c| c.id)
+            .collect();
+        let light = || polled.iter().filter(|c| !c.is_heavy(gamma_l));
 
+        // `None` when every candidate was unreachable (`polled` is
+        // empty); `total_cmp` gives NaN a fixed order instead of a panic.
+        let chosen = if newly_overloaded.len() == polled.len() {
+            // All heavy: the least heavily loaded takes it anyway.
+            polled
+                .iter()
+                .min_by(|x, y| x.congestion().total_cmp(&y.congestion()))
+        } else if topology_aware {
+            light().min_by(|x, y| {
+                x.logical_distance
+                    .cmp(&y.logical_distance)
+                    .then(x.physical_distance.total_cmp(&y.physical_distance))
+            })
+        } else {
+            light().min_by(|x, y| x.load.total_cmp(&y.load))
+        };
+        Poll::Done(chosen.map(|chosen| {
             // Remember the least-loaded option *after* the forward adds
             // one unit to the chosen node.
             let new_memory = polled
@@ -391,14 +446,21 @@ pub fn choose_next_lazy<Id: Copy + Ord + std::fmt::Debug>(
                     lx.total_cmp(&ly)
                 })
                 .map(|c| c.id);
-
-            Some(ForwardChoice {
+            ForwardChoice {
                 next: chosen.id,
                 new_memory,
                 newly_overloaded,
                 probes: polled.len(),
-            })
-        }
+            }
+        }))
+    }
+}
+
+/// Algorithm 4 line 3: the avoided candidates come in once nobody else
+/// is left.
+fn line3(pool: &mut Vec<usize>, avoided: &mut Vec<usize>) {
+    if pool.is_empty() {
+        std::mem::swap(pool, avoided);
     }
 }
 

@@ -28,7 +28,15 @@
 //!   backward fingers (inlinks), and the forwarding memory;
 //! * [`assign::Directory`] — the node's window onto the network
 //!   (who is in a region, who has spare indegree), implemented by the
-//!   simulator in `ert-network` and by mocks in tests.
+//!   Cycloid simulator's `Topology` in `ert-network` and by mocks in
+//!   tests.
+//!
+//! [`node`] is the same mechanism as one node that reaches its peers
+//! only by message: an [`ErtNode`] runs the table build, Algorithm 4's
+//! route and Algorithm 3's adapt as [`Task`]s that ask one peer at a
+//! time and take the answer, over a [`node::Geometry`]. The Chord and
+//! Pastry platforms of `ert-minidht` and the wire node of `ert-node`
+//! host it.
 //!
 //! [`bounds`] evaluates the paper's Theorems 3.1–3.3 so tests and the
 //! experiment harness can check that measured degrees respect the proven
@@ -55,6 +63,7 @@ pub mod bounds;
 pub mod capacity;
 pub mod estimate;
 pub mod forward;
+pub mod node;
 pub mod params;
 pub mod table;
 
@@ -68,6 +77,10 @@ pub use estimate::Estimator;
 pub use forward::{
     choose_next, choose_next_b, choose_next_lazy, choose_next_reachable, Candidate, Contact,
     ForwardChoice, ForwardPolicy, ForwardScratch,
+};
+pub use node::{
+    drive, Adapt, AdaptOp, AdaptTrace, Build, ErtNode, Geometry, Hop, HopCandidates, Lookup,
+    MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp, PeerReport, Route, Step, Task,
 };
 pub use params::ErtParams;
 pub use table::ElasticTable;

@@ -1,10 +1,8 @@
 //! Chord geometry for the mini platform.
 
-use ert_core::ElasticTable;
+use ert_core::{ElasticTable, Geometry, HopCandidates};
 use ert_overlay::{ring::forward_distance, ArcMembers, ChordRegistry, ChordSpace};
 use ert_sim::SimRng;
-
-use crate::geometry::{Geometry, HopCandidates};
 
 /// The slot holding the successor list.
 const SUCC_SLOT: u16 = u16::MAX;
@@ -249,16 +247,6 @@ mod tests {
         assert!(g
             .inlink_candidates(node, None)
             .all(|(slot, _)| slot > STRUCTURAL_MAX_FINGER));
-    }
-
-    #[test]
-    fn inlink_candidates_resume_after_any_pair() {
-        crate::geometry::assert_inlink_scan_resumes(&geometry());
-    }
-
-    #[test]
-    fn each_inlink_holder_has_one_elastic_slot() {
-        crate::geometry::assert_one_elastic_slot_per_holder(&geometry());
     }
 
     #[test]

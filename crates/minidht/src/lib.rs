@@ -18,13 +18,14 @@
 //! — they isolate one question: does ERT's congestion control carry
 //! over, and do O(log n) paths help?
 //!
-//! The protocol itself lives in one place, [`ErtNode`]: the per-node
-//! state and the steps of Algorithms 1–4, reaching peers through a
-//! [`Window`] (the `ert_core::Directory` over one peer-access closure).
-//! [`MiniDht`] is the driver of a vector of such nodes and reaches a
-//! peer by indexing that vector; `ert-node`'s `WireNode` hosts the same
-//! node and reaches a peer by RPC. Both drivers turn a peer id into a
-//! node index through one [`PeerIndex`].
+//! The protocol itself lives in one place, `ert_core::node`: the
+//! [`ErtNode`] with the steps of Algorithms 1–4, each operation that
+//! reaches peers a task that asks one peer at a time. This crate
+//! re-exports it under the names its hosts use. [`MiniDht`] is the
+//! driver of a vector of such nodes and answers a node's ask by calling
+//! the asked peer's `serve` between two steps; `ert-node`'s `WireNode`
+//! hosts the same node and answers by RPC. Both drivers turn a peer id
+//! into a node index through one [`PeerIndex`].
 //!
 //! ```
 //! use ert_minidht::{ChordGeometry, MiniDht, MiniDhtConfig, MiniProtocol};
@@ -53,18 +54,15 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod chord;
-mod geometry;
-mod node;
 mod pastry;
 mod peer_index;
 mod platform;
 
 pub use chord::ChordGeometry;
-pub use geometry::{Geometry, HopCandidates};
-pub use node::{AdaptOp, ErtNode, Hop, Lookup, PeerAnswer, PeerOp, PeerReport, Window};
+pub use ert_core::node::{
+    AdaptOp, AdaptTrace, ErtNode, Geometry, Hop, HopCandidates, Lookup, MiniDhtConfig,
+    MiniProtocol, PeerAnswer, PeerOp, PeerReport,
+};
 pub use pastry::PastryGeometry;
 pub use peer_index::PeerIndex;
-pub use platform::{
-    AdaptTrace, CompletionTrace, HopTrace, MiniDht, MiniDhtConfig, MiniProtocol, MiniReport,
-    RouteTrace,
-};
+pub use platform::{CompletionTrace, HopTrace, MiniDht, MiniReport, RouteTrace};

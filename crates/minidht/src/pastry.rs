@@ -7,11 +7,9 @@
 //! rows address regions of one or `base` IDs and are treated as
 //! structural, like Chord's short fingers.
 
-use ert_core::ElasticTable;
+use ert_core::{ElasticTable, Geometry, HopCandidates};
 use ert_overlay::{ring::shortest_distance, ArcMembers, PastryRegistry, PastrySpace};
 use ert_sim::SimRng;
-
-use crate::geometry::{Geometry, HopCandidates};
 
 /// The slot holding the leaf set.
 const LEAF_SLOT: u16 = u16::MAX;
@@ -241,16 +239,6 @@ mod tests {
             // `row`.
             assert_eq!(g.space.shared_prefix_len(node, cand), row);
         }
-    }
-
-    #[test]
-    fn inlink_candidates_resume_after_any_pair() {
-        crate::geometry::assert_inlink_scan_resumes(&geometry());
-    }
-
-    #[test]
-    fn each_inlink_holder_has_one_elastic_slot() {
-        crate::geometry::assert_one_elastic_slot_per_holder(&geometry());
     }
 
     #[test]

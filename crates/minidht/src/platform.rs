@@ -3,59 +3,15 @@
 
 use std::collections::BTreeSet;
 
-use ert_core::{max_indegree, normalize_capacities, ErtParams};
+use ert_core::node::{
+    AdaptTrace, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer, Step, Task,
+};
+use ert_core::{max_indegree, normalize_capacities};
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
 use serde::Serialize;
 
-use crate::geometry::Geometry;
-use crate::node::{ErtNode, Hop, Lookup, PeerAnswer, PeerOp, Window};
 use crate::peer_index::PeerIndex;
-
-/// Which protocol a mini platform runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MiniProtocol {
-    /// The geometry's classic table (one neighbor per slot) with
-    /// deterministic greedy routing.
-    Classic,
-    /// The full ERT mechanism: capacity-bounded indegree assignment and
-    /// expansion, periodic adaptation, b-way forwarding with memory.
-    ElasticErt,
-}
-
-/// Configuration of a mini-platform run (Table 2 queueing defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct MiniDhtConfig {
-    /// Master seed.
-    pub seed: u64,
-    /// Service time of a light node (heavy is 5×).
-    pub light_service: SimDuration,
-    /// Service time of a heavy node.
-    pub heavy_service: SimDuration,
-    /// ERT parameters; `alpha` defaults to `scale_hint + 3` by analogy
-    /// with the paper's `d + 3`.
-    pub ert: ErtParams,
-    /// Hop-limit safety valve.
-    pub max_hops: u32,
-}
-
-impl MiniDhtConfig {
-    /// Defaults; `scale_hint` plays the role of the overlay dimension
-    /// in the `α = d + 3` rule (use the Chord bit width or the Pastry
-    /// digit count × digit width).
-    pub fn defaults(scale_hint: u8, seed: u64) -> Self {
-        MiniDhtConfig {
-            seed,
-            light_service: SimDuration::from_secs_f64(0.2),
-            heavy_service: SimDuration::from_secs_f64(1.0),
-            ert: ErtParams {
-                alpha: scale_hint as f64 + 3.0,
-                ..ErtParams::default()
-            },
-            max_hops: 64 + 8 * scale_hint as u32,
-        }
-    }
-}
 
 /// Digest of one mini-platform run.
 #[derive(Debug, Clone, Serialize)]
@@ -101,20 +57,6 @@ pub struct CompletionTrace {
     pub at_micros: u64,
 }
 
-/// One node's indegree-adaptation outcome in one adaptation round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptTrace {
-    /// Adaptation round counter (0-based).
-    pub round: u32,
-    /// Ring id of the adapting node.
-    pub node: u64,
-    /// Signed indegree delta requested: `-shed` (post-clamp) for Shed,
-    /// the raw grow amount for Grow, `0` for Keep.
-    pub delta: i64,
-    /// The node's `d_max` after applying the action.
-    pub d_max: u32,
-}
-
 /// Complete decision trace of one run: every source draw, every per-hop
 /// routing decision, every completion/drop, and the full
 /// indegree-adaptation sequence. All fields are integers so equality is
@@ -143,8 +85,8 @@ enum Ev {
 
 /// The mini platform: a geometry plus the Table 2 queueing model. It
 /// is the driver of a vector of [`ErtNode`]s — event engine, query and
-/// trace bookkeeping, the report — and reaches a node's peers by
-/// indexing that vector.
+/// trace bookkeeping, the report — and answers a node's asks from the
+/// asked peers in that vector.
 #[derive(Debug)]
 pub struct MiniDht<G: Geometry> {
     cfg: MiniDhtConfig,
@@ -219,40 +161,10 @@ impl<G: Geometry> MiniDht<G> {
         };
         let order = net.rng.sample_indices(net.nodes.len(), net.nodes.len());
         for i in order {
-            net.window(i).0.build_table();
+            let build = net.nodes[i].build(&net.geometry, &net.cfg);
+            run(&mut net.nodes, &net.peers, i, build);
         }
         Ok(net)
-    }
-
-    /// Node `i`'s window — the node split out of the vector, its peers
-    /// served in place on either side of it — and the stream its
-    /// forwarding decisions draw from.
-    fn window(
-        &mut self,
-        i: usize,
-    ) -> (
-        Window<'_, G, impl FnMut(u64, PeerOp) -> PeerAnswer + '_>,
-        &mut SimRng,
-    ) {
-        let rng = match self.decide_rngs.as_mut() {
-            Some(streams) => &mut streams[i],
-            None => &mut self.rng,
-        };
-        let index = &self.peers;
-        let (left, rest) = self.nodes.split_at_mut(i);
-        #[expect(
-            clippy::expect_used,
-            reason = "`i` is always a node index of this driver (the node a service just finished on, or the adaptation loop's 0..n), so nodes[i..] is nonempty"
-        )]
-        let (me, right) = rest.split_first_mut().expect("node index in range");
-        let peers = move |peer: u64, op| match index.index_of(peer) {
-            Some(j) if j < i => PeerAnswer::Report(left[j].serve(op)),
-            Some(j) if j > i => PeerAnswer::Report(right[j - i - 1].serve(op)),
-            // The window answers for the node itself before asking.
-            _ => PeerAnswer::Unknown,
-        };
-        let window = Window::new(&self.cfg, self.protocol, &self.geometry, me, peers);
-        (window, rng)
     }
 
     /// Read access to the geometry.
@@ -417,10 +329,12 @@ impl<G: Geometry> MiniDht<G> {
         if let Some((q, service)) = next {
             self.engine.schedule_at(now + service, Ev::Done { node, q });
         }
-        let hop = {
-            let (mut window, rng) = self.window(node);
-            window.route(&mut lookup, rng)
+        let rng = match self.decide_rngs.as_mut() {
+            Some(streams) => &mut streams[node],
+            None => &mut self.rng,
         };
+        let route = self.nodes[node].route(&self.geometry, &self.cfg, &mut lookup, rng);
+        let hop = run(&mut self.nodes, &self.peers, node, route);
         match hop {
             Hop::Found => {
                 self.outstanding -= 1;
@@ -451,7 +365,8 @@ impl<G: Geometry> MiniDht<G> {
 
     fn on_adapt(&mut self) {
         for i in 0..self.nodes.len() {
-            let adapt = self.window(i).0.adapt();
+            let task = self.nodes[i].adapt(&self.geometry, &self.cfg);
+            let adapt = run(&mut self.nodes, &self.peers, i, task);
             if let Some(tr) = self.trace.as_mut() {
                 tr.adapts.push(adapt);
             }
@@ -467,6 +382,24 @@ impl<G: Geometry> MiniDht<G> {
         self.dropped += 1;
         if let Some(tr) = self.trace.as_mut() {
             tr.drops.push(q);
+        }
+    }
+}
+
+/// Steps node `i`'s `task` to its end. Each ask is answered inline, in
+/// issue order, by the asked peer's `serve`; an id the driver does not
+/// host, node `i` included, is unknown.
+fn run<T: Task>(nodes: &mut [ErtNode], peers: &PeerIndex, i: usize, mut task: T) -> T::Out {
+    let mut answer = None;
+    loop {
+        match task.step(&mut nodes[i], answer) {
+            Step::Done(out) => return out,
+            Step::Ask { peer, op } => {
+                answer = Some(match peers.index_of(peer) {
+                    Some(j) if j != i => PeerAnswer::Report(nodes[j].serve(op)),
+                    _ => PeerAnswer::Unknown,
+                });
+            }
         }
     }
 }
@@ -670,7 +603,7 @@ mod tests {
         let [clear, set] = net
             .nodes
             .iter()
-            .fold([0, 0], |[c, s], n| [c + n.inserts[0], s + n.inserts[1]]);
+            .fold([0, 0], |[c, s], n| [c + n.inserts()[0], s + n.inserts()[1]]);
         assert!(clear + set > 50 * 512, "only {} inserts", clear + set);
         assert!(clear > 4 * set, "{clear} fast, {set} scanned");
     }

@@ -1,0 +1,153 @@
+//! The `Geometry` contract the shared `ErtNode` stands on, checked on
+//! this crate's Chord and Pastry geometries, and the Chord ring the
+//! node's own tests in `ert-core` run on, pinned to the production
+//! geometry.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use ert_core::drive;
+use ert_minidht::{
+    ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PastryGeometry,
+    PeerAnswer,
+};
+use ert_sim::SimRng;
+
+fn chord() -> ChordGeometry {
+    ChordGeometry::populate(10, 150, &mut SimRng::seed_from(1))
+}
+
+fn pastry() -> PastryGeometry {
+    PastryGeometry::populate(6, 2, 150, &mut SimRng::seed_from(3))
+}
+
+/// Resuming after any yielded pair gives exactly the rest of the
+/// from-the-top order.
+fn assert_inlink_scan_resumes(g: &impl Geometry) {
+    for node in g.members().into_iter().step_by(17) {
+        let all: Vec<(u16, u64)> = g.inlink_candidates(node, None).collect();
+        assert!(all.len() > 20);
+        for (i, &pair) in all.iter().enumerate() {
+            let rest: Vec<(u16, u64)> = g.inlink_candidates(node, Some(pair)).collect();
+            assert_eq!(rest, all[i + 1..], "node {node}, after {pair:?}");
+        }
+    }
+}
+
+/// The contract that lets an "added" answer be recorded without a
+/// search. No holder repeats in a node's inlink candidates, and each is
+/// paired with the one non-structural slot of its own table whose
+/// region holds the node.
+fn assert_one_elastic_slot_per_holder(g: &impl Geometry) {
+    let mut pairs = 0;
+    for node in g.members().into_iter().step_by(7) {
+        let mut seen = BTreeSet::new();
+        for (slot, holder) in g.inlink_candidates(node, None) {
+            assert!(seen.insert(holder), "node {node}: holder {holder} repeats");
+            let holding: Vec<u16> = g
+                .table_slots(holder)
+                .into_iter()
+                .filter(|(s, members)| !g.is_structural(*s) && members.contains(&node))
+                .map(|(s, _)| s)
+                .collect();
+            assert_eq!(holding, [slot], "node {node}, holder {holder}");
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 100, "only {pairs} pairs checked");
+}
+
+#[test]
+fn chord_inlink_candidates_resume_after_any_pair() {
+    assert_inlink_scan_resumes(&chord());
+}
+
+#[test]
+fn chord_inlink_holders_have_one_elastic_slot() {
+    assert_one_elastic_slot_per_holder(&chord());
+}
+
+#[test]
+fn pastry_inlink_candidates_resume_after_any_pair() {
+    assert_inlink_scan_resumes(&pastry());
+}
+
+#[test]
+fn pastry_inlink_holders_have_one_elastic_slot() {
+    assert_one_elastic_slot_per_holder(&pastry());
+}
+
+/// The 16-node ring of `ert-core`'s node tests, `0, 4, …, 60` on 2^6
+/// ids. Those tests run on a copy of this geometry that `ert-core` can
+/// build without this crate; the copy's test `the_test_ring_is_pinned`
+/// pins the same values, so a change to either side fails one of them.
+fn core_test_ring() -> ChordGeometry {
+    let members: Vec<u64> = (0..16).map(|i| i * 4).collect();
+    ChordGeometry::from_members(6, &members)
+}
+
+/// Node 0's inlink candidates on the core test ring, in scan order.
+const CORE_RING_INLINKS: [(u16, u64); 7] = [
+    (5, 20),
+    (5, 24),
+    (5, 28),
+    (5, 32),
+    (4, 44),
+    (4, 48),
+    (3, 56),
+];
+
+#[test]
+fn the_core_node_tests_ring_is_this_chord_ring() {
+    let g = core_test_ring();
+    let candidates: Vec<(u16, u64)> = g.inlink_candidates(0, None).collect();
+    assert_eq!(candidates, CORE_RING_INLINKS);
+    let regions: Vec<(u16, Vec<u64>)> = g.region_slots(0).map(|(s, m)| (s, m.to_vec())).collect();
+    let pinned = [
+        (2, vec![4]),
+        (3, vec![8]),
+        (4, vec![16, 20]),
+        (5, vec![32, 36, 40, 44]),
+    ];
+    assert_eq!(regions, pinned);
+    assert_eq!(g.sentinel_slot(0), (u16::MAX, vec![4, 8, 12, 16]));
+    let structural: Vec<u16> = (0..6)
+        .chain([u16::MAX])
+        .filter(|&s| g.is_structural(s))
+        .collect();
+    assert_eq!(structural, [0, 1, 2, u16::MAX]);
+}
+
+/// A hop with no outlink toward the owner falls back to the successor
+/// list, and the node writes the geometry's refresh into that slot:
+/// the refresh path the core tests' copy of the ring leaves out.
+#[test]
+fn a_route_with_an_empty_table_refreshes_the_successor_list() {
+    let g = core_test_ring();
+    let cfg = MiniDhtConfig::defaults(6, 9);
+    let mut peers: BTreeMap<u64, ErtNode> = g
+        .members()
+        .into_iter()
+        .map(|id| (id, ErtNode::new(id, 8, MiniProtocol::ElasticErt)))
+        .collect();
+    let mut me = peers.remove(&0).unwrap();
+    let mut lookup = Lookup {
+        query: 1,
+        key: 50,
+        hops: 0,
+        attempts: 0,
+        numeric_mode: false,
+        avoid: BTreeSet::new(),
+    };
+    let mut rng = SimRng::seed_from(1);
+    let route = me.route(&g, &cfg, &mut lookup, &mut rng);
+    let hop = drive(&mut me, route, |peer, op| {
+        PeerAnswer::Report(peers.get_mut(&peer).unwrap().serve(op))
+    });
+    let (slot, succ) = g.sentinel_slot(0);
+    assert_eq!(me.table().outlinks(slot), succ);
+    assert!(
+        matches!(hop, Hop::Next(next) if succ.contains(&next)),
+        "{hop:?}"
+    );
+    assert_eq!(lookup.hops, 1);
+}

@@ -1,13 +1,13 @@
 //! The single-threaded node reactor.
 //!
-//! A [`WireNode`] is the shared [`ErtNode`] of `ert-minidht` — the same
+//! A [`WireNode`] is the shared [`ErtNode`] of `ert-core` — the same
 //! state and the same Algorithm 1–4 steps the simulator runs — plus
 //! what only a live process needs: its own membership view, held as a
 //! copy-on-write Chord geometry and kept current frame by frame, and
 //! the codec. Nodes built on one view share it until one of them learns
 //! a change the others have not (see [`WireNode::with_view`]).
-//! Where the simulator reaches a peer by indexing its node vector,
-//! this node encodes the [`PeerOp`] as a `ProbeLoad` or
+//! Where the simulator answers a task's ask from the peer in its node
+//! vector, this node encodes the [`PeerOp`] as a `ProbeLoad` or
 //! `AdaptIndegree` frame, sends it through its
 //! [`Transport`], and decodes the `LoadReport` that comes back; the
 //! peer's [`WireNode::on_request`] decodes the frame into the same
@@ -25,9 +25,10 @@
 use std::fmt;
 use std::sync::Arc;
 
+use ert_core::Task;
 use ert_minidht::{
     AdaptTrace, ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
-    PeerAnswer, PeerOp, PeerReport, Window,
+    PeerAnswer, PeerOp, PeerReport,
 };
 use ert_sim::SimRng;
 
@@ -82,7 +83,6 @@ pub struct WireNode {
     geometry: Arc<ChordGeometry>,
     decide: SimRng,
     cfg: MiniDhtConfig,
-    protocol: MiniProtocol,
     stabilize_round: u32,
     /// The outgoing RPC's frame, kept so that asking allocates nothing.
     request: Vec<u8>,
@@ -126,6 +126,28 @@ fn ask(
         Err(TransportError::Partitioned { .. }) => Ok(PeerAnswer::Unreachable),
         Err(e) => Err(e.into()),
     }
+}
+
+/// Steps `ert`'s `task` to its end over `t`, asking each peer by
+/// [`ask`] in issue order. The first wire failure hides every later
+/// peer from the task (they answer `Unreachable`) and is returned in
+/// place of the task's result.
+fn drive<T: Task>(
+    ert: &mut ErtNode,
+    t: &mut dyn Transport,
+    frame: &mut Vec<u8>,
+    token: u64,
+    task: T,
+) -> Result<T::Out, NodeError> {
+    let mut failure = None;
+    let out = ert_core::drive(ert, task, |peer, op| match failure {
+        Some(_) => PeerAnswer::Unreachable,
+        None => ask(t, frame, token, peer, op).unwrap_or_else(|e| {
+            failure = Some(e);
+            PeerAnswer::Unreachable
+        }),
+    });
+    failure.map_or(Ok(out), Err)
 }
 
 impl WireNode {
@@ -174,7 +196,6 @@ impl WireNode {
             geometry,
             decide: SimRng::seed_from(cfg.seed ^ id).fork("decide"),
             cfg: *cfg,
-            protocol,
             stabilize_round: 0,
             request: Vec::new(),
         }
@@ -216,42 +237,6 @@ impl WireNode {
     /// equality.
     pub fn fingerprint(&self) -> String {
         self.ert.fingerprint()
-    }
-
-    /// Runs one step of the shared node with its peers reached over
-    /// `t`. `step` also gets the decision stream. The first wire
-    /// failure hides every later peer from the step and is returned in
-    /// place of the step's result.
-    fn with_peers<R>(
-        &mut self,
-        t: &mut dyn Transport,
-        token: u64,
-        step: impl FnOnce(
-            &mut Window<'_, ChordGeometry, &mut dyn FnMut(u64, PeerOp) -> PeerAnswer>,
-            &mut SimRng,
-        ) -> R,
-    ) -> Result<R, NodeError> {
-        let mut failure = None;
-        let mut carry = |peer, op| {
-            if failure.is_some() {
-                return PeerAnswer::Unreachable;
-            }
-            ask(t, &mut self.request, token, peer, op).unwrap_or_else(|e| {
-                failure = Some(e);
-                PeerAnswer::Unreachable
-            })
-        };
-        let out = step(
-            &mut Window::new(
-                &self.cfg,
-                self.protocol,
-                &*self.geometry,
-                &mut self.ert,
-                &mut carry,
-            ),
-            &mut self.decide,
-        );
-        failure.map_or(Ok(out), Err)
     }
 
     /// Fails closed on a peer's id outside the ring, which no view holds.
@@ -384,7 +369,8 @@ impl WireNode {
     /// Propagates peer protocol violations; unknown and partitioned
     /// candidates are passed over.
     pub fn build_links(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        self.with_peers(t, 0, |w, _| w.build_table())
+        let build = self.ert.build(&*self.geometry, &self.cfg);
+        drive(&mut self.ert, t, &mut self.request, 0, build)
     }
 
     // ---- datagram lane -------------------------------------------------
@@ -508,7 +494,10 @@ impl WireNode {
                 if let Some((query, service)) = next {
                     t.timer(service, TimerKind::ServiceDone { query });
                 }
-                let hop = self.with_peers(t, query, |w, decide| w.route(&mut lookup, decide))?;
+                let route =
+                    self.ert
+                        .route(&*self.geometry, &self.cfg, &mut lookup, &mut self.decide);
+                let hop = drive(&mut self.ert, t, &mut self.request, query, route)?;
                 let (status, owner) = match hop {
                     Hop::Next(next) => {
                         let frame = encode(&Message::Lookup {
@@ -537,7 +526,10 @@ impl WireNode {
                 )?;
                 Ok(None)
             }
-            TimerKind::AdaptTick => self.with_peers(t, 0, |w, _| w.adapt()).map(Some),
+            TimerKind::AdaptTick => {
+                let adapt = self.ert.adapt(&*self.geometry, &self.cfg);
+                drive(&mut self.ert, t, &mut self.request, 0, adapt).map(Some)
+            }
         }
     }
 }

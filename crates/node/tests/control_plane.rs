@@ -28,7 +28,7 @@
 //! that hold it in an elastic slot — which is what lets the shared node
 //! record an "added" answer without searching its fingers first.
 
-use ert_faults::{FaultPlan, RetryPolicy};
+use ert_faults::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 
 use ert_minidht::{ChordGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol};
@@ -291,4 +291,41 @@ fn double_links_are_symmetric_after_build_and_after_a_run() {
         assert_double_links_symmetric("wire, run", &wire.table_fingerprints(), &geometry);
         assert_double_links_symmetric("MiniDht, run", &sim.table_fingerprints(), &geometry);
     }
+}
+
+/// A build under a two-way partition from t = 0. Under Classic every
+/// pick is a node's own, and a pick in an elastic slot is recorded at
+/// its target only by the node's `AddBackward`: a target across the cut
+/// cannot hear it, so the node keeps no link to it. The double links
+/// stay symmetric, on the side of the cut each was made on.
+#[test]
+fn a_classic_build_across_a_partition_keeps_its_double_links_symmetric() {
+    let seed = 41;
+    let geometry = ChordGeometry::populate(BITS, N, &mut SimRng::seed_from(seed));
+    let build = |plan: &FaultPlan| {
+        let cfg = MiniDhtConfig::defaults(BITS, seed);
+        let (members, caps) = (geometry.members(), capacities());
+        let (protocol, retry) = (MiniProtocol::Classic, RetryPolicy::default());
+        WireCluster::new(cfg, BITS, &members, &caps, protocol, plan, retry, None)
+            .expect("cluster construction")
+    };
+    let mut plan = FaultPlan::new(seed);
+    plan.events.push(FaultEvent {
+        at: SimTime::ZERO,
+        kind: FaultKind::Partition {
+            groups: 2,
+            window: SimDuration::from_secs_f64(60.0),
+        },
+    });
+    let (cut, whole) = (build(&plan), build(&FaultPlan::new(seed)));
+    let (kept, built) = (total_indegree(&cut), total_indegree(&whole));
+    assert!(
+        kept < built,
+        "{kept} of {built} links kept: no pick crossed the cut"
+    );
+    assert_double_links_symmetric(
+        "wire, Classic, partitioned",
+        &cut.table_fingerprints(),
+        &geometry,
+    );
 }

@@ -14,7 +14,7 @@
 //! * bit-identical scalar outcomes (completions, drops, mean lookup
 //!   time compared via `f64::to_bits`).
 //!
-//! Both sides run the same `ert_minidht::ErtNode` steps, so agreement
+//! Both sides run the same `ert_core::ErtNode` steps, so agreement
 //! on the protocol logic is by construction. What the oracle pins is
 //! everything that can still differ between the two hosts: event
 //! ordering, the RNG streams handed to the steps, the codec every
