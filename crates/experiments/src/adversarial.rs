@@ -137,7 +137,7 @@ pub static SYBIL_PANEL: Panel = Panel {
 const FLOOD_START: f64 = 0.3;
 
 /// The flood [`flood_recovery`] runs, sized relative to the scenario's
-/// injection horizon: the flash crowd starts at [`FLOOD_START`] of the
+/// injection horizon: the flash crowd starts at `FLOOD_START` of the
 /// horizon, injects half the base lookup count onto one key over a 20%
 /// window, and leaves the back half of the run to recover in.
 pub fn flood_script(s: &Scenario) -> FaultEvent {

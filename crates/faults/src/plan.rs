@@ -4,7 +4,7 @@ use ert_sim::{SimDuration, SimTime};
 use serde::Serialize;
 
 /// The largest flood window the sort-key packing can carry:
-/// [`FaultKind::param_bits`] packs the window's microseconds into
+/// `FaultKind::param_bits` packs the window's microseconds into
 /// 32 bits next to the query count, so windows are capped at ~4295 s —
 /// far beyond any simulated horizon.
 pub const MAX_FLOOD_WINDOW_MICROS: u64 = (1 << 32) - 1;

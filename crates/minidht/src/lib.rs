@@ -9,7 +9,7 @@
 //! * [`PastryGeometry`] — the prefix-routing Pastry overlay (whose
 //!   table shape Tapestry shares).
 //!
-//! Both run inside one shared queueing simulator ([`MiniDht`]) using the
+//! Both run inside one queueing simulator ([`MiniDht`]) using the
 //! Table 2 model (light/heavy service, queue-length congestion) and the
 //! unchanged `ert-core` mechanism: capacity-bounded indegree assignment
 //! and expansion, periodic adaptation, and b-way forwarding with memory.
@@ -21,11 +21,16 @@
 //! The protocol itself lives in one place, `ert_core::node`: the
 //! [`ErtNode`] with the steps of Algorithms 1–4, each operation that
 //! reaches peers a task that asks one peer at a time. This crate
-//! re-exports it under the names its hosts use. [`MiniDht`] is the
-//! driver of a vector of such nodes and answers a node's ask by calling
-//! the asked peer's `serve` between two steps; `ert-node`'s `WireNode`
-//! hosts the same node and answers by RPC. Both drivers turn a peer id
-//! into a node index through one [`PeerIndex`].
+//! re-exports it under the names its hosts use. [`MiniDht`] is the one
+//! deterministic driver of such nodes — one event loop, one client with
+//! its query table, one [`RouteTrace`], one [`MiniReport`] — and is
+//! generic over a [`Link`], which carries a node's three crossings:
+//! answer a peer's ask, forward a lookup, answer the client. [`Direct`]
+//! answers an ask by calling the asked peer's `serve` between two steps
+//! and loses nothing; `ert-node`'s switch puts each crossing through
+//! the wire codec and its fault plan. A peer id becomes a node index
+//! through one [`PeerIndex`]. A live `ert-node` process hosts the same
+//! node on its own and answers by RPC.
 //!
 //! ```
 //! use ert_minidht::{ChordGeometry, MiniDht, MiniDhtConfig, MiniProtocol};
@@ -65,4 +70,6 @@ pub use ert_core::node::{
 };
 pub use pastry::PastryGeometry;
 pub use peer_index::PeerIndex;
-pub use platform::{CompletionTrace, HopTrace, MiniDht, MiniReport, RouteTrace};
+pub use platform::{
+    CompletionTrace, Direct, HopTrace, Link, MiniDht, MiniReport, Reply, RouteTrace,
+};

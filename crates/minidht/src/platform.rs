@@ -1,26 +1,29 @@
-//! The mini queueing simulator: the driver of a vector of
-//! [`ErtNode`]s (event engine, query and trace bookkeeping, report).
+//! The one deterministic driver of [`ErtNode`]s: event engine, the
+//! client's query table, the trace and the report. How a node's
+//! messages reach the far end is the driver's [`Link`].
 
 use std::collections::BTreeSet;
 
 use ert_core::node::{
-    AdaptTrace, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer, Step, Task,
+    AdaptTrace, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp,
+    Step, Task,
 };
 use ert_core::{max_indegree, normalize_capacities};
+use ert_faults::RetryPolicy;
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
 use serde::Serialize;
 
 use crate::peer_index::PeerIndex;
 
-/// Digest of one mini-platform run.
+/// Digest of one driver run.
 #[derive(Debug, Clone, Serialize)]
 pub struct MiniReport {
     /// Platform + protocol name ("Chord+ERT", "Pastry", ...).
     pub protocol: String,
     /// Lookups completed.
     pub completed: u64,
-    /// Lookups dropped at the hop limit.
+    /// Lookups whose final answer was `Dropped` or `Failed`.
     pub dropped: u64,
     /// Mean request path length in hops.
     pub mean_path_length: f64,
@@ -32,6 +35,44 @@ pub struct MiniReport {
     pub p99_share: f64,
     /// Heavy nodes encountered in routings.
     pub heavy_encounters: u64,
+    /// Lookups the client abandoned after its last resend.
+    #[serde(skip)]
+    pub gave_up: u64,
+    /// Lookups still unanswered when the event queue drained.
+    #[serde(skip)]
+    pub unresolved: u64,
+    /// `ProbeLoad` RPCs the link carried (0 on [`Direct`]).
+    #[serde(skip)]
+    pub probe_rpcs: u64,
+    /// `AdaptIndegree` RPCs the link carried (0 on [`Direct`]).
+    #[serde(skip)]
+    pub adapt_rpcs: u64,
+}
+
+impl MiniReport {
+    /// Canonical rendering with float fields as exact bit patterns —
+    /// equal strings mean bit-identical runs.
+    pub fn canonical_string(&self) -> String {
+        format!(
+            "proto={};completed={};dropped={};gave_up={};unresolved={};hops={:016x};\
+             lt_count={};lt_mean={:016x};lt_p99={:016x};p99g={:016x};p99s={:016x};\
+             heavy={};probes={};adapt={}",
+            self.protocol,
+            self.completed,
+            self.dropped,
+            self.gave_up,
+            self.unresolved,
+            self.mean_path_length.to_bits(),
+            self.lookup_time.count,
+            self.lookup_time.mean.to_bits(),
+            self.lookup_time.p99.to_bits(),
+            self.p99_max_congestion.to_bits(),
+            self.p99_share.to_bits(),
+            self.heavy_encounters,
+            self.probe_rpcs,
+            self.adapt_rpcs,
+        )
+    }
 }
 
 /// One forwarding decision: query `query` was sent from node `from` to
@@ -69,26 +110,115 @@ pub struct RouteTrace {
     pub hops: Vec<HopTrace>,
     /// Every completion, in completion order.
     pub completions: Vec<CompletionTrace>,
-    /// Query indices dropped (hop limit or no owner), in drop order.
+    /// Query indices a node answered `Dropped` or `Failed`, in answer
+    /// order.
     pub drops: Vec<u64>,
     /// Indegree-adaptation outcomes, in round then node-index order.
     pub adapts: Vec<AdaptTrace>,
 }
 
-#[derive(Debug)]
-enum Ev {
-    Inject { key: u64 },
-    Arrive { lookup: Lookup, to: u64 },
-    Done { node: usize, q: u64 },
-    Adapt,
+/// A lookup's end on its way from the node that decided it to the
+/// client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reply {
+    /// Query index.
+    pub query: u64,
+    /// How the lookup ended: `Found`, `Dropped` or `Failed`, never
+    /// `Next`.
+    pub hop: Hop,
+    /// Ring id of the answering node, the key's owner when `Found`.
+    pub owner: u64,
+    /// Hops taken.
+    pub hops: u32,
 }
 
-/// The mini platform: a geometry plus the Table 2 queueing model. It
-/// is the driver of a vector of [`ErtNode`]s — event engine, query and
-/// trace bookkeeping, the report — and answers a node's asks from the
-/// asked peers in that vector.
+/// How a node's messages reach the far end: the three crossings a node
+/// makes, each handed over by the driver at the point the node makes
+/// it. Nodes are named by their index in the driver's node vector.
+///
+/// A link decides what a crossing costs and whether it arrives; the
+/// driver decides what happens next, the same way on every link.
+pub trait Link {
+    /// Carries node `from`'s ask `op` to node `to`, which is `peer`,
+    /// and returns the answer. `token` is the query a route's probe is
+    /// made for, or 0.
+    fn ask(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        to: usize,
+        peer: &mut ErtNode,
+        op: PeerOp,
+        token: u64,
+    ) -> PeerAnswer;
+
+    /// Carries `lookup` from node `from` to node `to`; `None` if it is
+    /// lost on the way.
+    fn forward(&mut self, now: SimTime, from: usize, to: usize, lookup: Lookup) -> Option<Lookup>;
+
+    /// Carries node `from`'s `reply` to the client; `None` if it is
+    /// lost on the way.
+    fn reply(&mut self, now: SimTime, from: usize, reply: Reply) -> Option<Reply>;
+}
+
+/// The link inside one process: an ask is the peer's `serve`, called
+/// between two steps of the asking task, and nothing is lost.
+#[derive(Debug, Clone, Copy)]
+pub struct Direct;
+
+impl Link for Direct {
+    #[inline]
+    fn ask(
+        &mut self,
+        _: SimTime,
+        _: usize,
+        _: usize,
+        peer: &mut ErtNode,
+        op: PeerOp,
+        _: u64,
+    ) -> PeerAnswer {
+        PeerAnswer::Report(peer.serve(op))
+    }
+
+    #[inline]
+    fn forward(&mut self, _: SimTime, _: usize, _: usize, lookup: Lookup) -> Option<Lookup> {
+        Some(lookup)
+    }
+
+    #[inline]
+    fn reply(&mut self, _: SimTime, _: usize, reply: Reply) -> Option<Reply> {
+        Some(reply)
+    }
+}
+
 #[derive(Debug)]
-pub struct MiniDht<G: Geometry> {
+enum Ev {
+    Inject { query: u64 },
+    Arrive { lookup: Lookup, to: usize },
+    Done { node: usize, q: u64 },
+    Reply(Reply),
+    Adapt,
+    Resend { query: u64 },
+}
+
+/// The client's record of one query of the running schedule.
+#[derive(Debug, Clone, Copy)]
+struct Query {
+    key: u64,
+    source: usize,
+    started: SimTime,
+    /// Resends so far.
+    attempts: u32,
+    resolved: bool,
+}
+
+/// The driver: a geometry, the Table 2 queueing model, one [`ErtNode`]
+/// per member and the client that injects lookups, hears their answers
+/// and resends on its [`RetryPolicy`], all on one event engine. A
+/// node's ask is answered, and its lookups and answers are carried, by
+/// the driver's [`Link`].
+#[derive(Debug)]
+pub struct MiniDht<G: Geometry, L: Link = Direct> {
     cfg: MiniDhtConfig,
     protocol: MiniProtocol,
     geometry: G,
@@ -96,22 +226,26 @@ pub struct MiniDht<G: Geometry> {
     peers: PeerIndex,
     nodes: Vec<ErtNode>,
     capacities: Vec<f64>,
+    link: L,
+    retry: RetryPolicy,
     engine: Engine<Ev>,
-    /// Injection time of each query, in injection order.
-    started: Vec<SimTime>,
     rng: SimRng,
-    outstanding: u64,
-    injections_left: u64,
+    decide_rngs: Option<Vec<SimRng>>,
+    /// One entry per query of the running schedule.
+    queries: Vec<Query>,
+    /// Queries without a final answer.
+    pending: u64,
     lookup_times: Samples,
     path_lengths: Samples,
     dropped: u64,
+    gave_up: u64,
     trace: Option<RouteTrace>,
-    decide_rngs: Option<Vec<SimRng>>,
 }
 
 impl<G: Geometry> MiniDht<G> {
-    /// Builds the platform: one node per capacity mapped onto the
-    /// geometry's members, tables per protocol.
+    /// Builds the platform on the [`Direct`] link, with a client that
+    /// never resends: one node per capacity mapped onto the geometry's
+    /// members, tables per protocol.
     ///
     /// # Errors
     ///
@@ -124,6 +258,34 @@ impl<G: Geometry> MiniDht<G> {
         capacities: &[f64],
         protocol: MiniProtocol,
     ) -> Result<MiniDht<G>, String> {
+        MiniDht::with_link(
+            cfg,
+            geometry,
+            capacities,
+            protocol,
+            RetryPolicy::default(),
+            Direct,
+        )
+    }
+}
+
+impl<G: Geometry, L: Link> MiniDht<G, L> {
+    /// [`MiniDht::new`] on `link`, with a client that resends on
+    /// `retry`: the tables are built over the link. Under a retry
+    /// budget a node's failure answer is not final; the next resend
+    /// tries again, or the client gives up after its last.
+    ///
+    /// # Errors
+    ///
+    /// As [`MiniDht::new`], and an invalid `retry`.
+    pub fn with_link(
+        cfg: MiniDhtConfig,
+        geometry: G,
+        capacities: &[f64],
+        protocol: MiniProtocol,
+        retry: RetryPolicy,
+        link: L,
+    ) -> Result<MiniDht<G, L>, String> {
         let members = geometry.members();
         if members.len() != capacities.len() {
             return Err(format!(
@@ -133,6 +295,7 @@ impl<G: Geometry> MiniDht<G> {
             ));
         }
         cfg.ert.validate().map_err(|e| e.to_string())?;
+        retry.validate()?;
         let norm = normalize_capacities(capacities);
         let nodes: Vec<ErtNode> = members
             .iter()
@@ -148,21 +311,24 @@ impl<G: Geometry> MiniDht<G> {
             peers,
             nodes,
             capacities: capacities.to_vec(),
+            link,
+            retry,
             engine: Engine::new(),
-            started: Vec::new(),
             rng: SimRng::seed_from(cfg.seed),
-            outstanding: 0,
-            injections_left: 0,
+            decide_rngs: None,
+            queries: Vec::new(),
+            pending: 0,
             lookup_times: Samples::new(),
             path_lengths: Samples::new(),
             dropped: 0,
+            gave_up: 0,
             trace: None,
-            decide_rngs: None,
         };
         let order = net.rng.sample_indices(net.nodes.len(), net.nodes.len());
         for i in order {
             let build = net.nodes[i].build(&net.geometry, &net.cfg);
-            run(&mut net.nodes, &net.peers, i, build);
+            let (nodes, peers, link) = (&mut net.nodes, &net.peers, &mut net.link);
+            run(nodes, peers, link, SimTime::ZERO, i, 0, build);
         }
         Ok(net)
     }
@@ -170,6 +336,11 @@ impl<G: Geometry> MiniDht<G> {
     /// Read access to the geometry.
     pub fn geometry(&self) -> &G {
         &self.geometry
+    }
+
+    /// Read access to the link.
+    pub fn link(&self) -> &L {
+        &self.link
     }
 
     /// Elastic indegree of every node (for bound checks).
@@ -238,33 +409,47 @@ impl<G: Geometry> MiniDht<G> {
     }
 
     /// Runs an explicit injection schedule of `(time, key)` pairs
-    /// (monotone non-decreasing times). Source nodes are still drawn
-    /// per-injection from the platform's `"source"` fork, exactly as in
-    /// [`MiniDht::run_poisson`].
+    /// (monotone non-decreasing times); query `q` is the schedule's
+    /// `q`-th entry. Source nodes are drawn per injection from the
+    /// platform's `"source"` fork, exactly as in [`MiniDht::run_poisson`].
+    /// The run ends once every query has its final answer.
     pub fn run_schedule(&mut self, schedule: &[(SimTime, u64)]) -> MiniReport {
-        self.injections_left = schedule.len() as u64;
-        for &(t, key) in schedule {
-            self.engine.schedule_at(t, Ev::Inject { key });
+        self.queries = schedule
+            .iter()
+            .map(|&(_, key)| Query {
+                key,
+                source: 0,
+                started: SimTime::ZERO,
+                attempts: 0,
+                resolved: false,
+            })
+            .collect();
+        self.pending = schedule.len() as u64;
+        for (q, &(at, _)) in schedule.iter().enumerate() {
+            let query = q as u64;
+            self.engine.schedule_at(at, Ev::Inject { query });
         }
         if self.protocol == MiniProtocol::ElasticErt {
             self.engine
                 .schedule_in(self.cfg.ert.adaptation_period, Ev::Adapt);
         }
-        while let Some((now, ev)) = self.engine.pop() {
-            match ev {
-                Ev::Inject { key } => self.on_inject(key, now),
-                Ev::Arrive { lookup, to } => self.on_arrive(lookup, to, now),
-                Ev::Done { node, q } => self.on_done(node, q, now),
-                Ev::Adapt => self.on_adapt(),
-            }
-            if self.injections_left == 0 && self.outstanding == 0 {
+        while self.pending > 0 {
+            let Some((now, ev)) = self.engine.pop() else {
                 break;
+            };
+            match ev {
+                Ev::Inject { query } => self.on_inject(query, now),
+                Ev::Arrive { lookup, to } => self.arrive(to, lookup, now),
+                Ev::Done { node, q } => self.on_done(node, q, now),
+                Ev::Reply(reply) => self.on_reply(reply, now),
+                Ev::Adapt => self.on_adapt(now),
+                Ev::Resend { query } => self.on_resend(query, now),
             }
         }
         self.report()
     }
 
-    fn report(&mut self) -> MiniReport {
+    fn report(&self) -> MiniReport {
         let max_g: Samples = self.nodes.iter().map(ErtNode::max_congestion).collect();
         let total_load: f64 = self.nodes.iter().map(|n| n.total_received() as f64).sum();
         let total_cap: f64 = self.capacities.iter().sum();
@@ -287,33 +472,51 @@ impl<G: Geometry> MiniDht<G> {
             p99_max_congestion: max_g.percentile(0.99),
             p99_share: shares.percentile(0.99),
             heavy_encounters: self.nodes.iter().map(ErtNode::heavy_encounters).sum(),
+            gave_up: self.gave_up,
+            unresolved: self.pending,
+            probe_rpcs: 0,
+            adapt_rpcs: 0,
         }
     }
 
-    fn on_inject(&mut self, key: u64, now: SimTime) {
-        self.injections_left -= 1;
+    /// The client hands a query to its source node, which shares its
+    /// process: no link is crossed.
+    fn on_inject(&mut self, query: u64, now: SimTime) {
         let source = self.rng.fork("source").sample_indices(self.nodes.len(), 1)[0];
+        let entry = &mut self.queries[query as usize];
+        entry.source = source;
+        entry.started = now;
+        if let Some(tr) = self.trace.as_mut() {
+            tr.sources.push(self.nodes[source].id());
+        }
+        self.send(query, now);
+    }
+
+    /// Hands `query` to its source node, as it stands in the query
+    /// table, and arms the client's timer for the answer.
+    fn send(&mut self, query: u64, now: SimTime) {
+        let Query {
+            key,
+            source,
+            attempts,
+            ..
+        } = self.queries[query as usize];
         let lookup = Lookup {
-            query: self.started.len() as u64,
+            query,
             key,
             hops: 0,
-            attempts: 0,
+            attempts,
             numeric_mode: false,
             avoid: BTreeSet::new(),
         };
-        self.started.push(now);
-        self.outstanding += 1;
-        let id = self.nodes[source].id();
-        if let Some(tr) = self.trace.as_mut() {
-            tr.sources.push(id);
+        self.arrive(source, lookup, now);
+        if self.retry.enabled() {
+            let wait = self.retry.backoff(attempts + 1);
+            self.engine.schedule_at(now + wait, Ev::Resend { query });
         }
-        self.on_arrive(lookup, id, now);
     }
 
-    fn on_arrive(&mut self, lookup: Lookup, to: u64, now: SimTime) {
-        let Some(node) = self.peers.index_of(to) else {
-            return self.drop(lookup.query);
-        };
+    fn arrive(&mut self, node: usize, lookup: Lookup, now: SimTime) {
         let q = lookup.query;
         if let Some(service) = self.nodes[node].arrive(lookup, &self.cfg) {
             self.engine.schedule_at(now + service, Ev::Done { node, q });
@@ -324,8 +527,8 @@ impl<G: Geometry> MiniDht<G> {
         let Some((mut lookup, next)) = self.nodes[node].service_done(q, &self.cfg) else {
             return;
         };
-        // The next service is scheduled before the hop is committed;
-        // the wire cluster's `(time, seq)` order depends on it.
+        // The next service is scheduled before the hop is committed, as
+        // a live node arms its next timer before it sends.
         if let Some((q, service)) = next {
             self.engine.schedule_at(now + service, Ev::Done { node, q });
         }
@@ -334,69 +537,120 @@ impl<G: Geometry> MiniDht<G> {
             None => &mut self.rng,
         };
         let route = self.nodes[node].route(&self.geometry, &self.cfg, &mut lookup, rng);
-        let hop = run(&mut self.nodes, &self.peers, node, route);
-        match hop {
-            Hop::Found => {
-                self.outstanding -= 1;
-                self.lookup_times
-                    .push((now - self.started[q as usize]).as_secs_f64());
-                self.path_lengths.push(lookup.hops as f64);
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.completions.push(CompletionTrace {
-                        query: q,
-                        hops: lookup.hops,
-                        at_micros: now.as_micros(),
-                    });
-                }
+        let (nodes, peers, link) = (&mut self.nodes, &self.peers, &mut self.link);
+        let hop = run(nodes, peers, link, now, node, q, route);
+        let id = self.nodes[node].id();
+        if let Hop::Next(to) = hop {
+            // Recorded before the link can lose the lookup: the trace
+            // holds decisions.
+            if let Some(tr) = self.trace.as_mut() {
+                tr.hops.push(HopTrace {
+                    query: q,
+                    from: id,
+                    to,
+                });
             }
-            Hop::Next(to) => {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.hops.push(HopTrace {
-                        query: q,
-                        from: self.nodes[node].id(),
-                        to,
-                    });
-                }
+            // A lookup sent to an id the driver does not host vanishes.
+            let Some(to) = self.peers.index_of(to) else {
+                return;
+            };
+            if let Some(lookup) = self.link.forward(now, node, to, lookup) {
                 self.engine.schedule_at(now, Ev::Arrive { lookup, to });
             }
-            Hop::Dropped | Hop::Failed => self.drop(q),
+            return;
+        }
+        let reply = Reply {
+            query: q,
+            hop,
+            owner: id,
+            hops: lookup.hops,
+        };
+        if let Some(reply) = self.link.reply(now, node, reply) {
+            self.engine.schedule_at(now, Ev::Reply(reply));
         }
     }
 
-    fn on_adapt(&mut self) {
+    /// A failure answer is final only for a client that never resends.
+    fn on_reply(&mut self, reply: Reply, now: SimTime) {
+        let Some(entry) = self.queries.get_mut(reply.query as usize) else {
+            return;
+        };
+        if entry.resolved {
+            // A second answer: a resend raced a slow reply.
+            return;
+        }
+        if reply.hop == Hop::Found {
+            entry.resolved = true;
+            self.pending -= 1;
+            self.lookup_times.push((now - entry.started).as_secs_f64());
+            self.path_lengths.push(f64::from(reply.hops));
+            if let Some(tr) = self.trace.as_mut() {
+                tr.completions.push(CompletionTrace {
+                    query: reply.query,
+                    hops: reply.hops,
+                    at_micros: now.as_micros(),
+                });
+            }
+        } else if !self.retry.enabled() {
+            entry.resolved = true;
+            self.pending -= 1;
+            self.dropped += 1;
+            if let Some(tr) = self.trace.as_mut() {
+                tr.drops.push(reply.query);
+            }
+        }
+    }
+
+    fn on_adapt(&mut self, now: SimTime) {
         for i in 0..self.nodes.len() {
             let task = self.nodes[i].adapt(&self.geometry, &self.cfg);
-            let adapt = run(&mut self.nodes, &self.peers, i, task);
+            let (nodes, peers, link) = (&mut self.nodes, &self.peers, &mut self.link);
+            let adapt = run(nodes, peers, link, now, i, 0, task);
             if let Some(tr) = self.trace.as_mut() {
                 tr.adapts.push(adapt);
             }
         }
-        if self.injections_left > 0 || self.outstanding > 0 {
+        if self.pending > 0 {
             self.engine
                 .schedule_in(self.cfg.ert.adaptation_period, Ev::Adapt);
         }
     }
 
-    fn drop(&mut self, q: u64) {
-        self.outstanding -= 1;
-        self.dropped += 1;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.drops.push(q);
+    fn on_resend(&mut self, query: u64, now: SimTime) {
+        let entry = &mut self.queries[query as usize];
+        if entry.resolved {
+            return;
         }
+        if entry.attempts + 1 >= self.retry.max_attempts {
+            entry.resolved = true;
+            self.pending -= 1;
+            self.gave_up += 1;
+            return;
+        }
+        entry.attempts += 1;
+        self.send(query, now);
     }
 }
 
-/// Steps node `i`'s `task` to its end. Each ask is answered inline, in
-/// issue order, by the asked peer's `serve`; an id the driver does not
-/// host, node `i` included, is unknown.
-fn run<T: Task>(nodes: &mut [ErtNode], peers: &PeerIndex, i: usize, mut task: T) -> T::Out {
+/// Steps node `i`'s `task` to its end. Each ask goes over `link`, in
+/// issue order; an id the driver does not host, node `i` included, is
+/// unknown. `token` is the query a route's probes are made for, or 0.
+fn run<T: Task, L: Link>(
+    nodes: &mut [ErtNode],
+    peers: &PeerIndex,
+    link: &mut L,
+    now: SimTime,
+    i: usize,
+    token: u64,
+    mut task: T,
+) -> T::Out {
     let mut answer = None;
     loop {
         match task.step(&mut nodes[i], answer) {
             Step::Done(out) => return out,
             Step::Ask { peer, op } => {
                 answer = Some(match peers.index_of(peer) {
-                    Some(j) if j != i => PeerAnswer::Report(nodes[j].serve(op)),
+                    Some(j) if j != i => link.ask(now, i, j, &mut nodes[j], op, token),
                     _ => PeerAnswer::Unknown,
                 });
             }

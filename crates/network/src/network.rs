@@ -583,7 +583,7 @@ impl Network {
     ///
     /// The plan's events interleave with churn on the same event clock;
     /// at equal timestamps churn applies first, then the plan's events
-    /// in their canonical sorted order (see the [`Event`] ordering
+    /// in their canonical sorted order (see the `Event` ordering
     /// note), so permuting either schedule never changes the run. With
     /// an empty plan this is exactly [`Network::run`]: neither
     /// interpretation stream is drawn from, no plan events are

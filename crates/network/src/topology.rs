@@ -371,7 +371,7 @@ impl Topology {
 
     /// The slab index currently holding `id`, if the ID is live: one
     /// read of the ID index, which is exact (see
-    /// [`Topology::on_id_index`]). Armed builds check that the entry
+    /// `Topology::on_id_index`). Armed builds check that the entry
     /// names a live node.
     pub fn node_idx(&self, id: CycloidId) -> Option<usize> {
         let entry = *self.id_index.get(self.space.lin(id) as usize)?;

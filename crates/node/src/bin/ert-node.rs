@@ -8,8 +8,9 @@
 //! frames forever: lookups are forwarded with the two-choice elastic
 //! policy, stabilize rounds run every 2 s of real time, and indegree
 //! adaptation every `adaptation_period`. All protocol logic is the
-//! same `WireNode` the deterministic oracle runs — only the transport
-//! and the clock differ here.
+//! same `ErtNode` the deterministic driver runs, and its frames are
+//! built by the same codec glue as the driver's in-memory switch — only
+//! the transport and the clock differ here.
 
 #![forbid(unsafe_code)]
 

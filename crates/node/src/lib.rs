@@ -7,16 +7,16 @@
 //! load probing, and indegree adaptation all run as real wire
 //! exchanges between peers instead of method calls on one struct.
 //!
-//! Two transports implement the trait:
-//!
-//! * [`WireCluster`] — a deterministic in-memory switch keyed on
-//!   `(time, seq)` with `ert-faults` loss/partition hooks. This is the
-//!   test harness and the half of the differential oracle that runs
-//!   live nodes; `ert-testkit`'s `diff::wire` module drives it against
-//!   `MiniDht` and asserts identical hop-by-hop routing decisions and
-//!   indegree-adaptation sequences.
-//! * a UDP event loop (feature `udp`, module [`udp`]) behind the
-//!   `ert-node` binary, for running a real process-per-node cluster.
+//! A [`WireNode`] runs on a UDP event loop (feature `udp`, module
+//! `udp`) behind the `ert-node` binary, for a real process-per-node
+//! cluster. The deterministic cluster, [`WireCluster`], does not host
+//! `WireNode`s: it is `ert-minidht`'s one driver, `MiniDht`, on the
+//! in-memory switch, a `Link` that encodes each crossing with the same
+//! codec glue a `WireNode` calls, rolls `ert-faults` loss and partition
+//! hooks on it and decodes it at the far end. `ert-testkit`'s
+//! `diff::wire` module runs it against the same driver on its `Direct`
+//! link and asserts identical hop-by-hop routing decisions and
+//! indegree-adaptation sequences, which pins the codec and the switch.
 //!
 //! Determinism rules inherited from the workspace: no wall clock in
 //! library code (the binary driver feeds elapsed time in), no
@@ -48,7 +48,7 @@ pub mod transport;
 #[cfg(feature = "udp")]
 pub mod udp;
 
-pub use cluster::{WireCluster, WireReport};
+pub use cluster::WireCluster;
 pub use codec::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 pub use node::{NodeError, WireNode};
 pub use transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};

@@ -1,20 +1,23 @@
-//! The single-threaded node reactor.
+//! The single-threaded node reactor, and the codec glue it shares with
+//! the in-memory switch.
 //!
 //! A [`WireNode`] is the shared [`ErtNode`] of `ert-core` — the same
 //! state and the same Algorithm 1–4 steps the simulator runs — plus
-//! what only a live process needs: its own membership view, held as a
-//! copy-on-write Chord geometry and kept current frame by frame, and
-//! the codec. Nodes built on one view share it until one of them learns
-//! a change the others have not (see [`WireNode::with_view`]).
-//! Where the simulator answers a task's ask from the peer in its node
-//! vector, this node encodes the [`PeerOp`] as a `ProbeLoad` or
-//! `AdaptIndegree` frame, sends it through its
+//! what only a live process needs: its own membership view, a Chord
+//! geometry kept current frame by frame, and the codec. Where the
+//! simulator's [`Direct`](ert_minidht::Direct) link answers a task's
+//! ask by the peer's `serve`, this node encodes the [`PeerOp`] as a
+//! `ProbeLoad` or `AdaptIndegree` frame, sends it through its
 //! [`Transport`], and decodes the `LoadReport` that comes back; the
 //! peer's [`WireNode::on_request`] decodes the frame into the same
-//! `ErtNode::serve`. Lookups travel as `Lookup` datagrams. The
-//! differential oracle in `ert-testkit` pins what can still differ
-//! between the two hosts — event ordering, the codec and the
-//! transport; see DESIGN.md "Wire Protocol & Live Node".
+//! `ErtNode::serve`. Lookups travel as `Lookup` datagrams and answers
+//! as `LookupReply`s to [`CLIENT_ADDR`].
+//!
+//! Each of those three crossings is a pair of free functions here —
+//! an ask and its `LoadReport`, a lookup and its frame, a reply and its
+//! frame — and the cluster's `Switch` calls the same ones, so the bytes
+//! the differential oracle checks are the bytes this node sends; see
+//! DESIGN.md "Wire Protocol & Live Node".
 //!
 //! Determinism: the node's only randomness is two private streams
 //! derived from `seed ^ id` — the build stream (elastic slot picks at
@@ -23,12 +26,11 @@
 //! unordered container.
 
 use std::fmt;
-use std::sync::Arc;
 
 use ert_core::Task;
 use ert_minidht::{
     AdaptTrace, ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
-    PeerAnswer, PeerOp, PeerReport,
+    PeerAnswer, PeerOp, PeerReport, Reply,
 };
 use ert_sim::SimRng;
 
@@ -70,28 +72,147 @@ impl From<TransportError> for NodeError {
     }
 }
 
-/// One live DHT node: the shared ERT node, a Chord geometry that is its
-/// membership view, and a private decision stream — all driven through
-/// a [`Transport`].
-#[derive(Debug)]
-pub struct WireNode {
-    pub(crate) ert: ErtNode,
-    pub(crate) raw_capacity: f64,
-    /// The membership view, possibly shared with other nodes; written
-    /// only through `Arc::make_mut`, and only by a write that changes
-    /// the set.
-    geometry: Arc<ChordGeometry>,
-    decide: SimRng,
-    cfg: MiniDhtConfig,
-    stabilize_round: u32,
-    /// The outgoing RPC's frame, kept so that asking allocates nothing.
-    request: Vec<u8>,
+// ---- the codec glue ----------------------------------------------------
+
+/// Encodes `op` into `frame` as the RPC that carries it — a `ProbeLoad`
+/// under `token`, or an `AdaptIndegree` — and returns the token its
+/// answer must carry: the probe's, or 0 for a link operation.
+pub(crate) fn encode_ask(op: PeerOp, token: u64, frame: &mut Vec<u8>) -> u64 {
+    let (request, token) = match op {
+        PeerOp::Probe => (Message::ProbeLoad { token }, token),
+        PeerOp::Link { from, slot, op } => (Message::AdaptIndegree { from, slot, op }, 0),
+    };
+    encode_into(&request, frame);
+    token
+}
+
+/// The ask an RPC carries, with its token; `None` for a message that
+/// is not an ask.
+pub(crate) fn ask_of(request: &Message) -> Option<(u64, PeerOp)> {
+    match *request {
+        Message::ProbeLoad { token } => Some((token, PeerOp::Probe)),
+        Message::AdaptIndegree { from, slot, op } => Some((0, PeerOp::Link { from, slot, op })),
+        _ => None,
+    }
+}
+
+/// Serves `op` on `node` and encodes the `LoadReport` that answers it
+/// under `token`.
+pub(crate) fn answer_ask(node: &mut ErtNode, token: u64, op: PeerOp) -> Vec<u8> {
+    let report = node.serve(op);
+    encode(&Message::LoadReport {
+        token,
+        load: report.load,
+        capacity: report.capacity,
+        indegree: report.indegree,
+        spare: report.spare,
+    })
+}
+
+/// Reads a peer's reply to an ask made under `token`. A reply other
+/// than the `LoadReport` under that token (the probe's; 0 for a link
+/// operation) is a protocol error.
+pub(crate) fn read_answer(reply: &[u8], token: u64) -> Result<PeerAnswer, NodeError> {
+    match decode(reply)? {
+        Message::LoadReport {
+            token: answered,
+            load,
+            capacity,
+            indegree,
+            spare,
+        } if answered == token => Ok(PeerAnswer::Report(PeerReport {
+            load,
+            capacity,
+            indegree,
+            spare,
+        })),
+        other => Err(NodeError::Protocol(format!(
+            "peer reply is not the LoadReport for token {token}: {other:?}"
+        ))),
+    }
+}
+
+/// The `Lookup` frame that carries `lookup` to its next hop.
+pub(crate) fn lookup_message(lookup: Lookup) -> Message {
+    Message::Lookup {
+        query: lookup.query,
+        key: lookup.key,
+        hops: lookup.hops,
+        attempts: lookup.attempts,
+        flags: u8::from(lookup.numeric_mode),
+        avoid: lookup.avoid.into_iter().collect(),
+    }
+}
+
+/// The lookup a `Lookup` frame carries; any other message does not
+/// belong on the datagram lane.
+pub(crate) fn lookup_of(msg: Message) -> Result<Lookup, NodeError> {
+    match msg {
+        Message::Lookup {
+            query,
+            key,
+            hops,
+            attempts,
+            flags,
+            avoid,
+        } => Ok(Lookup {
+            query,
+            key,
+            hops,
+            attempts,
+            numeric_mode: flags & 1 != 0,
+            avoid: avoid.into_iter().collect(),
+        }),
+        other => Err(NodeError::Protocol(format!(
+            "message does not belong on the datagram lane: {other:?}"
+        ))),
+    }
+}
+
+/// The `LookupReply` that carries `reply` to the client; it names the
+/// owner only when the lookup was found.
+pub(crate) fn reply_message(reply: Reply) -> Message {
+    let (status, owner) = match reply.hop {
+        Hop::Found => (LookupStatus::Found, reply.owner),
+        Hop::Dropped => (LookupStatus::Dropped, 0),
+        Hop::Failed | Hop::Next(_) => (LookupStatus::Failed, 0),
+    };
+    Message::LookupReply {
+        query: reply.query,
+        status,
+        owner,
+        hops: reply.hops,
+    }
+}
+
+/// The reply a `LookupReply` frame carries; any other message is not
+/// for the client.
+pub(crate) fn reply_of(msg: Message) -> Result<Reply, NodeError> {
+    match msg {
+        Message::LookupReply {
+            query,
+            status,
+            owner,
+            hops,
+        } => Ok(Reply {
+            query,
+            hop: match status {
+                LookupStatus::Found => Hop::Found,
+                LookupStatus::Dropped => Hop::Dropped,
+                LookupStatus::Failed => Hop::Failed,
+            },
+            owner,
+            hops,
+        }),
+        other => Err(NodeError::Protocol(format!(
+            "client received a non-reply frame: {other:?}"
+        ))),
+    }
 }
 
 /// Carries one [`PeerOp`] to `peer` as an RPC: encode into `frame`,
-/// request, decode. Unknown and partitioned peers are answers, not
-/// errors; a reply other than the `LoadReport` under this request's
-/// token (the probe's; 0 for a link operation) is a protocol error.
+/// request, read the answer. Unknown and partitioned peers are answers,
+/// not errors.
 fn ask(
     t: &mut dyn Transport,
     frame: &mut Vec<u8>,
@@ -99,29 +220,9 @@ fn ask(
     peer: u64,
     op: PeerOp,
 ) -> Result<PeerAnswer, NodeError> {
-    let (request, token) = match op {
-        PeerOp::Probe => (Message::ProbeLoad { token }, token),
-        PeerOp::Link { from, slot, op } => (Message::AdaptIndegree { from, slot, op }, 0),
-    };
-    encode_into(&request, frame);
+    let token = encode_ask(op, token, frame);
     match t.request(peer, frame) {
-        Ok(bytes) => match decode(&bytes)? {
-            Message::LoadReport {
-                token: answered,
-                load,
-                capacity,
-                indegree,
-                spare,
-            } if answered == token => Ok(PeerAnswer::Report(PeerReport {
-                load,
-                capacity,
-                indegree,
-                spare,
-            })),
-            other => Err(NodeError::Protocol(format!(
-                "peer reply is not the LoadReport for token {token}: {other:?}"
-            ))),
-        },
+        Ok(bytes) => read_answer(&bytes, token),
         Err(TransportError::UnknownPeer(_)) => Ok(PeerAnswer::Unknown),
         Err(TransportError::Partitioned { .. }) => Ok(PeerAnswer::Unreachable),
         Err(e) => Err(e.into()),
@@ -150,11 +251,29 @@ fn drive<T: Task>(
     failure.map_or(Ok(out), Err)
 }
 
+// ---- the node ----------------------------------------------------------
+
+/// One live DHT node: the shared ERT node, a Chord geometry that is its
+/// membership view, and a private decision stream — all driven through
+/// a [`Transport`].
+#[derive(Debug)]
+pub struct WireNode {
+    ert: ErtNode,
+    geometry: ChordGeometry,
+    decide: SimRng,
+    cfg: MiniDhtConfig,
+    stabilize_round: u32,
+    /// The outgoing RPC's frame, kept so that asking allocates nothing.
+    request: Vec<u8>,
+}
+
 impl WireNode {
     /// Creates a node with ring id `id` and an initial membership view.
     /// `capacity_eval` is the evaluated capacity (`max_indegree` over
     /// the normalized capacity), computed by whoever knows the full
-    /// capacity distribution.
+    /// capacity distribution. `raw_capacity` has no effect: a node
+    /// never reads its raw capacity, only a driver's report weighs
+    /// shares by it.
     ///
     /// # Panics
     ///
@@ -168,31 +287,13 @@ impl WireNode {
         cfg: &MiniDhtConfig,
         protocol: MiniProtocol,
     ) -> WireNode {
-        let view = Arc::new(ChordGeometry::from_members(bits, view));
-        WireNode::with_view(id, view, raw_capacity, capacity_eval, cfg, protocol)
-    }
-
-    /// [`WireNode::new`] on a view that other nodes may hold too. The
-    /// node reads the shared geometry until a write would change its
-    /// set — a merged id it lacks, a `Leave` of an id it holds, or its
-    /// own id missing here — and only then takes a private copy. That
-    /// is exact: every answer the geometry gives is a function of the
-    /// id set alone, so a node reads exactly the set it would have
-    /// built for itself.
-    pub(crate) fn with_view(
-        id: u64,
-        mut geometry: Arc<ChordGeometry>,
-        raw_capacity: f64,
-        capacity_eval: u32,
-        cfg: &MiniDhtConfig,
-        protocol: MiniProtocol,
-    ) -> WireNode {
+        let _ = raw_capacity;
+        let mut geometry = ChordGeometry::from_members(bits, view);
         if !geometry.contains(id) {
-            Arc::make_mut(&mut geometry).insert(id);
+            geometry.insert(id);
         }
         WireNode {
             ert: ErtNode::new(id, capacity_eval, protocol),
-            raw_capacity,
             geometry,
             decide: SimRng::seed_from(cfg.seed ^ id).fork("decide"),
             cfg: *cfg,
@@ -226,15 +327,9 @@ impl WireNode {
         &self.geometry
     }
 
-    /// Whether this node and `other` read one view allocation.
-    #[cfg(test)]
-    pub(crate) fn shares_view_with(&self, other: &WireNode) -> bool {
-        Arc::ptr_eq(&self.geometry, &other.geometry)
-    }
-
     /// Canonical routing-state fingerprint, the same formatter behind
-    /// `MiniDht::table_fingerprints`, so oracle comparisons are string
-    /// equality.
+    /// `MiniDht::table_fingerprints`, so a live node's state compares
+    /// with the driver's by string equality.
     pub fn fingerprint(&self) -> String {
         self.ert.fingerprint()
     }
@@ -259,16 +354,15 @@ impl WireNode {
     /// a set of ids, and every answer it gives (owner, successor window,
     /// table slots, inlink candidates) is a function of that set alone,
     /// so merging the new ids answers exactly as a geometry rebuilt from
-    /// the merged set would. A view shared with other nodes is copied
-    /// only when some id is new, never for ids it holds. The node hears
-    /// of the change once, and only if some id was new: its saved
-    /// expansion position is valid only at the membership it was
-    /// reached under (see `ErtNode::view_changed`).
+    /// the merged set would. The node hears of the change once, and
+    /// only if some id was new: its saved expansion position is valid
+    /// only at the membership it was reached under (see
+    /// `ErtNode::view_changed`).
     fn merge_view(&mut self, others: &[u64]) -> Result<bool, NodeError> {
         self.check_on_ring(others)?;
         let grew = others.iter().any(|&id| !self.geometry.contains(id));
         if grew {
-            Arc::make_mut(&mut self.geometry).extend(others);
+            self.geometry.extend(others);
             self.ert.view_changed();
         }
         Ok(grew)
@@ -369,7 +463,7 @@ impl WireNode {
     /// Propagates peer protocol violations; unknown and partitioned
     /// candidates are passed over.
     pub fn build_links(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        let build = self.ert.build(&*self.geometry, &self.cfg);
+        let build = self.ert.build(&self.geometry, &self.cfg);
         drive(&mut self.ert, t, &mut self.request, 0, build)
     }
 
@@ -383,40 +477,23 @@ impl WireNode {
     /// the datagram lane.
     pub fn on_frame(&mut self, t: &mut dyn Transport, frame: &[u8]) -> Result<(), NodeError> {
         match decode(frame)? {
-            Message::Lookup {
-                query,
-                key,
-                hops,
-                attempts,
-                flags,
-                avoid,
-            } => {
-                let lookup = Lookup {
-                    query,
-                    key,
-                    hops,
-                    attempts,
-                    numeric_mode: flags & 1 != 0,
-                    avoid: avoid.into_iter().collect(),
-                };
-                if let Some(service) = self.ert.arrive(lookup, &self.cfg) {
-                    t.timer(service, TimerKind::ServiceDone { query });
-                }
-                Ok(())
-            }
             Message::Leave { id } => {
                 // `purge_peer` tells the shared node the view changed.
                 self.check_on_ring(&[id])?;
                 if self.geometry.contains(id) {
-                    Arc::make_mut(&mut self.geometry).remove(id);
+                    self.geometry.remove(id);
                     self.ert.purge_peer(id);
                 }
-                Ok(())
             }
-            other => Err(NodeError::Protocol(format!(
-                "message does not belong on the datagram lane: {other:?}"
-            ))),
+            msg => {
+                let lookup = lookup_of(msg)?;
+                let query = lookup.query;
+                if let Some(service) = self.ert.arrive(lookup, &self.cfg) {
+                    t.timer(service, TimerKind::ServiceDone { query });
+                }
+            }
         }
+        Ok(())
     }
 
     // ---- RPC lane ------------------------------------------------------
@@ -430,43 +507,30 @@ impl WireNode {
     /// Fails on undecodable frames or messages that do not belong on
     /// the RPC lane.
     pub fn on_request(&mut self, frame: &[u8]) -> Result<Vec<u8>, NodeError> {
-        self.on_message(decode(frame)?)
-    }
-
-    /// [`WireNode::on_request`] for a frame already decoded.
-    pub(crate) fn on_message(&mut self, request: Message) -> Result<Vec<u8>, NodeError> {
-        let (token, op) = match request {
-            Message::ProbeLoad { token } => (token, PeerOp::Probe),
-            Message::AdaptIndegree { from, slot, op } => (0, PeerOp::Link { from, slot, op }),
+        let request = decode(frame)?;
+        if let Some((token, op)) = ask_of(&request) {
+            return Ok(answer_ask(&mut self.ert, token, op));
+        }
+        match request {
             Message::Join { id, mut members } => {
                 members.push(id);
                 self.merge_view(&members)?;
-                return Ok(encode(&Message::Join {
+                Ok(encode(&Message::Join {
                     id: self.id(),
                     members: self.members_view(),
-                }));
+                }))
             }
             Message::Stabilize { round, members } => {
                 self.merge_view(&members)?;
-                return Ok(encode(&Message::Stabilize {
+                Ok(encode(&Message::Stabilize {
                     round,
                     members: self.members_view(),
-                }));
+                }))
             }
-            other => {
-                return Err(NodeError::Protocol(format!(
-                    "message does not belong on the RPC lane: {other:?}"
-                )))
-            }
-        };
-        let report = self.ert.serve(op);
-        Ok(encode(&Message::LoadReport {
-            token,
-            load: report.load,
-            capacity: report.capacity,
-            indegree: report.indegree,
-            spare: report.spare,
-        }))
+            other => Err(NodeError::Protocol(format!(
+                "message does not belong on the RPC lane: {other:?}"
+            ))),
+        }
     }
 
     // ---- timers --------------------------------------------------------
@@ -487,47 +551,31 @@ impl WireNode {
                 let Some((mut lookup, next)) = self.ert.service_done(query, &self.cfg) else {
                     return Ok(None);
                 };
-                // The next service starts *before* the hop is sent,
-                // exactly as the simulator schedules the next Done
-                // before the forwarded Arrive — the (time, seq) merge
-                // key preserves the relative order.
+                // The next service starts *before* the hop is sent, as
+                // the driver schedules its next Done before it hands the
+                // hop to its link.
                 if let Some((query, service)) = next {
                     t.timer(service, TimerKind::ServiceDone { query });
                 }
                 let route =
                     self.ert
-                        .route(&*self.geometry, &self.cfg, &mut lookup, &mut self.decide);
+                        .route(&self.geometry, &self.cfg, &mut lookup, &mut self.decide);
                 let hop = drive(&mut self.ert, t, &mut self.request, query, route)?;
-                let (status, owner) = match hop {
-                    Hop::Next(next) => {
-                        let frame = encode(&Message::Lookup {
-                            query,
-                            key: lookup.key,
-                            hops: lookup.hops,
-                            attempts: lookup.attempts,
-                            flags: u8::from(lookup.numeric_mode),
-                            avoid: lookup.avoid.into_iter().collect(),
-                        });
-                        t.send(next, &frame)?;
-                        return Ok(None);
-                    }
-                    Hop::Found => (LookupStatus::Found, self.id()),
-                    Hop::Dropped => (LookupStatus::Dropped, 0),
-                    Hop::Failed => (LookupStatus::Failed, 0),
-                };
-                t.send(
-                    CLIENT_ADDR,
-                    &encode(&Message::LookupReply {
+                if let Hop::Next(next) = hop {
+                    t.send(next, &encode(&lookup_message(lookup)))?;
+                } else {
+                    let reply = Reply {
                         query,
-                        status,
-                        owner,
+                        hop,
+                        owner: self.id(),
                         hops: lookup.hops,
-                    }),
-                )?;
+                    };
+                    t.send(CLIENT_ADDR, &encode(&reply_message(reply)))?;
+                }
                 Ok(None)
             }
             TimerKind::AdaptTick => {
-                let adapt = self.ert.adapt(&*self.geometry, &self.cfg);
+                let adapt = self.ert.adapt(&self.geometry, &self.cfg);
                 drive(&mut self.ert, t, &mut self.request, 0, adapt).map(Some)
             }
         }
@@ -693,6 +741,117 @@ mod tests {
         );
     }
 
+    // ---- the datagram lane ----------------------------------------------
+
+    /// The state every [`Recorder`] ask is answered from.
+    const REPORT: PeerReport = PeerReport {
+        load: 1,
+        capacity: 8,
+        indegree: 0,
+        spare: 8,
+    };
+
+    /// Records every datagram and every timer, and answers every ask
+    /// with [`REPORT`] under the ask's token.
+    #[derive(Default)]
+    struct Recorder {
+        sent: Vec<(u64, Message)>,
+        timers: Vec<TimerKind>,
+    }
+
+    impl Transport for Recorder {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn send(&mut self, to: u64, frame: &[u8]) -> Result<(), TransportError> {
+            self.sent.push((to, decode(frame).expect("a frame")));
+            Ok(())
+        }
+        fn request(&mut self, _to: u64, frame: &[u8]) -> Result<Vec<u8>, TransportError> {
+            let request = decode(frame).expect("a frame");
+            let (token, _) = ask_of(&request).expect("every request is an ask");
+            Ok(encode(&Message::LoadReport {
+                token,
+                load: REPORT.load,
+                capacity: REPORT.capacity,
+                indegree: REPORT.indegree,
+                spare: REPORT.spare,
+            }))
+        }
+        fn timer(&mut self, _delay: SimDuration, kind: TimerKind) {
+            self.timers.push(kind);
+        }
+    }
+
+    /// A `Lookup` frame arms one service timer; when it fires, a
+    /// non-owner forwards the lookup one hop further to the peer its
+    /// `ErtNode::route` picks, and the owner answers the client.
+    #[test]
+    fn a_lookup_frame_is_served_then_forwarded_or_answered() {
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        let view = [0u64, 8, 16, 24, 32, 40, 48, 56];
+        let built = |id| {
+            let mut node = WireNode::new(id, BITS, &view, 1.0, 8, &cfg, MiniProtocol::ElasticErt);
+            node.build_links(&mut Recorder::default()).expect("build");
+            node
+        };
+        let (me, key) = (8, 45);
+        let mut node = built(me);
+        let owner = node.geometry().owner(key).expect("a member owns every key");
+        assert_ne!(owner, me);
+        let lookup = Lookup {
+            query: 7,
+            key,
+            hops: 2,
+            attempts: 0,
+            numeric_mode: false,
+            avoid: BTreeSet::new(),
+        };
+        let frame = encode(&lookup_message(lookup.clone()));
+        let service_done = TimerKind::ServiceDone { query: 7 };
+
+        let mut wire = Recorder::default();
+        node.on_frame(&mut wire, &frame).expect("a lookup frame");
+        assert_eq!(wire.timers, [service_done]);
+        assert!(wire.sent.is_empty());
+
+        // The hop `ErtNode::route` picks on a twin of the node, every
+        // probe answered alike.
+        let mut twin = built(me);
+        twin.ert.arrive(lookup.clone(), &cfg);
+        let (mut served, _) = twin.ert.service_done(7, &cfg).expect("in service");
+        let route = twin
+            .ert
+            .route(&twin.geometry, &cfg, &mut served, &mut twin.decide);
+        let hop = ert_core::drive(&mut twin.ert, route, |_, _| PeerAnswer::Report(REPORT));
+        let Hop::Next(next) = hop else {
+            panic!("a non-owner forwards, got {hop:?}");
+        };
+
+        node.on_timer(&mut wire, service_done)
+            .expect("service done");
+        assert_eq!(wire.timers, [service_done], "no second timer");
+        assert_eq!(served.hops, lookup.hops + 1);
+        assert_eq!(wire.sent, [(next, lookup_message(served))]);
+
+        let mut owner_node = built(owner);
+        let mut wire = Recorder::default();
+        owner_node
+            .on_frame(&mut wire, &frame)
+            .expect("a lookup frame");
+        assert_eq!(wire.timers, [service_done]);
+        owner_node
+            .on_timer(&mut wire, service_done)
+            .expect("service done");
+        let found = Message::LookupReply {
+            query: 7,
+            status: LookupStatus::Found,
+            owner,
+            hops: 2,
+        };
+        assert_eq!(wire.sent, [(CLIENT_ADDR, found)]);
+    }
+
     // ---- ids off the ring ------------------------------------------------
 
     /// The node under test; the ring has `2^BITS` = 64 ids.
@@ -766,7 +925,7 @@ mod tests {
         assert!(err.contains("ring"), "{err}");
     }
 
-    // ---- the single view against the rebuilt replica -------------------
+    // ---- the view against the rebuilt replica --------------------------
 
     /// Answers every request with a report that takes any link, and
     /// counts the `AddOutlink`s: the inlink candidates an expansion
@@ -842,10 +1001,7 @@ mod tests {
         /// against the replica. After every step the view, the answers
         /// of the geometry, and the expansion scan agree with it: the
         /// next expansion rescans every inlink candidate exactly when
-        /// the replica's view changed, and asks no one otherwise. A
-        /// bystander built on the node's view keeps the initial set
-        /// throughout, and the node shares it until the replica first
-        /// changes: a step that adds or removes nothing copies nothing.
+        /// the replica's view changed, and asks no one otherwise.
         #[test]
         fn the_single_view_matches_a_rebuilt_replica(seed in 0u64..100_000) {
             let mut rng = SimRng::seed_from(seed);
@@ -857,9 +1013,6 @@ mod tests {
             // its candidates to the end.
             let mut node = WireNode::new(ME, BITS, &initial, 1.0, 1 << 20, &cfg, MiniProtocol::ElasticErt);
             let mut replica = Replica(initial.iter().copied().chain([ME]).collect());
-            let bystander = WireNode::with_view(ME, Arc::clone(&node.geometry), 1.0, 1, &cfg, MiniProtocol::ElasticErt);
-            let initial_view = replica.view();
-            let mut diverged = false;
             let mut changed = Some(true);
             // Each pass checks the state the previous step left.
             for step in 0..=24 {
@@ -869,8 +1022,6 @@ mod tests {
                 let rescan = rebuilt.inlink_candidates(ME, None).count();
                 prop_assert_eq!(holders.asked, if changed == Some(true) { rescan } else { 0 }, "step {}", step);
                 prop_assert_eq!(node.members_view(), replica.view());
-                prop_assert_eq!(bystander.members_view(), initial_view.clone());
-                prop_assert_eq!(node.shares_view_with(&bystander), !diverged, "step {}", step);
                 let g = node.geometry();
                 for id in [0, 13, ME, 31, 47, 63, rng.gen_range(0..1 << BITS)] {
                     prop_assert_eq!(g.owner(id), rebuilt.owner(id));
@@ -917,7 +1068,6 @@ mod tests {
                         (gone, node.on_frame(&mut Canned(Vec::new()), &frame).map(|()| None))
                     }
                 };
-                diverged |= changed == Some(true);
                 match said {
                     Ok(grew) => {
                         prop_assert!(changed.is_some(), "step {}: an off-ring frame was taken", step);

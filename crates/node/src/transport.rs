@@ -20,11 +20,9 @@ use std::fmt;
 
 use ert_sim::{SimDuration, SimTime};
 
-use crate::codec::CodecError;
-
 /// Pseudo-address of the lookup-issuing client. `LookupReply` frames
-/// are sent here; the transport owner (test cluster or binary driver)
-/// consumes them.
+/// are sent here; the transport owner (the binary driver) consumes
+/// them.
 pub const CLIENT_ADDR: u64 = u64::MAX;
 
 /// Timer callbacks a node can request.
@@ -52,8 +50,6 @@ pub enum TransportError {
         /// Destination ring id.
         to: u64,
     },
-    /// The frame failed to decode at the switch or peer.
-    Codec(CodecError),
     /// The peer rejected the request at the protocol level.
     Peer(String),
     /// Underlying I/O failure (UDP transport only).
@@ -67,7 +63,6 @@ impl fmt::Display for TransportError {
             TransportError::Partitioned { from, to } => {
                 write!(f, "partition between {from} and {to}")
             }
-            TransportError::Codec(e) => write!(f, "codec: {e}"),
             TransportError::Peer(e) => write!(f, "peer error: {e}"),
             TransportError::Io(e) => write!(f, "transport i/o: {e}"),
         }
@@ -76,15 +71,10 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-impl From<CodecError> for TransportError {
-    fn from(e: CodecError) -> Self {
-        TransportError::Codec(e)
-    }
-}
-
 /// What a live node needs from the outside world. Implemented by the
-/// deterministic in-memory switch (tests, the differential oracle) and
-/// by the UDP event loop (the `ert-node` binary).
+/// UDP event loop (the `ert-node` binary) and by tests' fakes; the
+/// deterministic cluster needs none, since its switch is a link of
+/// `ert-minidht`'s driver.
 pub trait Transport {
     /// Current time on the transport's clock. Deterministic transports
     /// report simulated time; the UDP loop reports elapsed real time

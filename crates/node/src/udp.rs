@@ -4,9 +4,8 @@
 //! clock. The binary driver measures elapsed real time (it is a
 //! binary, so `Instant` is legitimate there) and feeds it in through
 //! [`UdpTransport::advance`]; everything in this file is a pure
-//! function of that injected clock plus socket I/O. That keeps the
-//! node logic identical between the deterministic in-memory switch and
-//! a real network — only the driver differs.
+//! function of that injected clock plus socket I/O, and the node's
+//! frames are the ones the deterministic in-memory switch carries.
 //!
 //! RPC semantics over UDP are demo-grade by design: a request blocks
 //! on the socket's read timeout for the first frame from the target

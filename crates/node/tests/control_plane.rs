@@ -23,7 +23,7 @@
 //! one per member.
 //!
 //! Every link is a double link: the holder's outlink and the target's
-//! backward finger. At quiescence both drivers hold them symmetric —
+//! backward finger. At quiescence both links hold them symmetric —
 //! each node's backward fingers are distinct and are exactly the peers
 //! that hold it in an elastic slot — which is what lets the shared node
 //! record an "added" answer without searching its fingers first.

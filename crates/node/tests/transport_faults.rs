@@ -1,10 +1,10 @@
-//! Satellite 2: wire transport under injected faults.
+//! Wire transport under injected faults.
 //!
 //! * under a sustained 10% message-loss episode, the bounded-backoff
 //!   retry client still completes ≥90% of lookups;
 //! * fault-free runs are byte-identical across repeats AND across
-//!   node-spawn orders (the spawn permutation is construction-order
-//!   only — link building always follows the platform's seeded
+//!   `spawn_order`s (which have no effect: the nodes are values in one
+//!   vector, and link building follows the platform's seeded
 //!   permutation);
 //! * a partition window fails cross-class traffic while it lasts and
 //!   heals cleanly afterwards.

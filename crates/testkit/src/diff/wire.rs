@@ -1,5 +1,6 @@
-//! The wire differential oracle: live in-memory `ert-node` cluster
-//! against the `ert-minidht` deterministic simulator.
+//! The wire differential oracle: `ert-minidht`'s one driver on the
+//! in-memory switch (`ert-node`'s `WireCluster`) against the same
+//! driver on its `Direct` link.
 //!
 //! Unlike the tolerance-banded oracles in the parent module, this one
 //! demands **exact** agreement. Both sides are seeded from the same
@@ -14,20 +15,17 @@
 //! * bit-identical scalar outcomes (completions, drops, mean lookup
 //!   time compared via `f64::to_bits`).
 //!
-//! Both sides run the same `ert_core::ErtNode` steps, so agreement
-//! on the protocol logic is by construction. What the oracle pins is
-//! everything that can still differ between the two hosts: event
-//! ordering, the RNG streams handed to the steps, the codec every
-//! probe, link operation and lookup crosses, and the transport.
-//!
-//! The correspondence is engineered, not accidental: the wire cluster
-//! orders events on the same `(time, seq)` merge key as the simulator
-//! heap, allocates sequence numbers at emission, and draws from the
-//! same seeded streams at the same program points (platform build
-//! permutation, per-injection source fork, per-node `"decide"` forks).
-//! DESIGN.md "Wire Protocol & Live Node" spells out the argument;
-//! `tests/wire_conformance.rs` pins it across seeds, workload shapes,
-//! and both protocols.
+//! Both sides run the same `ert_core::ErtNode` steps on one event
+//! loop, client and trace, with the same seeded streams drawn at the
+//! same program points (platform build permutation, per-injection
+//! source fork, per-node `"decide"` forks), so agreement on the
+//! protocol, the event order and the RNG draws is by construction.
+//! What the oracle pins is what the two links do differently: the
+//! codec every probe, link operation, lookup and answer crosses, and
+//! the switch's fault adjudication, which on an empty plan must pass
+//! everything and draw nothing. DESIGN.md "Wire Protocol & Live Node"
+//! spells out the argument; `tests/wire_conformance.rs` pins it across
+//! seeds, workload shapes, and both protocols.
 
 use ert_faults::{FaultPlan, RetryPolicy};
 use ert_minidht::{ChordGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol, RouteTrace};

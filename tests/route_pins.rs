@@ -14,7 +14,7 @@
 //! [`RouteTrace`] of one run (sources, hops, completions, drops,
 //! adaptation outcomes — one section per line) followed by one
 //! `table_fingerprints` entry per line. The Chord files start with the
-//! wire cluster's `WireReport::canonical_string`, RPC counters
+//! wire cluster's `MiniReport::canonical_string`, RPC counters
 //! included. The schedules run hot enough that dozens of nodes shed and
 //! later grow again, so the pins cover a cleared and re-walked resume
 //! position, not only first-time expansion.
