@@ -265,6 +265,8 @@ pub struct Network {
     sanitizer: Sanitizer,
     /// Algorithm 4's buffers, reused by every forwarding decision.
     forward_scratch: ForwardScratch<CycloidId>,
+    /// One hop's candidate next hops, refilled by every forward.
+    candidates: Vec<CycloidId>,
 }
 
 impl Network {
@@ -412,6 +414,7 @@ impl Network {
             adapt_rounds: 0,
             sanitizer: Sanitizer::new(),
             forward_scratch: ForwardScratch::default(),
+            candidates: Vec::new(),
         })
     }
 
@@ -986,10 +989,14 @@ impl Network {
         let me = self.topo.nodes[node].id;
         let probing = matches!(self.protocol.forwarding, ForwardPolicy::TwoChoice { .. });
         let ring_mode = self.queries[q].ring_mode;
-        let Some(rc) =
-            self.topo
-                .route_candidates(node, key, probing, ring_mode, &mut self.rng_forward)
-        else {
+        let Some(rc) = self.topo.route_candidates(
+            node,
+            key,
+            probing,
+            ring_mode,
+            &mut self.rng_forward,
+            &mut self.candidates,
+        ) else {
             // Ownership shifted to us mid-flight, or the overlay emptied.
             if self.topo.registry.owner(key) == Some(me) {
                 self.complete_query(q, now);
@@ -998,7 +1005,10 @@ impl Network {
             }
             return;
         };
-        debug_assert!(!rc.ids.is_empty(), "route candidates must be nonempty");
+        debug_assert!(
+            !self.candidates.is_empty(),
+            "route candidates must be nonempty"
+        );
         if rc.fell_back {
             self.queries[q].ring_mode = true;
         }
@@ -1015,9 +1025,9 @@ impl Network {
         // no partition active the cut is empty and `choose_next_reachable`
         // delegates to the ordinary two-choice selection with identical
         // RNG draws, keeping fault-free runs byte-identical.
-        let cut = self.partition_cut(node, &rc.ids, now);
+        let cut = self.partition_cut(node, &self.candidates, now);
         let defecting = self.faults.defectors.contains(&self.topo.nodes[node].host);
-        let topo = &self.topo;
+        let (topo, ids) = (&self.topo, &self.candidates);
         let picked = if defecting {
             // Routing defection: invert Algorithm 4 and forward to the
             // *most*-loaded reachable candidate, ignoring the avoid
@@ -1025,7 +1035,7 @@ impl Network {
             // higher ring position) and draws nothing from the
             // forwarding stream; probes are charged for every reachable
             // candidate the defector "inspected" to find the worst.
-            let reachable = || rc.ids.iter().copied().filter(|id| !cut.contains(id));
+            let reachable = || ids.iter().copied().filter(|id| !cut.contains(id));
             let probes = reachable().count();
             reachable()
                 .map(|id| (id, probe_load(topo, id).0))
@@ -1042,7 +1052,6 @@ impl Network {
         } else {
             // Distances and load are read for the candidates drawn, not
             // for every candidate.
-            let ids = &rc.ids;
             choose_next_reachable(
                 self.protocol.forwarding,
                 ids,
@@ -1079,12 +1088,13 @@ impl Network {
                 // the ring is cut, the attempt is lost and the retry
                 // policy decides whether the query waits or fails.
                 self.queries[q].ring_mode = true;
+                let mut ring_ids = Vec::new();
                 let ring_pick = self
                     .topo
-                    .route_candidates(node, key, false, true, &mut self.rng_forward)
-                    .and_then(|rc2| {
-                        let ring_cut = self.partition_cut(node, &rc2.ids, now);
-                        rc2.ids
+                    .route_candidates(node, key, false, true, &mut self.rng_forward, &mut ring_ids)
+                    .and_then(|_| {
+                        let ring_cut = self.partition_cut(node, &ring_ids, now);
+                        ring_ids
                             .iter()
                             .copied()
                             .filter(|id| !ring_cut.contains(id))
@@ -1134,36 +1144,37 @@ impl Network {
                     peer: dead_lin,
                 });
             }
-            let live: Vec<CycloidId> = rc
-                .ids
+            let live = self
+                .candidates
                 .iter()
                 .copied()
-                .filter(|&x| x != next && self.topo.is_alive(x))
-                .collect();
-            next = match live
-                .iter()
-                .copied()
-                .min_by_key(|&x| self.topo.logical_metric(x, key))
-            {
+                .filter(|&x| x != next && self.topo.is_alive(x));
+            next = match live.min_by_key(|&x| self.topo.logical_metric(x, key)) {
                 Some(alt) => alt,
                 None => {
                     // Re-assemble with dead filtering (repairs the slot).
-                    let Some(rc2) = self.topo.route_candidates(
-                        node,
-                        key,
-                        true,
-                        self.queries[q].ring_mode,
-                        &mut self.rng_forward,
-                    ) else {
+                    let mut repaired = Vec::new();
+                    if self
+                        .topo
+                        .route_candidates(
+                            node,
+                            key,
+                            true,
+                            self.queries[q].ring_mode,
+                            &mut self.rng_forward,
+                            &mut repaired,
+                        )
+                        .is_none()
+                    {
                         self.complete_query(q, now);
                         return;
-                    };
+                    }
                     // Every `Some` from route_candidates holds at least
                     // one id (the debug_assert at the head of this fn);
                     // were one empty, the lookup fails, typed, rather
                     // than the run.
-                    let repaired = rc2.ids.iter().copied();
-                    match repaired.min_by_key(|&x| self.topo.logical_metric(x, key)) {
+                    let best = repaired.iter().copied();
+                    match best.min_by_key(|&x| self.topo.logical_metric(x, key)) {
                         Some(alt) => alt,
                         None => {
                             self.fail_query(q, now);

@@ -51,16 +51,15 @@ enum Mutation {
     SetDMax { node: usize, d_max: u32 },
 }
 
-/// Routing candidates for one hop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where one hop's routing candidates came from. The candidate next
+/// hops themselves are in the buffer [`Topology::route_candidates`]
+/// filled; they may include departed nodes when `filter_dead` was
+/// false — discovering those is how timeouts happen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteCandidates {
     /// The table slot the candidates came from (`None` for ascend steps,
     /// which are assembled from the membership view).
     pub slot: Option<CycloidSlot>,
-    /// The candidate next hops. May include departed nodes when
-    /// `filter_dead` was false — discovering those is how timeouts
-    /// happen.
-    pub ids: Vec<CycloidId>,
     /// The live node owning the key — the routing target the candidates
     /// make progress toward.
     pub owner: CycloidId,
@@ -1100,11 +1099,13 @@ impl Topology {
     }
 
     /// Assembles the candidate set for one hop of `node`'s query toward
-    /// `key`. `filter_dead` removes departed candidates (probing
-    /// policies discover them for free; non-probing policies keep them
-    /// and pay timeouts). `ring_only` forces ring routing — set it once
-    /// a previous hop reported [`RouteCandidates::fell_back`]. Returns
-    /// `None` when `node` already owns `key`.
+    /// `key`: clears `ids` and fills it with the candidate next hops,
+    /// never empty when the answer is `Some`. `filter_dead` removes
+    /// departed candidates (probing policies discover them for free;
+    /// non-probing policies keep them and pay timeouts). `ring_only`
+    /// forces ring routing — set it once a previous hop reported
+    /// [`RouteCandidates::fell_back`]. Returns `None` when `node`
+    /// already owns `key`.
     pub fn route_candidates(
         &mut self,
         node: usize,
@@ -1112,7 +1113,9 @@ impl Topology {
         filter_dead: bool,
         ring_only: bool,
         rng: &mut SimRng,
+        ids: &mut Vec<CycloidId>,
     ) -> Option<RouteCandidates> {
+        ids.clear();
         let me = self.nodes[node].id;
         let owner = self.registry.owner(key)?;
         if owner == me {
@@ -1124,7 +1127,7 @@ impl Topology {
         let fwd = self.registry.forward_dist(me, owner);
         let near = fwd.min(self.space.ring_size() - fwd) <= 4 * self.space.dim() as u64;
         if ring_only || near {
-            return Some(self.ring_candidates(node, owner));
+            return Some(self.ring_candidates(node, owner, ids));
         }
         // Route toward the owner's ID: identical to routing toward the
         // key in a dense overlay, and robust when the key's own cycle is
@@ -1135,40 +1138,39 @@ impl Topology {
                     SlotKind::Cubical => CycloidSlot::Cubical,
                     SlotKind::Cyclic => CycloidSlot::Cyclic,
                 };
-                let mut ids: Vec<CycloidId> = self.nodes[node].table.outlinks(slot).to_vec();
+                ids.extend_from_slice(self.nodes[node].table.outlinks(slot));
                 if filter_dead {
-                    for &dead in ids
-                        .iter()
-                        .filter(|&&x| !self.is_alive(x))
-                        .collect::<Vec<_>>()
-                    {
-                        self.purge_dead_link(node, slot, dead);
-                    }
-                    ids.retain(|&x| self.is_alive(x));
+                    ids.retain(|&x| {
+                        let live = self.is_alive(x);
+                        if !live {
+                            self.purge_dead_link(node, slot, x);
+                        }
+                        live
+                    });
                 }
                 if ids.is_empty() || ids.iter().all(|&x| !self.is_alive(x)) {
+                    ids.clear();
                     if let Some(fresh) = self.repair_slot(node, slot, rng) {
+                        ids.push(fresh);
                         return Some(RouteCandidates {
                             slot: Some(slot),
-                            ids: vec![fresh],
                             owner,
                             fell_back: false,
                         });
                     }
                     // Region has no live member: finish on the ring.
-                    let mut rc = self.ring_candidates(node, owner);
+                    let mut rc = self.ring_candidates(node, owner, ids);
                     rc.fell_back = true;
                     return Some(rc);
                 }
                 Some(RouteCandidates {
                     slot: Some(slot),
-                    ids,
                     owner,
                     fell_back: false,
                 })
             }
             RouteStep::Ascend => {
-                let mut ids: Vec<CycloidId> = self.registry.cycle_above(me).collect();
+                ids.extend(self.registry.cycle_above(me));
                 if ids.is_empty() {
                     // Top of the own cycle: continue ascending at the
                     // head of the *next* cycle (Cycloid's outside leaf
@@ -1181,27 +1183,32 @@ impl Topology {
                     }
                 }
                 if ids.is_empty() {
-                    let mut rc = self.ring_candidates(node, owner);
+                    let mut rc = self.ring_candidates(node, owner, ids);
                     rc.fell_back = true;
                     return Some(rc);
                 }
                 Some(RouteCandidates {
                     slot: None,
-                    ids,
                     owner,
                     fell_back: false,
                 })
             }
-            RouteStep::Ring => Some(self.ring_candidates(node, owner)),
+            RouteStep::Ring => Some(self.ring_candidates(node, owner, ids)),
         }
     }
 
     /// Ring-walk candidates toward `owner`, along the shorter direction,
-    /// never overshooting. All table links (not just the leaf window)
-    /// are considered so the walk takes the longest safe stride, like
-    /// Chord's greedy final phase. Always returns at least one live
-    /// candidate strictly closer to the owner.
-    fn ring_candidates(&mut self, node: usize, owner: CycloidId) -> RouteCandidates {
+    /// never overshooting, appended to the empty `ids`. All table links
+    /// (not just the leaf window) are considered so the walk takes the
+    /// longest safe stride, like Chord's greedy final phase. Always
+    /// leaves at least one live candidate strictly closer to the owner.
+    fn ring_candidates(
+        &mut self,
+        node: usize,
+        owner: CycloidId,
+        ids: &mut Vec<CycloidId>,
+    ) -> RouteCandidates {
+        debug_assert!(ids.is_empty(), "ring candidates start from an empty buffer");
         let me = self.nodes[node].id;
         self.refresh_ring_slots(node);
         let fwd = self.registry.forward_dist(me, owner);
@@ -1221,7 +1228,6 @@ impl Topology {
                 d > 0 && d <= bwd
             }
         };
-        let mut ids: Vec<CycloidId> = Vec::new();
         for (_, x) in self.nodes[node].table.iter_outlinks() {
             if in_stride(x) && !ids.contains(&x) && self.is_alive(x) {
                 ids.push(x);
@@ -1230,16 +1236,10 @@ impl Topology {
         if ids.is_empty() {
             // Degenerate membership (e.g. two nodes): step to the owner
             // directly — it is live by construction.
-            return RouteCandidates {
-                slot: Some(slot),
-                ids: vec![owner],
-                owner,
-                fell_back: false,
-            };
+            ids.push(owner);
         }
         RouteCandidates {
             slot: Some(slot),
-            ids,
             owner,
             fell_back: false,
         }
@@ -1456,8 +1456,9 @@ mod tests {
         let key = space.id(2, 0b1010);
         let owner = topo.registry.owner(key).unwrap();
         let owner_idx = topo.node_idx(owner).unwrap();
+        let mut ids = Vec::new();
         assert!(topo
-            .route_candidates(owner_idx, key, true, false, &mut rng)
+            .route_candidates(owner_idx, key, true, false, &mut rng, &mut ids)
             .is_none());
         // From every node, a full greedy walk terminates within the hop
         // bound.
@@ -1465,12 +1466,13 @@ mod tests {
             let mut cur = start;
             let mut hops = 0;
             let mut ring_mode = false;
-            while let Some(rc) = topo.route_candidates(cur, key, true, ring_mode, &mut rng) {
-                assert!(!rc.ids.is_empty());
+            while let Some(rc) =
+                topo.route_candidates(cur, key, true, ring_mode, &mut rng, &mut ids)
+            {
+                assert!(!ids.is_empty());
                 ring_mode |= rc.fell_back;
                 // Deterministic walk: min logical metric.
-                let next = rc
-                    .ids
+                let next = ids
                     .iter()
                     .copied()
                     .min_by_key(|&x| topo.logical_metric(x, key))
@@ -1493,12 +1495,13 @@ mod tests {
         topo.remove_node(nidx);
         // A probing walk filters the dead neighbor and repairs.
         let key = space.id(0, 0b1000); // forces the cubical slot from (3, 0000)
+        let mut ids = Vec::new();
         let rc = topo
-            .route_candidates(node, key, true, false, &mut rng)
+            .route_candidates(node, key, true, false, &mut rng, &mut ids)
             .unwrap();
         assert_eq!(rc.slot, Some(CycloidSlot::Cubical));
-        assert!(rc.ids.iter().all(|&x| topo.is_alive(x)));
-        assert!(!rc.ids.contains(&neighbor));
+        assert!(ids.iter().all(|&x| topo.is_alive(x)));
+        assert!(!ids.contains(&neighbor));
     }
 
     #[test]
@@ -1694,17 +1697,17 @@ mod tests {
         let (mut topo, mut rng) = full_topology(TablePolicy::SingleClosest);
         let key = topo.space.id(1, 0b1111);
         let owner = topo.registry.owner(key).unwrap();
+        let mut ids = Vec::new();
         for start in (0..topo.nodes.len()).step_by(7) {
             let me = topo.nodes[start].id;
             if me == owner {
                 continue;
             }
-            let rc = topo
-                .route_candidates(start, key, true, true, &mut rng)
+            topo.route_candidates(start, key, true, true, &mut rng, &mut ids)
                 .unwrap();
             let fwd = topo.registry.forward_dist(me, owner);
             let bwd = topo.space.ring_size() - fwd;
-            for id in rc.ids {
+            for &id in &ids {
                 let f2 = topo.registry.forward_dist(id, owner);
                 let b2 = topo.space.ring_size() - f2;
                 assert!(
@@ -1941,7 +1944,7 @@ mod tests {
         let table = &mut topo.nodes[node].table;
         assert!(table.remove_outlink(CycloidSlot::RingSucc, succ));
         // One ring hop toward the successor's own ID.
-        topo.route_candidates(node, succ, true, false, &mut rng);
+        topo.route_candidates(node, succ, true, false, &mut rng, &mut Vec::new());
     }
 
     /// A dim-`dim` overlay with Pareto-ish capacities, `fill` of its IDs
@@ -1975,7 +1978,7 @@ mod tests {
     enum Did {
         Count(u32),
         Pick(Option<CycloidId>),
-        Hop(Option<RouteCandidates>),
+        Hop(Option<RouteCandidates>, Vec<CycloidId>),
     }
 
     /// A world's table build and slot repair.
@@ -2078,7 +2081,9 @@ mod tests {
             _ => {
                 let key = topo.space.random_id(rng);
                 let (probing, ring_only) = (x.is_multiple_of(2), x > 3);
-                return Did::Hop(topo.route_candidates(node, key, probing, ring_only, rng));
+                let mut ids = Vec::new();
+                let rc = topo.route_candidates(node, key, probing, ring_only, rng, &mut ids);
+                return Did::Hop(rc, ids);
             }
         })
     }

@@ -8,7 +8,11 @@
 //!   point comparison hazards.
 //! * [`EventQueue`] and [`Engine`] — a monotone priority queue of events
 //!   with deterministic FIFO tie-breaking, and a thin driver that tracks
-//!   the current simulated clock.
+//!   the current simulated clock. The queue is a sorted lane (events
+//!   scheduled in time order, such as arrivals fixed up front) beside a
+//!   binary heap (the rest). Both are sorted by `(time, seq)`, a total
+//!   order under which no two events tie, so popping the smaller of the
+//!   two heads is exactly the sequence one heap would pop.
 //! * [`ShardedEngine`] / [`ShardMap`] — the shared-nothing sharded
 //!   variant of the engine: S per-shard reactors exchanging cross-shard
 //!   events through bounded mailboxes, merged under the same canonical

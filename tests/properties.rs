@@ -397,3 +397,101 @@ proptest! {
         }
     }
 }
+
+/// A `Topology` of `world`'s hosts, each on one random vacant ID, every
+/// table built, then with the nodes `leave` picks departed, so that
+/// routing meets stale links, slot repairs and ring fallbacks.
+fn routed_topology(
+    world: &strategies::SmallWorld,
+    policy: ert_repro::network::TablePolicy,
+    leave: u64,
+) -> (ert_repro::network::topology::Topology, SimRng) {
+    use ert_repro::core::max_indegree;
+    use ert_repro::network::state::Host;
+    use ert_repro::network::topology::Topology;
+    use ert_repro::overlay::Coord;
+
+    let space = CycloidSpace::new(CycloidSpace::dimension_for(world.n));
+    let params = world.cfg.ert;
+    let mut topo = Topology::new(space, policy, params);
+    let mut rng = SimRng::seed_from(world.seed);
+    for &cap in &world.capacities {
+        let d_max = max_indegree(params.alpha, cap);
+        let host = topo.add_host(Host::new(cap, cap, cap, d_max, Coord::random(&mut rng)));
+        if let Some(id) = topo.registry.random_vacant(&mut rng) {
+            topo.add_node(id, host, d_max);
+        }
+    }
+    for n in 0..topo.nodes.len() {
+        topo.build_node_table(n, &mut rng);
+    }
+    for n in (0..topo.nodes.len()).step_by(3) {
+        if leave >> (n % 64) & 1 == 1 {
+            topo.remove_node(n);
+        }
+    }
+    (topo, rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Topology::route_candidates` clears and fills the caller's
+    /// buffer: into one buffer reused across every hop, and so holding
+    /// the hop before's ids, it answers exactly as into a fresh `Vec`
+    /// — the same slot, ids, owner and fallback flag, and the same
+    /// links purged and slots repaired, so two twin worlds stay twins.
+    /// Lookups walk from random live nodes toward random keys, probing
+    /// (dead candidates filtered) or not, on any table policy, after a
+    /// random third of the nodes at most departed.
+    #[test]
+    fn route_candidates_fill_a_reused_buffer_as_a_fresh_one(
+        world in strategies::small_world(24usize..96),
+        policy in 0usize..3,
+        leave in 0u64..u64::MAX,
+        walks in prop::collection::vec((0usize..usize::MAX, 0u64..u64::MAX), 1..40),
+    ) {
+        use ert_repro::network::TablePolicy;
+
+        let policy = [
+            TablePolicy::SingleClosest,
+            TablePolicy::SingleHighestCapacity,
+            TablePolicy::Elastic,
+        ][policy];
+        let (mut reused_world, mut reused_rng) = routed_topology(&world, policy, leave);
+        let (mut fresh_world, mut fresh_rng) = routed_topology(&world, policy, leave);
+        let mut reused = Vec::new();
+        let mut hops = 0usize;
+        for (w, &(start, key)) in walks.iter().enumerate() {
+            let live: Vec<usize> = (0..reused_world.nodes.len())
+                .filter(|&n| reused_world.nodes[n].alive)
+                .collect();
+            let key = reused_world.space.from_lin(key % reused_world.space.ring_size());
+            let mut node = live[start % live.len()];
+            let (probing, mut ring_only) = (w % 2 == 0, false);
+            for _ in 0..64 {
+                let mut fresh = Vec::new();
+                let got = reused_world.route_candidates(
+                    node, key, probing, ring_only, &mut reused_rng, &mut reused,
+                );
+                let want = fresh_world.route_candidates(
+                    node, key, probing, ring_only, &mut fresh_rng, &mut fresh,
+                );
+                prop_assert_eq!(got, want, "walk {} from node {}", w, node);
+                prop_assert_eq!(&reused, &fresh, "walk {} from node {}", w, node);
+                let Some(rc) = got else { break };
+                hops += 1;
+                ring_only |= rc.fell_back;
+                let next = reused
+                    .iter()
+                    .copied()
+                    .filter(|&x| reused_world.is_alive(x))
+                    .min_by_key(|&x| reused_world.logical_metric(x, key));
+                let Some(next) = next else { break };
+                node = reused_world.node_idx(next).expect("live candidate");
+            }
+        }
+        prop_assert!(hops > 0, "no walk took a hop");
+        prop_assert_eq!(reused_world.link_ops, fresh_world.link_ops);
+    }
+}
