@@ -87,8 +87,9 @@ pub struct MiniDhtConfig {
 
 impl MiniDhtConfig {
     /// Defaults; `scale_hint` plays the role of the overlay dimension
-    /// in the `α = d + 3` rule (use the Chord bit width or the Pastry
-    /// digit count × digit width).
+    /// in the `α = d + 3` rule. On Cycloid a `scale_hint` of `d` gives
+    /// the paper's `α = d + 3` exactly; elsewhere use the Chord bit
+    /// width or the Pastry digit count × digit width.
     pub fn defaults(scale_hint: u8, seed: u64) -> Self {
         MiniDhtConfig {
             seed,
@@ -215,8 +216,8 @@ pub struct HopCandidates {
     pub ids: Vec<u64>,
     /// The fresh contents of `slot` when the hop fell back to the
     /// geometry's structural list (the successor list on Chord, the
-    /// leaf set on Pastry): the node writes them into `slot` through
-    /// `ErtNode`, the one writer of its slots.
+    /// leaf set on Pastry and Cycloid): the node writes them into
+    /// `slot` through `ErtNode`, the one writer of its slots.
     pub refreshed: Option<Vec<u64>>,
 }
 
@@ -224,10 +225,11 @@ pub struct HopCandidates {
 ///
 /// Identifiers are `u64`; table slots are opaque `u16` values the
 /// geometry defines (e.g. the finger index on Chord, `row·base + col`
-/// on Pastry). *Structural* slots (successor lists, leaf sets, tiny
-/// regions every table must fill) do not consume elastic indegree.
+/// on Pastry, cubical and cyclic on Cycloid). *Structural* slots
+/// (successor lists, leaf sets, tiny regions every table must fill) do
+/// not consume elastic indegree.
 pub trait Geometry {
-    /// Display name for reports ("Chord", "Pastry").
+    /// Display name for reports ("Chord", "Pastry", "Cycloid").
     fn name(&self) -> &'static str;
 
     /// The live member IDs, ascending (a host maps them 1:1 onto
@@ -247,7 +249,7 @@ pub trait Geometry {
 
     /// The last slot of `node`'s table and its members, which are a
     /// list rather than a region: the successor list on Chord, the
-    /// leaf set on Pastry.
+    /// leaf set on Pastry and Cycloid.
     fn sentinel_slot(&self, node: u64) -> (u16, Vec<u64>);
 
     /// The slots of `node`'s table with the live candidates each
@@ -275,10 +277,12 @@ pub trait Geometry {
     /// paired with the only non-structural slot of its table whose
     /// region holds `node`: on Chord the unique finger `m` with
     /// `node ∈ [h + 2^m, h + 2^(m+1))`, on Pastry the row of the shared
-    /// prefix and `node`'s digit in it. A holder's "added" answer to
-    /// Algorithm 1 therefore means it held `node` in no elastic slot,
-    /// which is what lets the asker record the inlink without searching
-    /// its backward fingers (`Expand`).
+    /// prefix and `node`'s digit in it, on Cycloid the holder's cubical
+    /// or cyclic slot by the reverse region it sits in (Algorithm 1's
+    /// ring phase is not a pair: the leaf set is structural). A holder's
+    /// "added" answer to Algorithm 1 therefore means it held `node` in
+    /// no elastic slot, which is what lets the asker record the inlink
+    /// without searching its backward fingers (`Expand`).
     fn inlink_candidates(
         &self,
         node: u64,

@@ -1,22 +1,25 @@
-//! Lean secondary evaluation platforms for the ERT mechanism.
+//! Lean evaluation platforms for the ERT mechanism on three overlays.
 //!
 //! Section 5 of the paper notes: *"ERT can also be applied to other DHT
 //! networks. Simulations on other O(log n)-degree networks are expected
-//! to produce better results."* This crate checks that remark on two
-//! geometries:
+//! to produce better results."* This crate checks that remark, and runs
+//! the paper's own overlay through the same node:
 //!
 //! * [`ChordGeometry`] — the loose-finger Chord ring of `ert-overlay`;
 //! * [`PastryGeometry`] — the prefix-routing Pastry overlay (whose
-//!   table shape Tapestry shares).
+//!   table shape Tapestry shares);
+//! * [`CycloidGeometry`] — the constant-degree Cycloid overlay the
+//!   paper evaluates, as glue over `ert_overlay::cycloid`'s rules.
 //!
-//! Both run inside one queueing simulator ([`MiniDht`]) using the
+//! All three run inside one queueing simulator ([`MiniDht`]) using the
 //! Table 2 model (light/heavy service, queue-length congestion) and the
 //! unchanged `ert-core` mechanism: capacity-bounded indegree assignment
 //! and expansion, periodic adaptation, and b-way forwarding with memory.
-//! Compared to `ert-network` (the full Cycloid platform), the mini
-//! platforms have no churn, virtual servers, locality or anonymity mode
-//! — they isolate one question: does ERT's congestion control carry
-//! over, and do O(log n) paths help?
+//! Compared to `ert-network` (the full Cycloid simulator), the platform
+//! has no churn, virtual servers, locality or anonymity mode — it
+//! isolates one question: does ERT's congestion control carry over, and
+//! do O(log n) paths help? `ert-testkit` holds its Cycloid runs against
+//! `ert-network` on one membership.
 //!
 //! The protocol itself lives in one place, `ert_core::node`: the
 //! [`ErtNode`] with the steps of Algorithms 1–4, each operation that
@@ -59,11 +62,13 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod chord;
+mod cycloid;
 mod pastry;
 mod peer_index;
 mod platform;
 
 pub use chord::ChordGeometry;
+pub use cycloid::CycloidGeometry;
 pub use ert_core::node::{
     AdaptOp, AdaptTrace, ErtNode, Geometry, Hop, HopCandidates, Lookup, MiniDhtConfig,
     MiniProtocol, PeerAnswer, PeerOp, PeerReport,

@@ -661,7 +661,7 @@ fn run<T: Task, L: Link>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChordGeometry, PastryGeometry};
+    use crate::{ChordGeometry, CycloidGeometry, PastryGeometry};
     use std::collections::BTreeMap;
 
     fn caps(n: usize) -> Vec<f64> {
@@ -721,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn ert_reduces_congestion_on_both_geometries() {
+    fn ert_reduces_congestion_on_every_geometry() {
         let caps = caps(256);
         {
             let seed = 5u64;
@@ -770,6 +770,18 @@ mod tests {
                 "pastry: ERT {} vs classic {}",
                 rpe.p99_max_congestion,
                 rpc.p99_max_congestion
+            );
+            let ccfg = MiniDhtConfig::defaults(6, seed);
+            let cycloid = || CycloidGeometry::populate(6, 256, &mut SimRng::seed_from(seed));
+            let mut cc = MiniDht::new(ccfg, cycloid(), &caps, MiniProtocol::Classic).unwrap();
+            let rcc = cc.run_poisson(1200, 256.0);
+            let mut ce = MiniDht::new(ccfg, cycloid(), &caps, MiniProtocol::ElasticErt).unwrap();
+            let rce = ce.run_poisson(1200, 256.0);
+            assert!(
+                rce.p99_max_congestion <= rcc.p99_max_congestion,
+                "cycloid: ERT {} vs classic {}",
+                rce.p99_max_congestion,
+                rcc.p99_max_congestion
             );
         }
     }

@@ -1,5 +1,5 @@
 //! The `Geometry` contract the shared `ErtNode` stands on, checked on
-//! this crate's Chord and Pastry geometries, and the Chord ring the
+//! this crate's Chord, Pastry and Cycloid geometries, and the Chord ring the
 //! node's own tests in `ert-core` run on, pinned to the production
 //! geometry.
 
@@ -7,8 +7,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ert_core::drive;
 use ert_minidht::{
-    ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PastryGeometry,
-    PeerAnswer,
+    ChordGeometry, CycloidGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
+    PastryGeometry, PeerAnswer,
 };
 use ert_sim::SimRng;
 
@@ -20,17 +20,32 @@ fn pastry() -> PastryGeometry {
     PastryGeometry::populate(6, 2, 150, &mut SimRng::seed_from(3))
 }
 
+/// Every ID of a dimension-5 Cycloid.
+fn full_cycloid() -> CycloidGeometry {
+    CycloidGeometry::from_members(5, &(0..160).collect::<Vec<u64>>())
+}
+
+/// 200 of a dimension-6 Cycloid's 384 IDs: regions about half full.
+fn sparse_cycloid() -> CycloidGeometry {
+    CycloidGeometry::populate(6, 200, &mut SimRng::seed_from(5))
+}
+
 /// Resuming after any yielded pair gives exactly the rest of the
-/// from-the-top order.
-fn assert_inlink_scan_resumes(g: &impl Geometry) {
+/// from-the-top order. Each sampled node has at least `min_each` pairs:
+/// more than 20 on Chord and Pastry, while a Cycloid node at cyclic
+/// index `k` has at most `2^(k+2)` and one at `k = d − 1` none.
+fn assert_inlink_scan_resumes(g: &impl Geometry, min_each: usize) {
+    let mut total = 0;
     for node in g.members().into_iter().step_by(17) {
         let all: Vec<(u16, u64)> = g.inlink_candidates(node, None).collect();
-        assert!(all.len() > 20);
+        assert!(all.len() >= min_each, "node {node}: {} pairs", all.len());
         for (i, &pair) in all.iter().enumerate() {
             let rest: Vec<(u16, u64)> = g.inlink_candidates(node, Some(pair)).collect();
             assert_eq!(rest, all[i + 1..], "node {node}, after {pair:?}");
         }
+        total += all.len();
     }
+    assert!(total > 100, "only {total} pairs resumed after");
 }
 
 /// The contract that lets an "added" answer be recorded without a
@@ -58,7 +73,7 @@ fn assert_one_elastic_slot_per_holder(g: &impl Geometry) {
 
 #[test]
 fn chord_inlink_candidates_resume_after_any_pair() {
-    assert_inlink_scan_resumes(&chord());
+    assert_inlink_scan_resumes(&chord(), 21);
 }
 
 #[test]
@@ -68,12 +83,24 @@ fn chord_inlink_holders_have_one_elastic_slot() {
 
 #[test]
 fn pastry_inlink_candidates_resume_after_any_pair() {
-    assert_inlink_scan_resumes(&pastry());
+    assert_inlink_scan_resumes(&pastry(), 21);
 }
 
 #[test]
 fn pastry_inlink_holders_have_one_elastic_slot() {
     assert_one_elastic_slot_per_holder(&pastry());
+}
+
+#[test]
+fn cycloid_inlink_candidates_resume_after_any_pair() {
+    assert_inlink_scan_resumes(&full_cycloid(), 0);
+    assert_inlink_scan_resumes(&sparse_cycloid(), 0);
+}
+
+#[test]
+fn cycloid_inlink_holders_have_one_elastic_slot() {
+    assert_one_elastic_slot_per_holder(&full_cycloid());
+    assert_one_elastic_slot_per_holder(&sparse_cycloid());
 }
 
 /// The 16-node ring of `ert-core`'s node tests, `0, 4, …, 60` on 2^6

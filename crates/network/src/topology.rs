@@ -12,8 +12,8 @@ use ert_core::{
     Expansion, ShedCandidate,
 };
 use ert_overlay::{
-    ring::forward_distance, Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace,
-    InlinkCursor, InlinkScan, LandmarkFrame, RouteStep, SlotKind,
+    Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan,
+    LandmarkFrame, RouteStep, SlotKind,
 };
 use ert_sim::SimRng;
 use rand::Rng;
@@ -415,28 +415,10 @@ impl Topology {
         self.hosts[ha].coord.distance(self.hosts[hb].coord)
     }
 
-    /// Estimated remaining overlay distance from `from` to `key`:
-    /// descending and ascending hops dominate (weighted by `4d`), with a
-    /// sub-dominant ring-distance term so candidates in the same
-    /// geometric class compare by ring closeness. Smaller is closer.
+    /// Estimated remaining overlay distance from `from` to `key`
+    /// ([`CycloidSpace::logical_metric`]).
     pub fn logical_metric(&self, from: CycloidId, key: CycloidId) -> u64 {
-        if from == key {
-            return 0;
-        }
-        let d = self.space.dim() as u64;
-        let fwd = forward_distance(
-            self.space.lin(from),
-            self.space.lin(key),
-            self.space.ring_size(),
-        );
-        let ring = fwd.min(self.space.ring_size() - fwd);
-        if from.a() == key.a() {
-            return ring;
-        }
-        let m = (31 - (from.a() ^ key.a()).leading_zeros()) as u64;
-        let ascend = m.saturating_sub(from.k() as u64);
-        // Ring term scaled below 4d so it only breaks class ties.
-        4 * d * (m + 1 + ascend) + ring * 4 * d / self.space.ring_size()
+        self.space.logical_metric(from, key)
     }
 
     /// The live region member whose cubical ID is closest to `ideal_a`
@@ -447,38 +429,20 @@ impl Topology {
         ideal_a: u32,
         exclude: CycloidId,
     ) -> Option<CycloidId> {
-        self.registry
-            .nodes_in_region(region)
-            .into_iter()
-            .filter(|&m| m != exclude)
-            .min_by_key(|&m| self.space.cube_dist(m.a(), ideal_a))
+        let members = self.registry.nodes_in_region(region).into_iter();
+        self.space
+            .nearest_cubical(members.filter(|&m| m != exclude), ideal_a)
     }
 
     /// The classic pair of cyclic neighbors: the region members with the
     /// closest-larger and closest-smaller cubical IDs relative to `a`.
     fn cyclic_pair(&self, region: CycloidRegion, a: u32, exclude: CycloidId) -> Vec<CycloidId> {
-        let members: Vec<CycloidId> = self
-            .registry
-            .nodes_in_region(region)
-            .into_iter()
-            .filter(|&m| m != exclude)
-            .collect();
-        let cube = self.space.cube_size();
-        let Some(larger) = members
-            .iter()
-            .copied()
-            .min_by_key(|m| forward_distance(a as u64, m.a() as u64, cube))
-        else {
-            return Vec::new();
-        };
-        let smaller = members
-            .iter()
-            .copied()
-            .filter(|&m| m != larger)
-            .min_by_key(|m| forward_distance(m.a() as u64, a as u64, cube));
-        let mut out = vec![larger];
-        out.extend(smaller);
-        out
+        let members = self.registry.nodes_in_region(region);
+        let members = members.iter().copied().filter(|&m| m != exclude);
+        match self.space.cyclic_pair(members, a) {
+            Some((larger, smaller)) => [larger].into_iter().chain(smaller).collect(),
+            None => Vec::new(),
+        }
     }
 
     /// The highest-capacity region member with spare indegree (ties by
@@ -529,7 +493,7 @@ impl Topology {
         match self.table_policy {
             TablePolicy::SingleClosest => {
                 if let Some(region) = self.space.cubical_region(id) {
-                    let ideal = id.a() ^ (1u32 << id.k());
+                    let ideal = self.space.classic_target(id, SlotKind::Cubical);
                     if let Some(n) = self.closest_in_region(region, ideal, id) {
                         self.add_link(id, CycloidSlot::Cubical, n);
                     }
@@ -1067,8 +1031,8 @@ impl Topology {
         let pick = match self.table_policy {
             TablePolicy::SingleClosest => {
                 let ideal = match slot {
-                    CycloidSlot::Cubical => id.a() ^ (1u32 << id.k()),
-                    _ => id.a(),
+                    CycloidSlot::Cubical => self.space.classic_target(id, SlotKind::Cubical),
+                    _ => self.space.classic_target(id, SlotKind::Cyclic),
                 };
                 self.closest_in_region(region, ideal, id)
             }
@@ -1121,12 +1085,7 @@ impl Topology {
         if owner == me {
             return None;
         }
-        // Endgame: within a few cycles of the owner the geometric phase
-        // has nothing useful left to fix (and, in sparse overlays, can
-        // oscillate around empty cycles); finish on the monotone ring.
-        let fwd = self.registry.forward_dist(me, owner);
-        let near = fwd.min(self.space.ring_size() - fwd) <= 4 * self.space.dim() as u64;
-        if ring_only || near {
+        if ring_only || self.space.ring_endgame(me, owner) {
             return Some(self.ring_candidates(node, owner, ids));
         }
         // Route toward the owner's ID: identical to routing toward the
@@ -1170,18 +1129,7 @@ impl Topology {
                 })
             }
             RouteStep::Ascend => {
-                ids.extend(self.registry.cycle_above(me));
-                if ids.is_empty() {
-                    // Top of the own cycle: continue ascending at the
-                    // head of the *next* cycle (Cycloid's outside leaf
-                    // set). Always moving forward keeps the head-walk
-                    // monotone, so it cannot bounce between two cycles.
-                    if let Some(head) = self.registry.next_cycle_head(me) {
-                        if head != me {
-                            ids.push(head);
-                        }
-                    }
-                }
+                ids.extend(self.registry.ascend_targets(me));
                 if ids.is_empty() {
                     let mut rc = self.ring_candidates(node, owner, ids);
                     rc.fell_back = true;
@@ -1211,25 +1159,14 @@ impl Topology {
         debug_assert!(ids.is_empty(), "ring candidates start from an empty buffer");
         let me = self.nodes[node].id;
         self.refresh_ring_slots(node);
-        let fwd = self.registry.forward_dist(me, owner);
-        let bwd = self.space.ring_size() - fwd;
-        let forward = fwd <= bwd;
-        let slot = if forward {
+        let stride = self.space.ring_stride(me, owner);
+        let slot = if stride.forward() {
             CycloidSlot::RingSucc
         } else {
             CycloidSlot::RingPred
         };
-        let in_stride = |x: CycloidId| {
-            if forward {
-                let d = self.registry.forward_dist(me, x);
-                d > 0 && d <= fwd
-            } else {
-                let d = self.registry.forward_dist(x, me);
-                d > 0 && d <= bwd
-            }
-        };
         for (_, x) in self.nodes[node].table.iter_outlinks() {
-            if in_stride(x) && !ids.contains(&x) && self.is_alive(x) {
+            if stride.admits(x) && !ids.contains(&x) && self.is_alive(x) {
                 ids.push(x);
             }
         }

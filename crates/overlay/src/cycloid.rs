@@ -363,6 +363,121 @@ impl CycloidSpace {
             RouteStep::Entry(SlotKind::Cyclic)
         }
     }
+
+    /// Whether a hop from `cur` toward `owner` is in the routing
+    /// endgame: within `4·d` ring positions either way. That close the
+    /// geometric phase has nothing useful left to fix (and, in sparse
+    /// overlays, can oscillate around empty cycles), so the hop finishes
+    /// on the monotone ring walk ([`CycloidSpace::ring_stride`]).
+    pub fn ring_endgame(self, cur: CycloidId, owner: CycloidId) -> bool {
+        let fwd = forward_distance(self.lin(cur), self.lin(owner), self.ring_size());
+        fwd.min(self.ring_size() - fwd) <= 4 * self.dim as u64
+    }
+
+    /// The ring walk's hop from `from` toward `owner`: along the shorter
+    /// direction, never past the owner.
+    pub fn ring_stride(self, from: CycloidId, owner: CycloidId) -> RingStride {
+        let from = self.lin(from);
+        let fwd = forward_distance(from, self.lin(owner), self.ring_size());
+        let bwd = self.ring_size() - fwd;
+        RingStride {
+            space: self,
+            from,
+            forward: fwd <= bwd,
+            budget: fwd.min(bwd),
+        }
+    }
+
+    /// Estimated remaining overlay distance from `from` to `key`:
+    /// descending and ascending hops dominate (weighted by `4d`), with a
+    /// sub-dominant ring-distance term so candidates in the same
+    /// geometric class compare by ring closeness. Smaller is closer.
+    pub fn logical_metric(self, from: CycloidId, key: CycloidId) -> u64 {
+        if from == key {
+            return 0;
+        }
+        let d = self.dim as u64;
+        let fwd = forward_distance(self.lin(from), self.lin(key), self.ring_size());
+        let ring = fwd.min(self.ring_size() - fwd);
+        if from.a() == key.a() {
+            return ring;
+        }
+        let m = (31 - (from.a() ^ key.a()).leading_zeros()) as u64;
+        let ascend = m.saturating_sub(from.k() as u64);
+        // Ring term scaled below 4d so it only breaks class ties.
+        4 * d * (m + 1 + ascend) + ring * 4 * d / self.ring_size()
+    }
+
+    /// The cubical ID the classic Cycloid table aims `id`'s `kind` slot
+    /// at: `a` with bit `k` flipped for the cubical slot, `a` itself for
+    /// the cyclic one.
+    pub fn classic_target(self, id: CycloidId, kind: SlotKind) -> u32 {
+        match kind {
+            SlotKind::Cubical => id.a() ^ (1u32 << id.k()),
+            SlotKind::Cyclic => id.a(),
+        }
+    }
+
+    /// The member whose cubical ID is nearest `ideal` around the cube,
+    /// the first of them on ties: the classic Cycloid neighbour choice.
+    pub fn nearest_cubical(
+        self,
+        members: impl IntoIterator<Item = CycloidId>,
+        ideal: u32,
+    ) -> Option<CycloidId> {
+        members
+            .into_iter()
+            .min_by_key(|m| self.cube_dist(m.a(), ideal))
+    }
+
+    /// The classic pair of cyclic neighbours among `members`: the
+    /// closest-larger and the closest-smaller cubical ID relative to `a`
+    /// going round the cube, the first of them on ties, the second never
+    /// the first. `None` when there are no members.
+    pub fn cyclic_pair(
+        self,
+        members: impl Iterator<Item = CycloidId> + Clone,
+        a: u32,
+    ) -> Option<(CycloidId, Option<CycloidId>)> {
+        let cube = self.cube_size();
+        let larger = members
+            .clone()
+            .min_by_key(|m| forward_distance(a as u64, m.a() as u64, cube))?;
+        let smaller = members
+            .filter(|&m| m != larger)
+            .min_by_key(|m| forward_distance(m.a() as u64, a as u64, cube));
+        Some((larger, smaller))
+    }
+}
+
+/// One hop of the ring walk ([`CycloidSpace::ring_stride`]): which way
+/// it goes and which IDs it may land on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingStride {
+    space: CycloidSpace,
+    /// Ring position of the node the hop leaves.
+    from: u64,
+    forward: bool,
+    /// Ring distance to the owner the short way round.
+    budget: u64,
+}
+
+impl RingStride {
+    /// Whether the walk goes clockwise, toward successors.
+    pub fn forward(&self) -> bool {
+        self.forward
+    }
+
+    /// Whether a hop to `x` moves strictly toward the owner without
+    /// overshooting it.
+    pub fn admits(&self, x: CycloidId) -> bool {
+        let (x, size) = (self.space.lin(x), self.space.ring_size());
+        let d = match self.forward {
+            true => forward_distance(self.from, x, size),
+            false => forward_distance(x, self.from, size),
+        };
+        d > 0 && d <= self.budget
+    }
 }
 
 /// One bit per ID of the space under some linear order, with the range
@@ -704,6 +819,20 @@ impl CycloidRegistry {
     pub fn cycle_above(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
         let dim = self.space.dim() as u64;
         self.ring_members(self.space.lin(id) + 1, (id.a() as u64 + 1) * dim)
+    }
+
+    /// The ascending phase's targets from `id`: the live members of its
+    /// own cycle above it, nearest first, or — at the top of its cycle —
+    /// the head of the next non-empty cycle (Cycloid's outside leaf
+    /// set). Always moving forward keeps the head-walk monotone, so it
+    /// cannot bounce between two cycles. Empty when neither exists.
+    pub fn ascend_targets(&self, id: CycloidId) -> impl Iterator<Item = CycloidId> + '_ {
+        let mut above = self.cycle_above(id).peekable();
+        let head = match above.peek() {
+            Some(_) => None,
+            None => self.next_cycle_head(id).filter(|&head| head != id),
+        };
+        above.chain(head)
     }
 
     /// The next `window` live IDs strictly after `id` on the ring
@@ -1446,6 +1575,36 @@ mod tests {
             let scans = scans.count();
             assert!(scans > 0, "dim {dim}: no seed reached the wrapped gap scan");
         }
+    }
+
+    #[test]
+    fn ring_endgame_stride_and_ascend_targets() {
+        let s = CycloidSpace::new(4); // ring of 64
+        let (me, near, far) = (s.from_lin(10), s.from_lin(26), s.from_lin(27));
+        assert!(s.ring_endgame(me, near) && !s.ring_endgame(me, far));
+        assert!(s.ring_endgame(near, me), "either way round");
+        // Forward to 20: 11..=20 admitted, nothing past it or behind.
+        let stride = s.ring_stride(me, s.from_lin(20));
+        assert!(stride.forward());
+        let admitted: Vec<u64> = (0..64).filter(|&l| stride.admits(s.from_lin(l))).collect();
+        assert_eq!(admitted, (11..=20).collect::<Vec<_>>());
+        // Backward to 60 (14 back, 50 forward), wrapping past zero.
+        let back = s.ring_stride(me, s.from_lin(60));
+        assert!(!back.forward());
+        let admitted: Vec<u64> = (0..64).filter(|&l| back.admits(s.from_lin(l))).collect();
+        assert_eq!(admitted, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 60, 61, 62, 63]);
+        let mut reg = CycloidRegistry::new(s);
+        for id in [s.id(0, 9), s.id(2, 9), s.id(1, 12)] {
+            reg.insert(id);
+        }
+        let up: Vec<_> = reg.ascend_targets(s.id(0, 9)).collect();
+        assert_eq!(up, [s.id(2, 9)]);
+        // The top of a cycle ascends at the next cycle's head.
+        let up: Vec<_> = reg.ascend_targets(s.id(2, 9)).collect();
+        assert_eq!(up, [s.id(1, 12)]);
+        let mut lone = CycloidRegistry::new(s);
+        lone.insert(s.id(1, 3));
+        assert_eq!(lone.ascend_targets(s.id(1, 3)).next(), None);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use chord::{ChordRegistry, ChordSpace};
 pub use coords::Coord;
 pub use cycloid::{
     Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan,
-    RouteStep, SlotKind,
+    RingStride, RouteStep, SlotKind,
 };
 pub use landmarks::{LandmarkFrame, LandmarkVector};
 pub use members::{ArcMembers, RingMembers};

@@ -221,7 +221,7 @@ impl<'a> ArcMembers<'a> {
     }
 
     /// The members clockwise from the start.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+    pub fn iter(&self) -> impl Iterator<Item = u64> + Clone + 'a {
         self.head.iter().chain(self.tail).copied()
     }
 

@@ -19,9 +19,14 @@
 //! * [`minidht_vs_registry`] — the `ert-minidht` Chord platform
 //!   against pure `ChordRegistry` greedy routing on the identical
 //!   member set: exact owner agreement, path-length means within a
-//!   band. (The repo's full `ert-network` substrate is Cycloid-only,
-//!   so the registry-level Chord geometry is the reference
-//!   implementation here.)
+//!   band. (`ert-network` runs only Cycloid, so the registry-level
+//!   Chord geometry is the reference implementation here.)
+//! * [`minidht_vs_network`] — the same driver on the Cycloid geometry
+//!   against `ert-network`'s `Network` on one fully populated Cycloid:
+//!   exact owner agreement with the ring rule (checked on a
+//!   half-populated space, where owners are not the identity), every
+//!   lookup completed, the classic mean path within a band of Base's, and
+//!   ERT's p99 max congestion below the classic protocol's.
 //!
 //! The [`wire`] submodule holds the strictest oracle of the family:
 //! live `ert-node` wire clusters against the `MiniDht` simulator with
@@ -31,12 +36,15 @@ pub mod wire;
 
 use ert_experiments::ablation::forwarding_ladder;
 use ert_experiments::Scenario;
-use ert_minidht::{ChordGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol};
-use ert_overlay::{ring, ChordRegistry, ChordSpace};
+use ert_minidht::{
+    ChordGeometry, CycloidGeometry, Geometry, MiniDht, MiniDhtConfig, MiniProtocol, MiniReport,
+};
+use ert_overlay::{ring, ChordRegistry, ChordSpace, CycloidSpace};
 use ert_sim::SimRng;
 use ert_supermarket::{
     expected_time, fixed_point, ChoicePolicy, IntegrationMethod, OdeModel, SupermarketSim,
 };
+use ert_workloads::BoundedPareto;
 
 /// One compared quantity: two independent computations and the
 /// relative error budget they must meet.
@@ -372,6 +380,104 @@ pub fn minidht_vs_registry(
         registry_mean_path,
         greedy_mean_path,
         dropped: report.dropped,
+    }
+}
+
+/// Outcome of the MiniDht-vs-Network Cycloid differential for one seed.
+#[derive(Debug, Clone)]
+pub struct CycloidDiff {
+    /// The seed both runtimes and the capacities were derived from.
+    pub seed: u64,
+    /// Keys whose owner on a half-populated space of the same dimension
+    /// `CycloidGeometry` and the ring rule disagreed on.
+    pub owner_mismatches: usize,
+    /// Keys checked: every ID of the space.
+    pub keys_checked: usize,
+    /// Lookups each `MiniDht` run injected.
+    pub lookups: u64,
+    /// `MiniDht<CycloidGeometry>` under the classic protocol.
+    pub classic: MiniReport,
+    /// `MiniDht<CycloidGeometry>` under ERT.
+    pub elastic: MiniReport,
+    /// Mean path length of `Network`'s Base protocol on the same
+    /// membership.
+    pub network_mean_path: f64,
+}
+
+impl CycloidDiff {
+    /// Relative gap between the classic `MiniDht` and the `Network`
+    /// Base mean path lengths.
+    #[must_use]
+    pub fn path_rel_err(&self) -> f64 {
+        (self.classic.mean_path_length - self.network_mean_path).abs() / self.network_mean_path
+    }
+
+    /// Whether every lookup completed under both protocols.
+    #[must_use]
+    pub fn all_completed(&self) -> bool {
+        [&self.classic, &self.elastic]
+            .iter()
+            .all(|r| r.completed == self.lookups && r.dropped == 0)
+    }
+}
+
+/// `MiniDht` on the Cycloid geometry against `ert-network`'s `Network`
+/// on one fully populated Cycloid of dimension `dim`, so both runtimes
+/// hold the identical member set: every ID. On a half-populated space,
+/// where owners are not the identity, `CycloidGeometry::owner` must
+/// agree on every key with the first member at or after it. `MiniDht`
+/// runs `lookups` uniform Poisson lookups at one per node-second under the
+/// classic protocol and under ERT, on the paper's bounded-Pareto
+/// capacities; and `Network`'s Base protocol runs the same scenario
+/// shape ([`Scenario::quick`] at `n = d·2^d`), for its mean path length.
+///
+/// # Panics
+///
+/// Panics if either runtime rejects the generated configuration.
+#[must_use]
+pub fn minidht_vs_network(dim: u8, lookups: usize, seed: u64) -> CycloidDiff {
+    let space = CycloidSpace::new(dim);
+    let n = space.ring_size() as usize;
+    let scenario = Scenario {
+        n,
+        lookups,
+        ..Scenario::quick(seed)
+    };
+    let network = scenario.run_once(&ert_baselines::base(), seed);
+
+    // On the full space every key owns itself, so owners are checked on
+    // a half-populated one against the rule computed from the member
+    // list alone: the first member at or after the key, wrapping.
+    let mut rng = SimRng::seed_from(seed).fork("members");
+    let half = CycloidGeometry::populate(dim, n / 2, &mut rng);
+    let mut members = half.members();
+    members.sort_unstable();
+    let owner_mismatches = (0..space.ring_size())
+        .filter(|&key| {
+            let want = members.iter().find(|&&m| m >= key).or(members.first());
+            half.owner(key) != want.copied()
+        })
+        .count();
+
+    let cfg = MiniDhtConfig::defaults(dim, seed);
+    let members: Vec<u64> = (0..space.ring_size()).collect();
+    let geometry = CycloidGeometry::from_members(dim, &members);
+
+    let mut rng = SimRng::seed_from(seed).fork("capacities");
+    let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
+    let run = |protocol| {
+        let mut dht = MiniDht::new(cfg, geometry.clone(), &capacities, protocol)
+            .expect("valid mini platform");
+        dht.run_poisson(lookups, n as f64 * scenario.per_node_rate)
+    };
+    CycloidDiff {
+        seed,
+        owner_mismatches,
+        keys_checked: n,
+        lookups: lookups as u64,
+        classic: run(MiniProtocol::Classic),
+        elastic: run(MiniProtocol::ElasticErt),
+        network_mean_path: network.mean_path_length,
     }
 }
 

@@ -13,10 +13,10 @@
 //! 2. **Differential oracles** ([`diff`], [`envelopes`]) — the
 //!    supermarket ODE / closed-form model cross-checked against the
 //!    discrete-event simulation and the `ert-network` forwarding path
-//!    on matched parameters, and `ert-minidht`'s Chord platform
-//!    cross-checked against the pure `ChordRegistry` geometry on
-//!    identical member sets; plus multi-seed Theorem 3.1–4.1 envelope
-//!    runners.
+//!    on matched parameters, `ert-minidht`'s Chord platform
+//!    cross-checked against the pure `ChordRegistry` geometry and its
+//!    Cycloid platform against `ert-network` on identical member sets;
+//!    plus multi-seed Theorem 3.1–4.1 envelope runners.
 //! 3. **A shared strategy library** ([`strategies`]) — the audited
 //!    scenario space every property test draws from (proptest
 //!    strategies plus the deterministic builders the pinned
