@@ -80,7 +80,7 @@ pub use forward::{
 };
 pub use node::{
     drive, Adapt, AdaptOp, AdaptTrace, Build, ErtNode, Geometry, Hop, HopCandidates, Lookup,
-    MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp, PeerReport, Route, Step, Task,
+    MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp, PeerReport, Route, RouteScratch, Step, Task,
 };
 pub use params::ErtParams;
 pub use table::ElasticTable;

@@ -206,14 +206,12 @@ pub enum Hop {
     Failed,
 }
 
-/// The candidates one routing hop may use.
+/// Where one routing hop's candidates came from; the candidate ids
+/// themselves fill the caller's buffer ([`Geometry::hop_candidates`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopCandidates {
     /// The table slot the candidates belong to (memory is keyed on it).
     pub slot: u16,
-    /// The candidate next hops (live by construction — the mini
-    /// platforms have no churn).
-    pub ids: Vec<u64>,
     /// The fresh contents of `slot` when the hop fell back to the
     /// geometry's structural list (the successor list on Chord, the
     /// leaf set on Pastry and Cycloid): the node writes them into
@@ -298,17 +296,25 @@ pub trait Geometry {
     fn classic_pick(&self, node: u64, slot: u16, members: ArcMembers<'_>) -> Option<u64>;
 
     /// Routing candidates for one hop from `cur` toward `owner`, read
-    /// from the node's table; a hop that falls back to the structural
-    /// list hands back its refresh in [`HopCandidates::refreshed`]
-    /// instead of writing the table. `numeric_mode` is per-query sticky
-    /// state: once a geometry falls back to its numeric/ring endgame it
-    /// stays there (guaranteeing termination).
+    /// from the node's table into `ids` (live by construction — the
+    /// mini platforms have no churn); a hop that falls back to the
+    /// structural list hands back its refresh in
+    /// [`HopCandidates::refreshed`] instead of writing the table.
+    /// `numeric_mode` is per-query sticky state: once a geometry falls
+    /// back to its numeric/ring endgame it stays there (guaranteeing
+    /// termination).
+    ///
+    /// `ids` is the caller's buffer, reused from hop to hop so that a
+    /// hop allocates no list: the impl clears it and fills it, and never
+    /// reads what it held before, so a dirty buffer yields exactly the
+    /// ids a fresh one would.
     fn hop_candidates(
         &self,
         cur: u64,
         owner: u64,
         table: &ElasticTable<u16, u64>,
         numeric_mode: &mut bool,
+        ids: &mut Vec<u64>,
     ) -> HopCandidates;
 
     /// Estimated remaining distance from `from` to `owner`; smaller is
@@ -691,24 +697,30 @@ impl ErtNode {
     /// hop limit is spent or there is no owner; otherwise it draws the
     /// poll set from the hop's candidates with `rng` and asks only those
     /// for their load. A candidate hidden by a partition drops out when
-    /// asked and the draw repeats.
+    /// asked and the draw repeats. The hop works in `scratch`'s buffers.
     pub fn route<'a, G: Geometry>(
         &mut self,
         geometry: &'a G,
         cfg: &MiniDhtConfig,
         lookup: &'a mut Lookup,
         rng: &'a mut SimRng,
+        scratch: &'a mut RouteScratch,
     ) -> Route<'a, G> {
-        let mut scratch = ForwardScratch::default();
         let at = match geometry.owner(lookup.key) {
             Some(owner) if owner == self.id => Err(Hop::Found),
             _ if lookup.hops >= cfg.max_hops => Err(Hop::Dropped),
             None => Err(Hop::Failed),
             Some(owner) => {
-                let mut hc =
-                    geometry.hop_candidates(self.id, owner, &self.table, &mut lookup.numeric_mode);
-                if let Some(ids) = hc.refreshed.take() {
-                    self.set_slot(hc.slot, ids);
+                let ids = &mut scratch.ids;
+                let hc = geometry.hop_candidates(
+                    self.id,
+                    owner,
+                    &self.table,
+                    &mut lookup.numeric_mode,
+                    ids,
+                );
+                if let Some(refreshed) = hc.refreshed {
+                    self.set_slot(hc.slot, refreshed);
                 }
                 let policy = match self.protocol {
                     MiniProtocol::Classic => ForwardPolicy::Deterministic,
@@ -719,14 +731,14 @@ impl ErtNode {
                 };
                 let decision = Decision::new(
                     policy,
-                    &hc.ids,
+                    ids,
                     self.table.memory(hc.slot),
                     &lookup.avoid,
                     cfg.ert.gamma_l,
                     cfg.ert.probe_width,
-                    &mut scratch,
+                    &mut scratch.forward,
                 );
-                Ok((owner, hc, decision))
+                Ok((owner, hc.slot, decision))
             }
         };
         Route {
@@ -1043,6 +1055,22 @@ impl Shuffle {
     }
 }
 
+/// The buffers one [`Route`] works in: the hop's candidate ids and
+/// Algorithm 4's decision buffers. A driver keeps one and lends it to
+/// every hop it routes, so a hop allocates neither.
+///
+/// *Exactness.* Nothing carries over from one hop to the next.
+/// [`ErtNode::route`] has [`Geometry::hop_candidates`] clear and fill
+/// `ids`, and the decision clears each buffer it reads when it opens,
+/// both before anything reads them. So a reused scratch routes exactly
+/// as a fresh one would, and one scratch serves every node a driver
+/// hosts.
+#[derive(Debug, Default)]
+pub struct RouteScratch {
+    forward: ForwardScratch<u64>,
+    ids: Vec<u64>,
+}
+
 /// Algorithm 4 on one node ([`ErtNode::route`]): the hop's
 /// `Decision` (`forward.rs`), each of its probes a [`PeerOp::Probe`]. An unknown
 /// peer answers as load 0, capacity 1; an unreachable one drops out.
@@ -1050,20 +1078,23 @@ pub struct Route<'a, G> {
     geometry: &'a G,
     lookup: &'a mut Lookup,
     rng: &'a mut SimRng,
-    scratch: ForwardScratch<u64>,
-    /// The key's owner, the hop's candidates and the decision among
+    /// The hop's candidate ids and the decision's buffers.
+    scratch: &'a mut RouteScratch,
+    /// The key's owner, the candidates' slot and the decision among
     /// them, or the hop decided without asking anyone.
-    at: Result<(u64, HopCandidates, Decision), Hop>,
+    at: Result<(u64, u16, Decision), Hop>,
 }
 
 impl<G: Geometry> Task for Route<'_, G> {
     type Out = Hop;
 
     fn step(&mut self, me: &mut ErtNode, answer: Option<PeerAnswer>) -> Step<Hop> {
-        let (owner, HopCandidates { slot, ids, .. }, decision) = match &mut self.at {
-            Ok((owner, hc, decision)) => (*owner, &*hc, decision),
+        let (owner, slot, decision) = match &mut self.at {
+            Ok((owner, slot, decision)) => (*owner, *slot, decision),
             Err(hop) => return Step::Done(*hop),
         };
+        let RouteScratch { forward, ids } = &mut *self.scratch;
+        let ids = &ids[..];
         let reply = answer.and_then(|answer| match answer {
             PeerAnswer::Report(r) => Some((r.load as f64, r.capacity as f64)),
             PeerAnswer::Unknown => Some((0.0, 1.0)),
@@ -1074,7 +1105,7 @@ impl<G: Geometry> Task for Route<'_, G> {
             logical_distance: geometry.metric(ids[i], owner),
             physical_distance: 0.0,
         };
-        match decision.poll(&mut self.scratch, reply, ids, contact, self.rng) {
+        match decision.poll(forward, reply, ids, contact, self.rng) {
             Poll::Probe(i) => Step::Ask {
                 peer: ids[i],
                 op: PeerOp::Probe,
@@ -1084,7 +1115,7 @@ impl<G: Geometry> Task for Route<'_, G> {
             Poll::Done(Some(choice)) => {
                 self.lookup.avoid.extend(choice.newly_overloaded);
                 if let Some(mem) = choice.new_memory {
-                    me.table.set_memory(*slot, mem);
+                    me.table.set_memory(slot, mem);
                 }
                 self.lookup.hops += 1;
                 Step::Done(Hop::Next(choice.next))
@@ -1214,19 +1245,17 @@ mod tests {
             owner: u64,
             table: &ElasticTable<u16, u64>,
             _numeric_mode: &mut bool,
+            ids: &mut Vec<u64>,
         ) -> HopCandidates {
             let slot = self.space().best_finger(cur, owner).unwrap_or(0) as u16;
             let ahead = |c: &u64| (1..=self.metric(cur, owner)).contains(&self.metric(cur, *c));
-            let mut ids: Vec<u64> = table.outlinks(slot).iter().copied().filter(ahead).collect();
+            ids.clear();
+            ids.extend(table.outlinks(slot).iter().copied().filter(ahead));
             if ids.is_empty() {
                 ids.push(owner);
             }
             let refreshed = None;
-            HopCandidates {
-                slot,
-                ids,
-                refreshed,
-            }
+            HopCandidates { slot, refreshed }
         }
 
         fn metric(&self, from: u64, owner: u64) -> u64 {
@@ -1348,18 +1377,18 @@ mod tests {
         // Finger 5 of node 0 covers [32, 64): give it two outlinks.
         me.add_outlink(5, 32);
         me.add_outlink(5, 36);
-        let mut rng = SimRng::seed_from(1);
+        let (mut rng, mut scratch) = (SimRng::seed_from(1), RouteScratch::default());
 
         peers.hidden.insert(32);
         let mut l = lookup(50);
-        let route = me.route(&g, &cfg, &mut l, &mut rng);
+        let route = me.route(&g, &cfg, &mut l, &mut rng, &mut scratch);
         let hop = peers.run(&mut me, route);
         assert_eq!(hop, Hop::Next(36), "the hidden candidate is passed over");
         assert_eq!(l.hops, 1);
 
         peers.hidden.insert(36);
         let mut l = lookup(50);
-        let route = me.route(&g, &cfg, &mut l, &mut rng);
+        let route = me.route(&g, &cfg, &mut l, &mut rng, &mut scratch);
         let hop = peers.run(&mut me, route);
         assert_eq!(hop, Hop::Failed, "all hidden: a failure, not a panic");
         assert_eq!(l.hops, 0);
@@ -1823,6 +1852,7 @@ mod tests {
         assert_eq!(cfg.ert.probe_width, 2);
 
         let mut me = ErtNode::new(ME, 8, MiniProtocol::ElasticErt);
+        let mut scratch = RouteScratch::default();
         slot(&mut me);
         for (seed, memory) in [(1, None), (2, Some(40)), (3, Some(44))] {
             if let Some(m) = memory {
@@ -1830,7 +1860,7 @@ mod tests {
             }
             let mut peers = Peers::new(&g);
             let (mut l, mut rng) = (lookup(58), SimRng::seed_from(seed));
-            let route = me.route(&g, &cfg, &mut l, &mut rng);
+            let route = me.route(&g, &cfg, &mut l, &mut rng, &mut scratch);
             let hop = peers.run(&mut me, route);
             assert!(matches!(hop, Hop::Next(_)));
             let asked = probes(&peers.log);
@@ -1845,7 +1875,7 @@ mod tests {
         slot(&mut me);
         let mut peers = Peers::new(&g);
         let (mut l, mut rng) = (lookup(58), SimRng::seed_from(4));
-        let route = me.route(&g, &cfg, &mut l, &mut rng);
+        let route = me.route(&g, &cfg, &mut l, &mut rng, &mut scratch);
         let hop = peers.run(&mut me, route);
         assert_eq!(hop, Hop::Next(52), "the candidate closest to the owner");
         assert_eq!(

@@ -167,25 +167,21 @@ impl Geometry for ChordGeometry {
         owner: u64,
         table: &ElasticTable<u16, u64>,
         _numeric_mode: &mut bool,
+        ids: &mut Vec<u64>,
     ) -> HopCandidates {
         let size = self.space.ring_size();
         let budget = forward_distance(cur, owner, size);
-        let in_budget = |c: u64| {
+        let in_budget = |&c: &u64| {
             let d = forward_distance(cur, c, size);
             d > 0 && d <= budget
         };
         let mut m = self.space.best_finger(cur, owner).unwrap_or(0) as u16;
         loop {
-            let members: Vec<u64> = table
-                .outlinks(m)
-                .iter()
-                .copied()
-                .filter(|&c| in_budget(c))
-                .collect();
-            if !members.is_empty() {
+            ids.clear();
+            ids.extend(table.outlinks(m).iter().copied().filter(in_budget));
+            if !ids.is_empty() {
                 return HopCandidates {
                     slot: m,
-                    ids: members,
                     refreshed: None,
                 };
             }
@@ -197,13 +193,12 @@ impl Geometry for ChordGeometry {
         // Refresh and use the successor list; the owner is live and
         // ahead, so the nearest successors always qualify.
         let succ = self.registry.succ_window(cur, self.succ_list);
-        let mut ids: Vec<u64> = succ.iter().copied().filter(|&c| in_budget(c)).collect();
+        ids.extend(succ.iter().copied().filter(in_budget));
         if ids.is_empty() {
             ids.push(owner);
         }
         HopCandidates {
             slot: SUCC_SLOT,
-            ids,
             refreshed: Some(succ),
         }
     }
@@ -261,10 +256,10 @@ mod tests {
         }
         // Even with an empty table the successor fallback progresses.
         let table = ElasticTable::new();
-        let mut numeric = false;
-        let hc = g.hop_candidates(cur, owner, &table, &mut numeric);
-        assert!(!hc.ids.is_empty());
-        for id in hc.ids {
+        let (mut numeric, mut ids) = (false, Vec::new());
+        g.hop_candidates(cur, owner, &table, &mut numeric, &mut ids);
+        assert!(!ids.is_empty());
+        for id in ids {
             assert!(g.metric(id, owner) < g.metric(cur, owner));
         }
     }

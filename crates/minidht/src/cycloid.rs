@@ -142,18 +142,20 @@ impl CycloidGeometry {
     }
 
     /// The ring walk from `me` toward `owner` over every link of the
-    /// table and the fresh leaf set, keeping the non-overshooting ones.
+    /// table and the fresh leaf set, keeping the non-overshooting ones
+    /// in `ids`, which it clears first.
     fn ring_candidates(
         &self,
         me: CycloidId,
         owner: CycloidId,
         table: &ElasticTable<u16, u64>,
+        ids: &mut Vec<u64>,
     ) -> HopCandidates {
         let space = self.space();
         let stride = space.ring_stride(me, owner);
         let leaf = self.leaf_set(me);
         let links = table.iter_outlinks().filter(|&(slot, _)| slot != LEAF_SLOT);
-        let mut ids = Vec::new();
+        ids.clear();
         for x in links.map(|(_, x)| x).chain(leaf.iter().copied()) {
             if stride.admits(self.id(x)) && !ids.contains(&x) {
                 ids.push(x);
@@ -164,7 +166,6 @@ impl CycloidGeometry {
         let refreshed = (table.outlinks(LEAF_SLOT) != leaf.as_slice()).then_some(leaf);
         HopCandidates {
             slot: LEAF_SLOT,
-            ids,
             refreshed,
         }
     }
@@ -249,33 +250,35 @@ impl Geometry for CycloidGeometry {
         owner: u64,
         table: &ElasticTable<u16, u64>,
         numeric_mode: &mut bool,
+        ids: &mut Vec<u64>,
     ) -> HopCandidates {
         let (space, me, owner) = (self.space(), self.id(cur), self.id(owner));
         // Route toward the owner's ID, which is robust when the key's own
         // cycle is empty.
         if !*numeric_mode && !space.ring_endgame(me, owner) {
-            let (slot, ids) = match space.route_step(me, owner) {
-                RouteStep::Entry(kind) => (slot_of(kind), table.outlinks(slot_of(kind)).to_vec()),
+            ids.clear();
+            let slot = match space.route_step(me, owner) {
+                RouteStep::Entry(kind) => {
+                    ids.extend_from_slice(table.outlinks(slot_of(kind)));
+                    slot_of(kind)
+                }
                 RouteStep::Ascend => {
                     let up = self.registry.ascend_targets(me);
-                    (ASCEND_SLOT, up.map(|m| space.lin(m)).collect())
+                    ids.extend(up.map(|m| space.lin(m)));
+                    ASCEND_SLOT
                 }
-                RouteStep::Ring => (LEAF_SLOT, Vec::new()),
+                RouteStep::Ring => LEAF_SLOT,
             };
             if !ids.is_empty() {
                 let refreshed = None;
-                return HopCandidates {
-                    slot,
-                    ids,
-                    refreshed,
-                };
+                return HopCandidates { slot, refreshed };
             }
         }
         // The endgame, an empty slot, or nothing to ascend to: finish on
         // the monotone ring walk and stay there — in a sparse overlay a
         // retried geometric phase can oscillate around empty cycles.
         *numeric_mode = true;
-        self.ring_candidates(me, owner, table)
+        self.ring_candidates(me, owner, table, ids)
     }
 
     fn metric(&self, from: u64, owner: u64) -> u64 {
@@ -319,7 +322,7 @@ mod tests {
         let dim = g.space().dim();
         let cfg = MiniDhtConfig::defaults(dim, 1);
         let members = g.members();
-        let mut rng = SimRng::seed_from(u64::from(dim));
+        let (mut rng, mut ids) = (SimRng::seed_from(u64::from(dim)), Vec::new());
         for protocol in [MiniProtocol::Classic, MiniProtocol::ElasticErt] {
             let nodes = built(g, &cfg, protocol);
             let index: BTreeMap<u64, &ErtNode> = nodes.iter().map(|n| (n.id(), n)).collect();
@@ -330,9 +333,9 @@ mod tests {
                         assert!(hops < cfg.max_hops, "{start} → {owner}: stuck at {cur}");
                         let was = numeric;
                         let table = index[&cur].table();
-                        let hc = g.hop_candidates(cur, owner, table, &mut numeric);
+                        g.hop_candidates(cur, owner, table, &mut numeric, &mut ids);
                         assert!(numeric || !was, "{start} → {owner}: left numeric mode");
-                        cur = hc.ids[rng.gen_range(0..hc.ids.len())];
+                        cur = ids[rng.gen_range(0..ids.len())];
                         hops += 1;
                     }
                 }

@@ -71,7 +71,7 @@ pub use chord::ChordGeometry;
 pub use cycloid::CycloidGeometry;
 pub use ert_core::node::{
     AdaptOp, AdaptTrace, ErtNode, Geometry, Hop, HopCandidates, Lookup, MiniDhtConfig,
-    MiniProtocol, PeerAnswer, PeerOp, PeerReport,
+    MiniProtocol, PeerAnswer, PeerOp, PeerReport, RouteScratch,
 };
 pub use pastry::PastryGeometry;
 pub use peer_index::PeerIndex;

@@ -148,15 +148,16 @@ impl Geometry for PastryGeometry {
         owner: u64,
         table: &ElasticTable<u16, u64>,
         numeric_mode: &mut bool,
+        ids: &mut Vec<u64>,
     ) -> HopCandidates {
+        ids.clear();
         if !*numeric_mode {
             if let Some((row, col)) = self.space.route_cell(cur, owner) {
                 let slot = self.encode(row, col);
-                let ids = table.outlinks(slot).to_vec();
+                ids.extend_from_slice(table.outlinks(slot));
                 if !ids.is_empty() {
                     return HopCandidates {
                         slot,
-                        ids,
                         refreshed: None,
                     };
                 }
@@ -169,18 +170,13 @@ impl Geometry for PastryGeometry {
         let size = self.space.ring_size();
         let my_dist = shortest_distance(cur, owner, size);
         let leafs = self.registry.leaf_set(cur, LEAF_WINDOW);
-        let mut ids: Vec<u64> = leafs
-            .iter()
-            .copied()
-            .chain(std::iter::once(owner))
-            .filter(|&c| shortest_distance(c, owner, size) < my_dist)
-            .collect();
+        let closer = |&c: &u64| shortest_distance(c, owner, size) < my_dist;
+        ids.extend(leafs.iter().copied().chain([owner]).filter(closer));
         if ids.is_empty() {
             ids.push(owner);
         }
         HopCandidates {
             slot: LEAF_SLOT,
-            ids,
             refreshed: Some(leafs),
         }
     }
@@ -276,10 +272,10 @@ mod tests {
             return;
         }
         let table = ElasticTable::new(); // empty: forces numeric mode
-        let mut numeric = false;
-        let hc = g.hop_candidates(cur, owner, &table, &mut numeric);
+        let (mut numeric, mut ids) = (false, Vec::new());
+        g.hop_candidates(cur, owner, &table, &mut numeric, &mut ids);
         assert!(numeric, "empty prefix cell must commit to numeric mode");
-        for id in hc.ids {
+        for id in ids {
             assert!(
                 shortest_distance(id, owner, g.space().ring_size())
                     < shortest_distance(cur, owner, g.space().ring_size())

@@ -6,12 +6,13 @@ use std::collections::BTreeSet;
 
 use ert_core::node::{
     AdaptTrace, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp,
-    Step, Task,
+    RouteScratch, Step, Task,
 };
 use ert_core::{max_indegree, normalize_capacities};
 use ert_faults::RetryPolicy;
 use ert_sim::stats::{Samples, Summary};
 use ert_sim::{Engine, SimDuration, SimRng, SimTime};
+use rand::Rng;
 use serde::Serialize;
 
 use crate::peer_index::PeerIndex;
@@ -231,6 +232,9 @@ pub struct MiniDht<G: Geometry, L: Link = Direct> {
     engine: Engine<Ev>,
     rng: SimRng,
     decide_rngs: Option<Vec<SimRng>>,
+    /// The buffers every node's hop works in: one per driver, since a
+    /// hop leaves nothing in them for the next.
+    route_scratch: RouteScratch,
     /// One entry per query of the running schedule.
     queries: Vec<Query>,
     /// Queries without a final answer.
@@ -316,6 +320,7 @@ impl<G: Geometry, L: Link> MiniDht<G, L> {
             engine: Engine::new(),
             rng: SimRng::seed_from(cfg.seed),
             decide_rngs: None,
+            route_scratch: RouteScratch::default(),
             queries: Vec::new(),
             pending: 0,
             lookup_times: Samples::new(),
@@ -482,7 +487,9 @@ impl<G: Geometry, L: Link> MiniDht<G, L> {
     /// The client hands a query to its source node, which shares its
     /// process: no link is crossed.
     fn on_inject(&mut self, query: u64, now: SimTime) {
-        let source = self.rng.fork("source").sample_indices(self.nodes.len(), 1)[0];
+        // One index drawn directly: the same draw as the first of a
+        // partial Fisher–Yates, without its O(n) list.
+        let source = self.rng.fork("source").gen_range(0..self.nodes.len());
         let entry = &mut self.queries[query as usize];
         entry.source = source;
         entry.started = now;
@@ -536,7 +543,8 @@ impl<G: Geometry, L: Link> MiniDht<G, L> {
             Some(streams) => &mut streams[node],
             None => &mut self.rng,
         };
-        let route = self.nodes[node].route(&self.geometry, &self.cfg, &mut lookup, rng);
+        let scratch = &mut self.route_scratch;
+        let route = self.nodes[node].route(&self.geometry, &self.cfg, &mut lookup, rng, scratch);
         let (nodes, peers, link) = (&mut self.nodes, &self.peers, &mut self.link);
         let hop = run(nodes, peers, link, now, node, q, route);
         let id = self.nodes[node].id();

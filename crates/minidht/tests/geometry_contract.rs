@@ -8,9 +8,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use ert_core::drive;
 use ert_minidht::{
     ChordGeometry, CycloidGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
-    PastryGeometry, PeerAnswer,
+    PastryGeometry, PeerAnswer, RouteScratch,
 };
 use ert_sim::SimRng;
+use proptest::prelude::*;
 
 fn chord() -> ChordGeometry {
     ChordGeometry::populate(10, 150, &mut SimRng::seed_from(1))
@@ -165,8 +166,8 @@ fn a_route_with_an_empty_table_refreshes_the_successor_list() {
         numeric_mode: false,
         avoid: BTreeSet::new(),
     };
-    let mut rng = SimRng::seed_from(1);
-    let route = me.route(&g, &cfg, &mut lookup, &mut rng);
+    let (mut rng, mut scratch) = (SimRng::seed_from(1), RouteScratch::default());
+    let route = me.route(&g, &cfg, &mut lookup, &mut rng, &mut scratch);
     let hop = drive(&mut me, route, |peer, op| {
         PeerAnswer::Report(peers.get_mut(&peer).unwrap().serve(op))
     });
@@ -177,4 +178,112 @@ fn a_route_with_an_empty_table_refreshes_the_successor_list() {
         "{hop:?}"
     );
     assert_eq!(lookup.hops, 1);
+}
+
+/// Every member's node after its table build on `g` under `protocol`,
+/// by id.
+fn built(g: &impl Geometry, protocol: MiniProtocol) -> BTreeMap<u64, ErtNode> {
+    let cfg = MiniDhtConfig::defaults(10, 1);
+    let mut nodes: BTreeMap<u64, ErtNode> = g
+        .members()
+        .into_iter()
+        .map(|id| (id, ErtNode::new(id, 12, protocol)))
+        .collect();
+    for id in g.members() {
+        let mut me = nodes.remove(&id).unwrap();
+        let build = me.build(g, &cfg);
+        drive(&mut me, build, |peer, op| match nodes.get_mut(&peer) {
+            Some(p) => PeerAnswer::Report(p.serve(op)),
+            None => PeerAnswer::Unknown,
+        });
+        nodes.insert(id, me);
+    }
+    nodes
+}
+
+/// Walks from `(start, key, picks)` on `g`'s built tables: at each hop,
+/// `hop_candidates` into `reused`, left dirty by the hop before, and
+/// into a fresh `Vec` give the same slot, refresh, ids and
+/// `numeric_mode`; the walk goes on to a candidate the picks choose.
+/// Returns the hops taken.
+fn assert_reused_buffer_routes_as_a_fresh_one(
+    g: &impl Geometry,
+    protocol: MiniProtocol,
+    walks: &[(usize, u64, u64)],
+    reused: &mut Vec<u64>,
+) -> usize {
+    let nodes = built(g, protocol);
+    let members = g.members();
+    let mut hops = 0;
+    for &(start, key, mut picks) in walks {
+        let mut cur = members[start % members.len()];
+        let owner = g.owner(key).expect("a member owns every key");
+        let (mut numeric, mut twin_numeric) = (false, false);
+        for _ in 0..64 {
+            if cur == owner {
+                break;
+            }
+            let table = nodes[&cur].table();
+            let mut fresh = Vec::new();
+            let got = g.hop_candidates(cur, owner, table, &mut numeric, reused);
+            let want = g.hop_candidates(cur, owner, table, &mut twin_numeric, &mut fresh);
+            assert_eq!(got, want, "{} hop from {cur} toward {owner}", g.name());
+            assert_eq!(*reused, fresh, "{} hop from {cur} toward {owner}", g.name());
+            assert_eq!(numeric, twin_numeric, "{} hop from {cur}", g.name());
+            cur = fresh[(picks % fresh.len() as u64) as usize];
+            picks = picks.rotate_left(7) ^ 0x9e37_79b9_7f4a_7c15;
+            hops += 1;
+        }
+    }
+    hops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A hop's candidates fill the caller's reused buffer exactly as a
+    /// fresh one: on Chord, Pastry and Cycloid (full and sparse), on
+    /// Classic and ERT tables, a buffer left dirty by the previous hop
+    /// (of this walk or an earlier one; the first hop finds it holding
+    /// arbitrary ids) yields the same ids, slot, refresh and
+    /// `numeric_mode` as a new `Vec`.
+    #[test]
+    fn hop_candidates_fill_a_reused_buffer_as_a_fresh_one(
+        geometry in 0usize..4,
+        elastic in prop::bool::ANY,
+        dirt in prop::collection::vec(0u64..u64::MAX, 0..12),
+        walks in prop::collection::vec(
+            (0usize..usize::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..24,
+        ),
+    ) {
+        let protocol = if elastic { MiniProtocol::ElasticErt } else { MiniProtocol::Classic };
+        let mut reused = dirt;
+        let keyed = |ring: u64| -> Vec<(usize, u64, u64)> {
+            walks.iter().map(|&(s, k, p)| (s, k % ring, p)).collect()
+        };
+        let hops = match geometry {
+            0 => {
+                let g = chord();
+                let walks = keyed(g.space().ring_size());
+                assert_reused_buffer_routes_as_a_fresh_one(&g, protocol, &walks, &mut reused)
+            }
+            1 => {
+                let g = pastry();
+                let walks = keyed(g.space().ring_size());
+                assert_reused_buffer_routes_as_a_fresh_one(&g, protocol, &walks, &mut reused)
+            }
+            2 => {
+                let g = full_cycloid();
+                let walks = keyed(g.space().ring_size());
+                assert_reused_buffer_routes_as_a_fresh_one(&g, protocol, &walks, &mut reused)
+            }
+            _ => {
+                let g = sparse_cycloid();
+                let walks = keyed(g.space().ring_size());
+                assert_reused_buffer_routes_as_a_fresh_one(&g, protocol, &walks, &mut reused)
+            }
+        };
+        prop_assert!(hops > 0, "no walk took a hop");
+    }
 }

@@ -23,7 +23,7 @@ use ert_minidht::{
 };
 use ert_sim::SimTime;
 
-use crate::codec::{decode, encode, Message};
+use crate::codec::{decode, encode_into, Message};
 use crate::node::{
     answer_ask, ask_of, encode_ask, lookup_message, lookup_of, read_answer, reply_message,
     reply_of, NodeError,
@@ -31,11 +31,21 @@ use crate::node::{
 
 /// The in-memory network: every crossing encoded, rolled against the
 /// fault plan, and decoded at the far end.
+///
+/// The switch keeps two frames and encodes every crossing into them:
+/// an ask, a lookup or an answer into `frame`, and the peer's
+/// `LoadReport` into `reply`. The encoder clears a frame before it
+/// writes and the far end reads only what was just written, so a
+/// reused frame holds exactly the bytes a fresh `encode` would, and a
+/// crossing allocates no frame once both have grown to the largest
+/// one carried.
 #[derive(Debug)]
 struct Switch {
     faults: LinkFaults,
-    /// The ask being carried, kept so that asking allocates nothing.
+    /// The ask, lookup or answer being carried.
     frame: Vec<u8>,
+    /// The `LoadReport` answering the ask in `frame`.
+    reply: Vec<u8>,
     /// `ProbeLoad` and `AdaptIndegree` RPCs carried.
     rpcs: [u64; 2],
     /// The first frame the far end could not read; none ever should be.
@@ -57,12 +67,13 @@ impl Switch {
             return Err(NodeError::Protocol(format!("not an ask: {request:?}")));
         };
         self.rpcs[usize::from(asked != PeerOp::Probe)] += 1;
-        read_answer(&answer_ask(peer, asked_token, asked), token)
+        answer_ask(peer, asked_token, asked, &mut self.reply);
+        read_answer(&self.reply, token)
     }
 
     /// The datagram lane's far end: `frame` decoded and read.
-    fn land<T>(&mut self, frame: &[u8], read: fn(Message) -> Result<T, NodeError>) -> Option<T> {
-        match decode(frame).map_err(NodeError::from).and_then(read) {
+    fn land<T>(&mut self, read: fn(Message) -> Result<T, NodeError>) -> Option<T> {
+        match decode(&self.frame).map_err(NodeError::from).and_then(read) {
             Ok(value) => Some(value),
             Err(e) => {
                 self.failure.get_or_insert(e);
@@ -92,19 +103,19 @@ impl Link for Switch {
     }
 
     fn forward(&mut self, now: SimTime, from: usize, to: usize, lookup: Lookup) -> Option<Lookup> {
-        let frame = encode(&lookup_message(lookup));
+        encode_into(&lookup_message(lookup), &mut self.frame);
         match self.faults.deliver(now, from, to) {
-            Delivery::Pass => self.land(&frame, lookup_of),
+            Delivery::Pass => self.land(lookup_of),
             Delivery::Dropped | Delivery::Partitioned => None,
         }
     }
 
     fn reply(&mut self, now: SimTime, from: usize, reply: Reply) -> Option<Reply> {
-        let frame = encode(&reply_message(reply));
+        encode_into(&reply_message(reply), &mut self.frame);
         // Answers can be lost too (the client must resend); the client
         // shares every node's process, so no partition severs it.
         match self.faults.deliver(now, from, from) {
-            Delivery::Pass => self.land(&frame, reply_of),
+            Delivery::Pass => self.land(reply_of),
             Delivery::Dropped | Delivery::Partitioned => None,
         }
     }
@@ -181,6 +192,7 @@ impl WireCluster {
         let switch = Switch {
             faults,
             frame: Vec::new(),
+            reply: Vec::new(),
             rpcs: [0; 2],
             failure: None,
         };

@@ -30,7 +30,7 @@ use std::fmt;
 use ert_core::Task;
 use ert_minidht::{
     AdaptTrace, ChordGeometry, ErtNode, Geometry, Hop, Lookup, MiniDhtConfig, MiniProtocol,
-    PeerAnswer, PeerOp, PeerReport, Reply,
+    PeerAnswer, PeerOp, PeerReport, Reply, RouteScratch,
 };
 use ert_sim::SimRng;
 
@@ -97,16 +97,17 @@ pub(crate) fn ask_of(request: &Message) -> Option<(u64, PeerOp)> {
 }
 
 /// Serves `op` on `node` and encodes the `LoadReport` that answers it
-/// under `token`.
-pub(crate) fn answer_ask(node: &mut ErtNode, token: u64, op: PeerOp) -> Vec<u8> {
+/// under `token` into `out`, a buffer the caller keeps.
+pub(crate) fn answer_ask(node: &mut ErtNode, token: u64, op: PeerOp, out: &mut Vec<u8>) {
     let report = node.serve(op);
-    encode(&Message::LoadReport {
+    let answer = Message::LoadReport {
         token,
         load: report.load,
         capacity: report.capacity,
         indegree: report.indegree,
         spare: report.spare,
-    })
+    };
+    encode_into(&answer, out);
 }
 
 /// Reads a peer's reply to an ask made under `token`. A reply other
@@ -265,6 +266,8 @@ pub struct WireNode {
     stabilize_round: u32,
     /// The outgoing RPC's frame, kept so that asking allocates nothing.
     request: Vec<u8>,
+    /// The buffers a hop works in, kept so that routing allocates none.
+    route_scratch: RouteScratch,
 }
 
 impl WireNode {
@@ -299,6 +302,7 @@ impl WireNode {
             cfg: *cfg,
             stabilize_round: 0,
             request: Vec::new(),
+            route_scratch: RouteScratch::default(),
         }
     }
 
@@ -509,7 +513,10 @@ impl WireNode {
     pub fn on_request(&mut self, frame: &[u8]) -> Result<Vec<u8>, NodeError> {
         let request = decode(frame)?;
         if let Some((token, op)) = ask_of(&request) {
-            return Ok(answer_ask(&mut self.ert, token, op));
+            // An owned frame: the transport takes the reply by value.
+            let mut reply = Vec::new();
+            answer_ask(&mut self.ert, token, op, &mut reply);
+            return Ok(reply);
         }
         match request {
             Message::Join { id, mut members } => {
@@ -557,9 +564,13 @@ impl WireNode {
                 if let Some((query, service)) = next {
                     t.timer(service, TimerKind::ServiceDone { query });
                 }
-                let route =
-                    self.ert
-                        .route(&self.geometry, &self.cfg, &mut lookup, &mut self.decide);
+                let route = self.ert.route(
+                    &self.geometry,
+                    &self.cfg,
+                    &mut lookup,
+                    &mut self.decide,
+                    &mut self.route_scratch,
+                );
                 let hop = drive(&mut self.ert, t, &mut self.request, query, route)?;
                 if let Hop::Next(next) = hop {
                     t.send(next, &encode(&lookup_message(lookup)))?;
@@ -820,9 +831,13 @@ mod tests {
         let mut twin = built(me);
         twin.ert.arrive(lookup.clone(), &cfg);
         let (mut served, _) = twin.ert.service_done(7, &cfg).expect("in service");
-        let route = twin
-            .ert
-            .route(&twin.geometry, &cfg, &mut served, &mut twin.decide);
+        let route = twin.ert.route(
+            &twin.geometry,
+            &cfg,
+            &mut served,
+            &mut twin.decide,
+            &mut twin.route_scratch,
+        );
         let hop = ert_core::drive(&mut twin.ert, route, |_, _| PeerAnswer::Report(REPORT));
         let Hop::Next(next) = hop else {
             panic!("a non-owner forwards, got {hop:?}");

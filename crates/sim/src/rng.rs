@@ -74,6 +74,11 @@ impl SimRng {
 
     /// Picks `k` distinct indices uniformly at random from `0..n`
     /// (partial Fisher–Yates). Returns fewer than `k` when `n < k`.
+    ///
+    /// It costs O(n) whatever `k` is: the whole index list is built
+    /// before the first draw. Its first index is drawn as
+    /// `gen_range(0..n)`, so a caller that needs one index draws it
+    /// directly, with the same result and the same stream state.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let k = k.min(n);
         let mut idx: Vec<usize> = (0..n).collect();
@@ -156,6 +161,19 @@ mod tests {
         assert_eq!(sorted.len(), 4);
         assert!(picks.iter().all(|&i| i < 10));
         assert_eq!(rng.sample_indices(2, 5).len(), 2);
+    }
+
+    #[test]
+    fn one_index_drawn_directly_is_the_first_sampled_index() {
+        for (seed, n) in [(1, 1), (2, 2), (3, 7), (4, 256), (5, 1024), (6, 4097)] {
+            let mut direct = SimRng::seed_from(seed).fork("source");
+            let mut sampled = direct.clone();
+            for _ in 0..50 {
+                let i = direct.gen_range(0..n);
+                assert_eq!(i, sampled.sample_indices(n, 1)[0], "n = {n}");
+            }
+            assert_eq!(direct.gen::<u64>(), sampled.gen::<u64>(), "n = {n}");
+        }
     }
 
     #[test]
