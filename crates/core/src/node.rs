@@ -494,6 +494,7 @@ impl ErtNode {
 
     /// The link op `op` on `slot` of the asked peer's table, from this
     /// node.
+    #[inline]
     fn link(&self, slot: u16, op: AdaptOp) -> PeerOp {
         let from = self.id;
         PeerOp::Link { from, slot, op }
@@ -617,10 +618,7 @@ impl ErtNode {
                     return self.report(u64::from(present));
                 }
                 AdaptOp::DropOutlinks => {
-                    let slots: Vec<u16> = self.table.occupied_slots().collect();
-                    for s in slots {
-                        self.table.remove_outlink(s, from);
-                    }
+                    self.table.remove_outlinks_to(from);
                 }
                 AdaptOp::AddBackward => {
                     self.table.add_backward(from);
@@ -810,6 +808,12 @@ pub enum Step<T> {
 /// in issue order; a peer it cannot reach is [`PeerAnswer::Unknown`] or
 /// [`PeerAnswer::Unreachable`]. Nothing else acts on the node between
 /// two steps.
+///
+/// The node's `Expand`, [`Route`] and [`Adapt`] mark `step`
+/// `#[inline]`: inlined into the driver's loop, a [`Step::Ask`] and its
+/// [`PeerOp`] are built where the loop reads them. Returned from an
+/// out-of-line step, they are written to its return slot field by
+/// field and read back whole, a store-forwarding stall on every ask.
 pub trait Task {
     /// What the finished task returns.
     type Out;
@@ -880,6 +884,7 @@ fn expand<'a, G: Geometry>(
 impl<G: Geometry, I: Iterator<Item = (u16, u64)>> Task for Expand<'_, G, I> {
     type Out = ();
 
+    #[inline]
     fn step(&mut self, me: &mut ErtNode, answer: Option<PeerAnswer>) -> Step<()> {
         match (answer, self.last) {
             (Some(PeerAnswer::Report(r)), Some((slot, holder))) => {
@@ -1088,6 +1093,7 @@ pub struct Route<'a, G> {
 impl<G: Geometry> Task for Route<'_, G> {
     type Out = Hop;
 
+    #[inline]
     fn step(&mut self, me: &mut ErtNode, answer: Option<PeerAnswer>) -> Step<Hop> {
         let (owner, slot, decision) = match &mut self.at {
             Ok((owner, slot, decision)) => (*owner, *slot, decision),
@@ -1141,6 +1147,7 @@ enum AdaptAt<'a, G, I> {
 impl<G: Geometry, I: Iterator<Item = (u16, u64)>> Task for Adapt<'_, G, I> {
     type Out = AdaptTrace;
 
+    #[inline]
     fn step(&mut self, me: &mut ErtNode, answer: Option<PeerAnswer>) -> Step<AdaptTrace> {
         match &mut self.at {
             AdaptAt::Shed(victims) => {

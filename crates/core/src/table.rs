@@ -174,6 +174,22 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
         }
     }
 
+    /// Removes `id` from every slot, in one pass over the lists in
+    /// place: [`ElasticTable::remove_outlink`] on each occupied slot.
+    /// The backward fingers and the memory stay. Returns whether any
+    /// slot held it.
+    pub fn remove_outlinks_to(&mut self, id: Id) -> bool {
+        let mut removed = false;
+        let spill = self.spill.iter_mut().map(|(_, ids)| ids);
+        for ids in self.lists.iter_mut().chain(spill) {
+            if let Some(at) = ids.iter().position(|&x| x == id) {
+                ids.remove(at);
+                removed = true;
+            }
+        }
+        removed
+    }
+
     /// Replaces the contents of `slot` wholesale (used for structural
     /// slots like leaf sets that are refreshed, not negotiated).
     pub fn set_slot(&mut self, slot: S, ids: Vec<Id>) {
@@ -404,6 +420,17 @@ mod tests {
     }
 
     impl ModelTable {
+        fn remove_outlinks_to(&mut self, id: u32) -> bool {
+            let mut removed = false;
+            for entry in self.slots.values_mut() {
+                if let Some(at) = entry.iter().position(|&x| x == id) {
+                    entry.remove(at);
+                    removed = true;
+                }
+            }
+            removed
+        }
+
         fn purge_peer(&mut self, id: u32) -> bool {
             let mut touched = false;
             for entry in self.slots.values_mut() {
@@ -488,7 +515,7 @@ mod tests {
         #[test]
         fn sorted_vector_storage_matches_the_btreemap_model(
             wide in proptest::bool::ANY,
-            ops in proptest::collection::vec((0u8..6, 0u8..KEYS, 0u32..10, 0u32..10), 0..160)
+            ops in proptest::collection::vec((0u8..7, 0u8..KEYS, 0u32..10, 0u32..10), 0..160)
         ) {
             let width = if wide { KEYS } else { INLINE as u8 };
             let mut t: ElasticTable<u8, u32> = ElasticTable::new();
@@ -520,6 +547,7 @@ mod tests {
                         t.set_memory(slot, id);
                     }
                     4 => assert_eq!(t.purge_peer(id), m.purge_peer(id)),
+                    5 => assert_eq!(t.remove_outlinks_to(id), m.remove_outlinks_to(id)),
                     _ => {
                         let fresh = !m.backward.contains(&id);
                         if fresh {

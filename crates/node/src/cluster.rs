@@ -23,7 +23,7 @@ use ert_minidht::{
 };
 use ert_sim::SimTime;
 
-use crate::codec::{decode, encode_into, Message};
+use crate::codec::{decode, decode_inline, encode_into, Message};
 use crate::node::{
     answer_ask, ask_of, encode_ask, lookup_message, lookup_of, read_answer, reply_message,
     reply_of, NodeError,
@@ -53,22 +53,11 @@ struct Switch {
 }
 
 impl Switch {
-    /// The RPC lane: the ask encoded, decoded and counted at the far
-    /// end, served there, and its `LoadReport` read back.
-    fn carry(
-        &mut self,
-        peer: &mut ErtNode,
-        op: PeerOp,
-        token: u64,
-    ) -> Result<PeerAnswer, NodeError> {
-        let token = encode_ask(op, token, &mut self.frame);
-        let request = decode(&self.frame)?;
-        let Some((asked_token, asked)) = ask_of(&request) else {
-            return Err(NodeError::Protocol(format!("not an ask: {request:?}")));
-        };
-        self.rpcs[usize::from(asked != PeerOp::Probe)] += 1;
-        answer_ask(peer, asked_token, asked, &mut self.reply);
-        read_answer(&self.reply, token)
+    /// Records `e` if it is the first frame the far end could not read,
+    /// and answers the ask that carried it as unreachable.
+    fn fail(&mut self, e: NodeError) -> PeerAnswer {
+        self.failure.get_or_insert(e);
+        PeerAnswer::Unreachable
     }
 
     /// The datagram lane's far end: `frame` decoded and read.
@@ -84,6 +73,16 @@ impl Switch {
 }
 
 impl Link for Switch {
+    /// The RPC lane: the ask encoded, decoded and counted at the far
+    /// end, served there, and its `LoadReport` read back. A frame the
+    /// far end cannot read is recorded in `failure`, and the ask is
+    /// answered as unreachable.
+    ///
+    /// Both frames are decoded inline and read where the decoder built
+    /// them, never moved whole into another `Result` first, as a `?` or
+    /// an `unwrap_or_else` would: the move writes the value field by
+    /// field and reads it back at once in wider loads, a
+    /// store-forwarding stall on every RPC.
     fn ask(
         &mut self,
         now: SimTime,
@@ -96,10 +95,20 @@ impl Link for Switch {
         if !self.faults.reachable(now, from, to) {
             return PeerAnswer::Unreachable;
         }
-        self.carry(peer, op, token).unwrap_or_else(|e| {
-            self.failure.get_or_insert(e);
-            PeerAnswer::Unreachable
-        })
+        let token = encode_ask(op, token, &mut self.frame);
+        let (asked_token, asked) = match &decode_inline(&self.frame) {
+            Ok(request) => match ask_of(request) {
+                Some(ask) => ask,
+                None => return self.fail(NodeError::Protocol(format!("not an ask: {request:?}"))),
+            },
+            Err(e) => return self.fail(NodeError::Codec(*e)),
+        };
+        self.rpcs[usize::from(asked != PeerOp::Probe)] += 1;
+        answer_ask(peer, asked_token, asked, &mut self.reply);
+        match read_answer(&self.reply, token) {
+            Ok(answer) => answer,
+            Err(e) => self.fail(e),
+        }
     }
 
     fn forward(&mut self, now: SimTime, from: usize, to: usize, lookup: Lookup) -> Option<Lookup> {

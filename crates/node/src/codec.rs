@@ -246,6 +246,16 @@ impl<'a> Reader<'a> {
         Ok(self.u64()? as i64)
     }
 
+    /// The message ended: no payload byte may be left.
+    fn end(&self) -> Result<(), CodecError> {
+        if self.pos != self.buf.len() {
+            return Err(CodecError::TrailingBytes(
+                self.buf.len().saturating_sub(self.pos),
+            ));
+        }
+        Ok(())
+    }
+
     fn ids(&mut self) -> Result<Vec<u64>, CodecError> {
         let count = self.u32()?;
         if count > MAX_COUNT {
@@ -434,7 +444,27 @@ pub(crate) fn encode_into(msg: &Message, out: &mut Vec<u8>) {
 
 /// Decodes one complete frame. Rejects every malformed input with a
 /// typed [`CodecError`]; never panics.
+///
+/// Each arm reads its fields into locals in wire order, checks that no
+/// payload byte is left, and only then builds the message, in the
+/// result itself. Building the message first and then moving it into
+/// `Ok` would write it field by field and read it back whole at once, a
+/// store-forwarding stall on every frame. Fields are read and checked
+/// in wire order either way, so each malformed frame gets one error
+/// whichever way the message is built (`codec_props.rs` holds `decode`
+/// to a decoder that builds first).
 pub fn decode(frame: &[u8]) -> Result<Message, CodecError> {
+    decode_inline(frame)
+}
+
+/// [`decode`], always inlined into its caller: for one that reads only
+/// a few fields of the result, which then come from registers rather
+/// than from a result just written to memory field by field and read
+/// back in wider loads. A caller that keeps the whole message gains
+/// nothing by it, and one that hands it on whole (to `black_box`, say)
+/// pays that stall in its own frame, so it calls [`decode`].
+#[inline(always)]
+pub(crate) fn decode_inline(frame: &[u8]) -> Result<Message, CodecError> {
     let mut r = Reader::new(frame);
     let magic = r.take(2)?;
     if magic != MAGIC {
@@ -453,49 +483,83 @@ pub fn decode(frame: &[u8]) -> Result<Message, CodecError> {
     if declared != actual {
         return Err(CodecError::LengthMismatch { declared, actual });
     }
-    let msg = match tag {
-        TAG_JOIN => Message::Join {
-            id: r.u64()?,
-            members: r.ids()?,
-        },
-        TAG_STABILIZE => Message::Stabilize {
-            round: r.u32()?,
-            members: r.ids()?,
-        },
-        TAG_LOOKUP => Message::Lookup {
-            query: r.u64()?,
-            key: r.u64()?,
-            hops: r.u32()?,
-            attempts: r.u32()?,
-            flags: r.u8()?,
-            avoid: r.ids()?,
-        },
-        TAG_LOOKUP_REPLY => Message::LookupReply {
-            query: r.u64()?,
-            status: status_from(r.u8()?)?,
-            owner: r.u64()?,
-            hops: r.u32()?,
-        },
-        TAG_PROBE_LOAD => Message::ProbeLoad { token: r.u64()? },
-        TAG_LOAD_REPORT => Message::LoadReport {
-            token: r.u64()?,
-            load: r.u64()?,
-            capacity: r.u64()?,
-            indegree: r.u32()?,
-            spare: r.i64()?,
-        },
-        TAG_ADAPT_INDEGREE => Message::AdaptIndegree {
-            from: r.u64()?,
-            slot: r.u16()?,
-            op: op_from(r.u8()?)?,
-        },
-        TAG_LEAVE => Message::Leave { id: r.u64()? },
-        other => return Err(CodecError::UnknownTag(other)),
-    };
-    if r.pos != frame.len() {
-        return Err(CodecError::TrailingBytes(frame.len().saturating_sub(r.pos)));
+    match tag {
+        TAG_JOIN => {
+            let id = r.u64()?;
+            let members = r.ids()?;
+            r.end()?;
+            Ok(Message::Join { id, members })
+        }
+        TAG_STABILIZE => {
+            let round = r.u32()?;
+            let members = r.ids()?;
+            r.end()?;
+            Ok(Message::Stabilize { round, members })
+        }
+        TAG_LOOKUP => {
+            let query = r.u64()?;
+            let key = r.u64()?;
+            let hops = r.u32()?;
+            let attempts = r.u32()?;
+            let flags = r.u8()?;
+            let avoid = r.ids()?;
+            r.end()?;
+            Ok(Message::Lookup {
+                query,
+                key,
+                hops,
+                attempts,
+                flags,
+                avoid,
+            })
+        }
+        TAG_LOOKUP_REPLY => {
+            let query = r.u64()?;
+            let status = status_from(r.u8()?)?;
+            let owner = r.u64()?;
+            let hops = r.u32()?;
+            r.end()?;
+            Ok(Message::LookupReply {
+                query,
+                status,
+                owner,
+                hops,
+            })
+        }
+        TAG_PROBE_LOAD => {
+            let token = r.u64()?;
+            r.end()?;
+            Ok(Message::ProbeLoad { token })
+        }
+        TAG_LOAD_REPORT => {
+            let token = r.u64()?;
+            let load = r.u64()?;
+            let capacity = r.u64()?;
+            let indegree = r.u32()?;
+            let spare = r.i64()?;
+            r.end()?;
+            Ok(Message::LoadReport {
+                token,
+                load,
+                capacity,
+                indegree,
+                spare,
+            })
+        }
+        TAG_ADAPT_INDEGREE => {
+            let from = r.u64()?;
+            let slot = r.u16()?;
+            let op = op_from(r.u8()?)?;
+            r.end()?;
+            Ok(Message::AdaptIndegree { from, slot, op })
+        }
+        TAG_LEAVE => {
+            let id = r.u64()?;
+            r.end()?;
+            Ok(Message::Leave { id })
+        }
+        other => Err(CodecError::UnknownTag(other)),
     }
-    Ok(msg)
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! unordered container.
 
 use std::fmt;
+use std::mem::ManuallyDrop;
 
 use ert_core::Task;
 use ert_minidht::{
@@ -34,7 +35,7 @@ use ert_minidht::{
 };
 use ert_sim::SimRng;
 
-use crate::codec::{decode, encode, encode_into, CodecError, LookupStatus, Message};
+use crate::codec::{decode, decode_inline, encode, encode_into, CodecError, LookupStatus, Message};
 use crate::transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};
 
 /// Node-level protocol failure.
@@ -113,23 +114,39 @@ pub(crate) fn answer_ask(node: &mut ErtNode, token: u64, op: PeerOp, out: &mut V
 /// Reads a peer's reply to an ask made under `token`. A reply other
 /// than the `LoadReport` under that token (the probe's; 0 for a link
 /// operation) is a protocol error.
+///
+/// The `LoadReport` is decoded inline and read where the decoder built
+/// it, and that path leaves the decoded message undropped: a
+/// `LoadReport` owns no heap memory, and a call to `Message`'s drop
+/// glue between the decode and the read makes the compiler spill the
+/// fields just decoded and reload them in wider loads, a
+/// store-forwarding stall on every RPC. Any other reply is dropped as
+/// usual.
+#[inline]
 pub(crate) fn read_answer(reply: &[u8], token: u64) -> Result<PeerAnswer, NodeError> {
-    match decode(reply)? {
-        Message::LoadReport {
-            token: answered,
-            load,
-            capacity,
-            indegree,
-            spare,
-        } if answered == token => Ok(PeerAnswer::Report(PeerReport {
-            load,
-            capacity,
-            indegree,
-            spare,
-        })),
-        other => Err(NodeError::Protocol(format!(
+    let reply = ManuallyDrop::new(decode_inline(reply));
+    if let Ok(Message::LoadReport {
+        token: answered,
+        load,
+        capacity,
+        indegree,
+        spare,
+    }) = *reply
+    {
+        if answered == token {
+            return Ok(PeerAnswer::Report(PeerReport {
+                load,
+                capacity,
+                indegree,
+                spare,
+            }));
+        }
+    }
+    match ManuallyDrop::into_inner(reply) {
+        Ok(other) => Err(NodeError::Protocol(format!(
             "peer reply is not the LoadReport for token {token}: {other:?}"
         ))),
+        Err(e) => Err(e.into()),
     }
 }
 

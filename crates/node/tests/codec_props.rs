@@ -11,7 +11,14 @@
 //! * **bit-flip fuzz** — flipping any single bit of a valid frame
 //!   either fails with a typed error or yields a message that
 //!   re-encodes canonically (decode is a partial inverse of encode on
-//!   its accepted set).
+//!   its accepted set);
+//! * **reference differential** — `decode`, which reads each message's
+//!   fields into locals and builds the message in its result, answers
+//!   exactly as the decoder that built the message first and then
+//!   checked for trailing bytes ([`reference`]): the same whole
+//!   `Result`, error variant and payload included, on every valid
+//!   frame, every strict prefix, every single-byte overwrite, and
+//!   frames with two faults at once.
 //!
 //! The lints `ert-node` denies (`clippy::unwrap_used`, `expect_used`,
 //! `panic`, `unreachable`, and `indexing_slicing` in the codec module)
@@ -19,6 +26,7 @@
 //! constructs; these properties check the behavioral half of the same
 //! contract.
 
+use ert_node::codec::{HEADER_LEN, MAGIC, MAX_COUNT, MAX_FRAME, VERSION};
 use ert_node::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 use ert_sim::SimRng;
 use proptest::prelude::*;
@@ -80,8 +88,258 @@ fn arbitrary_message(seed: u64, shape: u32) -> Message {
     }
 }
 
+/// The decoder as it was before it built the message in its result:
+/// the message built from a bounds-checked reader, then the
+/// trailing-bytes check, then `Ok(msg)`. Kept as the reference
+/// [`decode`] must answer exactly as, error for error.
+mod reference {
+    use super::*;
+
+    struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+            let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
+            let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
+            self.pos = end;
+            Ok(bytes)
+        }
+
+        fn u8(&mut self) -> Result<u8, CodecError> {
+            Ok(self.take(1)?[0])
+        }
+
+        fn u16(&mut self) -> Result<u16, CodecError> {
+            Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        }
+
+        fn u32(&mut self) -> Result<u32, CodecError> {
+            Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        }
+
+        fn u64(&mut self) -> Result<u64, CodecError> {
+            Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        }
+
+        fn ids(&mut self) -> Result<Vec<u64>, CodecError> {
+            let count = self.u32()?;
+            if count > MAX_COUNT {
+                return Err(CodecError::CountTooLarge(count));
+            }
+            (0..count).map(|_| self.u64()).collect()
+        }
+    }
+
+    fn status_from(value: u8) -> Result<LookupStatus, CodecError> {
+        match value {
+            0 => Ok(LookupStatus::Found),
+            1 => Ok(LookupStatus::Dropped),
+            2 => Ok(LookupStatus::Failed),
+            _ => Err(CodecError::BadEnum {
+                field: "LookupStatus",
+                value,
+            }),
+        }
+    }
+
+    fn op_from(value: u8) -> Result<AdaptOp, CodecError> {
+        match value {
+            1 => Ok(AdaptOp::AddOutlink),
+            2 => Ok(AdaptOp::DropOutlinks),
+            3 => Ok(AdaptOp::AddBackward),
+            _ => Err(CodecError::BadEnum {
+                field: "AdaptOp",
+                value,
+            }),
+        }
+    }
+
+    pub fn decode(frame: &[u8]) -> Result<Message, CodecError> {
+        let mut r = Reader { buf: frame, pos: 0 };
+        if r.take(2)? != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let version = r.u8()?;
+        if version != VERSION {
+            return Err(CodecError::BadVersion(version));
+        }
+        let tag = r.u8()?;
+        let declared = r.u32()? as usize;
+        if declared > MAX_FRAME {
+            return Err(CodecError::FrameTooLarge(declared));
+        }
+        let actual = frame.len().saturating_sub(HEADER_LEN);
+        if declared != actual {
+            return Err(CodecError::LengthMismatch { declared, actual });
+        }
+        let msg = match tag {
+            1 => Message::Join {
+                id: r.u64()?,
+                members: r.ids()?,
+            },
+            2 => Message::Stabilize {
+                round: r.u32()?,
+                members: r.ids()?,
+            },
+            3 => Message::Lookup {
+                query: r.u64()?,
+                key: r.u64()?,
+                hops: r.u32()?,
+                attempts: r.u32()?,
+                flags: r.u8()?,
+                avoid: r.ids()?,
+            },
+            4 => Message::LookupReply {
+                query: r.u64()?,
+                status: status_from(r.u8()?)?,
+                owner: r.u64()?,
+                hops: r.u32()?,
+            },
+            5 => Message::ProbeLoad { token: r.u64()? },
+            6 => Message::LoadReport {
+                token: r.u64()?,
+                load: r.u64()?,
+                capacity: r.u64()?,
+                indegree: r.u32()?,
+                spare: r.u64()? as i64,
+            },
+            7 => Message::AdaptIndegree {
+                from: r.u64()?,
+                slot: r.u16()?,
+                op: op_from(r.u8()?)?,
+            },
+            8 => Message::Leave { id: r.u64()? },
+            other => return Err(CodecError::UnknownTag(other)),
+        };
+        if r.pos != frame.len() {
+            return Err(CodecError::TrailingBytes(frame.len().saturating_sub(r.pos)));
+        }
+        Ok(msg)
+    }
+}
+
+/// `frame` with `extra` junk bytes appended and the header's declared
+/// length raised to cover them: a frame whose only fault, unless it
+/// already had one, is its trailing bytes.
+fn with_trailing(frame: &[u8], extra: &[u8]) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out.extend_from_slice(extra);
+    let declared = (out.len() - HEADER_LEN) as u32;
+    out[4..8].copy_from_slice(&declared.to_be_bytes());
+    out
+}
+
+/// `decode` and the reference agree on `frame`, whole `Result` and all.
+fn agrees(frame: &[u8]) {
+    assert_eq!(decode(frame), reference::decode(frame), "frame {frame:?}");
+}
+
+/// `decode` against the reference on one valid frame, each of its
+/// strict prefixes, each single-byte overwrite (every value when
+/// `every_value`, else the byte's complement and two fixed values), and
+/// each of those overwrites with trailing bytes added (two faults: a
+/// bad enum, count or tag byte plus junk the header declares).
+fn differential(msg: &Message, every_value: bool) {
+    let frame = encode(msg);
+    assert_eq!(decode(&frame).as_ref(), Ok(msg));
+    agrees(&frame);
+    for cut in 0..frame.len() {
+        agrees(&frame[..cut]);
+    }
+    agrees(&with_trailing(&frame, &[0]));
+    agrees(&with_trailing(&frame, &[0xAB; 9]));
+    for at in 0..frame.len() {
+        let values: Vec<u8> = if every_value {
+            (0..=255).collect()
+        } else {
+            vec![!frame[at], 0, 0xFF]
+        };
+        for v in values {
+            let mut mutated = frame.clone();
+            mutated[at] = v;
+            agrees(&mutated);
+            if at >= HEADER_LEN {
+                agrees(&with_trailing(&mutated, &[v]));
+            }
+        }
+    }
+}
+
+/// One message of every variant and enum value, each vector empty or
+/// short, so that every byte of every frame can take every value.
+fn small_messages() -> Vec<Message> {
+    let mut msgs = vec![
+        Message::Join {
+            id: 7,
+            members: vec![1, 2],
+        },
+        Message::Stabilize {
+            round: 9,
+            members: vec![],
+        },
+        Message::Lookup {
+            query: 1,
+            key: 99,
+            hops: 3,
+            attempts: 1,
+            flags: 1,
+            avoid: vec![4],
+        },
+        Message::ProbeLoad { token: 12 },
+        Message::LoadReport {
+            token: 12,
+            load: 3,
+            capacity: 8,
+            indegree: 5,
+            spare: -2,
+        },
+        Message::Leave { id: 7 },
+    ];
+    for status in [
+        LookupStatus::Found,
+        LookupStatus::Dropped,
+        LookupStatus::Failed,
+    ] {
+        msgs.push(Message::LookupReply {
+            query: 1,
+            status,
+            owner: 99,
+            hops: 4,
+        });
+    }
+    for op in [
+        AdaptOp::AddOutlink,
+        AdaptOp::DropOutlinks,
+        AdaptOp::AddBackward,
+    ] {
+        msgs.push(Message::AdaptIndegree {
+            from: 7,
+            slot: u16::MAX,
+            op,
+        });
+    }
+    msgs
+}
+
+#[test]
+fn decode_answers_as_the_reference_on_every_single_byte_overwrite() {
+    for msg in small_messages() {
+        differential(&msg, true);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The same differential over the generator space, with its
+    /// longer vectors and arbitrary field values.
+    #[test]
+    fn decode_answers_as_the_reference(seed in 0u64..100_000, shape in 0u32..256) {
+        differential(&arbitrary_message(seed, shape), false);
+    }
 
     #[test]
     fn roundtrip_is_identity(seed in 0u64..100_000, shape in 0u32..256) {

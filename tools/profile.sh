@@ -14,9 +14,13 @@
 # tracer attaches to it and nothing machine-wide is touched.
 #
 # Addresses are symbolized with `addr2line -f -i -C` (inlined frames
-# expanded) and the script prints, per function, its self share (the
-# innermost frame of a sample) and its inclusive share (anywhere on the
-# stack, once per sample). With a frame filter, only the samples whose
+# expanded) and the script prints three lists: per function, its self
+# share (the innermost frame of a sample) and its inclusive share
+# (anywhere on the stack, once per sample), then per source line its
+# self share (the innermost `file:line` of a sample, paths relative to
+# the copied tree or to the toolchain's source). The line list is where a hot instruction shows, such
+# as a store-forwarding stall on a value written field by field and read
+# back whole. With a frame filter, only the samples whose
 # stack has a function whose name contains it are kept, and the shares
 # are of those: `tools/profile.sh wire-chord1k WireCluster::run_schedule`.
 # The inclusive list leaves out the frames on (nearly) every kept sample,
@@ -170,17 +174,27 @@ od -An -v -tu8 -w8 "$work/samples.bin" |
         END { if (NR > 0) print line }' >"$work/stacks.txt"
 
 # addr2line -a prints each address, then a (function, file:line) pair per
-# inlined frame, innermost first; fold that into "address<TAB>f1<TAB>f2...".
+# inlined frame, innermost first; fold that into
+# "address<TAB>innermost file:line<TAB>f1<TAB>f2...".
 tr ' ' '\n' <"$work/stacks.txt" | grep -v '^-$' | sort -u |
     addr2line -a -f -i -C -e "$exe" |
-    awk '/^0x/ { if (cur) print cur; cur = $0; sub(/^0x0*/, "0x", cur); odd = 0; next }
-        { if (!odd) cur = cur "\t" $0; odd = !odd }
-        END { if (cur) print cur }' >"$work/symbols.txt"
+    awk -v tree="$work/tree/" '
+        function flush() { if (cur) print cur "\t" where fns }
+        /^0x/ { flush(); cur = $0; sub(/^0x0*/, "0x", cur); odd = 0; where = ""; fns = ""; next }
+        !odd { fns = fns "\t" $0 }
+        odd && where == "" {
+            where = $1
+            if (index(where, tree) == 1) where = substr(where, length(tree) + 1)
+            sub(/^\/rustc\/[0-9a-f]+\//, "", where)
+        }
+        { odd = !odd }
+        END { flush() }' >"$work/symbols.txt"
 
 awk -F '\t' -v filter="$filter" -v top="$top" '
-    NR == FNR { syms[$1] = substr($0, length($1) + 2); next }
+    NR == FNR { line[$1] = $2; syms[$1] = substr($0, length($1) + length($2) + 3); next }
     {
         split($0, frames, " "); nf = 0
+        here = frames[1] == "-" ? "[outside the executable]" : line[frames[1]]
         for (k = 1; k in frames; k++) {
             if (frames[k] == "-") { fn[++nf] = "[outside the executable]"; continue }
             m = split(syms[frames[k]], chain, "\t")
@@ -191,7 +205,7 @@ awk -F '\t' -v filter="$filter" -v top="$top" '
             for (k = 1; k <= nf; k++) if (index(fn[k], filter)) { keep = 1; break }
             if (!keep) next
         }
-        kept++; self[fn[1]]++
+        kept++; self[fn[1]]++; lines[here]++
         split("", seen)
         for (k = 1; k <= nf; k++) if (!(fn[k] in seen)) { seen[fn[k]] = 1; incl[fn[k]]++ }
     }
@@ -206,4 +220,6 @@ awk -F '\t' -v filter="$filter" -v top="$top" '
         fflush()
         for (f in incl) if (incl[f] / kept < 0.9999)
             printf "incl\t%.4f\t%s\n", incl[f] / kept, f | "sort -t \"\t\" -k2,2nr | head -n " top
+        close("sort -t \"\t\" -k2,2nr | head -n " top)
+        for (l in lines) printf "line\t%.4f\t%s\n", lines[l] / kept, l | "sort -t \"\t\" -k2,2nr | head -n " top
     }' "$work/symbols.txt" "$work/stacks.txt"
