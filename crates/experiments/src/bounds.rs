@@ -25,7 +25,7 @@ pub fn theorem31_check(n: usize, gamma_c: f64, seed: u64, shards: usize) -> (Tab
     let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
     let dim = CycloidSpace::dimension_for(n);
     let mut cfg = NetworkConfig::for_dimension(dim, seed);
-    cfg.estimator = Estimator::new(gamma_c, 1.0);
+    cfg.estimator = Estimator::new(gamma_c);
     cfg.shards = shards;
     let net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("valid network");
     let topo = net.topology();

@@ -276,7 +276,7 @@ impl TelemetryOpts {
             eprintln!("[telemetry] stream written to {}", path.display());
         }
         if self.trace_capacity > 0 {
-            eprint!("{}", telemetry.trace().render());
+            eprint!("{}", telemetry.render_trace());
         }
     }
 }

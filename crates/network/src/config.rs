@@ -1,8 +1,22 @@
 //! Simulation configuration (Table 2 of the paper).
+//!
+//! [`NetworkConfig`] holds only what some caller varies; a value every
+//! run shares is a named constant here instead ([`LATENCY_SCALE`],
+//! [`TIMEOUT_PENALTY`]). DESIGN.md lists each field with the caller
+//! that sets a second value.
 
 use ert_core::{ErtParams, Estimator};
 use ert_faults::RetryPolicy;
 use ert_sim::SimDuration;
+
+/// Per-hop network latency per unit of coordinate distance. Coordinates
+/// live on the unit torus (max distance ≈ 0.707), so hops take 0–35 ms.
+pub const LATENCY_SCALE: f64 = 0.05;
+
+/// Latency penalty paid when a query is forwarded to a departed node
+/// before the stale link is discovered; also the base delay before a
+/// forward lost to a fault is retried.
+pub const TIMEOUT_PENALTY: SimDuration = SimDuration::from_micros(500_000);
 
 /// Environment parameters of one simulation run.
 ///
@@ -24,16 +38,9 @@ pub struct NetworkConfig {
     pub light_service: SimDuration,
     /// Service time of one query on a heavy host.
     pub heavy_service: SimDuration,
-    /// Per-hop network latency per unit of coordinate distance.
-    /// Coordinates live on the unit torus (max distance ≈ 0.707), so the
-    /// default 0.05 yields hops of 0–35 ms.
-    pub latency_scale: f64,
-    /// Latency penalty paid when a query is forwarded to a departed
-    /// node before the stale link is discovered.
-    pub timeout_penalty: SimDuration,
     /// ERT protocol parameters (`α`, `β`, `γ_l`, `μ`, period, `b`).
     pub ert: ErtParams,
-    /// Capacity / network-size estimation error model (`γ_c`, `γ_n`).
+    /// Capacity estimation error model (`γ_c`).
     pub estimator: Estimator,
     /// Safety valve: a query is dropped after this many hops (never hit
     /// in correct configurations; guards against livelock in tests).
@@ -43,19 +50,12 @@ pub struct NetworkConfig {
     /// when on, the response retraces the request path hop by hop,
     /// loading every intermediate node a second time.
     pub anonymous_responses: bool,
-    /// Number of trace entries to retain for debugging (0 disables
-    /// tracing; see [`ert_sim::TraceLog`]).
-    pub trace_capacity: usize,
     /// Telemetry sampling interval: every Δt of sim time the run takes
     /// a time-series snapshot (congestion percentiles, degree census,
     /// queue depths, utilization). Zero — the default — disables the
     /// sampler entirely: no sample events are scheduled, so the event
     /// sequence is identical to an unsampled run.
     pub sample_interval: SimDuration,
-    /// When nonzero, physical distances are *estimated* from landmark
-    /// vectors of this many landmarks (the paper's landmarking method,
-    /// refs. \[30\],\[31\]) instead of read exactly from coordinates.
-    pub landmark_count: usize,
     /// Classic-DHT periodic stabilization: when on, every adaptation
     /// period each node proactively purges departed entry neighbors and
     /// repairs the slots, instead of discovering them lazily through
@@ -85,15 +85,11 @@ impl NetworkConfig {
             seed,
             light_service: SimDuration::from_secs_f64(0.2),
             heavy_service: SimDuration::from_secs_f64(1.0),
-            latency_scale: 0.05,
-            timeout_penalty: SimDuration::from_secs_f64(0.5),
             ert: ErtParams::default().with_alpha_for_dim(dim),
             estimator: Estimator::default(),
             max_hops: 64 + 8 * dim as u32,
             anonymous_responses: false,
-            trace_capacity: 0,
             sample_interval: SimDuration::ZERO,
-            landmark_count: 0,
             stabilization: false,
             retry: RetryPolicy::default(),
             shards: 0,
@@ -124,9 +120,6 @@ impl NetworkConfig {
         }
         if self.heavy_service < self.light_service {
             return Err("heavy service must not be faster than light".into());
-        }
-        if !(self.latency_scale >= 0.0 && self.latency_scale.is_finite()) {
-            return Err("latency scale must be non-negative and finite".into());
         }
         if self.max_hops == 0 {
             return Err("max hops must be positive".into());
@@ -181,23 +174,6 @@ mod tests {
         cfg.heavy_service = SimDuration::ZERO;
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("heavy service"), "{err}");
-    }
-
-    #[test]
-    fn rejects_nan_latency_scale() {
-        let mut cfg = NetworkConfig::for_dimension(8, 1);
-        cfg.latency_scale = f64::NAN;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("latency scale"), "{err}");
-    }
-
-    #[test]
-    fn rejects_infinite_latency_scale() {
-        let mut cfg = NetworkConfig::for_dimension(8, 1);
-        cfg.latency_scale = f64::INFINITY;
-        assert!(cfg.validate().is_err());
-        cfg.latency_scale = -0.5;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

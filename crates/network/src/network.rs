@@ -14,12 +14,11 @@ use ert_faults::{FaultEvent, FaultKind, FaultPlan};
 use ert_overlay::{Coord, CycloidId, CycloidSpace};
 use ert_sim::{
     Engine, SampleClock, ShardMap, ShardStats, ShardedEngine, SimDuration, SimRng, SimTime,
-    TraceLog,
 };
 use ert_telemetry::{Snapshot, Telemetry, TelemetryEvent};
 use rand::Rng;
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, LATENCY_SCALE, TIMEOUT_PENALTY};
 use crate::lookup::{ChurnEvent, KeyPick, Lookup, SourcePick};
 use crate::metrics::{Metrics, RunReport};
 use crate::sanitize::{EnvelopeRelaxations, Sanitizer};
@@ -312,12 +311,6 @@ impl Network {
             cfg.ert
         };
         let mut topo = Topology::new(space, protocol.table, params);
-        if cfg.landmark_count > 0 {
-            topo.landmarks = Some(ert_overlay::LandmarkFrame::random(
-                cfg.landmark_count,
-                &mut rng_topology,
-            ));
-        }
 
         let mut min_cap_host = 0;
         for (i, (&raw, &nc)) in capacities.iter().zip(&norm).enumerate() {
@@ -409,7 +402,7 @@ impl Network {
             rng_faults: SimRng::seed_from(cfg.seed),
             rng_adversary: SimRng::seed_from(cfg.seed),
             relax: EnvelopeRelaxations::NONE,
-            telemetry: Telemetry::with_trace_capacity(cfg.trace_capacity),
+            telemetry: Telemetry::disabled(),
             sample_clock: None,
             adapt_rounds: 0,
             sanitizer: Sanitizer::new(),
@@ -439,12 +432,6 @@ impl Network {
         self.relax
     }
 
-    /// The retained event trace (empty unless
-    /// [`NetworkConfig::trace_capacity`] is set).
-    pub fn trace(&self) -> &TraceLog {
-        self.telemetry.trace()
-    }
-
     /// Read access to the run's telemetry pipeline (snapshots, registry,
     /// trace ring).
     pub fn telemetry(&self) -> &Telemetry {
@@ -452,9 +439,9 @@ impl Network {
     }
 
     /// Installs a telemetry pipeline — typically one with a JSONL or
-    /// in-memory sink attached — before calling [`Network::run`]. The
-    /// pipeline installed here replaces the default one built from
-    /// [`NetworkConfig::trace_capacity`].
+    /// in-memory sink attached, or a trace ring sized by
+    /// [`Telemetry::with_trace_capacity`] — before calling
+    /// [`Network::run`]. It replaces the default, disabled pipeline.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -772,7 +759,7 @@ impl Network {
                             successor: succ_lin,
                         });
                         self.schedule_event(
-                            now + self.cfg.timeout_penalty,
+                            now + TIMEOUT_PENALTY,
                             Event::Arrive { q, to: successor },
                         );
                     }
@@ -888,10 +875,7 @@ impl Network {
                         q: q as u64,
                         successor: succ_lin,
                     });
-                    self.schedule_event(
-                        now + self.cfg.timeout_penalty,
-                        Event::Arrive { q, to: successor },
-                    )
+                    self.schedule_event(now + TIMEOUT_PENALTY, Event::Arrive { q, to: successor })
                 }
                 None => self.drop_query(q, now),
             }
@@ -926,8 +910,7 @@ impl Network {
             return;
         };
         let me = self.topo.nodes[self.queries[q].at_node].id;
-        let latency =
-            SimDuration::from_secs_f64(self.cfg.latency_scale * self.topo.phys_dist(me, next));
+        let latency = SimDuration::from_secs_f64(LATENCY_SCALE * self.topo.phys_dist(me, next));
         self.schedule_event(now + latency, Event::Arrive { q, to: next });
     }
 
@@ -1130,7 +1113,7 @@ impl Network {
         if !self.topo.is_alive(next) {
             // Timeout: the stale link is discovered the hard way.
             self.metrics.timeouts += 1;
-            penalty = self.cfg.timeout_penalty;
+            penalty = TIMEOUT_PENALTY;
             let (me_lin, dead_lin) = (self.topo.space.lin(me), self.topo.space.lin(next));
             self.telemetry.emit(now, || TelemetryEvent::LookupTimeout {
                 q: q as u64,
@@ -1201,8 +1184,7 @@ impl Network {
             to: to_lin,
         });
         let latency =
-            SimDuration::from_secs_f64(self.cfg.latency_scale * self.topo.phys_dist(me, next))
-                + penalty;
+            SimDuration::from_secs_f64(LATENCY_SCALE * self.topo.phys_dist(me, next)) + penalty;
         self.schedule_event(now + latency, Event::Arrive { q, to: next });
     }
 
@@ -1516,10 +1498,7 @@ impl Network {
                         q: q as u64,
                         successor: succ_lin,
                     });
-                    self.schedule_event(
-                        now + self.cfg.timeout_penalty,
-                        Event::Arrive { q, to: successor },
-                    )
+                    self.schedule_event(now + TIMEOUT_PENALTY, Event::Arrive { q, to: successor })
                 }
                 None => self.drop_query(q, now),
             }
@@ -1817,7 +1796,7 @@ impl Network {
             q: q as u64,
             attempt,
         });
-        let delay = self.cfg.timeout_penalty + self.cfg.retry.backoff(attempt);
+        let delay = TIMEOUT_PENALTY + self.cfg.retry.backoff(attempt);
         self.schedule_event(now + delay, Event::Retry { q });
     }
 
@@ -2054,52 +2033,36 @@ mod tests {
         assert!(Network::new(cfg, &[], ProtocolSpec::ert_af()).is_err());
     }
 
-    #[test]
-    fn landmark_distance_model_runs_and_stays_close_to_exact() {
-        let capacities = caps(128);
-        let schedule = uniform_lookup_burst(250, 128.0, 24);
-        let exact_cfg = NetworkConfig::for_dimension(6, 24);
-        let mut lm_cfg = exact_cfg;
-        lm_cfg.landmark_count = 12;
-        let mut exact = Network::new(exact_cfg, &capacities, ProtocolSpec::ert_af()).unwrap();
-        let re = exact.run(&schedule, &[]);
-        let mut lm = Network::new(lm_cfg, &capacities, ProtocolSpec::ert_af()).unwrap();
-        let rl = lm.run(&schedule, &[]);
-        assert_eq!(rl.lookups_completed, 250, "dropped {}", rl.lookups_dropped);
-        // Landmark estimates only affect tie-breaks; the headline
-        // metrics stay in the same ballpark.
-        let rel = (rl.lookup_time.mean - re.lookup_time.mean).abs() / re.lookup_time.mean;
-        assert!(
-            rel < 0.30,
-            "exact {} vs landmark {}",
-            re.lookup_time.mean,
-            rl.lookup_time.mean
-        );
-        assert!(lm.topology().hosts.iter().all(|h| h.landmark_vec.is_some()));
-        assert!(exact
-            .topology()
-            .hosts
-            .iter()
-            .all(|h| h.landmark_vec.is_none()));
+    /// The rendered trace ring of one small run (n = 64, seed 23, 20
+    /// lookups: 252 events), captured from the tree that still
+    /// formatted every event into a string as it was recorded.
+    const TRACE_RING_PIN: &str = include_str!("../tests/pins/trace_ring.txt");
+
+    fn traced_render(capacity: usize) -> String {
+        let cfg = NetworkConfig::for_dimension(6, 23);
+        let mut net = Network::new(cfg, &caps(64), ProtocolSpec::ert_af()).unwrap();
+        net.set_telemetry(Telemetry::with_trace_capacity(capacity));
+        net.run(&uniform_lookup_burst(20, 64.0, 23), &[]);
+        net.telemetry().render_trace()
     }
 
     #[test]
     fn tracing_records_query_lifecycle() {
-        let capacities = caps(64);
-        let mut cfg = NetworkConfig::for_dimension(6, 23);
-        cfg.trace_capacity = 256;
-        let mut net = Network::new(cfg, &capacities, ProtocolSpec::ert_af()).unwrap();
-        let lookups = uniform_lookup_burst(20, 64.0, 23);
-        net.run(&lookups, &[]);
-        let trace = net.trace().render();
+        // A 256-entry ring holds the whole run, byte for byte.
+        let trace = traced_render(256);
         assert!(trace.contains("inject"), "trace: {trace}");
         assert!(trace.contains("complete"));
-        assert!(net.trace().total_recorded() > 20);
+        assert_eq!(trace, TRACE_RING_PIN);
+        // A 64-entry ring evicts the oldest events and keeps the tail.
+        let pinned: Vec<&str> = TRACE_RING_PIN.lines().collect();
+        let tail = pinned[pinned.len() - 64..].join("\n") + "\n";
+        assert_eq!(traced_render(64), tail);
         // Disabled by default: no overhead, no entries.
-        let cfg2 = NetworkConfig::for_dimension(6, 23);
-        let mut net2 = Network::new(cfg2, &capacities, ProtocolSpec::ert_af()).unwrap();
-        net2.run(&uniform_lookup_burst(5, 64.0, 23), &[]);
-        assert!(net2.trace().is_empty());
+        let cfg = NetworkConfig::for_dimension(6, 23);
+        let mut net = Network::new(cfg, &caps(64), ProtocolSpec::ert_af()).unwrap();
+        net.run(&uniform_lookup_burst(5, 64.0, 23), &[]);
+        assert!(net.telemetry().trace().is_empty());
+        assert_eq!(net.telemetry().events_emitted(), 0);
     }
 
     #[test]

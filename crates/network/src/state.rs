@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use ert_core::ElasticTable;
-use ert_overlay::{Coord, CycloidId, InlinkCursor, LandmarkVector};
+use ert_overlay::{Coord, CycloidId, InlinkCursor};
 
 use crate::spec::CycloidSlot;
 
@@ -33,9 +33,6 @@ pub struct Host {
     pub capacity_true: u32,
     /// Position in the synthetic physical network.
     pub coord: Coord,
-    /// Measured distances to the landmark set, when the landmarking
-    /// distance model is enabled.
-    pub landmark_vec: Option<LandmarkVector>,
     /// Queries waiting for service (indices into the run's query table).
     pub queue: VecDeque<usize>,
     /// The query currently in service, if any.
@@ -70,7 +67,6 @@ impl Host {
             capacity_eval: capacity_eval.max(1),
             capacity_true: capacity_eval.max(1),
             coord,
-            landmark_vec: None,
             queue: VecDeque::new(),
             in_service: None,
             alive: true,

@@ -13,7 +13,7 @@ use ert_core::{
 };
 use ert_overlay::{
     Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan,
-    LandmarkFrame, RouteStep, SlotKind,
+    RouteStep, SlotKind,
 };
 use ert_sim::SimRng;
 use rand::Rng;
@@ -130,9 +130,6 @@ pub struct Topology {
     pub table_policy: TablePolicy,
     /// ERT parameters (also carries the leaf window).
     pub params: ErtParams,
-    /// When present, physical distances are estimated from landmark
-    /// vectors instead of exact coordinates.
-    pub landmarks: Option<LandmarkFrame>,
     /// Elastic link operations performed (adds, sheds, purges): the
     /// maintenance-message count of Section 5.3.
     pub link_ops: u64,
@@ -158,19 +155,14 @@ impl Topology {
             marks: Vec::new(),
             table_policy,
             params,
-            landmarks: None,
             link_ops: 0,
             membership_epoch: 0,
             derived_checks: 0,
         }
     }
 
-    /// Registers a host; returns its index. Under the landmarking
-    /// distance model the host measures its landmark vector on arrival.
-    pub fn add_host(&mut self, mut host: Host) -> usize {
-        if let Some(frame) = &self.landmarks {
-            host.landmark_vec = Some(frame.vector(host.coord));
-        }
+    /// Registers a host; returns its index.
+    pub fn add_host(&mut self, host: Host) -> usize {
         self.hosts.push(host);
         self.marks.push(DegreeMark::default());
         self.hosts.len() - 1
@@ -398,21 +390,11 @@ impl Topology {
 
     /// Physical distance between the hosts of two live nodes (0 when
     /// either is unknown — distance then simply stops discriminating).
-    /// Exact coordinate distance by default; the landmark estimate when
-    /// the landmarking model is enabled.
     pub fn phys_dist(&self, a: CycloidId, b: CycloidId) -> f64 {
-        let (ha, hb) = match (self.host_of_id(a), self.host_of_id(b)) {
-            (Some(ha), Some(hb)) => (ha, hb),
-            _ => return 0.0,
-        };
-        if let (Some(frame), Some(va), Some(vb)) = (
-            &self.landmarks,
-            &self.hosts[ha].landmark_vec,
-            &self.hosts[hb].landmark_vec,
-        ) {
-            return frame.estimate(va, vb);
+        match (self.host_of_id(a), self.host_of_id(b)) {
+            (Some(ha), Some(hb)) => self.hosts[ha].coord.distance(self.hosts[hb].coord),
+            _ => 0.0,
         }
-        self.hosts[ha].coord.distance(self.hosts[hb].coord)
     }
 
     /// Estimated remaining overlay distance from `from` to `key`

@@ -1,11 +1,13 @@
 //! Synthetic physical coordinates.
 //!
 //! The paper measures inter-node "physical distance" with a landmarking
-//! technique on the real Internet. We substitute a unit 2-D torus: each
-//! node draws a uniform coordinate, and physical distance is torus
-//! Euclidean distance. This preserves the only property the protocol
-//! uses — a consistent metric where "closer" is meaningful — without
-//! requiring Internet measurements (see DESIGN.md, substitutions table).
+//! technique on the real Internet (refs. \[30\], \[31\]). We substitute a
+//! unit 2-D torus: each node draws a uniform coordinate, and physical
+//! distance is the exact torus Euclidean distance. This preserves the
+//! only property the protocol uses — a consistent metric where "closer"
+//! is meaningful, read only to break light/light ties in Algorithm 4 —
+//! so no landmark estimate is modelled on top of it (see DESIGN.md,
+//! substitutions table).
 
 use rand::Rng;
 

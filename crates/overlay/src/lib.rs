@@ -18,8 +18,8 @@
 //!   would use for a given (current node, target key) pair;
 //! * membership registries with successor/predecessor/region queries,
 //!   the Chord and Pastry ones over one sorted slice ([`RingMembers`]);
-//! * synthetic physical coordinates ([`Coord`]) standing in for the
-//!   paper's landmark-based proximity measurements.
+//! * synthetic physical coordinates ([`Coord`]) whose exact distance
+//!   stands in for the paper's landmark-based proximity measurements.
 //!
 //! The crate is purely geometric: it holds no queues, no load, and no
 //! protocol state. Those live in `ert-core` (the ERT mechanism) and
@@ -43,7 +43,6 @@
 pub mod chord;
 pub mod coords;
 pub mod cycloid;
-pub mod landmarks;
 pub mod members;
 pub mod pastry;
 pub mod ring;
@@ -54,7 +53,6 @@ pub use cycloid::{
     Bitmap, CycloidId, CycloidRegion, CycloidRegistry, CycloidSpace, InlinkCursor, InlinkScan,
     RingStride, RouteStep, SlotKind,
 };
-pub use landmarks::{LandmarkFrame, LandmarkVector};
 pub use members::{ArcMembers, RingMembers};
 pub use pastry::{PastryRegistry, PastrySpace};
 pub use ring::RingRange;

@@ -85,7 +85,6 @@ mod sample;
 pub mod shard;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use engine::Engine;
 pub use event::EventQueue;
@@ -93,4 +92,3 @@ pub use rng::SimRng;
 pub use sample::SampleClock;
 pub use shard::{ShardMap, ShardStats, ShardedEngine};
 pub use time::{SimDuration, SimTime};
-pub use trace::TraceLog;

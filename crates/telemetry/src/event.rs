@@ -3,7 +3,7 @@
 //! Node and key identifiers are linearized ring positions (`u64`, see
 //! `CycloidSpace::lin`) so the event stream is overlay-agnostic and
 //! serializes to plain integers. The `Display` impl renders the compact
-//! one-line form retained in the human-readable trace ring
+//! one-line form the trace ring is rendered in
 //! (`q42 forward 13 -> 77`); the `Serialize` impl produces the typed
 //! JSON form written to sinks (`{"LookupHop":{"q":42,...}}`).
 

@@ -6,11 +6,12 @@
 //!
 //! - [`Telemetry::emit`] records a [`TelemetryEvent`] lazily: the
 //!   closure building the event runs only when telemetry is enabled, so
-//!   the disabled path is a single branch (the same discipline as
-//!   `ert_sim::TraceLog`; `disabled_runs_no_closures` pins it).
-//!   Enabled, each event goes to every attached [`EventSink`] as a
-//!   JSONL record and — when a trace capacity is set — to the bounded
-//!   human-readable trace ring via the event's `Display` form.
+//!   the disabled path is a single branch (`disabled_runs_no_closures`
+//!   pins it). Enabled, each event goes to every attached [`EventSink`]
+//!   as a JSONL record and then — when a trace capacity is set — into
+//!   the bounded trace ring, typed. The ring formats nothing until
+//!   [`Telemetry::render_trace`] writes it out through the event's
+//!   `Display` form.
 //! - [`Telemetry::counter_add`] / [`gauge_set`](Telemetry::gauge_set) /
 //!   [`observe`](Telemetry::observe) feed the [`Registry`] of named
 //!   counters, gauges, and time-bucketed histograms.
@@ -48,20 +49,26 @@ mod sink;
 pub use event::TelemetryEvent;
 pub use registry::{Bucket, Registry, TimeHistogram, DEFAULT_BUCKET_MICROS};
 pub use sample::Snapshot;
-pub use sink::{EventSink, JsonlSink, MemorySink, SpanSink};
+pub use sink::{EventSink, JsonlSink, MemorySink};
 
-use ert_sim::{SimTime, TraceLog};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
+
+use ert_sim::SimTime;
 use serde::Serialize;
 
 /// The per-run telemetry pipeline: event stream, metric registry,
-/// snapshot series, and the human-readable trace ring.
+/// snapshot series, and the trace ring of typed events.
 pub struct Telemetry {
     /// True when any recording destination exists; the only branch on
     /// the disabled fast path.
     enabled: bool,
     events_emitted: u64,
     sinks: Vec<Box<dyn EventSink>>,
-    trace: TraceLog,
+    /// Most events the trace ring retains (0: no ring).
+    ring_capacity: usize,
+    /// The last `ring_capacity` events, oldest first.
+    trace: VecDeque<(SimTime, TelemetryEvent)>,
     registry: Registry,
     snapshots: Vec<Snapshot>,
 }
@@ -98,7 +105,8 @@ impl Telemetry {
             enabled: capacity > 0,
             events_emitted: 0,
             sinks: Vec::new(),
-            trace: TraceLog::new(capacity),
+            ring_capacity: capacity,
+            trace: VecDeque::new(),
             registry: Registry::new(),
             snapshots: Vec::new(),
         }
@@ -142,7 +150,12 @@ impl Telemetry {
                 sink.record(&line);
             }
         }
-        self.trace.record(at, || event.to_string());
+        if self.ring_capacity > 0 {
+            if self.trace.len() == self.ring_capacity {
+                self.trace.pop_front();
+            }
+            self.trace.push_back((at, event));
+        }
     }
 
     /// Adds to a named counter (no-op when disabled).
@@ -221,9 +234,19 @@ impl Telemetry {
         &self.snapshots
     }
 
-    /// The human-readable trace ring.
-    pub fn trace(&self) -> &TraceLog {
+    /// The trace ring: the last events emitted (at most the trace
+    /// capacity), oldest first.
+    pub fn trace(&self) -> &VecDeque<(SimTime, TelemetryEvent)> {
         &self.trace
+    }
+
+    /// Renders the trace ring, one `[{at}] {event}` line per entry.
+    pub fn render_trace(&self) -> String {
+        let mut out = String::new();
+        for (at, event) in &self.trace {
+            let _ = writeln!(out, "[{at}] {event}");
+        }
+        out
     }
 
     /// The metric registry.
@@ -283,12 +306,43 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_gets_display_form() {
-        let mut tel = Telemetry::with_trace_capacity(8);
-        tel.emit(SimTime::from_micros(3), || hop(42));
-        let rendered = tel.trace().render();
-        assert!(rendered.contains("q42 forward 1 -> 2"), "{rendered}");
+    fn disabled_ring_runs_no_closure_and_keeps_nothing() {
+        let mut tel = Telemetry::with_trace_capacity(0);
+        tel.emit(SimTime::ZERO, || panic!("closure must not run"));
+        assert!(!tel.is_enabled());
+        assert_eq!(tel.events_emitted(), 0);
+        // A sink turns emission on, but a zero-capacity ring stays empty.
+        tel.add_sink(Box::new(MemorySink::new()));
+        tel.emit(SimTime::ZERO, || hop(0));
         assert_eq!(tel.events_emitted(), 1);
+        assert!(tel.trace().is_empty());
+        assert_eq!(tel.render_trace(), "");
+    }
+
+    #[test]
+    fn trace_ring_evicts_oldest() {
+        let mut tel = Telemetry::with_trace_capacity(3);
+        for q in 0..5u64 {
+            tel.emit(SimTime::from_micros(q), || hop(q));
+        }
+        assert_eq!(tel.events_emitted(), 5);
+        let kept: Vec<_> = tel
+            .trace()
+            .iter()
+            .map(|(at, e)| (at.as_micros(), e))
+            .collect();
+        assert_eq!(kept, [(2, &hop(2)), (3, &hop(3)), (4, &hop(4))]);
+    }
+
+    #[test]
+    fn trace_render_carries_timestamps_and_display_form() {
+        let mut tel = Telemetry::with_trace_capacity(4);
+        tel.emit(SimTime::from_secs_f64(1.5), || hop(42));
+        tel.emit(SimTime::from_micros(1_500_003), || hop(43));
+        assert_eq!(
+            tel.render_trace(),
+            "[1.500000s] q42 forward 1 -> 2\n[1.500003s] q43 forward 1 -> 2\n"
+        );
     }
 
     fn zeroed_snapshot(at: SimTime) -> Snapshot {

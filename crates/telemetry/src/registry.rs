@@ -2,8 +2,8 @@
 //!
 //! The registry is plain data; the cheap-when-disabled discipline lives
 //! in `Telemetry`, whose recording methods take closures and return
-//! before evaluating them when telemetry is off (the same pattern as
-//! `TraceLog::record`). Keys are `&'static str` at the call sites but
+//! before evaluating them when telemetry is off (`Telemetry::emit`
+//! does the same for events). Keys are `&'static str` at the call sites but
 //! stored owned, so the registry serializes standalone.
 
 use std::collections::BTreeMap;

@@ -3,14 +3,14 @@
 //! A sink receives each record as one JSON line (no trailing newline);
 //! how it stores or ships the line is its business. The built-ins
 //! cover the common cases: [`JsonlSink`] appends to a file for offline
-//! analysis, [`MemorySink`] / [`SpanSink`] capture lines in memory for
-//! tests and determinism checks (both hand out an [`Arc`] handle so the
-//! captured lines stay readable after the sink — boxed inside a
-//! `Telemetry` — is out of reach).
+//! analysis, [`MemorySink`] captures lines in memory for tests and
+//! determinism checks (it hands out an [`Arc`] handle so the captured
+//! lines stay readable after the sink — boxed inside a `Telemetry` — is
+//! out of reach).
 
 #![expect(
     clippy::disallowed_types,
-    reason = "D10: the in-memory sinks hand out Arc<Mutex<_>> read handles on purpose — captured lines must stay readable after the sink is boxed away inside a Telemetry"
+    reason = "D10: the in-memory sink hands out Arc<Mutex<_>> read handles on purpose — captured lines must stay readable after the sink is boxed away inside a Telemetry"
 )]
 
 use std::fs::File;
@@ -91,57 +91,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Captures only the records a lookup-trace tree is built from:
-/// [`HopSpan`](crate::TelemetryEvent::HopSpan) spans plus the
-/// `LookupStart` / `LookupComplete` lifecycle events that delimit each
-/// tree. Everything else (link events, snapshots, reports) is dropped,
-/// so a span stream of a large run stays proportional to hops served
-/// rather than to total telemetry volume. The captured lines are valid
-/// JSONL input for `ert-obs`'s `trace-analyze`.
-pub struct SpanSink {
-    lines: Arc<Mutex<Vec<String>>>,
-}
-
-/// The event tags a [`SpanSink`] retains, matched against the
-/// serialized line (events are externally tagged, so the tag is the
-/// first key of the `"event"` object).
-const SPAN_TAGS: [&str; 3] = [
-    "\"event\":{\"HopSpan\"",
-    "\"event\":{\"LookupStart\"",
-    "\"event\":{\"LookupComplete\"",
-];
-
-impl SpanSink {
-    /// An empty span sink.
-    pub fn new() -> SpanSink {
-        SpanSink {
-            lines: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A handle that stays readable after the sink is boxed away.
-    pub fn handle(&self) -> Arc<Mutex<Vec<String>>> {
-        Arc::clone(&self.lines)
-    }
-}
-
-impl Default for SpanSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventSink for SpanSink {
-    fn record(&mut self, line: &str) {
-        if SPAN_TAGS.iter().any(|tag| line.contains(tag)) {
-            self.lines
-                .lock()
-                .expect("no poisoned telemetry lock")
-                .push(line.to_string());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,27 +105,6 @@ mod tests {
             *handle.lock().unwrap(),
             vec!["a".to_string(), "b".to_string()]
         );
-    }
-
-    #[test]
-    fn span_sink_keeps_only_trace_records() {
-        let mut sink = SpanSink::new();
-        let handle = sink.handle();
-        let kept = [
-            r#"{"kind":"event","at":0,"seq":0,"event":{"LookupStart":{"q":0,"source":1,"key":2}}}"#,
-            r#"{"kind":"event","at":5,"seq":1,"event":{"HopSpan":{"q":0,"hop":0,"node":1,"span":1,"parent":0,"enqueued":0,"service_start":0,"service_end":5}}}"#,
-            r#"{"kind":"event","at":9,"seq":3,"event":{"LookupComplete":{"q":0,"hops":1,"heavy":0}}}"#,
-        ];
-        let dropped = [
-            r#"{"kind":"event","at":7,"seq":2,"event":{"LookupHop":{"q":0,"from":1,"to":2}}}"#,
-            r#"{"kind":"snapshot","snapshot":{"at":8}}"#,
-            r#"{"kind":"report","report":42}"#,
-        ];
-        for line in kept.iter().chain(dropped.iter()) {
-            sink.record(line);
-        }
-        let got = handle.lock().unwrap().clone();
-        assert_eq!(got, kept.map(String::from).to_vec());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Deterministic replay debugging with the trace log.
+//! Deterministic replay debugging with the telemetry trace ring.
 //!
 //! Simulations are reproducible from a single seed, so debugging a
 //! surprising metric is: re-run with tracing on and read the tail. This
 //! example traces a small congested run and reconstructs one query's
-//! full journey (inject → per-hop forwards → completion) from the log.
+//! full journey (inject → per-hop forwards → completion) from the ring.
 //!
 //! Run with: `cargo run --release --example trace_debug`
 
@@ -13,30 +13,32 @@ use ert_repro::network::{Network, NetworkConfig, ProtocolSpec};
 use ert_repro::overlay::CycloidSpace;
 use ert_repro::sim::SimRng;
 use ert_repro::workloads::{uniform_lookups, BoundedPareto};
+use ert_telemetry::Telemetry;
 
 fn main() {
     let n = 128;
     let mut rng = SimRng::seed_from(404);
     let capacities = BoundedPareto::paper_default().sample_n(n, &mut rng);
-    let mut cfg = NetworkConfig::for_dimension(CycloidSpace::dimension_for(n), 404);
-    cfg.trace_capacity = 4096;
+    let cfg = NetworkConfig::for_dimension(CycloidSpace::dimension_for(n), 404);
 
     let mut net =
         Network::new(cfg, &capacities, ProtocolSpec::ert_af()).expect("configuration is valid");
+    net.set_telemetry(Telemetry::with_trace_capacity(4096));
     let report = net.run(&uniform_lookups(120, n as f64, &mut rng), &[]);
 
     println!(
         "ran {} lookups, mean time {:.2}s; trace retained {} of {} events\n",
         report.lookups_completed,
         report.lookup_time.mean,
-        net.trace().len(),
-        net.trace().total_recorded()
+        net.telemetry().trace().len(),
+        net.telemetry().events_emitted()
     );
 
     // Reconstruct the journey of one query from the trace.
     let target = "q42 ";
     println!("journey of query 42:");
-    for (at, line) in net.trace().iter() {
+    for (at, event) in net.telemetry().trace() {
+        let line = event.to_string();
         if line.starts_with(target) {
             println!("  [{at}] {line}");
         }
@@ -45,12 +47,8 @@ fn main() {
     // And the overall tail, the way one would scan it in a debug
     // session.
     println!("\nlast 10 events:");
-    let tail: Vec<String> = net
-        .trace()
-        .iter()
-        .map(|(t, m)| format!("  [{t}] {m}"))
-        .collect();
-    for line in tail.iter().rev().take(10).rev() {
-        println!("{line}");
+    let trace = net.telemetry().trace();
+    for (at, event) in trace.iter().skip(trace.len().saturating_sub(10)) {
+        println!("  [{at}] {event}");
     }
 }
