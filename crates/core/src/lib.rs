@@ -83,4 +83,4 @@ pub use node::{
     MiniDhtConfig, MiniProtocol, PeerAnswer, PeerOp, PeerReport, Route, RouteScratch, Step, Task,
 };
 pub use params::ErtParams;
-pub use table::ElasticTable;
+pub use table::{ElasticTable, SlotIndex};

@@ -53,7 +53,7 @@ use ert_sim::{SimDuration, SimRng};
 use rand::Rng;
 
 use crate::adapt::{adapt_step, adaptation_action, AdaptAction, AdaptStep};
-use crate::assign::{initial_indegree_target, next_inlink_ask};
+use crate::assign::initial_indegree_target;
 use crate::forward::{Contact, Decision, ForwardPolicy, ForwardScratch, Poll};
 use crate::params::ErtParams;
 use crate::table::ElasticTable;
@@ -842,11 +842,12 @@ pub fn drive<T: Task>(
 }
 
 /// Algorithm 1 from where the last scan stopped, toward `target`: one
-/// `AddOutlink` per [`next_inlink_ask`], each a holder's "take me as a
-/// neighbour", pulled from one [`Geometry::inlink_candidates`] walk kept
-/// across answers. The position moves to the last candidate this scan
-/// looked at, unless some peer did not answer: then the next scan
-/// covers the same ground again.
+/// `AddOutlink` per ask [`next_inlink_ask`](crate::assign::next_inlink_ask)
+/// would make, each a holder's "take me as a neighbour", pulled from
+/// one [`Geometry::inlink_candidates`] walk kept across answers. The
+/// position moves to the last candidate this scan looked at, unless
+/// some peer did not answer: then the next scan covers the same ground
+/// again.
 ///
 /// A holder's "added" is recorded with `push_backward`, not with the
 /// scanning `add_backward`: by invariant I (module doc) every backward
@@ -895,13 +896,17 @@ impl<G: Geometry, I: Iterator<Item = (u16, u64)>> Task for Expand<'_, G, I> {
             (Some(_), _) => self.unanswered = true,
             (None, _) => {}
         }
-        let last = &mut self.last;
-        let mut pulled = self.candidates.by_ref().inspect(|&pair| *last = Some(pair));
-        if let Some((slot, holder)) =
-            next_inlink_ask(me.id, me.indegree(), self.target, &mut pulled)
-        {
-            let op = me.link(slot, AdaptOp::AddOutlink);
-            return Step::Ask { peer: holder, op };
+        // `next_inlink_ask` spelt out: a `find` over the walk would pull
+        // each pair through an out-of-line `try_fold` that stores it and
+        // reads it back whole, a store-forwarding stall per candidate.
+        if me.indegree() < self.target {
+            for (slot, holder) in self.candidates.by_ref() {
+                self.last = Some((slot, holder));
+                if holder != me.id {
+                    let op = me.link(slot, AdaptOp::AddOutlink);
+                    return Step::Ask { peer: holder, op };
+                }
+            }
         }
         if !self.unanswered {
             me.scanned_to = self.last;

@@ -6,6 +6,56 @@ use serde::Serialize;
 /// ring successor, ring predecessor).
 const INLINE: usize = 4;
 
+/// A table slot key with a dense index: where an [`ElasticTable`] keeps
+/// the slot's neighbor list.
+///
+/// The index is order-preserving up to one rotation: the greatest key
+/// of the type takes index 0, and every other key the index one past
+/// its rank, so `from_index(index(k)) == k` and slot order is index
+/// order 1, 2, … followed by index 0. The greatest key is where a
+/// geometry puts its sentinel slot (`u16::MAX`: the successor list on
+/// Chord, the leaf set on Pastry and Cycloid; `RingPred` among
+/// Cycloid's four slots), so the slots every table holds sit at the
+/// lowest indices, inline, and a slot's index is its key plus one,
+/// wrapping.
+///
+/// ```
+/// use ert_core::SlotIndex;
+/// assert_eq!((0u16.index(), 7u16.index(), u16::MAX.index()), (1, 8, 0));
+/// assert_eq!(u16::from_index(0), u16::MAX);
+/// ```
+pub trait SlotIndex: Ord + Copy {
+    /// The slot's index.
+    fn index(self) -> usize;
+
+    /// The slot at `index`: the inverse of [`SlotIndex::index`].
+    fn from_index(index: usize) -> Self;
+}
+
+impl SlotIndex for u8 {
+    #[inline]
+    fn index(self) -> usize {
+        usize::from(self.wrapping_add(1))
+    }
+
+    #[inline]
+    fn from_index(index: usize) -> Self {
+        (index as u8).wrapping_sub(1)
+    }
+}
+
+impl SlotIndex for u16 {
+    #[inline]
+    fn index(self) -> usize {
+        usize::from(self.wrapping_add(1))
+    }
+
+    #[inline]
+    fn from_index(index: usize) -> Self {
+        (index as u16).wrapping_sub(1)
+    }
+}
+
 /// A routing table whose slots hold *sets* of neighbors and whose size
 /// varies with the owner's capacity and experienced load.
 ///
@@ -20,12 +70,15 @@ const INLINE: usize = 4;
 /// * **forwarding memory** — per slot, the least-loaded candidate
 ///   remembered by the two-choice-with-memory policy (Section 4.1).
 ///
-/// A table has a handful of slots (4 on Cycloid, at most one per finger
-/// on Chord), kept in `S` order: the first four inside the table itself
-/// — a whole Cycloid table, so reaching a slot's neighbor list reads
-/// the table and nothing else — and any further ones in one sorted
-/// spill vector after them. Iteration is in slot order whatever order
-/// the slots were first touched in.
+/// A slot's neighbor list is *addressed*, not searched for: it sits at
+/// the slot's [`SlotIndex`]. Indices below four are inside the table
+/// itself — a whole Cycloid table, so reaching a slot's neighbor list
+/// reads the table and nothing else — and the rest in one spill vector
+/// after them, which grows, to exactly the index asked for, only when
+/// a slot past its end is first written (on Chord: as the table build
+/// reaches each finger). A slot once written stays in the table, empty
+/// or not, until the table goes. Iteration is in slot order whatever
+/// order the slots were first touched in.
 ///
 /// ```
 /// use ert_core::ElasticTable;
@@ -39,15 +92,15 @@ const INLINE: usize = 4;
 /// assert_eq!(t.indegree(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ElasticTable<S: Ord, Id> {
-    /// The keys of the first `INLINE` slots, sorted, then `None`s.
-    keys: [Option<S>; INLINE],
-    /// The neighbors of `keys[i]` at `lists[i]`; empty past the last key.
+pub struct ElasticTable<S, Id> {
+    /// The neighbors of the slots at indices `0..INLINE`; empty at an
+    /// index never written.
     lists: [Vec<Id>; INLINE],
-    /// `(slot, neighbors)` of every slot after the first `INLINE`,
-    /// sorted, each key above every inline one; empty unless `keys` is
-    /// full.
-    spill: Vec<(S, Vec<Id>)>,
+    /// Bit `i` set: the slot at inline index `i` has been written.
+    touched: u8,
+    /// The neighbors of the slot at index `INLINE + i` at `i`; `None`
+    /// at an index never written.
+    spill: Vec<Option<Vec<Id>>>,
     backward: Vec<Id>,
     /// `(slot, remembered candidate)`, sorted by slot.
     memory: Vec<(S, Id)>,
@@ -58,88 +111,78 @@ fn locate<S: Ord, T>(entries: &[(S, T)], slot: S) -> Result<usize, usize> {
     entries.binary_search_by(|(s, _)| s.cmp(&slot))
 }
 
-impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
+impl<S: SlotIndex, Id: Copy + Eq> ElasticTable<S, Id> {
     /// Creates an empty table.
     pub fn new() -> Self {
         ElasticTable {
-            keys: [None; INLINE],
             lists: Default::default(),
+            touched: 0,
             spill: Vec::new(),
             backward: Vec::new(),
             memory: Vec::new(),
         }
     }
 
-    /// Where `slot` sits in slot order — below `INLINE` inline, at
-    /// `INLINE + i` the spill's `i`-th entry — or where it belongs.
-    fn position(&self, slot: S) -> Result<usize, usize> {
-        for (pos, key) in self.keys.iter().enumerate() {
-            match key {
-                Some(key) if *key < slot => {}
-                Some(key) if *key == slot => return Ok(pos),
-                _ => return Err(pos),
-            }
-        }
-        locate(&self.spill, slot)
-            .map(|i| INLINE + i)
-            .map_err(|i| INLINE + i)
-    }
-
-    fn list(&self, pos: usize) -> &Vec<Id> {
-        match pos.checked_sub(INLINE) {
-            None => &self.lists[pos],
-            Some(i) => &self.spill[i].1,
+    /// The neighbor list of `slot`, if it was ever written. An inline
+    /// list never written is empty, so it is handed out as is.
+    #[inline]
+    fn list(&self, slot: S) -> Option<&Vec<Id>> {
+        let at = slot.index();
+        match at.checked_sub(INLINE) {
+            None => self.lists.get(at),
+            Some(i) => self.spill.get(i)?.as_ref(),
         }
     }
 
-    fn list_mut(&mut self, pos: usize) -> &mut Vec<Id> {
-        match pos.checked_sub(INLINE) {
-            None => &mut self.lists[pos],
-            Some(i) => &mut self.spill[i].1,
-        }
-    }
-
-    /// The neighbor list of `slot`, created empty (in slot order) on
-    /// first use. A slot created inline shifts the ones above it up by
-    /// one in place; the last inline one, if any, moves to the front of
-    /// the spill.
+    /// The neighbor list of `slot`, created empty on first use.
+    #[inline]
     fn slot_mut(&mut self, slot: S) -> &mut Vec<Id> {
-        let pos = match self.position(slot) {
-            Ok(pos) => pos,
-            Err(pos) if pos >= INLINE => {
-                self.spill.insert(pos - INLINE, (slot, Vec::new()));
-                pos
+        let at = slot.index();
+        match at.checked_sub(INLINE) {
+            None => {
+                self.touched |= 1 << at;
+                &mut self.lists[at]
             }
-            Err(pos) => {
-                if let Some(last) = self.keys[INLINE - 1] {
-                    let ids = std::mem::take(&mut self.lists[INLINE - 1]);
-                    self.spill.insert(0, (last, ids));
+            Some(i) => {
+                if i >= self.spill.len() {
+                    self.grow_spill(i + 1);
                 }
-                // The rotation brings the last list to `pos`: empty,
-                // whether it was vacant or its entry just spilled.
-                self.keys[pos..].rotate_right(1);
-                self.lists[pos..].rotate_right(1);
-                self.keys[pos] = Some(slot);
-                pos
+                self.spill[i].get_or_insert_with(Vec::new)
             }
-        };
-        self.list_mut(pos)
+        }
     }
 
-    /// `(slot, neighbors)` of every slot touched, in slot order.
+    /// Lengthens the spill to `len` cells, in one allocation of exactly
+    /// that many.
+    #[cold]
+    fn grow_spill(&mut self, len: usize) {
+        self.spill.reserve_exact(len - self.spill.len());
+        self.spill.resize_with(len, || None);
+    }
+
+    /// Every neighbor list, written or not, in no particular order.
+    fn lists_mut(&mut self) -> impl Iterator<Item = &mut Vec<Id>> {
+        let spill = self.spill.iter_mut().flatten();
+        self.lists.iter_mut().chain(spill)
+    }
+
+    /// `(slot, neighbors)` of every slot written, in slot order: the
+    /// inline indices from 1, the spill, then index 0.
     fn entries(&self) -> impl Iterator<Item = (S, &Vec<Id>)> + '_ {
-        let inline = self.keys.iter().zip(&self.lists);
-        inline
-            .map_while(|(key, ids)| key.map(|key| (key, ids)))
-            .chain(self.spill.iter().map(|(s, ids)| (*s, ids)))
+        let (lists, touched) = (&self.lists, self.touched);
+        let inline = move |at: usize| (touched >> at & 1 == 1).then(|| (at, &lists[at]));
+        let spill = self.spill.iter().enumerate();
+        (1..INLINE)
+            .filter_map(inline)
+            .chain(spill.filter_map(|(i, ids)| Some((INLINE + i, ids.as_ref()?))))
+            .chain(inline(0))
+            .map(|(at, ids)| (S::from_index(at), ids))
     }
 
     /// The neighbors currently held in `slot` (empty if none).
+    #[inline]
     pub fn outlinks(&self, slot: S) -> &[Id] {
-        match self.position(slot) {
-            Ok(pos) => self.list(pos),
-            Err(_) => &[],
-        }
+        self.list(slot).map_or(&[], Vec::as_slice)
     }
 
     /// Adds `id` to `slot`; returns `false` if it was already there.
@@ -155,16 +198,21 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 
     /// Appends `id` to `slot`, which the caller knows does not hold it:
     /// [`ElasticTable::add_outlink`] without the scan.
+    #[inline]
     pub fn push_outlink(&mut self, slot: S, id: Id) {
         self.slot_mut(slot).push(id);
     }
 
     /// Removes `id` from `slot`; returns `false` if it was not there.
     pub fn remove_outlink(&mut self, slot: S, id: Id) -> bool {
-        let Ok(pos) = self.position(slot) else {
+        let at = slot.index();
+        let entry = match at.checked_sub(INLINE) {
+            None => self.lists.get_mut(at),
+            Some(i) => self.spill.get_mut(i).and_then(Option::as_mut),
+        };
+        let Some(entry) = entry else {
             return false;
         };
-        let entry = self.list_mut(pos);
         match entry.iter().position(|&x| x == id) {
             Some(at) => {
                 entry.remove(at);
@@ -180,8 +228,7 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// slot held it.
     pub fn remove_outlinks_to(&mut self, id: Id) -> bool {
         let mut removed = false;
-        let spill = self.spill.iter_mut().map(|(_, ids)| ids);
-        for ids in self.lists.iter_mut().chain(spill) {
+        for ids in self.lists_mut() {
             if let Some(at) = ids.iter().position(|&x| x == id) {
                 ids.remove(at);
                 removed = true;
@@ -201,7 +248,7 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// one overlay connection per table entry).
     pub fn outdegree(&self) -> usize {
         let inline: usize = self.lists.iter().map(Vec::len).sum();
-        inline + self.spill.iter().map(|(_, ids)| ids.len()).sum::<usize>()
+        inline + self.spill.iter().flatten().map(Vec::len).sum::<usize>()
     }
 
     /// Iterates `(slot, neighbor)` pairs, in slot order.
@@ -212,7 +259,8 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
 
     /// Whether `id` appears in any slot.
     pub fn has_outlink_to(&self, id: Id) -> bool {
-        self.entries().any(|(_, ids)| ids.contains(&id))
+        let spill = self.spill.iter().flatten();
+        self.lists.iter().chain(spill).any(|ids| ids.contains(&id))
     }
 
     /// The slots with at least one neighbor, in slot order.
@@ -286,13 +334,11 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     /// removed.
     pub fn purge_peer(&mut self, id: Id) -> bool {
         let mut touched = false;
-        let mut purge = |ids: &mut Vec<Id>| {
+        for ids in self.lists_mut() {
             let before = ids.len();
             ids.retain(|&x| x != id);
             touched |= ids.len() != before;
-        };
-        self.lists.iter_mut().for_each(&mut purge);
-        self.spill.iter_mut().for_each(|(_, ids)| purge(ids));
+        }
         touched |= self.remove_backward(id);
         let before = self.memory.len();
         self.memory.retain(|&(_, m)| m != id);
@@ -300,13 +346,13 @@ impl<S: Ord + Copy, Id: Copy + Eq> ElasticTable<S, Id> {
     }
 }
 
-impl<S: Ord + Copy, Id: Copy + Eq> Default for ElasticTable<S, Id> {
+impl<S: SlotIndex, Id: Copy + Eq> Default for ElasticTable<S, Id> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: Ord + Copy + Serialize, Id: Copy + Eq + Serialize> Serialize for ElasticTable<S, Id> {
+impl<S: SlotIndex + Serialize, Id: Copy + Eq + Serialize> Serialize for ElasticTable<S, Id> {
     /// The object a table of one `(slot, neighbors)` vector derived:
     /// `slots` as `[slot, neighbors]` pairs in slot order, then
     /// `backward` and `memory`.
@@ -411,12 +457,13 @@ mod tests {
     }
 
     /// The `BTreeMap`-backed table this module used to be: the model
-    /// the inline-then-spill storage must be indistinguishable from.
+    /// the indexed storage must be indistinguishable from, a slot once
+    /// written kept as an entry whether or not it still holds anyone.
     #[derive(Default)]
     struct ModelTable {
-        slots: std::collections::BTreeMap<u8, Vec<u32>>,
+        slots: std::collections::BTreeMap<u16, Vec<u32>>,
         backward: Vec<u32>,
-        memory: std::collections::BTreeMap<u8, u32>,
+        memory: std::collections::BTreeMap<u16, u32>,
     }
 
     impl ModelTable {
@@ -446,11 +493,52 @@ mod tests {
             self.memory.retain(|_, m| *m != id);
             touched | (self.memory.len() != before)
         }
+
+        /// The JSON the table it models writes: every slot written,
+        /// empty ones included, in slot order.
+        fn json(&self) -> String {
+            let slots: Vec<(u16, &Vec<u32>)> =
+                self.slots.iter().map(|(&s, ids)| (s, ids)).collect();
+            let memory: Vec<(u16, u32)> = self.memory.iter().map(|(&s, &id)| (s, id)).collect();
+            format!(
+                "{{\"slots\":{},\"backward\":{},\"memory\":{}}}",
+                serde::json::to_string(&slots),
+                serde::json::to_string(&self.backward),
+                serde::json::to_string(&memory)
+            )
+        }
     }
 
-    /// Slot keys the model test draws from: three times the inline
-    /// capacity, as wide as a Chord finger table.
-    const KEYS: u8 = 3 * INLINE as u8;
+    /// Chord-wide tables' finger slots: three times the inline
+    /// capacity, so their slots spill, and are created below, between
+    /// and above the ones already there.
+    const FINGERS: u16 = 3 * INLINE as u16;
+
+    /// The slot keys of the three kinds of table the model test draws
+    /// from, as `ErtNode` keys them: a Cycloid-narrow table (cubical,
+    /// cyclic, the ascend memory slot and the leaf-set sentinel, which
+    /// all sit inline), a Chord-wide one, and a Chord-wide one with the
+    /// successor-list sentinel.
+    fn slot_keys(kind: u8) -> Vec<u16> {
+        match kind {
+            0 => vec![0, 1, 2, u16::MAX],
+            1 => (0..FINGERS).collect(),
+            _ => (0..FINGERS).chain([u16::MAX]).collect(),
+        }
+    }
+
+    #[test]
+    fn the_index_is_slot_order_rotated_by_one() {
+        let keys: Vec<u16> = (0..FINGERS).chain([u16::MAX - 1, u16::MAX]).collect();
+        for &k in &keys {
+            assert_eq!(u16::from_index(k.index()), k);
+        }
+        for pair in keys.windows(2).take(keys.len() - 2) {
+            assert!(pair[0].index() < pair[1].index());
+        }
+        assert_eq!(u16::MAX.index(), 0);
+        assert_eq!((u8::MAX.index(), u8::from_index(0)), (0, u8::MAX));
+    }
 
     proptest::proptest! {
         /// One long slot and the backward list — kept without scanning
@@ -506,22 +594,22 @@ mod tests {
             }
         }
 
-        /// Random operation sequences, slots touched in any order — on
-        /// Cycloid-narrow tables that fit inline, and on Chord-wide ones
-        /// whose slots spill past the inline four, created below,
-        /// between and above the ones already there: every return value
-        /// and every accessor agrees with the model after every step,
-        /// iteration order included.
+        /// Random operation sequences, slots touched in any order, on
+        /// the three kinds of table `slot_keys` names: every return
+        /// value and every accessor agrees with the model after every
+        /// step, iteration order included, and so does the JSON, which
+        /// holds every slot ever written, empty ones too. A
+        /// Cycloid-narrow table never reaches past its inline lists.
         #[test]
-        fn sorted_vector_storage_matches_the_btreemap_model(
-            wide in proptest::bool::ANY,
-            ops in proptest::collection::vec((0u8..7, 0u8..KEYS, 0u32..10, 0u32..10), 0..160)
+        fn indexed_storage_matches_the_btreemap_model(
+            kind in 0u8..3,
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0u32..10, 0u32..10), 0..160)
         ) {
-            let width = if wide { KEYS } else { INLINE as u8 };
-            let mut t: ElasticTable<u8, u32> = ElasticTable::new();
+            let keys = slot_keys(kind);
+            let mut t: ElasticTable<u16, u32> = ElasticTable::new();
             let mut m = ModelTable::default();
-            for (op, slot, id, other) in ops {
-                let slot = slot % width;
+            for (op, at, id, other) in ops {
+                let slot = keys[at % keys.len()];
                 match op {
                     0 => {
                         let entry = m.slots.entry(slot).or_default();
@@ -539,8 +627,9 @@ mod tests {
                         assert_eq!(t.remove_outlink(slot, id), at.is_some());
                     }
                     2 => {
-                        m.slots.insert(slot, vec![id, other]);
-                        t.set_slot(slot, vec![id, other]);
+                        let ids = if id == other { Vec::new() } else { vec![id, other] };
+                        m.slots.insert(slot, ids.clone());
+                        t.set_slot(slot, ids);
                     }
                     3 => {
                         m.memory.insert(slot, id);
@@ -548,6 +637,10 @@ mod tests {
                     }
                     4 => assert_eq!(t.purge_peer(id), m.purge_peer(id)),
                     5 => assert_eq!(t.remove_outlinks_to(id), m.remove_outlinks_to(id)),
+                    6 if !m.slots.get(&slot).is_some_and(|e| e.contains(&id)) => {
+                        m.slots.entry(slot).or_default().push(id);
+                        t.push_outlink(slot, id);
+                    }
                     _ => {
                         let fresh = !m.backward.contains(&id);
                         if fresh {
@@ -556,14 +649,14 @@ mod tests {
                         assert_eq!(t.add_backward(id), fresh);
                     }
                 }
-                let links: Vec<(u8, u32)> = m
+                let links: Vec<(u16, u32)> = m
                     .slots
                     .iter()
                     .flat_map(|(&s, ids)| ids.iter().map(move |&id| (s, id)))
                     .collect();
                 assert_eq!(t.iter_outlinks().collect::<Vec<_>>(), links);
                 assert_eq!(t.outdegree(), links.len());
-                let occupied: Vec<u8> = m
+                let occupied: Vec<u16> = m
                     .slots
                     .iter()
                     .filter(|(_, ids)| !ids.is_empty())
@@ -572,12 +665,16 @@ mod tests {
                 assert_eq!(t.occupied_slots().collect::<Vec<_>>(), occupied);
                 assert_eq!(t.backward_fingers(), m.backward.as_slice());
                 assert_eq!(t.indegree(), m.backward.len());
-                for s in 0..KEYS {
+                for &s in &slot_keys(2) {
                     assert_eq!(t.outlinks(s), m.slots.get(&s).map_or(&[][..], Vec::as_slice));
                     assert_eq!(t.memory(s), m.memory.get(&s).copied());
                 }
                 for peer in 0..10u32 {
                     assert_eq!(t.has_outlink_to(peer), links.iter().any(|&(_, x)| x == peer));
+                }
+                assert_eq!(serde::json::to_string(&t), m.json());
+                if kind == 0 {
+                    assert!(t.spill.is_empty(), "a Cycloid-narrow table spilled");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Chord geometry for the mini platform.
 
 use ert_core::{ElasticTable, Geometry, HopCandidates};
-use ert_overlay::{ring::forward_distance, ArcMembers, ChordRegistry, ChordSpace};
+use ert_overlay::{ring::forward_distance, ArcMembers, ChordRegistry, ChordSpace, RingRange};
 use ert_sim::SimRng;
 
 /// The slot holding the successor list.
@@ -10,6 +10,62 @@ const SUCC_SLOT: u16 = u16::MAX;
 /// Fingers up to this index have loose-restriction windows of one or
 /// two IDs — effectively structural, like the successor list.
 const STRUCTURAL_MAX_FINGER: u16 = 2;
+
+/// The shortest finger that is not structural: the last one
+/// Algorithm 1 walks.
+const FIRST_ELASTIC_FINGER: u8 = STRUCTURAL_MAX_FINGER as u8 + 1;
+
+/// Algorithm 1's walk over the holders that may take `node` as a
+/// finger, on Chord ([`Geometry::inlink_candidates`]): finger by
+/// finger from the longest down to [`FIRST_ELASTIC_FINGER`], each
+/// finger's reverse region clockwise, `node` itself passed over.
+///
+/// A plain loop over two slice runs of the membership per region,
+/// rather than an iterator chain, so that `next` inlines into the
+/// caller whole and a pulled pair comes back in registers.
+struct ChordInlinks<'a> {
+    space: ChordSpace,
+    registry: &'a ChordRegistry,
+    node: u64,
+    /// The finger whose reverse region is being walked.
+    finger: u8,
+    /// The region's members not walked yet: this run, then `tail`.
+    run: std::slice::Iter<'a, u64>,
+    tail: &'a [u64],
+}
+
+impl ChordInlinks<'_> {
+    /// Starts walking `region`, the rest of the current finger's.
+    fn enter(&mut self, region: RingRange) {
+        let (head, tail) = self.registry.arc(region).runs();
+        self.run = head.iter();
+        self.tail = tail;
+    }
+}
+
+impl Iterator for ChordInlinks<'_> {
+    type Item = (u16, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u16, u64)> {
+        loop {
+            for &holder in self.run.by_ref() {
+                if holder != self.node {
+                    return Some((u16::from(self.finger), holder));
+                }
+            }
+            if !self.tail.is_empty() {
+                self.run = std::mem::take(&mut self.tail).iter();
+            } else if self.finger > FIRST_ELASTIC_FINGER {
+                self.finger -= 1;
+                let region = self.space.reverse_finger_region(self.node, self.finger);
+                self.enter(region);
+            } else {
+                return None;
+            }
+        }
+    }
+}
 
 /// The loose-finger Chord ring (see [`ChordSpace`]): finger `m`'s slot
 /// is `m` itself; the successor list is a sentinel slot.
@@ -86,6 +142,12 @@ impl ChordGeometry {
         self.registry.successor(id)
     }
 
+    /// Whether `slot` is a slot of a table on this ring: a finger
+    /// below the ring's bit width, or the successor list.
+    pub fn is_slot(&self, slot: u16) -> bool {
+        slot < u16::from(self.space.bits()) || slot == SUCC_SLOT
+    }
+
     /// The successor window used for the sentinel slot.
     pub fn succ_window(&self, id: u64) -> Vec<u64> {
         self.registry.succ_window(id, self.succ_list)
@@ -135,20 +197,19 @@ impl Geometry for ChordGeometry {
         // Long fingers first: they are the scarcest inlinks. A resumed
         // walk starts inside the finger it stopped in.
         let top = after.map_or(self.space.bits() - 1, |(slot, _)| slot as u8);
-        (STRUCTURAL_MAX_FINGER as u8 + 1..=top)
-            .rev()
-            .flat_map(move |m| {
-                let region = self.space.reverse_finger_region(node, m);
-                let rest = match after {
-                    Some((slot, last)) if slot == m as u16 => region.after(last),
-                    _ => region,
-                };
-                self.registry
-                    .arc(rest)
-                    .iter()
-                    .map(move |cand| (m as u16, cand))
-            })
-            .filter(move |&(_, cand)| cand != node)
+        let mut walk = ChordInlinks {
+            space: self.space,
+            registry: &self.registry,
+            node,
+            finger: top,
+            run: [].iter(),
+            tail: &[],
+        };
+        if top >= FIRST_ELASTIC_FINGER {
+            let region = self.space.reverse_finger_region(node, top);
+            walk.enter(after.map_or(region, |(_, last)| region.after(last)));
+        }
+        walk
     }
 
     fn is_structural(&self, slot: u16) -> bool {

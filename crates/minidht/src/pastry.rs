@@ -17,6 +17,81 @@ const LEAF_SLOT: u16 = u16::MAX;
 /// Leaf-set size used for the numeric endgame.
 const LEAF_WINDOW: usize = 8;
 
+/// Algorithm 1's walk over the holders that may take `node` as a
+/// row entry, on Pastry ([`Geometry::inlink_candidates`]): row by row
+/// from the deepest negotiable one up to row 0, each row's cell of
+/// `node`'s digit, its reverse spans in column order, each span's
+/// members ascending from `floor`, `node` itself passed over.
+///
+/// A plain loop over one slice run of the membership at a time,
+/// rather than an iterator chain, so that `next` inlines into the
+/// caller whole and a pulled pair comes back in registers.
+struct PastryInlinks<'a> {
+    geometry: &'a PastryGeometry,
+    node: u64,
+    /// The row being walked, and the slot `node` takes in it.
+    row: u8,
+    slot: u16,
+    /// The least id the row's spans yield (past a resumed walk's last).
+    floor: u64,
+    /// The next column whose reverse span the row walks.
+    col: u64,
+    /// The members of the current span not walked yet.
+    run: std::slice::Iter<'a, u64>,
+}
+
+impl PastryInlinks<'_> {
+    /// Starts walking `row` from its first column, or past its last
+    /// if the row is structural.
+    fn enter(&mut self, row: u8) {
+        let g = self.geometry;
+        self.row = row;
+        self.slot = g.encode(row, g.space.digit(self.node, row));
+        self.floor = 0;
+        self.col = if g.is_structural(self.slot) {
+            g.space.base()
+        } else {
+            0
+        };
+    }
+
+    /// Moves to the next non-empty reverse span of the row; `false` when
+    /// the row has none left.
+    fn next_span(&mut self) -> bool {
+        let g = self.geometry;
+        while self.col < g.space.base() {
+            let col = self.col;
+            self.col += 1;
+            if let Some((lo, hi)) = g.space.row_region(self.node, self.row, col) {
+                self.run = g.registry.span(lo.max(self.floor), hi).iter();
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl Iterator for PastryInlinks<'_> {
+    type Item = (u16, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u16, u64)> {
+        loop {
+            for &holder in self.run.by_ref() {
+                if holder != self.node {
+                    return Some((self.slot, holder));
+                }
+            }
+            if !self.next_span() {
+                if self.row == 0 {
+                    return None;
+                }
+                self.enter(self.row - 1);
+            }
+        }
+    }
+}
+
 /// The prefix-routing Pastry overlay (see [`PastrySpace`]).
 #[derive(Debug, Clone)]
 pub struct PastryGeometry {
@@ -101,22 +176,20 @@ impl Geometry for PastryGeometry {
         // in ID, so a resumed walk drops everything up to the last
         // candidate it saw in the row it stopped in.
         let top = after.map_or(self.space.rows() - 1, |(slot, _)| self.row_of(slot));
-        (0..=top)
-            .rev()
-            .map(move |row| (row, self.encode(row, self.space.digit(node, row))))
-            .filter(move |&(_, slot)| !self.is_structural(slot))
-            .flat_map(move |(row, slot)| {
-                let floor = match after {
-                    Some((at, last)) if at == slot => last + 1,
-                    _ => 0,
-                };
-                self.space
-                    .reverse_row_spans(node, row)
-                    .flat_map(move |(lo, hi)| self.registry.span(lo.max(floor), hi))
-                    .copied()
-                    .map(move |cand| (slot, cand))
-            })
-            .filter(move |&(_, cand)| cand != node)
+        let mut walk = PastryInlinks {
+            geometry: self,
+            node,
+            row: top,
+            slot: 0,
+            floor: 0,
+            col: 0,
+            run: [].iter(),
+        };
+        walk.enter(top);
+        if let Some((_, last)) = after.filter(|&(slot, _)| slot == walk.slot) {
+            walk.floor = last + 1;
+        }
+        walk
     }
 
     fn is_structural(&self, slot: u16) -> bool {

@@ -104,6 +104,125 @@ fn cycloid_inlink_holders_have_one_elastic_slot() {
     assert_one_elastic_slot_per_holder(&sparse_cycloid());
 }
 
+/// `Geometry::inlink_candidates` as each geometry spelt it before its
+/// walk became a plain iterator, kept as the walks' oracle: on Chord
+/// and Pastry the `flat_map` chain over fingers or rows, on Cycloid the
+/// registry's scan re-run from the top past `after`. Each reads a
+/// registry rebuilt from the geometry's members.
+mod chain {
+    use ert_minidht::{ChordGeometry, CycloidGeometry, Geometry, PastryGeometry};
+    use ert_overlay::{ChordRegistry, CycloidRegistry, InlinkCursor, PastryRegistry, SlotKind};
+
+    /// Fingers up to this one are structural on Chord.
+    const STRUCTURAL_MAX_FINGER: u8 = 2;
+
+    pub fn chord(g: &ChordGeometry, node: u64, after: Option<(u16, u64)>) -> Vec<(u16, u64)> {
+        let space = g.space();
+        let registry = ChordRegistry::from_ids(space, g.members());
+        let top = after.map_or(space.bits() - 1, |(slot, _)| slot as u8);
+        (STRUCTURAL_MAX_FINGER + 1..=top)
+            .rev()
+            .flat_map(|m| {
+                let region = space.reverse_finger_region(node, m);
+                let rest = match after {
+                    Some((slot, last)) if slot == m as u16 => region.after(last),
+                    _ => region,
+                };
+                registry.arc(rest).iter().map(move |cand| (m as u16, cand))
+            })
+            .filter(|&(_, cand)| cand != node)
+            .collect()
+    }
+
+    pub fn pastry(g: &PastryGeometry, node: u64, after: Option<(u16, u64)>) -> Vec<(u16, u64)> {
+        let space = g.space();
+        let mut registry = PastryRegistry::new(space);
+        for id in g.members() {
+            registry.insert(id);
+        }
+        let base = space.base() as u16;
+        let top = after.map_or(space.rows() - 1, |(slot, _)| (slot / base) as u8);
+        (0..=top)
+            .rev()
+            .map(|row| (row, row as u16 * base + space.digit(node, row) as u16))
+            .filter(|&(_, slot)| !g.is_structural(slot))
+            .flat_map(|(row, slot)| {
+                let floor = match after {
+                    Some((at, last)) if at == slot => last + 1,
+                    _ => 0,
+                };
+                space
+                    .reverse_row_spans(node, row)
+                    .flat_map(|(lo, hi)| registry.span(lo.max(floor), hi).to_vec())
+                    .map(move |cand| (slot, cand))
+                    .collect::<Vec<_>>()
+            })
+            .filter(|&(_, cand)| cand != node)
+            .collect()
+    }
+
+    pub fn cycloid(g: &CycloidGeometry, node: u64, after: Option<(u16, u64)>) -> Vec<(u16, u64)> {
+        let space = g.space();
+        let mut registry = CycloidRegistry::new(space);
+        for lin in g.members() {
+            registry.insert(space.from_lin(lin));
+        }
+        let slot_of = |kind| match kind {
+            SlotKind::Cubical => 0,
+            SlotKind::Cyclic => 1,
+        };
+        let mut scan = registry
+            .inlink_scan(space.from_lin(node), 0, InlinkCursor::Start)
+            .filter_map(|(kind, holder)| Some((slot_of(kind?), space.lin(holder))));
+        if let Some(last) = after {
+            scan.find(|&pair| pair == last);
+        }
+        scan.collect()
+    }
+}
+
+/// `g`'s walk of `node`'s inlink candidates yields what `oracle` does,
+/// from the top and resumed after every pair it yields.
+fn assert_walk_is_the_chain<G: Geometry>(
+    g: &G,
+    node: u64,
+    oracle: impl Fn(&G, u64, Option<(u16, u64)>) -> Vec<(u16, u64)>,
+) {
+    let all: Vec<(u16, u64)> = g.inlink_candidates(node, None).collect();
+    assert_eq!(all, oracle(g, node, None), "{} node {node}", g.name());
+    for &pair in &all {
+        let rest: Vec<(u16, u64)> = g.inlink_candidates(node, Some(pair)).collect();
+        assert_eq!(
+            rest,
+            oracle(g, node, Some(pair)),
+            "{} node {node} after {pair:?}",
+            g.name()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The plain-iterator walks yield the `(slot, holder)` sequence of
+    /// the iterator chains they replaced, from the top and from every
+    /// resume point, on random Chord and Pastry memberships and on a
+    /// full and a random sparse Cycloid.
+    #[test]
+    fn inlink_walks_yield_the_chain_sequence(seed in 0u64..1_000, pick in 0usize..100_000) {
+        let mut rng = SimRng::seed_from(seed);
+        let chord = ChordGeometry::populate(10, 150, &mut rng);
+        let pastry = PastryGeometry::populate(6, 2, 150, &mut rng);
+        let sparse = CycloidGeometry::populate(6, 200, &mut rng);
+        let full = full_cycloid();
+        let at = |members: Vec<u64>| members[pick % members.len()];
+        assert_walk_is_the_chain(&chord, at(chord.members()), chain::chord);
+        assert_walk_is_the_chain(&pastry, at(pastry.members()), chain::pastry);
+        assert_walk_is_the_chain(&sparse, at(sparse.members()), chain::cycloid);
+        assert_walk_is_the_chain(&full, at(full.members()), chain::cycloid);
+    }
+}
+
 /// The 16-node ring of `ert-core`'s node tests, `0, 4, …, 60` on 2^6
 /// ids. Those tests run on a copy of this geometry that `ert-core` can
 /// build without this crate; the copy's test `the_test_ring_is_pinned`

@@ -18,6 +18,13 @@ pub const LATENCY_SCALE: f64 = 0.05;
 /// forward lost to a fault is retried.
 pub const TIMEOUT_PENALTY: SimDuration = SimDuration::from_micros(500_000);
 
+/// Safety valve: a query is dropped after this many hops on a Cycloid
+/// of dimension `dim` (never hit in correct configurations; guards
+/// against livelock in tests).
+pub const fn max_hops(dim: u8) -> u32 {
+    64 + 8 * dim as u32
+}
+
 /// Environment parameters of one simulation run.
 ///
 /// Defaults reproduce Table 2: query processing takes 0.2 s on a light
@@ -42,9 +49,6 @@ pub struct NetworkConfig {
     pub ert: ErtParams,
     /// Capacity estimation error model (`γ_c`).
     pub estimator: Estimator,
-    /// Safety valve: a query is dropped after this many hops (never hit
-    /// in correct configurations; guards against livelock in tests).
-    pub max_hops: u32,
     /// Anonymity mode (introduction: Freenet/Mantis-style systems relay
     /// data through the query path instead of a direct connection):
     /// when on, the response retraces the request path hop by hop,
@@ -87,7 +91,6 @@ impl NetworkConfig {
             heavy_service: SimDuration::from_secs_f64(1.0),
             ert: ErtParams::default().with_alpha_for_dim(dim),
             estimator: Estimator::default(),
-            max_hops: 64 + 8 * dim as u32,
             anonymous_responses: false,
             sample_interval: SimDuration::ZERO,
             stabilization: false,
@@ -120,9 +123,6 @@ impl NetworkConfig {
         }
         if self.heavy_service < self.light_service {
             return Err("heavy service must not be faster than light".into());
-        }
-        if self.max_hops == 0 {
-            return Err("max hops must be positive".into());
         }
         self.retry
             .validate()

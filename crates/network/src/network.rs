@@ -18,7 +18,7 @@ use ert_sim::{
 use ert_telemetry::{Snapshot, Telemetry, TelemetryEvent};
 use rand::Rng;
 
-use crate::config::{NetworkConfig, LATENCY_SCALE, TIMEOUT_PENALTY};
+use crate::config::{max_hops, NetworkConfig, LATENCY_SCALE, TIMEOUT_PENALTY};
 use crate::lookup::{ChurnEvent, KeyPick, Lookup, SourcePick};
 use crate::metrics::{Metrics, RunReport};
 use crate::sanitize::{EnvelopeRelaxations, Sanitizer};
@@ -964,7 +964,7 @@ impl Network {
     }
 
     fn forward(&mut self, q: usize, node: usize, now: SimTime) {
-        if self.queries[q].hops >= self.cfg.max_hops {
+        if self.queries[q].hops >= max_hops(self.topo.space.dim()) {
             self.drop_query(q, now);
             return;
         }

@@ -1,7 +1,7 @@
 //! Protocol descriptions: which table policy, adaptation, and
 //! forwarding policy a run uses.
 
-use ert_core::ForwardPolicy;
+use ert_core::{ForwardPolicy, SlotIndex};
 
 /// The slots of a Cycloid node's (possibly elastic) routing table.
 ///
@@ -21,6 +21,25 @@ pub enum CycloidSlot {
     RingSucc,
     /// Backward ring (predecessor-list) candidates.
     RingPred,
+}
+
+/// The four slots at the four inline indices of an `ElasticTable`,
+/// rotated as [`SlotIndex`] asks: the greatest, `RingPred`, at 0.
+impl SlotIndex for CycloidSlot {
+    #[inline]
+    fn index(self) -> usize {
+        (self as usize + 1) & 3
+    }
+
+    #[inline]
+    fn from_index(index: usize) -> Self {
+        match index & 3 {
+            1 => CycloidSlot::Cubical,
+            2 => CycloidSlot::Cyclic,
+            3 => CycloidSlot::RingSucc,
+            _ => CycloidSlot::RingPred,
+        }
+    }
 }
 
 /// How a joining node fills the `Cubical`/`Cyclic` slots of its table.
@@ -153,6 +172,21 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cycloid_slots_sit_at_the_four_inline_indices_in_rotated_order() {
+        let slots = [
+            CycloidSlot::Cubical,
+            CycloidSlot::Cyclic,
+            CycloidSlot::RingSucc,
+            CycloidSlot::RingPred,
+        ];
+        let indices: Vec<usize> = slots.iter().map(|s| s.index()).collect();
+        assert_eq!(indices, [1, 2, 3, 0]);
+        for s in slots {
+            assert_eq!(CycloidSlot::from_index(s.index()), s);
+        }
+    }
 
     #[test]
     fn ert_variants_differ_in_the_right_axes() {

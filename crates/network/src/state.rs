@@ -208,9 +208,10 @@ mod tests {
 
     #[test]
     fn a_node_and_its_table_stay_within_their_byte_budgets() {
-        // The hop path reads `OverlayNode`. Its table holds four slot
-        // keys and four neighbor-list headers inline, then the spill,
-        // backward-finger and memory vectors: 4 + 4 × 24 + 3 × 24 bytes.
+        // The hop path reads `OverlayNode`. Its table holds four
+        // neighbor-list headers inline and a byte of written bits, then
+        // the spill, backward-finger and memory vectors:
+        // 4 × 24 + 1 + 3 × 24 bytes, padded to 176.
         // The node adds its ID, host, d_max, liveness, freshness, scan
         // cursor and two epoch stamps. Growing either is a decision,
         // made here.

@@ -356,9 +356,10 @@ fn encoded_len(msg: &Message) -> usize {
             Message::Stabilize { members, .. } => 4 + ids(members),
             Message::Lookup { avoid, .. } => 8 + 8 + 4 + 4 + 1 + ids(avoid),
             Message::LookupReply { .. } => 8 + 1 + 8 + 4,
-            Message::ProbeLoad { .. } | Message::Leave { .. } => 8,
-            Message::LoadReport { .. } => 8 + 8 + 8 + 4 + 8,
-            Message::AdaptIndegree { .. } => 8 + 2 + 1,
+            Message::ProbeLoad { .. } => PROBE_LOAD_LEN,
+            Message::Leave { .. } => 8,
+            Message::LoadReport { .. } => LOAD_REPORT_LEN,
+            Message::AdaptIndegree { .. } => ADAPT_INDEGREE_LEN,
         }
 }
 
@@ -440,6 +441,78 @@ pub(crate) fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             put_u64(out, *id);
         }
     }
+}
+
+/// Payload length of a `ProbeLoad`: the token.
+const PROBE_LOAD_LEN: usize = 8;
+/// Payload length of a `LoadReport`: token, load, capacity, indegree,
+/// spare.
+const LOAD_REPORT_LEN: usize = 8 + 8 + 8 + 4 + 8;
+/// Payload length of an `AdaptIndegree`: from, slot, op.
+const ADAPT_INDEGREE_LEN: usize = 8 + 2 + 1;
+
+/// The header of a frame tagged `tag` with a payload of `len` bytes.
+#[inline]
+fn header(tag: u8, len: usize) -> [u8; HEADER_LEN] {
+    let [a, b, c, d] = (len as u32).to_be_bytes();
+    [MAGIC[0], MAGIC[1], VERSION, tag, a, b, c, d]
+}
+
+/// Replaces what `out` holds with `frame`, growing `out` only if it is
+/// shorter.
+#[inline]
+fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
+    out.clear();
+    out.extend_from_slice(frame);
+}
+
+/// Writes the `ProbeLoad` frame of `token` into `out`, a buffer the
+/// caller keeps: the bytes of `encode(&Message::ProbeLoad { token })`,
+/// built on the stack from the header and the one field and copied
+/// once, with no [`Message`] built. The fixed-size messages are the
+/// RPCs every hop and every Algorithm 1 ask sends, so they skip
+/// [`encode`]'s match on the variant and its sizing.
+#[inline]
+pub fn encode_probe_load(token: u64, out: &mut Vec<u8>) {
+    let mut frame = [0u8; HEADER_LEN + PROBE_LOAD_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header(TAG_PROBE_LOAD, PROBE_LOAD_LEN));
+    frame[8..].copy_from_slice(&token.to_be_bytes());
+    put_frame(out, &frame);
+}
+
+/// Writes the `AdaptIndegree` frame of `(from, slot, op)` into `out`,
+/// as [`encode_probe_load`] does: the bytes of
+/// `encode(&Message::AdaptIndegree { from, slot, op })`.
+#[inline]
+pub fn encode_adapt_indegree(from: u64, slot: u16, op: AdaptOp, out: &mut Vec<u8>) {
+    let mut frame = [0u8; HEADER_LEN + ADAPT_INDEGREE_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header(TAG_ADAPT_INDEGREE, ADAPT_INDEGREE_LEN));
+    frame[8..16].copy_from_slice(&from.to_be_bytes());
+    frame[16..18].copy_from_slice(&slot.to_be_bytes());
+    frame[18] = op_byte(op);
+    put_frame(out, &frame);
+}
+
+/// Writes the `LoadReport` frame of its five fields into `out`, as
+/// [`encode_probe_load`] does: the bytes of
+/// `encode(&Message::LoadReport { token, load, capacity, indegree, spare })`.
+#[inline]
+pub fn encode_load_report(
+    token: u64,
+    load: u64,
+    capacity: u64,
+    indegree: u32,
+    spare: i64,
+    out: &mut Vec<u8>,
+) {
+    let mut frame = [0u8; HEADER_LEN + LOAD_REPORT_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header(TAG_LOAD_REPORT, LOAD_REPORT_LEN));
+    frame[8..16].copy_from_slice(&token.to_be_bytes());
+    frame[16..24].copy_from_slice(&load.to_be_bytes());
+    frame[24..32].copy_from_slice(&capacity.to_be_bytes());
+    frame[32..36].copy_from_slice(&indegree.to_be_bytes());
+    frame[36..].copy_from_slice(&spare.to_be_bytes());
+    put_frame(out, &frame);
 }
 
 /// Decodes one complete frame. Rejects every malformed input with a

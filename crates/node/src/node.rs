@@ -35,7 +35,10 @@ use ert_minidht::{
 };
 use ert_sim::SimRng;
 
-use crate::codec::{decode, decode_inline, encode, encode_into, CodecError, LookupStatus, Message};
+use crate::codec::{
+    decode, decode_inline, encode, encode_adapt_indegree, encode_load_report, encode_probe_load,
+    CodecError, LookupStatus, Message,
+};
 use crate::transport::{TimerKind, Transport, TransportError, CLIENT_ADDR};
 
 /// Node-level protocol failure.
@@ -77,14 +80,20 @@ impl From<TransportError> for NodeError {
 
 /// Encodes `op` into `frame` as the RPC that carries it — a `ProbeLoad`
 /// under `token`, or an `AdaptIndegree` — and returns the token its
-/// answer must carry: the probe's, or 0 for a link operation.
+/// answer must carry: the probe's, or 0 for a link operation. Both are
+/// fixed-size frames, written straight from the op.
+#[inline]
 pub(crate) fn encode_ask(op: PeerOp, token: u64, frame: &mut Vec<u8>) -> u64 {
-    let (request, token) = match op {
-        PeerOp::Probe => (Message::ProbeLoad { token }, token),
-        PeerOp::Link { from, slot, op } => (Message::AdaptIndegree { from, slot, op }, 0),
-    };
-    encode_into(&request, frame);
-    token
+    match op {
+        PeerOp::Probe => {
+            encode_probe_load(token, frame);
+            token
+        }
+        PeerOp::Link { from, slot, op } => {
+            encode_adapt_indegree(from, slot, op, frame);
+            0
+        }
+    }
 }
 
 /// The ask an RPC carries, with its token; `None` for a message that
@@ -98,17 +107,12 @@ pub(crate) fn ask_of(request: &Message) -> Option<(u64, PeerOp)> {
 }
 
 /// Serves `op` on `node` and encodes the `LoadReport` that answers it
-/// under `token` into `out`, a buffer the caller keeps.
+/// under `token` into `out`, a buffer the caller keeps, straight from
+/// the node's report.
+#[inline]
 pub(crate) fn answer_ask(node: &mut ErtNode, token: u64, op: PeerOp, out: &mut Vec<u8>) {
-    let report = node.serve(op);
-    let answer = Message::LoadReport {
-        token,
-        load: report.load,
-        capacity: report.capacity,
-        indegree: report.indegree,
-        spare: report.spare,
-    };
-    encode_into(&answer, out);
+    let r = node.serve(op);
+    encode_load_report(token, r.load, r.capacity, r.indegree, r.spare, out);
 }
 
 /// Reads a peer's reply to an ask made under `token`. A reply other
@@ -458,21 +462,6 @@ impl WireNode {
         Ok(grew)
     }
 
-    /// Announces a graceful departure to every peer in the view.
-    ///
-    /// # Errors
-    ///
-    /// Only local send failures surface; the datagram may be lost.
-    pub fn announce_leave(&mut self, t: &mut dyn Transport) -> Result<(), NodeError> {
-        let frame = encode(&Message::Leave { id: self.id() });
-        for peer in self.members_view() {
-            if peer != self.id() {
-                t.send(peer, &frame)?;
-            }
-        }
-        Ok(())
-    }
-
     // ---- link construction ---------------------------------------------
 
     /// Builds the routing table over the wire with the shared node's
@@ -523,13 +512,26 @@ impl WireNode {
     /// local-state handler: it never issues transport calls, so nested
     /// RPC deadlock is impossible by construction.
     ///
+    /// A link op names the slot of this node's table it acts on, and
+    /// the table files a slot at its index, so a slot no table on the
+    /// ring has (a forged `AdaptIndegree`, say slot 65 534) is refused
+    /// before it reaches the table: it would size the table's spill to
+    /// that index.
+    ///
     /// # Errors
     ///
-    /// Fails on undecodable frames or messages that do not belong on
-    /// the RPC lane.
+    /// Fails on undecodable frames, messages that do not belong on the
+    /// RPC lane, and link ops on a slot that is not this ring's.
     pub fn on_request(&mut self, frame: &[u8]) -> Result<Vec<u8>, NodeError> {
         let request = decode(frame)?;
         if let Some((token, op)) = ask_of(&request) {
+            if let PeerOp::Link { slot, .. } = op {
+                if !self.geometry.is_slot(slot) {
+                    return Err(NodeError::Protocol(format!(
+                        "link op on slot {slot}, which no table of this ring has"
+                    )));
+                }
+            }
             // An owned frame: the transport takes the reply by value.
             let mut reply = Vec::new();
             answer_ask(&mut self.ert, token, op, &mut reply);
@@ -717,6 +719,25 @@ mod tests {
             .expect_err("stale token");
         assert!(matches!(err, NodeError::Protocol(_)), "{err}");
         assert_eq!(node.indegree(), 0);
+    }
+
+    #[test]
+    fn a_link_op_on_a_slot_the_ring_has_not_is_refused() {
+        let cfg = MiniDhtConfig::defaults(BITS, 5);
+        let mut node = WireNode::new(0, BITS, &[0, 20], 1.0, 8, &cfg, MiniProtocol::ElasticErt);
+        let frame = |slot| {
+            let op = AdaptOp::AddOutlink;
+            encode(&Message::AdaptIndegree { from: 20, slot, op })
+        };
+        for slot in [u16::from(BITS), 65_534] {
+            let err = node.on_request(&frame(slot)).expect_err("not a slot");
+            assert!(matches!(err, NodeError::Protocol(_)), "{err}");
+        }
+        assert_eq!(node.ert.table().outdegree(), 0);
+        for slot in [u16::from(BITS) - 1, u16::MAX] {
+            assert!(node.on_request(&frame(slot)).is_ok());
+        }
+        assert_eq!(node.ert.table().outdegree(), 2);
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl UdpTransport {
         due
     }
 
-    /// Earliest pending timer deadline, if any (drives the driver's
-    /// sleep budget).
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.timers.first().map(|&(at, _)| at)
-    }
-
     /// Driver hook: answers an incoming RPC request by sending `reply`
     /// straight back to the requester's socket address.
     ///

@@ -12,6 +12,11 @@
 //!   either fails with a typed error or yields a message that
 //!   re-encodes canonically (decode is a partial inverse of encode on
 //!   its accepted set);
+//! * **fixed-frame writers** — the `ProbeLoad`, `AdaptIndegree` and
+//!   `LoadReport` frames the switch and the node write straight from
+//!   the op or the report are byte for byte what `encode` makes of the
+//!   message, on every `AdaptOp`, slots up to the sentinel `u16::MAX`
+//!   and negative `spare`s, and decode back to it;
 //! * **reference differential** — `decode`, which reads each message's
 //!   fields into locals and builds the message in its result, answers
 //!   exactly as the decoder that built the message first and then
@@ -26,7 +31,10 @@
 //! constructs; these properties check the behavioral half of the same
 //! contract.
 
-use ert_node::codec::{HEADER_LEN, MAGIC, MAX_COUNT, MAX_FRAME, VERSION};
+use ert_node::codec::{
+    encode_adapt_indegree, encode_load_report, encode_probe_load, HEADER_LEN, MAGIC, MAX_COUNT,
+    MAX_FRAME, VERSION,
+};
 use ert_node::{decode, encode, AdaptOp, CodecError, LookupStatus, Message};
 use ert_sim::SimRng;
 use proptest::prelude::*;
@@ -398,12 +406,108 @@ proptest! {
         }
     }
 
+    /// The fixed-frame writers on random field values, every op.
+    #[test]
+    fn fixed_frame_writers_encode_as_encode_does(seed in 0u64..100_000) {
+        let mut rng = SimRng::seed_from(seed);
+        let op = [AdaptOp::AddOutlink, AdaptOp::DropOutlinks, AdaptOp::AddBackward][rng.gen_range(0..3)];
+        let mut kept = Vec::new();
+        for _ in 0..4 {
+            assert_fixed_writers_encode(
+                &mut kept,
+                rng.gen(),
+                rng.gen(),
+                rng.gen(),
+                op,
+                rng.gen(),
+                rng.gen(),
+                rng.gen(),
+                rng.gen(),
+            );
+        }
+    }
+
     #[test]
     fn random_garbage_never_panics(seed in 0u64..100_000, len in 0usize..512) {
         let mut rng = SimRng::seed_from(seed);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let _unused = decode(&bytes);
     }
+}
+
+/// The three fixed-size RPC frames each written by its own writer
+/// into `kept`, a buffer left dirty by whatever it held: byte for byte
+/// what `encode` makes of the message, and decoding back to it.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one value per field of the three frames"
+)]
+fn assert_fixed_writers_encode(
+    kept: &mut Vec<u8>,
+    token: u64,
+    from: u64,
+    slot: u16,
+    op: AdaptOp,
+    load: u64,
+    capacity: u64,
+    indegree: u32,
+    spare: i64,
+) {
+    let probe = Message::ProbeLoad { token };
+    encode_probe_load(token, kept);
+    assert_eq!(*kept, encode(&probe), "{probe:?}");
+    assert_eq!(decode(kept), Ok(probe));
+
+    let adapt = Message::AdaptIndegree { from, slot, op };
+    encode_adapt_indegree(from, slot, op, kept);
+    assert_eq!(*kept, encode(&adapt), "{adapt:?}");
+    assert_eq!(decode(kept), Ok(adapt));
+
+    let report = Message::LoadReport {
+        token,
+        load,
+        capacity,
+        indegree,
+        spare,
+    };
+    encode_load_report(token, load, capacity, indegree, spare, kept);
+    assert_eq!(*kept, encode(&report), "{report:?}");
+    assert_eq!(decode(kept), Ok(report));
+}
+
+/// Every `AdaptOp`, the slots at both ends of `u16` (the sentinel
+/// `u16::MAX` among them) and the `spare` values at both ends of `i64`
+/// and around zero, negative ones included, each with a buffer that
+/// held a longer frame before.
+#[test]
+fn fixed_frame_writers_encode_every_op_slot_and_spare_as_encode_does() {
+    let mut kept = encode(&Message::Join {
+        id: 1,
+        members: vec![2; 9],
+    });
+    let ops = [
+        AdaptOp::AddOutlink,
+        AdaptOp::DropOutlinks,
+        AdaptOp::AddBackward,
+    ];
+    for op in ops {
+        for slot in [0, 1, 2, 3, 255, 256, u16::MAX - 1, u16::MAX] {
+            for spare in [i64::MIN, -2, -1, 0, 1, i64::MAX] {
+                assert_fixed_writers_encode(&mut kept, 5, 9, slot, op, 3, 8, 7, spare);
+            }
+        }
+    }
+    assert_fixed_writers_encode(
+        &mut kept,
+        u64::MAX,
+        u64::MAX,
+        4,
+        ops[0],
+        u64::MAX,
+        u64::MAX,
+        u32::MAX,
+        -1,
+    );
 }
 
 #[test]

@@ -225,6 +225,12 @@ impl<'a> ArcMembers<'a> {
         self.head.iter().chain(self.tail).copied()
     }
 
+    /// The members clockwise from the start as two runs: up to the
+    /// ring's end, then from zero (empty unless the arc wraps).
+    pub fn runs(&self) -> (&'a [u64], &'a [u64]) {
+        (self.head, self.tail)
+    }
+
     /// The members clockwise from the start, copied out.
     pub fn to_vec(&self) -> Vec<u64> {
         self.iter().collect()

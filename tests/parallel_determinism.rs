@@ -12,6 +12,7 @@
 use ert_repro::baselines::{all_protocols, base};
 use ert_repro::experiments::{try_run_batch, ChurnSpec, RunCell, Scenario, Workload};
 use ert_repro::network::ProtocolSpec;
+use ert_repro::sim::SimDuration;
 
 fn small(seed: u64) -> Scenario {
     let mut s = Scenario::quick(seed);
@@ -152,7 +153,7 @@ fn poisoned_cell_is_contained_and_named() {
             seed,
             tweak: Box::new(|cfg| {
                 if cfg.seed == 3 {
-                    cfg.max_hops = 0; // invalid: rejected by Network::new
+                    cfg.light_service = SimDuration::ZERO; // invalid: rejected by Network::new
                 }
             }),
         })
@@ -164,7 +165,11 @@ fn poisoned_cell_is_contained_and_named() {
             let err = outcome.as_ref().expect_err("poisoned seed must fail");
             assert_eq!(err.seed, 3);
             assert_eq!(err.protocol, "Base");
-            assert!(err.message.contains("max hops"), "message: {}", err.message);
+            assert!(
+                err.message.contains("light service"),
+                "message: {}",
+                err.message
+            );
             assert!(err.to_string().contains("seed 3"), "display: {err}");
         } else {
             let report = outcome.as_ref().expect("healthy seeds stay intact");

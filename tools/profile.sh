@@ -14,13 +14,17 @@
 # tracer attaches to it and nothing machine-wide is touched.
 #
 # Addresses are symbolized with `addr2line -f -i -C` (inlined frames
-# expanded) and the script prints three lists: per function, its self
+# expanded) and the script prints four lists: per function, its self
 # share (the innermost frame of a sample) and its inclusive share
 # (anywhere on the stack, once per sample), then per source line its
 # self share (the innermost `file:line` of a sample, paths relative to
-# the copied tree or to the toolchain's source). The line list is where a hot instruction shows, such
+# the copied tree or to the toolchain's source), then per run phase its
+# share. The line list is where a hot instruction shows, such
 # as a store-forwarding stall on a value written field by field and read
-# back whole. With a frame filter, only the samples whose
+# back whole. A sample's phase is that of its innermost frame a rule of
+# tools/phases.txt matches (tools/phases.awk), or "unmapped"; the phase
+# list sums to 1, so two profiles' phase lists diff as a before/after
+# table. With a frame filter, only the samples whose
 # stack has a function whose name contains it are kept, and the shares
 # are of those: `tools/profile.sh wire-chord1k WireCluster::run_schedule`.
 # The inclusive list leaves out the frames on (nearly) every kept sample,
@@ -29,8 +33,8 @@
 # would fill the list; the header line counts them.
 #
 # Everything lands in .bench_build/profile/ (ignored) and stays there:
-# the tree, the build, the sampler, samples.bin, maps.txt and the
-# symbol table.
+# the tree, the build, the sampler, samples.bin, maps.txt, the symbol
+# table and the report program.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -190,7 +194,7 @@ tr ' ' '\n' <"$work/stacks.txt" | grep -v '^-$' | sort -u |
         { odd = !odd }
         END { flush() }' >"$work/symbols.txt"
 
-awk -F '\t' -v filter="$filter" -v top="$top" '
+cat >"$work/report.awk" <<'EOF'
     NR == FNR { line[$1] = $2; syms[$1] = substr($0, length($1) + length($2) + 3); next }
     {
         split($0, frames, " "); nf = 0
@@ -205,10 +209,11 @@ awk -F '\t' -v filter="$filter" -v top="$top" '
             for (k = 1; k <= nf; k++) if (index(fn[k], filter)) { keep = 1; break }
             if (!keep) next
         }
-        kept++; self[fn[1]]++; lines[here]++
+        kept++; self[fn[1]]++; lines[here]++; phases[phase_of(fn, nf)]++
         split("", seen)
         for (k = 1; k <= nf; k++) if (!(fn[k] in seen)) { seen[fn[k]] = 1; incl[fn[k]]++ }
     }
+    BEGIN { read_phases(rules) }
     END {
         printf "%d samples of %d kept%s\n", kept, FNR, (filter == "" ? "" : " (under \"" filter "\")")
         fflush()
@@ -222,4 +227,9 @@ awk -F '\t' -v filter="$filter" -v top="$top" '
             printf "incl\t%.4f\t%s\n", incl[f] / kept, f | "sort -t \"\t\" -k2,2nr | head -n " top
         close("sort -t \"\t\" -k2,2nr | head -n " top)
         for (l in lines) printf "line\t%.4f\t%s\n", lines[l] / kept, l | "sort -t \"\t\" -k2,2nr | head -n " top
-    }' "$work/symbols.txt" "$work/stacks.txt"
+        close("sort -t \"\t\" -k2,2nr | head -n " top)
+        for (p in phases) printf "phase\t%.4f\t%s\n", phases[p] / kept, p | "sort -t \"\t\" -k2,2nr"
+    }
+EOF
+awk -F '\t' -v filter="$filter" -v top="$top" -v rules="$root/tools/phases.txt" \
+    -f "$root/tools/phases.awk" -f "$work/report.awk" "$work/symbols.txt" "$work/stacks.txt"
